@@ -529,6 +529,20 @@ def _mass_fraction(u: Field, geometry, gamma) -> float:
     return inside / total
 
 
+def _write_solve_summary(path, lam: float, gamma, record) -> None:
+    """solve_lambda_L.txt; the final residual is nan when the solve stopped
+    before recording one."""
+    final = record.residuals[-1] if record.residuals else math.nan
+    with open(path, "w") as fh:
+        fh.write(f"lambda = {lam!r}\n")
+        fh.write(f"gamma = {_mask_str(gamma)}\n")
+        fh.write(f"converged = {'true' if record.converged else 'false'}\n")
+        fh.write(f"iterations = {record.iterations}\n")
+        fh.write(f"energy = {record.energy!r}\n")
+        fh.write(f"final_residual = {final!r}\n")
+        fh.write(f"bump_mask = {_mask_str(record.bump_mask)}\n")
+
+
 def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
     """Execute the pipeline; returns a process exit status."""
     if gamma is not None:
@@ -618,14 +632,8 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
             )
             tag = f"lambda_{st.lam:g}"
             save_field(st.record.field, os.path.join(gdir, f"field_{tag}.csv"))
-            with open(os.path.join(gdir, f"solve_{tag}.txt"), "w") as fh:
-                fh.write(f"lambda = {st.lam!r}\n")
-                fh.write(f"gamma = {_mask_str(gsel)}\n")
-                fh.write(f"converged = {'true' if st.record.converged else 'false'}\n")
-                fh.write(f"iterations = {st.record.iterations}\n")
-                fh.write(f"energy = {st.record.energy!r}\n")
-                fh.write(f"final_residual = {st.record.residuals[-1]!r}\n")
-                fh.write(f"bump_mask = {_mask_str(st.record.bump_mask)}\n")
+            _write_solve_summary(os.path.join(gdir, f"solve_{tag}.txt"),
+                                 st.lam, gsel, st.record)
             with open(os.path.join(gdir, f"residuals_{tag}.csv"), "w") as fh:
                 fh.write("iter,relative_residual,energy\n")
                 for i, (res, en) in enumerate(

@@ -313,21 +313,20 @@ def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid, min_cells: int
 
 
 def neg_laplacian(u: Field) -> Field:
-    """-lap_h u with the standard 3/5-point stencil and Dirichlet boundary."""
+    """-lap_h u with the standard 3/5-point stencil and Dirichlet boundary.
+
+    Neighbour differences are subtracted in place from 2*dim*u, so the
+    zero boundary ring is never materialized.
+    """
     grid = u.grid
-    h2 = grid.h * grid.h
-    full = u.full()
     v = u.values
-    if grid.dim == 1:
-        out = (2.0 * v - full[:-2] - full[2:]) / h2
-    else:
-        out = (
-            4.0 * v
-            - full[:-2, 1:-1]
-            - full[2:, 1:-1]
-            - full[1:-1, :-2]
-            - full[1:-1, 2:]
-        ) / h2
+    out = (2.0 * grid.dim) * v
+    for ax in range(grid.dim):
+        head = (slice(None),) * ax + (slice(1, None),)
+        tail = (slice(None),) * ax + (slice(None, -1),)
+        out[head] -= v[tail]
+        out[tail] -= v[head]
+    out /= grid.h * grid.h
     return Field(grid, out)
 
 

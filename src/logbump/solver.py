@@ -3,9 +3,12 @@
 All solves use the same semi-implicit splitting: the stiff linear part
 (-lap + diagonal mass) is treated implicitly, so the deepening parameter
 lambda never forces a smaller step, while the logarithmic nonlinearity is
-explicit.  Each implicit step is a Jacobi-preconditioned conjugate gradient
-solve of an SPD operator; negative values are clipped afterwards (the
-discrete counterpart of testing with the negative part).
+explicit.  The implicit matrix stays fixed over a solve.  On 1D grids it is
+symmetric tridiagonal, so it is factored once (LDL^T) before the flow loop
+and every step is one forward and one back substitution; on 2D grids each
+step is a Jacobi-preconditioned conjugate gradient solve.  Negative values
+are clipped afterwards (the discrete counterpart of testing with the
+negative part).
 
 Single-well ground states additionally rescale onto the Nehari manifold
 after every step, which pins the amplitude and turns the flow into a
@@ -18,6 +21,7 @@ order, no randomness, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +47,13 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Gradient-flow and inner linear-solve settings."""
+    """Gradient-flow and inner linear-solve settings.
 
-    tau: float = 0.2
+    cg_tol and cg_max_iters govern the 2D conjugate gradient solves only;
+    1D solves are direct.
+    """
+
+    tau: float = 0.05
     tol: float = 1e-6
     max_iters: int = 40000
     cg_tol: float = 1e-12
@@ -96,11 +104,14 @@ class MinimaxParams:
 def conjugate_gradient(apply_a, b, x0, tol, max_iters, diag=None):
     """Preconditioned CG for an SPD operator given as a callable.
 
-    Stops when ||r|| <= tol * ||b||.  A nonpositive curvature p.A p signals
-    a non-SPD operator and raises, as does running out of iterations.
-    Returns (solution, iterations).
+    Stops when ||r|| <= tol * ||b||.  A non-finite right-hand side raises at
+    once.  A nonpositive curvature p.A p signals a non-SPD operator and
+    raises, as does running out of iterations.  Returns (solution,
+    iterations).
     """
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise SolveError("non-finite right-hand side")
     x = np.array(x0, dtype=float, copy=True)
     r = b - apply_a(x)
     bnorm = float(np.sqrt(np.vdot(b, b)))
@@ -127,6 +138,86 @@ def conjugate_gradient(apply_a, b, x0, tol, max_iters, diag=None):
     if math.sqrt(float(np.vdot(r, r))) <= tol * bnorm:
         return x, max_iters
     raise SolveError(f"conjugate gradient did not converge in {max_iters} iterations")
+
+
+class TridiagonalLDL:
+    """LDL^T factor of a symmetric tridiagonal matrix, for repeated solves.
+
+    `diag` holds the n diagonal entries and `off` the n - 1 entries coupling
+    node i to node i + 1.  The recurrences run over plain Python floats,
+    which at 1D grid sizes beats the per-call overhead of numpy.  A
+    nonpositive pivot means the matrix is not SPD and raises.
+    """
+
+    def __init__(self, diag, off):
+        diag = np.asarray(diag, dtype=float).tolist()
+        off = np.asarray(off, dtype=float).tolist()
+        if len(off) != len(diag) - 1:
+            raise ValueError("off must have one entry fewer than diag")
+        pivots = [diag[0]]
+        mults = []
+        for a, b in zip(diag[1:], off):
+            if not pivots[-1] > 0.0:
+                break  # stop at the first bad pivot
+            mults.append(b / pivots[-1])
+            pivots.append(a - mults[-1] * b)
+        if not pivots[-1] > 0.0:
+            raise SolveError("LDL^T breakdown: operator not SPD")
+        self._mults = mults
+        self._last_pivot = pivots[-1]
+        self._back = list(zip(pivots[-2::-1], mults[::-1]))
+
+    def solve(self, rhs) -> np.ndarray:
+        """x with L D L^T x = rhs: one forward and one back substitution."""
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise SolveError("non-finite right-hand side")
+        vals = rhs.tolist()
+        z = vals[0]
+        fwd = [z]
+        for r, m in zip(vals[1:], self._mults):
+            z = r - m * z
+            fwd.append(z)
+        x = fwd.pop() / self._last_pivot
+        out = [x]
+        for (pivot, m), z in zip(self._back, reversed(fwd)):
+            x = z / pivot - m * x
+            out.append(x)
+        out.reverse()
+        return np.array(out)
+
+
+@dataclass(frozen=True)
+class FlowOperator:
+    """Implicit matrix of one flow solve, fixed over all of its steps.
+
+    `apply` and `diag` give the matrix free of storage with its Jacobi
+    diagonal; `off` is its sub-diagonal when it is tridiagonal (1D grids),
+    and None otherwise.
+    """
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    diag: np.ndarray
+    off: np.ndarray | None
+
+    def solver(self, config: SolverConfig) -> Callable:
+        """solve(rhs, x0) for every step of the flow.
+
+        A tridiagonal matrix is factored here, once, and x0 goes unused;
+        otherwise each call runs Jacobi-PCG from x0 with config's cg_tol and
+        cg_max_iters.
+        """
+        if self.off is not None:
+            factor = TridiagonalLDL(self.diag, self.off)
+            return lambda rhs, x0: factor.solve(rhs)
+
+        def pcg(rhs, x0):
+            x, _ = conjugate_gradient(
+                self.apply, rhs, x0, config.cg_tol, config.cg_max_iters, self.diag
+            )
+            return x
+
+        return pcg
 
 
 def _occupied_wells(values_full_sq_sums, total, threshold) -> tuple[int, ...]:
@@ -171,6 +262,24 @@ def _pure_energy(values, grid, hd):
     return kin + mass - logm
 
 
+def _single_well_operator(mask, grid: Grid, tau: float) -> FlowOperator:
+    """I + tau(-lap + 1) on the well's nodes, the identity elsewhere.
+
+    Flow iterates vanish off the well, so the 1D tridiagonal form drops the
+    couplings across the well's edge, which keeps it symmetric.
+    """
+
+    def apply_a(x):
+        lap = neg_laplacian(Field(grid, x)).values
+        return np.where(mask, x + tau * (lap + x), x)
+
+    diag = np.where(mask, 1.0 + tau * (2.0 * grid.dim / grid.h**2 + 1.0), 1.0)
+    off = None
+    if grid.dim == 1:
+        off = np.where(mask[:-1] & mask[1:], -tau / grid.h**2, 0.0)
+    return FlowOperator(apply_a, diag, off)
+
+
 def solve_single_well(
     geometry: WellGeometry, j: int, grid: Grid, config: SolverConfig
 ) -> SolveRecord:
@@ -202,11 +311,7 @@ def solve_single_well(
         r2 = r2 + (mesh[ax] - well.center[ax]) ** 2
     u = np.where(mask, np.exp(-r2 / (2.0 * sigma * sigma)), 0.0)
 
-    def apply_a(x):
-        lap = neg_laplacian(Field(grid, x)).values
-        return np.where(mask, x + tau * (lap + x), x)
-
-    diag = np.where(mask, 1.0 + tau * (2.0 * grid.dim / grid.h**2 + 1.0), 1.0)
+    implicit_solve = _single_well_operator(mask, grid, tau).solver(config)
 
     # initial projection onto the manifold
     lap0 = np.where(mask, neg_laplacian(Field(grid, u)).values, 0.0)
@@ -219,9 +324,7 @@ def solve_single_well(
     for it in range(1, config.max_iters + 1):
         rhs = u + tau * (np.asarray(s_log_sq(u)) + u)
         rhs = np.where(mask, rhs, 0.0)
-        u_new, _ = conjugate_gradient(
-            apply_a, rhs, u, config.cg_tol, config.cg_max_iters, diag
-        )
+        u_new = implicit_solve(rhs, u)
         u_new = np.where(mask, u_new, 0.0)
         if config.positivity:
             u_new = np.maximum(u_new, 0.0)
@@ -253,6 +356,20 @@ def solve_single_well(
 
 
 # -- penalized problem on the box -------------------------------------------
+
+
+def _auxiliary_operator(
+    fun: PenalizedFunctional, grid: Grid, tau: float
+) -> FlowOperator:
+    """I + tau(-lap + diag(lambda V + 1)) on the interior nodes of the box."""
+
+    def apply_a(x):
+        lap = neg_laplacian(Field(grid, x)).values
+        return x + tau * (lap + fun.diag * x)
+
+    diag = 1.0 + tau * (2.0 * grid.dim / grid.h**2 + fun.diag)
+    off = np.full(grid.n - 3, -tau / grid.h**2) if grid.dim == 1 else None
+    return FlowOperator(apply_a, diag, off)
 
 
 def solve_auxiliary(
@@ -290,11 +407,7 @@ def solve_auxiliary(
     inner = (slice(1, -1),) * grid.dim
     gamma_masks = [fun.masks.per_enlarged[j - 1][inner] for j in fun.gamma]
 
-    def apply_a(x):
-        lap = neg_laplacian(Field(grid, x)).values
-        return x + tau * (lap + fun.diag * x)
-
-    diag = 1.0 + tau * (2.0 * grid.dim / grid.h**2 + fun.diag)
+    implicit_solve = _auxiliary_operator(fun, grid, tau).solver(config)
 
     def strong_residual(vals):
         lap = neg_laplacian(Field(grid, vals)).values
@@ -308,9 +421,7 @@ def solve_auxiliary(
     it = 0
     for it in range(1, config.max_iters + 1):
         rhs = u + tau * fun.nonlinear_rhs(u)
-        u_new, _ = conjugate_gradient(
-            apply_a, rhs, u, config.cg_tol, config.cg_max_iters, diag
-        )
+        u_new = implicit_solve(rhs, u)
         if config.positivity:
             u_new = np.maximum(u_new, 0.0)
 
@@ -560,6 +671,23 @@ class _NeumannWell:
         return math.exp((quad - logm - mass) / (2.0 * mass))
 
 
+def _neumann_operator(prob: _NeumannWell, tau: float) -> FlowOperator:
+    """W(I + tau(B + lambda V + 1)) with trapezoid weights W.
+
+    The half weight on each mirrored end row halves its doubled ghost
+    coupling, so in 1D every off-diagonal entry is -tau/h^2 and the matrix
+    is symmetric.
+    """
+    dv = prob.lam * prob.v + 1.0
+
+    def apply_m(x):
+        return prob.w * (x + tau * (prob.apply_b(x) + dv * x))
+
+    diag = prob.w * (1.0 + tau * (2.0 * prob.dim / prob.h**2 + dv))
+    off = np.full(prob.shape[0] - 1, -tau / prob.h**2) if prob.dim == 1 else None
+    return FlowOperator(apply_m, diag, off)
+
+
 def solve_neumann_well(
     lam: float, j: int, grid: Grid, potential: PotentialSpec, config: SolverConfig
 ) -> NeumannRecord:
@@ -571,12 +699,7 @@ def solve_neumann_well(
     """
     prob = _NeumannWell(lam, j, grid, potential)
     tau = config.tau
-    dv = prob.lam * prob.v + 1.0
-
-    def apply_m(x):
-        return prob.w * (x + tau * (prob.apply_b(x) + dv * x))
-
-    diag = prob.w * (1.0 + tau * (2.0 * prob.dim / prob.h**2 + dv))
+    implicit_solve = _neumann_operator(prob, tau).solver(config)
 
     mesh = [
         prob.axes[ax].reshape([-1 if d == ax else 1 for d in range(prob.dim)])
@@ -593,9 +716,7 @@ def solve_neumann_well(
     it = 0
     for it in range(1, config.max_iters + 1):
         rhs = prob.w * (u + tau * (np.asarray(s_log_sq(u)) + u))
-        u_new, _ = conjugate_gradient(
-            apply_m, rhs, u, config.cg_tol, config.cg_max_iters, diag
-        )
+        u_new = implicit_solve(rhs, u)
         if config.positivity:
             u_new = np.maximum(u_new, 0.0)
         u_new *= prob.nehari_scale(u_new)

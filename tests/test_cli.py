@@ -9,6 +9,7 @@ import pytest
 
 from logbump.cli import (
     ConfigError,
+    _write_solve_summary,
     canonical_text,
     main,
     parse_config,
@@ -17,6 +18,7 @@ from logbump.cli import (
     rows_from_csv,
     run,
 )
+from logbump.solver import SolverConfig, solve_auxiliary
 
 MINIMAL = """
 R = 12.0
@@ -225,3 +227,18 @@ def test_full_reference_run(tmp_path):
     verdicts = (out / "verdicts.txt").read_text().splitlines()
     assert len(verdicts) == 8
     assert all("status=PASS" in line for line in verdicts)
+
+
+def test_tau_default_matches_cli():
+    assert SolverConfig().tau == parse_config_text(MINIMAL).tau_step
+
+
+def test_solve_summary_without_residual(ref, ref_wells, tmp_path):
+    # at lambda = 1e8 the first step underflows well 2's empty enlargement
+    # to zero mass, which ends the solve before it records a residual
+    rec = solve_auxiliary(1e8, (1, 2), ref_wells[0].field, ref.grid,
+                          ref.potential, ref.params, ref.solver)
+    assert rec.iterations == 1 and rec.residuals == [] and not rec.converged
+    path = tmp_path / "solve_lambda_1e+08.txt"
+    _write_solve_summary(path, 1e8, (1, 2), rec)
+    assert "final_residual = nan\n" in path.read_text()

@@ -207,6 +207,20 @@ def test_laplacian_eigenfunction():
     assert errs[1] < errs[0] / 3.5  # second order in h
 
 
+def test_laplacian_matches_padded_formula():
+    rng = np.random.default_rng(4)
+    for dim, n in ((1, 481), (2, 127)):
+        grid = Grid(dim=dim, r=7.0, n=n)
+        u = Field(grid, rng.standard_normal(grid.interior_shape))
+        full = np.pad(u.values, 1)
+        if dim == 1:
+            padded = 2.0 * u.values - full[:-2] - full[2:]
+        else:
+            padded = (4.0 * u.values - full[:-2, 1:-1] - full[2:, 1:-1]
+                      - full[1:-1, :-2] - full[1:-1, 2:])
+        assert np.array_equal(neg_laplacian(u).values, padded / (grid.h * grid.h))
+
+
 def test_laplacian_symmetry():
     rng = np.random.default_rng(1)
     for dim, n in ((1, 101), (2, 21)):

@@ -1,24 +1,37 @@
 """Gradient-flow solvers: ground states, penalized solves, path machinery."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logbump.solver as solver_module
 from logbump.domain import (
     Box,
     Field,
     Grid,
+    PotentialSpec,
     WellGeometry,
     integrate,
     masks,
     restricted_norm_sq,
 )
-from logbump.functional import nehari_check
+from logbump.functional import PenalizedFunctional, nehari_check
+from logbump.penalty import make_params
 from logbump.solver import (
     MinimaxParams,
     SolveError,
     SolverConfig,
+    TridiagonalLDL,
+    _auxiliary_operator,
+    _NeumannWell,
+    _neumann_operator,
+    _single_well_operator,
+    _well_interior_mask,
     choose_t,
     conjugate_gradient,
     lambda_sweep,
@@ -386,3 +399,113 @@ def test_neumann_level_below_dirichlet(ref, ref_wells):
     rec = solve_neumann_well(1e4, 1, ref.grid, ref.potential, ref.solver)
     assert rec.converged
     assert rec.c_lambda <= ref_wells[0].energy + 1e-6
+
+
+# -- factored implicit operator (1D) ------------------------------------------------
+
+
+def _random_spd_tridiagonal(rng, n):
+    off = rng.standard_normal(n - 1)
+    diag = 2.0 + np.abs(np.concatenate([off, [0.0]])) + np.abs(
+        np.concatenate([[0.0], off])
+    )
+    return diag, off
+
+
+def test_tridiagonal_ldl_matches_dense_solve():
+    rng = np.random.default_rng(2)
+    diag, off = _random_spd_tridiagonal(rng, 50)
+    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    b = rng.standard_normal(50)
+    x = TridiagonalLDL(diag, off).solve(b)
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-12)
+    assert TridiagonalLDL([4.0], []).solve([2.0]).tolist() == [0.5]
+
+
+def test_tridiagonal_ldl_rejects_non_spd():
+    with pytest.raises(SolveError, match="SPD"):
+        TridiagonalLDL([1.0, 1.0, 1.0], [2.0, 0.0])
+    with pytest.raises(SolveError, match="SPD"):
+        TridiagonalLDL([1.0, -1.0, 2.0], [0.0, 0.0])
+
+
+def _one_d_operators(ref):
+    """The three 1D flow matrices of the reference scenario, each with a
+    right-hand side from the subspace its flow iterates live in."""
+    rng = np.random.default_rng(3)
+    tau = ref.solver.tau
+    fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), 1e4)
+    mask = _well_interior_mask(ref.geometry, ref.grid, 1)
+    prob = _NeumannWell(1e3, 2, ref.grid, ref.potential)
+    shape = ref.grid.interior_shape
+    return {
+        "auxiliary": (_auxiliary_operator(fun, ref.grid, tau), rng.random(shape)),
+        "single_well": (
+            _single_well_operator(mask, ref.grid, tau),
+            np.where(mask, rng.random(shape), 0.0),
+        ),
+        "neumann": (_neumann_operator(prob, tau), rng.random(prob.shape)),
+    }
+
+
+@pytest.mark.parametrize("name", ["auxiliary", "single_well", "neumann"])
+def test_factored_operator_matches_cg(ref, name):
+    op, b = _one_d_operators(ref)[name]
+    assert op.off is not None
+    x = op.solver(ref.solver)(b, None)
+    y, _ = conjugate_gradient(op.apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
+    assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
+    assert np.linalg.norm(op.apply(x) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_one_d_solves_never_call_cg(ref, ref_wells, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conjugate_gradient called on a 1D grid")
+
+    monkeypatch.setattr(solver_module, "conjugate_gradient", forbidden)
+    config = SolverConfig(max_iters=5)
+    solve_single_well(ref.geometry, 1, ref.grid, config)
+    init = multi_bump_init([w.field for w in ref_wells], [0.5, 0.5], 2.0)
+    solve_auxiliary(1e2, (1, 2), init, ref.grid, ref.potential, ref.params, config)
+    solve_neumann_well(1e2, 1, ref.grid, ref.potential, config)
+
+
+def test_cg_rejects_non_finite_rhs():
+    b = np.array([1.0, math.nan, 1.0])
+    with pytest.raises(SolveError, match="non-finite"):
+        conjugate_gradient(lambda v: v, b, np.zeros(3), 1e-12, 100)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_auxiliary_non_finite_init_raises_at_once(dim):
+    offset = (0.0,) * (dim - 1)
+    wells = (Box((-3.0,) + offset, (2.0,) * dim), Box((3.0,) + offset, (2.0,) * dim))
+    geometry = WellGeometry(
+        dim=dim,
+        wells=wells,
+        enlargements=tuple(Box(w.center, (2.6,) * dim) for w in wells),
+    )
+    potential = PotentialSpec(geometry, cap=1.0, power=1.0)
+    grid = Grid(dim=dim, r=7.0, n=63)
+    values = np.ones(grid.interior_shape)
+    values[(grid.n // 3,) * dim] = math.nan
+    with pytest.raises(SolveError, match="non-finite"):
+        solve_auxiliary(1e4, (1, 2), Field(grid, values), grid, potential,
+                        make_params(), SolverConfig())
+
+
+def test_one_d_solve_imports_no_scipy():
+    src = Path(solver_module.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from logbump import Box, Grid, SolverConfig, WellGeometry, solve_single_well\n"
+        "g = WellGeometry(dim=1, wells=(Box((0.0,), (2.5,)),),"
+        " enlargements=(Box((0.0,), (3.5,)),))\n"
+        "grid = Grid(dim=1, r=6.0, n=241)\n"
+        "solve_single_well(g, 1, grid, SolverConfig(max_iters=3))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
