@@ -435,78 +435,97 @@ def _mask_from_str(text) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split("+"))
 
 
+def _parse_csv_bool(text) -> bool:
+    return text == "true"
+
+
+# (column, SweepRow field, cell parser) ahead of the per-well blocks
+_CSV_SCALARS = (
+    ("lambda", "lam", float),
+    ("gamma", "gamma", _mask_from_str),
+    ("converged", "converged", _parse_csv_bool),
+    ("phi_total", "phi_total", float),
+    ("b_upper", "b_upper", float),
+    ("c_gamma", "c_gamma", float),
+    ("lambda_v_mass", "lambda_v_mass", float),
+    ("outside_norm_sq", "outside_norm_sq", float),
+    ("sup_outside", "sup_outside", float),
+    ("a0", "a0", float),
+    ("min_u", "min_u", float),
+    ("mass_frac", "mass_frac", float),
+    ("occupied", "occupied", _mask_from_str),
+)
+# (column prefix, SweepRow field) of the per-well float blocks, one column
+# per well j = 1..k
+_CSV_WELL_BLOCKS = (
+    ("i_lambda_", "i_lambda"),
+    ("c_", "c_dirichlet"),
+    ("c_lambda_", "c_lambda"),
+)
+
+
+def _csv_columns(k: int) -> list[tuple[str, str, object, int | None]]:
+    """(column, field, parser, well slot or None) in energies.csv order."""
+    cols = [(name, field, parse, None) for name, field, parse in _CSV_SCALARS]
+    for prefix, field in _CSV_WELL_BLOCKS:
+        cols += [(f"{prefix}{j}", field, float, j - 1) for j in range(1, k + 1)]
+    return cols
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return _mask_str(value)
+    return repr(value)
+
+
 def csv_header(k: int) -> str:
-    cols = [
-        "lambda",
-        "gamma",
-        "converged",
-        "phi_total",
-        "b_upper",
-        "c_gamma",
-        "lambda_v_mass",
-        "outside_norm_sq",
-        "sup_outside",
-        "a0",
-        "min_u",
-        "mass_frac",
-        "occupied",
-    ]
-    cols += [f"i_lambda_{j}" for j in range(1, k + 1)]
-    cols += [f"c_{j}" for j in range(1, k + 1)]
-    cols += [f"c_lambda_{j}" for j in range(1, k + 1)]
-    return ",".join(cols)
+    return ",".join(name for name, _, _, _ in _csv_columns(k))
 
 
 def row_to_csv(row: SweepRow) -> str:
-    cells = [
-        repr(row.lam),
-        _mask_str(row.gamma),
-        "true" if row.converged else "false",
-        repr(row.phi_total),
-        repr(row.b_upper),
-        repr(row.c_gamma),
-        repr(row.lambda_v_mass),
-        repr(row.outside_norm_sq),
-        repr(row.sup_outside),
-        repr(row.a0),
-        repr(row.min_u),
-        repr(row.mass_frac),
-        _mask_str(row.occupied),
-    ]
-    cells += [repr(v) for v in row.i_lambda]
-    cells += [repr(v) for v in row.c_dirichlet]
-    cells += [repr(v) for v in row.c_lambda]
-    return ",".join(cells)
+    k = len(row.i_lambda)
+    return ",".join(
+        _csv_cell(getattr(row, field) if slot is None else getattr(row, field)[slot])
+        for _, field, _, slot in _csv_columns(k)
+    )
 
 
 def rows_from_csv(text: str) -> tuple[list[SweepRow], int]:
+    """Rows of energies.csv, each cell read by its header name.
+
+    A header that lacks a column, repeats one or names an unknown one
+    raises ValueError.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")
     k = sum(1 for c in header if c.startswith("i_lambda_"))
+    columns = _csv_columns(k)
+    expected = [name for name, _, _, _ in columns]
+    missing = [c for c in expected if c not in header]
+    unknown = [c for c in header if c not in expected]
+    if missing or unknown or len(set(header)) != len(header):
+        raise ValueError(
+            f"energies.csv header: missing {missing}, unknown {unknown}, "
+            f"{len(header) - len(set(header))} repeated"
+        )
+    index = {name: i for i, name in enumerate(header)}
     rows = []
     for line in lines[1:]:
         cells = line.split(",")
-        base = 13
-        rows.append(
-            SweepRow(
-                lam=float(cells[0]),
-                gamma=_mask_from_str(cells[1]),
-                converged=cells[2] == "true",
-                phi_total=float(cells[3]),
-                b_upper=float(cells[4]),
-                c_gamma=float(cells[5]),
-                lambda_v_mass=float(cells[6]),
-                outside_norm_sq=float(cells[7]),
-                sup_outside=float(cells[8]),
-                a0=float(cells[9]),
-                min_u=float(cells[10]),
-                mass_frac=float(cells[11]),
-                occupied=_mask_from_str(cells[12]),
-                i_lambda=tuple(float(c) for c in cells[base:base + k]),
-                c_dirichlet=tuple(float(c) for c in cells[base + k:base + 2 * k]),
-                c_lambda=tuple(float(c) for c in cells[base + 2 * k:base + 3 * k]),
+        if len(cells) != len(header):
+            raise ValueError(
+                f"energies.csv row has {len(cells)} cells for {len(header)} columns"
             )
-        )
+        fields: dict = {field: () for _, field in _CSV_WELL_BLOCKS}
+        for name, field, parse, slot in columns:
+            value = parse(cells[index[name]])
+            if slot is None:
+                fields[field] = value
+            else:
+                fields[field] += (value,)
+        rows.append(SweepRow(**fields))
     return rows, k
 
 
@@ -537,6 +556,7 @@ def _write_solve_summary(path, lam: float, gamma, record) -> None:
         fh.write(f"lambda = {lam!r}\n")
         fh.write(f"gamma = {_mask_str(gamma)}\n")
         fh.write(f"converged = {'true' if record.converged else 'false'}\n")
+        fh.write(f"stop_reason = {record.stop_reason}\n")
         fh.write(f"iterations = {record.iterations}\n")
         fh.write(f"energy = {record.energy!r}\n")
         fh.write(f"final_residual = {final!r}\n")
@@ -676,7 +696,7 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
     # verdicts are recomputed from the CSV so they stay re-derivable
     with open(csv_path) as fh:
         rows_back, k_back = rows_from_csv(fh.read())
-    verdicts = compute_verdicts(rows_back, k_back)
+    verdicts = compute_verdicts(rows_back, k_back, selections=gammas)
     with open(os.path.join(out_root, "verdicts.txt"), "w") as fh:
         for v in verdicts:
             fh.write(

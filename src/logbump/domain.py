@@ -49,9 +49,6 @@ class Box:
     def hi(self) -> tuple[float, ...]:
         return tuple(c + h for c, h in zip(self.center, self.half))
 
-    def contains_strict(self, point) -> bool:
-        return all(abs(x - c) < h for x, c, h in zip(point, self.center, self.half))
-
 
 def _boxes_closed_overlap(a: Box, b: Box) -> bool:
     return all(

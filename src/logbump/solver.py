@@ -76,13 +76,18 @@ class SolverConfig:
 
 @dataclass
 class SolveRecord:
-    """Outcome of one gradient-flow solve."""
+    """Outcome of one gradient-flow solve.
+
+    stop_reason names why the flow stopped: "converged", "iteration cap",
+    or "collapse" (a selected enlargement lost all of its mass).
+    """
 
     field: Field
     iterations: int
     residuals: list[float]
     energies: list[float]
     converged: bool
+    stop_reason: str
     energy: float
     bump_mask: tuple[int, ...]
 
@@ -350,6 +355,7 @@ def solve_single_well(
         residuals=residuals,
         energies=energies,
         converged=converged,
+        stop_reason="converged" if converged else "iteration cap",
         energy=energies[-1] if energies else 0.0,
         bump_mask=(j,),
     )
@@ -387,7 +393,7 @@ def solve_auxiliary(
                   (u + tau (g2'(x, u+) - f1'(u))),
     clipping negatives when the positivity flag is set, until the relative
     L2 residual of the penalized equation drops below tol.  Non-convergence
-    is flagged on the record, never papered over.
+    is flagged on the record with its stop reason, never papered over.
 
     Multi-bump states are saddle points: the energy tends to minus infinity
     along each bump's amplitude, so the plain descent flow escapes instead
@@ -416,8 +422,7 @@ def solve_auxiliary(
     u = init.values.copy()
     residuals: list[float] = []
     energies: list[float] = []
-    converged = False
-    alive = True
+    stop_reason = "iteration cap"
     it = 0
     for it in range(1, config.max_iters + 1):
         rhs = u + tau * fun.nonlinear_rhs(u)
@@ -430,13 +435,13 @@ def solve_auxiliary(
             for mask in gamma_masks:
                 mass = hd * float(np.sum((u_new * u_new)[mask]))
                 if mass <= 0.0:
-                    alive = False
+                    stop_reason = "collapse"
                     break
                 pair = hd * float(np.sum((res * u_new)[mask]))
                 # trust region keeps early iterations sane; inactive near the end
                 t = math.exp(min(max(pair / (2.0 * mass), -0.7), 0.7))
                 u_new[mask] *= t
-        if not alive:
+        if stop_reason == "collapse":
             u = u_new
             break
 
@@ -447,7 +452,7 @@ def solve_auxiliary(
         energies.append(fun.phi_total(u_new))
         u = u_new
         if rel <= config.tol:
-            converged = True
+            stop_reason = "converged"
             break
 
     out = Field(grid, u)
@@ -456,7 +461,8 @@ def solve_auxiliary(
         iterations=it,
         residuals=residuals,
         energies=energies,
-        converged=converged,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
         energy=energies[-1] if energies else fun.phi_total(u),
         bump_mask=classify_bumps(out, potential.geometry, config.bump_threshold),
     )
@@ -526,20 +532,42 @@ def minimax_upper_bound(
     Maximizes the penalized energy over the bump-superposition surface
     (s_1, ..., s_l) in [1/T^2, 1]^l; since the surface is admissible the
     maximum dominates the minimax level up to the grid resolution in s.
-    """
-    import itertools
 
+    The energy is additive over bumps whose supports no stencil reaches
+    across: the mass, f1 and g2 terms are pointwise and vanish at 0, and
+    every kinetic cross term <-lap w_i, w_j> is 0.  So the maximum over the
+    m^l points of the surface grid is the sum of the per-bump maxima over
+    the m points of each axis, found with l*m energy evaluations.  Bumps
+    whose support, grown by one stencil cell, meets another bump's support
+    raise ValueError.
+    """
     fun = PenalizedFunctional(grid, potential, params, gamma, lam)
+    supports = [w.values != 0.0 for w in omegas]
+    for i, reach in enumerate(_stencil_reach(s) for s in supports):
+        for j in range(i + 1, len(supports)):
+            if np.any(reach & supports[j]):
+                raise ValueError(
+                    f"bumps {i + 1} and {j + 1} are coupled by the stencil; "
+                    "the minimax energy is additive only over separated supports"
+                )
     big_t = minimax.big_t
     s_axis = np.linspace(1.0 / (big_t * big_t), 1.0, minimax.m)
-    best = -math.inf
-    stacked = [w.values for w in omegas]
-    for combo in itertools.product(s_axis, repeat=len(omegas)):
-        vals = np.zeros(grid.interior_shape)
-        for s, wv in zip(combo, stacked):
-            vals = vals + (s * big_t) * wv
-        best = max(best, fun.phi_total(vals))
-    return best
+    return sum(
+        max(fun.phi_total((s * big_t) * w.values) for s in s_axis) for w in omegas
+    )
+
+
+def _stencil_reach(support: np.ndarray) -> np.ndarray:
+    """The nodes of `support` and their stencil neighbours along each axis."""
+    reach = support.copy()
+    for ax in range(support.ndim):
+        head = [slice(None)] * support.ndim
+        tail = [slice(None)] * support.ndim
+        head[ax] = slice(None, -1)
+        tail[ax] = slice(1, None)
+        reach[tuple(head)] |= support[tuple(tail)]
+        reach[tuple(tail)] |= support[tuple(head)]
+    return reach
 
 
 @dataclass

@@ -118,8 +118,14 @@ def compute_verdicts(
     gap_tol: float = 0.01,
     fidelity: float = 0.99,
     trend_slack: float = 1.05,
+    selections=None,
 ) -> list[Verdict]:
-    """All pass/fail verdicts derivable from the recorded rows."""
+    """All pass/fail verdicts derivable from the recorded rows.
+
+    `selections` lists the well selections the run asked for (default: the
+    ones present in the rows).  The multiplicity verdict is given when they
+    are all 2^k - 1 of them, and fails if any has no rows.
+    """
     groups = _groups(rows)
     verdicts: list[Verdict] = []
 
@@ -204,15 +210,20 @@ def compute_verdicts(
                 f"required mass fraction {fidelity:.0%} in the enlargements")
     )
 
-    if len(groups) == 2**k - 1:
+    wanted = set(groups) if selections is None else {tuple(g) for g in selections}
+    if len(wanted) == 2**k - 1:
+        missing = sorted(wanted - set(groups))
         masks_seen = {grp[-1].occupied for grp in groups.values()}
         match = all(grp[-1].occupied == gamma for gamma, grp in groups.items())
         mult_ok = len(masks_seen) == 2**k - 1 and match
+        detail = f"{len(masks_seen)} distinct occupation masks of {2**k - 1} expected"
+        if missing:
+            detail += "; no rows for gamma " + ", ".join(
+                "+".join(map(str, g)) for g in missing
+            )
         verdicts.append(
             Verdict("multiplicity", mult_ok,
-                    float(len(masks_seen) - (2**k - 1)),
-                    f"{len(masks_seen)} distinct occupation masks of "
-                    f"{2**k - 1} expected")
+                    float(len(masks_seen) - (2**k - 1)), detail)
         )
     return verdicts
 

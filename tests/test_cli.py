@@ -3,6 +3,7 @@
 import filecmp
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,14 +12,17 @@ from logbump.cli import (
     ConfigError,
     _write_solve_summary,
     canonical_text,
+    csv_header,
     main,
     parse_config,
     parse_config_text,
     report,
+    row_to_csv,
     rows_from_csv,
     run,
 )
-from logbump.solver import SolverConfig, solve_auxiliary
+from logbump.solver import SolveError, SolverConfig, solve_auxiliary
+from logbump.verify import SweepRow
 
 MINIMAL = """
 R = 12.0
@@ -239,6 +243,67 @@ def test_solve_summary_without_residual(ref, ref_wells, tmp_path):
     rec = solve_auxiliary(1e8, (1, 2), ref_wells[0].field, ref.grid,
                           ref.potential, ref.params, ref.solver)
     assert rec.iterations == 1 and rec.residuals == [] and not rec.converged
+    assert rec.stop_reason == "collapse"
     path = tmp_path / "solve_lambda_1e+08.txt"
     _write_solve_summary(path, 1e8, (1, 2), rec)
     assert "final_residual = nan\n" in path.read_text()
+    assert "stop_reason = collapse\n" in path.read_text()
+
+
+def _sample_rows():
+    return [
+        SweepRow(lam=lam, gamma=gamma, converged=lam > 10.0, phi_total=4.8 + lam,
+                 b_upper=4.81, c_gamma=4.82, lambda_v_mass=1e-3 / lam,
+                 outside_norm_sq=0.1 / 3.0, sup_outside=1e-8, a0=0.3,
+                 min_u=-0.0, mass_frac=0.999, occupied=(2,),
+                 i_lambda=(2.4, 1.0 / 7.0), c_dirichlet=(2.41, math.nan),
+                 c_lambda=(2.405, 2.5))
+        for lam, gamma in ((10.0, (1, 2)), (1e4, (2,)))
+    ]
+
+
+def test_csv_reads_columns_by_name():
+    rows = _sample_rows()
+    lines = [csv_header(2).split(",")] + [row_to_csv(r).split(",") for r in rows]
+
+    def text(table):
+        return "\n".join(",".join(cells) for cells in table)
+
+    back, k = rows_from_csv(text([cells[::-1] for cells in lines]))
+    assert k == 2
+    assert [repr(r) for r in back] == [repr(r) for r in rows]
+
+    for dropped in ("phi_total", "c_lambda_2"):
+        i = lines[0].index(dropped)
+        with pytest.raises(ValueError, match=dropped):
+            rows_from_csv(text([cells[:i] + cells[i + 1:] for cells in lines]))
+    extra = [lines[0] + ["extra"]] + [cells + ["1"] for cells in lines[1:]]
+    with pytest.raises(ValueError, match="extra"):
+        rows_from_csv(text(extra))
+
+
+@pytest.mark.parametrize("name", ["three-wells-1d", "twin-wells-2d"])
+def test_bundled_configs_match_benchmark_configs(name):
+    root = Path(__file__).resolve().parent.parent
+    bundled = parse_config(root / "configs" / f"{name}.cfg")
+    bench = parse_config(root / "perfbench" / "configs" / f"{name}.cfg")
+    assert bundled.out == f"runs/{name}"
+    assert canonical_text(bundled) == canonical_text(replace(bench, out=bundled.out))
+
+
+def test_missing_selection_fails_multiplicity(tmp_path, monkeypatch):
+    import logbump.cli as cli
+
+    sweep = cli.lambda_sweep
+
+    def failing_sweep(lambdas, gamma, *args):
+        if gamma == (2,):
+            raise SolveError("injected failure")
+        return sweep(lambdas, gamma, *args)
+
+    monkeypatch.setattr(cli, "lambda_sweep", failing_sweep)
+    out = tmp_path / "missing"
+    assert run(parse_config_text(TINY), out_dir=str(out)) == 1
+    verdicts = (out / "verdicts.txt").read_text()
+    assert ("criterion=multiplicity status=FAIL margin=-1.0 detail=2 distinct "
+            "occupation masks of 3 expected; no rows for gamma 2") in verdicts

@@ -1,5 +1,6 @@
 """Gradient-flow solvers: ground states, penalized solves, path machinery."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import logbump.solver as solver_module
+from logbump.cli import parse_config
 from logbump.domain import (
     Box,
     Field,
@@ -340,6 +342,87 @@ def test_minimax_twin_separability(ref, ref_wells, ref_big_t):
     )
     c_gamma = sum(r.energy for r in ref_wells)
     assert abs(b - c_gamma) < 0.02 * c_gamma
+
+
+def _product_scan_bound(lam, gamma, omegas, minimax, grid, potential, params):
+    """Reference bound: the energy at every point of the m^l surface grid."""
+    fun = PenalizedFunctional(grid, potential, params, gamma, lam)
+    big_t = minimax.big_t
+    s_axis = np.linspace(1.0 / (big_t * big_t), 1.0, minimax.m)
+    best = -math.inf
+    for combo in itertools.product(s_axis, repeat=len(omegas)):
+        vals = np.zeros(grid.interior_shape)
+        for s, w in zip(combo, omegas):
+            vals = vals + (s * big_t) * w.values
+        best = max(best, fun.phi_total(vals))
+    return best
+
+
+@pytest.mark.parametrize("gamma", [(1,), (1, 2)])
+def test_minimax_matches_product_scan(ref, ref_wells, ref_big_t, gamma):
+    mm = MinimaxParams(big_t=ref_big_t, m=17)
+    ws = [ref_wells[j - 1].field for j in gamma]
+    args = (1e4, gamma, ws, mm, ref.grid, ref.potential, ref.params)
+    expected = _product_scan_bound(*args)
+    assert abs(minimax_upper_bound(*args) - expected) <= 1e-12 * abs(expected)
+
+
+def test_minimax_rejects_stencil_coupled_bumps(ref, ref_wells, ref_big_t):
+    w = ref_wells[0].field
+    shifted = Field(ref.grid, np.roll(w.values, 1))
+    mm = MinimaxParams(big_t=ref_big_t, m=17)
+    with pytest.raises(ValueError, match="coupled by the stencil"):
+        minimax_upper_bound(1e4, (1, 2), [w, shifted], mm, ref.grid,
+                            ref.potential, ref.params)
+
+
+def test_minimax_2d_stencil_reach():
+    # the 5-point stencil couples axis neighbours only, so bumps that meet
+    # at a corner stay separable and bumps that share an edge do not
+    grid = Grid(dim=2, r=4.0, n=11)
+    geometry = WellGeometry(
+        dim=2,
+        wells=(Box((-1.6, -1.6), (0.5, 0.5)), Box((1.6, 1.6), (0.5, 0.5))),
+        enlargements=(Box((-1.6, -1.6), (1.0, 1.0)), Box((1.6, 1.6), (1.0, 1.0))),
+    )
+    potential = PotentialSpec(geometry, power=1.0)
+    patch = np.array([[0.5, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 0.5]])
+    a = np.zeros(grid.interior_shape)
+    a[1:4, 1:4] = patch
+    corner = np.zeros(grid.interior_shape)
+    corner[4:7, 4:7] = patch
+    mm = MinimaxParams(big_t=2.0, m=9)
+    args = (100.0, (1, 2), [Field(grid, a), Field(grid, corner)], mm, grid,
+            potential, make_params())
+    expected = _product_scan_bound(*args)
+    assert abs(minimax_upper_bound(*args) - expected) <= 1e-12 * abs(expected)
+    edge = np.roll(corner, -1, axis=1)
+    with pytest.raises(ValueError, match="coupled by the stencil"):
+        minimax_upper_bound(100.0, (1, 2), [Field(grid, a), Field(grid, edge)],
+                            mm, grid, potential, make_params())
+
+
+def test_minimax_evaluates_l_times_m_energies(monkeypatch):
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs"
+                       / "three-wells-1d.cfg")
+    grid, geometry = cfg.grid(), cfg.geometry()
+    omegas = [
+        Field(grid, np.where(_well_interior_mask(geometry, grid, j),
+                             np.exp(-(grid.interior_mesh()[0] - c) ** 2), 0.0))
+        for j, c in ((1, -8.0), (2, 0.0), (3, 8.0))
+    ]
+    calls = []
+    phi_total = PenalizedFunctional.phi_total
+
+    def counted(self, values):
+        calls.append(1)
+        return phi_total(self, values)
+
+    monkeypatch.setattr(PenalizedFunctional, "phi_total", counted)
+    mm = MinimaxParams(big_t=2.0, m=9)
+    minimax_upper_bound(1e4, (1, 2, 3), omegas, mm, grid, cfg.potential(),
+                        cfg.params())
+    assert len(calls) == 3 * 9
 
 
 def test_minimax_params_validation():

@@ -126,6 +126,17 @@ def test_verdict_multiplicity_requires_distinct_masks():
     assert not verdicts["multiplicity"].passed
 
 
+def test_verdict_multiplicity_fails_on_missing_selection():
+    rows = [make_row(10.0, gamma=(1,)), make_row(10.0, gamma=(1, 2))]
+    asked = [(1,), (2,), (1, 2)]
+    verdicts = {v.name: v for v in compute_verdicts(rows, k=2, selections=asked)}
+    assert not verdicts["multiplicity"].passed
+    assert verdicts["multiplicity"].detail.endswith("no rows for gamma 2")
+    # a run that asked for a subset gets no multiplicity verdict
+    subset = compute_verdicts(rows, k=2, selections=[(1,), (1, 2)])
+    assert "multiplicity" not in {v.name for v in subset}
+
+
 # -- limit problem -----------------------------------------------------------------
 
 
