@@ -17,8 +17,6 @@ from logbump.functional import (
     PenalizedFunctional,
     nehari_check,
     nehari_time,
-    phi,
-    residual,
 )
 from logbump.penalty import PenalizationParams, make_params, solve_a0
 from logbump.solver import (
@@ -59,8 +57,6 @@ __all__ = [
     "nehari_check",
     "nehari_time",
     "neg_laplacian",
-    "phi",
-    "residual",
     "solve_a0",
     "solve_auxiliary",
     "solve_neumann_well",

@@ -610,7 +610,7 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
             nrec = solve_neumann_well(lam, j, grid, potential, solver_cfg)
             if not nrec.converged:
                 failures.append(f"enlarged well {j} level at lambda={lam:g} "
-                                "did not converge")
+                                f"did not converge ({nrec.stop_reason})")
             c_lambda[(lam, j)] = nrec.c_lambda
 
     def gamma_job(gsel):

@@ -55,27 +55,6 @@ class EnergyReport:
     outside_norm_sq: float
     sup_outside: float
 
-    CSV_COLUMNS = (
-        "total",
-        "kinetic",
-        "mass",
-        "f1_term",
-        "g2_term",
-        "lambda_v_mass",
-        "outside_norm_sq",
-        "sup_outside",
-    )
-
-    @classmethod
-    def csv_header(cls, k: int) -> str:
-        wells = ",".join(f"i_lambda_{j}" for j in range(1, k + 1))
-        return ",".join(cls.CSV_COLUMNS) + ("," + wells if k else "")
-
-    def csv_row(self) -> str:
-        base = [repr(getattr(self, c)) for c in self.CSV_COLUMNS]
-        base.extend(repr(v) for v in self.per_well)
-        return ",".join(base)
-
 
 class PenalizedFunctional:
     """Penalized energy of the auxiliary problem at fixed (lambda, gamma).
@@ -173,16 +152,6 @@ class PenalizedFunctional:
             outside_norm_sq=outside_norm,
             sup_outside=sup_outside,
         )
-
-
-def phi(u: Field, lam: float, gamma, potential: PotentialSpec,
-        params: PenalizationParams) -> EnergyReport:
-    return PenalizedFunctional(u.grid, potential, params, gamma, lam).report(u)
-
-
-def residual(u: Field, lam: float, gamma, potential: PotentialSpec,
-             params: PenalizationParams) -> Field:
-    return PenalizedFunctional(u.grid, potential, params, gamma, lam).residual(u)
 
 
 # -- local (per-well) energies --------------------------------------------

@@ -3,12 +3,12 @@
 All solves use the same semi-implicit splitting: the stiff linear part
 (-lap + diagonal mass) is treated implicitly, so the deepening parameter
 lambda never forces a smaller step, while the logarithmic nonlinearity is
-explicit.  The implicit matrix stays fixed over a solve.  On 1D grids it is
-symmetric tridiagonal, so it is factored once (LDL^T) before the flow loop
-and every step is one forward and one back substitution; on 2D grids each
-step is a Jacobi-preconditioned conjugate gradient solve.  Negative values
-are clipped afterwards (the discrete counterpart of testing with the
-negative part).
+explicit.  The implicit matrix stays fixed over a solve, so it is factored
+once before the flow loop (tridiagonal LDL^T in 1D, block LDL^T in 2D) and
+every step is a direct solve; only the 2D auxiliary flow, on the whole box,
+runs a Jacobi-preconditioned conjugate gradient solve per step.  Negative
+values are clipped afterwards (the discrete counterpart of testing with
+the negative part).
 
 Single-well ground states additionally rescale onto the Nehari manifold
 after every step, which pins the amplitude and turns the flow into a
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -49,8 +50,8 @@ class SolveError(RuntimeError):
 class SolverConfig:
     """Gradient-flow and inner linear-solve settings.
 
-    cg_tol and cg_max_iters govern the 2D conjugate gradient solves only;
-    1D solves are direct.
+    cg_tol and cg_max_iters govern only the conjugate gradient solves of
+    the 2D auxiliary flow; every other flow step is a direct solve.
     """
 
     tau: float = 0.05
@@ -192,28 +193,73 @@ class TridiagonalLDL:
         return np.array(out)
 
 
+class BlockTridiagonalLDL:
+    """Block LDL^T factor of a symmetric 5-point matrix on an (ny, nx) array.
+
+    `off0` couples node (i, j) to (i + 1, j) and `off1` couples it to
+    (i, j + 1).  Each row's Schur complement is a dense nx x nx block whose
+    Cholesky factor raises if the matrix is not SPD; its inverse is kept
+    (ny nx^2 doubles), so a solve is 2 ny matrix-vector products.
+    """
+
+    def __init__(self, diag, off0, off1):
+        diag = np.asarray(diag, dtype=float)
+        self._off = np.asarray(off0, dtype=float)
+        off1 = np.asarray(off1, dtype=float)
+        ny, nx = diag.shape
+        if self._off.shape != (ny - 1, nx) or off1.shape != (ny, nx - 1):
+            raise ValueError("off0 and off1 must couple neighbours along axes 0 and 1")
+        self._inv = np.empty((ny, nx, nx))
+        for i in range(ny):
+            schur = np.diag(diag[i]) + np.diag(off1[i], 1) + np.diag(off1[i], -1)
+            if i > 0:
+                c = self._off[i - 1]
+                schur -= c[:, None] * self._inv[i - 1] * c[None, :]
+            try:
+                np.linalg.cholesky(schur)
+            except np.linalg.LinAlgError:
+                raise SolveError("block LDL^T breakdown: operator not SPD") from None
+            self._inv[i] = np.linalg.inv(schur)
+
+    def solve(self, rhs) -> np.ndarray:
+        """x with L D L^T x = rhs: one forward and one back sweep over rows."""
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise SolveError("non-finite right-hand side")
+        inv, off = self._inv, self._off
+        x = np.empty_like(rhs)
+        x[0] = inv[0] @ rhs[0]
+        for i in range(1, len(x)):
+            x[i] = inv[i] @ (rhs[i] - off[i - 1] * x[i - 1])
+        for i in range(len(x) - 2, -1, -1):
+            x[i] -= inv[i] @ (off[i] * x[i + 1])
+        return x
+
+
 @dataclass(frozen=True)
 class FlowOperator:
     """Implicit matrix of one flow solve, fixed over all of its steps.
 
     `apply` and `diag` give the matrix free of storage with its Jacobi
-    diagonal; `off` is its sub-diagonal when it is tridiagonal (1D grids),
-    and None otherwise.
+    diagonal.  `off` holds its stencil couplings, one array per axis (entry
+    i along axis a couples node i to node i + 1 along a), when they are
+    assembled, and None otherwise.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     diag: np.ndarray
-    off: np.ndarray | None
+    off: tuple[np.ndarray, ...] | None
 
     def solver(self, config: SolverConfig) -> Callable:
         """solve(rhs, x0) for every step of the flow.
 
-        A tridiagonal matrix is factored here, once, and x0 goes unused;
-        otherwise each call runs Jacobi-PCG from x0 with config's cg_tol and
-        cg_max_iters.
+        Assembled couplings are factored here, once (tridiagonal LDL^T in
+        1D, block LDL^T in 2D), and x0 goes unused; otherwise each call runs
+        Jacobi-PCG from x0 with config's cg_tol and cg_max_iters.
         """
         if self.off is not None:
-            factor = TridiagonalLDL(self.diag, self.off)
+            factor_type = TridiagonalLDL if len(self.off) == 1 else BlockTridiagonalLDL
+            factor = factor_type(self.diag, *self.off)
             return lambda rhs, x0: factor.solve(rhs)
 
         def pcg(rhs, x0):
@@ -249,6 +295,18 @@ def _well_interior_mask(geometry: WellGeometry, grid: Grid, j: int) -> np.ndarra
     return box_mask_full(geometry.wells[j - 1], grid)[inner]
 
 
+def _axis_couplings(axis_weights, tau: float, h: float) -> tuple[np.ndarray, ...]:
+    """Couplings -tau/h^2 of I + tau(-lap) between neighbours along each
+    axis, times the node weights of the other axes."""
+    off = []
+    for ax in range(len(axis_weights)):
+        factors = [
+            np.ones(len(w) - 1) if d == ax else w for d, w in enumerate(axis_weights)
+        ]
+        off.append(-tau / h**2 * reduce(np.multiply.outer, factors))
+    return tuple(off)
+
+
 def _masked_nehari_scale(values, grid, lap_vals, hd):
     """Closed-form Nehari rescale from already-computed pieces."""
     grad = hd * float(np.vdot(lap_vals, values))
@@ -267,21 +325,22 @@ def _pure_energy(values, grid, hd):
     return kin + mass - logm
 
 
-def _single_well_operator(mask, grid: Grid, tau: float) -> FlowOperator:
-    """I + tau(-lap + 1) on the well's nodes, the identity elsewhere.
+def _single_well_operator(window, grid: Grid, tau: float) -> FlowOperator:
+    """I + tau(-lap + 1) on the well's node rectangle `window` of the
+    interior array.
 
-    Flow iterates vanish off the well, so the 1D tridiagonal form drops the
-    couplings across the well's edge, which keeps it symmetric.
+    Flow iterates vanish off the well, so the matrix acts on the window
+    alone, with zero values beyond its edge.
     """
 
     def apply_a(x):
-        lap = neg_laplacian(Field(grid, x)).values
-        return np.where(mask, x + tau * (lap + x), x)
+        full = np.zeros(grid.interior_shape)
+        full[window] = x
+        return x + tau * (neg_laplacian(Field(grid, full)).values[window] + x)
 
-    diag = np.where(mask, 1.0 + tau * (2.0 * grid.dim / grid.h**2 + 1.0), 1.0)
-    off = None
-    if grid.dim == 1:
-        off = np.where(mask[:-1] & mask[1:], -tau / grid.h**2, 0.0)
+    shape = tuple(w.stop - w.start for w in window)
+    diag = np.full(shape, 1.0 + tau * (2.0 * grid.dim / grid.h**2 + 1.0))
+    off = _axis_couplings([np.ones(n) for n in shape], tau, grid.h)
     return FlowOperator(apply_a, diag, off)
 
 
@@ -316,7 +375,9 @@ def solve_single_well(
         r2 = r2 + (mesh[ax] - well.center[ax]) ** 2
     u = np.where(mask, np.exp(-r2 / (2.0 * sigma * sigma)), 0.0)
 
-    implicit_solve = _single_well_operator(mask, grid, tau).solver(config)
+    # wells are boxes, so the mask fills the rectangle its nodes span
+    window = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))
+    window_solve = _single_well_operator(window, grid, tau).solver(config)
 
     # initial projection onto the manifold
     lap0 = np.where(mask, neg_laplacian(Field(grid, u)).values, 0.0)
@@ -328,9 +389,8 @@ def solve_single_well(
     it = 0
     for it in range(1, config.max_iters + 1):
         rhs = u + tau * (np.asarray(s_log_sq(u)) + u)
-        rhs = np.where(mask, rhs, 0.0)
-        u_new = implicit_solve(rhs, u)
-        u_new = np.where(mask, u_new, 0.0)
+        u_new = np.zeros_like(u)
+        u_new[window] = window_solve(rhs[window], None)
         if config.positivity:
             u_new = np.maximum(u_new, 0.0)
         lap = np.where(mask, neg_laplacian(Field(grid, u_new)).values, 0.0)
@@ -367,14 +427,18 @@ def solve_single_well(
 def _auxiliary_operator(
     fun: PenalizedFunctional, grid: Grid, tau: float
 ) -> FlowOperator:
-    """I + tau(-lap + diag(lambda V + 1)) on the interior nodes of the box."""
+    """I + tau(-lap + diag(lambda V + 1)) on the interior nodes of the box.
+
+    Assembled, and so factored, in 1D only: a 2D block factor would hold
+    (n - 2)^3 doubles, 15.6 MB at n = 127, so 2D steps run Jacobi-PCG.
+    """
 
     def apply_a(x):
         lap = neg_laplacian(Field(grid, x)).values
         return x + tau * (lap + fun.diag * x)
 
     diag = 1.0 + tau * (2.0 * grid.dim / grid.h**2 + fun.diag)
-    off = np.full(grid.n - 3, -tau / grid.h**2) if grid.dim == 1 else None
+    off = _axis_couplings([np.ones(grid.n - 2)], tau, grid.h) if grid.dim == 1 else None
     return FlowOperator(apply_a, diag, off)
 
 
@@ -609,11 +673,13 @@ def lambda_sweep(
 
 @dataclass
 class NeumannRecord:
-    """Ground-state level of the enlarged-well problem with natural BC."""
+    """Ground-state level of the enlarged-well problem with natural BC;
+    stop_reason is "converged" or "iteration cap"."""
 
     c_lambda: float
     iterations: int
     converged: bool
+    stop_reason: str
     residual: float
     nehari_gap: float
 
@@ -643,14 +709,8 @@ class _NeumannWell:
         self.axes = [grid.axis[idx] for idx in sel]
         self.shape = tuple(len(a) for a in self.axes)
 
-        weights = 1.0
-        for ax in range(grid.dim):
-            w = np.ones(self.shape[ax])
-            w[0] = w[-1] = 0.5
-            weights = weights * w.reshape(
-                [-1 if d == ax else 1 for d in range(grid.dim)]
-            )
-        self.w = weights * np.ones(self.shape)
+        self.axis_w = [np.r_[0.5, np.ones(n - 2), 0.5] for n in self.shape]
+        self.w = reduce(np.multiply.outer, self.axis_w)
 
         from logbump.domain import _dist_sq_to_wells, _shape_potential
 
@@ -703,8 +763,8 @@ def _neumann_operator(prob: _NeumannWell, tau: float) -> FlowOperator:
     """W(I + tau(B + lambda V + 1)) with trapezoid weights W.
 
     The half weight on each mirrored end row halves its doubled ghost
-    coupling, so in 1D every off-diagonal entry is -tau/h^2 and the matrix
-    is symmetric.
+    coupling, so neighbours along one axis couple by -tau/h^2 times the
+    weights of the other axes both ways and the matrix is symmetric.
     """
     dv = prob.lam * prob.v + 1.0
 
@@ -712,7 +772,7 @@ def _neumann_operator(prob: _NeumannWell, tau: float) -> FlowOperator:
         return prob.w * (x + tau * (prob.apply_b(x) + dv * x))
 
     diag = prob.w * (1.0 + tau * (2.0 * prob.dim / prob.h**2 + dv))
-    off = np.full(prob.shape[0] - 1, -tau / prob.h**2) if prob.dim == 1 else None
+    off = _axis_couplings(prob.axis_w, tau, prob.h)
     return FlowOperator(apply_m, diag, off)
 
 
@@ -764,6 +824,7 @@ def solve_neumann_well(
         c_lambda=energy,
         iterations=it,
         converged=converged,
+        stop_reason="converged" if converged else "iteration cap",
         residual=rel,
         nehari_gap=abs(energy - 0.5 * mass),
     )

@@ -367,34 +367,3 @@ def gausson_order_study(dim: int, r: float, n_list) -> OrderStudy:
         ratios=ratios,
         fitted_order=float(slope),
     )
-
-
-# -- bookkeeping -------------------------------------------------------------
-
-
-def norm_partition_gap(u: Field, region_masks, lam: float,
-                       potential: PotentialSpec) -> float:
-    """|full norm - (outside-wells part + per-well parts)|, which must be
-    at rounding level because the nodal gradient density is additive."""
-    from logbump.domain import restricted_norm_sq
-
-    full_mask = np.ones(u.grid.full_shape, dtype=bool)
-    total = restricted_norm_sq(u, full_mask, lam, potential)
-    parts = restricted_norm_sq(u, region_masks.outside_wells, lam, potential)
-    for j in region_masks.gamma:
-        parts += restricted_norm_sq(u, region_masks.per_well[j - 1], lam, potential)
-    for j in range(1, potential.geometry.k + 1):
-        if j not in region_masks.gamma:
-            parts += restricted_norm_sq(u, region_masks.per_well[j - 1], lam,
-                                        potential)
-    return abs(total - parts)
-
-
-def fit_log_envelope(h1_norms, log_masses):
-    """Least-squares envelope  int u^2 log u^2 <= A + B log ||u||  over a
-    corpus of fields (measurement only; the constants are not universal)."""
-    x = np.log(np.asarray(h1_norms, dtype=float))
-    y = np.asarray(log_masses, dtype=float)
-    b, a = np.polyfit(x, y, 1)
-    shift = float(np.max(y - (a + b * x)))
-    return a + shift, b

@@ -307,3 +307,18 @@ def test_missing_selection_fails_multiplicity(tmp_path, monkeypatch):
     verdicts = (out / "verdicts.txt").read_text()
     assert ("criterion=multiplicity status=FAIL margin=-1.0 detail=2 distinct "
             "occupation masks of 3 expected; no rows for gamma 2") in verdicts
+
+
+def test_neumann_failure_names_stop_reason(tmp_path, capsys, monkeypatch):
+    import logbump.cli as cli
+
+    neumann = cli.solve_neumann_well
+
+    def capped(lam, j, grid, potential, config):
+        return neumann(lam, j, grid, potential, replace(config, max_iters=1))
+
+    monkeypatch.setattr(cli, "solve_neumann_well", capped)
+    out = tmp_path / "capped"
+    assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
+    assert ("FAILURE: enlarged well 1 level at lambda=100 did not converge "
+            "(iteration cap)") in capsys.readouterr().err

@@ -16,8 +16,8 @@ from logbump.domain import (
     masks,
     restricted_norm_sq,
 )
+from logbump.cli import csv_header, row_to_csv
 from logbump.functional import (
-    EnergyReport,
     PenalizedFunctional,
     dirichlet_well_energy,
     gausson_values,
@@ -25,10 +25,9 @@ from logbump.functional import (
     nehari_check,
     nehari_time,
     penalized_well_energy,
-    phi,
-    residual,
 )
 from logbump.penalty import make_params, sq_log_sq
+from logbump.verify import SweepRow
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 
@@ -86,7 +85,8 @@ def well_supported_field(grid, center, half, bump=1.2):
 
 def test_phi_zero_field(setup):
     grid, geometry, pot, params = setup
-    rep = phi(Field.zeros(grid), 100.0, (1, 2), pot, params)
+    fun = PenalizedFunctional(grid, pot, params, (1, 2), 100.0)
+    rep = fun.report(Field.zeros(grid))
     assert rep.total == 0.0
     assert rep.kinetic == rep.mass == rep.f1_term == rep.g2_term == 0.0
     assert rep.sup_outside == 0.0
@@ -95,7 +95,7 @@ def test_phi_zero_field(setup):
 def test_phi_split_consistency(setup):
     grid, geometry, pot, params = setup
     u = well_supported_field(grid, -5.0, 2.5)
-    rep = phi(u, 100.0, (1, 2), pot, params)
+    rep = PenalizedFunctional(grid, pot, params, (1, 2), 100.0).report(u)
     assert abs(rep.total - (rep.kinetic + rep.mass + rep.f1_term - rep.g2_term)) \
         <= 1e-10 * (1.0 + abs(rep.total))
 
@@ -103,7 +103,7 @@ def test_phi_split_consistency(setup):
 def test_phi_pure_log_collapse_for_supported_fields(setup):
     grid, geometry, pot, params = setup
     u = well_supported_field(grid, -5.0, 2.5)
-    rep = phi(u, 100.0, (1, 2), pot, params)
+    rep = PenalizedFunctional(grid, pot, params, (1, 2), 100.0).report(u)
     hd = grid.h
     full = u.full()
     pure = 0.5 * hd * (
@@ -115,20 +115,29 @@ def test_phi_pure_log_collapse_for_supported_fields(setup):
 def test_phi_lambda_independence_on_wells(setup):
     grid, geometry, pot, params = setup
     u = well_supported_field(grid, 5.0, 2.5)
-    t1 = phi(u, 1.0, (1, 2), pot, params).total
-    t2 = phi(u, 1e6, (1, 2), pot, params).total
+    t1 = PenalizedFunctional(grid, pot, params, (1, 2), 1.0).report(u).total
+    t2 = PenalizedFunctional(grid, pot, params, (1, 2), 1e6).report(u).total
     assert abs(t1 - t2) <= 1e-12 * (1.0 + abs(t1))
 
 
 def test_report_csv_roundtrip(setup):
     grid, geometry, pot, params = setup
     u = well_supported_field(grid, -5.0, 2.5)
-    rep = phi(u, 10.0, (1, 2), pot, params)
-    header = EnergyReport.csv_header(2).split(",")
-    row = rep.csv_row().split(",")
-    assert len(header) == len(row)
-    assert float(row[0]) == rep.total
-    assert float(row[-1]) == rep.per_well[-1]
+    rep = PenalizedFunctional(grid, pot, params, (1, 2), 10.0).report(u)
+    # the report's values as the pipeline writes them to energies.csv
+    sweep_row = SweepRow(
+        lam=10.0, gamma=(1, 2), converged=True, phi_total=rep.total,
+        b_upper=0.0, c_gamma=0.0, lambda_v_mass=rep.lambda_v_mass,
+        outside_norm_sq=rep.outside_norm_sq, sup_outside=rep.sup_outside,
+        a0=params.a0, min_u=0.0, mass_frac=1.0, occupied=(1,),
+        i_lambda=rep.per_well, c_dirichlet=(0.0, 0.0), c_lambda=(0.0, 0.0),
+    )
+    header = csv_header(2).split(",")
+    cells = row_to_csv(sweep_row).split(",")
+    assert len(header) == len(cells)
+    row = dict(zip(header, cells))
+    assert float(row["phi_total"]) == rep.total
+    assert float(row["i_lambda_2"]) == rep.per_well[-1]
 
 
 # -- residual ----------------------------------------------------------------------
@@ -136,7 +145,7 @@ def test_report_csv_roundtrip(setup):
 
 def test_residual_zero_field(setup):
     grid, geometry, pot, params = setup
-    r = residual(Field.zeros(grid), 50.0, (1, 2), pot, params)
+    r = PenalizedFunctional(grid, pot, params, (1, 2), 50.0).residual(Field.zeros(grid))
     assert np.abs(r.values).max() == 0.0
 
 

@@ -25,6 +25,7 @@ from logbump.domain import (
 from logbump.functional import PenalizedFunctional, nehari_check
 from logbump.penalty import make_params
 from logbump.solver import (
+    BlockTridiagonalLDL,
     MinimaxParams,
     SolveError,
     SolverConfig,
@@ -473,6 +474,7 @@ def test_neumann_levels_monotone_in_lambda(ref):
         for lam in (10.0, 100.0, 1000.0)
     ]
     assert all(rec.converged for rec in levels)
+    assert all(rec.stop_reason == "converged" for rec in levels)
     assert all(rec.nehari_gap <= 1e-8 * abs(rec.c_lambda) for rec in levels)
     vals = [rec.c_lambda for rec in levels]
     assert vals[0] < vals[1] < vals[2]
@@ -519,13 +521,14 @@ def _one_d_operators(ref):
     tau = ref.solver.tau
     fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), 1e4)
     mask = _well_interior_mask(ref.geometry, ref.grid, 1)
+    window = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))
     prob = _NeumannWell(1e3, 2, ref.grid, ref.potential)
     shape = ref.grid.interior_shape
     return {
         "auxiliary": (_auxiliary_operator(fun, ref.grid, tau), rng.random(shape)),
         "single_well": (
-            _single_well_operator(mask, ref.grid, tau),
-            np.where(mask, rng.random(shape), 0.0),
+            _single_well_operator(window, ref.grid, tau),
+            rng.random(int(mask.sum())),
         ),
         "neumann": (_neumann_operator(prob, tau), rng.random(prob.shape)),
     }
@@ -551,6 +554,96 @@ def test_one_d_solves_never_call_cg(ref, ref_wells, monkeypatch):
     init = multi_bump_init([w.field for w in ref_wells], [0.5, 0.5], 2.0)
     solve_auxiliary(1e2, (1, 2), init, ref.grid, ref.potential, ref.params, config)
     solve_neumann_well(1e2, 1, ref.grid, ref.potential, config)
+
+
+# -- factored implicit operator (2D) ------------------------------------------------
+
+
+def _random_spd_five_point(rng, ny, nx):
+    """Diagonally dominant (ny, nx) diagonal with random couplings along
+    axis 0 and axis 1, and the dense matrix they make."""
+    off0 = rng.standard_normal((ny - 1, nx))
+    off1 = rng.standard_normal((ny, nx - 1))
+    diag = 1.0 + rng.random((ny, nx))
+    diag[:-1] += np.abs(off0)
+    diag[1:] += np.abs(off0)
+    diag[:, :-1] += np.abs(off1)
+    diag[:, 1:] += np.abs(off1)
+    dense = np.diag(diag.ravel())
+    idx = np.arange(ny * nx).reshape(ny, nx)
+    for couple, a, b in ((off0, idx[:-1], idx[1:]), (off1, idx[:, :-1], idx[:, 1:])):
+        dense[a.ravel(), b.ravel()] = dense[b.ravel(), a.ravel()] = couple.ravel()
+    return diag, off0, off1, dense
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (1, 6), (6, 1)])
+def test_block_ldl_matches_dense_solve(shape):
+    rng = np.random.default_rng(4)
+    diag, off0, off1, dense = _random_spd_five_point(rng, *shape)
+    b = rng.standard_normal(shape)
+    x = BlockTridiagonalLDL(diag, off0, off1).solve(b)
+    expected = np.linalg.solve(dense, b.ravel()).reshape(shape)
+    assert np.allclose(x, expected, rtol=0.0, atol=1e-12)
+
+
+def test_block_ldl_rejects_non_spd_and_non_finite_rhs():
+    rng = np.random.default_rng(5)
+    diag, off0, off1, _ = _random_spd_five_point(rng, 4, 3)
+    bad = diag.copy()
+    bad[2, 1] = -1.0
+    with pytest.raises(SolveError, match="SPD"):
+        BlockTridiagonalLDL(bad, off0, off1)
+    rhs = np.ones((4, 3))
+    rhs[3, 0] = math.nan
+    with pytest.raises(SolveError, match="non-finite"):
+        BlockTridiagonalLDL(diag, off0, off1).solve(rhs)
+
+
+def _small_2d():
+    """One square 2D well resolved by 39 x 39 nodes."""
+    geometry = WellGeometry(
+        dim=2,
+        wells=(Box((0.0, 0.0), (2.0, 2.0)),),
+        enlargements=(Box((0.0, 0.0), (2.5, 2.5)),),
+    )
+    potential = PotentialSpec(geometry, cap=1.0, power=1.0)
+    return geometry, potential, Grid(dim=2, r=3.0, n=61)
+
+
+@pytest.mark.parametrize("name", ["single_well", "neumann"])
+def test_factored_operator_matches_cg_2d(name):
+    _, potential, grid = _small_2d()
+    rng = np.random.default_rng(6)
+    if name == "single_well":
+        op = _single_well_operator((slice(4, 40), slice(9, 30)), grid, 0.05)
+    else:
+        op = _neumann_operator(_NeumannWell(1e3, 1, grid, potential), 0.05)
+    assert op.off is not None and len(op.off) == 2
+    b = rng.random(op.diag.shape)
+    x = op.solver(SolverConfig())(b, None)
+    y, _ = conjugate_gradient(op.apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
+    assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
+    assert np.linalg.norm(op.apply(x) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_two_d_well_solves_never_call_cg(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conjugate_gradient called by a well solve")
+
+    geometry, potential, grid = _small_2d()
+    monkeypatch.setattr(solver_module, "conjugate_gradient", forbidden)
+    config = SolverConfig(max_iters=5)
+    solve_single_well(geometry, 1, grid, config)
+    solve_neumann_well(1e2, 1, grid, potential, config)
+
+
+def test_single_well_2d_determinism():
+    geometry, _, grid = _small_2d()
+    config = SolverConfig(max_iters=30)
+    a = solve_single_well(geometry, 1, grid, config)
+    b = solve_single_well(geometry, 1, grid, config)
+    assert np.array_equal(a.field.values, b.field.values)
+    assert a.residuals == b.residuals
 
 
 def test_cg_rejects_non_finite_rhs():
@@ -581,11 +674,18 @@ def test_one_d_solve_imports_no_scipy():
     src = Path(solver_module.__file__).resolve().parents[1]
     code = (
         "import sys\n"
-        "from logbump import Box, Grid, SolverConfig, WellGeometry, solve_single_well\n"
+        "from logbump import (Box, Grid, PotentialSpec, SolverConfig, WellGeometry,"
+        " solve_neumann_well, solve_single_well)\n"
         "g = WellGeometry(dim=1, wells=(Box((0.0,), (2.5,)),),"
         " enlargements=(Box((0.0,), (3.5,)),))\n"
         "grid = Grid(dim=1, r=6.0, n=241)\n"
         "solve_single_well(g, 1, grid, SolverConfig(max_iters=3))\n"
+        "g2 = WellGeometry(dim=2, wells=(Box((0.0, 0.0), (2.0, 2.0)),),"
+        " enlargements=(Box((0.0, 0.0), (2.5, 2.5)),))\n"
+        "grid2 = Grid(dim=2, r=3.0, n=61)\n"
+        "solve_single_well(g2, 1, grid2, SolverConfig(max_iters=3))\n"
+        "solve_neumann_well(1e2, 1, grid2, PotentialSpec(g2),"
+        " SolverConfig(max_iters=3))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
