@@ -85,7 +85,6 @@ class RunConfig:
     max_iters: int
     cg_tol: float
     cg_max_iters: int
-    positivity: bool
     bump_threshold: float
     minimax_t: float | None         # None means auto
     minimax_m: int
@@ -118,7 +117,6 @@ class RunConfig:
             max_iters=self.max_iters,
             cg_tol=self.cg_tol,
             cg_max_iters=self.cg_max_iters,
-            positivity=self.positivity,
             bump_threshold=self.bump_threshold,
         )
 
@@ -149,7 +147,6 @@ _DEFAULTS = {
     "max_iters": "40000",
     "cg_tol": "1e-12",
     "cg_max_iters": "20000",
-    "positivity": "true",
     "bump_threshold": "0.01",
     "minimax_T": "auto",
     "minimax_m": "33",
@@ -179,14 +176,6 @@ def _parse_floats(key, text, count=None):
     if count is not None and len(vals) != count:
         raise ConfigError(f"{key}: expected {count} comma-separated values")
     return vals
-
-
-def _parse_bool(key, text):
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected true/false (got {text!r})")
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -307,7 +296,6 @@ def parse_config_text(text: str) -> RunConfig:
     cg_max_iters = _parse_int("cg_max_iters", get("cg_max_iters"))
     if cg_max_iters < 1:
         raise ConfigError(f"cg_max_iters: must be at least 1 (got {cg_max_iters})")
-    positivity = _parse_bool("positivity", get("positivity"))
     bump_threshold = _parse_float("bump_threshold", get("bump_threshold"))
     if not 0.0 < bump_threshold < 1.0:
         raise ConfigError(
@@ -348,7 +336,6 @@ def parse_config_text(text: str) -> RunConfig:
         max_iters=max_iters,
         cg_tol=cg_tol,
         cg_max_iters=cg_max_iters,
-        positivity=positivity,
         bump_threshold=bump_threshold,
         minimax_t=minimax_t,
         minimax_m=minimax_m,
@@ -410,7 +397,6 @@ def canonical_text(config: RunConfig) -> str:
             f"max_iters = {config.max_iters}",
             f"cg_tol = {config.cg_tol!r}",
             f"cg_max_iters = {config.cg_max_iters}",
-            f"positivity = {'true' if config.positivity else 'false'}",
             f"bump_threshold = {config.bump_threshold!r}",
             "minimax_T = "
             + ("auto" if config.minimax_t is None else repr(config.minimax_t)),
@@ -484,12 +470,17 @@ def csv_header(k: int) -> str:
     return ",".join(name for name, _, _, _ in _csv_columns(k))
 
 
+def _csv_cells(row: SweepRow) -> dict[str, str]:
+    """The row's energies.csv cells by column name, in file order."""
+    cells = {}
+    for name, field, _, slot in _csv_columns(len(row.i_lambda)):
+        value = getattr(row, field)
+        cells[name] = _csv_cell(value if slot is None else value[slot])
+    return cells
+
+
 def row_to_csv(row: SweepRow) -> str:
-    k = len(row.i_lambda)
-    return ",".join(
-        _csv_cell(getattr(row, field) if slot is None else getattr(row, field)[slot])
-        for _, field, _, slot in _csv_columns(k)
-    )
+    return ",".join(_csv_cells(row).values())
 
 
 def rows_from_csv(text: str) -> tuple[list[SweepRow], int]:
@@ -728,6 +719,7 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
 
 # -- report -------------------------------------------------------------------
 
+# energies.csv columns that report.csv repeats, cell for cell
 REPORT_COLUMNS = (
     "lambda",
     "gamma",
@@ -767,20 +759,8 @@ def report(run_dir) -> int:
             "true" if row.converged else "false",
         )
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-        out_lines.append(
-            ",".join(
-                [
-                    repr(row.lam),
-                    _mask_str(row.gamma),
-                    repr(row.phi_total),
-                    repr(row.lambda_v_mass),
-                    repr(row.outside_norm_sq),
-                    repr(row.sup_outside),
-                    _mask_str(row.occupied),
-                    "true" if row.converged else "false",
-                ]
-            )
-        )
+        csv_cells = _csv_cells(row)
+        out_lines.append(",".join(csv_cells[c] for c in REPORT_COLUMNS))
     with open(os.path.join(run_dir, "report.csv"), "w") as fh:
         fh.write("\n".join(out_lines) + "\n")
     if os.path.exists(os.path.join(run_dir, "verdicts.txt")):

@@ -231,18 +231,27 @@ class Field:
         return np.pad(self.values, 1)
 
 
-def box_mask_full(box: Box, grid: Grid, strict: bool = True) -> np.ndarray:
-    """Node membership of an axis-aligned box, resolved per axis.
+def box_nodes(box: Box, grid: Grid, strict: bool = True) -> tuple[slice, ...]:
+    """Per-axis slices of the grid nodes inside an axis-aligned box.
 
     Nodes are classified by a strict interior test at their coordinates;
     the closed variant (strict=False) includes boundary-coincident nodes
-    with a half-spacing tolerance.
+    with a half-spacing tolerance.  The nodes inside a box along an axis
+    are contiguous, so one slice per axis holds them.
     """
-    out = np.ones(grid.full_shape, dtype=bool)
+    out = []
     for ax in range(grid.dim):
         d = np.abs(grid.axis - box.center[ax])
-        line = d < box.half[ax] if strict else d <= box.half[ax] + 1e-9 * grid.h
-        out = out & line.reshape([-1 if dd == ax else 1 for dd in range(grid.dim)])
+        inside = d < box.half[ax] if strict else d <= box.half[ax] + 1e-9 * grid.h
+        idx = np.nonzero(inside)[0]
+        out.append(slice(idx[0], idx[-1] + 1) if len(idx) else slice(0, 0))
+    return tuple(out)
+
+
+def box_mask_full(box: Box, grid: Grid, strict: bool = True) -> np.ndarray:
+    """Node membership of an axis-aligned box (see `box_nodes`)."""
+    out = np.zeros(grid.full_shape, dtype=bool)
+    out[box_nodes(box, grid, strict)] = True
     return out
 
 
@@ -310,21 +319,28 @@ def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid, min_cells: int
 
 
 def neg_laplacian(u: Field) -> Field:
-    """-lap_h u with the standard 3/5-point stencil and Dirichlet boundary.
+    """-lap_h u with the standard 3/5-point stencil and Dirichlet boundary."""
+    return Field(u.grid, neg_laplacian_values(u.values, u.grid.h))
 
-    Neighbour differences are subtracted in place from 2*dim*u, so the
-    zero boundary ring is never materialized.
+
+def neg_laplacian_values(v: np.ndarray, h: float, mirror: bool = False) -> np.ndarray:
+    """-lap_h on an array of nodes of any box, with spacing h.
+
+    A neighbour beyond the array's edge is a zero ghost (Dirichlet), or
+    with `mirror` a ghost repeating the edge node's inner neighbour
+    (Neumann).  Neighbour differences are subtracted in place from
+    2*dim*v, so no ghost ring is materialized.
     """
-    grid = u.grid
-    v = u.values
-    out = (2.0 * grid.dim) * v
-    for ax in range(grid.dim):
-        head = (slice(None),) * ax + (slice(1, None),)
-        tail = (slice(None),) * ax + (slice(None, -1),)
-        out[head] -= v[tail]
-        out[tail] -= v[head]
-    out /= grid.h * grid.h
-    return Field(grid, out)
+    out = (2.0 * v.ndim) * v
+    for ax in range(v.ndim):
+        lead = (slice(None),) * ax
+        out[lead + (slice(1, None),)] -= v[lead + (slice(None, -1),)]
+        out[lead + (slice(None, -1),)] -= v[lead + (slice(1, None),)]
+        if mirror:
+            out[lead + (0,)] -= v[lead + (1,)]
+            out[lead + (-1,)] -= v[lead + (-2,)]
+    out /= h * h
+    return out
 
 
 def integrate(values, grid: Grid | None = None) -> float:

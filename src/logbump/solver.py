@@ -3,16 +3,20 @@
 All solves use the same semi-implicit splitting: the stiff linear part
 (-lap + diagonal mass) is treated implicitly, so the deepening parameter
 lambda never forces a smaller step, while the logarithmic nonlinearity is
-explicit.  The implicit matrix stays fixed over a solve, so it is factored
-once before the flow loop (tridiagonal LDL^T in 1D, block LDL^T in 2D) and
-every step is a direct solve; only the 2D auxiliary flow, on the whole box,
-runs a Jacobi-preconditioned conjugate gradient solve per step.  Negative
-values are clipped afterwards (the discrete counterpart of testing with
-the negative part).
+explicit.  Negative values are clipped after every step (the discrete
+counterpart of testing with the negative part).  The implicit matrix stays
+fixed over a solve, so it is factored once before the flow loop
+(tridiagonal LDL^T in 1D, block LDL^T in 2D) and every step is a direct
+solve; only the 2D auxiliary flow, on the whole box, runs a
+Jacobi-preconditioned conjugate gradient solve per step.
 
-Single-well ground states additionally rescale onto the Nehari manifold
-after every step, which pins the amplitude and turns the flow into a
-minimization over the manifold.
+Two flows cover all solves.  The ground-state flow runs on a local box of
+grid nodes and rescales onto the Nehari manifold after every step, which
+pins the amplitude and turns the flow into a minimization over the
+manifold.  Its local problems differ only in the ghost rule beyond the
+box: zero on the Dirichlet well's own nodes, mirrored on the enlarged
+well with natural boundary condition.  The auxiliary flow solves the
+penalized problem on the whole box with a per-well amplitude rescale.
 
 Everything here is deterministic: fixed iteration order, fixed summation
 order, no randomness, so identical inputs give bit-identical outputs.
@@ -28,12 +32,17 @@ from functools import reduce
 import numpy as np
 
 from logbump.domain import (
+    Box,
     Field,
     Grid,
     PotentialSpec,
     WellGeometry,
+    _dist_sq_to_wells,
+    _shape_potential,
     box_mask_full,
+    box_nodes,
     neg_laplacian,
+    neg_laplacian_values,
 )
 from logbump.functional import (
     PenalizedFunctional,
@@ -59,7 +68,6 @@ class SolverConfig:
     max_iters: int = 40000
     cg_tol: float = 1e-12
     cg_max_iters: int = 20000
-    positivity: bool = True
     bump_threshold: float = 0.01
 
     def __post_init__(self):
@@ -287,14 +295,6 @@ def classify_bumps(u: Field, geometry: WellGeometry, threshold: float) -> tuple[
     return _occupied_wells(per, float(np.sum(sq)), threshold)
 
 
-# -- single-well Dirichlet ground state -------------------------------------
-
-
-def _well_interior_mask(geometry: WellGeometry, grid: Grid, j: int) -> np.ndarray:
-    inner = (slice(1, -1),) * grid.dim
-    return box_mask_full(geometry.wells[j - 1], grid)[inner]
-
-
 def _axis_couplings(axis_weights, tau: float, h: float) -> tuple[np.ndarray, ...]:
     """Couplings -tau/h^2 of I + tau(-lap) between neighbours along each
     axis, times the node weights of the other axes."""
@@ -305,120 +305,6 @@ def _axis_couplings(axis_weights, tau: float, h: float) -> tuple[np.ndarray, ...
         ]
         off.append(-tau / h**2 * reduce(np.multiply.outer, factors))
     return tuple(off)
-
-
-def _masked_nehari_scale(values, grid, lap_vals, hd):
-    """Closed-form Nehari rescale from already-computed pieces."""
-    grad = hd * float(np.vdot(lap_vals, values))
-    mass = hd * float(np.sum(values * values))
-    if mass <= 0.0:
-        raise SolveError("flow collapsed to zero; cannot project onto the manifold")
-    logm = hd * float(np.sum(_log_mass_density(values)))
-    return math.exp((grad - logm) / (2.0 * mass))
-
-
-def _pure_energy(values, grid, hd):
-    u = Field(grid, values)
-    kin = 0.5 * hd * float(np.vdot(neg_laplacian(u).values, values))
-    mass = 0.5 * hd * float(np.sum(values * values))
-    logm = 0.5 * hd * float(np.sum(_log_mass_density(values)))
-    return kin + mass - logm
-
-
-def _single_well_operator(window, grid: Grid, tau: float) -> FlowOperator:
-    """I + tau(-lap + 1) on the well's node rectangle `window` of the
-    interior array.
-
-    Flow iterates vanish off the well, so the matrix acts on the window
-    alone, with zero values beyond its edge.
-    """
-
-    def apply_a(x):
-        full = np.zeros(grid.interior_shape)
-        full[window] = x
-        return x + tau * (neg_laplacian(Field(grid, full)).values[window] + x)
-
-    shape = tuple(w.stop - w.start for w in window)
-    diag = np.full(shape, 1.0 + tau * (2.0 * grid.dim / grid.h**2 + 1.0))
-    off = _axis_couplings([np.ones(n) for n in shape], tau, grid.h)
-    return FlowOperator(apply_a, diag, off)
-
-
-def solve_single_well(
-    geometry: WellGeometry, j: int, grid: Grid, config: SolverConfig
-) -> SolveRecord:
-    """Positive ground state of -lap u = u log u^2 on well j (Dirichlet).
-
-    Starts from a positive Gaussian bump at the well center and alternates
-    a semi-implicit descent step with the closed-form Nehari rescale, so
-    the energy decreases along the projected flow and the limit satisfies
-    the Nehari identity.  The PDE residual is measured inside the well in
-    relative L2.
-    """
-    if not 1 <= j <= geometry.k:
-        raise ValueError(f"well index {j} out of range 1..{geometry.k}")
-    mask = _well_interior_mask(geometry, grid, j)
-    well = geometry.wells[j - 1]
-    for ax in range(grid.dim):
-        nodes = int(np.sum(np.abs(grid.axis - well.center[ax]) < well.half[ax]))
-        if nodes < 32:
-            raise ValueError(
-                f"well {j} resolved by only {nodes} nodes on axis {ax}; need >= 32"
-            )
-
-    hd = grid.h**grid.dim
-    tau = config.tau
-    mesh = grid.interior_mesh()
-    sigma = min(1.0, min(well.half) / 2.0)
-    r2 = 0.0
-    for ax in range(grid.dim):
-        r2 = r2 + (mesh[ax] - well.center[ax]) ** 2
-    u = np.where(mask, np.exp(-r2 / (2.0 * sigma * sigma)), 0.0)
-
-    # wells are boxes, so the mask fills the rectangle its nodes span
-    window = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))
-    window_solve = _single_well_operator(window, grid, tau).solver(config)
-
-    # initial projection onto the manifold
-    lap0 = np.where(mask, neg_laplacian(Field(grid, u)).values, 0.0)
-    u = _masked_nehari_scale(u, grid, lap0, hd) * u
-
-    residuals: list[float] = []
-    energies: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        rhs = u + tau * (np.asarray(s_log_sq(u)) + u)
-        u_new = np.zeros_like(u)
-        u_new[window] = window_solve(rhs[window], None)
-        if config.positivity:
-            u_new = np.maximum(u_new, 0.0)
-        lap = np.where(mask, neg_laplacian(Field(grid, u_new)).values, 0.0)
-        t = _masked_nehari_scale(u_new, grid, lap, hd)
-        u_new *= t
-
-        lap *= t
-        res = lap - np.asarray(s_log_sq(u_new))
-        res = np.where(mask, res, 0.0)
-        unorm = math.sqrt(float(np.sum(u_new * u_new)))
-        rel = math.sqrt(float(np.sum(res * res))) / max(unorm, 1e-300)
-        residuals.append(rel)
-        energies.append(_pure_energy(u_new, grid, hd))
-        u = u_new
-        if rel <= config.tol:
-            converged = True
-            break
-
-    return SolveRecord(
-        field=Field(grid, u),
-        iterations=it,
-        residuals=residuals,
-        energies=energies,
-        converged=converged,
-        stop_reason="converged" if converged else "iteration cap",
-        energy=energies[-1] if energies else 0.0,
-        bump_mask=(j,),
-    )
 
 
 # -- penalized problem on the box -------------------------------------------
@@ -455,7 +341,7 @@ def solve_auxiliary(
 
     Iterates u <- (I + tau(-lap + diag(lambda V + 1)))^{-1}
                   (u + tau (g2'(x, u+) - f1'(u))),
-    clipping negatives when the positivity flag is set, until the relative
+    clipping negatives after every step, until the relative
     L2 residual of the penalized equation drops below tol.  Non-convergence
     is flagged on the record with its stop reason, never papered over.
 
@@ -479,10 +365,6 @@ def solve_auxiliary(
 
     implicit_solve = _auxiliary_operator(fun, grid, tau).solver(config)
 
-    def strong_residual(vals):
-        lap = neg_laplacian(Field(grid, vals)).values
-        return lap + fun.diag * vals - fun.nonlinear_rhs(vals)
-
     u = init.values.copy()
     residuals: list[float] = []
     energies: list[float] = []
@@ -490,11 +372,9 @@ def solve_auxiliary(
     it = 0
     for it in range(1, config.max_iters + 1):
         rhs = u + tau * fun.nonlinear_rhs(u)
-        u_new = implicit_solve(rhs, u)
-        if config.positivity:
-            u_new = np.maximum(u_new, 0.0)
+        u_new = np.maximum(implicit_solve(rhs, u), 0.0)
 
-        res = strong_residual(u_new)
+        res = fun.residual(Field(grid, u_new)).values
         if np.any(u_new != 0.0):
             for mask in gamma_masks:
                 mass = hd * float(np.sum((u_new * u_new)[mask]))
@@ -509,7 +389,7 @@ def solve_auxiliary(
             u = u_new
             break
 
-        res = strong_residual(u_new)
+        res = fun.residual(Field(grid, u_new)).values
         unorm = math.sqrt(float(np.sum(u_new * u_new)))
         rel = math.sqrt(float(np.sum(res * res))) / max(unorm, 1e-300)
         residuals.append(rel)
@@ -668,7 +548,167 @@ def lambda_sweep(
     return steps
 
 
-# -- Neumann problem on an enlarged well -------------------------------------
+
+
+# -- ground states of the local well problems --------------------------------
+
+
+class _LocalWell:
+    """One well's local problem on the rectangle of grid nodes in a box.
+
+    `nodes` holds the rectangle's slices of the full grid, `w` its node
+    weights and `lam_v` the potential term lambda V.  The ghost rule beyond
+    the rectangle's edge is a zero ghost for the Dirichlet well (w = 1,
+    V = 0) and a ghost mirroring the first inner neighbour for the enlarged
+    well with natural boundary condition.  Paired with trapezoidal weights
+    the mirror stencil B makes <B u, u>_w the face sum of squared
+    differences, so energies and the flow share one discrete calculus.
+    """
+
+    def __init__(self, grid: Grid, nodes, axis_w, mirror: bool):
+        self.grid = grid
+        self.nodes = nodes
+        self.axis_w = axis_w
+        self.w = reduce(np.multiply.outer, axis_w)
+        self.lam_v = 0.0
+        self.mirror = mirror
+        self.mesh = [
+            grid.axis[s].reshape([-1 if d == ax else 1 for d in range(grid.dim)])
+            for ax, s in enumerate(nodes)
+        ]
+
+    @classmethod
+    def dirichlet(cls, well: Box, grid: Grid) -> "_LocalWell":
+        """The well's interior nodes, with zero ghosts beyond them."""
+        nodes = tuple(
+            slice(max(s.start, 1), min(s.stop, grid.n - 1))
+            for s in box_nodes(well, grid)
+        )
+        return cls(grid, nodes, [np.ones(s.stop - s.start) for s in nodes], False)
+
+    @classmethod
+    def neumann(
+        cls, lam: float, j: int, grid: Grid, potential: PotentialSpec
+    ) -> "_LocalWell":
+        """The closed enlarged well j, trapezoid-weighted with mirror ghosts."""
+        nodes = box_nodes(potential.geometry.enlargements[j - 1], grid, strict=False)
+        if any(s.stop - s.start < 3 for s in nodes):
+            raise SolveError(f"enlarged well {j} too coarse for a Neumann solve")
+        axis_w = [np.r_[0.5, np.ones(s.stop - s.start - 2), 0.5] for s in nodes]
+        prob = cls(grid, nodes, axis_w, True)
+        dist_sq = _dist_sq_to_wells(potential, prob.mesh, grid.dim)
+        prob.lam_v = lam * _shape_potential(potential, dist_sq) * np.ones(prob.w.shape)
+        return prob
+
+    def dist_sq(self, center) -> np.ndarray:
+        """Squared distance of every node of the rectangle to `center`."""
+        return sum((m - c) ** 2 for m, c in zip(self.mesh, center))
+
+    def neg_laplacian(self, u: np.ndarray) -> np.ndarray:
+        return neg_laplacian_values(u, self.grid.h, self.mirror)
+
+    def integral(self, values: np.ndarray) -> float:
+        """Weighted quadrature h^dim sum w * values."""
+        return self.grid.h**self.grid.dim * float(np.sum(self.w * values))
+
+    def nehari_project(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t u, (B + lambda V)(t u)) for the closed-form Nehari scale t,
+        log t^2 = (<(B + lambda V) u, u>_w - int_w u^2 log u^2) / int_w u^2."""
+        au = self.neg_laplacian(u) + self.lam_v * u
+        mass = self.integral(u * u)
+        if mass <= 0.0:
+            raise SolveError("flow collapsed to zero; cannot project onto the manifold")
+        logm = self.integral(_log_mass_density(u))
+        t = math.exp((self.integral(au * u) - logm) / (2.0 * mass))
+        return t * u, t * au
+
+
+def _local_operator(prob: _LocalWell, tau: float) -> FlowOperator:
+    """W(I + tau(B + lambda V + 1)) on the local problem's rectangle.
+
+    Neighbours along one axis couple by -tau/h^2 times the weights of the
+    other axes both ways: on the mirror rows the half trapezoid weight
+    halves the doubled ghost coupling, so the matrix is symmetric.
+    """
+    dv = prob.lam_v + 1.0
+
+    def apply_m(x):
+        return prob.w * (x + tau * (prob.neg_laplacian(x) + dv * x))
+
+    diag = prob.w * (1.0 + tau * (2.0 * prob.grid.dim / prob.grid.h**2 + dv))
+    return FlowOperator(apply_m, diag, _axis_couplings(prob.axis_w, tau, prob.grid.h))
+
+
+def _ground_state_flow(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
+    """Projected semi-implicit flow of a local problem from the bump u.
+
+    Each step solves the factored W(I + tau(B + lambda V + 1)) u' =
+    W(u + tau(u log u^2 + u)), clips negatives and rescales onto the Nehari
+    manifold, so the energy decreases along the flow and the limit
+    satisfies the Nehari identity.  The weighted relative residual of
+    -lap u + lambda V u = u log u^2 and the energy come from the step's one
+    stencil apply.  Returns (u, iterations, residuals, energies, converged).
+    """
+    tau = config.tau
+    implicit_solve = _local_operator(prob, tau).solver(config)
+    u, au = prob.nehari_project(u)
+    nonlin = s_log_sq(u)
+    residuals: list[float] = []
+    energies: list[float] = []
+    converged = False
+    it = 0
+    for it in range(1, config.max_iters + 1):
+        rhs = prob.w * (u + tau * (nonlin + u))
+        u, au = prob.nehari_project(np.maximum(implicit_solve(rhs, u), 0.0))
+        nonlin = s_log_sq(u)
+        res = au - nonlin
+        mass = prob.integral(u * u)
+        rel = math.sqrt(prob.integral(res * res) / mass)
+        residuals.append(rel)
+        energies.append(
+            0.5 * (prob.integral(au * u) + mass - prob.integral(_log_mass_density(u)))
+        )
+        if rel <= config.tol:
+            converged = True
+            break
+    return u, it, residuals, energies, converged
+
+
+def solve_single_well(
+    geometry: WellGeometry, j: int, grid: Grid, config: SolverConfig
+) -> SolveRecord:
+    """Positive ground state of -lap u = u log u^2 on well j (Dirichlet).
+
+    Runs the projected flow on the well's nodes from a positive Gaussian
+    bump at its center; the PDE residual is measured inside the well in
+    relative L2.  The field is zero off the well.
+    """
+    if not 1 <= j <= geometry.k:
+        raise ValueError(f"well index {j} out of range 1..{geometry.k}")
+    well = geometry.wells[j - 1]
+    prob = _LocalWell.dirichlet(well, grid)
+    for ax, s in enumerate(prob.nodes):
+        if s.stop - s.start < 32:
+            raise ValueError(
+                f"well {j} resolved by only {s.stop - s.start} nodes on axis {ax}; "
+                "need >= 32"
+            )
+    sigma = min(1.0, min(well.half) / 2.0)
+    bump = np.exp(-prob.dist_sq(well.center) / (2.0 * sigma * sigma))
+    u, it, residuals, energies, converged = _ground_state_flow(prob, bump, config)
+
+    values = np.zeros(grid.interior_shape)
+    values[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)] = u
+    return SolveRecord(
+        field=Field(grid, values),
+        iterations=it,
+        residuals=residuals,
+        energies=energies,
+        converged=converged,
+        stop_reason="converged" if converged else "iteration cap",
+        energy=energies[-1],
+        bump_mask=(j,),
+    )
 
 
 @dataclass
@@ -684,147 +724,24 @@ class NeumannRecord:
     nehari_gap: float
 
 
-class _NeumannWell:
-    """Mirror-ghost discretization of the enlarged well j.
-
-    The reflected stencil paired with trapezoidal node weights makes the
-    weighted pairing <B u, u>_w equal the face sum of squared gradients,
-    so energies and the flow share one discrete calculus.
-    """
-
-    def __init__(self, lam: float, j: int, grid: Grid, potential: PotentialSpec):
-        geom = potential.geometry
-        box = geom.enlargements[j - 1]
-        self.grid = grid
-        self.h = grid.h
-        self.dim = grid.dim
-        sel = []
-        for ax in range(grid.dim):
-            idx = np.nonzero(
-                np.abs(grid.axis - box.center[ax]) <= box.half[ax] + 1e-9 * grid.h
-            )[0]
-            if len(idx) < 3:
-                raise SolveError(f"enlarged well {j} too coarse for a Neumann solve")
-            sel.append(idx)
-        self.axes = [grid.axis[idx] for idx in sel]
-        self.shape = tuple(len(a) for a in self.axes)
-
-        self.axis_w = [np.r_[0.5, np.ones(n - 2), 0.5] for n in self.shape]
-        self.w = reduce(np.multiply.outer, self.axis_w)
-
-        from logbump.domain import _dist_sq_to_wells, _shape_potential
-
-        mesh = [
-            self.axes[ax].reshape([-1 if d == ax else 1 for d in range(grid.dim)])
-            for ax in range(grid.dim)
-        ]
-        dist_sq = _dist_sq_to_wells(potential, mesh, grid.dim)
-        self.v = _shape_potential(potential, dist_sq) * np.ones(self.shape)
-        self.lam = lam
-        self.center = box.center
-
-    def apply_b(self, u):
-        """Reflected -lap: ghost nodes mirror the first interior neighbor."""
-        out = np.zeros_like(u)
-        inv_h2 = 1.0 / (self.h * self.h)
-        for ax in range(self.dim):
-            left = np.roll(u, 1, axis=ax)
-            right = np.roll(u, -1, axis=ax)
-            head = [slice(None)] * self.dim
-            tail = [slice(None)] * self.dim
-            head[ax] = 0
-            tail[ax] = -1
-            src_head = [slice(None)] * self.dim
-            src_tail = [slice(None)] * self.dim
-            src_head[ax] = 1
-            src_tail[ax] = -2
-            left[tuple(head)] = u[tuple(src_head)]
-            right[tuple(tail)] = u[tuple(src_tail)]
-            out += (2.0 * u - left - right) * inv_h2
-        return out
-
-    def wdot(self, a, b):
-        return self.h**self.dim * float(np.sum(self.w * a * b))
-
-    def energy(self, u):
-        quad = self.wdot(self.apply_b(u), u) + self.wdot((self.lam * self.v + 1.0) * u, u)
-        logm = self.h**self.dim * float(np.sum(self.w * _log_mass_density(u)))
-        return 0.5 * quad - 0.5 * logm, quad, logm
-
-    def nehari_scale(self, u):
-        _, quad, logm = self.energy(u)
-        mass = self.wdot(u, u)
-        if mass <= 0.0:
-            raise SolveError("Neumann flow collapsed to zero")
-        return math.exp((quad - logm - mass) / (2.0 * mass))
-
-
-def _neumann_operator(prob: _NeumannWell, tau: float) -> FlowOperator:
-    """W(I + tau(B + lambda V + 1)) with trapezoid weights W.
-
-    The half weight on each mirrored end row halves its doubled ghost
-    coupling, so neighbours along one axis couple by -tau/h^2 times the
-    weights of the other axes both ways and the matrix is symmetric.
-    """
-    dv = prob.lam * prob.v + 1.0
-
-    def apply_m(x):
-        return prob.w * (x + tau * (prob.apply_b(x) + dv * x))
-
-    diag = prob.w * (1.0 + tau * (2.0 * prob.dim / prob.h**2 + dv))
-    off = _axis_couplings(prob.axis_w, tau, prob.h)
-    return FlowOperator(apply_m, diag, off)
-
-
 def solve_neumann_well(
     lam: float, j: int, grid: Grid, potential: PotentialSpec, config: SolverConfig
 ) -> NeumannRecord:
     """Ground-state level c_{lambda,j} of the enlarged-well problem
     -lap u + lambda V u = u log u^2 with zero normal derivative.
 
-    Same projected semi-implicit flow as the Dirichlet well, on the
-    trapezoid-weighted mirror-ghost discretization.
+    The projected flow of the Dirichlet well, on the trapezoid-weighted
+    mirror-ghost discretization, from a Gausson at the well center.
     """
-    prob = _NeumannWell(lam, j, grid, potential)
-    tau = config.tau
-    implicit_solve = _neumann_operator(prob, tau).solver(config)
-
-    mesh = [
-        prob.axes[ax].reshape([-1 if d == ax else 1 for d in range(prob.dim)])
-        for ax in range(prob.dim)
-    ]
-    r2 = 0.0
-    for ax in range(prob.dim):
-        r2 = r2 + (mesh[ax] - prob.center[ax]) ** 2
-    u = np.exp(0.5 * prob.dim - 0.5 * r2) * np.ones(prob.shape)
-    u *= prob.nehari_scale(u)
-
-    converged = False
-    rel = math.inf
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        rhs = prob.w * (u + tau * (np.asarray(s_log_sq(u)) + u))
-        u_new = implicit_solve(rhs, u)
-        if config.positivity:
-            u_new = np.maximum(u_new, 0.0)
-        u_new *= prob.nehari_scale(u_new)
-        res = prob.apply_b(u_new) + prob.lam * prob.v * u_new - np.asarray(
-            s_log_sq(u_new)
-        )
-        wnorm = math.sqrt(max(prob.wdot(u_new, u_new), 1e-300))
-        rel = math.sqrt(max(prob.wdot(res, res), 0.0)) / wnorm
-        u = u_new
-        if rel <= config.tol:
-            converged = True
-            break
-
-    energy, quad, logm = prob.energy(u)
-    mass = prob.wdot(u, u)
+    prob = _LocalWell.neumann(lam, j, grid, potential)
+    center = potential.geometry.enlargements[j - 1].center
+    bump = np.exp(0.5 * grid.dim - 0.5 * prob.dist_sq(center))
+    u, it, residuals, energies, converged = _ground_state_flow(prob, bump, config)
     return NeumannRecord(
-        c_lambda=energy,
+        c_lambda=energies[-1],
         iterations=it,
         converged=converged,
         stop_reason="converged" if converged else "iteration cap",
-        residual=rel,
-        nehari_gap=abs(energy - 0.5 * mass),
+        residual=residuals[-1],
+        nehari_gap=abs(energies[-1] - 0.5 * prob.integral(u * u)),
     )

@@ -3,12 +3,16 @@
 import filecmp
 import math
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from logbump.cli import (
+    _SCALAR_KEYS,
+    _WELL_SUFFIXES,
+    REPORT_COLUMNS,
     ConfigError,
     _write_solve_summary,
     canonical_text,
@@ -80,6 +84,9 @@ def test_unknown_key_rejected():
         parse_config_text(MINIMAL + "spacing = 3\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text(MINIMAL + "well.1.radius = 3\n")
+    # the flows always clip negatives; the old switch is gone
+    with pytest.raises(ConfigError, match="unknown key: positivity"):
+        parse_config_text(MINIMAL + "positivity = true\n")
 
 
 def test_constraint_violations_name_the_key():
@@ -280,6 +287,30 @@ def test_csv_reads_columns_by_name():
     extra = [lines[0] + ["extra"]] + [cells + ["1"] for cells in lines[1:]]
     with pytest.raises(ValueError, match="extra"):
         rows_from_csv(text(extra))
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    accepted = list(_SCALAR_KEYS) + [f"well.J.{suffix}" for suffix in _WELL_SUFFIXES]
+    assert sorted(keys) == sorted(accepted)
+
+
+def test_report_cells_repeat_energies_cells(tmp_path, capsys):
+    rows = _sample_rows()
+    energies = [csv_header(2)] + [row_to_csv(r) for r in rows]
+    (tmp_path / "energies.csv").write_text("\n".join(energies) + "\n")
+    assert report(str(tmp_path)) == 0
+    capsys.readouterr()
+    rep = (tmp_path / "report.csv").read_text().splitlines()
+    assert rep[0].split(",") == list(REPORT_COLUMNS)
+    columns = energies[0].split(",")
+    expected = []
+    for line in energies[1:]:
+        cells = dict(zip(columns, line.split(",")))
+        expected.append(",".join(cells[c] for c in REPORT_COLUMNS))
+    assert sorted(rep[1:]) == sorted(expected)
 
 
 @pytest.mark.parametrize("name", ["three-wells-1d", "twin-wells-2d"])

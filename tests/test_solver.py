@@ -18,8 +18,10 @@ from logbump.domain import (
     Grid,
     PotentialSpec,
     WellGeometry,
+    box_mask_full,
     integrate,
     masks,
+    neg_laplacian,
     restricted_norm_sq,
 )
 from logbump.functional import PenalizedFunctional, nehari_check
@@ -31,10 +33,8 @@ from logbump.solver import (
     SolverConfig,
     TridiagonalLDL,
     _auxiliary_operator,
-    _NeumannWell,
-    _neumann_operator,
-    _single_well_operator,
-    _well_interior_mask,
+    _local_operator,
+    _LocalWell,
     choose_t,
     conjugate_gradient,
     lambda_sweep,
@@ -408,7 +408,7 @@ def test_minimax_evaluates_l_times_m_energies(monkeypatch):
                        / "three-wells-1d.cfg")
     grid, geometry = cfg.grid(), cfg.geometry()
     omegas = [
-        Field(grid, np.where(_well_interior_mask(geometry, grid, j),
+        Field(grid, np.where(box_mask_full(geometry.wells[j - 1], grid)[1:-1],
                              np.exp(-(grid.interior_mesh()[0] - c) ** 2), 0.0))
         for j, c in ((1, -8.0), (2, 0.0), (3, 8.0))
     ]
@@ -520,17 +520,13 @@ def _one_d_operators(ref):
     rng = np.random.default_rng(3)
     tau = ref.solver.tau
     fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), 1e4)
-    mask = _well_interior_mask(ref.geometry, ref.grid, 1)
-    window = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))
-    prob = _NeumannWell(1e3, 2, ref.grid, ref.potential)
+    well = _LocalWell.dirichlet(ref.geometry.wells[0], ref.grid)
+    enlarged = _LocalWell.neumann(1e3, 2, ref.grid, ref.potential)
     shape = ref.grid.interior_shape
     return {
         "auxiliary": (_auxiliary_operator(fun, ref.grid, tau), rng.random(shape)),
-        "single_well": (
-            _single_well_operator(window, ref.grid, tau),
-            rng.random(int(mask.sum())),
-        ),
-        "neumann": (_neumann_operator(prob, tau), rng.random(prob.shape)),
+        "single_well": (_local_operator(well, tau), rng.random(well.w.shape)),
+        "neumann": (_local_operator(enlarged, tau), rng.random(enlarged.w.shape)),
     }
 
 
@@ -615,9 +611,11 @@ def test_factored_operator_matches_cg_2d(name):
     _, potential, grid = _small_2d()
     rng = np.random.default_rng(6)
     if name == "single_well":
-        op = _single_well_operator((slice(4, 40), slice(9, 30)), grid, 0.05)
+        # a rectangle of 35 x 19 nodes, so the two axes differ
+        well = Box((0.0, 0.3), (1.75, 0.95))
+        op = _local_operator(_LocalWell.dirichlet(well, grid), 0.05)
     else:
-        op = _neumann_operator(_NeumannWell(1e3, 1, grid, potential), 0.05)
+        op = _local_operator(_LocalWell.neumann(1e3, 1, grid, potential), 0.05)
     assert op.off is not None and len(op.off) == 2
     b = rng.random(op.diag.shape)
     x = op.solver(SolverConfig())(b, None)
@@ -635,6 +633,59 @@ def test_two_d_well_solves_never_call_cg(monkeypatch):
     config = SolverConfig(max_iters=5)
     solve_single_well(geometry, 1, grid, config)
     solve_neumann_well(1e2, 1, grid, potential, config)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dirichlet_local_stencil_matches_neg_laplacian(dim):
+    # a field that vanishes off the well: the zero ghosts of the local
+    # stencil are the zero values of the whole-box field
+    grid = Grid(dim=dim, r=3.0, n=61 if dim == 2 else 121)
+    prob = _LocalWell.dirichlet(Box((0.3,) * dim, (1.75,) * dim), grid)
+    u = np.random.default_rng(7).random(prob.w.shape)
+    full = np.zeros(grid.interior_shape)
+    window = tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)
+    full[window] = u
+    expected = neg_laplacian(Field(grid, full)).values[window]
+    assert np.array_equal(prob.neg_laplacian(u), expected)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mirror_stencil_pairing_is_face_sum(dim):
+    geometry, potential, _ = _small_2d()
+    if dim == 1:
+        geometry = WellGeometry(dim=1, wells=(Box((0.0,), (2.0,)),),
+                                enlargements=(Box((0.0,), (2.5,)),))
+        potential = PotentialSpec(geometry, cap=1.0, power=1.0)
+    grid = Grid(dim=dim, r=3.0, n=61)
+    prob = _LocalWell.neumann(1e3, 1, grid, potential)
+    u = np.random.default_rng(8).random(prob.w.shape)
+    pairing = float(np.sum(prob.w * prob.neg_laplacian(u) * u))
+    if dim == 1:
+        faces = np.sum(np.diff(u) ** 2)
+    else:
+        # a face along an edge row of the other axis carries its half weight
+        w0, w1 = prob.axis_w
+        faces = np.sum(np.diff(u, axis=0) ** 2 * w1) + np.sum(
+            np.diff(u, axis=1) ** 2 * w0[:, None]
+        )
+    faces /= grid.h**2
+    assert abs(pairing - faces) <= 1e-12 * faces
+
+
+def test_single_well_2d_nonlinearity_stays_on_the_window(monkeypatch):
+    geometry, _, grid = _small_2d()
+    shapes = []
+    s_log_sq = solver_module.s_log_sq
+
+    def recorded(values):
+        shapes.append(np.shape(values))
+        return s_log_sq(values)
+
+    monkeypatch.setattr(solver_module, "s_log_sq", recorded)
+    solve_single_well(geometry, 1, grid, SolverConfig(max_iters=5))
+    window = _LocalWell.dirichlet(geometry.wells[0], grid).w.shape
+    assert window == (39, 39)
+    assert shapes and set(shapes) == {window}
 
 
 def test_single_well_2d_determinism():
