@@ -541,14 +541,16 @@ def _mass_fraction(u: Field, geometry, gamma) -> float:
 
 def _write_solve_summary(path, lam: float, gamma, record) -> None:
     """solve_lambda_L.txt; the final residual is nan when the solve stopped
-    before recording one."""
+    before recording one, and the Morse index n/a for the 2D flow."""
     final = record.residuals[-1] if record.residuals else math.nan
+    morse = "n/a" if math.isnan(record.morse_index) else record.morse_index
     with open(path, "w") as fh:
         fh.write(f"lambda = {lam!r}\n")
         fh.write(f"gamma = {_mask_str(gamma)}\n")
         fh.write(f"converged = {'true' if record.converged else 'false'}\n")
         fh.write(f"stop_reason = {record.stop_reason}\n")
         fh.write(f"iterations = {record.iterations}\n")
+        fh.write(f"morse_index = {morse}\n")
         fh.write(f"energy = {record.energy!r}\n")
         fh.write(f"final_residual = {final!r}\n")
         fh.write(f"bump_mask = {_mask_str(record.bump_mask)}\n")
@@ -614,8 +616,12 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
         b_upper = minimax_upper_bound(config.lambdas[-1], gsel, ws, minimax,
                                       grid, potential, params)
         c_gamma = sum(c_dirichlet[j - 1] for j in gsel)
-        rows = []
+        rows, notes = [], []
         for st in steps:
+            morse = st.record.morse_index
+            if not math.isnan(morse) and morse != len(gsel):
+                notes.append(f"gamma {_mask_str(gsel)}: solve at lambda={st.lam:g} "
+                             f"has Morse index {morse}, expected {len(gsel)}")
             rep = st.report
             lam_c = tuple(
                 c_lambda.get((st.lam, j), math.nan) if (j in gsel) else math.nan
@@ -657,25 +663,29 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
             for lr in limit_rows:
                 fh.write(f"{lr.lam!r},{lr.h1_gap!r},{lr.h1_gap_rel!r},"
                          f"{lr.phi_gap_rel!r}\n")
-        return rows
+        return rows, notes
 
     print(f"[{config.scenario}] sweeping {len(gammas)} well selections "
           f"({n_workers} workers)")
     all_rows: list[SweepRow] = []
+
+    def collect(gsel, result):
+        try:
+            rows, notes = result()
+        except SolveError as exc:
+            failures.append(f"gamma {_mask_str(gsel)}: {exc}")
+            return
+        all_rows.extend(rows)
+        failures.extend(notes)
+
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = {pool.submit(gamma_job, g): g for g in gammas}
             for fut, gsel in futures.items():
-                try:
-                    all_rows.extend(fut.result())
-                except SolveError as exc:
-                    failures.append(f"gamma {_mask_str(gsel)}: {exc}")
+                collect(gsel, fut.result)
     else:
         for gsel in gammas:
-            try:
-                all_rows.extend(gamma_job(gsel))
-            except SolveError as exc:
-                failures.append(f"gamma {_mask_str(gsel)}: {exc}")
+            collect(gsel, lambda: gamma_job(gsel))
 
     all_rows.sort(key=lambda r: (r.gamma, r.lam))
     csv_path = os.path.join(out_root, "energies.csv")

@@ -392,7 +392,8 @@ def restricted_norm_sq(
 def save_field(u: Field, path):
     """Write a field as CSV: header line dim,n,R,h then one value per line.
 
-    Values use repr round-tripping, so load_field recovers them bit-exactly.
+    Values use repr round-tripping, so float() of each line recovers them
+    bit-exactly.
     """
     lines = ["dim,n,R,h"]
     lines.append(f"{u.grid.dim},{u.grid.n},{u.grid.r!r},{u.grid.h!r}")
@@ -400,17 +401,3 @@ def save_field(u: Field, path):
     lines.extend(repr(float(v)) for v in u.values.ravel(order="C"))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_field(path) -> Field:
-    """Inverse of save_field (bit-exact round trip)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "dim,n,R,h" or lines[2] != "value":
-        raise ValueError(f"{path}: not a field dump")
-    dim_s, n_s, r_s, h_s = lines[1].split(",")
-    grid = Grid(dim=int(dim_s), r=float(r_s), n=int(n_s))
-    if float(h_s) != grid.h:
-        raise ValueError(f"{path}: inconsistent spacing in header")
-    values = np.array([float(v) for v in lines[3:]])
-    return Field(grid, values.reshape(grid.interior_shape, order="C"))

@@ -29,10 +29,7 @@ from logbump.domain import (
     neg_laplacian,
     potential_on_grid,
 )
-from logbump.penalty import PenalizationParams, sq_log_sq
-
-# u^2 log u^2 terms treat |u| below this as exactly 0 to avoid -inf * 0.
-U_FLOOR = 1e-150
+from logbump.penalty import U_FLOOR, PenalizationParams, sq_log_sq
 
 
 def _log_mass_density(values: np.ndarray) -> np.ndarray:
@@ -96,6 +93,13 @@ class PenalizedFunctional:
             self.params.df1(values)
         )
 
+    def nonlinear_rhs_slope(self, values: np.ndarray) -> np.ndarray:
+        """Pointwise derivative of nonlinear_rhs: g2''(x, u+) - f1''(u)."""
+        up = np.maximum(values, 0.0)
+        return np.asarray(self.params.d2g2(self.chi_in, up)) - np.asarray(
+            self.params.d2f1(values)
+        )
+
     # -- energy and residual ----------------------------------------------
 
     def phi_total(self, values: np.ndarray) -> float:
@@ -152,44 +156,6 @@ class PenalizedFunctional:
             outside_norm_sq=outside_norm,
             sup_outside=sup_outside,
         )
-
-
-# -- local (per-well) energies --------------------------------------------
-
-
-def dirichlet_well_energy(u: Field, geometry, j: int) -> float:
-    """Pure logarithmic energy over well j (Dirichlet type):
-    1/2 int |grad u|^2 + u^2 - 1/2 int u^2 log u^2."""
-    from logbump.domain import box_mask_full
-
-    mask = box_mask_full(geometry.wells[j - 1], u.grid)
-    return _pure_energy_on_mask(u, mask)
-
-
-def penalized_well_energy(u: Field, potential: PotentialSpec, j: int,
-                          lam: float) -> float:
-    """Energy over the enlarged well j with the lambda V + 1 mass weight."""
-    from logbump.domain import box_mask_full
-
-    grid = u.grid
-    mask = box_mask_full(potential.geometry.enlargements[j - 1], grid)
-    full = u.full()
-    dens = grad_energy_density(u)
-    v = potential_on_grid(potential, grid)
-    quad = dens + (lam * v + 1.0) * full * full
-    log_dens = _log_mass_density(full)
-    hd = grid.h**grid.dim
-    return 0.5 * hd * float(np.sum((quad - log_dens)[mask]))
-
-
-def _pure_energy_on_mask(u: Field, mask: np.ndarray) -> float:
-    grid = u.grid
-    full = u.full()
-    dens = grad_energy_density(u)
-    quad = dens + full * full
-    log_dens = _log_mass_density(full)
-    hd = grid.h**grid.dim
-    return 0.5 * hd * float(np.sum((quad - log_dens)[mask]))
 
 
 # -- Nehari machinery -------------------------------------------------------

@@ -28,6 +28,9 @@ DEFAULT_SLOPE = 0.5
 DEFAULT_GROWTH = 3.0
 
 _LOG_GUARD = 1e-300
+# u^2 log u^2 terms treat |u| below this as exactly 0 to avoid -inf * 0, and
+# second derivatives floor |u| at it inside the log to stay finite at 0.
+U_FLOOR = 1e-150
 
 
 def _maybe_scalar(out, like):
@@ -130,6 +133,15 @@ class PenalizationParams:
         out = np.where(a < self.delta, lower, upper)
         return _maybe_scalar(out, s)
 
+    def d2f1(self, s):
+        """Second derivative of f1: -(log s^2 + 3) below delta, constant
+        -(log delta^2 + 3) above.  |s| is floored at U_FLOOR in the log, so
+        s = 0 gets a large finite value instead of +inf."""
+        a = np.abs(np.asarray(s, dtype=float))
+        lower = -(2.0 * np.log(np.maximum(a, U_FLOOR)) + 3.0)
+        out = np.where(a < self.delta, lower, -(math.log(self.delta**2) + 3.0))
+        return _maybe_scalar(out, s)
+
     def f2(self, s):
         """Power-growth piece: 0 below delta, C^1 across +-delta."""
         arr = np.asarray(s, dtype=float)
@@ -151,6 +163,13 @@ class PenalizationParams:
         out = np.where(a < self.delta, 0.0, upper)
         return _maybe_scalar(out, s)
 
+    def d2f2(self, s):
+        """Second derivative of f2: log(s^2/delta^2) above delta, 0 below."""
+        a = np.abs(np.asarray(s, dtype=float))
+        upper = 2.0 * np.log(np.maximum(a, self.delta) / self.delta)
+        out = np.where(a < self.delta, 0.0, upper)
+        return _maybe_scalar(out, s)
+
     def _df2_tilde_raw(self, s):
         arr = np.asarray(s, dtype=float)
         return np.where(arr <= self.a0, np.asarray(self.df2(arr)), self.l * arr)
@@ -169,6 +188,15 @@ class PenalizationParams:
         arr = np.asarray(t, dtype=float)
         tp = np.maximum(arr, 0.0)
         out = np.where(in_gamma, np.asarray(self.df2(arr)), self._df2_tilde_raw(tp))
+        return _maybe_scalar(out, t)
+
+    def d2g2(self, in_gamma, t):
+        """Derivative of dg2 in t: d2f2 inside the enlarged wells; outside,
+        d2f2 up to a0 and the slope l above it, at t+ like dg2."""
+        arr = np.asarray(t, dtype=float)
+        tp = np.maximum(arr, 0.0)
+        outside = np.where(tp <= self.a0, np.asarray(self.d2f2(tp)), self.l)
+        out = np.where(in_gamma, np.asarray(self.d2f2(arr)), outside)
         return _maybe_scalar(out, t)
 
     def _g2_outside(self, t):

@@ -1,6 +1,6 @@
-"""Gradient-flow solvers for the well problems and the penalized problem.
+"""Solvers for the well problems and the penalized problem.
 
-All solves use the same semi-implicit splitting: the stiff linear part
+The flows use one semi-implicit splitting: the stiff linear part
 (-lap + diagonal mass) is treated implicitly, so the deepening parameter
 lambda never forces a smaller step, while the logarithmic nonlinearity is
 explicit.  Negative values are clipped after every step (the discrete
@@ -10,13 +10,17 @@ fixed over a solve, so it is factored once before the flow loop
 solve; only the 2D auxiliary flow, on the whole box, runs a
 Jacobi-preconditioned conjugate gradient solve per step.
 
-Two flows cover all solves.  The ground-state flow runs on a local box of
-grid nodes and rescales onto the Nehari manifold after every step, which
-pins the amplitude and turns the flow into a minimization over the
-manifold.  Its local problems differ only in the ghost rule beyond the
-box: zero on the Dirichlet well's own nodes, mirrored on the enlarged
-well with natural boundary condition.  The auxiliary flow solves the
-penalized problem on the whole box with a per-well amplitude rescale.
+The ground-state flow runs on a local box of grid nodes and rescales onto
+the Nehari manifold after every step, which pins the amplitude and turns
+the flow into a minimization over the manifold.  Its local problems differ
+only in the ghost rule beyond the box: zero on the Dirichlet well's own
+nodes, mirrored on the enlarged well with natural boundary condition.
+
+The penalized problem on the whole box has saddle solutions.  In 1D it is
+solved by Newton's method with the same clip: each step factors the
+indefinite tridiagonal Jacobian, whose negative pivots count the Morse
+index.  In 2D the auxiliary flow rescales each selected bump's amplitude
+after every step instead.
 
 Everything here is deterministic: fixed iteration order, fixed summation
 order, no randomness, so identical inputs give bit-identical outputs.
@@ -57,10 +61,12 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Gradient-flow and inner linear-solve settings.
+    """Flow, Newton and inner linear-solve settings.
 
-    cg_tol and cg_max_iters govern only the conjugate gradient solves of
-    the 2D auxiliary flow; every other flow step is a direct solve.
+    tau is the flows' step; the 1D auxiliary solve is Newton's method and
+    does not use it.  tol and max_iters bound every solve.  cg_tol and
+    cg_max_iters govern only the conjugate gradient solves of the 2D
+    auxiliary flow; every other step is a direct solve.
     """
 
     tau: float = 0.05
@@ -85,10 +91,13 @@ class SolverConfig:
 
 @dataclass
 class SolveRecord:
-    """Outcome of one gradient-flow solve.
+    """Outcome of one flow or Newton solve.
 
-    stop_reason names why the flow stopped: "converged", "iteration cap",
-    or "collapse" (a selected enlargement lost all of its mass).
+    stop_reason names why the solve stopped: "converged", "iteration cap",
+    "collapse" (a selected enlargement lost all of its mass) or "diverged"
+    (the Newton residual grew DIVERGE_STEPS steps in a row).  morse_index
+    counts the negative eigenvalues of the last Newton step's Jacobian;
+    it is nan for the flows, which have none.
     """
 
     field: Field
@@ -99,6 +108,7 @@ class SolveRecord:
     stop_reason: str
     energy: float
     bump_mask: tuple[int, ...]
+    morse_index: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -159,46 +169,80 @@ class TridiagonalLDL:
 
     `diag` holds the n diagonal entries and `off` the n - 1 entries coupling
     node i to node i + 1.  The recurrences run over plain Python floats,
-    which at 1D grid sizes beats the per-call overhead of numpy.  A
-    nonpositive pivot means the matrix is not SPD and raises.
+    which at 1D grid sizes beats the per-call overhead of numpy.  The
+    factor kept for repeated solves must be SPD: a nonpositive pivot raises.
+    `solve_once` takes an indefinite matrix: only a pivot within PIVOT_RTOL
+    of the largest diagonal entry raises, and `negative_pivots` counts the
+    negative pivots, by Sylvester's law of inertia the number of negative
+    eigenvalues.
     """
 
+    PIVOT_RTOL = 1e-12
+
     def __init__(self, diag, off):
+        self._factor(diag, off, True, None)
+
+    @classmethod
+    def solve_once(cls, diag, off, rhs):
+        """(x, negative pivots) for an indefinite matrix used once: the
+        forward substitution of rhs runs inside the factor loop."""
+        ldl = cls.__new__(cls)
+        fwd = ldl._factor(diag, off, False, _finite_list(rhs))
+        return ldl._back_substitute(fwd), ldl.negative_pivots
+
+    def _factor(self, diag, off, spd, rhs):
+        """Pivots and multipliers, plus the forward substitution of rhs."""
         diag = np.asarray(diag, dtype=float).tolist()
         off = np.asarray(off, dtype=float).tolist()
         if len(off) != len(diag) - 1:
             raise ValueError("off must have one entry fewer than diag")
-        pivots = [diag[0]]
-        mults = []
-        for a, b in zip(diag[1:], off):
-            if not pivots[-1] > 0.0:
-                break  # stop at the first bad pivot
-            mults.append(b / pivots[-1])
-            pivots.append(a - mults[-1] * b)
-        if not pivots[-1] > 0.0:
-            raise SolveError("LDL^T breakdown: operator not SPD")
+        floor = 0.0 if spd else self.PIVOT_RTOL * max(map(abs, diag))
+        vals = rhs if rhs is not None else [0.0] * len(diag)
+        pivots, mults, fwd = [diag[0]], [], [vals[0]]
+        try:
+            for a, b, r in zip(diag[1:], off, vals[1:]):
+                m = b / pivots[-1]
+                mults.append(m)
+                pivots.append(a - m * b)
+                fwd.append(r - m * fwd[-1])
+        except ZeroDivisionError:
+            pass  # the zero pivot ends the list and fails the check below
+        if not all(p > floor for p in (pivots if spd else map(abs, pivots))):
+            raise SolveError(
+                "LDL^T breakdown: operator not SPD" if spd
+                else "LDL^T breakdown: pivot near zero"
+            )
+        self.negative_pivots = sum(p < 0.0 for p in pivots)
         self._mults = mults
         self._last_pivot = pivots[-1]
         self._back = list(zip(pivots[-2::-1], mults[::-1]))
+        return fwd
+
+    def _back_substitute(self, fwd) -> np.ndarray:
+        x = fwd[-1] / self._last_pivot
+        out = [x]
+        for (pivot, m), z in zip(self._back, fwd[-2::-1]):
+            x = z / pivot - m * x
+            out.append(x)
+        out.reverse()
+        return np.array(out)
 
     def solve(self, rhs) -> np.ndarray:
         """x with L D L^T x = rhs: one forward and one back substitution."""
-        rhs = np.asarray(rhs, dtype=float)
-        if not np.all(np.isfinite(rhs)):
-            raise SolveError("non-finite right-hand side")
-        vals = rhs.tolist()
+        vals = _finite_list(rhs)
         z = vals[0]
         fwd = [z]
         for r, m in zip(vals[1:], self._mults):
             z = r - m * z
             fwd.append(z)
-        x = fwd.pop() / self._last_pivot
-        out = [x]
-        for (pivot, m), z in zip(self._back, reversed(fwd)):
-            x = z / pivot - m * x
-            out.append(x)
-        out.reverse()
-        return np.array(out)
+        return self._back_substitute(fwd)
+
+
+def _finite_list(rhs) -> list[float]:
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.all(np.isfinite(rhs)):
+        raise SolveError("non-finite right-hand side")
+    return rhs.tolist()
 
 
 class BlockTridiagonalLDL:
@@ -246,37 +290,21 @@ class BlockTridiagonalLDL:
 
 @dataclass(frozen=True)
 class FlowOperator:
-    """Implicit matrix of one flow solve, fixed over all of its steps.
+    """Implicit matrix of one ground-state flow solve, fixed over its steps.
 
-    `apply` and `diag` give the matrix free of storage with its Jacobi
-    diagonal.  `off` holds its stencil couplings, one array per axis (entry
-    i along axis a couples node i to node i + 1 along a), when they are
-    assembled, and None otherwise.
+    `apply` and `diag` give the matrix free of storage with its diagonal,
+    and `off` its stencil couplings, one array per axis (entry i along axis
+    a couples node i to node i + 1 along a).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     diag: np.ndarray
-    off: tuple[np.ndarray, ...] | None
+    off: tuple[np.ndarray, ...]
 
-    def solver(self, config: SolverConfig) -> Callable:
-        """solve(rhs, x0) for every step of the flow.
-
-        Assembled couplings are factored here, once (tridiagonal LDL^T in
-        1D, block LDL^T in 2D), and x0 goes unused; otherwise each call runs
-        Jacobi-PCG from x0 with config's cg_tol and cg_max_iters.
-        """
-        if self.off is not None:
-            factor_type = TridiagonalLDL if len(self.off) == 1 else BlockTridiagonalLDL
-            factor = factor_type(self.diag, *self.off)
-            return lambda rhs, x0: factor.solve(rhs)
-
-        def pcg(rhs, x0):
-            x, _ = conjugate_gradient(
-                self.apply, rhs, x0, config.cg_tol, config.cg_max_iters, self.diag
-            )
-            return x
-
-        return pcg
+    def factor(self):
+        """Tridiagonal LDL^T in 1D, block LDL^T in 2D, for every step."""
+        factor_type = TridiagonalLDL if len(self.off) == 1 else BlockTridiagonalLDL
+        return factor_type(self.diag, *self.off)
 
 
 def _occupied_wells(values_full_sq_sums, total, threshold) -> tuple[int, ...]:
@@ -310,22 +338,69 @@ def _axis_couplings(axis_weights, tau: float, h: float) -> tuple[np.ndarray, ...
 # -- penalized problem on the box -------------------------------------------
 
 
-def _auxiliary_operator(
-    fun: PenalizedFunctional, grid: Grid, tau: float
-) -> FlowOperator:
-    """I + tau(-lap + diag(lambda V + 1)) on the interior nodes of the box.
+def _newton_step(fun: PenalizedFunctional, grid: Grid) -> Callable:
+    """step(u, res) -> (u', Morse index) for the penalized problem in 1D.
 
-    Assembled, and so factored, in 1D only: a 2D block factor would hold
-    (n - 2)^3 doubles, 15.6 MB at n = 127, so 2D steps run Jacobi-PCG.
+    Solves J du = -res with the tridiagonal Jacobian
+    J = -lap + lambda V + 1 + f1''(u) - g2''(x, u+) at u, factored and
+    substituted in one pass, and returns max(u + du, 0) with the number of
+    negative pivots of J, its count of negative eigenvalues.
     """
+    off = np.full(grid.n - 3, -1.0 / grid.h**2)
+    base = 2.0 / grid.h**2 + fun.diag
+
+    def step(u, res):
+        jac = base - fun.nonlinear_rhs_slope(u)
+        du, negative = TridiagonalLDL.solve_once(jac, off, -res)
+        return np.maximum(u + du, 0.0), negative
+
+    return step
+
+
+def _flow_step(
+    fun: PenalizedFunctional, grid: Grid, config: SolverConfig, gamma_masks
+) -> Callable:
+    """step(u, res) -> (u', nan): one projected semi-implicit flow step.
+
+    u' = (I + tau(-lap + diag(lambda V + 1)))^{-1} (u + tau (g2'(x, u+) -
+    f1'(u))), clipped, then rescaled on each selected enlargement by t_j
+    with log t_j^2 = <residual, u' restricted to the enlargement> / int_j
+    u'^2, the per-well ray condition.  The rescale stops at an enlargement
+    without mass, which the caller reports as a collapse.  res goes unused.
+    The implicit matrix is left unassembled and each step runs Jacobi-PCG
+    from u: a block factor would hold (n - 2)^3 doubles, 15.6 MB at n = 127.
+    """
+    tau = config.tau
+    hd = grid.h**grid.dim
+    diag = 1.0 + tau * (2.0 * grid.dim / grid.h**2 + fun.diag)
 
     def apply_a(x):
         lap = neg_laplacian(Field(grid, x)).values
         return x + tau * (lap + fun.diag * x)
 
-    diag = 1.0 + tau * (2.0 * grid.dim / grid.h**2 + fun.diag)
-    off = _axis_couplings([np.ones(grid.n - 2)], tau, grid.h) if grid.dim == 1 else None
-    return FlowOperator(apply_a, diag, off)
+    def step(u, res):
+        rhs = u + tau * fun.nonlinear_rhs(u)
+        x, _ = conjugate_gradient(
+            apply_a, rhs, u, config.cg_tol, config.cg_max_iters, diag
+        )
+        u_new = np.maximum(x, 0.0)
+        res = fun.residual(Field(grid, u_new)).values
+        for mask in gamma_masks:
+            mass = hd * float(np.sum((u_new * u_new)[mask]))
+            if mass <= 0.0:
+                break
+            pair = hd * float(np.sum((res * u_new)[mask]))
+            # trust region keeps early iterations sane; inactive near the end
+            t = math.exp(min(max(pair / (2.0 * mass), -0.7), 0.7))
+            u_new[mask] *= t
+        return u_new, math.nan
+
+    return step
+
+
+# Newton stops as "diverged" once its residual has grown this many steps in
+# a row.
+DIVERGE_STEPS = 4
 
 
 def solve_auxiliary(
@@ -339,64 +414,60 @@ def solve_auxiliary(
 ) -> SolveRecord:
     """Nonnegative solution of the penalized problem on the box.
 
-    Iterates u <- (I + tau(-lap + diag(lambda V + 1)))^{-1}
-                  (u + tau (g2'(x, u+) - f1'(u))),
-    clipping negatives after every step, until the relative
-    L2 residual of the penalized equation drops below tol.  Non-convergence
-    is flagged on the record with its stop reason, never papered over.
+    Solves -lap u + (lambda V + 1) u + f1'(u) - g2'(x, u+) = 0 from init,
+    clipping negatives after every step, until the relative L2 residual
+    drops below tol.  Non-convergence is flagged on the record with its
+    stop reason, never papered over; a selected enlargement that loses all
+    of its mass stops the solve as a collapse.
 
     Multi-bump states are saddle points: the energy tends to minus infinity
-    along each bump's amplitude, so the plain descent flow escapes instead
-    of converging.  After every step the bump amplitudes are therefore
-    rescaled on each selected enlargement by t_j with
-    log t_j^2 = <residual, u restricted to the enlargement> / int_j u^2,
-    the per-well ray condition.  The correction vanishes exactly at
-    discrete solutions (it is a residual pairing), so fixed points of the
-    projected iteration solve the unmodified equation; it only removes the
-    unstable amplitude directions.
+    along each bump's amplitude.  In 1D, Newton's method (`_newton_step`)
+    converges to them directly, and its Jacobian's negative pivots give the
+    Morse index, which is |gamma| on an l-bump saddle of the minimax over
+    [1/T^2, 1]^l.  In 2D the projected flow (`_flow_step`) rescales each
+    selected bump's amplitude after every step, which removes the unstable
+    directions; the correction is a residual pairing, so its fixed points
+    solve the unmodified equation.
     """
     if np.any(init.values < 0.0):
         raise ValueError("init must be nonnegative")
     fun = PenalizedFunctional(grid, potential, params, gamma, lam)
-    tau = config.tau
     hd = grid.h**grid.dim
     inner = (slice(1, -1),) * grid.dim
     gamma_masks = [fun.masks.per_enlarged[j - 1][inner] for j in fun.gamma]
-
-    implicit_solve = _auxiliary_operator(fun, grid, tau).solver(config)
+    newton = grid.dim == 1
+    if newton:
+        step = _newton_step(fun, grid)
+    else:
+        step = _flow_step(fun, grid, config, gamma_masks)
 
     u = init.values.copy()
+    res = fun.residual(init).values if newton else None
     residuals: list[float] = []
     energies: list[float] = []
     stop_reason = "iteration cap"
+    morse = math.nan
+    growth = 0
     it = 0
     for it in range(1, config.max_iters + 1):
-        rhs = u + tau * fun.nonlinear_rhs(u)
-        u_new = np.maximum(implicit_solve(rhs, u), 0.0)
-
-        res = fun.residual(Field(grid, u_new)).values
-        if np.any(u_new != 0.0):
-            for mask in gamma_masks:
-                mass = hd * float(np.sum((u_new * u_new)[mask]))
-                if mass <= 0.0:
-                    stop_reason = "collapse"
-                    break
-                pair = hd * float(np.sum((res * u_new)[mask]))
-                # trust region keeps early iterations sane; inactive near the end
-                t = math.exp(min(max(pair / (2.0 * mass), -0.7), 0.7))
-                u_new[mask] *= t
-        if stop_reason == "collapse":
-            u = u_new
+        u, morse = step(u, res)
+        if np.any(u != 0.0) and any(
+            hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
+        ):
+            stop_reason = "collapse"
             break
 
-        res = fun.residual(Field(grid, u_new)).values
-        unorm = math.sqrt(float(np.sum(u_new * u_new)))
+        res = fun.residual(Field(grid, u)).values
+        unorm = math.sqrt(float(np.sum(u * u)))
         rel = math.sqrt(float(np.sum(res * res))) / max(unorm, 1e-300)
+        growth = growth + 1 if residuals and rel > residuals[-1] else 0
         residuals.append(rel)
-        energies.append(fun.phi_total(u_new))
-        u = u_new
+        energies.append(fun.phi_total(u))
         if rel <= config.tol:
             stop_reason = "converged"
+            break
+        if newton and growth >= DIVERGE_STEPS:
+            stop_reason = "diverged"
             break
 
     out = Field(grid, u)
@@ -409,6 +480,7 @@ def solve_auxiliary(
         stop_reason=stop_reason,
         energy=energies[-1] if energies else fun.phi_total(u),
         bump_mask=classify_bumps(out, potential.geometry, config.bump_threshold),
+        morse_index=morse,
     )
 
 
@@ -650,7 +722,7 @@ def _ground_state_flow(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
     stencil apply.  Returns (u, iterations, residuals, energies, converged).
     """
     tau = config.tau
-    implicit_solve = _local_operator(prob, tau).solver(config)
+    factor = _local_operator(prob, tau).factor()
     u, au = prob.nehari_project(u)
     nonlin = s_log_sq(u)
     residuals: list[float] = []
@@ -659,7 +731,7 @@ def _ground_state_flow(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
     it = 0
     for it in range(1, config.max_iters + 1):
         rhs = prob.w * (u + tau * (nonlin + u))
-        u, au = prob.nehari_project(np.maximum(implicit_solve(rhs, u), 0.0))
+        u, au = prob.nehari_project(np.maximum(factor.solve(rhs), 0.0))
         nonlin = s_log_sq(u)
         res = au - nonlin
         mass = prob.integral(u * u)

@@ -257,6 +257,15 @@ def test_solve_summary_without_residual(ref, ref_wells, tmp_path):
     assert "stop_reason = collapse\n" in path.read_text()
 
 
+def test_solve_summary_records_morse_index(ref, ref_sweep, tmp_path):
+    path = tmp_path / "solve.txt"
+    _write_solve_summary(path, 1e4, (1, 2), ref_sweep[-1].record)
+    assert "morse_index = 2\n" in path.read_text()
+    _write_solve_summary(path, 1e4, (1, 2), replace(ref_sweep[-1].record,
+                                                    morse_index=math.nan))
+    assert "morse_index = n/a\n" in path.read_text()
+
+
 def _sample_rows():
     return [
         SweepRow(lam=lam, gamma=gamma, converged=lam > 10.0, phi_total=4.8 + lam,
@@ -338,6 +347,24 @@ def test_missing_selection_fails_multiplicity(tmp_path, monkeypatch):
     verdicts = (out / "verdicts.txt").read_text()
     assert ("criterion=multiplicity status=FAIL margin=-1.0 detail=2 distinct "
             "occupation masks of 3 expected; no rows for gamma 2") in verdicts
+
+
+def test_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
+    import logbump.cli as cli
+
+    sweep = cli.lambda_sweep
+
+    def one_off(lambdas, gamma, *args):
+        steps = sweep(lambdas, gamma, *args)
+        steps[0].record.morse_index += 1
+        return steps
+
+    monkeypatch.setattr(cli, "lambda_sweep", one_off)
+    out = tmp_path / "morse"
+    assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
+    assert ("FAILURE: gamma 1: solve at lambda=100 has Morse index 2, expected 1"
+            in capsys.readouterr().err)
+    assert "morse_index = 2\n" in (out / "gamma_1" / "solve_lambda_100.txt").read_text()
 
 
 def test_neumann_failure_names_stop_reason(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,6 @@ from logbump.domain import (
     eval_potential,
     grad_energy_density,
     integrate,
-    load_field,
     masks,
     neg_laplacian,
     potential_on_grid,
@@ -24,6 +23,7 @@ from logbump.domain import (
     save_field,
     validate_geometry_on_grid,
 )
+from oracles import load_field
 
 
 @pytest.fixture

@@ -19,15 +19,14 @@ from logbump.domain import (
 from logbump.cli import csv_header, row_to_csv
 from logbump.functional import (
     PenalizedFunctional,
-    dirichlet_well_energy,
     gausson_values,
     h1_distance,
     nehari_check,
     nehari_time,
-    penalized_well_energy,
 )
 from logbump.penalty import make_params, sq_log_sq
 from logbump.verify import SweepRow
+from oracles import dirichlet_well_energy, penalized_well_energy
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 
@@ -165,6 +164,21 @@ def test_residual_is_gradient_of_phi(setup):
         ) / (2.0 * eps)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     assert worst < 1e-6
+
+
+def test_jacobian_diagonal_matches_central_difference(setup):
+    grid, geometry, pot, params = setup
+    fun = PenalizedFunctional(grid, pot, params, (1,), 100.0)
+    u = np.abs(smooth_random_field(grid, np.random.default_rng(5)).values)
+    eps = 1e-6
+    fd = (fun.nonlinear_rhs(u + eps) - fun.nonlinear_rhs(u - eps)) / (2.0 * eps)
+    away = np.ones(u.shape, dtype=bool)
+    for kink in (0.0, params.delta, params.a0):
+        away &= np.abs(u - kink) > 1e-3
+    assert 0 < np.sum(away & fun.chi_in) < np.sum(away)
+    assert np.any(away & ~fun.chi_in & (u > params.a0))
+    slope = fun.nonlinear_rhs_slope(u)
+    assert np.all(np.abs(fd - slope)[away] <= 1e-6 * (1.0 + np.abs(slope[away])))
 
 
 def test_residual_gausson_second_order(wide):

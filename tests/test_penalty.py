@@ -7,6 +7,7 @@ import pytest
 
 from logbump.penalty import (
     DELTA_MAX,
+    U_FLOOR,
     make_params,
     s_log_sq,
     solve_a0,
@@ -85,6 +86,19 @@ def test_df1_sign_and_fd(params):
     for x in (0.05, 0.11, 0.4, 1.3, 2.7, -0.07, -3.1):
         fd = central_diff(params.f1, x)
         assert abs(fd - params.df1(x)) < 1e-6
+
+
+def test_second_derivatives_fd(params):
+    # central differences away from the kink set {0, +-delta, a0}
+    for x in (0.05, 0.11, 0.2, 0.4, 1.3, 2.7, -0.07, -0.3):
+        assert abs(central_diff(params.df1, x) - params.d2f1(x)) < 1e-6
+        assert abs(central_diff(params.df2, x) - params.d2f2(x)) < 1e-6
+        for in_gamma in (True, False):
+            fd = central_diff(lambda t: params.dg2(in_gamma, t), x)
+            assert abs(fd - params.d2g2(in_gamma, x)) < 1e-6
+    assert params.d2g2(False, 2.7) == params.l
+    # the floor keeps f1'' finite on the clipped zero nodes
+    assert params.d2f1(0.0) == -(2.0 * math.log(U_FLOOR) + 3.0)
 
 
 # -- f2 ------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from logbump.solver import (
     SolveError,
     SolverConfig,
     TridiagonalLDL,
-    _auxiliary_operator,
     _local_operator,
     _LocalWell,
     choose_t,
@@ -514,27 +513,55 @@ def test_tridiagonal_ldl_rejects_non_spd():
         TridiagonalLDL([1.0, -1.0, 2.0], [0.0, 0.0])
 
 
+def _random_symmetric_tridiagonal(rng, n):
+    diag, off = 3.0 * rng.standard_normal(n), rng.standard_normal(n - 1)
+    return diag, off, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tridiagonal_ldl_indefinite_solve_and_inertia(seed):
+    rng = np.random.default_rng(seed)
+    diag, off, dense = _random_symmetric_tridiagonal(rng, 40)
+    b = rng.standard_normal(40)
+    want = np.linalg.solve(dense, b)
+    negative = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+    assert 0 < negative < 40
+    x, count = TridiagonalLDL.solve_once(diag, off, b)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert count == negative
+    with pytest.raises(SolveError, match="SPD"):
+        TridiagonalLDL(diag, off)
+
+
+def test_tridiagonal_ldl_near_zero_pivot_raises():
+    # second pivot 1 - 1 = 0 exactly, then 1e-16 of the diagonal's scale
+    for second in (1.0, 1.0 + 1e-16 * 1e4):
+        with pytest.raises(SolveError, match="near zero"):
+            TridiagonalLDL.solve_once([1.0, second, 1e4], [1.0, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(SolveError, match="non-finite"):
+        TridiagonalLDL.solve_once([1.0, -1.0], [0.0], [math.nan, 1.0])
+    x, count = TridiagonalLDL.solve_once([1.0, -2.0], [0.0], [1.0, 1.0])
+    assert x.tolist() == [1.0, -0.5] and count == 1
+
+
 def _one_d_operators(ref):
-    """The three 1D flow matrices of the reference scenario, each with a
+    """The two 1D flow matrices of the reference scenario, each with a
     right-hand side from the subspace its flow iterates live in."""
     rng = np.random.default_rng(3)
     tau = ref.solver.tau
-    fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), 1e4)
     well = _LocalWell.dirichlet(ref.geometry.wells[0], ref.grid)
     enlarged = _LocalWell.neumann(1e3, 2, ref.grid, ref.potential)
-    shape = ref.grid.interior_shape
     return {
-        "auxiliary": (_auxiliary_operator(fun, ref.grid, tau), rng.random(shape)),
         "single_well": (_local_operator(well, tau), rng.random(well.w.shape)),
         "neumann": (_local_operator(enlarged, tau), rng.random(enlarged.w.shape)),
     }
 
 
-@pytest.mark.parametrize("name", ["auxiliary", "single_well", "neumann"])
+@pytest.mark.parametrize("name", ["single_well", "neumann"])
 def test_factored_operator_matches_cg(ref, name):
     op, b = _one_d_operators(ref)[name]
     assert op.off is not None
-    x = op.solver(ref.solver)(b, None)
+    x = op.factor().solve(b)
     y, _ = conjugate_gradient(op.apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
     assert np.linalg.norm(op.apply(x) - b) <= 1e-12 * np.linalg.norm(b)
@@ -550,6 +577,89 @@ def test_one_d_solves_never_call_cg(ref, ref_wells, monkeypatch):
     init = multi_bump_init([w.field for w in ref_wells], [0.5, 0.5], 2.0)
     solve_auxiliary(1e2, (1, 2), init, ref.grid, ref.potential, ref.params, config)
     solve_neumann_well(1e2, 1, ref.grid, ref.potential, config)
+
+
+# -- Newton's method for the 1D auxiliary problem ----------------------------------
+
+
+def test_newton_step_matches_dense_jacobian_solve(ref, ref_sweep):
+    lam = 1e3
+    fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), lam)
+    u = ref_sweep[1].record.field.values  # converged at lambda = 100
+    res = fun.residual(Field(ref.grid, u)).values
+    eye = np.eye(u.size)
+    lap = np.column_stack([neg_laplacian(Field(ref.grid, c)).values for c in eye])
+    jac = lap + np.diag(fun.diag - fun.nonlinear_rhs_slope(u))
+    u_new, morse = solver_module._newton_step(fun, ref.grid)(u, res)
+    want = np.maximum(u + np.linalg.solve(jac, -res), 0.0)
+    assert np.linalg.norm(u_new - want) <= 1e-11 * np.linalg.norm(want)
+    assert morse == int(np.sum(np.linalg.eigvalsh(jac) < 0.0)) == 2
+
+
+def test_newton_sweep_matches_reference_energies(ref_sweep):
+    import csv
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    with open(path / "twin-wells-1d" / "energies.csv", newline="") as fh:
+        want = {float(r["lambda"]): float(r["phi_total"])
+                for r in csv.DictReader(fh) if r["gamma"] == "1+2"}
+    assert sorted(want) == [st.lam for st in ref_sweep]
+    for st in ref_sweep:
+        assert abs(st.report.total - want[st.lam]) <= 1e-10 * abs(want[st.lam])
+
+
+def test_newton_step_count_guard(ref_sweep):
+    # deterministic work counter: 5, 4, 3, 3 Newton steps when pinned
+    assert [st.record.stop_reason for st in ref_sweep] == ["converged"] * 4
+    assert all(st.record.iterations <= 6 for st in ref_sweep)
+
+
+@pytest.mark.parametrize("gamma", [(1,), (2,), (1, 2)])
+def test_newton_morse_index_is_bump_count(ref, ref_wells, ref_big_t, gamma):
+    ws = [ref_wells[j - 1].field for j in gamma]
+    init = multi_bump_init(ws, [1.0 / ref_big_t] * len(ws), ref_big_t)
+    steps = lambda_sweep(ref.config.lambdas, gamma, init, ref.grid,
+                         ref.potential, ref.params, ref.solver)
+    for st in steps:
+        assert st.record.stop_reason == "converged"
+        assert st.record.morse_index == len(gamma)
+
+
+def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep):
+    init = multi_bump_init([r.field for r in ref_wells],
+                           [1.0 / ref_big_t] * 2, ref_big_t)
+    again = lambda_sweep(ref.config.lambdas, (1, 2), init, ref.grid,
+                         ref.potential, ref.params, ref.solver)
+    for a, b in zip(ref_sweep, again):
+        assert np.array_equal(a.record.field.values, b.record.field.values)
+        assert a.record.residuals == b.record.residuals
+        assert a.record.energies == b.record.energies
+        assert a.record.morse_index == b.record.morse_index
+
+
+def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
+    def doubling(fun, grid):
+        return lambda u, res: (2.0 * u, 7)
+
+    monkeypatch.setattr(solver_module, "_newton_step", doubling)
+    rec = solve_auxiliary(1e4, (1,), ref_wells[0].field, ref.grid, ref.potential,
+                          ref.params, ref.solver)
+    assert rec.stop_reason == "diverged" and not rec.converged
+    assert rec.iterations == solver_module.DIVERGE_STEPS + 1
+    assert rec.morse_index == 7
+
+
+def test_two_d_flow_records_no_morse_index():
+    geometry = WellGeometry(
+        dim=2,
+        wells=(Box((0.0, 0.0), (2.0, 2.0)),),
+        enlargements=(Box((0.0, 0.0), (2.5, 2.5)),),
+    )
+    grid = Grid(dim=2, r=4.0, n=41)
+    init = Field(grid, np.exp(-0.5 * sum(m * m for m in grid.interior_mesh())))
+    rec = solve_auxiliary(1e2, (1,), init, grid, PotentialSpec(geometry),
+                          make_params(), SolverConfig(max_iters=3))
+    assert rec.iterations == 3 and math.isnan(rec.morse_index)
 
 
 # -- factored implicit operator (2D) ------------------------------------------------
@@ -618,7 +728,7 @@ def test_factored_operator_matches_cg_2d(name):
         op = _local_operator(_LocalWell.neumann(1e3, 1, grid, potential), 0.05)
     assert op.off is not None and len(op.off) == 2
     b = rng.random(op.diag.shape)
-    x = op.solver(SolverConfig())(b, None)
+    x = op.factor().solve(b)
     y, _ = conjugate_gradient(op.apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
     assert np.linalg.norm(op.apply(x) - b) <= 1e-12 * np.linalg.norm(b)
