@@ -539,18 +539,21 @@ def _mass_fraction(u: Field, geometry, gamma) -> float:
     return inside / total
 
 
+def _morse_str(morse) -> str:
+    return "n/a" if math.isnan(morse) else str(morse)
+
+
 def _write_solve_summary(path, lam: float, gamma, record) -> None:
     """solve_lambda_L.txt; the final residual is nan when the solve stopped
-    before recording one, and the Morse index n/a for the 2D flow."""
+    before recording one, and the Morse index n/a when it is uncertified."""
     final = record.residuals[-1] if record.residuals else math.nan
-    morse = "n/a" if math.isnan(record.morse_index) else record.morse_index
     with open(path, "w") as fh:
         fh.write(f"lambda = {lam!r}\n")
         fh.write(f"gamma = {_mask_str(gamma)}\n")
         fh.write(f"converged = {'true' if record.converged else 'false'}\n")
         fh.write(f"stop_reason = {record.stop_reason}\n")
         fh.write(f"iterations = {record.iterations}\n")
-        fh.write(f"morse_index = {morse}\n")
+        fh.write(f"morse_index = {_morse_str(record.morse_index)}\n")
         fh.write(f"energy = {record.energy!r}\n")
         fh.write(f"final_residual = {final!r}\n")
         fh.write(f"bump_mask = {_mask_str(record.bump_mask)}\n")
@@ -619,9 +622,10 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
         rows, notes = [], []
         for st in steps:
             morse = st.record.morse_index
-            if not math.isnan(morse) and morse != len(gsel):
+            if st.record.converged and morse != len(gsel):
                 notes.append(f"gamma {_mask_str(gsel)}: solve at lambda={st.lam:g} "
-                             f"has Morse index {morse}, expected {len(gsel)}")
+                             f"has Morse index {_morse_str(morse)}, "
+                             f"expected {len(gsel)}")
             rep = st.report
             lam_c = tuple(
                 c_lambda.get((st.lam, j), math.nan) if (j in gsel) else math.nan

@@ -1,14 +1,13 @@
 """Solvers for the well problems and the penalized problem.
 
-The flows use one semi-implicit splitting: the stiff linear part
-(-lap + diagonal mass) is treated implicitly, so the deepening parameter
-lambda never forces a smaller step, while the logarithmic nonlinearity is
-explicit.  Negative values are clipped after every step (the discrete
-counterpart of testing with the negative part).  The implicit matrix stays
-fixed over a solve, so it is factored once before the flow loop
-(tridiagonal LDL^T in 1D, block LDL^T in 2D) and every step is a direct
-solve; only the 2D auxiliary flow, on the whole box, runs a
-Jacobi-preconditioned conjugate gradient solve per step.
+The ground-state flows use one semi-implicit splitting: the stiff linear
+part (-lap + diagonal mass) is treated implicitly, so the deepening
+parameter lambda never forces a smaller step, while the logarithmic
+nonlinearity is explicit.  Negative values are clipped after every step
+(the discrete counterpart of testing with the negative part).  The
+implicit matrix stays fixed over a solve, so it is factored once before
+the flow loop (tridiagonal LDL^T in 1D, block LDL^T in 2D) and every step
+is a direct solve.
 
 The ground-state flow runs on a local box of grid nodes and rescales onto
 the Nehari manifold after every step, which pins the amplitude and turns
@@ -16,11 +15,14 @@ the flow into a minimization over the manifold.  Its local problems differ
 only in the ghost rule beyond the box: zero on the Dirichlet well's own
 nodes, mirrored on the enlarged well with natural boundary condition.
 
-The penalized problem on the whole box has saddle solutions.  In 1D it is
-solved by Newton's method with the same clip: each step factors the
+The penalized problem on the whole box has saddle solutions.  It is solved
+by Newton's method with the same clip.  In 1D each step factors the
 indefinite tridiagonal Jacobian, whose negative pivots count the Morse
-index.  In 2D the auxiliary flow rescales each selected bump's amplitude
-after every step instead.
+index.  In 2D each step runs diagonally preconditioned MINRES on the
+Jacobian applied free of storage, since a whole-box factor would hold
+(n - 2)^3 doubles; the Morse index of the last Jacobian is certified once
+per solve by an inertia enclosure that factors only the enlarged wells'
+node boxes.
 
 Everything here is deterministic: fixed iteration order, fixed summation
 order, no randomness, so identical inputs give bit-identical outputs.
@@ -63,10 +65,11 @@ class SolveError(RuntimeError):
 class SolverConfig:
     """Flow, Newton and inner linear-solve settings.
 
-    tau is the flows' step; the 1D auxiliary solve is Newton's method and
-    does not use it.  tol and max_iters bound every solve.  cg_tol and
-    cg_max_iters govern only the conjugate gradient solves of the 2D
-    auxiliary flow; every other step is a direct solve.
+    tau is the step of the ground-state flows only; the auxiliary solve is
+    Newton's method and does not use it.  tol and max_iters bound every
+    solve.  cg_tol and cg_max_iters bound the MINRES solve inside each 2D
+    Newton step (relative preconditioned residual, iteration cap); every
+    other linear solve is direct.  The keys keep their historical names.
     """
 
     tau: float = 0.05
@@ -96,8 +99,10 @@ class SolveRecord:
     stop_reason names why the solve stopped: "converged", "iteration cap",
     "collapse" (a selected enlargement lost all of its mass) or "diverged"
     (the Newton residual grew DIVERGE_STEPS steps in a row).  morse_index
-    counts the negative eigenvalues of the last Newton step's Jacobian;
-    it is nan for the flows, which have none.
+    counts the negative eigenvalues of the last Newton step's Jacobian:
+    exact negative pivots in 1D, a certified inertia enclosure in 2D, where
+    it is nan when the enclosure's bounds disagree.  It is nan for the
+    ground-state flows, which have no Jacobian.
     """
 
     field: Field
@@ -132,6 +137,10 @@ def conjugate_gradient(apply_a, b, x0, tol, max_iters, diag=None):
     once.  A nonpositive curvature p.A p signals a non-SPD operator and
     raises, as does running out of iterations.  Returns (solution,
     iterations).
+
+    No solve of the pipeline calls it any more; it stays because the
+    benchmark's tracer (perfbench/tracer.py) binds it by name, and the
+    tests use it as an independent check of the factored operators.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -162,6 +171,63 @@ def conjugate_gradient(apply_a, b, x0, tol, max_iters, diag=None):
     if math.sqrt(float(np.vdot(r, r))) <= tol * bnorm:
         return x, max_iters
     raise SolveError(f"conjugate gradient did not converge in {max_iters} iterations")
+
+
+def minres(apply_a, b, minv, tol, max_iters):
+    """Preconditioned MINRES (Paige & Saunders 1975) from x0 = 0.
+
+    Solves A x = b for a symmetric, possibly indefinite operator given as
+    a callable.  `minv` holds the positive diagonal of the inverse of an
+    SPD preconditioner M.  Each iteration minimizes the preconditioned
+    residual ||b - A x||_{M^-1} over the Krylov space, and the solve stops
+    when that norm is at most tol times its initial value sqrt(b . minv b).
+    A non-finite right-hand side raises at once, as does running out of
+    iterations.  Returns (solution, iterations).
+    """
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise SolveError("non-finite right-hand side")
+    x = np.zeros_like(b)
+    y = minv * b
+    beta1 = math.sqrt(float(np.vdot(b, y)))
+    if beta1 == 0.0:
+        return x, 0
+    # Lanczos vectors r1, r2 (unpreconditioned), y = minv * r2, and the
+    # Givens rotation (cs, sn) that keeps the tridiagonal least squares
+    # problem triangular; phibar is the preconditioned residual norm.
+    r1 = r2 = b
+    beta, oldb = beta1, 0.0
+    dbar = epsln = 0.0
+    phibar = beta1
+    cs, sn = -1.0, 0.0
+    w = w2 = np.zeros_like(b)
+    for it in range(1, max_iters + 1):
+        v = y / beta
+        y = apply_a(v)
+        if it > 1:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.vdot(v, y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = minv * r2
+        oldb, beta = beta, math.sqrt(float(np.vdot(r2, y)))
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = math.hypot(gbar, beta)
+        if gamma == 0.0:
+            raise SolveError("MINRES breakdown: singular operator")
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar *= sn
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x += phi * w
+        if phibar <= tol * beta1:
+            return x, it
+    raise SolveError(f"MINRES did not converge in {max_iters} iterations")
 
 
 class TridiagonalLDL:
@@ -252,26 +318,27 @@ class BlockTridiagonalLDL:
     (i, j + 1).  Each row's Schur complement is a dense nx x nx block whose
     Cholesky factor raises if the matrix is not SPD; its inverse is kept
     (ny nx^2 doubles), so a solve is 2 ny matrix-vector products.
+    `negative_eigenvalues` takes an indefinite matrix and only counts.
     """
 
     def __init__(self, diag, off0, off1):
-        diag = np.asarray(diag, dtype=float)
         self._off = np.asarray(off0, dtype=float)
-        off1 = np.asarray(off1, dtype=float)
-        ny, nx = diag.shape
-        if self._off.shape != (ny - 1, nx) or off1.shape != (ny, nx - 1):
-            raise ValueError("off0 and off1 must couple neighbours along axes 0 and 1")
+        ny, nx = np.shape(diag)
         self._inv = np.empty((ny, nx, nx))
-        for i in range(ny):
-            schur = np.diag(diag[i]) + np.diag(off1[i], 1) + np.diag(off1[i], -1)
-            if i > 0:
-                c = self._off[i - 1]
-                schur -= c[:, None] * self._inv[i - 1] * c[None, :]
-            try:
-                np.linalg.cholesky(schur)
-            except np.linalg.LinAlgError:
-                raise SolveError("block LDL^T breakdown: operator not SPD") from None
-            self._inv[i] = np.linalg.inv(schur)
+        for i, (inv, _) in enumerate(_schur_inverses(diag, off0, off1, True)):
+            self._inv[i] = inv
+
+    @classmethod
+    def negative_eigenvalues(cls, diag, off0, off1) -> int:
+        """Negative eigenvalues of an indefinite 5-point matrix.
+
+        By Haynsworth's inertia additivity they are the negative
+        eigenvalues of the Schur blocks summed.  A block whose Cholesky
+        factor fails gets `eigvalsh`, and one within
+        TridiagonalLDL.PIVOT_RTOL of singular raises; only the previous
+        block's inverse is kept.
+        """
+        return sum(neg for _, neg in _schur_inverses(diag, off0, off1, False))
 
     def solve(self, rhs) -> np.ndarray:
         """x with L D L^T x = rhs: one forward and one back sweep over rows."""
@@ -286,6 +353,40 @@ class BlockTridiagonalLDL:
         for i in range(len(x) - 2, -1, -1):
             x[i] -= inv[i] @ (off[i] * x[i + 1])
         return x
+
+
+def _schur_inverses(diag, off0, off1, spd: bool):
+    """Yield (inverse, negative eigenvalues) of each row's Schur complement
+    of a symmetric 5-point matrix (see `BlockTridiagonalLDL`).
+
+    A block whose Cholesky factor fails raises when `spd`; otherwise its
+    eigenvalues are counted, and a block within TridiagonalLDL.PIVOT_RTOL
+    of singular raises, since its inverse would carry no digits.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off0 = np.asarray(off0, dtype=float)
+    off1 = np.asarray(off1, dtype=float)
+    ny, nx = diag.shape
+    if off0.shape != (ny - 1, nx) or off1.shape != (ny, nx - 1):
+        raise ValueError("off0 and off1 must couple neighbours along axes 0 and 1")
+    inv = None
+    for i in range(ny):
+        schur = np.diag(diag[i]) + np.diag(off1[i], 1) + np.diag(off1[i], -1)
+        if i > 0:
+            schur -= off0[i - 1][:, None] * inv * off0[i - 1][None, :]
+        negative = 0
+        try:
+            np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            if spd:
+                raise SolveError("block LDL^T breakdown: operator not SPD") from None
+            eigs = np.linalg.eigvalsh(schur)
+            size = np.abs(eigs)
+            if size.min() <= TridiagonalLDL.PIVOT_RTOL * size.max():
+                raise SolveError("block LDL^T breakdown: Schur block near singular")
+            negative = int(np.sum(eigs < 0.0))
+        inv = np.linalg.inv(schur)
+        yield inv, negative
 
 
 @dataclass(frozen=True)
@@ -357,45 +458,90 @@ def _newton_step(fun: PenalizedFunctional, grid: Grid) -> Callable:
     return step
 
 
-def _flow_step(
-    fun: PenalizedFunctional, grid: Grid, config: SolverConfig, gamma_masks
+def _minres_newton_step(
+    fun: PenalizedFunctional, grid: Grid, config: SolverConfig
 ) -> Callable:
-    """step(u, res) -> (u', nan): one projected semi-implicit flow step.
+    """step(u, res) -> (u', nan) for the penalized problem in 2D.
 
-    u' = (I + tau(-lap + diag(lambda V + 1)))^{-1} (u + tau (g2'(x, u+) -
-    f1'(u))), clipped, then rescaled on each selected enlargement by t_j
-    with log t_j^2 = <residual, u' restricted to the enlargement> / int_j
-    u'^2, the per-well ray condition.  The rescale stops at an enlargement
-    without mass, which the caller reports as a collapse.  res goes unused.
-    The implicit matrix is left unassembled and each step runs Jacobi-PCG
-    from u: a block factor would hold (n - 2)^3 doubles, 15.6 MB at n = 127.
+    Solves J du = -res for the Jacobian J = -lap_h + diag(jd) at u, with
+    jd = lambda V + 1 + f1''(u) - g2''(x, u+), by MINRES preconditioned
+    with 1 / |4/h^2 + jd|, and returns max(u + du, 0).  J is applied free
+    of storage: a whole-box block factor would hold (n - 2)^3 doubles,
+    15.6 MB at n = 127.  The Morse index is left to `_morse_enclosure`,
+    once per solve.
     """
-    tau = config.tau
-    hd = grid.h**grid.dim
-    diag = 1.0 + tau * (2.0 * grid.dim / grid.h**2 + fun.diag)
-
-    def apply_a(x):
-        lap = neg_laplacian(Field(grid, x)).values
-        return x + tau * (lap + fun.diag * x)
+    h = grid.h
+    stencil = 2.0 * grid.dim / h**2
 
     def step(u, res):
-        rhs = u + tau * fun.nonlinear_rhs(u)
-        x, _ = conjugate_gradient(
-            apply_a, rhs, u, config.cg_tol, config.cg_max_iters, diag
+        jd = fun.diag - fun.nonlinear_rhs_slope(u)
+        du, _ = minres(
+            lambda x: neg_laplacian_values(x, h) + jd * x,
+            -res,
+            1.0 / np.abs(stencil + jd),
+            config.cg_tol,
+            config.cg_max_iters,
         )
-        u_new = np.maximum(x, 0.0)
-        res = fun.residual(Field(grid, u_new)).values
-        for mask in gamma_masks:
-            mass = hd * float(np.sum((u_new * u_new)[mask]))
-            if mass <= 0.0:
-                break
-            pair = hd * float(np.sum((res * u_new)[mask]))
-            # trust region keeps early iterations sane; inactive near the end
-            t = math.exp(min(max(pair / (2.0 * mass), -0.7), 0.7))
-            u_new[mask] *= t
-        return u_new, math.nan
+        return np.maximum(u + du, 0.0), math.nan
 
     return step
+
+
+def _morse_enclosure(jd: np.ndarray, boxes, h: float) -> float:
+    """Negative eigenvalues of J = -lap_h + diag(jd) on a 2D node array,
+    or nan when they cannot be certified.
+
+    E is the union of the node `boxes` and O the other nodes.  With
+    m = min jd over O > 0, J_OO >= m I is SPD, and Haynsworth's inertia
+    additivity gives neg(J) = neg(S) for the Schur complement
+    S = J_EE - J_EO J_OO^-1 J_OE.  Since 0 <= J_OO^-1 <= I/m,
+
+        neg(J_EE) <= neg(J) <= neg(J_EE - R / (m h^4)),
+
+    where R is the diagonal Gershgorin bound of h^4 J_EO J_OE: per E node,
+    the sum over its O neighbours of their numbers of E neighbours.  J_EE
+    is block diagonal over boxes that no stencil couples, so both bounds
+    are block LDL^T inertias of single boxes.  The count is returned when
+    the bounds agree; nan when they differ, when m <= 0, when two boxes
+    are stencil-coupled or when a Schur block is near singular.
+    """
+    masks = []
+    for box in boxes:
+        mask = np.zeros(jd.shape, dtype=bool)
+        mask[box] = True
+        masks.append(mask)
+    for i, reach in enumerate(_stencil_reach(mask) for mask in masks):
+        if any(np.any(reach & other) for other in masks[i + 1:]):
+            return math.nan
+    inside = reduce(np.logical_or, masks)
+    m = float(np.min(jd[~inside], initial=math.inf))
+    if m <= 0.0:
+        return math.nan
+    # neighbour sums of 0/1 and small integer arrays, exact in floating point
+    degree = _neighbour_sum(inside.astype(float))
+    shift = _neighbour_sum(np.where(inside, 0.0, degree)) / (m * h**4)
+    diag = 2.0 * jd.ndim / h**2 + jd
+    c = -1.0 / h**2
+
+    def negatives(diag):
+        return sum(
+            BlockTridiagonalLDL.negative_eigenvalues(
+                d, np.full((d.shape[0] - 1, d.shape[1]), c),
+                np.full((d.shape[0], d.shape[1] - 1), c),
+            )
+            for d in (diag[box] for box in boxes)
+        )
+
+    try:
+        low, high = negatives(diag), negatives(diag - shift)
+    except SolveError:
+        return math.nan
+    return low if low == high else math.nan
+
+
+def _neighbour_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of each node's stencil neighbours, zero beyond the array."""
+    return 2.0 * v.ndim * v - neg_laplacian_values(v, 1.0)
 
 
 # Newton stops as "diverged" once its residual has grown this many steps in
@@ -414,20 +560,21 @@ def solve_auxiliary(
 ) -> SolveRecord:
     """Nonnegative solution of the penalized problem on the box.
 
-    Solves -lap u + (lambda V + 1) u + f1'(u) - g2'(x, u+) = 0 from init,
-    clipping negatives after every step, until the relative L2 residual
+    Solves -lap u + (lambda V + 1) u + f1'(u) - g2'(x, u+) = 0 from init by
+    Newton's method, u <- max(u + du, 0), until the relative L2 residual
     drops below tol.  Non-convergence is flagged on the record with its
-    stop reason, never papered over; a selected enlargement that loses all
-    of its mass stops the solve as a collapse.
+    stop reason, never papered over: a selected enlargement that loses all
+    of its mass from a nonzero init stops the solve as a collapse, and a
+    residual that grows DIVERGE_STEPS steps in a row as diverged.
 
     Multi-bump states are saddle points: the energy tends to minus infinity
-    along each bump's amplitude.  In 1D, Newton's method (`_newton_step`)
-    converges to them directly, and its Jacobian's negative pivots give the
+    along each bump's amplitude.  Newton's method converges to them
+    directly, and the negative eigenvalues of its last Jacobian give the
     Morse index, which is |gamma| on an l-bump saddle of the minimax over
-    [1/T^2, 1]^l.  In 2D the projected flow (`_flow_step`) rescales each
-    selected bump's amplitude after every step, which removes the unstable
-    directions; the correction is a residual pairing, so its fixed points
-    solve the unmodified equation.
+    [1/T^2, 1]^l.  In 1D (`_newton_step`) each step factors the tridiagonal
+    Jacobian and counts its negative pivots.  In 2D
+    (`_minres_newton_step`) each step runs MINRES, and the count comes
+    from `_morse_enclosure` at the last Jacobian.
     """
     if np.any(init.values < 0.0):
         raise ValueError("init must be nonnegative")
@@ -435,14 +582,15 @@ def solve_auxiliary(
     hd = grid.h**grid.dim
     inner = (slice(1, -1),) * grid.dim
     gamma_masks = [fun.masks.per_enlarged[j - 1][inner] for j in fun.gamma]
-    newton = grid.dim == 1
-    if newton:
+    if grid.dim == 1:
         step = _newton_step(fun, grid)
     else:
-        step = _flow_step(fun, grid, config, gamma_masks)
+        step = _minres_newton_step(fun, grid, config)
+    # a zero init stays at the solution u = 0; any other may not fall to it
+    watch_collapse = bool(np.any(init.values != 0.0))
 
     u = init.values.copy()
-    res = fun.residual(init).values if newton else None
+    res = fun.residual(init).values
     residuals: list[float] = []
     energies: list[float] = []
     stop_reason = "iteration cap"
@@ -450,8 +598,9 @@ def solve_auxiliary(
     growth = 0
     it = 0
     for it in range(1, config.max_iters + 1):
+        u_jac = u
         u, morse = step(u, res)
-        if np.any(u != 0.0) and any(
+        if watch_collapse and any(
             hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
         ):
             stop_reason = "collapse"
@@ -466,10 +615,17 @@ def solve_auxiliary(
         if rel <= config.tol:
             stop_reason = "converged"
             break
-        if newton and growth >= DIVERGE_STEPS:
+        if growth >= DIVERGE_STEPS:
             stop_reason = "diverged"
             break
 
+    if grid.dim == 2:
+        boxes = [
+            tuple(slice(s.start - 1, s.stop - 1) for s in box_nodes(e, grid, False))
+            for e in potential.geometry.enlargements
+        ]
+        jd = fun.diag - fun.nonlinear_rhs_slope(u_jac)
+        morse = _morse_enclosure(jd, boxes, grid.h)
     out = Field(grid, u)
     return SolveRecord(
         field=out,

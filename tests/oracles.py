@@ -1,7 +1,8 @@
 """Independent recomputations that only the tests use as oracles.
 
 The pipeline computes the same quantities another way (per-well energies
-from `PenalizedFunctional.report`, fields in memory), so these stay out of
+from `PenalizedFunctional.report`, fields in memory, 2D Morse indices from
+an inertia enclosure on the enlarged wells' boxes), so these stay out of
 the package.
 """
 
@@ -16,6 +17,7 @@ from logbump.domain import (
     potential_on_grid,
 )
 from logbump.functional import _log_mass_density
+from logbump.solver import BlockTridiagonalLDL
 
 
 def dirichlet_well_energy(u: Field, geometry, j: int) -> float:
@@ -61,3 +63,13 @@ def load_field(path) -> Field:
         raise ValueError(f"{path}: inconsistent spacing in header")
     values = np.array([float(v) for v in lines[3:]])
     return Field(grid, values.reshape(grid.interior_shape, order="C"))
+
+
+def whole_box_negative_eigenvalues(jd: np.ndarray, h: float) -> int:
+    """Negative eigenvalues of -lap_h + diag(jd) on a whole 2D node array,
+    counted by block LDL^T inertia over all of its rows."""
+    ny, nx = jd.shape
+    c = -1.0 / h**2
+    return BlockTridiagonalLDL.negative_eigenvalues(
+        4.0 / h**2 + jd, np.full((ny - 1, nx), c), np.full((ny, nx - 1), c)
+    )

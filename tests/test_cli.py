@@ -367,6 +367,25 @@ def test_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
     assert "morse_index = 2\n" in (out / "gamma_1" / "solve_lambda_100.txt").read_text()
 
 
+def test_uncertified_morse_index_is_a_failure(tmp_path, capsys, monkeypatch):
+    import logbump.cli as cli
+
+    sweep = cli.lambda_sweep
+
+    def uncertified(lambdas, gamma, *args):
+        steps = sweep(lambdas, gamma, *args)
+        steps[0].record.morse_index = math.nan
+        return steps
+
+    monkeypatch.setattr(cli, "lambda_sweep", uncertified)
+    out = tmp_path / "uncertified"
+    assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
+    assert ("FAILURE: gamma 1: solve at lambda=100 has Morse index n/a, expected 1"
+            in capsys.readouterr().err)
+    text = (out / "gamma_1" / "solve_lambda_100.txt").read_text()
+    assert "converged = true\n" in text and "morse_index = n/a\n" in text
+
+
 def test_neumann_failure_names_stop_reason(tmp_path, capsys, monkeypatch):
     import logbump.cli as cli
 

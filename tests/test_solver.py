@@ -1,5 +1,6 @@
 """Gradient-flow solvers: ground states, penalized solves, path machinery."""
 
+import csv
 import itertools
 import math
 import os
@@ -19,9 +20,11 @@ from logbump.domain import (
     PotentialSpec,
     WellGeometry,
     box_mask_full,
+    box_nodes,
     integrate,
     masks,
     neg_laplacian,
+    neg_laplacian_values,
     restricted_norm_sq,
 )
 from logbump.functional import PenalizedFunctional, nehari_check
@@ -38,13 +41,25 @@ from logbump.solver import (
     conjugate_gradient,
     lambda_sweep,
     minimax_upper_bound,
+    minres,
     multi_bump_init,
     solve_auxiliary,
     solve_neumann_well,
     solve_single_well,
 )
 
+from oracles import whole_box_negative_eigenvalues
+
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reference_phi_total(workload: str, gamma: str) -> dict[float, float]:
+    """phi_total by lambda of one selection in a benchmark reference."""
+    path = REPO_ROOT / "perfbench" / "reference" / workload / "energies.csv"
+    with open(path, newline="") as fh:
+        return {float(r["lambda"]): float(r["phi_total"])
+                for r in csv.DictReader(fh) if r["gamma"] == gamma}
 
 
 # -- conjugate gradient -------------------------------------------------------
@@ -82,6 +97,52 @@ def test_cg_iteration_budget():
     b = rng.standard_normal(40)
     with pytest.raises(SolveError, match="converge"):
         conjugate_gradient(lambda v: a @ v, b, np.zeros(40), 1e-14, 2)
+
+
+def _five_point_dense(jd, h):
+    """Dense -lap_h + diag(jd) on a 2D node array, one stencil column per node."""
+    cols = [neg_laplacian_values(e.reshape(jd.shape), h).ravel()
+            for e in np.eye(jd.size)]
+    return np.column_stack(cols) + np.diag(jd.ravel())
+
+
+def _indefinite_five_point(rng, shape, negatives):
+    """A diagonal jd whose -lap + diag(jd), h = 1, has `negatives` negative
+    eigenvalues, and that dense matrix."""
+    jd = rng.random(shape)
+    ev = np.linalg.eigvalsh(_five_point_dense(jd, 1.0))
+    jd -= 0.5 * (ev[negatives - 1] + ev[negatives])
+    return jd, _five_point_dense(jd, 1.0)
+
+
+def test_minres_matches_dense_indefinite_solve():
+    rng = np.random.default_rng(9)
+    jd, dense = _indefinite_five_point(rng, (6, 7), 2)
+    assert int(np.sum(np.linalg.eigvalsh(dense) < 0.0)) == 2
+    b = rng.standard_normal(jd.shape)
+    x, iters = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b,
+                      1.0 / np.abs(4.0 + jd), 1e-13, 500)
+    want = np.linalg.solve(dense, b.ravel()).reshape(b.shape)
+    assert 0 < iters <= 100
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_minres_zero_rhs_and_failures():
+    rng = np.random.default_rng(10)
+    jd, dense = _indefinite_five_point(rng, (6, 7), 2)
+
+    def apply_a(v):
+        return (dense @ v.ravel()).reshape(v.shape)
+
+    minv = 1.0 / np.abs(4.0 + jd)
+    x, iters = minres(apply_a, np.zeros(jd.shape), minv, 1e-12, 50)
+    assert iters == 0 and np.abs(x).max() == 0.0
+    bad = np.ones(jd.shape)
+    bad[2, 3] = math.nan
+    with pytest.raises(SolveError, match="non-finite"):
+        minres(apply_a, bad, minv, 1e-12, 50)
+    with pytest.raises(SolveError, match="did not converge in 3 iterations"):
+        minres(apply_a, rng.standard_normal(jd.shape), minv, 1e-12, 3)
 
 
 def test_solver_config_validation():
@@ -597,12 +658,7 @@ def test_newton_step_matches_dense_jacobian_solve(ref, ref_sweep):
 
 
 def test_newton_sweep_matches_reference_energies(ref_sweep):
-    import csv
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-    with open(path / "twin-wells-1d" / "energies.csv", newline="") as fh:
-        want = {float(r["lambda"]): float(r["phi_total"])
-                for r in csv.DictReader(fh) if r["gamma"] == "1+2"}
+    want = _reference_phi_total("twin-wells-1d", "1+2")
     assert sorted(want) == [st.lam for st in ref_sweep]
     for st in ref_sweep:
         assert abs(st.report.total - want[st.lam]) <= 1e-10 * abs(want[st.lam])
@@ -649,7 +705,19 @@ def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
     assert rec.morse_index == 7
 
 
-def test_two_d_flow_records_no_morse_index():
+def test_newton_collapse_from_nonzero_init(ref, ref_wells):
+    # a small start falls to u = 0 in one step: a collapse, not a solution
+    init = Field(ref.grid, 0.3 * ref_wells[0].field.values)
+    rec = solve_auxiliary(1e2, (1,), init, ref.grid, ref.potential, ref.params,
+                          ref.solver)
+    assert rec.stop_reason == "collapse" and not rec.converged
+    assert rec.iterations == 1 and np.abs(rec.field.values).max() == 0.0
+
+
+# -- Newton's method for the 2D auxiliary problem ----------------------------------
+
+
+def test_two_d_newton_collapse_from_nonzero_init():
     geometry = WellGeometry(
         dim=2,
         wells=(Box((0.0, 0.0), (2.0, 2.0)),),
@@ -659,7 +727,137 @@ def test_two_d_flow_records_no_morse_index():
     init = Field(grid, np.exp(-0.5 * sum(m * m for m in grid.interior_mesh())))
     rec = solve_auxiliary(1e2, (1,), init, grid, PotentialSpec(geometry),
                           make_params(), SolverConfig(max_iters=3))
-    assert rec.iterations == 3 and math.isnan(rec.morse_index)
+    assert rec.stop_reason == "collapse" and not rec.converged
+    assert rec.iterations == 1 and np.abs(rec.field.values).max() == 0.0
+
+
+def test_two_d_newton_records_morse_index_one():
+    geometry, potential, grid = _small_2d()
+    well = solve_single_well(geometry, 1, grid, SolverConfig())
+    assert well.converged
+    rec = solve_auxiliary(1e2, (1,), well.field, grid, potential, make_params(),
+                          SolverConfig())
+    assert rec.stop_reason == "converged" and rec.bump_mask == (1,)
+    assert rec.morse_index == 1
+
+
+_ENCLOSURE_BOXES = [(slice(2, 11), slice(2, 11)), (slice(3, 12), slice(13, 22))]
+
+
+def _dipped_diagonal(depth, outside=30.0, h=0.25):
+    """A (20, 24) Jacobian diagonal: `outside` off the two boxes of
+    _ENCLOSURE_BOXES, and Gaussian dips of depth and 1.3 depth in them."""
+    yy, xx = np.mgrid[0:20, 0:24]
+    jd = np.full(yy.shape, outside)
+    centres = [(6, 6), (7, 17)]
+    for (c0, c1), box, d in zip(centres, _ENCLOSURE_BOXES, [depth, 1.3 * depth]):
+        r2 = ((yy - c0) ** 2 + (xx - c1) ** 2) * h * h
+        jd[box] = (outside - d * np.exp(-r2))[box]
+    return jd
+
+
+@pytest.mark.parametrize("depth, count", [(20.0, 0), (35.0, 1), (45.0, 4)])
+def test_morse_enclosure_matches_eigvalsh(depth, count):
+    h = 0.25
+    jd = _dipped_diagonal(depth)
+    want = int(np.sum(np.linalg.eigvalsh(_five_point_dense(jd, h)) < 0.0))
+    assert want == count
+    assert solver_module._morse_enclosure(jd, _ENCLOSURE_BOXES, h) == count
+    assert whole_box_negative_eigenvalues(jd, h) == count
+
+
+def test_morse_enclosure_uncertified_cases():
+    h = 0.25
+    def enclose(outside=30.0, boxes=_ENCLOSURE_BOXES):
+        jd = _dipped_diagonal(35.0, outside)
+        return solver_module._morse_enclosure(jd, boxes, h)
+
+    assert enclose() == 1
+    # J_OO not SPD: no lower bound on it
+    assert math.isnan(enclose(outside=0.0))
+    # J_OO barely SPD: the bounds drift apart
+    assert math.isnan(enclose(outside=1e-3))
+    # adjacent boxes: J_EE is not block diagonal over them
+    assert math.isnan(enclose(boxes=[(slice(2, 11), slice(2, 11)),
+                                     (slice(3, 12), slice(11, 22))]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_ldl_negative_eigenvalues(seed):
+    rng = np.random.default_rng(20 + seed)
+    diag, off0, off1, dense = _random_spd_five_point(rng, 6, 5)
+    ev = np.linalg.eigvalsh(dense)
+    shift = 0.5 * (ev[seed] + ev[seed + 1])
+    count = BlockTridiagonalLDL.negative_eigenvalues(diag - shift, off0, off1)
+    want = int(np.sum(np.linalg.eigvalsh(dense - shift * np.eye(30)) < 0.0))
+    assert count == want == seed + 1
+
+
+def test_block_ldl_negative_eigenvalues_singular_block_raises():
+    with pytest.raises(SolveError, match="singular"):
+        BlockTridiagonalLDL.negative_eigenvalues(
+            np.array([[1.0, 1.0]]), np.zeros((0, 2)), np.array([[1.0]]))
+
+
+TWIN_WELLS_2D = REPO_ROOT / "perfbench" / "configs" / "twin-wells-2d.cfg"
+
+
+@pytest.fixture(scope="module")
+def twin_2d():
+    """The twin-wells-2d benchmark scenario: its config and a callable that
+    runs its gamma = (1, 2) lambda sweep from the CLI's start."""
+    cfg = parse_config(TWIN_WELLS_2D)
+    grid, geometry, solver = cfg.grid(), cfg.geometry(), cfg.solver_config()
+    wells = [solve_single_well(geometry, j, grid, solver).field for j in (1, 2)]
+    big_t = choose_t(wells)
+    init = multi_bump_init(wells, [1.0 / big_t] * 2, big_t)
+
+    def sweep():
+        return lambda_sweep(cfg.lambdas, (1, 2), init, grid, cfg.potential(),
+                            cfg.params(), solver)
+
+    return cfg, sweep
+
+
+@pytest.fixture(scope="module")
+def twin_2d_sweep(twin_2d):
+    return twin_2d[1]()
+
+
+def test_two_d_newton_sweep_matches_reference_energies(twin_2d_sweep):
+    want = _reference_phi_total("twin-wells-2d", "1+2")
+    assert sorted(want) == [st.lam for st in twin_2d_sweep]
+    for st in twin_2d_sweep:
+        assert abs(st.report.total - want[st.lam]) <= 1e-10 * abs(want[st.lam])
+
+
+def test_two_d_newton_step_count_guard(twin_2d_sweep):
+    # deterministic work counter: 4, 4, 3 Newton steps when pinned
+    assert [st.record.stop_reason for st in twin_2d_sweep] == ["converged"] * 3
+    assert all(st.record.iterations <= 5 for st in twin_2d_sweep)
+
+
+def test_two_d_newton_morse_index_is_bump_count(twin_2d, twin_2d_sweep):
+    cfg = twin_2d[0]
+    grid = cfg.grid()
+    boxes = [tuple(slice(s.start - 1, s.stop - 1)
+                   for s in box_nodes(e, grid, strict=False))
+             for e in cfg.geometry().enlargements]
+    assert [b.stop - b.start for b in boxes[0]] == [47, 47]
+    for st in twin_2d_sweep:
+        assert st.record.morse_index == 2
+        fun = PenalizedFunctional(grid, cfg.potential(), cfg.params(), (1, 2), st.lam)
+        jd = fun.diag - fun.nonlinear_rhs_slope(st.record.field.values)
+        assert solver_module._morse_enclosure(jd, boxes, grid.h) == 2
+        assert whole_box_negative_eigenvalues(jd, grid.h) == 2
+
+
+def test_two_d_newton_sweep_reruns_bit_identical(twin_2d, twin_2d_sweep):
+    for a, b in zip(twin_2d_sweep, twin_2d[1]()):
+        assert np.array_equal(a.record.field.values, b.record.field.values)
+        assert a.record.residuals == b.record.residuals
+        assert a.record.energies == b.record.energies
+        assert a.record.morse_index == b.record.morse_index
 
 
 # -- factored implicit operator (2D) ------------------------------------------------
@@ -832,11 +1030,12 @@ def test_auxiliary_non_finite_init_raises_at_once(dim):
 
 
 def test_one_d_solve_imports_no_scipy():
+    # importing scipy doubles peak RSS; the 2D Newton step's MINRES is numpy
     src = Path(solver_module.__file__).resolve().parents[1]
     code = (
         "import sys\n"
         "from logbump import (Box, Grid, PotentialSpec, SolverConfig, WellGeometry,"
-        " solve_neumann_well, solve_single_well)\n"
+        " make_params, solve_auxiliary, solve_neumann_well, solve_single_well)\n"
         "g = WellGeometry(dim=1, wells=(Box((0.0,), (2.5,)),),"
         " enlargements=(Box((0.0,), (3.5,)),))\n"
         "grid = Grid(dim=1, r=6.0, n=241)\n"
@@ -844,9 +1043,11 @@ def test_one_d_solve_imports_no_scipy():
         "g2 = WellGeometry(dim=2, wells=(Box((0.0, 0.0), (2.0, 2.0)),),"
         " enlargements=(Box((0.0, 0.0), (2.5, 2.5)),))\n"
         "grid2 = Grid(dim=2, r=3.0, n=61)\n"
-        "solve_single_well(g2, 1, grid2, SolverConfig(max_iters=3))\n"
+        "w = solve_single_well(g2, 1, grid2, SolverConfig(max_iters=3))\n"
         "solve_neumann_well(1e2, 1, grid2, PotentialSpec(g2),"
         " SolverConfig(max_iters=3))\n"
+        "solve_auxiliary(1e2, (1,), w.field, grid2, PotentialSpec(g2), make_params(),"
+        " SolverConfig(max_iters=2))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
