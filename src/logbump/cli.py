@@ -1,8 +1,11 @@
 """Batch front-end: flat-file configs, the run pipeline, and reports.
 
 Configs are flat ``key = value`` text (diffable, trivially parsed), with
-one dotted block per well.  Parsing validates every constraint up front
-and names the first offending key; unknown keys are rejected outright.
+one dotted block per well.  One table, `CONFIG_KEYS`, gives each key's
+parser and default, and drives both parsing and the canonical echo.  The
+types a config builds (grid, wells, potential, penalization constants,
+solver and minimax settings) check the ranges, still at parse time, and
+every error names the first offending key; unknown keys are rejected.
 The canonical echo of a config reparses to an identical config, and the
 run manifest starts with that echo so a run is reproducible from its own
 artifacts.
@@ -16,11 +19,13 @@ the emitted CSV rather than from in-memory state.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -104,82 +109,132 @@ class RunConfig:
         )
 
     def potential(self) -> PotentialSpec:
-        return PotentialSpec(self.geometry(), cap=self.cap,
-                             power=self.potential_power)
+        return PotentialSpec(self.geometry(), cap=self.cap, power=self.potential_power)
 
     def params(self):
         return make_params(delta=self.delta, l=self.l, p=self.p)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            tau=self.tau_step,
-            tol=self.tol,
-            max_iters=self.max_iters,
-            cg_tol=self.cg_tol,
-            cg_max_iters=self.cg_max_iters,
-            bump_threshold=self.bump_threshold,
-        )
+        return SolverConfig(tau=self.tau_step, tol=self.tol, max_iters=self.max_iters,
+                            cg_tol=self.cg_tol, cg_max_iters=self.cg_max_iters,
+                            bump_threshold=self.bump_threshold)
 
     def gamma_subsets(self) -> list[tuple[int, ...]]:
-        import itertools
-
-        k = len(self.wells)
-        if self.gamma == "all":
-            out = []
-            for size in range(1, k + 1):
-                out.extend(itertools.combinations(range(1, k + 1), size))
-            return out
-        return [tuple(int(t) for t in self.gamma.split(","))]
+        if self.gamma != "all":
+            return [tuple(int(t) for t in self.gamma.split(","))]
+        wells = range(1, len(self.wells) + 1)
+        return [g for size in wells for g in itertools.combinations(wells, size)]
 
 
-_DEFAULTS = {
-    "scenario": "run",
-    "dim": "1",
-    "cap": "1.0",
-    "potential_power": "2.0",
-    "delta": repr(penalty.DEFAULT_DELTA),
-    "l": "0.5",
-    "p": "3.0",
-    "gamma": "all",
-    "lambdas": "10.0, 100.0, 1000.0, 10000.0",
-    "tau_step": "0.05",
-    "tol": "1e-06",
-    "max_iters": "40000",
-    "cg_tol": "1e-12",
-    "cg_max_iters": "20000",
-    "bump_threshold": "0.01",
-    "minimax_T": "auto",
-    "minimax_m": "33",
-    "workers": "1",
-}
-_REQUIRED = ("R", "n")
-_SCALAR_KEYS = tuple(_DEFAULTS) + _REQUIRED + ("out",)
-_WELL_SUFFIXES = ("center", "half", "enlarged_half")
-
-
-def _parse_float(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: not a number (got {text!r})") from None
-
-
-def _parse_int(key, text):
+def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"{key}: not an integer (got {text!r})") from None
+        raise ValueError("not an integer") from None
 
 
-def _parse_floats(key, text, count=None):
-    vals = tuple(_parse_float(key, t.strip()) for t in text.split(","))
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("not a number") from None
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _floats(text: str, count: int | None = None) -> tuple[float, ...]:
+    vals = tuple(_finite(t.strip()) for t in text.split(","))
     if count is not None and len(vals) != count:
-        raise ConfigError(f"{key}: expected {count} comma-separated values")
+        raise ValueError(f"expected {count} comma-separated values")
     return vals
 
 
+def _nonempty(text: str) -> str:
+    if not text:
+        raise ValueError("must not be empty")
+    return text
+
+
+def _gamma(text: str) -> str:
+    """'all', or the indices sorted; their range is checked with the wells."""
+    if text == "all":
+        return text
+    try:
+        sel = sorted(int(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError("expected 'all' or indices") from None
+    if len(set(sel)) != len(sel):
+        raise ValueError("repeated index")
+    return ",".join(str(j) for j in sel)
+
+
+def _lambdas(text: str) -> tuple[float, ...]:
+    lambdas = _floats(text)
+    if any(b <= a for a, b in zip((0.0,) + lambdas, lambdas)):
+        raise ValueError("values must be positive and strictly ascending")
+    return lambdas
+
+
+def _positive(text: str) -> int:
+    count = _integer(text)
+    if count < 1:
+        raise ValueError("must be at least 1")
+    return count
+
+
+_NO_DEFAULT = object()
+
+# (key, RunConfig field, parser, default) in echo order; the well blocks
+# are echoed after `p`.  A callable default is computed from the fields
+# read before it.  The types built from the config check the ranges.
+CONFIG_KEYS = (
+    ("scenario", "scenario", _nonempty, "run"),
+    ("dim", "dim", _integer, 1),
+    ("R", "r", _finite, _NO_DEFAULT),
+    ("n", "n", _integer, _NO_DEFAULT),
+    ("cap", "cap", _finite, PotentialSpec.cap),
+    ("potential_power", "potential_power", _finite, PotentialSpec.power),
+    ("delta", "delta", _finite, penalty.DEFAULT_DELTA),
+    ("l", "l", _finite, penalty.DEFAULT_SLOPE),
+    ("p", "p", _finite, penalty.DEFAULT_GROWTH),
+    ("gamma", "gamma", _gamma, "all"),
+    ("lambdas", "lambdas", _lambdas, (10.0, 100.0, 1000.0, 10000.0)),
+    ("tau_step", "tau_step", _finite, SolverConfig.tau),
+    ("tol", "tol", _finite, SolverConfig.tol),
+    ("max_iters", "max_iters", _integer, SolverConfig.max_iters),
+    ("cg_tol", "cg_tol", _finite, SolverConfig.cg_tol),
+    ("cg_max_iters", "cg_max_iters", _integer, SolverConfig.cg_max_iters),
+    ("bump_threshold", "bump_threshold", _finite, SolverConfig.bump_threshold),
+    ("minimax_T", "minimax_t", lambda t: None if t == "auto" else _finite(t), None),
+    ("minimax_m", "minimax_m", _integer, 33),
+    ("workers", "workers", _positive, 1),
+    ("out", "out", _nonempty, lambda values: os.path.join("runs", values["scenario"])),
+)
+_WELL_SUFFIXES = ("center", "half", "enlarged_half")
+_KEY_OF_FIELD = {field: key for key, field, _, _ in CONFIG_KEYS}
+# library parameters named unlike the RunConfig field they are built from
+_FIELD_OF_PARAM = {"tau": "tau_step", "power": "potential_power",
+                   "big_t": "minimax_t", "m": "minimax_m"}
+
+
+def _parse_value(key: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc} (got {text!r})") from None
+
+
+def _named_error(exc: ValueError) -> ConfigError:
+    """A library type's 'name: reason' message, renamed to the config key."""
+    name, _, reason = str(exc).partition(": ")
+    key = _KEY_OF_FIELD.get(_FIELD_OF_PARAM.get(name, name))
+    return ConfigError(str(exc) if key is None else f"{key}: {reason}")
+
+
 def parse_config_text(text: str) -> RunConfig:
-    """Parse and fully validate a flat key-value config."""
+    """Parse a flat key-value config and validate it against the types it
+    builds; every error names the offending key."""
     raw: dict[str, str] = {}
     for ln_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -198,164 +253,51 @@ def parse_config_text(text: str) -> RunConfig:
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _WELL_SUFFIXES:
                 raise ConfigError(f"unknown key: {key}")
-            idx = _parse_int(key, parts[1])
+            idx = _parse_value(key, _positive, parts[1])
             wells_raw.setdefault(idx, {})[parts[2]] = raw.pop(key)
-    for key in raw:
-        if key not in _SCALAR_KEYS:
+        elif key not in _KEY_OF_FIELD.values():
             raise ConfigError(f"unknown key: {key}")
-    for key in _REQUIRED:
-        if key not in raw:
+
+    values = {}
+    for key, field, parse, default in CONFIG_KEYS:
+        if key in raw:
+            values[field] = _parse_value(key, parse, raw[key])
+        elif default is _NO_DEFAULT:
             raise ConfigError(f"{key}: required key missing")
+        else:
+            values[field] = default(values) if callable(default) else default
 
-    def get(key):
-        return raw.get(key, _DEFAULTS.get(key))
-
-    dim = _parse_int("dim", get("dim"))
-    if dim not in (1, 2):
-        raise ConfigError(f"dim: must be 1 or 2 (got {dim})")
-    r = _parse_float("R", raw["R"])
-    if r <= 0:
-        raise ConfigError(f"R: must be positive (got {r!r})")
-    n = _parse_int("n", raw["n"])
-    if n < 3:
-        raise ConfigError(f"n: must be at least 3 (got {n})")
-    cap = _parse_float("cap", get("cap"))
-    if cap <= 0:
-        raise ConfigError(f"cap: must be positive (got {cap!r})")
-    power = _parse_float("potential_power", get("potential_power"))
-    if power <= 0:
-        raise ConfigError(f"potential_power: must be positive (got {power!r})")
-    delta = _parse_float("delta", get("delta"))
-    if not 0.0 < delta <= penalty.DELTA_MAX:
-        raise ConfigError(
-            f"delta: must lie in (0, {penalty.DELTA_MAX!r}] so the convex "
-            f"splitting piece stays convex (got {delta!r})"
-        )
-    slope = _parse_float("l", get("l"))
-    if not 0.0 < slope < 1.0:
-        raise ConfigError(f"l: truncation slope must lie in (0, 1) (got {slope!r})")
-    growth = _parse_float("p", get("p"))
-    if growth <= 2.0:
-        raise ConfigError(f"p: growth exponent must exceed 2 (got {growth!r})")
-
-    if not wells_raw:
-        raise ConfigError("well.1.center: at least one well is required")
-    indices = sorted(wells_raw)
-    if indices != list(range(1, len(indices) + 1)):
-        raise ConfigError("well indices must be contiguous starting at 1")
+    try:
+        grid = Grid(dim=values["dim"], r=values["r"], n=values["n"])
+    except ValueError as exc:
+        raise _named_error(exc) from None
+    # wells 1..k, k the largest index given, so a gap is a missing key
+    point = partial(_floats, count=grid.dim)
     wells = []
-    for idx in indices:
-        entry = wells_raw[idx]
+    for idx in range(1, max(wells_raw, default=1) + 1):
+        entry = wells_raw.get(idx, {})
         for suffix in _WELL_SUFFIXES:
             if suffix not in entry:
                 raise ConfigError(f"well.{idx}.{suffix}: required key missing")
-        wells.append(
-            WellSpec(
-                center=_parse_floats(f"well.{idx}.center", entry["center"], dim),
-                half=_parse_floats(f"well.{idx}.half", entry["half"], dim),
-                enlarged_half=_parse_floats(
-                    f"well.{idx}.enlarged_half", entry["enlarged_half"], dim
-                ),
-            )
-        )
-    wells = tuple(wells)
+        wells.append(WellSpec(*(_parse_value(f"well.{idx}.{suffix}", point, entry[suffix])
+                                for suffix in _WELL_SUFFIXES)))
+    config = RunConfig(wells=tuple(wells), **values)
+    sel = () if config.gamma == "all" else config.gamma_subsets()[0]
+    if any(not 1 <= j <= len(wells) for j in sel):
+        raise ConfigError(f"gamma: indices must lie in 1..{len(wells)} (got {config.gamma!r})")
 
-    gamma = get("gamma")
-    if gamma != "all":
-        try:
-            sel = tuple(int(t) for t in gamma.split(","))
-        except ValueError:
-            raise ConfigError(f"gamma: expected 'all' or indices (got {gamma!r})")
-        if not sel or any(not 1 <= j <= len(wells) for j in sel):
-            raise ConfigError(f"gamma: indices must lie in 1..{len(wells)}")
-        if len(set(sel)) != len(sel):
-            raise ConfigError("gamma: repeated index")
-        gamma = ",".join(str(j) for j in sorted(sel))
-
-    lambdas = _parse_floats("lambdas", get("lambdas"))
-    if any(x <= 0 for x in lambdas):
-        raise ConfigError("lambdas: all values must be positive")
-    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ConfigError("lambdas: values must be strictly ascending")
-
-    tau = _parse_float("tau_step", get("tau_step"))
-    if not 0.0 < tau <= 0.5:
-        raise ConfigError(
-            f"tau_step: must lie in (0, 0.5] for a stable descending flow "
-            f"(got {tau!r})"
-        )
-    tol = _parse_float("tol", get("tol"))
-    if tol <= 0:
-        raise ConfigError(f"tol: must be positive (got {tol!r})")
-    max_iters = _parse_int("max_iters", get("max_iters"))
-    if max_iters < 1:
-        raise ConfigError(f"max_iters: must be at least 1 (got {max_iters})")
-    cg_tol = _parse_float("cg_tol", get("cg_tol"))
-    if cg_tol <= 0:
-        raise ConfigError(f"cg_tol: must be positive (got {cg_tol!r})")
-    cg_max_iters = _parse_int("cg_max_iters", get("cg_max_iters"))
-    if cg_max_iters < 1:
-        raise ConfigError(f"cg_max_iters: must be at least 1 (got {cg_max_iters})")
-    bump_threshold = _parse_float("bump_threshold", get("bump_threshold"))
-    if not 0.0 < bump_threshold < 1.0:
-        raise ConfigError(
-            f"bump_threshold: must lie in (0, 1) (got {bump_threshold!r})"
-        )
-    minimax_t_raw = get("minimax_T")
-    if minimax_t_raw == "auto":
-        minimax_t = None
-    else:
-        minimax_t = _parse_float("minimax_T", minimax_t_raw)
-        if minimax_t <= 1.0:
-            raise ConfigError(f"minimax_T: must exceed 1 (got {minimax_t!r})")
-    minimax_m = _parse_int("minimax_m", get("minimax_m"))
-    if minimax_m < 8:
-        raise ConfigError(f"minimax_m: must be at least 8 (got {minimax_m})")
-    workers = _parse_int("workers", get("workers"))
-    if workers < 1:
-        raise ConfigError(f"workers: must be at least 1 (got {workers})")
-
-    scenario = get("scenario")
-    out = raw.get("out", os.path.join("runs", scenario))
-
-    config = RunConfig(
-        scenario=scenario,
-        dim=dim,
-        r=r,
-        n=n,
-        cap=cap,
-        potential_power=power,
-        delta=delta,
-        l=slope,
-        p=growth,
-        wells=wells,
-        gamma=gamma,
-        lambdas=lambdas,
-        tau_step=tau,
-        tol=tol,
-        max_iters=max_iters,
-        cg_tol=cg_tol,
-        cg_max_iters=cg_max_iters,
-        bump_threshold=bump_threshold,
-        minimax_t=minimax_t,
-        minimax_m=minimax_m,
-        workers=workers,
-        out=out,
-    )
-
-    # cross validation against the discretization
     try:
-        geometry = config.geometry()
+        validate_geometry_on_grid(config.geometry(), grid)
     except ValueError as exc:
         raise ConfigError(f"well: {exc}") from None
     try:
-        validate_geometry_on_grid(geometry, config.grid())
-    except ValueError as exc:
-        raise ConfigError(f"well: {exc}") from None
-    try:
+        config.potential()
         config.params()
+        config.solver_config()
+        MinimaxParams(big_t=2.0 if config.minimax_t is None else config.minimax_t,
+                      m=config.minimax_m)
     except ValueError as exc:
-        raise ConfigError(f"delta/l/p: {exc}") from None
+        raise _named_error(exc) from None
     return config
 
 
@@ -368,43 +310,21 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(text)
 
 
+def _echo(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return "auto" if value is None else str(value)
+
+
 def canonical_text(config: RunConfig) -> str:
     """Canonical echo; parsing it reproduces the config exactly."""
-    lines = [
-        f"scenario = {config.scenario}",
-        f"dim = {config.dim}",
-        f"R = {config.r!r}",
-        f"n = {config.n}",
-        f"cap = {config.cap!r}",
-        f"potential_power = {config.potential_power!r}",
-        f"delta = {config.delta!r}",
-        f"l = {config.l!r}",
-        f"p = {config.p!r}",
-    ]
-    for idx, w in enumerate(config.wells, start=1):
-        lines.append(f"well.{idx}.center = " + ", ".join(repr(v) for v in w.center))
-        lines.append(f"well.{idx}.half = " + ", ".join(repr(v) for v in w.half))
-        lines.append(
-            f"well.{idx}.enlarged_half = "
-            + ", ".join(repr(v) for v in w.enlarged_half)
-        )
-    lines.extend(
-        [
-            f"gamma = {config.gamma}",
-            "lambdas = " + ", ".join(repr(v) for v in config.lambdas),
-            f"tau_step = {config.tau_step!r}",
-            f"tol = {config.tol!r}",
-            f"max_iters = {config.max_iters}",
-            f"cg_tol = {config.cg_tol!r}",
-            f"cg_max_iters = {config.cg_max_iters}",
-            f"bump_threshold = {config.bump_threshold!r}",
-            "minimax_T = "
-            + ("auto" if config.minimax_t is None else repr(config.minimax_t)),
-            f"minimax_m = {config.minimax_m}",
-            f"workers = {config.workers}",
-            f"out = {config.out}",
-        ]
-    )
+    lines = []
+    for key, field, _, _ in CONFIG_KEYS:
+        lines.append(f"{key} = {_echo(getattr(config, field))}")
+        if key == "p":
+            for idx, well in enumerate(config.wells, start=1):
+                lines += [f"well.{idx}.{suffix} = {_echo(getattr(well, suffix))}"
+                          for suffix in _WELL_SUFFIXES]
     return "\n".join(lines) + "\n"
 
 

@@ -114,9 +114,9 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.cap <= 0:
-            raise ValueError("cap must be positive")
+            raise ValueError(f"cap: must be positive (got {self.cap!r})")
         if self.power <= 0:
-            raise ValueError("power must be positive")
+            raise ValueError(f"power: must be positive (got {self.power!r})")
 
 
 def _dist_sq_to_wells(spec: PotentialSpec, mesh, dim: int):
@@ -154,11 +154,11 @@ class Grid:
 
     def __post_init__(self):
         if self.dim not in (1, 2):
-            raise ValueError("only dim 1 and 2 are supported")
+            raise ValueError(f"dim: must be 1 or 2 (got {self.dim!r})")
         if self.n < 3:
-            raise ValueError("n must be at least 3")
+            raise ValueError(f"n: must be at least 3 (got {self.n!r})")
         if self.r <= 0:
-            raise ValueError("box half-width R must be positive")
+            raise ValueError(f"r: box half-width must be positive (got {self.r!r})")
 
     @property
     def h(self) -> float:

@@ -67,9 +67,10 @@ def solve_a0(delta: float, l: float) -> float:
     so bisection on [delta, 1e6*delta] is monotone and safe for 0 < l < 1.
     """
     if not 0.0 < delta <= DELTA_MAX:
-        raise ValueError(f"delta must lie in (0, {DELTA_MAX:.6g}], got {delta!r}")
+        raise ValueError(f"delta: must lie in (0, {DELTA_MAX!r}] to keep f1 convex "
+                         f"(got {delta!r})")
     if not 0.0 < l < 1.0:
-        raise ValueError(f"l must lie in (0, 1), got {l!r}")
+        raise ValueError(f"l: truncation slope must lie in (0, 1) (got {l!r})")
 
     def g(s):
         return math.log(s * s / (delta * delta)) - 2.0 + 2.0 * delta / s - l
@@ -219,13 +220,8 @@ def make_params(
     l: float = DEFAULT_SLOPE,
     p: float = DEFAULT_GROWTH,
 ) -> PenalizationParams:
-    """Validate the splitting constants and derive a0."""
-    if not 0.0 < delta <= DELTA_MAX:
-        raise ValueError(
-            f"delta must lie in (0, {DELTA_MAX:.6g}] to keep f1 convex, got {delta!r}"
-        )
-    if not 0.0 < l < 1.0:
-        raise ValueError(f"l must lie in (0, 1), got {l!r}")
+    """Validate the splitting constants and derive a0 (`solve_a0` checks
+    delta and l)."""
     if not p > 2.0:
-        raise ValueError(f"p must exceed 2, got {p!r}")
+        raise ValueError(f"p: growth exponent must exceed 2 (got {p!r})")
     return PenalizationParams(delta=delta, l=l, a0=solve_a0(delta, l), p=p)

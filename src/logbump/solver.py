@@ -81,15 +81,20 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 0.5:
-            raise ValueError("tau must lie in (0, 0.5] for a descending flow")
+            raise ValueError(f"tau: must lie in (0, 0.5] for a descending flow "
+                             f"(got {self.tau!r})")
         if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ValueError(f"tol: must be positive (got {self.tol!r})")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters: must be at least 1 (got {self.max_iters!r})")
         if self.cg_tol <= 0:
-            raise ValueError("cg_tol must be positive")
+            raise ValueError(f"cg_tol: must be positive (got {self.cg_tol!r})")
+        if self.cg_max_iters < 1:
+            raise ValueError(f"cg_max_iters: must be at least 1 "
+                             f"(got {self.cg_max_iters!r})")
         if not 0.0 < self.bump_threshold < 1.0:
-            raise ValueError("bump_threshold must lie in (0, 1)")
-        if self.max_iters < 1 or self.cg_max_iters < 1:
-            raise ValueError("iteration limits must be at least 1")
+            raise ValueError(f"bump_threshold: must lie in (0, 1) "
+                             f"(got {self.bump_threshold!r})")
 
 
 @dataclass
@@ -125,9 +130,11 @@ class MinimaxParams:
 
     def __post_init__(self):
         if self.big_t <= 1.0:
-            raise ValueError("the scale factor T must exceed 1")
+            raise ValueError(f"big_t: the scale factor must exceed 1 "
+                             f"(got {self.big_t!r})")
         if self.m < 8:
-            raise ValueError("the path grid needs at least 8 points per axis")
+            raise ValueError(f"m: the path grid needs at least 8 points per axis "
+                             f"(got {self.m!r})")
 
 
 def conjugate_gradient(apply_a, b, x0, tol, max_iters, diag=None):
@@ -393,12 +400,10 @@ def _schur_inverses(diag, off0, off1, spd: bool):
 class FlowOperator:
     """Implicit matrix of one ground-state flow solve, fixed over its steps.
 
-    `apply` and `diag` give the matrix free of storage with its diagonal,
-    and `off` its stencil couplings, one array per axis (entry i along axis
-    a couples node i to node i + 1 along a).
+    `diag` is its diagonal and `off` its stencil couplings, one array per
+    axis (entry i along axis a couples node i to node i + 1 along a).
     """
 
-    apply: Callable[[np.ndarray], np.ndarray]
     diag: np.ndarray
     off: tuple[np.ndarray, ...]
 
@@ -859,12 +864,8 @@ def _local_operator(prob: _LocalWell, tau: float) -> FlowOperator:
     halves the doubled ghost coupling, so the matrix is symmetric.
     """
     dv = prob.lam_v + 1.0
-
-    def apply_m(x):
-        return prob.w * (x + tau * (prob.neg_laplacian(x) + dv * x))
-
     diag = prob.w * (1.0 + tau * (2.0 * prob.grid.dim / prob.grid.h**2 + dv))
-    return FlowOperator(apply_m, diag, _axis_couplings(prob.axis_w, tau, prob.grid.h))
+    return FlowOperator(diag, _axis_couplings(prob.axis_w, tau, prob.grid.h))
 
 
 def _ground_state_flow(prob: _LocalWell, u: np.ndarray, config: SolverConfig):

@@ -2,8 +2,8 @@
 
 The pipeline computes the same quantities another way (per-well energies
 from `PenalizedFunctional.report`, fields in memory, 2D Morse indices from
-an inertia enclosure on the enlarged wells' boxes), so these stay out of
-the package.
+an inertia enclosure on the enlarged wells' boxes, flow steps by factored
+solves), so these stay out of the package.
 """
 
 import numpy as np
@@ -73,3 +73,14 @@ def whole_box_negative_eigenvalues(jd: np.ndarray, h: float) -> int:
     return BlockTridiagonalLDL.negative_eigenvalues(
         4.0 / h**2 + jd, np.full((ny - 1, nx), c), np.full((ny, nx - 1), c)
     )
+
+
+def local_operator_apply(prob, tau: float):
+    """W(I + tau(B + lambda V + 1)) of a `solver._LocalWell`, applied free
+    of storage, the matrix `solver._local_operator` factors."""
+    dv = prob.lam_v + 1.0
+
+    def apply(x):
+        return prob.w * (x + tau * (prob.neg_laplacian(x) + dv * x))
+
+    return apply

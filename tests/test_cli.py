@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from logbump import penalty
 from logbump.cli import (
-    _SCALAR_KEYS,
     _WELL_SUFFIXES,
+    CONFIG_KEYS,
     REPORT_COLUMNS,
     ConfigError,
     _write_solve_summary,
@@ -25,6 +26,7 @@ from logbump.cli import (
     rows_from_csv,
     run,
 )
+from logbump.domain import PotentialSpec
 from logbump.solver import SolveError, SolverConfig, solve_auxiliary
 from logbump.verify import SweepRow
 
@@ -89,22 +91,77 @@ def test_unknown_key_rejected():
         parse_config_text(MINIMAL + "positivity = true\n")
 
 
-def test_constraint_violations_name_the_key():
-    with pytest.raises(ConfigError, match="^l:"):
-        parse_config_text(MINIMAL + "l = 1.5\n")
-    with pytest.raises(ConfigError, match="^delta:"):
-        parse_config_text(MINIMAL + "delta = 0.5\n")
-    with pytest.raises(ConfigError, match="^tau_step:"):
-        parse_config_text(MINIMAL + "tau_step = 0.9\n")
-    with pytest.raises(ConfigError, match="^lambdas:"):
-        parse_config_text(MINIMAL + "lambdas = 100.0, 10.0\n")
-    with pytest.raises(ConfigError, match="^gamma:"):
-        parse_config_text(MINIMAL + "gamma = 1,7\n")
-    with pytest.raises(ConfigError, match="^R: required"):
-        parse_config_text("n = 41\nwell.1.center = 0\nwell.1.half = 1\n"
-                          "well.1.enlarged_half = 2\n")
-    with pytest.raises(ConfigError, match="^minimax_m:"):
-        parse_config_text(MINIMAL + "minimax_m = 4\n")
+def _minimal_with(key, value):
+    """MINIMAL with `key = value` in place of any line it has for key."""
+    lines = [ln for ln in MINIMAL.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(lines) + f"\n{key} = {value}\n"
+
+
+# an out-of-range or unparsable value for every key of the table
+BAD_VALUES = {
+    "scenario": "",
+    "dim": "3",
+    "R": "-1.0",
+    "n": "2",
+    "cap": "0.0",
+    "potential_power": "-1.0",
+    "delta": "0.5",
+    "l": "1.5",
+    "p": "2.0",
+    "gamma": "1,7",
+    "lambdas": "100.0, 10.0",
+    "tau_step": "0.9",
+    "tol": "0.0",
+    "max_iters": "0",
+    "cg_tol": "-1e-12",
+    "cg_max_iters": "0",
+    "bump_threshold": "1.5",
+    "minimax_T": "1.0",
+    "minimax_m": "4",
+    "workers": "zero",
+    "out": "",
+}
+
+
+def test_bad_values_cover_every_key():
+    assert list(BAD_VALUES) == [key for key, _, _, _ in CONFIG_KEYS]
+
+
+@pytest.mark.parametrize("key", list(BAD_VALUES))
+def test_constraint_violations_name_the_key(key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as err:
+        parse_config_text(_minimal_with(key, BAD_VALUES[key]))
+    assert "(got " in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["R", "n"])
+def test_required_key_missing(key):
+    text = "\n".join(ln for ln in MINIMAL.splitlines() if not ln.startswith(key + " "))
+    with pytest.raises(ConfigError, match=f"^{key}: required key missing$"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tol", "nan"), ("tol", "inf"), ("cg_tol", "nan"), ("cap", "nan"),
+    ("cap", "inf"), ("potential_power", "inf"), ("p", "inf"),
+    ("minimax_T", "inf"), ("minimax_T", "nan"), ("lambdas", "10.0, inf"),
+    ("R", "inf"), ("well.1.center", "nan"),
+])
+def test_non_finite_values_rejected(key, value):
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(key)}: not a finite number "
+                             f"\\(got '{re.escape(value)}'\\)$"):
+        parse_config_text(_minimal_with(key, value))
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("well.4.center = 0\n", "^well.3.center: required key missing$"),
+    ("well.0.center = 0\n", "^well.0.center: must be at least 1 \\(got '0'\\)$"),
+    ("dim = 2\n", "^well.1.center: expected 2 comma-separated values \\(got '-5.0'\\)$"),
+])
+def test_well_blocks_name_the_key(extra, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(MINIMAL + extra)
 
 
 def test_geometry_violations_detected():
@@ -241,7 +298,22 @@ def test_full_reference_run(tmp_path):
 
 
 def test_tau_default_matches_cli():
-    assert SolverConfig().tau == parse_config_text(MINIMAL).tau_step
+    config = parse_config_text(MINIMAL)
+    solver = SolverConfig()
+    assert config.solver_config() == solver
+    assert config.tau_step == solver.tau
+    assert (config.cap, config.potential_power) == (PotentialSpec.cap,
+                                                     PotentialSpec.power)
+    assert (config.delta, config.l, config.p) == (
+        penalty.DEFAULT_DELTA, penalty.DEFAULT_SLOPE, penalty.DEFAULT_GROWTH)
+    assert config.params() == penalty.make_params()
+
+
+def test_canonical_text_matches_reference_config():
+    """configs/twin-wells-1d.cfg lists every key in echo order."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "twin-wells-1d.cfg"
+    lines = [ln.split("#", 1)[0].strip() for ln in path.read_text().splitlines()]
+    assert canonical_text(parse_config(path)) == "".join(f"{ln}\n" for ln in lines if ln)
 
 
 def test_solve_summary_without_residual(ref, ref_wells, tmp_path):
@@ -301,9 +373,18 @@ def test_csv_reads_columns_by_name():
 def test_readme_config_table_lists_every_key():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
-    keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
-    accepted = list(_SCALAR_KEYS) + [f"well.J.{suffix}" for suffix in _WELL_SUFFIXES]
-    assert sorted(keys) == sorted(accepted)
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \|", section, flags=re.M)
+    accepted = [key for key, _, _, _ in CONFIG_KEYS]
+    wells = [f"well.J.{suffix}" for suffix in _WELL_SUFFIXES]
+    assert sorted(key for key, _ in rows) == sorted(accepted + wells)
+
+    # MINIMAL sets only the required keys, so its echo shows every default
+    echo = dict(ln.split(" = ", 1)
+                for ln in canonical_text(parse_config_text(MINIMAL)).splitlines())
+    expected = {key: f"`{echo[key]}`" for key in accepted}
+    expected.update({well: "required" for well in wells})
+    expected.update(R="required", n="required", out="`runs/<scenario>`")
+    assert {key: cell.strip() for key, cell in rows} == expected
 
 
 def test_report_cells_repeat_energies_cells(tmp_path, capsys):

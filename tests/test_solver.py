@@ -48,7 +48,7 @@ from logbump.solver import (
     solve_single_well,
 )
 
-from oracles import whole_box_negative_eigenvalues
+from oracles import local_operator_apply, whole_box_negative_eigenvalues
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -605,27 +605,28 @@ def test_tridiagonal_ldl_near_zero_pivot_raises():
     assert x.tolist() == [1.0, -0.5] and count == 1
 
 
-def _one_d_operators(ref):
-    """The two 1D flow matrices of the reference scenario, each with a
+def _one_d_problems(ref):
+    """The two 1D local problems of the reference scenario, each with a
     right-hand side from the subspace its flow iterates live in."""
     rng = np.random.default_rng(3)
-    tau = ref.solver.tau
     well = _LocalWell.dirichlet(ref.geometry.wells[0], ref.grid)
     enlarged = _LocalWell.neumann(1e3, 2, ref.grid, ref.potential)
     return {
-        "single_well": (_local_operator(well, tau), rng.random(well.w.shape)),
-        "neumann": (_local_operator(enlarged, tau), rng.random(enlarged.w.shape)),
+        "single_well": (well, rng.random(well.w.shape)),
+        "neumann": (enlarged, rng.random(enlarged.w.shape)),
     }
 
 
 @pytest.mark.parametrize("name", ["single_well", "neumann"])
 def test_factored_operator_matches_cg(ref, name):
-    op, b = _one_d_operators(ref)[name]
+    prob, b = _one_d_problems(ref)[name]
+    tau = ref.solver.tau
+    op, apply = _local_operator(prob, tau), local_operator_apply(prob, tau)
     assert op.off is not None
     x = op.factor().solve(b)
-    y, _ = conjugate_gradient(op.apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
+    y, _ = conjugate_gradient(apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
-    assert np.linalg.norm(op.apply(x) - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(apply(x) - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_one_d_solves_never_call_cg(ref, ref_wells, monkeypatch):
@@ -920,16 +921,16 @@ def test_factored_operator_matches_cg_2d(name):
     rng = np.random.default_rng(6)
     if name == "single_well":
         # a rectangle of 35 x 19 nodes, so the two axes differ
-        well = Box((0.0, 0.3), (1.75, 0.95))
-        op = _local_operator(_LocalWell.dirichlet(well, grid), 0.05)
+        prob = _LocalWell.dirichlet(Box((0.0, 0.3), (1.75, 0.95)), grid)
     else:
-        op = _local_operator(_LocalWell.neumann(1e3, 1, grid, potential), 0.05)
+        prob = _LocalWell.neumann(1e3, 1, grid, potential)
+    op, apply = _local_operator(prob, 0.05), local_operator_apply(prob, 0.05)
     assert op.off is not None and len(op.off) == 2
     b = rng.random(op.diag.shape)
     x = op.factor().solve(b)
-    y, _ = conjugate_gradient(op.apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
+    y, _ = conjugate_gradient(apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
-    assert np.linalg.norm(op.apply(x) - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(apply(x) - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_two_d_well_solves_never_call_cg(monkeypatch):
