@@ -37,10 +37,10 @@ from logbump.domain import (
     PotentialSpec,
     WellGeometry,
     box_mask_full,
-    grad_energy_density,
     save_field,
     validate_geometry_on_grid,
 )
+from logbump.functional import h1_distance
 from logbump.penalty import make_params
 from logbump.solver import (
     MinimaxParams,
@@ -629,13 +629,7 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
                 f"margin={v.margin!r} detail={v.detail}\n"
             )
 
-    nehari_norms = []
-    for j in needed_wells:
-        w = omegas[j]
-        dens = grad_energy_density(w)
-        full = w.full()
-        norm = math.sqrt(grid.h**grid.dim * float(np.sum(dens + full * full)))
-        nehari_norms.append(norm)
+    nehari_norms = [h1_distance(omegas[j], Field.zeros(grid)) for j in needed_wells]
     with open(manifest_path, "a") as fh:
         fh.write(f"# derived: h = {grid.h!r}\n")
         fh.write(f"# derived: a0 = {params.a0!r}\n")

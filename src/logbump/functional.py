@@ -3,7 +3,8 @@
 The central contract of this module is discrete consistency: the residual
 uses the same stencil and quadrature as the energy, so the L2 pairing of
 the residual with any direction equals the directional derivative of the
-energy to O(eps^2) in a central-difference check.
+energy to O(eps^2) in a central-difference check.  One evaluation,
+`PenalizedFunctional.evaluate`, gives both and the Newton Jacobian diagonal.
 
 For fields supported in the selected wells the potential term vanishes and
 the splitting collapses, so the energy obeys the exact scaling law
@@ -35,18 +36,14 @@ from logbump.penalty import U_FLOOR, PenalizationParams, sq_log_sq
 def _log_mass_density(values: np.ndarray) -> np.ndarray:
     """u^2 log u^2 with values below the floor flushed to zero."""
     vals = np.where(np.abs(values) < U_FLOOR, 0.0, values)
-    return np.asarray(sq_log_sq(vals))
+    return sq_log_sq(vals)
 
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """All scalar diagnostics of one energy evaluation."""
+    """Total energy plus per-well and localization diagnostics."""
 
     total: float
-    kinetic: float
-    mass: float
-    f1_term: float
-    g2_term: float
     per_well: tuple[float, ...]
     lambda_v_mass: float
     outside_norm_sq: float
@@ -84,33 +81,23 @@ class PenalizedFunctional:
         self.diag = self.lam * self.v_in + 1.0
         self._hd = grid.h**grid.dim
 
-    # -- pointwise pieces -------------------------------------------------
+    def evaluate(self, values: np.ndarray):
+        """(energy, residual, jd) at the interior values u, from one stencil
+        apply and one `PenalizationParams.terms` pass.
 
-    def nonlinear_rhs(self, values: np.ndarray) -> np.ndarray:
-        """dg2(x, u+) - df1(u), the explicit part of the flow."""
-        up = np.maximum(values, 0.0)
-        return np.asarray(self.params.dg2(self.chi_in, up)) - np.asarray(
-            self.params.df1(values)
-        )
-
-    def nonlinear_rhs_slope(self, values: np.ndarray) -> np.ndarray:
-        """Pointwise derivative of nonlinear_rhs: g2''(x, u+) - f1''(u)."""
-        up = np.maximum(values, 0.0)
-        return np.asarray(self.params.d2g2(self.chi_in, up)) - np.asarray(
-            self.params.d2f1(values)
-        )
-
-    # -- energy and residual ----------------------------------------------
+        The energy is 1/2 <(-lap + lambda V + 1) u, u> + int F(x, u) with
+        F = f1(u) - g2(x, u+), the residual is its gradient
+        -lap u + (lambda V + 1) u + F'(x, u), and J = -lap + diag(jd) with
+        jd = lambda V + 1 + F''(x, u) is the Newton Jacobian at u.
+        """
+        dens, d1, d2 = self.params.terms(self.chi_in, values)
+        lin = neg_laplacian(Field(self.grid, values)).values + self.diag * values
+        energy = self._hd * (0.5 * float(np.vdot(lin, values)) + float(np.sum(dens)))
+        return energy, lin + d1, self.diag + d2
 
     def phi_total(self, values: np.ndarray) -> float:
-        """Total energy only (cheap form used for descent monitoring)."""
-        u = Field(self.grid, values)
-        kin = 0.5 * self._hd * float(np.vdot(neg_laplacian(u).values, values))
-        mass = 0.5 * self._hd * float(np.sum(self.diag * values * values))
-        f1 = self._hd * float(np.sum(np.asarray(self.params.f1(values))))
-        up = np.maximum(values, 0.0)
-        g2 = self._hd * float(np.sum(np.asarray(self.params.g2(self.chi_in, up))))
-        return kin + mass + f1 - g2
+        """Total energy only."""
+        return self.evaluate(values)[0]
 
     def residual(self, u: Field) -> Field:
         """Strong-form residual -lap u + (lambda V + 1) u + f1'(u) - g2'(x, u+).
@@ -118,20 +105,14 @@ class PenalizedFunctional:
         Its discrete L2 pairing with any direction v equals the directional
         derivative of the energy at u in direction v.
         """
-        vals = u.values
-        out = neg_laplacian(u).values + self.diag * vals - self.nonlinear_rhs(vals)
-        return Field(self.grid, out)
+        return Field(self.grid, self.evaluate(u.values)[1])
+
+    def nonlinear_rhs(self, values: np.ndarray) -> np.ndarray:
+        """g2'(x, u+) - f1'(u), the nonlinearity moved to the right-hand side."""
+        return -self.params.terms(self.chi_in, values)[1]
 
     def report(self, u: Field) -> EnergyReport:
-        """Energy split plus per-well and localization diagnostics."""
-        vals = u.values
-        kin = 0.5 * self._hd * float(np.vdot(neg_laplacian(u).values, vals))
-        mass = 0.5 * self._hd * float(np.sum(self.diag * vals * vals))
-        f1 = self._hd * float(np.sum(np.asarray(self.params.f1(vals))))
-        up = np.maximum(vals, 0.0)
-        g2 = self._hd * float(np.sum(np.asarray(self.params.g2(self.chi_in, up))))
-        total = kin + mass + f1 - g2
-
+        """Total energy plus per-well and localization diagnostics."""
         full = u.full()
         dens = grad_energy_density(u)
         mass_dens = (self.lam * self.v_full + 1.0) * full * full
@@ -146,11 +127,7 @@ class PenalizedFunctional:
         outside_norm = self._hd * float(np.sum((dens + mass_dens)[out_w]))
         sup_outside = float(np.max(np.abs(full[self.masks.outside]), initial=0.0))
         return EnergyReport(
-            total=total,
-            kinetic=kin,
-            mass=mass,
-            f1_term=f1,
-            g2_term=g2,
+            total=self.phi_total(u.values),
             per_well=per_well,
             lambda_v_mass=lam_v,
             outside_norm_sq=outside_norm,
@@ -201,6 +178,11 @@ class NehariCheck:
     @property
     def identity_gap(self) -> float:
         return abs(self.energy - self.half_mass)
+
+    def ray_constraint(self, t: float) -> float:
+        """I'(t u)(t u) = t^2 (constraint - log t^2 * int u^2) along the ray
+        through u, for the pure logarithmic energy on the support."""
+        return t * t * (self.constraint - float(np.log(t * t)) * 2.0 * self.half_mass)
 
 
 def nehari_check(u: Field, support: np.ndarray) -> NehariCheck:

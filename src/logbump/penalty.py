@@ -8,9 +8,14 @@ where f1 is convex, even and nonnegative on all of R (for a small enough
 splitting threshold delta) and f2 has clean power growth.  Outside the
 selected wells the derivative f2' is replaced above a threshold a0 by the
 sublinear slope l*s, which is what keeps the auxiliary problem compact and
-forces solutions to stay small away from the wells.
+forces solutions to stay small away from the wells; g2(x, .) is the
+antiderivative of the switched slope.
 
-All functions are elementwise and accept scalars or numpy arrays.
+The solvers only need F(x, u) = f1(u) - g2(x, u+) and its first two
+derivatives in u.  Wherever g2 = f2 the splitting cancels and F is the
+log term itself, so `PenalizationParams.terms` evaluates all three in
+closed form, region by region, from one log pass.  The elementwise
+helpers accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -31,10 +36,7 @@ _LOG_GUARD = 1e-300
 # u^2 log u^2 terms treat |u| below this as exactly 0 to avoid -inf * 0, and
 # second derivatives floor |u| at it inside the log to stay finite at 0.
 U_FLOOR = 1e-150
-
-
-def _maybe_scalar(out, like):
-    return float(out) if np.ndim(like) == 0 else out
+_LOG_U_FLOOR = float(np.log(U_FLOOR))
 
 
 def sq_log_sq(s):
@@ -46,8 +48,7 @@ def sq_log_sq(s):
     arr = np.asarray(s, dtype=float)
     a = np.abs(arr)
     safe = np.where(a < _LOG_GUARD, 1.0, a)
-    out = np.where(a < _LOG_GUARD, 0.0, arr * arr * (2.0 * np.log(safe)))
-    return _maybe_scalar(out, s)
+    return np.where(a < _LOG_GUARD, 0.0, arr * arr * (2.0 * np.log(safe)))
 
 
 def s_log_sq(s):
@@ -55,8 +56,7 @@ def s_log_sq(s):
     arr = np.asarray(s, dtype=float)
     a = np.abs(arr)
     safe = np.where(a < _LOG_GUARD, 1.0, a)
-    out = np.where(a < _LOG_GUARD, 0.0, arr * (2.0 * np.log(safe)))
-    return _maybe_scalar(out, s)
+    return np.where(a < _LOG_GUARD, 0.0, arr * (2.0 * np.log(safe)))
 
 
 def solve_a0(delta: float, l: float) -> float:
@@ -102,117 +102,43 @@ class PenalizationParams:
     a0: float
     p: float
 
-    def _upper_sum(self, s):
-        # f2 on |s| >= delta, evaluated as f1_upper + (1/2) s^2 log s^2.
-        # Algebraically identical to
-        #   (1/2) s^2 log(s^2/delta^2) + 2 delta |s| - (3/2) s^2 - delta^2/2,
-        # and the shared rounding lets f2 - f1 recover the logarithmic term
-        # exactly in floating point (Sterbenz cancellation in f1 below).
-        a = np.abs(np.asarray(s, dtype=float))
-        upper_f1 = (
-            -0.5 * a * a * (math.log(self.delta**2) + 3.0)
-            + 2.0 * self.delta * a
-            - 0.5 * self.delta**2
-        )
-        return upper_f1 + 0.5 * sq_log_sq(s)
+    def __post_init__(self):
+        # the constant of F outside the wells above a0, through f2(a0)
+        a0, d = self.a0, self.delta
+        f2_a0 = (0.5 * a0 * a0 * (math.log(a0 * a0 / (d * d)) - 3.0)
+                 + 2.0 * d * a0 - 0.5 * d * d)
+        beyond = 0.5 * self.l * a0 * a0 - f2_a0 - 0.5 * d * d
+        object.__setattr__(self, "_beyond_a0", beyond)
 
-    def f1(self, s):
-        """Convex, even, nonnegative piece of the splitting."""
-        arr = np.asarray(s, dtype=float)
-        a = np.abs(arr)
-        lower = -0.5 * sq_log_sq(arr)
-        upper = self._upper_sum(arr) - 0.5 * sq_log_sq(arr)
-        out = np.where(a < self.delta, lower, upper)
-        return _maybe_scalar(out, s)
+    def terms(self, in_gamma, u):
+        """(F, F', F'') of F(x, u) = f1(u) - g2(x, u+) on an array of u,
+        from one pass of log|u|.
 
-    def df1(self, s):
-        """Derivative of f1 (odd, continuous, df1(s)*s >= 0)."""
-        arr = np.asarray(s, dtype=float)
-        a = np.abs(arr)
-        lower = -s_log_sq(arr) - arr
-        upper = -arr * (math.log(self.delta**2) + 3.0) + 2.0 * self.delta * np.sign(arr)
-        out = np.where(a < self.delta, lower, upper)
-        return _maybe_scalar(out, s)
-
-    def d2f1(self, s):
-        """Second derivative of f1: -(log s^2 + 3) below delta, constant
-        -(log delta^2 + 3) above.  |s| is floored at U_FLOOR in the log, so
-        s = 0 gets a large finite value instead of +inf."""
-        a = np.abs(np.asarray(s, dtype=float))
-        lower = -(2.0 * np.log(np.maximum(a, U_FLOOR)) + 3.0)
-        out = np.where(a < self.delta, lower, -(math.log(self.delta**2) + 3.0))
-        return _maybe_scalar(out, s)
-
-    def f2(self, s):
-        """Power-growth piece: 0 below delta, C^1 across +-delta."""
-        arr = np.asarray(s, dtype=float)
-        a = np.abs(arr)
-        out = np.where(a < self.delta, 0.0, self._upper_sum(arr))
-        return _maybe_scalar(out, s)
-
-    def df2(self, s):
-        """Derivative of f2 (odd, df2(+-delta) = 0, df2(s)/s nondecreasing)."""
-        arr = np.asarray(s, dtype=float)
-        a = np.abs(arr)
-        sgn = np.sign(arr)
-        a_safe = np.where(a < self.delta, self.delta, a)
-        upper = sgn * (
-            a_safe * np.log(a_safe * a_safe / self.delta**2)
-            - 2.0 * a_safe
-            + 2.0 * self.delta
-        )
-        out = np.where(a < self.delta, 0.0, upper)
-        return _maybe_scalar(out, s)
-
-    def d2f2(self, s):
-        """Second derivative of f2: log(s^2/delta^2) above delta, 0 below."""
-        a = np.abs(np.asarray(s, dtype=float))
-        upper = 2.0 * np.log(np.maximum(a, self.delta) / self.delta)
-        out = np.where(a < self.delta, 0.0, upper)
-        return _maybe_scalar(out, s)
-
-    def _df2_tilde_raw(self, s):
-        arr = np.asarray(s, dtype=float)
-        return np.where(arr <= self.a0, np.asarray(self.df2(arr)), self.l * arr)
-
-    def df2_tilde(self, s):
-        """Truncated derivative: df2 up to a0, then the linear slope l*s."""
-        arr = np.asarray(s, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("df2_tilde is defined for s >= 0 only")
-        return _maybe_scalar(self._df2_tilde_raw(arr), s)
-
-    def dg2(self, in_gamma, t):
-        """Spatially switched derivative: df2 inside the enlarged wells,
-        the truncated df2_tilde outside.  Negative t is evaluated at t+ = 0
-        in the outside branch, matching how the problem tests with u+."""
-        arr = np.asarray(t, dtype=float)
-        tp = np.maximum(arr, 0.0)
-        out = np.where(in_gamma, np.asarray(self.df2(arr)), self._df2_tilde_raw(tp))
-        return _maybe_scalar(out, t)
-
-    def d2g2(self, in_gamma, t):
-        """Derivative of dg2 in t: d2f2 inside the enlarged wells; outside,
-        d2f2 up to a0 and the slope l above it, at t+ like dg2."""
-        arr = np.asarray(t, dtype=float)
-        tp = np.maximum(arr, 0.0)
-        outside = np.where(tp <= self.a0, np.asarray(self.d2f2(tp)), self.l)
-        out = np.where(in_gamma, np.asarray(self.d2f2(arr)), outside)
-        return _maybe_scalar(out, t)
-
-    def _g2_outside(self, t):
-        # Antiderivative of df2_tilde on t >= 0, closed form above a0.
-        arr = np.asarray(t, dtype=float)
-        capped = np.minimum(arr, self.a0)
-        beyond = np.asarray(self.f2(self.a0)) + 0.5 * self.l * (arr * arr - self.a0**2)
-        return np.where(arr <= self.a0, np.asarray(self.f2(capped)), beyond)
-
-    def g2(self, in_gamma, t):
-        """Antiderivative of dg2 with g2(., 0) = 0; g2(x, t) <= f2(t)."""
-        arr = np.asarray(t, dtype=float)
-        tp = np.maximum(arr, 0.0)
-        out = np.where(in_gamma, np.asarray(self.f2(arr)), self._g2_outside(tp))
-        return _maybe_scalar(out, t)
+        Where g2 = f2 (u >= 0 in the enlarged wells `in_gamma`, and
+        -delta < u <= a0 anywhere) the splitting leaves the log term itself:
+        -1/2 u^2 log u^2, -u (log u^2 + 1) and -(log u^2 + 3).  For
+        u <= -delta only f1's branch above delta remains, and outside the
+        wells above a0 that branch minus f2(a0) + (l/2)(u^2 - a0^2).  |u| is
+        floored at U_FLOOR in F'' only, so u = 0 gets a large finite value.
+        """
+        u = np.asarray(u, dtype=float)
+        log_a = np.log(np.maximum(np.abs(u), _LOG_GUARD))
+        dens = -u * u * log_a
+        d1 = -u * (2.0 * log_a + 1.0)
+        d2 = -(2.0 * np.maximum(log_a, _LOG_U_FLOOR) + 3.0)
+        d = self.delta
+        c = math.log(d * d) + 3.0  # -f1'' above delta
+        low = u <= -d
+        s = u[low]
+        dens[low] = -0.5 * c * s * s - 2.0 * d * s - 0.5 * d * d
+        d1[low] = -c * s - 2.0 * d
+        d2[low] = -c
+        high = (u > self.a0) & ~np.asarray(in_gamma, dtype=bool)
+        s = u[high]
+        dens[high] = -0.5 * (c + self.l) * s * s + 2.0 * d * s + self._beyond_a0
+        d1[high] = -(c + self.l) * s + 2.0 * d
+        d2[high] = -(c + self.l)
+        return dens, d1, d2
 
 
 def make_params(

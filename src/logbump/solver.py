@@ -47,12 +47,13 @@ from logbump.domain import (
     _shape_potential,
     box_mask_full,
     box_nodes,
-    neg_laplacian,
     neg_laplacian_values,
 )
 from logbump.functional import (
+    EnergyReport,
     PenalizedFunctional,
     _log_mass_density,
+    nehari_check,
 )
 from logbump.penalty import PenalizationParams, s_log_sq
 
@@ -396,23 +397,6 @@ def _schur_inverses(diag, off0, off1, spd: bool):
         yield inv, negative
 
 
-@dataclass(frozen=True)
-class FlowOperator:
-    """Implicit matrix of one ground-state flow solve, fixed over its steps.
-
-    `diag` is its diagonal and `off` its stencil couplings, one array per
-    axis (entry i along axis a couples node i to node i + 1 along a).
-    """
-
-    diag: np.ndarray
-    off: tuple[np.ndarray, ...]
-
-    def factor(self):
-        """Tridiagonal LDL^T in 1D, block LDL^T in 2D, for every step."""
-        factor_type = TridiagonalLDL if len(self.off) == 1 else BlockTridiagonalLDL
-        return factor_type(self.diag, *self.off)
-
-
 def _occupied_wells(values_full_sq_sums, total, threshold) -> tuple[int, ...]:
     if total <= 0.0:
         return ()
@@ -444,42 +428,38 @@ def _axis_couplings(axis_weights, tau: float, h: float) -> tuple[np.ndarray, ...
 # -- penalized problem on the box -------------------------------------------
 
 
-def _newton_step(fun: PenalizedFunctional, grid: Grid) -> Callable:
-    """step(u, res) -> (u', Morse index) for the penalized problem in 1D.
+def _newton_step(grid: Grid) -> Callable:
+    """step(u, res, jd) -> (u', Morse index) for the penalized problem in 1D.
 
-    Solves J du = -res with the tridiagonal Jacobian
-    J = -lap + lambda V + 1 + f1''(u) - g2''(x, u+) at u, factored and
-    substituted in one pass, and returns max(u + du, 0) with the number of
-    negative pivots of J, its count of negative eigenvalues.
+    Solves J du = -res with the tridiagonal Jacobian J = -lap + diag(jd)
+    at u (jd from `PenalizedFunctional.evaluate`), factored and substituted
+    in one pass, and returns max(u + du, 0) with the number of negative
+    pivots of J, its count of negative eigenvalues.
     """
     off = np.full(grid.n - 3, -1.0 / grid.h**2)
-    base = 2.0 / grid.h**2 + fun.diag
+    stencil = 2.0 / grid.h**2
 
-    def step(u, res):
-        jac = base - fun.nonlinear_rhs_slope(u)
-        du, negative = TridiagonalLDL.solve_once(jac, off, -res)
+    def step(u, res, jd):
+        du, negative = TridiagonalLDL.solve_once(stencil + jd, off, -res)
         return np.maximum(u + du, 0.0), negative
 
     return step
 
 
-def _minres_newton_step(
-    fun: PenalizedFunctional, grid: Grid, config: SolverConfig
-) -> Callable:
-    """step(u, res) -> (u', nan) for the penalized problem in 2D.
+def _minres_newton_step(grid: Grid, config: SolverConfig) -> Callable:
+    """step(u, res, jd) -> (u', nan) for the penalized problem in 2D.
 
-    Solves J du = -res for the Jacobian J = -lap_h + diag(jd) at u, with
-    jd = lambda V + 1 + f1''(u) - g2''(x, u+), by MINRES preconditioned
-    with 1 / |4/h^2 + jd|, and returns max(u + du, 0).  J is applied free
-    of storage: a whole-box block factor would hold (n - 2)^3 doubles,
+    Solves J du = -res for the Jacobian J = -lap_h + diag(jd) at u (jd from
+    `PenalizedFunctional.evaluate`) by MINRES preconditioned with
+    1 / |4/h^2 + jd|, and returns max(u + du, 0).  J is applied free of
+    storage: a whole-box block factor would hold (n - 2)^3 doubles,
     15.6 MB at n = 127.  The Morse index is left to `_morse_enclosure`,
     once per solve.
     """
     h = grid.h
     stencil = 2.0 * grid.dim / h**2
 
-    def step(u, res):
-        jd = fun.diag - fun.nonlinear_rhs_slope(u)
+    def step(u, res, jd):
         du, _ = minres(
             lambda x: neg_laplacian_values(x, h) + jd * x,
             -res,
@@ -579,7 +559,10 @@ def solve_auxiliary(
     [1/T^2, 1]^l.  In 1D (`_newton_step`) each step factors the tridiagonal
     Jacobian and counts its negative pivots.  In 2D
     (`_minres_newton_step`) each step runs MINRES, and the count comes
-    from `_morse_enclosure` at the last Jacobian.
+    from `_morse_enclosure` at the last Jacobian.  One
+    `PenalizedFunctional.evaluate` per iterate gives the stop test's
+    residual, the energy history's entry and the next step's Jacobian
+    diagonal.
     """
     if np.any(init.values < 0.0):
         raise ValueError("init must be nonnegative")
@@ -588,14 +571,14 @@ def solve_auxiliary(
     inner = (slice(1, -1),) * grid.dim
     gamma_masks = [fun.masks.per_enlarged[j - 1][inner] for j in fun.gamma]
     if grid.dim == 1:
-        step = _newton_step(fun, grid)
+        step = _newton_step(grid)
     else:
-        step = _minres_newton_step(fun, grid, config)
+        step = _minres_newton_step(grid, config)
     # a zero init stays at the solution u = 0; any other may not fall to it
     watch_collapse = bool(np.any(init.values != 0.0))
 
     u = init.values.copy()
-    res = fun.residual(init).values
+    _, res, jd = fun.evaluate(u)
     residuals: list[float] = []
     energies: list[float] = []
     stop_reason = "iteration cap"
@@ -603,20 +586,20 @@ def solve_auxiliary(
     growth = 0
     it = 0
     for it in range(1, config.max_iters + 1):
-        u_jac = u
-        u, morse = step(u, res)
+        step_jd = jd
+        u, morse = step(u, res, jd)
         if watch_collapse and any(
             hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
         ):
             stop_reason = "collapse"
             break
 
-        res = fun.residual(Field(grid, u)).values
+        energy, res, jd = fun.evaluate(u)
         unorm = math.sqrt(float(np.sum(u * u)))
         rel = math.sqrt(float(np.sum(res * res))) / max(unorm, 1e-300)
         growth = growth + 1 if residuals and rel > residuals[-1] else 0
         residuals.append(rel)
-        energies.append(fun.phi_total(u))
+        energies.append(energy)
         if rel <= config.tol:
             stop_reason = "converged"
             break
@@ -629,8 +612,7 @@ def solve_auxiliary(
             tuple(slice(s.start - 1, s.stop - 1) for s in box_nodes(e, grid, False))
             for e in potential.geometry.enlargements
         ]
-        jd = fun.diag - fun.nonlinear_rhs_slope(u_jac)
-        morse = _morse_enclosure(jd, boxes, grid.h)
+        morse = _morse_enclosure(step_jd, boxes, grid.h)
     out = Field(grid, u)
     return SolveRecord(
         field=out,
@@ -664,33 +646,21 @@ def multi_bump_init(omegas: list[Field], scales, big_t: float) -> Field:
     return Field(grid, out)
 
 
-def _ray_constraint(values, grid, hd, t):
-    """I'(t u)(t u) for the pure logarithmic energy along the ray."""
-    lap = neg_laplacian(Field(grid, values)).values
-    grad = hd * float(np.vdot(lap, values))
-    mass = hd * float(np.sum(values * values))
-    logm = hd * float(np.sum(_log_mass_density(values)))
-    return t * t * (grad - logm - math.log(t * t) * mass)
-
-
 def choose_t(omegas: list[Field]) -> float:
     """Smallest power-of-two scale T >= 2 with the ray sign conditions
     I'((1/T) w)((1/T) w) > 0 and I'(T w)(T w) < 0 for every bump w.
 
     For bumps exactly on the Nehari manifold any T > 1 works, so exact
-    inputs return 2; the search only guards numerical slack.
+    inputs return 2; the search only guards numerical slack.  Each bump's
+    integrals are taken once; the ray values follow in closed form.
     """
+    checks = [nehari_check(w, np.ones(w.grid.full_shape, dtype=bool)) for w in omegas]
     for exp in range(1, 11):
         big_t = float(2**exp)
-        ok = True
-        for w in omegas:
-            hd = w.grid.h**w.grid.dim
-            lo = _ray_constraint(w.values, w.grid, hd, 1.0 / big_t)
-            hi = _ray_constraint(w.values, w.grid, hd, big_t)
-            if not (lo > 0.0 and hi < 0.0):
-                ok = False
-                break
-        if ok:
+        if all(
+            c.ray_constraint(1.0 / big_t) > 0.0 and c.ray_constraint(big_t) < 0.0
+            for c in checks
+        ):
             return big_t
     raise SolveError("no scale factor up to 2^10 satisfies the sign conditions")
 
@@ -751,7 +721,7 @@ def _stencil_reach(support: np.ndarray) -> np.ndarray:
 class SweepStep:
     lam: float
     record: SolveRecord
-    report: "object"
+    report: EnergyReport
 
 
 def lambda_sweep(
@@ -856,8 +826,10 @@ class _LocalWell:
         return t * u, t * au
 
 
-def _local_operator(prob: _LocalWell, tau: float) -> FlowOperator:
-    """W(I + tau(B + lambda V + 1)) on the local problem's rectangle.
+def _local_operator(prob: _LocalWell, tau: float):
+    """(diag, off) of W(I + tau(B + lambda V + 1)) on the local problem's
+    rectangle: its diagonal and its stencil couplings, one array per axis
+    (entry i along axis a couples node i to node i + 1 along a).
 
     Neighbours along one axis couple by -tau/h^2 times the weights of the
     other axes both ways: on the mirror rows the half trapezoid weight
@@ -865,7 +837,7 @@ def _local_operator(prob: _LocalWell, tau: float) -> FlowOperator:
     """
     dv = prob.lam_v + 1.0
     diag = prob.w * (1.0 + tau * (2.0 * prob.grid.dim / prob.grid.h**2 + dv))
-    return FlowOperator(diag, _axis_couplings(prob.axis_w, tau, prob.grid.h))
+    return diag, _axis_couplings(prob.axis_w, tau, prob.grid.h)
 
 
 def _ground_state_flow(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
@@ -879,7 +851,9 @@ def _ground_state_flow(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
     stencil apply.  Returns (u, iterations, residuals, energies, converged).
     """
     tau = config.tau
-    factor = _local_operator(prob, tau).factor()
+    diag, off = _local_operator(prob, tau)
+    factor_type = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
+    factor = factor_type(diag, *off)
     u, au = prob.nehari_project(u)
     nonlin = s_log_sq(u)
     residuals: list[float] = []

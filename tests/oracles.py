@@ -1,10 +1,13 @@
 """Independent recomputations that only the tests use as oracles.
 
-The pipeline computes the same quantities another way (per-well energies
-from `PenalizedFunctional.report`, fields in memory, 2D Morse indices from
-an inertia enclosure on the enlarged wells' boxes, flow steps by factored
-solves), so these stay out of the package.
+The pipeline computes the same quantities another way (the penalized
+nonlinearity in closed form by `PenalizationParams.terms`, per-well
+energies from `PenalizedFunctional.report`, fields in memory, 2D Morse
+indices from an inertia enclosure on the enlarged wells' boxes, flow steps
+by factored solves), so these stay out of the package.
 """
+
+import math
 
 import numpy as np
 
@@ -17,7 +20,128 @@ from logbump.domain import (
     potential_on_grid,
 )
 from logbump.functional import _log_mass_density
+from logbump.penalty import U_FLOOR, s_log_sq, sq_log_sq
 from logbump.solver import BlockTridiagonalLDL
+
+
+class Splitting:
+    """The splitting (1/2) s^2 log s^2 = f2(s) - f1(s) and the truncated g2,
+    piece by piece as the paper writes them, for one `PenalizationParams`.
+
+    Every piece is elementwise; `terms` combines them into f1(u) - g2(x, u+)
+    and its two derivatives, the reference for `PenalizationParams.terms`.
+    """
+
+    def __init__(self, params):
+        self.delta, self.l, self.a0, self.p = params.delta, params.l, params.a0, params.p
+
+    def _upper_sum(self, s):
+        # f2 on |s| >= delta, evaluated as f1_upper + (1/2) s^2 log s^2.
+        # Algebraically identical to
+        #   (1/2) s^2 log(s^2/delta^2) + 2 delta |s| - (3/2) s^2 - delta^2/2,
+        # and the shared rounding lets f2 - f1 recover the logarithmic term
+        # exactly in floating point (Sterbenz cancellation in f1 below).
+        a = np.abs(np.asarray(s, dtype=float))
+        upper_f1 = (
+            -0.5 * a * a * (math.log(self.delta**2) + 3.0)
+            + 2.0 * self.delta * a
+            - 0.5 * self.delta**2
+        )
+        return upper_f1 + 0.5 * sq_log_sq(s)
+
+    def f1(self, s):
+        """Convex, even, nonnegative piece of the splitting."""
+        arr = np.asarray(s, dtype=float)
+        lower = -0.5 * sq_log_sq(arr)
+        upper = self._upper_sum(arr) - 0.5 * sq_log_sq(arr)
+        return np.where(np.abs(arr) < self.delta, lower, upper)
+
+    def df1(self, s):
+        """Derivative of f1 (odd, continuous, df1(s)*s >= 0)."""
+        arr = np.asarray(s, dtype=float)
+        lower = -s_log_sq(arr) - arr
+        upper = -arr * (math.log(self.delta**2) + 3.0) + 2.0 * self.delta * np.sign(arr)
+        return np.where(np.abs(arr) < self.delta, lower, upper)
+
+    def d2f1(self, s):
+        """Second derivative of f1: -(log s^2 + 3) below delta, constant
+        -(log delta^2 + 3) above.  |s| is floored at U_FLOOR in the log, so
+        s = 0 gets a large finite value instead of +inf."""
+        a = np.abs(np.asarray(s, dtype=float))
+        lower = -(2.0 * np.log(np.maximum(a, U_FLOOR)) + 3.0)
+        return np.where(a < self.delta, lower, -(math.log(self.delta**2) + 3.0))
+
+    def f2(self, s):
+        """Power-growth piece: 0 below delta, C^1 across +-delta."""
+        arr = np.asarray(s, dtype=float)
+        return np.where(np.abs(arr) < self.delta, 0.0, self._upper_sum(arr))
+
+    def df2(self, s):
+        """Derivative of f2 (odd, df2(+-delta) = 0, df2(s)/s nondecreasing)."""
+        arr = np.asarray(s, dtype=float)
+        a = np.abs(arr)
+        a_safe = np.where(a < self.delta, self.delta, a)
+        upper = np.sign(arr) * (
+            a_safe * np.log(a_safe * a_safe / self.delta**2)
+            - 2.0 * a_safe
+            + 2.0 * self.delta
+        )
+        return np.where(a < self.delta, 0.0, upper)
+
+    def d2f2(self, s):
+        """Second derivative of f2: log(s^2/delta^2) above delta, 0 below."""
+        a = np.abs(np.asarray(s, dtype=float))
+        upper = 2.0 * np.log(np.maximum(a, self.delta) / self.delta)
+        return np.where(a < self.delta, 0.0, upper)
+
+    def _df2_tilde_raw(self, s):
+        arr = np.asarray(s, dtype=float)
+        return np.where(arr <= self.a0, self.df2(arr), self.l * arr)
+
+    def df2_tilde(self, s):
+        """Truncated derivative: df2 up to a0, then the linear slope l*s."""
+        arr = np.asarray(s, dtype=float)
+        if np.any(arr < 0.0):
+            raise ValueError("df2_tilde is defined for s >= 0 only")
+        return self._df2_tilde_raw(arr)
+
+    def dg2(self, in_gamma, t):
+        """Spatially switched derivative: df2 inside the enlarged wells,
+        the truncated df2_tilde outside.  Negative t is evaluated at t+ = 0
+        in the outside branch, matching how the problem tests with u+."""
+        arr = np.asarray(t, dtype=float)
+        tp = np.maximum(arr, 0.0)
+        return np.where(in_gamma, self.df2(arr), self._df2_tilde_raw(tp))
+
+    def d2g2(self, in_gamma, t):
+        """Derivative of dg2 in t: d2f2 inside the enlarged wells; outside,
+        d2f2 up to a0 and the slope l above it, at t+ like dg2."""
+        arr = np.asarray(t, dtype=float)
+        tp = np.maximum(arr, 0.0)
+        outside = np.where(tp <= self.a0, self.d2f2(tp), self.l)
+        return np.where(in_gamma, self.d2f2(arr), outside)
+
+    def _g2_outside(self, t):
+        # Antiderivative of df2_tilde on t >= 0, closed form above a0.
+        arr = np.asarray(t, dtype=float)
+        capped = np.minimum(arr, self.a0)
+        beyond = self.f2(self.a0) + 0.5 * self.l * (arr * arr - self.a0**2)
+        return np.where(arr <= self.a0, self.f2(capped), beyond)
+
+    def g2(self, in_gamma, t):
+        """Antiderivative of dg2 with g2(., 0) = 0; g2(x, t) <= f2(t)."""
+        arr = np.asarray(t, dtype=float)
+        tp = np.maximum(arr, 0.0)
+        return np.where(in_gamma, self.f2(arr), self._g2_outside(tp))
+
+    def terms(self, in_gamma, u):
+        """f1(u) - g2(x, u+), f1'(u) - g2'(x, u+) and f1''(u) - g2''(x, u+)."""
+        up = np.maximum(u, 0.0)
+        return (
+            self.f1(u) - self.g2(in_gamma, up),
+            self.df1(u) - self.dg2(in_gamma, up),
+            self.d2f1(u) - self.d2g2(in_gamma, up),
+        )
 
 
 def dirichlet_well_energy(u: Field, geometry, j: int) -> float:

@@ -20,6 +20,7 @@ from logbump.solver import (
     solve_single_well,
 )
 from logbump.verify import gausson_order_study, linfty_threshold
+from oracles import Splitting
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 
@@ -38,7 +39,7 @@ def smooth_random_field(grid, rng, scale=2.0, passes=40):
 
 
 def test_criterion_01_splitting_identity():
-    params = make_params()
+    params = Splitting(make_params())
     s = np.logspace(-8.0, 3.0, 10000)
     s = np.concatenate([s, -s, [0.0]])
     resid = np.abs(
@@ -53,7 +54,7 @@ def test_criterion_01_splitting_identity():
 
 
 def test_criterion_02_derivative_consistency(ref):
-    params = ref.params
+    params = Splitting(ref.params)
     eps = 1e-5
     worst_d = 0.0
     for x in (0.05, 0.3, 0.9, 1.7, 3.3, -0.4, -2.1):

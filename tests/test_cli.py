@@ -480,3 +480,22 @@ def test_neumann_failure_names_stop_reason(tmp_path, capsys, monkeypatch):
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
     assert ("FAILURE: enlarged well 1 level at lambda=100 did not converge "
             "(iteration cap)") in capsys.readouterr().err
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer wraps these by name; a rename must fail here,
+    # not as an AttributeError in a traced benchmark run
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for span, owner, attr, _ in tracer.TARGETS:
+        obj = importlib.import_module(owner)
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{span}: {owner}.{attr} does not resolve"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{span}: {owner}.{attr} is not callable"

@@ -87,16 +87,20 @@ def test_phi_zero_field(setup):
     fun = PenalizedFunctional(grid, pot, params, (1, 2), 100.0)
     rep = fun.report(Field.zeros(grid))
     assert rep.total == 0.0
-    assert rep.kinetic == rep.mass == rep.f1_term == rep.g2_term == 0.0
+    assert rep.lambda_v_mass == rep.outside_norm_sq == 0.0
+    assert rep.per_well == (0.0, 0.0)
     assert rep.sup_outside == 0.0
 
 
 def test_phi_split_consistency(setup):
+    # the report's total is the one energy evaluation, not a second sum
     grid, geometry, pot, params = setup
-    u = well_supported_field(grid, -5.0, 2.5)
-    rep = PenalizedFunctional(grid, pot, params, (1, 2), 100.0).report(u)
-    assert abs(rep.total - (rep.kinetic + rep.mass + rep.f1_term - rep.g2_term)) \
-        <= 1e-10 * (1.0 + abs(rep.total))
+    fun = PenalizedFunctional(grid, pot, params, (1, 2), 100.0)
+    for u in (well_supported_field(grid, -5.0, 2.5),
+              smooth_random_field(grid, np.random.default_rng(4))):
+        energy, res, _ = fun.evaluate(u.values)
+        assert fun.report(u).total == fun.phi_total(u.values) == energy
+        assert np.array_equal(fun.residual(u).values, res)
 
 
 def test_phi_pure_log_collapse_for_supported_fields(setup):
@@ -177,7 +181,7 @@ def test_jacobian_diagonal_matches_central_difference(setup):
         away &= np.abs(u - kink) > 1e-3
     assert 0 < np.sum(away & fun.chi_in) < np.sum(away)
     assert np.any(away & ~fun.chi_in & (u > params.a0))
-    slope = fun.nonlinear_rhs_slope(u)
+    slope = fun.diag - fun.evaluate(u)[2]
     assert np.all(np.abs(fd - slope)[away] <= 1e-6 * (1.0 + np.abs(slope[away])))
 
 

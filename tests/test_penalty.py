@@ -1,4 +1,9 @@
-"""Splitting functions: frozen values, identities, and shape properties."""
+"""Splitting functions: frozen values, identities, and shape properties.
+
+The pieces f1, f2 and g2 are the reference in `oracles.Splitting`; the
+package evaluates only their combination, `PenalizationParams.terms`,
+which is checked against them here.
+"""
 
 import math
 
@@ -14,12 +19,14 @@ from logbump.penalty import (
     sq_log_sq,
 )
 
+from oracles import Splitting
+
 DELTA = math.exp(-2.0)
 
 
 @pytest.fixture(scope="module")
 def params():
-    return make_params()
+    return Splitting(make_params())
 
 
 def central_diff(fn, s, step=1e-5):
@@ -178,7 +185,7 @@ def test_splitting_identity_spot_values(params):
 
 
 def test_splitting_identity_other_delta():
-    params = make_params(delta=math.exp(-3.0))
+    params = Splitting(make_params(delta=math.exp(-3.0)))
     s = np.logspace(-8, 3, 10000)
     resid = np.abs(
         np.asarray(params.f2(s))
@@ -268,3 +275,27 @@ def test_dg2_continuity_at_a0(params):
     lo = params.dg2(False, params.a0 - eps)
     hi = params.dg2(False, params.a0 + eps)
     assert abs(lo - hi) < 1e-7
+
+
+# -- the closed-form kernel ------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta, l", [(DELTA, 0.5), (math.exp(-3.0), 0.3)])
+def test_terms_match_the_piecewise_splitting(delta, l):
+    params = make_params(delta=delta, l=l)
+    ref = Splitting(params)
+    d, a0 = params.delta, params.a0
+    mag = np.concatenate([
+        np.logspace(-200.0, 1.0, 2001),
+        np.linspace(0.0, 3.0, 1201),
+        [0.0, 5e-324, 1e-310, 1e-160, U_FLOOR],
+        # the kinks and their neighbouring floats
+        np.concatenate([np.array([d, a0]) * (1.0 + k * 2.2e-16) for k in range(-3, 4)]),
+    ])
+    u = np.concatenate([mag, -mag])
+    in_gamma = np.arange(u.size) % 2 == 0
+    got, want = params.terms(in_gamma, u), ref.terms(in_gamma, u)
+    for kind in (in_gamma, ~in_gamma):
+        assert np.any(kind & (u > a0)) and np.any(kind & (u <= -d))
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-14 * np.maximum(1.0, np.abs(w)))

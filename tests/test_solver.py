@@ -28,7 +28,7 @@ from logbump.domain import (
     restricted_norm_sq,
 )
 from logbump.functional import PenalizedFunctional, nehari_check
-from logbump.penalty import make_params
+from logbump.penalty import PenalizationParams, make_params
 from logbump.solver import (
     BlockTridiagonalLDL,
     MinimaxParams,
@@ -370,20 +370,26 @@ def test_choose_t_exact_and_degraded(ref, ref_wells):
     w = [r.field for r in ref_wells]
     assert choose_t(w) == 2.0
     grid = ref.grid
-    hd = grid.h
-    from logbump.solver import _ray_constraint
+    everywhere = np.ones(grid.full_shape, dtype=bool)
+
+    def ray(x, t):
+        # I'(t x)(t x) in closed form; the direct sum along the ray agrees
+        value = nehari_check(x, everywhere).ray_constraint(t)
+        direct = nehari_check(Field(grid, t * x.values), everywhere).constraint
+        assert abs(value - direct) <= 1e-10 * max(1.0, abs(direct))
+        return value
 
     for x in w:
-        assert _ray_constraint(x.values, grid, hd, 0.5) > 0.0
-        assert _ray_constraint(x.values, grid, hd, 2.0) < 0.0
+        assert ray(x, 0.5) > 0.0
+        assert ray(x, 2.0) < 0.0
     # mild scale error still allows T = 2
     assert choose_t([Field(grid, 1.1 * w[0].values)]) == 2.0
     # gross scale error forces the factor to grow, sign conditions still hold
     degraded = Field(grid, 3.0 * w[0].values)
     big_t = choose_t([degraded])
     assert big_t == 4.0
-    assert _ray_constraint(degraded.values, grid, hd, 1.0 / big_t) > 0.0
-    assert _ray_constraint(degraded.values, grid, hd, big_t) < 0.0
+    assert ray(degraded, 1.0 / big_t) > 0.0
+    assert ray(degraded, big_t) < 0.0
 
 
 def test_minimax_single_well_recovers_level(ref, ref_wells, ref_big_t):
@@ -621,10 +627,10 @@ def _one_d_problems(ref):
 def test_factored_operator_matches_cg(ref, name):
     prob, b = _one_d_problems(ref)[name]
     tau = ref.solver.tau
-    op, apply = _local_operator(prob, tau), local_operator_apply(prob, tau)
-    assert op.off is not None
-    x = op.factor().solve(b)
-    y, _ = conjugate_gradient(apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
+    (diag, off), apply = _local_operator(prob, tau), local_operator_apply(prob, tau)
+    assert len(off) == 1
+    x = TridiagonalLDL(diag, *off).solve(b)
+    y, _ = conjugate_gradient(apply, b, np.zeros_like(b), 1e-13, 20000, diag)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
     assert np.linalg.norm(apply(x) - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -648,11 +654,11 @@ def test_newton_step_matches_dense_jacobian_solve(ref, ref_sweep):
     lam = 1e3
     fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), lam)
     u = ref_sweep[1].record.field.values  # converged at lambda = 100
-    res = fun.residual(Field(ref.grid, u)).values
+    _, res, jd = fun.evaluate(u)
     eye = np.eye(u.size)
     lap = np.column_stack([neg_laplacian(Field(ref.grid, c)).values for c in eye])
-    jac = lap + np.diag(fun.diag - fun.nonlinear_rhs_slope(u))
-    u_new, morse = solver_module._newton_step(fun, ref.grid)(u, res)
+    jac = lap + np.diag(jd)
+    u_new, morse = solver_module._newton_step(ref.grid)(u, res, jd)
     want = np.maximum(u + np.linalg.solve(jac, -res), 0.0)
     assert np.linalg.norm(u_new - want) <= 1e-11 * np.linalg.norm(want)
     assert morse == int(np.sum(np.linalg.eigvalsh(jac) < 0.0)) == 2
@@ -695,8 +701,8 @@ def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep)
 
 
 def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
-    def doubling(fun, grid):
-        return lambda u, res: (2.0 * u, 7)
+    def doubling(grid):
+        return lambda u, res, jd: (2.0 * u, 7)
 
     monkeypatch.setattr(solver_module, "_newton_step", doubling)
     rec = solve_auxiliary(1e4, (1,), ref_wells[0].field, ref.grid, ref.potential,
@@ -704,6 +710,30 @@ def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
     assert rec.stop_reason == "diverged" and not rec.converged
     assert rec.iterations == solver_module.DIVERGE_STEPS + 1
     assert rec.morse_index == 7
+
+
+def _count_terms(monkeypatch) -> list:
+    """Record every call of the penalty kernel from here on."""
+    calls = []
+    terms = PenalizationParams.terms
+
+    def counted(self, in_gamma, u):
+        calls.append(np.shape(u))
+        return terms(self, in_gamma, u)
+
+    monkeypatch.setattr(PenalizationParams, "terms", counted)
+    return calls
+
+
+def test_newton_evaluates_the_kernel_once_per_iterate(ref, ref_wells, monkeypatch):
+    # one evaluation per iterate, the start included, gives the residual,
+    # the energy and the next Jacobian
+    init = multi_bump_init([w.field for w in ref_wells], [0.5, 0.5], 2.0)
+    calls = _count_terms(monkeypatch)
+    rec = solve_auxiliary(1e2, (1, 2), init, ref.grid, ref.potential, ref.params,
+                          ref.solver)
+    assert rec.stop_reason == "converged" and rec.iterations > 1
+    assert len(calls) == rec.iterations + 1
 
 
 def test_newton_collapse_from_nonzero_init(ref, ref_wells):
@@ -732,14 +762,17 @@ def test_two_d_newton_collapse_from_nonzero_init():
     assert rec.iterations == 1 and np.abs(rec.field.values).max() == 0.0
 
 
-def test_two_d_newton_records_morse_index_one():
+def test_two_d_newton_records_morse_index_one(monkeypatch):
     geometry, potential, grid = _small_2d()
     well = solve_single_well(geometry, 1, grid, SolverConfig())
     assert well.converged
+    calls = _count_terms(monkeypatch)
     rec = solve_auxiliary(1e2, (1,), well.field, grid, potential, make_params(),
                           SolverConfig())
     assert rec.stop_reason == "converged" and rec.bump_mask == (1,)
     assert rec.morse_index == 1
+    # the Morse enclosure reuses the last step's Jacobian diagonal
+    assert len(calls) == rec.iterations + 1
 
 
 _ENCLOSURE_BOXES = [(slice(2, 11), slice(2, 11)), (slice(3, 12), slice(13, 22))]
@@ -848,7 +881,7 @@ def test_two_d_newton_morse_index_is_bump_count(twin_2d, twin_2d_sweep):
     for st in twin_2d_sweep:
         assert st.record.morse_index == 2
         fun = PenalizedFunctional(grid, cfg.potential(), cfg.params(), (1, 2), st.lam)
-        jd = fun.diag - fun.nonlinear_rhs_slope(st.record.field.values)
+        jd = fun.evaluate(st.record.field.values)[2]
         assert solver_module._morse_enclosure(jd, boxes, grid.h) == 2
         assert whole_box_negative_eigenvalues(jd, grid.h) == 2
 
@@ -924,11 +957,11 @@ def test_factored_operator_matches_cg_2d(name):
         prob = _LocalWell.dirichlet(Box((0.0, 0.3), (1.75, 0.95)), grid)
     else:
         prob = _LocalWell.neumann(1e3, 1, grid, potential)
-    op, apply = _local_operator(prob, 0.05), local_operator_apply(prob, 0.05)
-    assert op.off is not None and len(op.off) == 2
-    b = rng.random(op.diag.shape)
-    x = op.factor().solve(b)
-    y, _ = conjugate_gradient(apply, b, np.zeros_like(b), 1e-13, 20000, op.diag)
+    (diag, off), apply = _local_operator(prob, 0.05), local_operator_apply(prob, 0.05)
+    assert len(off) == 2
+    b = rng.random(diag.shape)
+    x = BlockTridiagonalLDL(diag, *off).solve(b)
+    y, _ = conjugate_gradient(apply, b, np.zeros_like(b), 1e-13, 20000, diag)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
     assert np.linalg.norm(apply(x) - b) <= 1e-12 * np.linalg.norm(b)
 
