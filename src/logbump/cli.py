@@ -85,7 +85,6 @@ class RunConfig:
     wells: tuple[WellSpec, ...]
     gamma: str                      # "all" or "1,2"
     lambdas: tuple[float, ...]
-    tau_step: float
     tol: float
     max_iters: int
     cg_tol: float
@@ -115,7 +114,7 @@ class RunConfig:
         return make_params(delta=self.delta, l=self.l, p=self.p)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(tau=self.tau_step, tol=self.tol, max_iters=self.max_iters,
+        return SolverConfig(tol=self.tol, max_iters=self.max_iters,
                             cg_tol=self.cg_tol, cg_max_iters=self.cg_max_iters,
                             bump_threshold=self.bump_threshold)
 
@@ -200,7 +199,6 @@ CONFIG_KEYS = (
     ("p", "p", _finite, penalty.DEFAULT_GROWTH),
     ("gamma", "gamma", _gamma, "all"),
     ("lambdas", "lambdas", _lambdas, (10.0, 100.0, 1000.0, 10000.0)),
-    ("tau_step", "tau_step", _finite, SolverConfig.tau),
     ("tol", "tol", _finite, SolverConfig.tol),
     ("max_iters", "max_iters", _integer, SolverConfig.max_iters),
     ("cg_tol", "cg_tol", _finite, SolverConfig.cg_tol),
@@ -214,8 +212,8 @@ CONFIG_KEYS = (
 _WELL_SUFFIXES = ("center", "half", "enlarged_half")
 _KEY_OF_FIELD = {field: key for key, field, _, _ in CONFIG_KEYS}
 # library parameters named unlike the RunConfig field they are built from
-_FIELD_OF_PARAM = {"tau": "tau_step", "power": "potential_power",
-                   "big_t": "minimax_t", "m": "minimax_m"}
+_FIELD_OF_PARAM = {"power": "potential_power", "big_t": "minimax_t",
+                   "m": "minimax_m"}
 
 
 def _parse_value(key: str, parse, text: str):
@@ -479,6 +477,24 @@ def _write_solve_summary(path, lam: float, gamma, record) -> None:
         fh.write(f"bump_mask = {_mask_str(record.bump_mask)}\n")
 
 
+def _write_history(path, residuals, energies) -> None:
+    """iter,relative_residual,energy: one row per Newton step."""
+    with open(path, "w") as fh:
+        fh.write("iter,relative_residual,energy\n")
+        for i, (res, en) in enumerate(zip(residuals, energies), start=1):
+            fh.write(f"{i},{res!r},{en!r}\n")
+
+
+def _local_failures(what: str, record) -> list[str]:
+    """Failure lines of a ground-state solve: not converged, or converged
+    to a critical point whose Morse index is not 1."""
+    if not record.converged:
+        return [f"{what} did not converge ({record.stop_reason})"]
+    if record.morse_index != 1:
+        return [f"{what} has Morse index {_morse_str(record.morse_index)}, expected 1"]
+    return []
+
+
 def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
     """Execute the pipeline; returns a process exit status."""
     if gamma is not None:
@@ -507,26 +523,45 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
     c_dirichlet = [math.nan] * k
     failures: list[str] = []
     for j in needed_wells:
-        rec = solve_single_well(geometry, j, grid, solver_cfg)
-        if not rec.converged:
-            failures.append(f"well {j} ground state did not converge")
-        omegas[j] = rec.field
+        try:
+            rec = solve_single_well(geometry, j, grid, solver_cfg)
+        except SolveError as exc:
+            failures.append(f"well {j} ground state: {exc}")
+            continue
         c_dirichlet[j - 1] = rec.energy
         save_field(rec.field, os.path.join(out_root, "singlewell", f"omega_{j}.csv"))
+        _write_history(os.path.join(out_root, "singlewell", f"residuals_omega_{j}.csv"),
+                       rec.residuals, rec.energies)
+        failures += _local_failures(f"well {j} ground state", rec)
+        if rec.converged:
+            omegas[j] = rec.field
 
     big_t = config.minimax_t
-    if big_t is None:
-        big_t = choose_t([omegas[j] for j in needed_wells])
-    minimax = MinimaxParams(big_t=big_t, m=config.minimax_m)
+    if big_t is None and omegas:
+        try:
+            big_t = choose_t(list(omegas.values()))
+        except SolveError as exc:
+            failures.append(f"path scale: {exc}")
+    # a selection needs the scale and the converged ground state of each of
+    # its wells; one skipped has no rows, which FAILs multiplicity
+    runnable = [g for g in gammas if big_t is not None and all(j in omegas for j in g)]
+    minimax = None if big_t is None else MinimaxParams(big_t=big_t, m=config.minimax_m)
 
     print(f"[{config.scenario}] enlarged-well levels for {len(config.lambdas)} lambdas")
+    os.makedirs(os.path.join(out_root, "neumann"), exist_ok=True)
     c_lambda: dict[tuple[float, int], float] = {}
     for lam in config.lambdas:
         for j in needed_wells:
-            nrec = solve_neumann_well(lam, j, grid, potential, solver_cfg)
-            if not nrec.converged:
-                failures.append(f"enlarged well {j} level at lambda={lam:g} "
-                                f"did not converge ({nrec.stop_reason})")
+            what = f"enlarged well {j} level at lambda={lam:g}"
+            try:
+                nrec = solve_neumann_well(lam, j, grid, potential, solver_cfg)
+            except SolveError as exc:
+                failures.append(f"{what}: {exc}")
+                continue
+            _write_history(os.path.join(out_root, "neumann",
+                                        f"residuals_lambda_{lam:g}_well_{j}.csv"),
+                           nrec.residuals, nrec.energies)
+            failures += _local_failures(what, nrec)
             c_lambda[(lam, j)] = nrec.c_lambda
 
     def gamma_job(gsel):
@@ -575,12 +610,8 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
             save_field(st.record.field, os.path.join(gdir, f"field_{tag}.csv"))
             _write_solve_summary(os.path.join(gdir, f"solve_{tag}.txt"),
                                  st.lam, gsel, st.record)
-            with open(os.path.join(gdir, f"residuals_{tag}.csv"), "w") as fh:
-                fh.write("iter,relative_residual,energy\n")
-                for i, (res, en) in enumerate(
-                    zip(st.record.residuals, st.record.energies), start=1
-                ):
-                    fh.write(f"{i},{res!r},{en!r}\n")
+            _write_history(os.path.join(gdir, f"residuals_{tag}.csv"),
+                           st.record.residuals, st.record.energies)
         limit_rows = check_limit_problem(steps, ws, c_gamma)
         with open(os.path.join(gdir, "limit.csv"), "w") as fh:
             fh.write("lambda,h1_gap,h1_gap_rel,phi_gap_rel\n")
@@ -589,7 +620,7 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
                          f"{lr.phi_gap_rel!r}\n")
         return rows, notes
 
-    print(f"[{config.scenario}] sweeping {len(gammas)} well selections "
+    print(f"[{config.scenario}] sweeping {len(runnable)} well selections "
           f"({n_workers} workers)")
     all_rows: list[SweepRow] = []
 
@@ -604,11 +635,11 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = {pool.submit(gamma_job, g): g for g in gammas}
+            futures = {pool.submit(gamma_job, g): g for g in runnable}
             for fut, gsel in futures.items():
                 collect(gsel, fut.result)
     else:
-        for gsel in gammas:
+        for gsel in runnable:
             collect(gsel, lambda: gamma_job(gsel))
 
     all_rows.sort(key=lambda r: (r.gamma, r.lam))
@@ -629,14 +660,15 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
                 f"margin={v.margin!r} detail={v.detail}\n"
             )
 
-    nehari_norms = [h1_distance(omegas[j], Field.zeros(grid)) for j in needed_wells]
+    nehari_norms = [h1_distance(w, Field.zeros(grid)) for w in omegas.values()]
     with open(manifest_path, "a") as fh:
         fh.write(f"# derived: h = {grid.h!r}\n")
         fh.write(f"# derived: a0 = {params.a0!r}\n")
-        fh.write(f"# derived: T = {big_t!r}\n")
+        fh.write(f"# derived: T = {math.nan if big_t is None else big_t!r}\n")
         for j in needed_wells:
             fh.write(f"# derived: c_{j} = {c_dirichlet[j - 1]!r}\n")
-        fh.write(f"# derived: min_nehari_norm = {min(nehari_norms)!r}\n")
+        min_norm = min(nehari_norms, default=math.nan)
+        fh.write(f"# derived: min_nehari_norm = {min_norm!r}\n")
 
     for line in failures:
         print(f"FAILURE: {line}", file=sys.stderr)

@@ -1,19 +1,18 @@
 """Solvers for the well problems and the penalized problem.
 
-The ground-state flows use one semi-implicit splitting: the stiff linear
-part (-lap + diagonal mass) is treated implicitly, so the deepening
-parameter lambda never forces a smaller step, while the logarithmic
-nonlinearity is explicit.  Negative values are clipped after every step
-(the discrete counterpart of testing with the negative part).  The
-implicit matrix stays fixed over a solve, so it is factored once before
-the flow loop (tridiagonal LDL^T in 1D, block LDL^T in 2D) and every step
-is a direct solve.
+Every solve is Newton's method on a symmetric Jacobian, with negative
+values clipped after every step (the discrete counterpart of testing with
+the negative part), and the Jacobian's negative eigenvalues counted as its
+Morse index.
 
-The ground-state flow runs on a local box of grid nodes and rescales onto
-the Nehari manifold after every step, which pins the amplitude and turns
-the flow into a minimization over the manifold.  Its local problems differ
-only in the ghost rule beyond the box: zero on the Dirichlet well's own
-nodes, mirrored on the enlarged well with natural boundary condition.
+The local well problems run on a box of grid nodes and differ only in the
+ghost rule beyond the box: zero on the Dirichlet well's own nodes,
+mirrored on the enlarged well with natural boundary condition.  Their
+ground states are mountain-pass points, Morse index 1.  Each Newton
+iterate is rescaled onto the Nehari manifold in closed form, which keeps
+the iteration off u = 0.  The weighted Jacobian is factored and solved in
+one pass, by a tridiagonal LDL^T in 1D and a block LDL^T in 2D, and the
+inertia of the factor gives the Morse index.
 
 The penalized problem on the whole box has saddle solutions.  It is solved
 by Newton's method with the same clip.  In 1D each step factors the
@@ -55,7 +54,7 @@ from logbump.functional import (
     _log_mass_density,
     nehari_check,
 )
-from logbump.penalty import PenalizationParams, s_log_sq
+from logbump.penalty import U_FLOOR, PenalizationParams, s_log_sq
 
 
 class SolveError(RuntimeError):
@@ -64,16 +63,14 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Flow, Newton and inner linear-solve settings.
+    """Newton and inner linear-solve settings.
 
-    tau is the step of the ground-state flows only; the auxiliary solve is
-    Newton's method and does not use it.  tol and max_iters bound every
-    solve.  cg_tol and cg_max_iters bound the MINRES solve inside each 2D
-    Newton step (relative preconditioned residual, iteration cap); every
-    other linear solve is direct.  The keys keep their historical names.
+    tol and max_iters bound every solve.  cg_tol and cg_max_iters bound the
+    MINRES solve inside each 2D Newton step of the penalized problem
+    (relative preconditioned residual, iteration cap); every other linear
+    solve is direct.  The keys keep their historical names.
     """
 
-    tau: float = 0.05
     tol: float = 1e-6
     max_iters: int = 40000
     cg_tol: float = 1e-12
@@ -81,9 +78,6 @@ class SolverConfig:
     bump_threshold: float = 0.01
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 0.5:
-            raise ValueError(f"tau: must lie in (0, 0.5] for a descending flow "
-                             f"(got {self.tau!r})")
         if self.tol <= 0:
             raise ValueError(f"tol: must be positive (got {self.tol!r})")
         if self.max_iters < 1:
@@ -100,15 +94,16 @@ class SolverConfig:
 
 @dataclass
 class SolveRecord:
-    """Outcome of one flow or Newton solve.
+    """Outcome of one Newton solve.
 
     stop_reason names why the solve stopped: "converged", "iteration cap",
-    "collapse" (a selected enlargement lost all of its mass) or "diverged"
-    (the Newton residual grew DIVERGE_STEPS steps in a row).  morse_index
-    counts the negative eigenvalues of the last Newton step's Jacobian:
-    exact negative pivots in 1D, a certified inertia enclosure in 2D, where
-    it is nan when the enclosure's bounds disagree.  It is nan for the
-    ground-state flows, which have no Jacobian.
+    "collapse" (the iterate, or a selected enlargement of it, lost all of
+    its mass) or "diverged" (the Newton residual grew DIVERGE_STEPS steps
+    in a row).  morse_index counts the negative eigenvalues of the last
+    Newton step's Jacobian: exact pivot or Schur-block inertia for the
+    ground states and the 1D penalized problem, a certified inertia
+    enclosure for the 2D penalized problem, where it is nan when the
+    enclosure's bounds disagree.
     """
 
     field: Field
@@ -239,39 +234,28 @@ def minres(apply_a, b, minv, tol, max_iters):
 
 
 class TridiagonalLDL:
-    """LDL^T factor of a symmetric tridiagonal matrix, for repeated solves.
+    """LDL^T solve of a symmetric, possibly indefinite tridiagonal matrix.
 
     `diag` holds the n diagonal entries and `off` the n - 1 entries coupling
     node i to node i + 1.  The recurrences run over plain Python floats,
-    which at 1D grid sizes beats the per-call overhead of numpy.  The
-    factor kept for repeated solves must be SPD: a nonpositive pivot raises.
-    `solve_once` takes an indefinite matrix: only a pivot within PIVOT_RTOL
-    of the largest diagonal entry raises, and `negative_pivots` counts the
-    negative pivots, by Sylvester's law of inertia the number of negative
+    which at 1D grid sizes beats the per-call overhead of numpy.  Only a
+    pivot within PIVOT_RTOL of the largest diagonal entry raises, and the
+    negative pivots count, by Sylvester's law of inertia, the negative
     eigenvalues.
     """
 
     PIVOT_RTOL = 1e-12
 
-    def __init__(self, diag, off):
-        self._factor(diag, off, True, None)
-
-    @classmethod
-    def solve_once(cls, diag, off, rhs):
-        """(x, negative pivots) for an indefinite matrix used once: the
-        forward substitution of rhs runs inside the factor loop."""
-        ldl = cls.__new__(cls)
-        fwd = ldl._factor(diag, off, False, _finite_list(rhs))
-        return ldl._back_substitute(fwd), ldl.negative_pivots
-
-    def _factor(self, diag, off, spd, rhs):
-        """Pivots and multipliers, plus the forward substitution of rhs."""
+    @staticmethod
+    def solve_once(diag, off, rhs) -> tuple[np.ndarray, int]:
+        """(x, negative pivots) for diag, off and rhs: the forward
+        substitution of rhs runs inside the factor loop."""
         diag = np.asarray(diag, dtype=float).tolist()
         off = np.asarray(off, dtype=float).tolist()
         if len(off) != len(diag) - 1:
             raise ValueError("off must have one entry fewer than diag")
-        floor = 0.0 if spd else self.PIVOT_RTOL * max(map(abs, diag))
-        vals = rhs if rhs is not None else [0.0] * len(diag)
+        vals = _finite_list(rhs)
+        floor = TridiagonalLDL.PIVOT_RTOL * max(map(abs, diag))
         pivots, mults, fwd = [diag[0]], [], [vals[0]]
         try:
             for a, b, r in zip(diag[1:], off, vals[1:]):
@@ -281,35 +265,15 @@ class TridiagonalLDL:
                 fwd.append(r - m * fwd[-1])
         except ZeroDivisionError:
             pass  # the zero pivot ends the list and fails the check below
-        if not all(p > floor for p in (pivots if spd else map(abs, pivots))):
-            raise SolveError(
-                "LDL^T breakdown: operator not SPD" if spd
-                else "LDL^T breakdown: pivot near zero"
-            )
-        self.negative_pivots = sum(p < 0.0 for p in pivots)
-        self._mults = mults
-        self._last_pivot = pivots[-1]
-        self._back = list(zip(pivots[-2::-1], mults[::-1]))
-        return fwd
-
-    def _back_substitute(self, fwd) -> np.ndarray:
-        x = fwd[-1] / self._last_pivot
+        if not all(abs(p) > floor for p in pivots):
+            raise SolveError("LDL^T breakdown: pivot near zero")
+        x = fwd[-1] / pivots[-1]
         out = [x]
-        for (pivot, m), z in zip(self._back, fwd[-2::-1]):
+        for pivot, m, z in zip(pivots[-2::-1], mults[::-1], fwd[-2::-1]):
             x = z / pivot - m * x
             out.append(x)
         out.reverse()
-        return np.array(out)
-
-    def solve(self, rhs) -> np.ndarray:
-        """x with L D L^T x = rhs: one forward and one back substitution."""
-        vals = _finite_list(rhs)
-        z = vals[0]
-        fwd = [z]
-        for r, m in zip(vals[1:], self._mults):
-            z = r - m * z
-            fwd.append(z)
-        return self._back_substitute(fwd)
+        return np.array(out), sum(p < 0.0 for p in pivots)
 
 
 def _finite_list(rhs) -> list[float]:
@@ -320,54 +284,47 @@ def _finite_list(rhs) -> list[float]:
 
 
 class BlockTridiagonalLDL:
-    """Block LDL^T factor of a symmetric 5-point matrix on an (ny, nx) array.
+    """Block LDL^T of a symmetric, possibly indefinite 5-point matrix on an
+    (ny, nx) array.
 
     `off0` couples node (i, j) to (i + 1, j) and `off1` couples it to
-    (i, j + 1).  Each row's Schur complement is a dense nx x nx block whose
-    Cholesky factor raises if the matrix is not SPD; its inverse is kept
-    (ny nx^2 doubles), so a solve is 2 ny matrix-vector products.
-    `negative_eigenvalues` takes an indefinite matrix and only counts.
+    (i, j + 1).  Each row's Schur complement is a dense nx x nx block.  By
+    Haynsworth's inertia additivity the matrix's negative eigenvalues are
+    those of the Schur blocks summed.
     """
 
-    def __init__(self, diag, off0, off1):
-        self._off = np.asarray(off0, dtype=float)
-        ny, nx = np.shape(diag)
-        self._inv = np.empty((ny, nx, nx))
-        for i, (inv, _) in enumerate(_schur_inverses(diag, off0, off1, True)):
-            self._inv[i] = inv
+    @staticmethod
+    def negative_eigenvalues(diag, off0, off1) -> int:
+        """Negative eigenvalues of the matrix; only the previous Schur
+        block's inverse is kept."""
+        return sum(neg for _, neg in _schur_inverses(diag, off0, off1))
 
-    @classmethod
-    def negative_eigenvalues(cls, diag, off0, off1) -> int:
-        """Negative eigenvalues of an indefinite 5-point matrix.
-
-        By Haynsworth's inertia additivity they are the negative
-        eigenvalues of the Schur blocks summed.  A block whose Cholesky
-        factor fails gets `eigvalsh`, and one within
-        TridiagonalLDL.PIVOT_RTOL of singular raises; only the previous
-        block's inverse is kept.
-        """
-        return sum(neg for _, neg in _schur_inverses(diag, off0, off1, False))
-
-    def solve(self, rhs) -> np.ndarray:
-        """x with L D L^T x = rhs: one forward and one back sweep over rows."""
+    @staticmethod
+    def solve_once(diag, off0, off1, rhs) -> tuple[np.ndarray, int]:
+        """(x, negative eigenvalues) for the matrix and rhs: one forward and
+        one back sweep over rows, the forward one inside the factor loop.
+        Every Schur block's inverse is kept until the back sweep."""
         rhs = np.asarray(rhs, dtype=float)
         if not np.all(np.isfinite(rhs)):
             raise SolveError("non-finite right-hand side")
-        inv, off = self._inv, self._off
+        off = np.asarray(off0, dtype=float)
         x = np.empty_like(rhs)
-        x[0] = inv[0] @ rhs[0]
-        for i in range(1, len(x)):
-            x[i] = inv[i] @ (rhs[i] - off[i - 1] * x[i - 1])
+        invs = []
+        negative = 0
+        for i, (inv, neg) in enumerate(_schur_inverses(diag, off0, off1)):
+            invs.append(inv)
+            negative += neg
+            x[i] = inv @ (rhs[i] - off[i - 1] * x[i - 1] if i else rhs[i])
         for i in range(len(x) - 2, -1, -1):
-            x[i] -= inv[i] @ (off[i] * x[i + 1])
-        return x
+            x[i] -= invs[i] @ (off[i] * x[i + 1])
+        return x, negative
 
 
-def _schur_inverses(diag, off0, off1, spd: bool):
+def _schur_inverses(diag, off0, off1):
     """Yield (inverse, negative eigenvalues) of each row's Schur complement
     of a symmetric 5-point matrix (see `BlockTridiagonalLDL`).
 
-    A block whose Cholesky factor fails raises when `spd`; otherwise its
+    A block whose Cholesky factor succeeds is SPD; otherwise its
     eigenvalues are counted, and a block within TridiagonalLDL.PIVOT_RTOL
     of singular raises, since its inverse would carry no digits.
     """
@@ -386,8 +343,6 @@ def _schur_inverses(diag, off0, off1, spd: bool):
         try:
             np.linalg.cholesky(schur)
         except np.linalg.LinAlgError:
-            if spd:
-                raise SolveError("block LDL^T breakdown: operator not SPD") from None
             eigs = np.linalg.eigvalsh(schur)
             size = np.abs(eigs)
             if size.min() <= TridiagonalLDL.PIVOT_RTOL * size.max():
@@ -413,15 +368,15 @@ def classify_bumps(u: Field, geometry: WellGeometry, threshold: float) -> tuple[
     return _occupied_wells(per, float(np.sum(sq)), threshold)
 
 
-def _axis_couplings(axis_weights, tau: float, h: float) -> tuple[np.ndarray, ...]:
-    """Couplings -tau/h^2 of I + tau(-lap) between neighbours along each
-    axis, times the node weights of the other axes."""
+def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
+    """Couplings -1/h^2 of -lap between neighbours along each axis, times
+    the node weights of the other axes."""
     off = []
     for ax in range(len(axis_weights)):
         factors = [
             np.ones(len(w) - 1) if d == ax else w for d, w in enumerate(axis_weights)
         ]
-        off.append(-tau / h**2 * reduce(np.multiply.outer, factors))
+        off.append(-1.0 / h**2 * reduce(np.multiply.outer, factors))
     return tuple(off)
 
 
@@ -751,8 +706,6 @@ def lambda_sweep(
     return steps
 
 
-
-
 # -- ground states of the local well problems --------------------------------
 
 
@@ -765,7 +718,7 @@ class _LocalWell:
     V = 0) and a ghost mirroring the first inner neighbour for the enlarged
     well with natural boundary condition.  Paired with trapezoidal weights
     the mirror stencil B makes <B u, u>_w the face sum of squared
-    differences, so energies and the flow share one discrete calculus.
+    differences, so energies and the Jacobian share one discrete calculus.
     """
 
     def __init__(self, grid: Grid, nodes, axis_w, mirror: bool):
@@ -820,61 +773,85 @@ class _LocalWell:
         au = self.neg_laplacian(u) + self.lam_v * u
         mass = self.integral(u * u)
         if mass <= 0.0:
-            raise SolveError("flow collapsed to zero; cannot project onto the manifold")
+            raise SolveError("zero mass; cannot project onto the Nehari manifold")
         logm = self.integral(_log_mass_density(u))
         t = math.exp((self.integral(au * u) - logm) / (2.0 * mass))
         return t * u, t * au
 
 
-def _local_operator(prob: _LocalWell, tau: float):
-    """(diag, off) of W(I + tau(B + lambda V + 1)) on the local problem's
-    rectangle: its diagonal and its stencil couplings, one array per axis
-    (entry i along axis a couples node i to node i + 1 along a).
+def _local_operator(prob: _LocalWell):
+    """(diag, off) of W(B + lambda V) on the local problem's rectangle: its
+    diagonal and its stencil couplings, one array per axis (entry i along
+    axis a couples node i to node i + 1 along a).
 
-    Neighbours along one axis couple by -tau/h^2 times the weights of the
+    Neighbours along one axis couple by -1/h^2 times the weights of the
     other axes both ways: on the mirror rows the half trapezoid weight
     halves the doubled ghost coupling, so the matrix is symmetric.
     """
-    dv = prob.lam_v + 1.0
-    diag = prob.w * (1.0 + tau * (2.0 * prob.grid.dim / prob.grid.h**2 + dv))
-    return diag, _axis_couplings(prob.axis_w, tau, prob.grid.h)
+    diag = prob.w * (2.0 * prob.grid.dim / prob.grid.h**2 + prob.lam_v)
+    return diag, _axis_couplings(prob.axis_w, prob.grid.h)
 
 
-def _ground_state_flow(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
-    """Projected semi-implicit flow of a local problem from the bump u.
+@dataclass
+class _LocalSolve:
+    """Outcome of `_ground_state_newton`, u on the local rectangle."""
 
-    Each step solves the factored W(I + tau(B + lambda V + 1)) u' =
-    W(u + tau(u log u^2 + u)), clips negatives and rescales onto the Nehari
-    manifold, so the energy decreases along the flow and the limit
-    satisfies the Nehari identity.  The weighted relative residual of
-    -lap u + lambda V u = u log u^2 and the energy come from the step's one
-    stencil apply.  Returns (u, iterations, residuals, energies, converged).
+    u: np.ndarray
+    iterations: int
+    residuals: list[float]
+    energies: list[float]
+    stop_reason: str
+    morse_index: float
+
+
+def _ground_state_newton(prob: _LocalWell, u: np.ndarray,
+                         config: SolverConfig) -> _LocalSolve:
+    """Nehari-projected Newton's method for a local problem from the bump u.
+
+    Each step solves the weighted Jacobian system
+    W(B + lambda V - log u^2 - 2) du = -W res of the residual
+    res = (B + lambda V) u - u log u^2, with log u^2 taken at |u| floored
+    at U_FLOOR, clips u + du at 0 and rescales it onto the Nehari manifold.
+    One factor pass solves the system and counts its negative eigenvalues,
+    the Morse index, which is 1 at a ground state.  The weighted relative
+    residual and the energy come from the step's one stencil apply.  Stops
+    as the penalized solve does: converged at tol, at the iteration cap,
+    diverged after DIVERGE_STEPS growing residuals in a row, or collapse
+    when the clip leaves no mass.
     """
-    tau = config.tau
-    diag, off = _local_operator(prob, tau)
-    factor_type = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
-    factor = factor_type(diag, *off)
+    base, off = _local_operator(prob)
+    factor = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
     u, au = prob.nehari_project(u)
-    nonlin = s_log_sq(u)
+    res = au - s_log_sq(u)
     residuals: list[float] = []
     energies: list[float] = []
-    converged = False
+    stop_reason = "iteration cap"
+    morse = math.nan
+    growth = 0
     it = 0
     for it in range(1, config.max_iters + 1):
-        rhs = prob.w * (u + tau * (nonlin + u))
-        u, au = prob.nehari_project(np.maximum(factor.solve(rhs), 0.0))
-        nonlin = s_log_sq(u)
-        res = au - nonlin
+        jac = base - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
+        du, morse = factor.solve_once(jac, *off, -prob.w * res)
+        u = np.maximum(u + du, 0.0)
+        if prob.integral(u * u) <= 0.0:
+            stop_reason = "collapse"
+            break
+        u, au = prob.nehari_project(u)
+        res = au - s_log_sq(u)
         mass = prob.integral(u * u)
         rel = math.sqrt(prob.integral(res * res) / mass)
+        growth = growth + 1 if residuals and rel > residuals[-1] else 0
         residuals.append(rel)
         energies.append(
             0.5 * (prob.integral(au * u) + mass - prob.integral(_log_mass_density(u)))
         )
         if rel <= config.tol:
-            converged = True
+            stop_reason = "converged"
             break
-    return u, it, residuals, energies, converged
+        if growth >= DIVERGE_STEPS:
+            stop_reason = "diverged"
+            break
+    return _LocalSolve(u, it, residuals, energies, stop_reason, morse)
 
 
 def solve_single_well(
@@ -882,9 +859,10 @@ def solve_single_well(
 ) -> SolveRecord:
     """Positive ground state of -lap u = u log u^2 on well j (Dirichlet).
 
-    Runs the projected flow on the well's nodes from a positive Gaussian
-    bump at its center; the PDE residual is measured inside the well in
-    relative L2.  The field is zero off the well.
+    Runs the projected Newton iteration on the well's nodes from a positive
+    Gaussian bump at its center; the PDE residual is measured inside the
+    well in relative L2.  The field is zero off the well, and the energy
+    nan when the solve stopped before its first residual.
     """
     if not 1 <= j <= geometry.k:
         raise ValueError(f"well index {j} out of range 1..{geometry.k}")
@@ -898,33 +876,40 @@ def solve_single_well(
             )
     sigma = min(1.0, min(well.half) / 2.0)
     bump = np.exp(-prob.dist_sq(well.center) / (2.0 * sigma * sigma))
-    u, it, residuals, energies, converged = _ground_state_flow(prob, bump, config)
+    sol = _ground_state_newton(prob, bump, config)
 
     values = np.zeros(grid.interior_shape)
-    values[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)] = u
+    values[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)] = sol.u
     return SolveRecord(
         field=Field(grid, values),
-        iterations=it,
-        residuals=residuals,
-        energies=energies,
-        converged=converged,
-        stop_reason="converged" if converged else "iteration cap",
-        energy=energies[-1],
+        iterations=sol.iterations,
+        residuals=sol.residuals,
+        energies=sol.energies,
+        converged=sol.stop_reason == "converged",
+        stop_reason=sol.stop_reason,
+        energy=sol.energies[-1] if sol.energies else math.nan,
         bump_mask=(j,),
+        morse_index=sol.morse_index,
     )
 
 
 @dataclass
 class NeumannRecord:
-    """Ground-state level of the enlarged-well problem with natural BC;
-    stop_reason is "converged" or "iteration cap"."""
+    """Ground-state level of the enlarged-well problem with natural BC.
+
+    stop_reason, residuals, energies and morse_index are those of
+    `SolveRecord`; c_lambda and nehari_gap are nan when the solve stopped
+    before its first residual.
+    """
 
     c_lambda: float
     iterations: int
     converged: bool
     stop_reason: str
-    residual: float
+    residuals: list[float]
+    energies: list[float]
     nehari_gap: float
+    morse_index: float
 
 
 def solve_neumann_well(
@@ -933,18 +918,22 @@ def solve_neumann_well(
     """Ground-state level c_{lambda,j} of the enlarged-well problem
     -lap u + lambda V u = u log u^2 with zero normal derivative.
 
-    The projected flow of the Dirichlet well, on the trapezoid-weighted
-    mirror-ghost discretization, from a Gausson at the well center.
+    The projected Newton iteration of the Dirichlet well, on the
+    trapezoid-weighted mirror-ghost discretization, from a Gausson at the
+    well center.
     """
     prob = _LocalWell.neumann(lam, j, grid, potential)
     center = potential.geometry.enlargements[j - 1].center
     bump = np.exp(0.5 * grid.dim - 0.5 * prob.dist_sq(center))
-    u, it, residuals, energies, converged = _ground_state_flow(prob, bump, config)
+    sol = _ground_state_newton(prob, bump, config)
+    level = sol.energies[-1] if sol.energies else math.nan
     return NeumannRecord(
-        c_lambda=energies[-1],
-        iterations=it,
-        converged=converged,
-        stop_reason="converged" if converged else "iteration cap",
-        residual=residuals[-1],
-        nehari_gap=abs(energies[-1] - 0.5 * prob.integral(u * u)),
+        c_lambda=level,
+        iterations=sol.iterations,
+        converged=sol.stop_reason == "converged",
+        stop_reason=sol.stop_reason,
+        residuals=sol.residuals,
+        energies=sol.energies,
+        nehari_gap=abs(level - 0.5 * prob.integral(sol.u * sol.u)),
+        morse_index=sol.morse_index,
     )

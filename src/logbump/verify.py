@@ -123,17 +123,20 @@ def compute_verdicts(
     """All pass/fail verdicts derivable from the recorded rows.
 
     `selections` lists the well selections the run asked for (default: the
-    ones present in the rows).  The multiplicity verdict is given when they
-    are all 2^k - 1 of them, and fails if any has no rows.
+    ones present in the rows).  One with no rows (its solves failed or were
+    skipped) fails convergence.  The multiplicity verdict is given when
+    they are all 2^k - 1 of them, and fails if any has no rows.
     """
     groups = _groups(rows)
     verdicts: list[Verdict] = []
+    wanted = set(groups) if selections is None else {tuple(g) for g in selections}
+    missing = sorted(wanted - set(groups))
+    no_rows = "; no rows for gamma " + ", ".join(
+        "+".join(map(str, g)) for g in missing) if missing else ""
 
-    conv_ok = all(r.converged for r in rows)
-    verdicts.append(
-        Verdict("convergence", conv_ok, 0.0,
-                "all solves converged" if conv_ok else "flagged solves present")
-    )
+    solved = all(r.converged for r in rows)
+    detail = "all solves converged" if solved else "flagged solves present"
+    verdicts.append(Verdict("convergence", solved and not missing, 0.0, detail + no_rows))
 
     pos_ok = all(r.min_u >= 0.0 for r in rows)
     top_rows = [grp[-1] for grp in groups.values()]
@@ -210,17 +213,12 @@ def compute_verdicts(
                 f"required mass fraction {fidelity:.0%} in the enlargements")
     )
 
-    wanted = set(groups) if selections is None else {tuple(g) for g in selections}
     if len(wanted) == 2**k - 1:
-        missing = sorted(wanted - set(groups))
         masks_seen = {grp[-1].occupied for grp in groups.values()}
         match = all(grp[-1].occupied == gamma for gamma, grp in groups.items())
         mult_ok = len(masks_seen) == 2**k - 1 and match
-        detail = f"{len(masks_seen)} distinct occupation masks of {2**k - 1} expected"
-        if missing:
-            detail += "; no rows for gamma " + ", ".join(
-                "+".join(map(str, g)) for g in missing
-            )
+        detail = (f"{len(masks_seen)} distinct occupation masks of {2**k - 1} "
+                  f"expected{no_rows}")
         verdicts.append(
             Verdict("multiplicity", mult_ok,
                     float(len(masks_seen) - (2**k - 1)), detail)

@@ -1,6 +1,6 @@
 """Shared fixtures: the reference twin-well scenario and its heavy solves.
 
-Session scope keeps the expensive gradient-flow solves shared between the
+Session scope keeps the expensive solves shared between the
 module tests and the acceptance suite.
 """
 
@@ -97,6 +97,6 @@ def wide_well():
         enlargements=(Box((0.0,), (9.0,)),),
     )
     grid = Grid(dim=1, r=12.0, n=1025)
-    rec = solve_single_well(geometry, 1, grid, SolverConfig(tau=0.05))
+    rec = solve_single_well(geometry, 1, grid, SolverConfig())
     assert rec.converged
     return geometry, grid, rec

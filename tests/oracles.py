@@ -3,8 +3,9 @@
 The pipeline computes the same quantities another way (the penalized
 nonlinearity in closed form by `PenalizationParams.terms`, per-well
 energies from `PenalizedFunctional.report`, fields in memory, 2D Morse
-indices from an inertia enclosure on the enlarged wells' boxes, flow steps
-by factored solves), so these stay out of the package.
+indices from an inertia enclosure on the enlarged wells' boxes, the
+ground-state Newton steps by factored solves), so these stay out of the
+package.
 """
 
 import math
@@ -199,12 +200,13 @@ def whole_box_negative_eigenvalues(jd: np.ndarray, h: float) -> int:
     )
 
 
-def local_operator_apply(prob, tau: float):
-    """W(I + tau(B + lambda V + 1)) of a `solver._LocalWell`, applied free
-    of storage, the matrix `solver._local_operator` factors."""
-    dv = prob.lam_v + 1.0
+def local_jacobian_apply(prob, u):
+    """W(B + lambda V - log u^2 - 2) of a `solver._LocalWell` at u > 0,
+    applied free of storage: the weighted Jacobian of the ground-state
+    Newton step."""
+    shift = prob.lam_v - 2.0 * np.log(u) - 2.0
 
     def apply(x):
-        return prob.w * (x + tau * (prob.neg_laplacian(x) + dv * x))
+        return prob.w * (prob.neg_laplacian(x) + shift * x)
 
     return apply

@@ -86,9 +86,12 @@ def test_unknown_key_rejected():
         parse_config_text(MINIMAL + "spacing = 3\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text(MINIMAL + "well.1.radius = 3\n")
-    # the flows always clip negatives; the old switch is gone
+    # the solves always clip negatives and take no flow step; the old
+    # switch and step keys are gone
     with pytest.raises(ConfigError, match="unknown key: positivity"):
         parse_config_text(MINIMAL + "positivity = true\n")
+    with pytest.raises(ConfigError, match="unknown key: tau_step"):
+        parse_config_text(MINIMAL + "tau_step = 0.05\n")
 
 
 def _minimal_with(key, value):
@@ -110,7 +113,6 @@ BAD_VALUES = {
     "p": "2.0",
     "gamma": "1,7",
     "lambdas": "100.0, 10.0",
-    "tau_step": "0.9",
     "tol": "0.0",
     "max_iters": "0",
     "cg_tol": "-1e-12",
@@ -295,13 +297,23 @@ def test_full_reference_run(tmp_path):
     verdicts = (out / "verdicts.txt").read_text().splitlines()
     assert len(verdicts) == 8
     assert all("status=PASS" in line for line in verdicts)
+    # one history per local solve, one row per Newton step
+    config = parse_config(path)
+    histories = [out / "singlewell" / f"residuals_omega_{j}.csv" for j in (1, 2)]
+    histories += [out / "neumann" / f"residuals_lambda_{lam:g}_well_{j}.csv"
+                  for lam in config.lambdas for j in (1, 2)]
+    for history in histories:
+        lines = history.read_text().splitlines()
+        assert lines[0] == "iter,relative_residual,energy"
+        assert 3 <= len(lines) - 1 <= 6
+        assert float(lines[-1].split(",")[1]) <= config.tol
+    assert sorted(os.listdir(out / "neumann")) == sorted(h.name for h in histories[2:])
 
 
 def test_tau_default_matches_cli():
     config = parse_config_text(MINIMAL)
     solver = SolverConfig()
     assert config.solver_config() == solver
-    assert config.tau_step == solver.tau
     assert (config.cap, config.potential_power) == (PotentialSpec.cap,
                                                      PotentialSpec.power)
     assert (config.delta, config.l, config.p) == (
@@ -499,3 +511,86 @@ def test_benchmark_tracer_targets_resolve():
             assert hasattr(obj, part), f"{span}: {owner}.{attr} does not resolve"
             obj = getattr(obj, part)
         assert callable(obj), f"{span}: {owner}.{attr} is not callable"
+
+
+def _inject(monkeypatch, name, broken):
+    """Replace the CLI's binding of a solver entry point by broken(original)."""
+    import logbump.cli as cli
+
+    monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
+
+
+def test_failed_well_solve_still_writes_verdicts(tmp_path, capsys, monkeypatch):
+    def raising(single):
+        def solve(geometry, j, grid, config):
+            if j == 2:
+                raise SolveError("injected failure")
+            return single(geometry, j, grid, config)
+        return solve
+
+    _inject(monkeypatch, "solve_single_well", raising)
+    out = tmp_path / "failed-well"
+    assert run(parse_config_text(TINY), out_dir=str(out)) == 1
+    assert "FAILURE: well 2 ground state: injected failure" in capsys.readouterr().err
+    verdicts = (out / "verdicts.txt").read_text()
+    assert ("criterion=multiplicity status=FAIL margin=-2.0 detail=1 distinct "
+            "occupation masks of 3 expected; no rows for gamma 1+2, 2") in verdicts
+    assert ("criterion=convergence status=FAIL margin=0.0 detail=all solves "
+            "converged; no rows for gamma 1+2, 2") in verdicts
+    assert (out / "gamma_1").is_dir() and not (out / "gamma_2").exists()
+    assert "# derived: c_2 = nan\n" in (out / "manifest.txt").read_text()
+
+
+def test_unconverged_well_skips_its_selections(tmp_path, capsys, monkeypatch):
+    def capped(single):
+        def solve(geometry, j, grid, config):
+            return single(geometry, j, grid, replace(config, max_iters=1))
+        return solve
+
+    _inject(monkeypatch, "solve_single_well", capped)
+    out = tmp_path / "capped-wells"
+    assert run(parse_config_text(TINY), out_dir=str(out)) == 1
+    err = capsys.readouterr().err
+    for j in (1, 2):
+        assert (f"FAILURE: well {j} ground state did not converge (iteration cap)"
+                in err)
+    assert (out / "energies.csv").read_text().splitlines()[1:] == []
+    assert "criterion=multiplicity status=FAIL" in (out / "verdicts.txt").read_text()
+    assert "# derived: T = nan\n" in (out / "manifest.txt").read_text()
+
+
+def test_failed_neumann_solve_is_a_failure(tmp_path, capsys, monkeypatch):
+    def raising(neumann):
+        def solve(lam, j, grid, potential, config):
+            if lam == 100.0:
+                raise SolveError("injected failure")
+            return neumann(lam, j, grid, potential, config)
+        return solve
+
+    _inject(monkeypatch, "solve_neumann_well", raising)
+    out = tmp_path / "failed-level"
+    assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
+    assert ("FAILURE: enlarged well 1 level at lambda=100: injected failure"
+            in capsys.readouterr().err)
+    rows, _ = rows_from_csv((out / "energies.csv").read_text())
+    assert [math.isnan(r.c_lambda[0]) for r in rows] == [True, False]
+    assert (out / "verdicts.txt").exists()
+
+
+@pytest.mark.parametrize("name", ["solve_single_well", "solve_neumann_well"])
+def test_local_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch, name):
+    def saddle(solve):
+        def wrong(*args):
+            return replace(solve(*args), morse_index=2)
+        return wrong
+
+    _inject(monkeypatch, name, saddle)
+    out = tmp_path / "local-morse"
+    assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
+    err = capsys.readouterr().err
+    if name == "solve_single_well":
+        assert "FAILURE: well 1 ground state has Morse index 2, expected 1" in err
+    else:
+        for lam in (100, 10000):
+            assert (f"FAILURE: enlarged well 1 level at lambda={lam} has Morse index 2, "
+                    "expected 1") in err

@@ -1,4 +1,4 @@
-"""Gradient-flow solvers: ground states, penalized solves, path machinery."""
+"""Solvers: local ground states, penalized solves, path machinery."""
 
 import csv
 import itertools
@@ -28,7 +28,7 @@ from logbump.domain import (
     restricted_norm_sq,
 )
 from logbump.functional import PenalizedFunctional, nehari_check
-from logbump.penalty import PenalizationParams, make_params
+from logbump.penalty import PenalizationParams, make_params, s_log_sq
 from logbump.solver import (
     BlockTridiagonalLDL,
     MinimaxParams,
@@ -48,7 +48,7 @@ from logbump.solver import (
     solve_single_well,
 )
 
-from oracles import local_operator_apply, whole_box_negative_eigenvalues
+from oracles import local_jacobian_apply, whole_box_negative_eigenvalues
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -147,10 +147,6 @@ def test_minres_zero_rhs_and_failures():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tau=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tau=0.9)
-    with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(bump_threshold=1.5)
@@ -225,7 +221,7 @@ def test_single_well_2d():
         enlargements=(Box((0.0, 0.0), (4.0, 4.0)),),
     )
     grid = Grid(dim=2, r=6.0, n=97)
-    rec = solve_single_well(geometry, 1, grid, SolverConfig(tau=0.05))
+    rec = solve_single_well(geometry, 1, grid, SolverConfig())
     assert rec.converged
     # 2d whole-space level is e^2 sqrt(pi)^2 / 2; the well truncates it above
     level = 0.5 * math.e**2 * math.pi
@@ -242,7 +238,7 @@ def test_auxiliary_2d_twin_wells():
 
     potential = PotentialSpec(geometry, cap=1.0, power=1.0)
     grid = Grid(dim=2, r=7.0, n=127)
-    config = SolverConfig(tau=0.05)
+    config = SolverConfig()
     params = __import__("logbump.penalty", fromlist=["make_params"]).make_params()
     w = solve_single_well(geometry, 1, grid, config)
     assert w.converged
@@ -292,7 +288,7 @@ def test_auxiliary_determinism(ref, ref_wells, ref_big_t):
 def test_auxiliary_converged_fixed_point(ref, ref_sweep):
     last = ref_sweep[-1]
     one_step = SolverConfig(
-        tau=ref.solver.tau, tol=ref.solver.tol, max_iters=1,
+        tol=ref.solver.tol, max_iters=1,
         cg_tol=ref.solver.cg_tol, cg_max_iters=ref.solver.cg_max_iters,
     )
     again = solve_auxiliary(last.lam, (1, 2), last.record.field, ref.grid,
@@ -331,7 +327,7 @@ def test_auxiliary_norm_stays_bounded(ref, ref_wells, ref_big_t):
                            [1.0 / ref_big_t] * 2, ref_big_t)
     full_mask = np.ones(ref.grid.full_shape, dtype=bool)
     segment = SolverConfig(
-        tau=ref.solver.tau, tol=1e-30, max_iters=10,
+        tol=1e-30, max_iters=10,
         cg_tol=ref.solver.cg_tol, cg_max_iters=ref.solver.cg_max_iters,
     )
     u = init
@@ -552,7 +548,7 @@ def test_neumann_level_below_dirichlet(ref, ref_wells):
     assert rec.c_lambda <= ref_wells[0].energy + 1e-6
 
 
-# -- factored implicit operator (1D) ------------------------------------------------
+# -- factored Jacobian solves (1D) --------------------------------------------------
 
 
 def _random_spd_tridiagonal(rng, n):
@@ -568,16 +564,10 @@ def test_tridiagonal_ldl_matches_dense_solve():
     diag, off = _random_spd_tridiagonal(rng, 50)
     a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     b = rng.standard_normal(50)
-    x = TridiagonalLDL(diag, off).solve(b)
+    x, count = TridiagonalLDL.solve_once(diag, off, b)
     assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-12)
-    assert TridiagonalLDL([4.0], []).solve([2.0]).tolist() == [0.5]
-
-
-def test_tridiagonal_ldl_rejects_non_spd():
-    with pytest.raises(SolveError, match="SPD"):
-        TridiagonalLDL([1.0, 1.0, 1.0], [2.0, 0.0])
-    with pytest.raises(SolveError, match="SPD"):
-        TridiagonalLDL([1.0, -1.0, 2.0], [0.0, 0.0])
+    assert count == 0
+    assert TridiagonalLDL.solve_once([4.0], [], [2.0])[0].tolist() == [0.5]
 
 
 def _random_symmetric_tridiagonal(rng, n):
@@ -596,8 +586,6 @@ def test_tridiagonal_ldl_indefinite_solve_and_inertia(seed):
     x, count = TridiagonalLDL.solve_once(diag, off, b)
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     assert count == negative
-    with pytest.raises(SolveError, match="SPD"):
-        TridiagonalLDL(diag, off)
 
 
 def test_tridiagonal_ldl_near_zero_pivot_raises():
@@ -613,26 +601,153 @@ def test_tridiagonal_ldl_near_zero_pivot_raises():
 
 def _one_d_problems(ref):
     """The two 1D local problems of the reference scenario, each with a
-    right-hand side from the subspace its flow iterates live in."""
+    positive field to take the Jacobian at and a right-hand side."""
     rng = np.random.default_rng(3)
     well = _LocalWell.dirichlet(ref.geometry.wells[0], ref.grid)
     enlarged = _LocalWell.neumann(1e3, 2, ref.grid, ref.potential)
     return {
-        "single_well": (well, rng.random(well.w.shape)),
-        "neumann": (enlarged, rng.random(enlarged.w.shape)),
+        name: (prob, 0.5 + rng.random(prob.w.shape), rng.random(prob.w.shape))
+        for name, prob in (("single_well", well), ("neumann", enlarged))
     }
 
 
+def _local_jacobian(prob, u):
+    """(diag, off) of the weighted Jacobian W(B + lambda V - log u^2 - 2)
+    at u > 0, and the oracle applying it free of storage."""
+    base, off = _local_operator(prob)
+    return (base - prob.w * (2.0 * np.log(u) + 2.0), off), local_jacobian_apply(prob, u)
+
+
 @pytest.mark.parametrize("name", ["single_well", "neumann"])
-def test_factored_operator_matches_cg(ref, name):
-    prob, b = _one_d_problems(ref)[name]
-    tau = ref.solver.tau
-    (diag, off), apply = _local_operator(prob, tau), local_operator_apply(prob, tau)
+def test_local_jacobian_solve_matches_minres(ref, name):
+    prob, u, b = _one_d_problems(ref)[name]
+    (diag, off), apply = _local_jacobian(prob, u)
     assert len(off) == 1
-    x = TridiagonalLDL(diag, *off).solve(b)
-    y, _ = conjugate_gradient(apply, b, np.zeros_like(b), 1e-13, 20000, diag)
+    x, _ = TridiagonalLDL.solve_once(diag, *off, b)
+    y, _ = minres(apply, b, 1.0 / np.abs(diag), 1e-13, 20000)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
     assert np.linalg.norm(apply(x) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+# -- Newton's method for the local ground states -----------------------------------
+
+
+def _local_cases(ref):
+    """Local problems with the start bumps of their solves: the 1D
+    Dirichlet and mirror wells of the reference scenario, a 35 x 19 node
+    2D Dirichlet rectangle and a 34 x 34 node 2D mirror box."""
+    _, potential, grid = _small_2d()
+    coarse = Grid(dim=2, r=3.0, n=41)
+    cases = {
+        "dirichlet_1d": (_LocalWell.dirichlet(ref.geometry.wells[0], ref.grid),
+                         ref.geometry.wells[0].center, False),
+        "mirror_1d": (_LocalWell.neumann(1e3, 2, ref.grid, ref.potential),
+                      ref.geometry.enlargements[1].center, True),
+        "dirichlet_2d": (_LocalWell.dirichlet(Box((0.0, 0.3), (1.75, 0.95)), grid),
+                         (0.0, 0.3), False),
+        "mirror_2d": (_LocalWell.neumann(1e2, 1, coarse, potential), (0.0, 0.0), True),
+    }
+    out = {}
+    for name, (prob, center, mirror) in cases.items():
+        d2 = prob.dist_sq(center)
+        out[name] = (prob, np.exp(0.5 * prob.grid.dim - 0.5 * d2) if mirror
+                     else np.exp(-0.5 * d2))
+    return out
+
+
+@pytest.mark.parametrize("case", ["dirichlet_1d", "mirror_1d", "dirichlet_2d",
+                                  "mirror_2d"])
+def test_local_newton_step_matches_dense_jacobian_solve(ref, case):
+    prob, bump = _local_cases(ref)[case]
+    u, au = prob.nehari_project(bump)
+    res = au - s_log_sq(u)
+    apply = local_jacobian_apply(prob, u)
+    eye = np.eye(u.size)
+    jac = np.column_stack([apply(c.reshape(u.shape)).ravel() for c in eye])
+    assert np.abs(jac - jac.T).max() <= 1e-12 * np.abs(jac).max()
+    du = np.linalg.solve(jac, -(prob.w * res).ravel()).reshape(u.shape)
+    want = prob.nehari_project(np.maximum(u + du, 0.0))[0]
+    step = solver_module._ground_state_newton(prob, bump, SolverConfig(max_iters=1))
+    assert step.iterations == 1
+    assert np.linalg.norm(step.u - want) <= 1e-11 * np.linalg.norm(want)
+    assert step.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0))
+
+
+@pytest.fixture(scope="module")
+def ref_levels(ref):
+    """Every enlarged-well level solve of the reference scenario."""
+    return {(lam, j): solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver)
+            for lam in ref.config.lambdas for j in (1, 2)}
+
+
+def test_local_levels_match_reference(ref_wells, ref_levels):
+    path = REPO_ROOT / "perfbench" / "reference" / "twin-wells-1d" / "energies.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    checked = set()
+    for row in rows:
+        lam = float(row["lambda"])
+        for j in (1, 2):
+            want = float(row[f"c_{j}"])
+            assert abs(ref_wells[j - 1].energy - want) <= 1e-10 * abs(want)
+            level = float(row[f"c_lambda_{j}"])
+            if not math.isnan(level):
+                got = ref_levels[(lam, j)].c_lambda
+                assert abs(got - level) <= 1e-10 * abs(level)
+                checked.add((lam, j))
+    assert checked == set(ref_levels)
+
+
+def test_local_solves_converge_with_morse_index_one(ref_wells, ref_levels):
+    # deterministic work counter: 3-4 Newton steps per solve when pinned
+    for rec in list(ref_wells) + list(ref_levels.values()):
+        assert rec.stop_reason == "converged" and rec.converged
+        assert rec.morse_index == 1
+        assert 1 <= rec.iterations <= 6
+        assert len(rec.residuals) == len(rec.energies) == rec.iterations
+    for rec in ref_levels.values():
+        assert rec.nehari_gap <= 1e-12 * rec.c_lambda
+
+
+def test_local_solves_rerun_bit_identical(ref, ref_wells, ref_levels):
+    for j in (1, 2):
+        again = solve_single_well(ref.geometry, j, ref.grid, ref.solver)
+        assert np.array_equal(again.field.values, ref_wells[j - 1].field.values)
+        assert again.residuals == ref_wells[j - 1].residuals
+        assert again.energies == ref_wells[j - 1].energies
+    for (lam, j), rec in ref_levels.items():
+        assert solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver) == rec
+
+
+def test_local_newton_collapse(ref, monkeypatch):
+    # a step that overshoots below zero everywhere leaves the clip no mass
+    def overshoot(diag, off, rhs):
+        return np.full(len(diag), -1e3), 0
+
+    monkeypatch.setattr(TridiagonalLDL, "solve_once", staticmethod(overshoot))
+    rec = solve_single_well(ref.geometry, 1, ref.grid, ref.solver)
+    assert rec.stop_reason == "collapse" and not rec.converged
+    assert rec.iterations == 1 and rec.residuals == [] and math.isnan(rec.energy)
+    assert np.abs(rec.field.values).max() == 0.0
+    level = solve_neumann_well(1e2, 1, ref.grid, ref.potential, ref.solver)
+    assert level.stop_reason == "collapse" and not level.converged
+    assert math.isnan(level.c_lambda) and level.residuals == []
+
+
+def test_local_newton_stops_on_a_growing_residual(ref, monkeypatch):
+    # ever larger zig-zags: the projected iterate's residual grows every step
+    amplitude = [1e-3]
+
+    def zigzag(diag, off, rhs):
+        amplitude[0] *= 4.0
+        return amplitude[0] * (-1.0) ** np.arange(len(diag)), 3
+
+    monkeypatch.setattr(TridiagonalLDL, "solve_once", staticmethod(zigzag))
+    rec = solve_single_well(ref.geometry, 1, ref.grid, ref.solver)
+    assert rec.stop_reason == "diverged" and not rec.converged
+    assert rec.iterations == solver_module.DIVERGE_STEPS + 1
+    assert rec.morse_index == 3
 
 
 def test_one_d_solves_never_call_cg(ref, ref_wells, monkeypatch):
@@ -894,7 +1009,7 @@ def test_two_d_newton_sweep_reruns_bit_identical(twin_2d, twin_2d_sweep):
         assert a.record.morse_index == b.record.morse_index
 
 
-# -- factored implicit operator (2D) ------------------------------------------------
+# -- factored Jacobian solves (2D) --------------------------------------------------
 
 
 def _random_spd_five_point(rng, ny, nx):
@@ -919,22 +1034,25 @@ def test_block_ldl_matches_dense_solve(shape):
     rng = np.random.default_rng(4)
     diag, off0, off1, dense = _random_spd_five_point(rng, *shape)
     b = rng.standard_normal(shape)
-    x = BlockTridiagonalLDL(diag, off0, off1).solve(b)
+    x, count = BlockTridiagonalLDL.solve_once(diag, off0, off1, b)
     expected = np.linalg.solve(dense, b.ravel()).reshape(shape)
     assert np.allclose(x, expected, rtol=0.0, atol=1e-12)
+    assert count == 0
 
 
-def test_block_ldl_rejects_non_spd_and_non_finite_rhs():
+def test_block_ldl_indefinite_solve_and_non_finite_rhs():
     rng = np.random.default_rng(5)
-    diag, off0, off1, _ = _random_spd_five_point(rng, 4, 3)
-    bad = diag.copy()
-    bad[2, 1] = -1.0
-    with pytest.raises(SolveError, match="SPD"):
-        BlockTridiagonalLDL(bad, off0, off1)
+    diag, off0, off1, dense = _random_spd_five_point(rng, 4, 3)
+    shift = np.sort(np.linalg.eigvalsh(dense))[1:3].mean()
+    b = rng.standard_normal((4, 3))
+    x, count = BlockTridiagonalLDL.solve_once(diag - shift, off0, off1, b)
+    want = np.linalg.solve(dense - shift * np.eye(12), b.ravel()).reshape(4, 3)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert count == 2
     rhs = np.ones((4, 3))
     rhs[3, 0] = math.nan
     with pytest.raises(SolveError, match="non-finite"):
-        BlockTridiagonalLDL(diag, off0, off1).solve(rhs)
+        BlockTridiagonalLDL.solve_once(diag, off0, off1, rhs)
 
 
 def _small_2d():
@@ -949,7 +1067,7 @@ def _small_2d():
 
 
 @pytest.mark.parametrize("name", ["single_well", "neumann"])
-def test_factored_operator_matches_cg_2d(name):
+def test_local_jacobian_solve_matches_minres_2d(name):
     _, potential, grid = _small_2d()
     rng = np.random.default_rng(6)
     if name == "single_well":
@@ -957,11 +1075,12 @@ def test_factored_operator_matches_cg_2d(name):
         prob = _LocalWell.dirichlet(Box((0.0, 0.3), (1.75, 0.95)), grid)
     else:
         prob = _LocalWell.neumann(1e3, 1, grid, potential)
-    (diag, off), apply = _local_operator(prob, 0.05), local_operator_apply(prob, 0.05)
+    u = 0.5 + rng.random(prob.w.shape)
+    (diag, off), apply = _local_jacobian(prob, u)
     assert len(off) == 2
     b = rng.random(diag.shape)
-    x = BlockTridiagonalLDL(diag, *off).solve(b)
-    y, _ = conjugate_gradient(apply, b, np.zeros_like(b), 1e-13, 20000, diag)
+    x, _ = BlockTridiagonalLDL.solve_once(diag, *off, b)
+    y, _ = minres(apply, b, 1.0 / np.abs(diag), 1e-13, 20000)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
     assert np.linalg.norm(apply(x) - b) <= 1e-12 * np.linalg.norm(b)
 

@@ -130,9 +130,19 @@ def test_verdict_multiplicity_fails_on_missing_selection():
     verdicts = {v.name: v for v in compute_verdicts(rows, k=2, selections=asked)}
     assert not verdicts["multiplicity"].passed
     assert verdicts["multiplicity"].detail.endswith("no rows for gamma 2")
+    assert not verdicts["convergence"].passed
+    assert verdicts["convergence"].detail.endswith("no rows for gamma 2")
     # a run that asked for a subset gets no multiplicity verdict
     subset = compute_verdicts(rows, k=2, selections=[(1,), (1, 2)])
     assert "multiplicity" not in {v.name for v in subset}
+    assert all(v.passed for v in subset if v.name == "convergence")
+
+
+def test_verdict_convergence_fails_on_a_selection_without_rows():
+    # a lone selection whose solves were skipped leaves no row to pass on
+    verdicts = {v.name: v for v in compute_verdicts([], k=2, selections=[(2,)])}
+    assert not verdicts["convergence"].passed
+    assert verdicts["convergence"].detail == "all solves converged; no rows for gamma 2"
 
 
 # -- limit problem -----------------------------------------------------------------
