@@ -3,7 +3,11 @@
 Every solve is Newton's method on a symmetric Jacobian, with negative
 values clipped after every step (the discrete counterpart of testing with
 the negative part), and the Jacobian's negative eigenvalues counted as its
-Morse index.
+Morse index.  One driver, `_newton`, runs the iteration of every solve,
+keeps its histories and ends it with a named stop reason, recorded on a
+`NewtonRecord`; each problem supplies only its evaluation, its linear
+solve and its collapse test.  A linear solve that raises ends the solve as
+a breakdown instead of escaping it.
 
 The local well problems run on a box of grid nodes and differ only in the
 ghost rule beyond the box: zero on the Dirichlet well's own nodes,
@@ -93,28 +97,41 @@ class SolverConfig:
 
 
 @dataclass
-class SolveRecord:
-    """Outcome of one Newton solve.
+class NewtonRecord:
+    """Iterations, histories, stop reason and Morse index of one Newton solve.
 
     stop_reason names why the solve stopped: "converged", "iteration cap",
     "collapse" (the iterate, or a selected enlargement of it, lost all of
-    its mass) or "diverged" (the Newton residual grew DIVERGE_STEPS steps
-    in a row).  morse_index counts the negative eigenvalues of the last
-    Newton step's Jacobian: exact pivot or Schur-block inertia for the
-    ground states and the 1D penalized problem, a certified inertia
+    its mass), "diverged" (the Newton residual grew DIVERGE_STEPS steps in
+    a row), "breakdown" (a step's linear solve raised `SolveError`: a pivot
+    or Schur block near singular, or MINRES breaking down or running out of
+    iterations) or "non-finite" (the residual of a step's iterate was not
+    finite).  morse_index counts the negative eigenvalues of the last
+    successful Newton step's Jacobian: exact pivot or Schur-block inertia
+    for the ground states and the 1D penalized problem, a certified inertia
     enclosure for the 2D penalized problem, where it is nan when the
-    enclosure's bounds disagree.
+    enclosure's bounds disagree; nan when no step succeeded.
     """
 
-    field: Field
     iterations: int
     residuals: list[float]
     energies: list[float]
-    converged: bool
     stop_reason: str
+    morse_index: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+
+@dataclass
+class SolveRecord(NewtonRecord):
+    """A Newton solve's record with its field on the whole box, the field's
+    energy and the wells its mass occupies."""
+
+    field: Field
     energy: float
     bump_mask: tuple[int, ...]
-    morse_index: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -384,32 +401,30 @@ def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
 
 
 def _newton_step(grid: Grid) -> Callable:
-    """step(u, res, jd) -> (u', Morse index) for the penalized problem in 1D.
+    """step(u, res, jd) -> (du, Morse index) for the penalized problem in 1D.
 
     Solves J du = -res with the tridiagonal Jacobian J = -lap + diag(jd)
     at u (jd from `PenalizedFunctional.evaluate`), factored and substituted
-    in one pass, and returns max(u + du, 0) with the number of negative
-    pivots of J, its count of negative eigenvalues.
+    in one pass, and returns du with the number of negative pivots of J,
+    its count of negative eigenvalues.
     """
     off = np.full(grid.n - 3, -1.0 / grid.h**2)
     stencil = 2.0 / grid.h**2
 
     def step(u, res, jd):
-        du, negative = TridiagonalLDL.solve_once(stencil + jd, off, -res)
-        return np.maximum(u + du, 0.0), negative
+        return TridiagonalLDL.solve_once(stencil + jd, off, -res)
 
     return step
 
 
 def _minres_newton_step(grid: Grid, config: SolverConfig) -> Callable:
-    """step(u, res, jd) -> (u', nan) for the penalized problem in 2D.
+    """step(u, res, jd) -> (du, nan) for the penalized problem in 2D.
 
     Solves J du = -res for the Jacobian J = -lap_h + diag(jd) at u (jd from
     `PenalizedFunctional.evaluate`) by MINRES preconditioned with
-    1 / |4/h^2 + jd|, and returns max(u + du, 0).  J is applied free of
-    storage: a whole-box block factor would hold (n - 2)^3 doubles,
-    15.6 MB at n = 127.  The Morse index is left to `_morse_enclosure`,
-    once per solve.
+    1 / |4/h^2 + jd|.  J is applied free of storage: a whole-box block
+    factor would hold (n - 2)^3 doubles, 15.6 MB at n = 127.  The Morse
+    index is left to `_morse_enclosure`, once per solve.
     """
     h = grid.h
     stencil = 2.0 * grid.dim / h**2
@@ -422,7 +437,7 @@ def _minres_newton_step(grid: Grid, config: SolverConfig) -> Callable:
             config.cg_tol,
             config.cg_max_iters,
         )
-        return np.maximum(u + du, 0.0), math.nan
+        return du, math.nan
 
     return step
 
@@ -489,6 +504,62 @@ def _neighbour_sum(v: np.ndarray) -> np.ndarray:
 DIVERGE_STEPS = 4
 
 
+def _newton(evaluate: Callable, solve: Callable, collapsed: Callable,
+            u: np.ndarray, config: SolverConfig):
+    """Newton's method u <- max(u + du, 0) from u, the one loop of every solve.
+
+    evaluate(u) -> (u, rel, energy, args) gives the iterate (a problem may
+    rescale u), its relative residual, its energy and the arguments of
+    solve(u, *args) -> (du, Morse index of the Jacobian at u).
+    collapsed(u) tells whether a clipped iterate lost the mass the problem
+    needs.  A non-finite residual at u raises `SolveError` before the first
+    step.  The stops are those of `NewtonRecord`: converged at rel <= tol,
+    the iteration cap, collapse, diverged, breakdown when solve raises
+    `SolveError`, and non-finite when a step's residual is not finite.
+
+    Returns (u, args of the last successful step or None, NewtonRecord).
+    u is the collapsed iterate on a collapse, else the last iterate with a
+    finite residual.
+    """
+    u, rel, _, args = evaluate(u)
+    if not math.isfinite(rel):
+        raise SolveError("non-finite residual at the initial iterate")
+    residuals: list[float] = []
+    energies: list[float] = []
+    stop_reason = "iteration cap"
+    morse = math.nan
+    solved = None
+    growth = 0
+    it = 0
+    for it in range(1, config.max_iters + 1):
+        try:
+            du, morse = solve(u, *args)
+        except SolveError:
+            stop_reason = "breakdown"
+            break
+        solved = args
+        nxt = np.maximum(u + du, 0.0)
+        if collapsed(nxt):
+            u = nxt
+            stop_reason = "collapse"
+            break
+        nxt, rel, energy, nxt_args = evaluate(nxt)
+        if not math.isfinite(rel):
+            stop_reason = "non-finite"
+            break
+        u, args = nxt, nxt_args
+        growth = growth + 1 if residuals and rel > residuals[-1] else 0
+        residuals.append(rel)
+        energies.append(energy)
+        if rel <= config.tol:
+            stop_reason = "converged"
+            break
+        if growth >= DIVERGE_STEPS:
+            stop_reason = "diverged"
+            break
+    return u, solved, NewtonRecord(it, residuals, energies, stop_reason, morse)
+
+
 def solve_auxiliary(
     lam: float,
     gamma,
@@ -501,11 +572,11 @@ def solve_auxiliary(
     """Nonnegative solution of the penalized problem on the box.
 
     Solves -lap u + (lambda V + 1) u + f1'(u) - g2'(x, u+) = 0 from init by
-    Newton's method, u <- max(u + du, 0), until the relative L2 residual
-    drops below tol.  Non-convergence is flagged on the record with its
-    stop reason, never papered over: a selected enlargement that loses all
-    of its mass from a nonzero init stops the solve as a collapse, and a
-    residual that grows DIVERGE_STEPS steps in a row as diverged.
+    `_newton` until the relative L2 residual drops below tol.
+    Non-convergence is flagged on the record with its stop reason, never
+    papered over: a selected enlargement that loses all of its mass from a
+    nonzero init stops the solve as a collapse.  A non-finite init raises
+    `SolveError`.
 
     Multi-bump states are saddle points: the energy tends to minus infinity
     along each bump's amplitude.  Newton's method converges to them
@@ -514,7 +585,7 @@ def solve_auxiliary(
     [1/T^2, 1]^l.  In 1D (`_newton_step`) each step factors the tridiagonal
     Jacobian and counts its negative pivots.  In 2D
     (`_minres_newton_step`) each step runs MINRES, and the count comes
-    from `_morse_enclosure` at the last Jacobian.  One
+    from `_morse_enclosure` at the last step's Jacobian.  One
     `PenalizedFunctional.evaluate` per iterate gives the stop test's
     residual, the energy history's entry and the next step's Jacobian
     diagonal.
@@ -525,60 +596,34 @@ def solve_auxiliary(
     hd = grid.h**grid.dim
     inner = (slice(1, -1),) * grid.dim
     gamma_masks = [fun.masks.per_enlarged[j - 1][inner] for j in fun.gamma]
-    if grid.dim == 1:
-        step = _newton_step(grid)
-    else:
-        step = _minres_newton_step(grid, config)
     # a zero init stays at the solution u = 0; any other may not fall to it
     watch_collapse = bool(np.any(init.values != 0.0))
 
-    u = init.values.copy()
-    _, res, jd = fun.evaluate(u)
-    residuals: list[float] = []
-    energies: list[float] = []
-    stop_reason = "iteration cap"
-    morse = math.nan
-    growth = 0
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        step_jd = jd
-        u, morse = step(u, res, jd)
-        if watch_collapse and any(
-            hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
-        ):
-            stop_reason = "collapse"
-            break
-
+    def evaluate(u):
         energy, res, jd = fun.evaluate(u)
         unorm = math.sqrt(float(np.sum(u * u)))
         rel = math.sqrt(float(np.sum(res * res))) / max(unorm, 1e-300)
-        growth = growth + 1 if residuals and rel > residuals[-1] else 0
-        residuals.append(rel)
-        energies.append(energy)
-        if rel <= config.tol:
-            stop_reason = "converged"
-            break
-        if growth >= DIVERGE_STEPS:
-            stop_reason = "diverged"
-            break
+        return u, rel, energy, (res, jd)
 
-    if grid.dim == 2:
+    def collapsed(u):
+        return watch_collapse and any(
+            hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
+        )
+
+    step = _newton_step(grid) if grid.dim == 1 else _minres_newton_step(grid, config)
+    u, solved, run = _newton(evaluate, step, collapsed, init.values.copy(), config)
+    if grid.dim == 2 and solved is not None:
         boxes = [
             tuple(slice(s.start - 1, s.stop - 1) for s in box_nodes(e, grid, False))
             for e in potential.geometry.enlargements
         ]
-        morse = _morse_enclosure(step_jd, boxes, grid.h)
+        run.morse_index = _morse_enclosure(solved[1], boxes, grid.h)
     out = Field(grid, u)
     return SolveRecord(
+        **vars(run),
         field=out,
-        iterations=it,
-        residuals=residuals,
-        energies=energies,
-        converged=stop_reason == "converged",
-        stop_reason=stop_reason,
-        energy=energies[-1] if energies else fun.phi_total(u),
+        energy=run.energies[-1] if run.energies else fun.phi_total(u),
         bump_mask=classify_bumps(out, potential.geometry, config.bump_threshold),
-        morse_index=morse,
     )
 
 
@@ -792,66 +837,37 @@ def _local_operator(prob: _LocalWell):
     return diag, _axis_couplings(prob.axis_w, prob.grid.h)
 
 
-@dataclass
-class _LocalSolve:
-    """Outcome of `_ground_state_newton`, u on the local rectangle."""
-
-    u: np.ndarray
-    iterations: int
-    residuals: list[float]
-    energies: list[float]
-    stop_reason: str
-    morse_index: float
-
-
-def _ground_state_newton(prob: _LocalWell, u: np.ndarray,
-                         config: SolverConfig) -> _LocalSolve:
-    """Nehari-projected Newton's method for a local problem from the bump u.
+def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
+    """Nehari-projected Newton's method for a local problem from the bump u;
+    returns (u, NewtonRecord) of `_newton`.
 
     Each step solves the weighted Jacobian system
     W(B + lambda V - log u^2 - 2) du = -W res of the residual
     res = (B + lambda V) u - u log u^2, with log u^2 taken at |u| floored
-    at U_FLOOR, clips u + du at 0 and rescales it onto the Nehari manifold.
-    One factor pass solves the system and counts its negative eigenvalues,
-    the Morse index, which is 1 at a ground state.  The weighted relative
-    residual and the energy come from the step's one stencil apply.  Stops
-    as the penalized solve does: converged at tol, at the iteration cap,
-    diverged after DIVERGE_STEPS growing residuals in a row, or collapse
-    when the clip leaves no mass.
+    at U_FLOOR, and each clipped iterate is rescaled onto the Nehari
+    manifold.  One factor pass solves the system and counts its negative
+    eigenvalues, the Morse index, which is 1 at a ground state.  The
+    weighted relative residual and the energy come from the iterate's one
+    stencil apply.  A collapse means that the clip left no mass.
     """
     base, off = _local_operator(prob)
     factor = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
-    u, au = prob.nehari_project(u)
-    res = au - s_log_sq(u)
-    residuals: list[float] = []
-    energies: list[float] = []
-    stop_reason = "iteration cap"
-    morse = math.nan
-    growth = 0
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        jac = base - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
-        du, morse = factor.solve_once(jac, *off, -prob.w * res)
-        u = np.maximum(u + du, 0.0)
-        if prob.integral(u * u) <= 0.0:
-            stop_reason = "collapse"
-            break
+
+    def evaluate(u):
         u, au = prob.nehari_project(u)
         res = au - s_log_sq(u)
         mass = prob.integral(u * u)
         rel = math.sqrt(prob.integral(res * res) / mass)
-        growth = growth + 1 if residuals and rel > residuals[-1] else 0
-        residuals.append(rel)
-        energies.append(
-            0.5 * (prob.integral(au * u) + mass - prob.integral(_log_mass_density(u)))
-        )
-        if rel <= config.tol:
-            stop_reason = "converged"
-            break
-        if growth >= DIVERGE_STEPS:
-            stop_reason = "diverged"
-            break
-    return _LocalSolve(u, it, residuals, energies, stop_reason, morse)
+        logm = prob.integral(_log_mass_density(u))
+        return u, rel, 0.5 * (prob.integral(au * u) + mass - logm), (res,)
+
+    def solve(u, res):
+        jac = base - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
+        return factor.solve_once(jac, *off, -prob.w * res)
+
+    u, _, run = _newton(evaluate, solve, lambda u: prob.integral(u * u) <= 0.0, u,
+                        config)
+    return u, run
 
 
 def solve_single_well(
@@ -876,40 +892,26 @@ def solve_single_well(
             )
     sigma = min(1.0, min(well.half) / 2.0)
     bump = np.exp(-prob.dist_sq(well.center) / (2.0 * sigma * sigma))
-    sol = _ground_state_newton(prob, bump, config)
+    u, run = _ground_state_newton(prob, bump, config)
 
     values = np.zeros(grid.interior_shape)
-    values[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)] = sol.u
+    values[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)] = u
     return SolveRecord(
+        **vars(run),
         field=Field(grid, values),
-        iterations=sol.iterations,
-        residuals=sol.residuals,
-        energies=sol.energies,
-        converged=sol.stop_reason == "converged",
-        stop_reason=sol.stop_reason,
-        energy=sol.energies[-1] if sol.energies else math.nan,
+        energy=run.energies[-1] if run.energies else math.nan,
         bump_mask=(j,),
-        morse_index=sol.morse_index,
     )
 
 
 @dataclass
-class NeumannRecord:
-    """Ground-state level of the enlarged-well problem with natural BC.
-
-    stop_reason, residuals, energies and morse_index are those of
-    `SolveRecord`; c_lambda and nehari_gap are nan when the solve stopped
-    before its first residual.
-    """
+class NeumannRecord(NewtonRecord):
+    """Ground-state level of the enlarged-well problem with natural BC;
+    c_lambda and nehari_gap are nan when the solve stopped before its first
+    residual."""
 
     c_lambda: float
-    iterations: int
-    converged: bool
-    stop_reason: str
-    residuals: list[float]
-    energies: list[float]
     nehari_gap: float
-    morse_index: float
 
 
 def solve_neumann_well(
@@ -925,15 +927,10 @@ def solve_neumann_well(
     prob = _LocalWell.neumann(lam, j, grid, potential)
     center = potential.geometry.enlargements[j - 1].center
     bump = np.exp(0.5 * grid.dim - 0.5 * prob.dist_sq(center))
-    sol = _ground_state_newton(prob, bump, config)
-    level = sol.energies[-1] if sol.energies else math.nan
+    u, run = _ground_state_newton(prob, bump, config)
+    level = run.energies[-1] if run.energies else math.nan
     return NeumannRecord(
+        **vars(run),
         c_lambda=level,
-        iterations=sol.iterations,
-        converged=sol.stop_reason == "converged",
-        stop_reason=sol.stop_reason,
-        residuals=sol.residuals,
-        energies=sol.energies,
-        nehari_gap=abs(level - 0.5 * prob.integral(sol.u * sol.u)),
-        morse_index=sol.morse_index,
+        nehari_gap=abs(level - 0.5 * prob.integral(u * u)),
     )

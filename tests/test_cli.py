@@ -4,9 +4,11 @@ import filecmp
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from logbump import penalty
@@ -27,7 +29,13 @@ from logbump.cli import (
     run,
 )
 from logbump.domain import PotentialSpec
-from logbump.solver import SolveError, SolverConfig, solve_auxiliary
+from logbump.solver import (
+    SolveError,
+    SolverConfig,
+    conjugate_gradient,
+    solve_auxiliary,
+    solve_neumann_well,
+)
 from logbump.verify import SweepRow
 
 MINIMAL = """
@@ -494,16 +502,54 @@ def test_neumann_failure_names_stop_reason(tmp_path, capsys, monkeypatch):
             "(iteration cap)") in capsys.readouterr().err
 
 
-def test_benchmark_tracer_targets_resolve():
-    # the benchmark's tracer wraps these by name; a rename must fail here,
-    # not as an AttributeError in a traced benchmark run
-    import importlib
+def test_sweep_breakdown_keeps_the_other_lambdas(tmp_path, capsys, monkeypatch):
+    # a pivot near zero at lambda = 100, in the sweep solve and in the
+    # enlarged-well level: both end as named stops, not as errors
+    import logbump.solver as solver
+
+    def singular(*args):
+        raise SolveError("LDL^T breakdown: pivot near zero")
+
+    def at_lambda_100(solve):
+        def broken(lam, *args):
+            if lam != 100.0:
+                return solve(lam, *args)
+            with monkeypatch.context() as m:
+                m.setattr(solver.TridiagonalLDL, "solve_once", staticmethod(singular))
+                return solve(lam, *args)
+        return broken
+
+    monkeypatch.setattr(solver, "solve_auxiliary",
+                        at_lambda_100(solver.solve_auxiliary))
+    _inject(monkeypatch, "solve_neumann_well", at_lambda_100)
+    out = tmp_path / "breakdown"
+    assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
+    assert ("FAILURE: enlarged well 1 level at lambda=100 did not converge "
+            "(breakdown)") in capsys.readouterr().err
+    rows, _ = rows_from_csv((out / "energies.csv").read_text())
+    assert [(r.lam, r.converged) for r in rows] == [(100.0, False), (10000.0, True)]
+    summary = (out / "gamma_1" / "solve_lambda_100.txt").read_text()
+    assert "converged = false\nstop_reason = breakdown\niterations = 1\n" in summary
+    assert ("criterion=convergence status=FAIL margin=0.0 detail=flagged solves "
+            "present") in (out / "verdicts.txt").read_text()
+
+
+def _load_tracer():
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer wraps these by name; a rename must fail here,
+    # not as an AttributeError in a traced benchmark run
+    import importlib
+
+    tracer = _load_tracer()
     assert tracer.TARGETS
     for span, owner, attr, _ in tracer.TARGETS:
         obj = importlib.import_module(owner)
@@ -511,6 +557,25 @@ def test_benchmark_tracer_targets_resolve():
             assert hasattr(obj, part), f"{span}: {owner}.{attr} does not resolve"
             obj = getattr(obj, part)
         assert callable(obj), f"{span}: {owner}.{attr} is not callable"
+
+
+def test_benchmark_tracer_hooks_read_real_results(ref, ref_wells, ref_sweep):
+    # each counter hook reads its target's return value; a reshaped record
+    # must fail here, not in a traced benchmark run
+    returns = {
+        "solve_single_well": ref_wells[0],
+        "solve_neumann_well": solve_neumann_well(1e2, 1, ref.grid, ref.potential,
+                                                 ref.solver),
+        "solve_auxiliary": ref_sweep[0].record,
+        "conjugate_gradient": conjugate_gradient(lambda v: v, np.ones(3),
+                                                 np.zeros(3), 1e-12, 10),
+    }
+    hooked = [(attr, count) for _, _, attr, count in _load_tracer().TARGETS if count]
+    assert hooked and {attr for attr, _ in hooked} <= set(returns)
+    for attr, count in hooked:
+        counters = Counter()
+        count(counters, returns[attr])
+        assert sum(counters.values()) > 0, attr
 
 
 def _inject(monkeypatch, name, broken):

@@ -667,10 +667,11 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case):
     assert np.abs(jac - jac.T).max() <= 1e-12 * np.abs(jac).max()
     du = np.linalg.solve(jac, -(prob.w * res).ravel()).reshape(u.shape)
     want = prob.nehari_project(np.maximum(u + du, 0.0))[0]
-    step = solver_module._ground_state_newton(prob, bump, SolverConfig(max_iters=1))
-    assert step.iterations == 1
-    assert np.linalg.norm(step.u - want) <= 1e-11 * np.linalg.norm(want)
-    assert step.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0))
+    config = SolverConfig(max_iters=1)
+    u_new, run = solver_module._ground_state_newton(prob, bump, config)
+    assert run.iterations == 1
+    assert np.linalg.norm(u_new - want) <= 1e-11 * np.linalg.norm(want)
+    assert run.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -762,6 +763,46 @@ def test_one_d_solves_never_call_cg(ref, ref_wells, monkeypatch):
     solve_neumann_well(1e2, 1, ref.grid, ref.potential, config)
 
 
+# -- the Newton driver --------------------------------------------------------
+
+
+def _toy_evaluate(u):
+    """u^2 = 4 on one node: (u, relative residual, energy, solve arguments)."""
+    res = u * u - 4.0
+    return u, abs(float(res[0])) / float(u[0]), float(u[0]), (res,)
+
+
+def _toy_singular(u, res):
+    raise SolveError("LDL^T breakdown: pivot near zero")
+
+
+@pytest.mark.parametrize("stop, solve, max_iters, iterations, u_end", [
+    ("converged", lambda u, res: (-res / (2.0 * u), 1), 40, 4, 2.0),
+    ("iteration cap", lambda u, res: (-res / (2.0 * u), 1), 2, 2, None),
+    ("collapse", lambda u, res: (-2.0 * u, 1), 40, 1, 0.0),
+    ("diverged", lambda u, res: (u, 1), 40, solver_module.DIVERGE_STEPS + 1, None),
+    ("breakdown", _toy_singular, 40, 1, 3.0),
+    ("non-finite", lambda u, res: (np.full_like(u, math.inf), 1), 40, 1, 3.0),
+])
+def test_newton_driver_names_every_stop(stop, solve, max_iters, iterations, u_end):
+    # a breakdown or a non-finite step keeps the last iterate with a finite
+    # residual, here the start; a collapse returns the clipped iterate
+    u, solved, rec = solver_module._newton(
+        _toy_evaluate, solve, lambda u: u[0] <= 0.0, np.array([3.0]),
+        SolverConfig(max_iters=max_iters))
+    assert rec.stop_reason == stop and rec.converged == (stop == "converged")
+    assert rec.iterations == iterations
+    assert len(rec.residuals) == len(rec.energies)
+    if u_end is not None:
+        assert abs(u[0] - u_end) <= 1e-9
+    if iterations == 1:
+        assert rec.residuals == []
+    if stop == "breakdown":
+        assert solved is None and math.isnan(rec.morse_index)
+    else:
+        assert solved is not None and rec.morse_index == 1
+
+
 # -- Newton's method for the 1D auxiliary problem ----------------------------------
 
 
@@ -773,7 +814,8 @@ def test_newton_step_matches_dense_jacobian_solve(ref, ref_sweep):
     eye = np.eye(u.size)
     lap = np.column_stack([neg_laplacian(Field(ref.grid, c)).values for c in eye])
     jac = lap + np.diag(jd)
-    u_new, morse = solver_module._newton_step(ref.grid)(u, res, jd)
+    du, morse = solver_module._newton_step(ref.grid)(u, res, jd)
+    u_new = np.maximum(u + du, 0.0)
     want = np.maximum(u + np.linalg.solve(jac, -res), 0.0)
     assert np.linalg.norm(u_new - want) <= 1e-11 * np.linalg.norm(want)
     assert morse == int(np.sum(np.linalg.eigvalsh(jac) < 0.0)) == 2
@@ -817,7 +859,7 @@ def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep)
 
 def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
     def doubling(grid):
-        return lambda u, res, jd: (2.0 * u, 7)
+        return lambda u, res, jd: (u, 7)  # du = u doubles the iterate
 
     monkeypatch.setattr(solver_module, "_newton_step", doubling)
     rec = solve_auxiliary(1e4, (1,), ref_wells[0].field, ref.grid, ref.potential,
@@ -875,6 +917,19 @@ def test_two_d_newton_collapse_from_nonzero_init():
                           make_params(), SolverConfig(max_iters=3))
     assert rec.stop_reason == "collapse" and not rec.converged
     assert rec.iterations == 1 and np.abs(rec.field.values).max() == 0.0
+
+
+def test_two_d_minres_cap_is_a_breakdown():
+    # one MINRES iteration cannot reach cg_tol: the first step breaks down
+    # and the record keeps the start
+    geometry, potential, grid = _small_2d()
+    init = Field(grid, np.exp(-0.5 * sum(m * m for m in grid.interior_mesh())))
+    rec = solve_auxiliary(1e2, (1,), init, grid, potential, make_params(),
+                          SolverConfig(cg_max_iters=1))
+    assert rec.stop_reason == "breakdown" and not rec.converged
+    assert rec.iterations == 1 and rec.residuals == [] and rec.energies == []
+    assert np.array_equal(rec.field.values, init.values)
+    assert math.isnan(rec.morse_index) and rec.bump_mask == (1,)
 
 
 def test_two_d_newton_records_morse_index_one(monkeypatch):
