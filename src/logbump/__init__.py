@@ -16,7 +16,6 @@ from logbump.functional import (
     EnergyReport,
     PenalizedFunctional,
     nehari_check,
-    nehari_time,
 )
 from logbump.penalty import PenalizationParams, make_params, solve_a0
 from logbump.solver import (
@@ -55,7 +54,6 @@ __all__ = [
     "minimax_upper_bound",
     "multi_bump_init",
     "nehari_check",
-    "nehari_time",
     "neg_laplacian",
     "solve_a0",
     "solve_auxiliary",

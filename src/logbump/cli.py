@@ -469,7 +469,7 @@ def _write_solve_summary(path, lam: float, gamma, record) -> None:
         fh.write(f"lambda = {lam!r}\n")
         fh.write(f"gamma = {_mask_str(gamma)}\n")
         fh.write(f"converged = {'true' if record.converged else 'false'}\n")
-        fh.write(f"stop_reason = {record.stop_reason}\n")
+        fh.write(f"stop_reason = {record.stop}\n")
         fh.write(f"iterations = {record.iterations}\n")
         fh.write(f"morse_index = {_morse_str(record.morse_index)}\n")
         fh.write(f"energy = {record.energy!r}\n")
@@ -489,7 +489,7 @@ def _local_failures(what: str, record) -> list[str]:
     """Failure lines of a ground-state solve: not converged, or converged
     to a critical point whose Morse index is not 1."""
     if not record.converged:
-        return [f"{what} did not converge ({record.stop_reason})"]
+        return [f"{what} did not converge ({record.stop})"]
     if record.morse_index != 1:
         return [f"{what} has Morse index {_morse_str(record.morse_index)}, expected 1"]
     return []

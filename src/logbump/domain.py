@@ -217,12 +217,6 @@ class Field:
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.interior_shape))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        """Sample fn(*coords) on the interior nodes."""
-        return cls(grid, np.asarray(fn(*grid.interior_mesh()), dtype=float)
-                   * np.ones(grid.interior_shape))
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
@@ -374,19 +368,6 @@ def grad_energy_density(u: Field) -> np.ndarray:
         dens[tuple(lo)] += 0.5 * dsq
         dens[tuple(hi)] += 0.5 * dsq
     return dens
-
-
-def restricted_norm_sq(
-    u: Field, mask: np.ndarray, lam: float, potential: PotentialSpec
-) -> float:
-    """Squared lambda-weighted H1 norm restricted to a node mask:
-    integral over the mask of |grad u|^2 + (lambda V + 1) u^2."""
-    grid = u.grid
-    dens = grad_energy_density(u)
-    full = u.full()
-    v = potential_on_grid(potential, grid)
-    val = dens + (lam * v + 1.0) * full * full
-    return grid.h**grid.dim * float(np.sum(val[mask]))
 
 
 def save_field(u: Field, path):

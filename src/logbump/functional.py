@@ -11,7 +11,8 @@ the splitting collapses, so the energy obeys the exact scaling law
 
     E(s v) = s^2 * (E(v) - log(s) * integral v^2),
 
-which gives a closed form for the projection onto the Nehari manifold.
+which gives the closed-form Nehari scale of the local ground-state solves
+(`_LocalWell.nehari_project` in `logbump.solver`).
 """
 
 from __future__ import annotations
@@ -99,14 +100,6 @@ class PenalizedFunctional:
         """Total energy only."""
         return self.evaluate(values)[0]
 
-    def residual(self, u: Field) -> Field:
-        """Strong-form residual -lap u + (lambda V + 1) u + f1'(u) - g2'(x, u+).
-
-        Its discrete L2 pairing with any direction v equals the directional
-        derivative of the energy at u in direction v.
-        """
-        return Field(self.grid, self.evaluate(u.values)[1])
-
     def nonlinear_rhs(self, values: np.ndarray) -> np.ndarray:
         """g2'(x, u+) - f1'(u), the nonlinearity moved to the right-hand side."""
         return -self.params.terms(self.chi_in, values)[1]
@@ -138,35 +131,6 @@ class PenalizedFunctional:
 # -- Nehari machinery -------------------------------------------------------
 
 
-def _support_integrals(u: Field, support: np.ndarray):
-    """(gradient, mass, log-mass) integrals over the support mask.
-
-    Refuses fields with appreciable values outside the support, where the
-    truncation breaks the scaling law the projection relies on.
-    """
-    grid = u.grid
-    full = u.full()
-    peak = float(np.max(np.abs(full), initial=0.0))
-    leak = float(np.max(np.abs(full[~support]), initial=0.0))
-    if peak > 0.0 and leak > 1e-12 * peak:
-        raise ValueError("field must vanish outside the given support mask")
-    hd = grid.h**grid.dim
-    dens = grad_energy_density(u)
-    grad = hd * float(np.sum(dens[support]))
-    mass = hd * float(np.sum((full * full)[support]))
-    logm = hd * float(np.sum(_log_mass_density(full)[support]))
-    return grad, mass, logm
-
-
-def nehari_time(u: Field, support: np.ndarray) -> float:
-    """Unique t* > 0 with log t*^2 = (int |grad u|^2 - int u^2 log u^2)/int u^2,
-    placing t* u on the Nehari manifold of the pure logarithmic energy."""
-    grad, mass, logm = _support_integrals(u, support)
-    if mass <= 0.0:
-        raise ValueError("nehari_time needs a field with positive mass")
-    return float(np.exp((grad - logm) / (2.0 * mass)))
-
-
 @dataclass(frozen=True)
 class NehariCheck:
     """Energy, the identity value 1/2 int u^2, and the constraint I'(u)u."""
@@ -186,11 +150,22 @@ class NehariCheck:
 
 
 def nehari_check(u: Field, support: np.ndarray) -> NehariCheck:
-    """Evaluate the Nehari identity I(u) = 1/2 int u^2 and its constraint.
+    """Evaluate the Nehari identity I(u) = 1/2 int u^2 and its constraint
+    from the gradient, mass and log-mass integrals over the support mask.
 
     On the manifold (constraint = 0) the two energies agree; the caller
-    decides the tolerance."""
-    grad, mass, logm = _support_integrals(u, support)
+    decides the tolerance.  Refuses fields with appreciable values outside
+    the support, where the truncation breaks the scaling law of the pure
+    logarithmic energy."""
+    full = u.full()
+    peak = float(np.max(np.abs(full), initial=0.0))
+    leak = float(np.max(np.abs(full[~support]), initial=0.0))
+    if peak > 0.0 and leak > 1e-12 * peak:
+        raise ValueError("field must vanish outside the given support mask")
+    hd = u.grid.h**u.grid.dim
+    grad = hd * float(np.sum(grad_energy_density(u)[support]))
+    mass = hd * float(np.sum((full * full)[support]))
+    logm = hd * float(np.sum(_log_mass_density(full)[support]))
     energy = 0.5 * (grad + mass) - 0.5 * logm
     return NehariCheck(energy=energy, half_mass=0.5 * mass, constraint=grad - logm)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -110,7 +110,8 @@ class NewtonRecord:
     successful Newton step's Jacobian: exact pivot or Schur-block inertia
     for the ground states and the 1D penalized problem, a certified inertia
     enclosure for the 2D penalized problem, where it is nan when the
-    enclosure's bounds disagree; nan when no step succeeded.
+    enclosure's bounds disagree; nan when no step succeeded.  stop_detail
+    keeps the `SolveError` message of a breakdown and is empty otherwise.
     """
 
     iterations: int
@@ -118,10 +119,18 @@ class NewtonRecord:
     energies: list[float]
     stop_reason: str
     morse_index: float
+    stop_detail: str = field(default="", kw_only=True)
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
+
+    @property
+    def stop(self) -> str:
+        """The stop reason, with a breakdown's message after it."""
+        if not self.stop_detail:
+            return self.stop_reason
+        return f"{self.stop_reason} ({self.stop_detail})"
 
 
 @dataclass
@@ -526,7 +535,7 @@ def _newton(evaluate: Callable, solve: Callable, collapsed: Callable,
         raise SolveError("non-finite residual at the initial iterate")
     residuals: list[float] = []
     energies: list[float] = []
-    stop_reason = "iteration cap"
+    stop_reason, detail = "iteration cap", ""
     morse = math.nan
     solved = None
     growth = 0
@@ -534,8 +543,8 @@ def _newton(evaluate: Callable, solve: Callable, collapsed: Callable,
     for it in range(1, config.max_iters + 1):
         try:
             du, morse = solve(u, *args)
-        except SolveError:
-            stop_reason = "breakdown"
+        except SolveError as exc:
+            stop_reason, detail = "breakdown", str(exc)
             break
         solved = args
         nxt = np.maximum(u + du, 0.0)
@@ -557,7 +566,8 @@ def _newton(evaluate: Callable, solve: Callable, collapsed: Callable,
         if growth >= DIVERGE_STEPS:
             stop_reason = "diverged"
             break
-    return u, solved, NewtonRecord(it, residuals, energies, stop_reason, morse)
+    return u, solved, NewtonRecord(it, residuals, energies, stop_reason, morse,
+                                   stop_detail=detail)
 
 
 def solve_auxiliary(

@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from logbump.domain import Field, Grid, PotentialSpec, integrate, neg_laplacian
+from logbump.domain import Field, Grid, integrate, neg_laplacian
 from logbump.functional import gausson_values, h1_distance
 from logbump.penalty import s_log_sq
-from logbump.solver import (
-    SolveRecord,
-    SolverConfig,
-    multi_bump_init,
-    solve_auxiliary,
-)
 
 # -- rows and verdicts -------------------------------------------------------
 
@@ -259,70 +253,6 @@ def check_limit_problem(steps, omegas: list[Field], c_gamma: float) -> list[Limi
             )
         )
     return out
-
-
-# -- multiplicity scan -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanEntry:
-    gamma: tuple[int, ...]
-    occupied: tuple[int, ...]
-    converged: bool
-    energy: float
-    record: SolveRecord
-
-
-@dataclass(frozen=True)
-class MultiplicityScan:
-    entries: tuple[ScanEntry, ...]
-    distinct: int
-    expected: int
-
-    @property
-    def count_ok(self) -> bool:
-        return self.distinct == self.expected
-
-    @property
-    def masks_match(self) -> bool:
-        return all(e.occupied == e.gamma for e in self.entries)
-
-
-def multiplicity_scan(
-    lam: float,
-    omegas: list[Field],
-    big_t: float,
-    grid: Grid,
-    potential: PotentialSpec,
-    params,
-    config: SolverConfig,
-) -> MultiplicityScan:
-    """Solve the penalized problem for every nonempty well subset and
-    classify each solution by its occupied wells."""
-    import itertools
-
-    k = potential.geometry.k
-    if len(omegas) != k:
-        raise ValueError("need one ground state per well")
-    entries = []
-    for size in range(1, k + 1):
-        for gamma in itertools.combinations(range(1, k + 1), size):
-            ws = [omegas[j - 1] for j in gamma]
-            init = multi_bump_init(ws, [1.0 / big_t] * len(ws), big_t)
-            rec = solve_auxiliary(lam, gamma, init, grid, potential, params, config)
-            entries.append(
-                ScanEntry(
-                    gamma=gamma,
-                    occupied=rec.bump_mask,
-                    converged=rec.converged,
-                    energy=rec.energy,
-                    record=rec,
-                )
-            )
-    distinct = len({e.occupied for e in entries})
-    return MultiplicityScan(
-        entries=tuple(entries), distinct=distinct, expected=2**k - 1
-    )
 
 
 # -- discretization order ----------------------------------------------------

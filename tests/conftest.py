@@ -1,7 +1,8 @@
 """Shared fixtures: the reference twin-well scenario and its heavy solves.
 
-Session scope keeps the expensive solves shared between the
-module tests and the acceptance suite.
+Session scope keeps the expensive solves, and the one pipeline run of
+the reference config, shared between the module tests and the
+acceptance suite.
 """
 
 import math
@@ -9,14 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from logbump.cli import parse_config
+from logbump.cli import main, parse_config, rows_from_csv
 from logbump.solver import (
     choose_t,
     lambda_sweep,
     multi_bump_init,
     solve_single_well,
 )
-from logbump.verify import multiplicity_scan
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = REPO_ROOT / "configs" / "twin-wells-1d.cfg"
@@ -72,17 +72,22 @@ def ref_sweep(ref, ref_wells, ref_big_t):
 
 
 @pytest.fixture(scope="session")
-def ref_scan(ref, ref_wells, ref_big_t):
-    """Multiplicity scan over all well subsets at the largest lambda."""
-    return multiplicity_scan(
-        ref.config.lambdas[-1],
-        [r.field for r in ref_wells],
-        ref_big_t,
-        ref.grid,
-        ref.potential,
-        ref.params,
-        ref.solver,
-    )
+def ref_run(tmp_path_factory):
+    """One `logbump run` of the reference config: its exit status, its run
+    directory and the rows of its energies.csv."""
+
+    class Run:
+        out = tmp_path_factory.mktemp("runs") / "twin-wells-1d"
+        status = main(["run", "--config", str(REFERENCE_CONFIG), "--out", str(out)])
+        rows = rows_from_csv((out / "energies.csv").read_text())[0]
+
+    return Run
+
+
+@pytest.fixture(scope="session")
+def ref_top_rows(ref_run):
+    """The pipeline's row at the largest lambda of each well selection."""
+    return {row.gamma: row for row in sorted(ref_run.rows, key=lambda r: r.lam)}
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,10 @@
 
 The pipeline computes the same quantities another way (the penalized
 nonlinearity in closed form by `PenalizationParams.terms`, per-well
-energies from `PenalizedFunctional.report`, fields in memory, 2D Morse
-indices from an inertia enclosure on the enlarged wells' boxes, the
-ground-state Newton steps by factored solves), so these stay out of the
-package.
+energies and the outside-wells norm from `PenalizedFunctional.report`,
+fields in memory, 2D Morse indices from an inertia enclosure on the
+enlarged wells' boxes, the ground-state Newton steps by factored solves),
+so these stay out of the package.
 """
 
 import math
@@ -164,6 +164,19 @@ def penalized_well_energy(u: Field, potential: PotentialSpec, j: int,
     log_dens = _log_mass_density(full)
     hd = grid.h**grid.dim
     return 0.5 * hd * float(np.sum((quad - log_dens)[mask]))
+
+
+def restricted_norm_sq(
+    u: Field, mask: np.ndarray, lam: float, potential: PotentialSpec
+) -> float:
+    """Squared lambda-weighted H1 norm restricted to a node mask:
+    integral over the mask of |grad u|^2 + (lambda V + 1) u^2."""
+    grid = u.grid
+    dens = grad_energy_density(u)
+    full = u.full()
+    v = potential_on_grid(potential, grid)
+    val = dens + (lam * v + 1.0) * full * full
+    return grid.h**grid.dim * float(np.sum(val[mask]))
 
 
 def _pure_energy_on_mask(u: Field, mask: np.ndarray) -> float:

@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 from logbump.domain import Field, integrate, masks
-from logbump.functional import PenalizedFunctional, nehari_check, nehari_time
+from logbump.functional import PenalizedFunctional, nehari_check
 from logbump.penalty import make_params, sq_log_sq
 from logbump.solver import (
     MinimaxParams,
+    _LocalWell,
     minimax_upper_bound,
     multi_bump_init,
     solve_auxiliary,
@@ -71,7 +72,7 @@ def test_criterion_02_derivative_consistency(ref):
     for _ in range(20):
         u = smooth_random_field(ref.grid, rng)
         v = smooth_random_field(ref.grid, rng)
-        lhs = ref.grid.h * float(np.dot(fun.residual(u).values, v.values))
+        lhs = ref.grid.h * float(np.dot(fun.evaluate(u.values)[1], v.values))
         rhs = (
             fun.phi_total(u.values + eps * v.values)
             - fun.phi_total(u.values - eps * v.values)
@@ -96,13 +97,16 @@ def test_criterion_03_gausson_order():
 
 
 def test_criterion_04_nehari_machinery(wide_well):
+    # the closed-form scale of the Newton loop's projection, on the well's
+    # own nodes, against bisection on the Nehari constraint over the well
     geometry, grid, rec = wide_well
     m = masks(geometry, grid, (1,))
     vals = np.where(
         m.well[1:-1], 1.4 * np.exp(-0.55 * grid.axis[1:-1] ** 2), 0.0
     )
-    u = Field(grid, vals)
-    t_closed = nehari_time(u, m.well)
+    prob = _LocalWell.dirichlet(geometry.wells[0], grid)
+    local = vals[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)]
+    t_closed = float(np.max(prob.nehari_project(local)[0]) / np.max(local))
 
     def constraint(t):
         return nehari_check(Field(grid, t * vals), m.well).constraint
@@ -132,36 +136,24 @@ def test_criterion_04_nehari_machinery(wide_well):
           f"[{level_lo:.4f}, {level_hi:.4f}]")
 
 
-def test_criterion_05_linfty_truncation_bound(ref, ref_scan, ref_sweep):
+def test_criterion_05_linfty_truncation_bound(ref, ref_run, ref_top_rows):
+    # the rows `logbump run` wrote for every selection of the reference
     a0 = ref.params.a0
-    sups = {}
-    for entry in ref_scan.entries:
-        fun = PenalizedFunctional(
-            ref.grid, ref.potential, ref.params, entry.gamma,
-            ref.config.lambdas[-1]
-        )
-        sups[entry.gamma] = fun.report(entry.record.field).sup_outside
-    worst = max(sups.values())
-    rows = []
-    for st in ref_sweep:
-        from logbump.verify import SweepRow
-
-        rows.append(
-            SweepRow(
-                lam=st.lam, gamma=(1, 2), converged=True, phi_total=0.0,
-                b_upper=0.0, c_gamma=1.0, lambda_v_mass=0.0,
-                outside_norm_sq=0.0, sup_outside=st.report.sup_outside,
-                a0=a0, min_u=0.0, mass_frac=1.0, occupied=(1, 2),
-                i_lambda=(0.0, 0.0), c_dirichlet=(0.0, 0.0),
-                c_lambda=(0.0, 0.0),
-            )
-        )
-    threshold = linfty_threshold(rows)
-    ok = worst <= a0 and threshold is not None
+    top = ref_top_rows.values()
+    worst = max(row.sup_outside for row in top)
+    thresholds = [
+        linfty_threshold([r for r in ref_run.rows if r.gamma == gamma])
+        for gamma in ref_top_rows
+    ]
+    ok = (
+        worst <= a0
+        and all(row.converged for row in top)
+        and None not in thresholds
+    )
     _line(5, ok,
           f"sup outside the enlargements {worst:.3e} <= a0 = {a0:.4f} for "
           f"every converged solution at lambda = 1e4; empirical lambda "
-          f"threshold {threshold:g}")
+          f"thresholds {', '.join('never' if t is None else f'{t:g}' for t in thresholds)}")
 
 
 def test_criterion_06_localization_trend(ref_sweep):
@@ -203,17 +195,20 @@ def test_criterion_07_energy_sandwich_and_limit(ref, ref_wells, ref_sweep,
           f"gap {gap:.3e} < 1% at lambda = 1e4")
 
 
-def test_criterion_08_multiplicity(ref_scan):
-    masks_seen = {e.occupied for e in ref_scan.entries}
+def test_criterion_08_multiplicity(ref_top_rows):
+    # the rows `logbump run` wrote at lambda = 1e4, one per selection
+    top = ref_top_rows.values()
+    masks_seen = {row.occupied for row in top}
     ok = (
-        ref_scan.distinct == 3
+        sorted(ref_top_rows) == [(1,), (1, 2), (2,)]
         and masks_seen == {(1,), (2,), (1, 2)}
-        and ref_scan.masks_match
-        and all(e.converged for e in ref_scan.entries)
+        and all(row.occupied == row.gamma for row in top)
+        and all(row.converged and row.lam == 1e4 for row in top)
     )
     _line(8, ok,
-          f"well scan at lambda = 1e4 produced {ref_scan.distinct} converged "
-          f"solutions with distinct occupation masks {sorted(masks_seen)}")
+          f"the run's sweep at lambda = 1e4 produced {len(masks_seen)} "
+          f"converged solutions with distinct occupation masks "
+          f"{sorted(masks_seen)}")
 
 
 def test_criterion_09_scaling_identity(ref):

@@ -297,24 +297,22 @@ def test_main_validate_and_report(tmp_path, capsys):
     assert "l:" in captured.err
 
 
-def test_full_reference_run(tmp_path):
+def test_full_reference_run(ref_run, ref_config):
     """The bundled scenario completes and passes every verdict."""
-    path = Path(__file__).resolve().parent.parent / "configs" / "twin-wells-1d.cfg"
-    out = tmp_path / "reference"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    out = ref_run.out
+    assert ref_run.status == 0
     verdicts = (out / "verdicts.txt").read_text().splitlines()
     assert len(verdicts) == 8
     assert all("status=PASS" in line for line in verdicts)
     # one history per local solve, one row per Newton step
-    config = parse_config(path)
     histories = [out / "singlewell" / f"residuals_omega_{j}.csv" for j in (1, 2)]
     histories += [out / "neumann" / f"residuals_lambda_{lam:g}_well_{j}.csv"
-                  for lam in config.lambdas for j in (1, 2)]
+                  for lam in ref_config.lambdas for j in (1, 2)]
     for history in histories:
         lines = history.read_text().splitlines()
         assert lines[0] == "iter,relative_residual,energy"
         assert 3 <= len(lines) - 1 <= 6
-        assert float(lines[-1].split(",")[1]) <= config.tol
+        assert float(lines[-1].split(",")[1]) <= ref_config.tol
     assert sorted(os.listdir(out / "neumann")) == sorted(h.name for h in histories[2:])
 
 
@@ -525,11 +523,13 @@ def test_sweep_breakdown_keeps_the_other_lambdas(tmp_path, capsys, monkeypatch):
     out = tmp_path / "breakdown"
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
     assert ("FAILURE: enlarged well 1 level at lambda=100 did not converge "
-            "(breakdown)") in capsys.readouterr().err
+            "(breakdown (LDL^T breakdown: pivot near zero))\n"
+            ) in capsys.readouterr().err
     rows, _ = rows_from_csv((out / "energies.csv").read_text())
     assert [(r.lam, r.converged) for r in rows] == [(100.0, False), (10000.0, True)]
     summary = (out / "gamma_1" / "solve_lambda_100.txt").read_text()
-    assert "converged = false\nstop_reason = breakdown\niterations = 1\n" in summary
+    assert ("converged = false\nstop_reason = breakdown (LDL^T breakdown: pivot "
+            "near zero)\niterations = 1\n") in summary
     assert ("criterion=convergence status=FAIL margin=0.0 detail=flagged solves "
             "present") in (out / "verdicts.txt").read_text()
 

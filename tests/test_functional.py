@@ -14,7 +14,6 @@ from logbump.domain import (
     grad_energy_density,
     integrate,
     masks,
-    restricted_norm_sq,
 )
 from logbump.cli import csv_header, row_to_csv
 from logbump.functional import (
@@ -22,11 +21,11 @@ from logbump.functional import (
     gausson_values,
     h1_distance,
     nehari_check,
-    nehari_time,
 )
 from logbump.penalty import make_params, sq_log_sq
+from logbump.solver import SolveError, _LocalWell
 from logbump.verify import SweepRow
-from oracles import dirichlet_well_energy, penalized_well_energy
+from oracles import dirichlet_well_energy, penalized_well_energy, restricted_norm_sq
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 
@@ -100,7 +99,7 @@ def test_phi_split_consistency(setup):
               smooth_random_field(grid, np.random.default_rng(4))):
         energy, res, _ = fun.evaluate(u.values)
         assert fun.report(u).total == fun.phi_total(u.values) == energy
-        assert np.array_equal(fun.residual(u).values, res)
+        assert np.array_equal(fun.evaluate(u.values)[1], res)
 
 
 def test_phi_pure_log_collapse_for_supported_fields(setup):
@@ -148,8 +147,8 @@ def test_report_csv_roundtrip(setup):
 
 def test_residual_zero_field(setup):
     grid, geometry, pot, params = setup
-    r = PenalizedFunctional(grid, pot, params, (1, 2), 50.0).residual(Field.zeros(grid))
-    assert np.abs(r.values).max() == 0.0
+    fun = PenalizedFunctional(grid, pot, params, (1, 2), 50.0)
+    assert np.abs(fun.evaluate(Field.zeros(grid).values)[1]).max() == 0.0
 
 
 def test_residual_is_gradient_of_phi(setup):
@@ -161,7 +160,7 @@ def test_residual_is_gradient_of_phi(setup):
     for _ in range(20):
         u = smooth_random_field(grid, rng)
         v = smooth_random_field(grid, rng)
-        lhs = grid.h * float(np.dot(fun.residual(u).values, v.values))
+        lhs = grid.h * float(np.dot(fun.evaluate(u.values)[1], v.values))
         rhs = (
             fun.phi_total(u.values + eps * v.values)
             - fun.phi_total(u.values - eps * v.values)
@@ -192,9 +191,9 @@ def test_residual_gausson_second_order(wide):
         g = Grid(dim=1, r=12.0, n=n)
         fun = PenalizedFunctional(g, pot, params, (1,), 7.3)
         u = Field(g, gausson_values(g))
-        res = fun.residual(u)
+        res = fun.evaluate(u.values)[1]
         msk = masks(geometry, g, (1,)).well[1:-1]
-        norms.append(math.sqrt(g.h * float(np.sum(res.values[msk] ** 2))))
+        norms.append(math.sqrt(g.h * float(np.sum(res[msk] ** 2))))
     for a, b in zip(norms, norms[1:]):
         assert 3.6 <= a / b <= 4.4
 
@@ -229,26 +228,32 @@ def test_gausson_well_energy(wide):
 # -- Nehari machinery -----------------------------------------------------------------
 
 
-def test_nehari_time_gausson_and_scaling(wide):
+def nehari_scale(geometry, grid, vals):
+    """The scale t of `_LocalWell.nehari_project` on well 1's nodes, for
+    interior values vals supported on the well."""
+    prob = _LocalWell.dirichlet(geometry.wells[0], grid)
+    local = vals[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)]
+    return float(np.max(prob.nehari_project(local)[0]) / np.max(local))
+
+
+def test_nehari_project_gausson_and_scaling(wide):
     grid, geometry, pot, params = wide
     m = masks(geometry, grid, (1,))
     vals = np.where(m.well[1:-1], gausson_values(grid), 0.0)
-    u = Field(grid, vals)
-    t = nehari_time(u, m.well)
+    t = nehari_scale(geometry, grid, vals)
     assert abs(t - 1.0) < 1e-3  # the exact state is already critical
     for c in (0.5, 2.0):
-        tc = nehari_time(Field(grid, c * vals), m.well)
+        tc = nehari_scale(geometry, grid, c * vals)
         assert abs(tc * c - t) <= 1e-12 * t
 
 
-def test_nehari_time_matches_bisection(wide):
+def test_nehari_project_matches_bisection(wide):
     grid, geometry, pot, params = wide
     m = masks(geometry, grid, (1,))
     vals = np.where(
         m.well[1:-1], np.exp(-0.4 * grid.axis[1:-1] ** 2) * 1.7, 0.0
     )
-    u = Field(grid, vals)
-    t_closed = nehari_time(u, m.well)
+    t_closed = nehari_scale(geometry, grid, vals)
 
     def ray_constraint(t):
         return nehari_check(Field(grid, t * vals), m.well).constraint
@@ -269,8 +274,7 @@ def test_nehari_identity_after_projection(wide):
     grid, geometry, pot, params = wide
     m = masks(geometry, grid, (1,))
     vals = np.where(m.well[1:-1], np.exp(-0.7 * grid.axis[1:-1] ** 2), 0.0)
-    u = Field(grid, vals)
-    t = nehari_time(u, m.well)
+    t = nehari_scale(geometry, grid, vals)
     chk = nehari_check(Field(grid, t * vals), m.well)
     assert chk.identity_gap < 1e-8 * abs(chk.energy)
     # negative control: off the manifold the identity fails visibly
@@ -283,9 +287,10 @@ def test_nehari_refuses_unsupported_and_zero(setup):
     m = masks(geometry, grid, (1,))
     leaky = Field(grid, np.ones(grid.interior_shape))
     with pytest.raises(ValueError, match="support"):
-        nehari_time(leaky, m.well)
-    with pytest.raises(ValueError, match="mass"):
-        nehari_time(Field.zeros(grid), m.well)
+        nehari_check(leaky, m.well)
+    prob = _LocalWell.dirichlet(geometry.wells[0], grid)
+    with pytest.raises(SolveError, match="mass"):
+        prob.nehari_project(np.zeros(prob.w.shape))
 
 
 # -- structural identities ---------------------------------------------------------

@@ -25,7 +25,6 @@ from logbump.domain import (
     masks,
     neg_laplacian,
     neg_laplacian_values,
-    restricted_norm_sq,
 )
 from logbump.functional import PenalizedFunctional, nehari_check
 from logbump.penalty import PenalizationParams, make_params, s_log_sq
@@ -48,7 +47,11 @@ from logbump.solver import (
     solve_single_well,
 )
 
-from oracles import local_jacobian_apply, whole_box_negative_eigenvalues
+from oracles import (
+    local_jacobian_apply,
+    restricted_norm_sq,
+    whole_box_negative_eigenvalues,
+)
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -1,11 +1,14 @@
-"""Verification harness: verdicts, limit tables, scans, and order studies."""
+"""Verification harness: verdicts, limit tables, multiplicity on pipeline
+runs, and order studies."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from logbump.domain import Field, Grid, masks, restricted_norm_sq
+from logbump.cli import parse_config, parse_config_text, rows_from_csv, run
+from logbump.domain import Field, Grid, masks
 from logbump.verify import (
     LimitRow,
     SweepRow,
@@ -17,6 +20,7 @@ from logbump.verify import (
     linfty_threshold,
     log_equation_residual_norm,
 )
+from oracles import restricted_norm_sq
 
 
 def make_row(lam, gamma=(1, 2), sup=1e-8, lamv=1e-3, outn=1e-2, phi=4.8,
@@ -192,38 +196,51 @@ def test_limit_problem_grid_consistency(ref_config):
     assert gaps[1] < 0.01 and gaps[0] < 0.02
 
 
-# -- multiplicity scan ---------------------------------------------------------------
+# -- multiplicity on pipeline runs ---------------------------------------------------
 
 
-def test_multiplicity_scan_reference(ref_scan):
-    assert ref_scan.expected == 3
-    assert ref_scan.distinct == 3
-    assert ref_scan.count_ok and ref_scan.masks_match
-    assert all(e.converged for e in ref_scan.entries)
-    masks_seen = {e.occupied for e in ref_scan.entries}
-    assert masks_seen == {(1,), (2,), (1, 2)}
+def _verdict_line(out, name):
+    lines = (out / "verdicts.txt").read_text().splitlines()
+    return next(ln for ln in lines if ln.startswith(f"criterion={name} "))
 
 
-def test_multiplicity_energies_additive(ref_scan):
-    by_gamma = {e.gamma: e.energy for e in ref_scan.entries}
+def test_multiplicity_energies_additive(ref_top_rows):
+    by_gamma = {gamma: row.phi_total for gamma, row in ref_top_rows.items()}
     lhs = by_gamma[(1, 2)]
     rhs = by_gamma[(1,)] + by_gamma[(2,)]
     assert abs(lhs - rhs) <= 0.02 * abs(lhs)
 
 
-def test_multiplicity_single_well_geometry(ref, ref_wells, ref_big_t):
-    from logbump.domain import Box, PotentialSpec, WellGeometry
-    from logbump.solver import solve_single_well
-    from logbump.verify import multiplicity_scan
-
-    geometry = WellGeometry(
-        dim=1, wells=(Box((-5.0,), (2.5,)),), enlargements=(Box((-5.0,), (3.5,)),)
+def test_multiplicity_single_well_geometry(tmp_path):
+    # k = 1: the one selection is all 2^1 - 1 of them
+    config = parse_config_text(
+        "scenario = one-well\nR = 12.0\nn = 481\npotential_power = 1.0\n"
+        "well.1.center = -5.0\nwell.1.half = 2.5\nwell.1.enlarged_half = 3.5\n"
     )
-    potential = PotentialSpec(geometry, cap=1.0, power=1.0)
-    rec = solve_single_well(geometry, 1, ref.grid, ref.solver)
-    scan = multiplicity_scan(1e4, [rec.field], ref_big_t, ref.grid, potential,
-                             ref.params, ref.solver)
-    assert scan.expected == 1 and scan.distinct == 1 and scan.masks_match
+    run(config, out_dir=str(tmp_path))
+    line = _verdict_line(tmp_path, "multiplicity")
+    assert line.startswith("criterion=multiplicity status=PASS ")
+    assert "detail=1 distinct occupation masks of 1 expected" in line
+
+
+def test_multiplicity_four_wells(tmp_path):
+    # k = 4: all 15 selections of the bundled four-well config
+    path = Path(__file__).resolve().parents[1] / "configs" / "four-wells-1d.cfg"
+    config = parse_config(path)
+    run(config, out_dir=str(tmp_path))
+    rows, k = rows_from_csv((tmp_path / "energies.csv").read_text())
+    assert k == 4
+    top = {row.gamma: row for row in sorted(rows, key=lambda r: r.lam)}
+    assert len(top) == 15
+    assert len({row.occupied for row in top.values()}) == 15
+    assert all(row.occupied == gamma for gamma, row in top.items())
+    assert _verdict_line(tmp_path, "multiplicity").startswith(
+        "criterion=multiplicity status=PASS ")
+    summaries = sorted(tmp_path.glob("gamma_*/solve_lambda_*.txt"))
+    assert len(summaries) == 15 * len(config.lambdas) == 60
+    for path in summaries:
+        fields = dict(ln.split(" = ", 1) for ln in path.read_text().splitlines())
+        assert int(fields["morse_index"]) == len(fields["gamma"].split("+"))
 
 
 # -- per-well level tracking -----------------------------------------------------------
