@@ -204,6 +204,20 @@ def _verdict_line(out, name):
     return next(ln for ln in lines if ln.startswith(f"criterion={name} "))
 
 
+def test_multiplicity_scan_reference(ref_run, ref_top_rows):
+    # the reference run's top-lambda row of each of its 2^2 - 1 selections
+    top = list(ref_top_rows.values())
+    assert len(top) == 3
+    assert len({row.occupied for row in top}) == 3
+    assert all(row.occupied == gamma for gamma, row in ref_top_rows.items())
+    assert all(row.converged for row in top)
+    masks_seen = {row.occupied for row in top}
+    assert masks_seen == {(1,), (2,), (1, 2)}
+    line = _verdict_line(ref_run.out, "multiplicity")
+    assert line.startswith("criterion=multiplicity status=PASS ")
+    assert "detail=3 distinct occupation masks of 3 expected" in line
+
+
 def test_multiplicity_energies_additive(ref_top_rows):
     by_gamma = {gamma: row.phi_total for gamma, row in ref_top_rows.items()}
     lhs = by_gamma[(1, 2)]
