@@ -471,6 +471,7 @@ def _write_solve_summary(path, lam: float, gamma, record) -> None:
         fh.write(f"converged = {'true' if record.converged else 'false'}\n")
         fh.write(f"stop_reason = {record.stop}\n")
         fh.write(f"iterations = {record.iterations}\n")
+        fh.write(f"inner_iterations = {record.inner_iterations}\n")
         fh.write(f"morse_index = {_morse_str(record.morse_index)}\n")
         fh.write(f"energy = {record.energy!r}\n")
         fh.write(f"final_residual = {final!r}\n")

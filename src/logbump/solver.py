@@ -21,11 +21,12 @@ inertia of the factor gives the Morse index.
 The penalized problem on the whole box has saddle solutions.  It is solved
 by Newton's method with the same clip.  In 1D each step factors the
 indefinite tridiagonal Jacobian, whose negative pivots count the Morse
-index.  In 2D each step runs diagonally preconditioned MINRES on the
-Jacobian applied free of storage, since a whole-box factor would hold
-(n - 2)^3 doubles; the Morse index of the last Jacobian is certified once
-per solve by an inertia enclosure that factors only the enlarged wells'
-node boxes.
+index.  In 2D each step is an inexact Newton step: diagonally
+preconditioned MINRES on the Jacobian applied free of storage, since a
+whole-box factor would hold (n - 2)^3 doubles, stopped at a forcing term
+tied to the outer residual; the Morse index of the last Jacobian is
+certified once per solve by an inertia enclosure that factors only the
+enlarged wells' node boxes.
 
 Everything here is deterministic: fixed iteration order, fixed summation
 order, no randomness, so identical inputs give bit-identical outputs.
@@ -70,9 +71,11 @@ class SolverConfig:
     """Newton and inner linear-solve settings.
 
     tol and max_iters bound every solve.  cg_tol and cg_max_iters bound the
-    MINRES solve inside each 2D Newton step of the penalized problem
-    (relative preconditioned residual, iteration cap); every other linear
-    solve is direct.  The keys keep their historical names.
+    MINRES solve inside each 2D Newton step of the penalized problem:
+    cg_tol is the floor of its forcing term, the relative preconditioned
+    residual it stops at (see `_minres_newton_step`), and cg_max_iters its
+    iteration cap; every other linear solve is direct.  The keys keep their
+    historical names.
     """
 
     tol: float = 1e-6
@@ -112,6 +115,8 @@ class NewtonRecord:
     enclosure for the 2D penalized problem, where it is nan when the
     enclosure's bounds disagree; nan when no step succeeded.  stop_detail
     keeps the `SolveError` message of a breakdown and is empty otherwise.
+    inner_iterations sums the MINRES iterations of the steps whose linear
+    solve returned, and is 0 where every linear solve is direct.
     """
 
     iterations: int
@@ -120,6 +125,7 @@ class NewtonRecord:
     stop_reason: str
     morse_index: float
     stop_detail: str = field(default="", kw_only=True)
+    inner_iterations: int = field(default=0, kw_only=True)
 
     @property
     def converged(self) -> bool:
@@ -210,12 +216,22 @@ def minres(apply_a, b, minv, tol, max_iters):
     SPD preconditioner M.  Each iteration minimizes the preconditioned
     residual ||b - A x||_{M^-1} over the Krylov space, and the solve stops
     when that norm is at most tol times its initial value sqrt(b . minv b).
-    A non-finite right-hand side raises at once, as does running out of
+    A non-finite right-hand side raises at once, as does a `minv` that is
+    not finite and positive, a non-finite Lanczos scalar and running out of
     iterations.  Returns (solution, iterations).
+
+    The recurrence runs in seven vectors allocated once per call and
+    updated in place.  What apply_a returns is used before apply_a is
+    called again, so the callable may reuse one output buffer; b and minv
+    are only read.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise SolveError("non-finite right-hand side")
+    if not np.all(np.isfinite(minv)):
+        raise SolveError("MINRES breakdown: non-finite preconditioner")
+    if not np.all(minv > 0.0):
+        raise SolveError("MINRES breakdown: preconditioner not positive")
     x = np.zeros_like(b)
     y = minv * b
     beta1 = math.sqrt(float(np.vdot(b, y)))
@@ -223,37 +239,49 @@ def minres(apply_a, b, minv, tol, max_iters):
         return x, 0
     # Lanczos vectors r1, r2 (unpreconditioned), y = minv * r2, and the
     # Givens rotation (cs, sn) that keeps the tridiagonal least squares
-    # problem triangular; phibar is the preconditioned residual norm.
-    r1 = r2 = b
+    # problem triangular; phibar is the preconditioned residual norm.  The
+    # direction w is kept with its predecessor w2; once a new r2 or w is
+    # built, the oldest vector's buffer is free and takes it.
+    r1, r2 = np.empty_like(b), b.copy()
+    v, w, w2 = np.empty_like(b), np.zeros_like(b), np.zeros_like(b)
     beta, oldb = beta1, 0.0
     dbar = epsln = 0.0
     phibar = beta1
     cs, sn = -1.0, 0.0
-    w = w2 = np.zeros_like(b)
     for it in range(1, max_iters + 1):
-        v = y / beta
-        y = apply_a(v)
+        np.divide(y, beta, out=v)
         if it > 1:
-            y = y - (beta / oldb) * r1
-        alfa = float(np.vdot(v, y))
-        y = y - (alfa / beta) * r2
-        r1, r2 = r2, y
-        y = minv * r2
+            r1 *= -(beta / oldb)
+            r1 += apply_a(v)
+        else:
+            np.copyto(r1, apply_a(v))
+        alfa = float(np.vdot(v, r1))
+        r1 -= np.multiply(r2, alfa / beta, out=y)
+        r1, r2 = r2, r1
+        np.multiply(minv, r2, out=y)
         oldb, beta = beta, math.sqrt(float(np.vdot(r2, y)))
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
+        # hypot is finite only when beta and gbar are, so this checks alfa
+        # and beta too
         gamma = math.hypot(gbar, beta)
+        if not math.isfinite(gamma):
+            raise SolveError("MINRES breakdown: non-finite Lanczos scalar")
         if gamma == 0.0:
             raise SolveError("MINRES breakdown: singular operator")
         cs, sn = gbar / gamma, beta / gamma
         phi = cs * phibar
         phibar *= sn
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x += phi * w
+        # w2 <- (v - oldeps * w2 - delta * w) / gamma, the new direction
+        w2 *= -oldeps
+        w2 += v
+        w2 -= np.multiply(w, delta, out=v)
+        w2 /= gamma
+        w, w2 = w2, w
+        x += np.multiply(w, phi, out=v)
         if phibar <= tol * beta1:
             return x, it
     raise SolveError(f"MINRES did not converge in {max_iters} iterations")
@@ -426,29 +454,53 @@ def _newton_step(grid: Grid) -> Callable:
     return step
 
 
+# Cap of the inexact Newton forcing term in `_minres_newton_step`.
+ETA_MAX = 1e-3
+
+
 def _minres_newton_step(grid: Grid, config: SolverConfig) -> Callable:
     """step(u, res, jd) -> (du, nan) for the penalized problem in 2D.
 
     Solves J du = -res for the Jacobian J = -lap_h + diag(jd) at u (jd from
-    `PenalizedFunctional.evaluate`) by MINRES preconditioned with
-    1 / |4/h^2 + jd|.  J is applied free of storage: a whole-box block
-    factor would hold (n - 2)^3 doubles, 15.6 MB at n = 127.  The Morse
-    index is left to `_morse_enclosure`, once per solve.
+    `PenalizedFunctional.evaluate`) inexactly, by MINRES preconditioned
+    with 1 / |d| for the diagonal d = 4/h^2 + jd of J.  The step is an
+    inexact Newton step (Dembo, Eisenstat & Steihaug 1982): MINRES stops
+    at the forcing term eta = max(cg_tol, min(ETA_MAX, rel)), with rel the
+    outer relative residual at u, so steps far from the solution are cheap
+    and the last ones are solved to the outer residual's own size
+    (Eisenstat & Walker 1996).  J is applied free of storage by
+    `_five_point_apply`: a whole-box block factor would hold (n - 2)^3
+    doubles, 15.6 MB at n = 127.  The Morse index is left to
+    `_morse_enclosure`, once per solve.  step.inner_iterations sums the
+    MINRES iterations of the steps that returned.
     """
-    h = grid.h
-    stencil = 2.0 * grid.dim / h**2
+    stencil = 2.0 * grid.dim / grid.h**2
 
     def step(u, res, jd):
-        du, _ = minres(
-            lambda x: neg_laplacian_values(x, h) + jd * x,
-            -res,
-            1.0 / np.abs(stencil + jd),
-            config.cg_tol,
-            config.cg_max_iters,
-        )
+        d = stencil + jd
+        eta = max(config.cg_tol, min(ETA_MAX, _relative_residual(u, res)))
+        du, its = minres(_five_point_apply(d, grid.h), -res, 1.0 / np.abs(d), eta,
+                         config.cg_max_iters)
+        step.inner_iterations += its
         return du, math.nan
 
+    step.inner_iterations = 0
     return step
+
+
+def _five_point_apply(d: np.ndarray, h: float) -> Callable:
+    """x -> d * x - (neighbour sum of x) / h^2, the 5-point matrix with
+    diagonal d and zero ghosts, returned in one buffer that every call
+    reuses."""
+    c = 1.0 / h**2
+    out = np.empty_like(d)
+    nb = np.empty_like(d)
+
+    def apply(x):
+        np.multiply(_neighbour_sum(x, nb), c, out=nb)
+        return np.subtract(np.multiply(d, x, out=out), nb, out=out)
+
+    return apply
 
 
 def _morse_enclosure(jd: np.ndarray, boxes, h: float) -> float:
@@ -503,9 +555,18 @@ def _morse_enclosure(jd: np.ndarray, boxes, h: float) -> float:
     return low if low == high else math.nan
 
 
-def _neighbour_sum(v: np.ndarray) -> np.ndarray:
-    """Sum of each node's stencil neighbours, zero beyond the array."""
-    return 2.0 * v.ndim * v - neg_laplacian_values(v, 1.0)
+def _neighbour_sum(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of each node's stencil neighbours, zero beyond the array, added
+    axis by axis into `out` (a new array when None)."""
+    out = np.empty_like(v) if out is None else out
+    out[:-1] = v[1:]
+    out[-1] = 0.0
+    out[1:] += v[:-1]
+    for ax in range(1, v.ndim):
+        lead = (slice(None),) * ax
+        out[lead + (slice(1, None),)] += v[lead + (slice(None, -1),)]
+        out[lead + (slice(None, -1),)] += v[lead + (slice(1, None),)]
+    return out
 
 
 # Newton stops as "diverged" once its residual has grown this many steps in
@@ -570,6 +631,13 @@ def _newton(evaluate: Callable, solve: Callable, collapsed: Callable,
                                    stop_detail=detail)
 
 
+def _relative_residual(u: np.ndarray, res: np.ndarray) -> float:
+    """||res|| / ||u|| in the discrete l2 norm, the penalized problem's
+    stop test and forcing term."""
+    unorm = math.sqrt(float(np.sum(u * u)))
+    return math.sqrt(float(np.sum(res * res))) / max(unorm, 1e-300)
+
+
 def solve_auxiliary(
     lam: float,
     gamma,
@@ -594,8 +662,10 @@ def solve_auxiliary(
     Morse index, which is |gamma| on an l-bump saddle of the minimax over
     [1/T^2, 1]^l.  In 1D (`_newton_step`) each step factors the tridiagonal
     Jacobian and counts its negative pivots.  In 2D
-    (`_minres_newton_step`) each step runs MINRES, and the count comes
-    from `_morse_enclosure` at the last step's Jacobian.  One
+    (`_minres_newton_step`) each step runs MINRES to a forcing term tied
+    to the residual, the count of its iterations goes to inner_iterations,
+    and the Morse index comes from `_morse_enclosure` at the last step's
+    Jacobian.  One
     `PenalizedFunctional.evaluate` per iterate gives the stop test's
     residual, the energy history's entry and the next step's Jacobian
     diagonal.
@@ -611,9 +681,7 @@ def solve_auxiliary(
 
     def evaluate(u):
         energy, res, jd = fun.evaluate(u)
-        unorm = math.sqrt(float(np.sum(u * u)))
-        rel = math.sqrt(float(np.sum(res * res))) / max(unorm, 1e-300)
-        return u, rel, energy, (res, jd)
+        return u, _relative_residual(u, res), energy, (res, jd)
 
     def collapsed(u):
         return watch_collapse and any(
@@ -622,6 +690,8 @@ def solve_auxiliary(
 
     step = _newton_step(grid) if grid.dim == 1 else _minres_newton_step(grid, config)
     u, solved, run = _newton(evaluate, step, collapsed, init.values.copy(), config)
+    if grid.dim == 2:
+        run.inner_iterations = step.inner_iterations
     if grid.dim == 2 and solved is not None:
         boxes = [
             tuple(slice(s.start - 1, s.stop - 1) for s in box_nodes(e, grid, False))

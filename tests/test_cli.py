@@ -351,6 +351,8 @@ def test_solve_summary_records_morse_index(ref, ref_sweep, tmp_path):
     path = tmp_path / "solve.txt"
     _write_solve_summary(path, 1e4, (1, 2), ref_sweep[-1].record)
     assert "morse_index = 2\n" in path.read_text()
+    # every 1D linear solve is direct
+    assert "inner_iterations = 0\n" in path.read_text()
     _write_solve_summary(path, 1e4, (1, 2), replace(ref_sweep[-1].record,
                                                     morse_index=math.nan))
     assert "morse_index = n/a\n" in path.read_text()

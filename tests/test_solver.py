@@ -148,6 +148,86 @@ def test_minres_zero_rhs_and_failures():
         minres(apply_a, rng.standard_normal(jd.shape), minv, 1e-12, 3)
 
 
+def test_minres_reads_b_and_minv_only_and_allows_a_reused_buffer():
+    rng = np.random.default_rng(11)
+    jd, dense = _indefinite_five_point(rng, (6, 7), 2)
+    b = rng.standard_normal(jd.shape)
+    minv = 1.0 / np.abs(4.0 + jd)
+    b0, minv0 = b.copy(), minv.copy()
+    out = np.empty_like(b)
+
+    def apply_a(v):
+        out[...] = (dense @ v.ravel()).reshape(v.shape)
+        return out
+
+    x, _ = minres(apply_a, b, minv, 1e-13, 500)
+    assert np.array_equal(b, b0) and np.array_equal(minv, minv0)
+    assert not np.shares_memory(x, b)
+    y, _ = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b, minv,
+                  1e-13, 500)
+    assert np.array_equal(x, y)
+
+
+def test_minres_loose_tolerance_bounds_the_true_residual():
+    # the recurrence's residual norm phibar is the true preconditioned
+    # residual up to rounding, so a loose stop is an honest one
+    rng = np.random.default_rng(13)
+    jd, dense = _indefinite_five_point(rng, (6, 7), 2)
+    b = rng.standard_normal(jd.shape)
+    minv = 1.0 / np.abs(4.0 + jd)
+    tol = 1e-3
+    x, iters = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b, minv,
+                      tol, 500)
+    r = b - (dense @ x.ravel()).reshape(b.shape)
+    assert iters > 0
+    assert math.sqrt(np.vdot(r, minv * r)) <= (1.0 + 1e-8) * tol * math.sqrt(
+        np.vdot(b, minv * b))
+
+
+@pytest.mark.parametrize("bad, detail", [
+    (math.inf, "non-finite preconditioner"),
+    (math.nan, "non-finite preconditioner"),
+    (0.0, "preconditioner not positive"),
+])
+def test_minres_rejects_a_bad_preconditioner_at_once(bad, detail):
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return 2.0 * v
+
+    minv = np.ones(50)
+    minv[3] = bad
+    with pytest.raises(SolveError, match=f"MINRES breakdown: {detail}"):
+        minres(apply_a, np.ones(50), minv, 1e-12, 2000)
+    assert calls == []
+
+
+def test_minres_stops_on_a_non_finite_lanczos_scalar():
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        out = 2.0 * v
+        out[3] = math.nan
+        return out
+
+    with pytest.raises(SolveError, match="MINRES breakdown: non-finite Lanczos"):
+        minres(apply_a, np.ones(50), np.ones(50), 1e-12, 2000)
+    assert len(calls) == 1
+
+
+def test_five_point_apply_matches_the_stencil():
+    rng = np.random.default_rng(14)
+    h = 0.3
+    jd = rng.standard_normal((9, 11))
+    apply = solver_module._five_point_apply(4.0 / h**2 + jd, h)
+    for _ in range(2):  # the second call reuses the first one's buffer
+        x = rng.standard_normal(jd.shape)
+        want = neg_laplacian_values(x, h) + jd * x
+        assert np.abs(apply(x) - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
@@ -919,7 +999,12 @@ def test_two_d_newton_collapse_from_nonzero_init():
     rec = solve_auxiliary(1e2, (1,), init, grid, PotentialSpec(geometry),
                           make_params(), SolverConfig(max_iters=3))
     assert rec.stop_reason == "collapse" and not rec.converged
-    assert rec.iterations == 1 and np.abs(rec.field.values).max() == 0.0
+    assert rec.iterations == 1
+    # the step is solved only to the forcing term, so the clip empties the
+    # selected enlargement but leaves tails of rounding size beyond it
+    u = rec.field.full()
+    assert np.sum((u * u)[box_mask_full(geometry.enlargements[0], grid)]) == 0.0
+    assert np.abs(u).max() <= 1e-3 * np.abs(init.values).max()
 
 
 def test_two_d_minres_cap_is_a_breakdown():
@@ -933,6 +1018,30 @@ def test_two_d_minres_cap_is_a_breakdown():
     assert rec.iterations == 1 and rec.residuals == [] and rec.energies == []
     assert np.array_equal(rec.field.values, init.values)
     assert math.isnan(rec.morse_index) and rec.bump_mask == (1,)
+
+
+def test_two_d_newton_steps_stop_at_the_forcing_term(monkeypatch):
+    geometry, potential, grid = _small_2d()
+    well = solve_single_well(geometry, 1, grid, SolverConfig())
+    tols = []
+
+    def recorded(apply_a, b, minv, tol, max_iters):
+        tols.append(tol)
+        return minres(apply_a, b, minv, tol, max_iters)
+
+    monkeypatch.setattr(solver_module, "minres", recorded)
+    config = SolverConfig()
+    rec = solve_auxiliary(1e2, (1,), well.field, grid, potential, make_params(),
+                          config)
+    assert rec.stop_reason == "converged" and rec.iterations == len(tols) > 1
+    fun = PenalizedFunctional(grid, potential, make_params(), (1,), 1e2)
+    u = well.field.values
+    res = fun.evaluate(u)[1]
+    rel0 = math.sqrt(float(np.sum(res * res))) / math.sqrt(float(np.sum(u * u)))
+    assert solver_module.ETA_MAX == 1e-3
+    want = [max(config.cg_tol, min(1e-3, rel))
+            for rel in [rel0] + rec.residuals[:-1]]
+    assert tols == want
 
 
 def test_two_d_newton_records_morse_index_one(monkeypatch):
@@ -1039,9 +1148,17 @@ def test_two_d_newton_sweep_matches_reference_energies(twin_2d_sweep):
 
 
 def test_two_d_newton_step_count_guard(twin_2d_sweep):
-    # deterministic work counter: 4, 4, 3 Newton steps when pinned
+    # deterministic work counter: 5, 4, 3 Newton steps when pinned
     assert [st.record.stop_reason for st in twin_2d_sweep] == ["converged"] * 3
     assert all(st.record.iterations <= 5 for st in twin_2d_sweep)
+
+
+def test_two_d_minres_iteration_guard(twin_2d_sweep):
+    # deterministic work counter: 555 MINRES iterations over the sweep when
+    # pinned, 1,225 when every step was solved to cg_tol
+    inner = [st.record.inner_iterations for st in twin_2d_sweep]
+    assert all(n > 0 for n in inner)
+    assert sum(inner) <= 700
 
 
 def test_two_d_newton_morse_index_is_bump_count(twin_2d, twin_2d_sweep):
