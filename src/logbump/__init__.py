@@ -19,6 +19,7 @@ from logbump.functional import (
 )
 from logbump.penalty import PenalizationParams, make_params, solve_a0
 from logbump.solver import (
+    AuxiliaryRecord,
     MinimaxParams,
     SolveError,
     SolveRecord,
@@ -33,6 +34,7 @@ from logbump.solver import (
 )
 
 __all__ = [
+    "AuxiliaryRecord",
     "Box",
     "EnergyReport",
     "Field",

@@ -27,8 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
-import numpy as np
-
 from logbump import penalty
 from logbump.domain import (
     Box,
@@ -36,7 +34,6 @@ from logbump.domain import (
     Grid,
     PotentialSpec,
     WellGeometry,
-    box_mask_full,
     save_field,
     validate_geometry_on_grid,
 )
@@ -81,7 +78,6 @@ class RunConfig:
     potential_power: float
     delta: float
     l: float
-    p: float
     wells: tuple[WellSpec, ...]
     gamma: str                      # "all" or "1,2"
     lambdas: tuple[float, ...]
@@ -111,7 +107,7 @@ class RunConfig:
         return PotentialSpec(self.geometry(), cap=self.cap, power=self.potential_power)
 
     def params(self):
-        return make_params(delta=self.delta, l=self.l, p=self.p)
+        return make_params(delta=self.delta, l=self.l)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tol=self.tol, max_iters=self.max_iters,
@@ -185,7 +181,7 @@ def _positive(text: str) -> int:
 _NO_DEFAULT = object()
 
 # (key, RunConfig field, parser, default) in echo order; the well blocks
-# are echoed after `p`.  A callable default is computed from the fields
+# are echoed after `l`.  A callable default is computed from the fields
 # read before it.  The types built from the config check the ranges.
 CONFIG_KEYS = (
     ("scenario", "scenario", _nonempty, "run"),
@@ -196,7 +192,6 @@ CONFIG_KEYS = (
     ("potential_power", "potential_power", _finite, PotentialSpec.power),
     ("delta", "delta", _finite, penalty.DEFAULT_DELTA),
     ("l", "l", _finite, penalty.DEFAULT_SLOPE),
-    ("p", "p", _finite, penalty.DEFAULT_GROWTH),
     ("gamma", "gamma", _gamma, "all"),
     ("lambdas", "lambdas", _lambdas, (10.0, 100.0, 1000.0, 10000.0)),
     ("tol", "tol", _finite, SolverConfig.tol),
@@ -319,7 +314,7 @@ def canonical_text(config: RunConfig) -> str:
     lines = []
     for key, field, _, _ in CONFIG_KEYS:
         lines.append(f"{key} = {_echo(getattr(config, field))}")
-        if key == "p":
+        if key == "l":
             for idx, well in enumerate(config.wells, start=1):
                 lines += [f"well.{idx}.{suffix} = {_echo(getattr(well, suffix))}"
                           for suffix in _WELL_SUFFIXES]
@@ -445,18 +440,6 @@ def _gamma_dirname(gamma) -> str:
     return "gamma_" + _mask_str(gamma)
 
 
-def _mass_fraction(u: Field, geometry, gamma) -> float:
-    full = u.full()
-    sq = full * full
-    total = float(np.sum(sq))
-    if total <= 0.0:
-        return 0.0
-    inside = 0.0
-    for j in gamma:
-        inside += float(np.sum(sq[box_mask_full(geometry.enlargements[j - 1], u.grid)]))
-    return inside / total
-
-
 def _morse_str(morse) -> str:
     return "n/a" if math.isnan(morse) else str(morse)
 
@@ -570,28 +553,27 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
         os.makedirs(gdir, exist_ok=True)
         ws = [omegas[j] for j in gsel]
         init = multi_bump_init(ws, [1.0 / big_t] * len(ws), big_t)
-        steps = lambda_sweep(config.lambdas, gsel, init, grid, potential,
-                             params, solver_cfg)
+        records = lambda_sweep(config.lambdas, gsel, init, grid, potential,
+                               params, solver_cfg)
         b_upper = minimax_upper_bound(config.lambdas[-1], gsel, ws, minimax,
                                       grid, potential, params)
         c_gamma = sum(c_dirichlet[j - 1] for j in gsel)
         rows, notes = [], []
-        for st in steps:
-            morse = st.record.morse_index
-            if st.record.converged and morse != len(gsel):
-                notes.append(f"gamma {_mask_str(gsel)}: solve at lambda={st.lam:g} "
-                             f"has Morse index {_morse_str(morse)}, "
+        for rec in records:
+            if rec.converged and rec.morse_index != len(gsel):
+                notes.append(f"gamma {_mask_str(gsel)}: solve at lambda={rec.lam:g} "
+                             f"has Morse index {_morse_str(rec.morse_index)}, "
                              f"expected {len(gsel)}")
-            rep = st.report
+            rep = rec.report
             lam_c = tuple(
-                c_lambda.get((st.lam, j), math.nan) if (j in gsel) else math.nan
+                c_lambda.get((rec.lam, j), math.nan) if (j in gsel) else math.nan
                 for j in range(1, k + 1)
             )
             rows.append(
                 SweepRow(
-                    lam=st.lam,
+                    lam=rec.lam,
                     gamma=gsel,
-                    converged=st.record.converged,
+                    converged=rec.converged,
                     phi_total=rep.total,
                     b_upper=b_upper,
                     c_gamma=c_gamma,
@@ -599,21 +581,21 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
                     outside_norm_sq=rep.outside_norm_sq,
                     sup_outside=rep.sup_outside,
                     a0=params.a0,
-                    min_u=float(st.record.field.values.min()),
-                    mass_frac=_mass_fraction(st.record.field, geometry, gsel),
-                    occupied=st.record.bump_mask,
+                    min_u=float(rec.field.values.min()),
+                    mass_frac=rep.mass_fraction(gsel),
+                    occupied=rec.bump_mask,
                     i_lambda=rep.per_well,
                     c_dirichlet=tuple(c_dirichlet),
                     c_lambda=lam_c,
                 )
             )
-            tag = f"lambda_{st.lam:g}"
-            save_field(st.record.field, os.path.join(gdir, f"field_{tag}.csv"))
+            tag = f"lambda_{rec.lam:g}"
+            save_field(rec.field, os.path.join(gdir, f"field_{tag}.csv"))
             _write_solve_summary(os.path.join(gdir, f"solve_{tag}.txt"),
-                                 st.lam, gsel, st.record)
+                                 rec.lam, gsel, rec)
             _write_history(os.path.join(gdir, f"residuals_{tag}.csv"),
-                           st.record.residuals, st.record.energies)
-        limit_rows = check_limit_problem(steps, ws, c_gamma)
+                           rec.residuals, rec.energies)
+        limit_rows = check_limit_problem(records, ws, c_gamma)
         with open(os.path.join(gdir, "limit.csv"), "w") as fh:
             fh.write("lambda,h1_gap,h1_gap_rel,phi_gap_rel\n")
             for lr in limit_rows:

@@ -217,9 +217,6 @@ class Field:
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.interior_shape))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def full(self) -> np.ndarray:
         """Values padded with the zero boundary ring."""
         return np.pad(self.values, 1)
@@ -290,21 +287,24 @@ def masks(geometry: WellGeometry, grid: Grid, gamma) -> RegionMasks:
     )
 
 
-def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid, min_cells: int = 2):
+MIN_MARGIN_CELLS = 2
+
+
+def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid):
     """Reject geometries the grid cannot resolve.
 
-    Each well must sit inside its enlargement with at least min_cells grid
-    cells of margin per side, and every enlargement must stay min_cells
-    cells away from the box boundary.
+    Each well must sit inside its enlargement with at least MIN_MARGIN_CELLS
+    grid cells of margin per side, and every enlargement must stay
+    MIN_MARGIN_CELLS cells away from the box boundary.
     """
     if geometry.dim != grid.dim:
         raise ValueError("geometry and grid dimensions differ")
-    margin = min_cells * grid.h
+    margin = MIN_MARGIN_CELLS * grid.h
     for j, (w, e) in enumerate(zip(geometry.wells, geometry.enlargements), start=1):
         for ax in range(grid.dim):
             if w.lo[ax] - e.lo[ax] < margin or e.hi[ax] - w.hi[ax] < margin:
                 raise ValueError(
-                    f"well {j}: enlargement margin below {min_cells} grid cells"
+                    f"well {j}: enlargement margin below {MIN_MARGIN_CELLS} grid cells"
                 )
             if e.lo[ax] < -grid.r + margin or e.hi[ax] > grid.r - margin:
                 raise ValueError(
@@ -337,13 +337,8 @@ def neg_laplacian_values(v: np.ndarray, h: float, mirror: bool = False) -> np.nd
     return out
 
 
-def integrate(values, grid: Grid | None = None) -> float:
+def integrate(values: np.ndarray, grid: Grid) -> float:
     """Rectangle-rule integral h^dim * sum over nodes."""
-    if isinstance(values, Field):
-        grid = values.grid
-        values = values.values
-    if grid is None:
-        raise ValueError("grid is required when passing raw values")
     return grid.h**grid.dim * float(np.sum(values))
 
 

@@ -42,13 +42,34 @@ def _log_mass_density(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Total energy plus per-well and localization diagnostics."""
+    """Total energy plus per-well, localization and mass-split diagnostics.
+
+    well_mass holds the node sum of u^2 over each enlargement, all wells in
+    1-based order, and box_mass its node sum over the whole box; which
+    wells a field occupies and the mass share of a selection follow from
+    them.
+    """
 
     total: float
     per_well: tuple[float, ...]
     lambda_v_mass: float
     outside_norm_sq: float
     sup_outside: float
+    well_mass: tuple[float, ...]
+    box_mass: float
+
+    def occupied(self, threshold: float) -> tuple[int, ...]:
+        """Wells whose enlargement carries at least `threshold` of the mass."""
+        if self.box_mass <= 0.0:
+            return ()
+        return tuple(j + 1 for j, m in enumerate(self.well_mass)
+                     if m >= threshold * self.box_mass)
+
+    def mass_fraction(self, gamma) -> float:
+        """Share of the mass in the enlargements of the wells in gamma."""
+        if self.box_mass <= 0.0:
+            return 0.0
+        return sum(self.well_mass[j - 1] for j in gamma) / self.box_mass
 
 
 class PenalizedFunctional:
@@ -104,9 +125,12 @@ class PenalizedFunctional:
         """g2'(x, u+) - f1'(u), the nonlinearity moved to the right-hand side."""
         return -self.params.terms(self.chi_in, values)[1]
 
-    def report(self, u: Field) -> EnergyReport:
-        """Total energy plus per-well and localization diagnostics."""
+    def report(self, u: Field, total: float | None = None) -> EnergyReport:
+        """Total energy plus per-well, localization and mass-split
+        diagnostics.  `total` is u's energy when the caller already has it
+        from `evaluate`; None evaluates it."""
         full = u.full()
+        sq = full * full
         dens = grad_energy_density(u)
         mass_dens = (self.lam * self.v_full + 1.0) * full * full
         log_dens = _log_mass_density(full)
@@ -120,11 +144,13 @@ class PenalizedFunctional:
         outside_norm = self._hd * float(np.sum((dens + mass_dens)[out_w]))
         sup_outside = float(np.max(np.abs(full[self.masks.outside]), initial=0.0))
         return EnergyReport(
-            total=self.phi_total(u.values),
+            total=self.phi_total(u.values) if total is None else total,
             per_well=per_well,
             lambda_v_mass=lam_v,
             outside_norm_sq=outside_norm,
             sup_outside=sup_outside,
+            well_mass=tuple(float(np.sum(sq[mask])) for mask in self.masks.per_enlarged),
+            box_mass=float(np.sum(sq)),
         )
 
 
@@ -179,13 +205,8 @@ def h1_distance(a: Field, b: Field) -> float:
     return float(np.sqrt(hd * (np.sum(dens) + np.sum(full * full))))
 
 
-def gausson_values(grid: Grid, center=None) -> np.ndarray:
-    """Interior samples of the explicit solution exp(dim/2 - |x - c|^2 / 2)
+def gausson_values(grid: Grid) -> np.ndarray:
+    """Interior samples of the explicit solution exp(dim/2 - |x|^2 / 2)
     of -lap u = u log u^2."""
-    mesh = grid.interior_mesh()
-    if center is None:
-        center = (0.0,) * grid.dim
-    r2 = 0.0
-    for ax in range(grid.dim):
-        r2 = r2 + (mesh[ax] - center[ax]) ** 2
+    r2 = sum(m**2 for m in grid.interior_mesh())
     return np.exp(0.5 * grid.dim - 0.5 * r2)

@@ -30,7 +30,6 @@ import numpy as np
 DELTA_MAX = math.exp(-1.5)
 DEFAULT_DELTA = math.exp(-2.0)
 DEFAULT_SLOPE = 0.5
-DEFAULT_GROWTH = 3.0
 
 _LOG_GUARD = 1e-300
 # u^2 log u^2 terms treat |u| below this as exactly 0 to avoid -inf * 0, and
@@ -94,13 +93,12 @@ def solve_a0(delta: float, l: float) -> float:
 
 @dataclass(frozen=True)
 class PenalizationParams:
-    """Splitting threshold delta, truncation slope l, derived threshold a0,
-    and the growth exponent p (diagnostic only, never used by the solver)."""
+    """Splitting threshold delta, truncation slope l and derived threshold
+    a0."""
 
     delta: float
     l: float
     a0: float
-    p: float
 
     def __post_init__(self):
         # the constant of F outside the wells above a0, through f2(a0)
@@ -141,13 +139,8 @@ class PenalizationParams:
         return dens, d1, d2
 
 
-def make_params(
-    delta: float = DEFAULT_DELTA,
-    l: float = DEFAULT_SLOPE,
-    p: float = DEFAULT_GROWTH,
-) -> PenalizationParams:
+def make_params(delta: float = DEFAULT_DELTA,
+                l: float = DEFAULT_SLOPE) -> PenalizationParams:
     """Validate the splitting constants and derive a0 (`solve_a0` checks
     delta and l)."""
-    if not p > 2.0:
-        raise ValueError(f"p: growth exponent must exceed 2 (got {p!r})")
-    return PenalizationParams(delta=delta, l=l, a0=solve_a0(delta, l), p=p)
+    return PenalizationParams(delta=delta, l=l, a0=solve_a0(delta, l))

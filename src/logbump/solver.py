@@ -49,7 +49,6 @@ from logbump.domain import (
     WellGeometry,
     _dist_sq_to_wells,
     _shape_potential,
-    box_mask_full,
     box_nodes,
     neg_laplacian_values,
 )
@@ -141,12 +140,26 @@ class NewtonRecord:
 
 @dataclass
 class SolveRecord(NewtonRecord):
-    """A Newton solve's record with its field on the whole box, the field's
-    energy and the wells its mass occupies."""
+    """A well ground state's record with its field on the whole box and the
+    field's energy."""
 
     field: Field
     energy: float
+
+
+@dataclass
+class AuxiliaryRecord(NewtonRecord):
+    """A penalized-problem solve at one lambda: its field on the whole box,
+    the field's energy report and the wells its mass occupies."""
+
+    lam: float
+    field: Field
+    report: EnergyReport
     bump_mask: tuple[int, ...]
+
+    @property
+    def energy(self) -> float:
+        return self.report.total
 
 
 @dataclass(frozen=True)
@@ -406,22 +419,6 @@ def _schur_inverses(diag, off0, off1):
         yield inv, negative
 
 
-def _occupied_wells(values_full_sq_sums, total, threshold) -> tuple[int, ...]:
-    if total <= 0.0:
-        return ()
-    return tuple(
-        j + 1 for j, m in enumerate(values_full_sq_sums) if m >= threshold * total
-    )
-
-
-def classify_bumps(u: Field, geometry: WellGeometry, threshold: float) -> tuple[int, ...]:
-    """Wells whose enlargement carries at least `threshold` of the mass."""
-    full = u.full()
-    sq = full * full
-    per = [float(np.sum(sq[box_mask_full(e, u.grid)])) for e in geometry.enlargements]
-    return _occupied_wells(per, float(np.sum(sq)), threshold)
-
-
 def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
     """Couplings -1/h^2 of -lap between neighbours along each axis, times
     the node weights of the other axes."""
@@ -526,7 +523,7 @@ def _morse_enclosure(jd: np.ndarray, boxes, h: float) -> float:
         mask = np.zeros(jd.shape, dtype=bool)
         mask[box] = True
         masks.append(mask)
-    for i, reach in enumerate(_stencil_reach(mask) for mask in masks):
+    for i, reach in enumerate(mask | _neighbour_sum(mask) for mask in masks):
         if any(np.any(reach & other) for other in masks[i + 1:]):
             return math.nan
     inside = reduce(np.logical_or, masks)
@@ -557,7 +554,9 @@ def _morse_enclosure(jd: np.ndarray, boxes, h: float) -> float:
 
 def _neighbour_sum(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of each node's stencil neighbours, zero beyond the array, added
-    axis by axis into `out` (a new array when None)."""
+    axis by axis into `out` (a new array when None).  On a bool array the
+    sum is a logical or, so `v | _neighbour_sum(v)` is the nodes of v and
+    their stencil neighbours."""
     out = np.empty_like(v) if out is None else out
     out[:-1] = v[1:]
     out[-1] = 0.0
@@ -646,7 +645,7 @@ def solve_auxiliary(
     potential: PotentialSpec,
     params: PenalizationParams,
     config: SolverConfig,
-) -> SolveRecord:
+) -> AuxiliaryRecord:
     """Nonnegative solution of the penalized problem on the box.
 
     Solves -lap u + (lambda V + 1) u + f1'(u) - g2'(x, u+) = 0 from init by
@@ -665,10 +664,11 @@ def solve_auxiliary(
     (`_minres_newton_step`) each step runs MINRES to a forcing term tied
     to the residual, the count of its iterations goes to inner_iterations,
     and the Morse index comes from `_morse_enclosure` at the last step's
-    Jacobian.  One
-    `PenalizedFunctional.evaluate` per iterate gives the stop test's
-    residual, the energy history's entry and the next step's Jacobian
-    diagonal.
+    Jacobian.  One `PenalizedFunctional.evaluate` per iterate gives the stop
+    test's residual, the energy history's entry and the next step's
+    Jacobian diagonal.  The record's report takes its total from the last
+    entry of the energy history whenever the returned field is that
+    iterate, which holds on every stop but a collapse.
     """
     if np.any(init.values < 0.0):
         raise ValueError("init must be nonnegative")
@@ -699,12 +699,10 @@ def solve_auxiliary(
         ]
         run.morse_index = _morse_enclosure(solved[1], boxes, grid.h)
     out = Field(grid, u)
-    return SolveRecord(
-        **vars(run),
-        field=out,
-        energy=run.energies[-1] if run.energies else fun.phi_total(u),
-        bump_mask=classify_bumps(out, potential.geometry, config.bump_threshold),
-    )
+    evaluated = bool(run.energies) and run.stop_reason != "collapse"
+    report = fun.report(out, run.energies[-1] if evaluated else None)
+    return AuxiliaryRecord(**vars(run), lam=fun.lam, field=out, report=report,
+                           bump_mask=report.occupied(config.bump_threshold))
 
 
 # -- path of well bumps ------------------------------------------------------
@@ -770,7 +768,7 @@ def minimax_upper_bound(
     """
     fun = PenalizedFunctional(grid, potential, params, gamma, lam)
     supports = [w.values != 0.0 for w in omegas]
-    for i, reach in enumerate(_stencil_reach(s) for s in supports):
+    for i, reach in enumerate(s | _neighbour_sum(s) for s in supports):
         for j in range(i + 1, len(supports)):
             if np.any(reach & supports[j]):
                 raise ValueError(
@@ -784,26 +782,6 @@ def minimax_upper_bound(
     )
 
 
-def _stencil_reach(support: np.ndarray) -> np.ndarray:
-    """The nodes of `support` and their stencil neighbours along each axis."""
-    reach = support.copy()
-    for ax in range(support.ndim):
-        head = [slice(None)] * support.ndim
-        tail = [slice(None)] * support.ndim
-        head[ax] = slice(None, -1)
-        tail[ax] = slice(1, None)
-        reach[tuple(head)] |= support[tuple(tail)]
-        reach[tuple(tail)] |= support[tuple(head)]
-    return reach
-
-
-@dataclass
-class SweepStep:
-    lam: float
-    record: SolveRecord
-    report: EnergyReport
-
-
 def lambda_sweep(
     lambdas,
     gamma,
@@ -812,7 +790,7 @@ def lambda_sweep(
     potential: PotentialSpec,
     params: PenalizationParams,
     config: SolverConfig,
-) -> list[SweepStep]:
+) -> list[AuxiliaryRecord]:
     """Warm-started continuation over an ascending lambda list.
 
     The converged field at each lambda seeds the next solve, which keeps
@@ -821,14 +799,13 @@ def lambda_sweep(
     lambdas = [float(x) for x in lambdas]
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be strictly ascending")
-    steps: list[SweepStep] = []
+    records: list[AuxiliaryRecord] = []
     current = init
     for lam in lambdas:
-        rec = solve_auxiliary(lam, gamma, current, grid, potential, params, config)
-        fun = PenalizedFunctional(grid, potential, params, gamma, lam)
-        steps.append(SweepStep(lam=lam, record=rec, report=fun.report(rec.field)))
-        current = rec.field
-    return steps
+        records.append(solve_auxiliary(lam, gamma, current, grid, potential, params,
+                                       config))
+        current = records[-1].field
+    return records
 
 
 # -- ground states of the local well problems --------------------------------
@@ -980,7 +957,6 @@ def solve_single_well(
         **vars(run),
         field=Field(grid, values),
         energy=run.energies[-1] if run.energies else math.nan,
-        bump_mask=(j,),
     )
 
 

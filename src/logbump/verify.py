@@ -17,6 +17,18 @@ from logbump.domain import Field, Grid, integrate, neg_laplacian
 from logbump.functional import gausson_values, h1_distance
 from logbump.penalty import s_log_sq
 
+# Resolution allowance of the energy sandwich, a fraction of the well-sum
+# level c_gamma.
+SANDWICH_ALLOWANCE = 0.02
+# Largest relative gap |phi - c_gamma| / c_gamma at the largest lambda.
+GAP_TOL = 0.01
+# Smallest mass fraction in gamma's enlargements at the largest lambda.
+FIDELITY = 0.99
+# The localization diagnostics' last TREND_TAIL values may grow by at most
+# this factor from one lambda to the next.
+TREND_SLACK = 1.05
+TREND_TAIL = 3
+
 # -- rows and verdicts -------------------------------------------------------
 
 
@@ -81,37 +93,31 @@ def linfty_threshold(rows: list[SweepRow]):
     return threshold
 
 
-def check_sandwich(sum_c_lambda: float, b_upper: float, c_gamma: float,
-                   allowance: float = 0.02):
-    """Two-sided level bound with a resolution allowance (fraction of the
-    upper level)."""
-    eps = allowance * c_gamma
+def check_sandwich(sum_c_lambda: float, b_upper: float, c_gamma: float):
+    """Two-sided level bound with the resolution allowance
+    SANDWICH_ALLOWANCE of the upper level."""
+    eps = SANDWICH_ALLOWANCE * c_gamma
     lower_ok = sum_c_lambda - eps <= b_upper
     upper_ok = b_upper <= c_gamma + eps
     margin = min(b_upper - (sum_c_lambda - eps), (c_gamma + eps) - b_upper)
     return lower_ok and upper_ok, margin
 
 
-def _tail_decreasing(values: list[float], slack: float = 1.05,
-                     tail: int = 3) -> tuple[bool, float]:
-    """Last `tail` values nonincreasing up to a multiplicative slack.
+def _tail_decreasing(values: list[float]) -> tuple[bool, float]:
+    """Last TREND_TAIL values nonincreasing up to the factor TREND_SLACK.
 
     Returns (ok, worst ratio v[i+1]/v[i])."""
-    vals = values[-tail:]
+    vals = values[-TREND_TAIL:]
     if len(vals) < 2:
         return True, 0.0
     ratios = [b / a if a > 0 else math.inf for a, b in zip(vals, vals[1:])]
     worst = max(ratios)
-    return worst <= slack, worst
+    return worst <= TREND_SLACK, worst
 
 
 def compute_verdicts(
     rows: list[SweepRow],
     k: int,
-    sandwich_allowance: float = 0.02,
-    gap_tol: float = 0.01,
-    fidelity: float = 0.99,
-    trend_slack: float = 1.05,
     selections=None,
 ) -> list[Verdict]:
     """All pass/fail verdicts derivable from the recorded rows.
@@ -161,13 +167,13 @@ def compute_verdicts(
     for grp in groups.values():
         if len(grp) < 3:
             continue
-        ok1, w1 = _tail_decreasing([r.lambda_v_mass for r in grp], trend_slack)
-        ok2, w2 = _tail_decreasing([r.outside_norm_sq for r in grp], trend_slack)
+        ok1, w1 = _tail_decreasing([r.lambda_v_mass for r in grp])
+        ok2, w2 = _tail_decreasing([r.outside_norm_sq for r in grp])
         trend_ok &= ok1 and ok2
         worst = max(worst, w1, w2)
     verdicts.append(
-        Verdict("localization_trend", trend_ok, trend_slack - worst,
-                f"worst tail ratio {worst:.4f} (slack {trend_slack})")
+        Verdict("localization_trend", trend_ok, TREND_SLACK - worst,
+                f"worst tail ratio {worst:.4f} (slack {TREND_SLACK})")
     )
 
     sand_ok = True
@@ -175,13 +181,12 @@ def compute_verdicts(
     for grp in groups.values():
         row = grp[-1]
         csum = sum(row.c_lambda[j - 1] for j in row.gamma)
-        ok, margin = check_sandwich(csum, row.b_upper, row.c_gamma,
-                                    sandwich_allowance)
+        ok, margin = check_sandwich(csum, row.b_upper, row.c_gamma)
         sand_ok &= ok
         sand_margin = min(sand_margin, margin)
     verdicts.append(
         Verdict("energy_sandwich", sand_ok, sand_margin,
-                f"allowance {sandwich_allowance:.0%} of the well-sum level")
+                f"allowance {SANDWICH_ALLOWANCE:.0%} of the well-sum level")
     )
 
     gap_ok = True
@@ -190,9 +195,9 @@ def compute_verdicts(
         row = grp[-1]
         gap = abs(row.phi_total - row.c_gamma) / row.c_gamma
         gap_worst = max(gap_worst, gap)
-        gap_ok &= gap <= gap_tol
+        gap_ok &= gap <= GAP_TOL
     verdicts.append(
-        Verdict("limit_energy_gap", gap_ok, gap_tol - gap_worst,
+        Verdict("limit_energy_gap", gap_ok, GAP_TOL - gap_worst,
                 f"worst relative gap {gap_worst:.3e} at the largest lambda")
     )
 
@@ -200,11 +205,11 @@ def compute_verdicts(
     fid_margin = math.inf
     for grp in groups.values():
         frac = grp[-1].mass_frac
-        fid_ok &= frac >= fidelity
-        fid_margin = min(fid_margin, frac - fidelity)
+        fid_ok &= frac >= FIDELITY
+        fid_margin = min(fid_margin, frac - FIDELITY)
     verdicts.append(
         Verdict("bump_fidelity", fid_ok, fid_margin,
-                f"required mass fraction {fidelity:.0%} in the enlargements")
+                f"required mass fraction {FIDELITY:.0%} in the enlargements")
     )
 
     if len(wanted) == 2**k - 1:
@@ -231,25 +236,23 @@ class LimitRow:
     phi_gap_rel: float
 
 
-def check_limit_problem(steps, omegas: list[Field], c_gamma: float) -> list[LimitRow]:
+def check_limit_problem(records, omegas: list[Field], c_gamma: float) -> list[LimitRow]:
     """Distance of the sweep fields to the superposed well ground states.
 
     Both the discrete H1 gap and the energy gap should shrink along the
     tail of an ascending sweep as the wells deepen.
     """
-    target = omegas[0].copy()
-    for w in omegas[1:]:
-        target.values = target.values + w.values
+    target = Field(omegas[0].grid, sum(w.values for w in omegas))
     tnorm = h1_distance(target, Field.zeros(target.grid))
     out = []
-    for st in steps:
-        gap = h1_distance(st.record.field, target)
+    for rec in records:
+        gap = h1_distance(rec.field, target)
         out.append(
             LimitRow(
-                lam=st.lam,
+                lam=rec.lam,
                 h1_gap=gap,
                 h1_gap_rel=gap / tnorm,
-                phi_gap_rel=abs(st.report.total - c_gamma) / abs(c_gamma),
+                phi_gap_rel=abs(rec.energy - c_gamma) / abs(c_gamma),
             )
         )
     return out

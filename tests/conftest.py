@@ -67,7 +67,7 @@ def ref_sweep(ref, ref_wells, ref_big_t):
         ref.config.lambdas, (1, 2), init, ref.grid, ref.potential,
         ref.params, ref.solver
     )
-    assert all(st.record.converged for st in steps)
+    assert all(st.converged for st in steps)
     return steps
 
 

@@ -34,7 +34,9 @@ class Splitting:
     """
 
     def __init__(self, params):
-        self.delta, self.l, self.a0, self.p = params.delta, params.l, params.a0, params.p
+        self.delta, self.l, self.a0 = params.delta, params.l, params.a0
+        # the paper's growth exponent, p > 2, of the power bound on f2
+        self.p = 3.0
 
     def _upper_sum(self, s):
         # f2 on |s| >= delta, evaluated as f1_upper + (1/2) s^2 log s^2.

@@ -100,6 +100,9 @@ def test_unknown_key_rejected():
         parse_config_text(MINIMAL + "positivity = true\n")
     with pytest.raises(ConfigError, match="unknown key: tau_step"):
         parse_config_text(MINIMAL + "tau_step = 0.05\n")
+    # nothing read the growth exponent; its key is gone too
+    with pytest.raises(ConfigError, match="unknown key: p$"):
+        parse_config_text(MINIMAL + "p = 3.0\n")
 
 
 def _minimal_with(key, value):
@@ -118,7 +121,6 @@ BAD_VALUES = {
     "potential_power": "-1.0",
     "delta": "0.5",
     "l": "1.5",
-    "p": "2.0",
     "gamma": "1,7",
     "lambdas": "100.0, 10.0",
     "tol": "0.0",
@@ -153,7 +155,7 @@ def test_required_key_missing(key):
 
 @pytest.mark.parametrize("key,value", [
     ("tol", "nan"), ("tol", "inf"), ("cg_tol", "nan"), ("cap", "nan"),
-    ("cap", "inf"), ("potential_power", "inf"), ("p", "inf"),
+    ("cap", "inf"), ("potential_power", "inf"),
     ("minimax_T", "inf"), ("minimax_T", "nan"), ("lambdas", "10.0, inf"),
     ("R", "inf"), ("well.1.center", "nan"),
 ])
@@ -322,8 +324,7 @@ def test_tau_default_matches_cli():
     assert config.solver_config() == solver
     assert (config.cap, config.potential_power) == (PotentialSpec.cap,
                                                      PotentialSpec.power)
-    assert (config.delta, config.l, config.p) == (
-        penalty.DEFAULT_DELTA, penalty.DEFAULT_SLOPE, penalty.DEFAULT_GROWTH)
+    assert (config.delta, config.l) == (penalty.DEFAULT_DELTA, penalty.DEFAULT_SLOPE)
     assert config.params() == penalty.make_params()
 
 
@@ -349,11 +350,11 @@ def test_solve_summary_without_residual(ref, ref_wells, tmp_path):
 
 def test_solve_summary_records_morse_index(ref, ref_sweep, tmp_path):
     path = tmp_path / "solve.txt"
-    _write_solve_summary(path, 1e4, (1, 2), ref_sweep[-1].record)
+    _write_solve_summary(path, 1e4, (1, 2), ref_sweep[-1])
     assert "morse_index = 2\n" in path.read_text()
     # every 1D linear solve is direct
     assert "inner_iterations = 0\n" in path.read_text()
-    _write_solve_summary(path, 1e4, (1, 2), replace(ref_sweep[-1].record,
+    _write_solve_summary(path, 1e4, (1, 2), replace(ref_sweep[-1],
                                                     morse_index=math.nan))
     assert "morse_index = n/a\n" in path.read_text()
 
@@ -457,7 +458,7 @@ def test_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
 
     def one_off(lambdas, gamma, *args):
         steps = sweep(lambdas, gamma, *args)
-        steps[0].record.morse_index += 1
+        steps[0].morse_index += 1
         return steps
 
     monkeypatch.setattr(cli, "lambda_sweep", one_off)
@@ -475,7 +476,7 @@ def test_uncertified_morse_index_is_a_failure(tmp_path, capsys, monkeypatch):
 
     def uncertified(lambdas, gamma, *args):
         steps = sweep(lambdas, gamma, *args)
-        steps[0].record.morse_index = math.nan
+        steps[0].morse_index = math.nan
         return steps
 
     monkeypatch.setattr(cli, "lambda_sweep", uncertified)
@@ -568,7 +569,7 @@ def test_benchmark_tracer_hooks_read_real_results(ref, ref_wells, ref_sweep):
         "solve_single_well": ref_wells[0],
         "solve_neumann_well": solve_neumann_well(1e2, 1, ref.grid, ref.potential,
                                                  ref.solver),
-        "solve_auxiliary": ref_sweep[0].record,
+        "solve_auxiliary": ref_sweep[0],
         "conjugate_gradient": conjugate_gradient(lambda v: v, np.ones(3),
                                                  np.zeros(3), 1e-12, 10),
     }

@@ -228,8 +228,6 @@ def test_invalid_params_rejected():
         make_params(l=0.0)
     with pytest.raises(ValueError):
         make_params(delta=0.5)
-    with pytest.raises(ValueError):
-        make_params(p=2.0)
     assert make_params(delta=DELTA_MAX).delta == DELTA_MAX
 
 

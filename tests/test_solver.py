@@ -374,18 +374,18 @@ def test_auxiliary_converged_fixed_point(ref, ref_sweep):
         tol=ref.solver.tol, max_iters=1,
         cg_tol=ref.solver.cg_tol, cg_max_iters=ref.solver.cg_max_iters,
     )
-    again = solve_auxiliary(last.lam, (1, 2), last.record.field, ref.grid,
+    again = solve_auxiliary(last.lam, (1, 2), last.field, ref.grid,
                             ref.potential, ref.params, one_step)
-    move = np.linalg.norm(again.field.values - last.record.field.values)
-    move /= np.linalg.norm(last.record.field.values)
+    move = np.linalg.norm(again.field.values - last.field.values)
+    move /= np.linalg.norm(last.field.values)
     assert move < ref.solver.tol
 
 
 def test_auxiliary_energy_descent_and_residual_tail(ref_sweep):
     for st in ref_sweep:
-        e = np.array(st.record.energies)
+        e = np.array(st.energies)
         assert np.all(np.diff(e) <= 1e-8 * (1.0 + np.abs(e[:-1])))
-        r = np.array(st.record.residuals)
+        r = np.array(st.residuals)
         burn = max(1, len(r) // 4)
         tail = r[burn:]
         assert np.all(tail[1:] <= tail[:-1] * 1.10)
@@ -393,14 +393,14 @@ def test_auxiliary_energy_descent_and_residual_tail(ref_sweep):
 
 def test_auxiliary_positivity_and_bumps(ref_sweep):
     for st in ref_sweep:
-        assert st.record.field.values.min() >= 0.0
-        assert st.record.bump_mask == (1, 2)
+        assert st.field.values.min() >= 0.0
+        assert st.bump_mask == (1, 2)
 
 
 def test_auxiliary_bump_fidelity_at_large_lambda(ref, ref_sweep):
     last = ref_sweep[-1]
     m = masks(ref.geometry, ref.grid, (1, 2))
-    full = last.record.field.full()
+    full = last.field.full()
     frac = float(np.sum((full * full)[m.enlarged]) / np.sum(full * full))
     assert frac >= 0.99
 
@@ -596,7 +596,31 @@ def test_sweep_single_lambda_matches_direct(ref, ref_wells, ref_big_t):
                          ref.params, ref.solver)
     direct = solve_auxiliary(1e4, (1, 2), init, ref.grid, ref.potential,
                              ref.params, ref.solver)
-    assert np.array_equal(sweep[0].record.field.values, direct.field.values)
+    assert np.array_equal(sweep[0].field.values, direct.field.values)
+
+
+def test_sweep_builds_one_functional_per_solve(ref, ref_wells, ref_big_t,
+                                               monkeypatch):
+    # each solve's report comes from the functional its Newton loop used
+    built = []
+    init_fun = PenalizedFunctional.__init__
+
+    def counted(self, *args):
+        built.append(args[-1])
+        init_fun(self, *args)
+
+    monkeypatch.setattr(PenalizedFunctional, "__init__", counted)
+    init = multi_bump_init([r.field for r in ref_wells],
+                           [1.0 / ref_big_t] * 2, ref_big_t)
+    lambda_sweep(ref.config.lambdas, (1, 2), init, ref.grid, ref.potential,
+                 ref.params, ref.solver)
+    assert built == list(ref.config.lambdas)
+
+
+def test_sweep_report_total_is_the_field_energy(ref, ref_sweep):
+    for rec in ref_sweep:
+        fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), rec.lam)
+        assert rec.report.total == rec.energy == fun.phi_total(rec.field.values)
 
 
 def test_sweep_localization_diagnostics(ref_sweep):
@@ -892,7 +916,7 @@ def test_newton_driver_names_every_stop(stop, solve, max_iters, iterations, u_en
 def test_newton_step_matches_dense_jacobian_solve(ref, ref_sweep):
     lam = 1e3
     fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), lam)
-    u = ref_sweep[1].record.field.values  # converged at lambda = 100
+    u = ref_sweep[1].field.values  # converged at lambda = 100
     _, res, jd = fun.evaluate(u)
     eye = np.eye(u.size)
     lap = np.column_stack([neg_laplacian(Field(ref.grid, c)).values for c in eye])
@@ -913,8 +937,8 @@ def test_newton_sweep_matches_reference_energies(ref_sweep):
 
 def test_newton_step_count_guard(ref_sweep):
     # deterministic work counter: 5, 4, 3, 3 Newton steps when pinned
-    assert [st.record.stop_reason for st in ref_sweep] == ["converged"] * 4
-    assert all(st.record.iterations <= 6 for st in ref_sweep)
+    assert [st.stop_reason for st in ref_sweep] == ["converged"] * 4
+    assert all(st.iterations <= 6 for st in ref_sweep)
 
 
 @pytest.mark.parametrize("gamma", [(1,), (2,), (1, 2)])
@@ -924,8 +948,18 @@ def test_newton_morse_index_is_bump_count(ref, ref_wells, ref_big_t, gamma):
     steps = lambda_sweep(ref.config.lambdas, gamma, init, ref.grid,
                          ref.potential, ref.params, ref.solver)
     for st in steps:
-        assert st.record.stop_reason == "converged"
-        assert st.record.morse_index == len(gamma)
+        assert st.stop_reason == "converged"
+        assert st.morse_index == len(gamma)
+    # the report's mass split, summed directly from the top field's squares
+    full = steps[-1].field.full()
+    sq = full * full
+    total = float(np.sum(sq))
+    per = [float(np.sum(sq[box_mask_full(e, ref.grid)]))
+           for e in ref.geometry.enlargements]
+    threshold = ref.solver.bump_threshold
+    assert steps[-1].bump_mask == gamma == tuple(
+        j + 1 for j, m in enumerate(per) if m >= threshold * total)
+    assert steps[-1].report.mass_fraction(gamma) == sum(per[j - 1] for j in gamma) / total
 
 
 def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep):
@@ -934,10 +968,10 @@ def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep)
     again = lambda_sweep(ref.config.lambdas, (1, 2), init, ref.grid,
                          ref.potential, ref.params, ref.solver)
     for a, b in zip(ref_sweep, again):
-        assert np.array_equal(a.record.field.values, b.record.field.values)
-        assert a.record.residuals == b.record.residuals
-        assert a.record.energies == b.record.energies
-        assert a.record.morse_index == b.record.morse_index
+        assert np.array_equal(a.field.values, b.field.values)
+        assert a.residuals == b.residuals
+        assert a.energies == b.energies
+        assert a.morse_index == b.morse_index
 
 
 def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
@@ -983,6 +1017,24 @@ def test_newton_collapse_from_nonzero_init(ref, ref_wells):
                           ref.solver)
     assert rec.stop_reason == "collapse" and not rec.converged
     assert rec.iterations == 1 and np.abs(rec.field.values).max() == 0.0
+    fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1,), 1e2)
+    assert rec.report.total == fun.phi_total(rec.field.values)
+
+
+def test_collapse_energy_belongs_to_the_collapsed_field(ref, ref_wells, monkeypatch):
+    # the first step halves the iterate, which is evaluated; the second
+    # empties it.  The record's energy is the empty field's, not the energy
+    # of the last evaluated iterate.
+    factors = iter([0.5, 0.0])
+
+    def scaling(grid):
+        return lambda u, res, jd: (u * (next(factors) - 1.0), 1)
+
+    monkeypatch.setattr(solver_module, "_newton_step", scaling)
+    rec = solve_auxiliary(1e2, (1,), ref_wells[0].field, ref.grid, ref.potential,
+                          ref.params, ref.solver)
+    assert rec.stop_reason == "collapse" and len(rec.energies) == 1
+    assert rec.energy == rec.report.total == 0.0 != rec.energies[-1]
 
 
 # -- Newton's method for the 2D auxiliary problem ----------------------------------
@@ -1149,14 +1201,14 @@ def test_two_d_newton_sweep_matches_reference_energies(twin_2d_sweep):
 
 def test_two_d_newton_step_count_guard(twin_2d_sweep):
     # deterministic work counter: 5, 4, 3 Newton steps when pinned
-    assert [st.record.stop_reason for st in twin_2d_sweep] == ["converged"] * 3
-    assert all(st.record.iterations <= 5 for st in twin_2d_sweep)
+    assert [st.stop_reason for st in twin_2d_sweep] == ["converged"] * 3
+    assert all(st.iterations <= 5 for st in twin_2d_sweep)
 
 
 def test_two_d_minres_iteration_guard(twin_2d_sweep):
     # deterministic work counter: 555 MINRES iterations over the sweep when
     # pinned, 1,225 when every step was solved to cg_tol
-    inner = [st.record.inner_iterations for st in twin_2d_sweep]
+    inner = [st.inner_iterations for st in twin_2d_sweep]
     assert all(n > 0 for n in inner)
     assert sum(inner) <= 700
 
@@ -1169,19 +1221,19 @@ def test_two_d_newton_morse_index_is_bump_count(twin_2d, twin_2d_sweep):
              for e in cfg.geometry().enlargements]
     assert [b.stop - b.start for b in boxes[0]] == [47, 47]
     for st in twin_2d_sweep:
-        assert st.record.morse_index == 2
+        assert st.morse_index == 2
         fun = PenalizedFunctional(grid, cfg.potential(), cfg.params(), (1, 2), st.lam)
-        jd = fun.evaluate(st.record.field.values)[2]
+        jd = fun.evaluate(st.field.values)[2]
         assert solver_module._morse_enclosure(jd, boxes, grid.h) == 2
         assert whole_box_negative_eigenvalues(jd, grid.h) == 2
 
 
 def test_two_d_newton_sweep_reruns_bit_identical(twin_2d, twin_2d_sweep):
     for a, b in zip(twin_2d_sweep, twin_2d[1]()):
-        assert np.array_equal(a.record.field.values, b.record.field.values)
-        assert a.record.residuals == b.record.residuals
-        assert a.record.energies == b.record.energies
-        assert a.record.morse_index == b.record.morse_index
+        assert np.array_equal(a.field.values, b.field.values)
+        assert a.residuals == b.residuals
+        assert a.energies == b.energies
+        assert a.morse_index == b.morse_index
 
 
 # -- factored Jacobian solves (2D) --------------------------------------------------

@@ -75,7 +75,7 @@ def test_sandwich_check():
     ok, _ = check_sandwich(4.80, 5.00, 4.82)  # upper bound violated
     assert not ok
     # the allowance rescues small violations
-    ok, _ = check_sandwich(4.83, 4.81, 4.82, allowance=0.02)
+    ok, _ = check_sandwich(4.83, 4.81, 4.82)
     assert ok
 
 
@@ -171,7 +171,7 @@ def test_limit_problem_single_well(ref, ref_wells, ref_big_t):
     table = check_limit_problem(steps, [ref_wells[0].field],
                                 ref_wells[0].energy)
     assert table[-1].phi_gap_rel < 0.01
-    assert steps[-1].record.bump_mask == (1,)
+    assert steps[-1].bump_mask == (1,)
 
 
 def test_limit_problem_grid_consistency(ref_config):
@@ -321,7 +321,7 @@ def fit_log_envelope(h1_norms, log_masses):
 
 def test_norm_partition_reconstruction(ref, ref_sweep):
     m = masks(ref.geometry, ref.grid, (1, 2))
-    u = ref_sweep[-1].record.field
+    u = ref_sweep[-1].field
     gap = norm_partition_gap(u, m, 1e4, ref.potential)
     total = restricted_norm_sq(
         u, np.ones(ref.grid.full_shape, dtype=bool), 1e4, ref.potential
@@ -336,13 +336,13 @@ def test_log_envelope_fit(ref, ref_sweep):
     norms, logs = [], []
     full = np.ones(ref.grid.full_shape, dtype=bool)
     for st in ref_sweep:
-        u = st.record.field
+        u = st.field
         norms.append(
             math.sqrt(restricted_norm_sq(u, full, st.lam, ref.potential))
         )
         logs.append(integrate(np.asarray(sq_log_sq(u.values)), ref.grid))
     for scale in (0.5, 2.0, 4.0):
-        u = ref_sweep[-1].record.field
+        u = ref_sweep[-1].field
         scaled = Field(ref.grid, scale * u.values)
         norms.append(
             math.sqrt(restricted_norm_sq(scaled, full, 1e4, ref.potential))
