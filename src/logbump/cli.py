@@ -23,7 +23,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -178,6 +177,12 @@ def _positive(text: str) -> int:
     return count
 
 
+def _serial(text: str) -> int:
+    if _integer(text) != 1:
+        raise ValueError("the pipeline is serial; only 1 is accepted")
+    return 1
+
+
 _NO_DEFAULT = object()
 
 # (key, RunConfig field, parser, default) in echo order; the well blocks
@@ -201,7 +206,7 @@ CONFIG_KEYS = (
     ("bump_threshold", "bump_threshold", _finite, SolverConfig.bump_threshold),
     ("minimax_T", "minimax_t", lambda t: None if t == "auto" else _finite(t), None),
     ("minimax_m", "minimax_m", _integer, 33),
-    ("workers", "workers", _positive, 1),
+    ("workers", "workers", _serial, 1),
     ("out", "out", _nonempty, lambda values: os.path.join("runs", values["scenario"])),
 )
 _WELL_SUFFIXES = ("center", "half", "enlarged_half")
@@ -399,10 +404,12 @@ def row_to_csv(row: SweepRow) -> str:
 def rows_from_csv(text: str) -> tuple[list[SweepRow], int]:
     """Rows of energies.csv, each cell read by its header name.
 
-    A header that lacks a column, repeats one or names an unknown one
-    raises ValueError.
+    An empty text, or a header that lacks a column, repeats one or names
+    an unknown one, raises ValueError.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("energies.csv is empty")
     header = lines[0].split(",")
     k = sum(1 for c in header if c.startswith("i_lambda_"))
     columns = _csv_columns(k)
@@ -479,14 +486,18 @@ def _local_failures(what: str, record) -> list[str]:
     return []
 
 
-def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
-    """Execute the pipeline; returns a process exit status."""
+def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
+    """Execute the pipeline; returns a process exit status.
+
+    The pipeline is serial: `workers`, like the config key, must be 1; it
+    stays because the benchmark's child process passes it.
+    """
+    _parse_value("workers", _serial, str(workers))
     if gamma is not None:
         config = replace(config, gamma=gamma)
         config = parse_config_text(canonical_text(config))
     out_root = out_dir or config.out
     os.makedirs(out_root, exist_ok=True)
-    n_workers = workers or config.workers
 
     grid = config.grid()
     geometry = config.geometry()
@@ -603,27 +614,16 @@ def run(config: RunConfig, out_dir=None, workers=None, gamma=None) -> int:
                          f"{lr.phi_gap_rel!r}\n")
         return rows, notes
 
-    print(f"[{config.scenario}] sweeping {len(runnable)} well selections "
-          f"({n_workers} workers)")
+    print(f"[{config.scenario}] sweeping {len(runnable)} well selections")
     all_rows: list[SweepRow] = []
-
-    def collect(gsel, result):
+    for gsel in runnable:
         try:
-            rows, notes = result()
+            rows, notes = gamma_job(gsel)
         except SolveError as exc:
             failures.append(f"gamma {_mask_str(gsel)}: {exc}")
-            return
+            continue
         all_rows.extend(rows)
         failures.extend(notes)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = {pool.submit(gamma_job, g): g for g in runnable}
-            for fut, gsel in futures.items():
-                collect(gsel, fut.result)
-    else:
-        for gsel in runnable:
-            collect(gsel, lambda: gamma_job(gsel))
 
     all_rows.sort(key=lambda r: (r.gamma, r.lam))
     csv_path = os.path.join(out_root, "energies.csv")
@@ -684,8 +684,12 @@ def report(run_dir) -> int:
     if "energies.csv" in missing:
         print(f"missing artifacts: {', '.join(missing)}", file=sys.stderr)
         return 1
-    with open(os.path.join(run_dir, "energies.csv")) as fh:
-        rows, _ = rows_from_csv(fh.read())
+    try:
+        with open(os.path.join(run_dir, "energies.csv")) as fh:
+            rows, _ = rows_from_csv(fh.read())
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
     widths = (10, 8, 14, 14, 16, 13, 9, 9)
     print("  ".join(c.ljust(w) for c, w in zip(REPORT_COLUMNS, widths)))
@@ -728,7 +732,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute the full pipeline")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--gamma", default=None,
                        help="well selection, e.g. '1,2' or 'all'")
 
@@ -751,8 +754,7 @@ def main(argv=None) -> int:
             print(f"invalid config: {exc}", file=sys.stderr)
             return 2
         try:
-            return run(config, out_dir=args.out, workers=args.workers,
-                       gamma=args.gamma)
+            return run(config, out_dir=args.out, gamma=args.gamma)
         except ConfigError as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return 2

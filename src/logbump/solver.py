@@ -178,6 +178,14 @@ class MinimaxParams:
                              f"(got {self.m!r})")
 
 
+def _finite(rhs) -> np.ndarray:
+    """rhs as a float array; a non-finite entry raises SolveError."""
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.all(np.isfinite(rhs)):
+        raise SolveError("non-finite right-hand side")
+    return rhs
+
+
 def conjugate_gradient(apply_a, b, x0, tol, max_iters, diag=None):
     """Preconditioned CG for an SPD operator given as a callable.
 
@@ -190,9 +198,7 @@ def conjugate_gradient(apply_a, b, x0, tol, max_iters, diag=None):
     benchmark's tracer (perfbench/tracer.py) binds it by name, and the
     tests use it as an independent check of the factored operators.
     """
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise SolveError("non-finite right-hand side")
+    b = _finite(b)
     x = np.array(x0, dtype=float, copy=True)
     r = b - apply_a(x)
     bnorm = float(np.sqrt(np.vdot(b, b)))
@@ -238,9 +244,7 @@ def minres(apply_a, b, minv, tol, max_iters):
     called again, so the callable may reuse one output buffer; b and minv
     are only read.
     """
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise SolveError("non-finite right-hand side")
+    b = _finite(b)
     if not np.all(np.isfinite(minv)):
         raise SolveError("MINRES breakdown: non-finite preconditioner")
     if not np.all(minv > 0.0):
@@ -321,7 +325,7 @@ class TridiagonalLDL:
         off = np.asarray(off, dtype=float).tolist()
         if len(off) != len(diag) - 1:
             raise ValueError("off must have one entry fewer than diag")
-        vals = _finite_list(rhs)
+        vals = _finite(rhs).tolist()
         floor = TridiagonalLDL.PIVOT_RTOL * max(map(abs, diag))
         pivots, mults, fwd = [diag[0]], [], [vals[0]]
         try:
@@ -341,13 +345,6 @@ class TridiagonalLDL:
             out.append(x)
         out.reverse()
         return np.array(out), sum(p < 0.0 for p in pivots)
-
-
-def _finite_list(rhs) -> list[float]:
-    rhs = np.asarray(rhs, dtype=float)
-    if not np.all(np.isfinite(rhs)):
-        raise SolveError("non-finite right-hand side")
-    return rhs.tolist()
 
 
 class BlockTridiagonalLDL:
@@ -371,9 +368,7 @@ class BlockTridiagonalLDL:
         """(x, negative eigenvalues) for the matrix and rhs: one forward and
         one back sweep over rows, the forward one inside the factor loop.
         Every Schur block's inverse is kept until the back sweep."""
-        rhs = np.asarray(rhs, dtype=float)
-        if not np.all(np.isfinite(rhs)):
-            raise SolveError("non-finite right-hand side")
+        rhs = _finite(rhs)
         off = np.asarray(off0, dtype=float)
         x = np.empty_like(rhs)
         invs = []

@@ -9,7 +9,7 @@ and reported, never asserted a priori.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,16 +103,29 @@ def check_sandwich(sum_c_lambda: float, b_upper: float, c_gamma: float):
     return lower_ok and upper_ok, margin
 
 
-def _tail_decreasing(values: list[float]) -> tuple[bool, float]:
-    """Last TREND_TAIL values nonincreasing up to the factor TREND_SLACK.
+def _extreme(pick, values) -> float:
+    """pick(values), or nan when a value is nan or there is none, so the
+    result does not depend on the order of the values."""
+    if not values or any(math.isnan(v) for v in values):
+        return math.nan
+    return pick(values)
 
-    Returns (ok, worst ratio v[i+1]/v[i])."""
+
+def _judge(name: str, margins: list[float], detail: str) -> Verdict:
+    """The one pass/fail rule of the row-based verdicts.
+
+    The verdict passes when every margin it judges is >= 0 and fails when
+    it judges none; the margin reported is the smallest, nan if any is.
+    """
+    margin = _extreme(min, margins)
+    return Verdict(name, margin >= 0.0, margin,
+                   detail if margins else "nothing to judge")
+
+
+def _tail_ratios(values: list[float]) -> list[float]:
+    """Ratios v[i+1]/v[i] over the last TREND_TAIL values."""
     vals = values[-TREND_TAIL:]
-    if len(vals) < 2:
-        return True, 0.0
-    ratios = [b / a if a > 0 else math.inf for a, b in zip(vals, vals[1:])]
-    worst = max(ratios)
-    return worst <= TREND_SLACK, worst
+    return [b / a if a > 0 else math.inf for a, b in zip(vals, vals[1:])]
 
 
 def compute_verdicts(
@@ -125,10 +138,12 @@ def compute_verdicts(
     `selections` lists the well selections the run asked for (default: the
     ones present in the rows).  One with no rows (its solves failed or were
     skipped) fails convergence.  The multiplicity verdict is given when
-    they are all 2^k - 1 of them, and fails if any has no rows.
+    they are all 2^k - 1 of them, and fails if any has no rows.  Every
+    other verdict judges a margin per row or per selection (`_judge`); the
+    trend judges the selections with at least two lambdas.
     """
     groups = _groups(rows)
-    verdicts: list[Verdict] = []
+    top_rows = [grp[-1] for grp in groups.values()]
     wanted = set(groups) if selections is None else {tuple(g) for g in selections}
     missing = sorted(wanted - set(groups))
     no_rows = "; no rows for gamma " + ", ".join(
@@ -136,86 +151,49 @@ def compute_verdicts(
 
     solved = all(r.converged for r in rows)
     detail = "all solves converged" if solved else "flagged solves present"
-    verdicts.append(Verdict("convergence", solved and not missing, 0.0, detail + no_rows))
+    verdicts = [Verdict("convergence", solved and not missing, 0.0, detail + no_rows)]
 
-    pos_ok = all(r.min_u >= 0.0 for r in rows)
-    top_rows = [grp[-1] for grp in groups.values()]
-    occ_ok = all(r.occupied == r.gamma for r in top_rows)
-    verdicts.append(
-        Verdict("positivity", pos_ok and occ_ok,
-                min((r.min_u for r in rows), default=0.0),
-                "min u >= 0 and every selected well carries a bump")
-    )
+    positivity = _judge("positivity", [r.min_u for r in rows],
+                        "min u >= 0 and every selected well carries a bump")
+    occupied = all(r.occupied == r.gamma for r in top_rows)
+    verdicts.append(replace(positivity, passed=positivity.passed and occupied))
 
-    lin_ok = True
-    lin_margin = math.inf
-    thresholds = []
-    for gamma, grp in groups.items():
-        ok, margin = check_linfty_outside(grp[-1].sup_outside, grp[-1].a0)
-        lin_ok &= ok
-        lin_margin = min(lin_margin, margin)
-        thr = linfty_threshold(grp)
-        thresholds.append(f"gamma={'+'.join(map(str, gamma))}: "
-                          f"{'never' if thr is None else f'{thr:g}'}")
-    verdicts.append(
-        Verdict("linfty_outside", lin_ok, lin_margin,
-                "empirical lambda thresholds " + "; ".join(thresholds))
-    )
+    thresholds = {gamma: linfty_threshold(grp) for gamma, grp in groups.items()}
+    verdicts.append(_judge(
+        "linfty_outside",
+        [check_linfty_outside(r.sup_outside, r.a0)[1] for r in top_rows],
+        "empirical lambda thresholds " + "; ".join(
+            f"gamma={'+'.join(map(str, gamma))}: "
+            f"{'never' if thr is None else f'{thr:g}'}"
+            for gamma, thr in thresholds.items())))
 
-    trend_ok = True
-    worst = 0.0
-    for grp in groups.values():
-        if len(grp) < 3:
-            continue
-        ok1, w1 = _tail_decreasing([r.lambda_v_mass for r in grp])
-        ok2, w2 = _tail_decreasing([r.outside_norm_sq for r in grp])
-        trend_ok &= ok1 and ok2
-        worst = max(worst, w1, w2)
-    verdicts.append(
-        Verdict("localization_trend", trend_ok, TREND_SLACK - worst,
-                f"worst tail ratio {worst:.4f} (slack {TREND_SLACK})")
-    )
+    worst = [
+        _extreme(max, _tail_ratios([r.lambda_v_mass for r in grp])
+                 + _tail_ratios([r.outside_norm_sq for r in grp]))
+        for grp in groups.values() if len(grp) >= 2
+    ]
+    verdicts.append(_judge(
+        "localization_trend", [TREND_SLACK - w for w in worst],
+        f"worst tail ratio {_extreme(max, worst):.4f} (slack {TREND_SLACK})"))
 
-    sand_ok = True
-    sand_margin = math.inf
-    for grp in groups.values():
-        row = grp[-1]
-        csum = sum(row.c_lambda[j - 1] for j in row.gamma)
-        ok, margin = check_sandwich(csum, row.b_upper, row.c_gamma)
-        sand_ok &= ok
-        sand_margin = min(sand_margin, margin)
-    verdicts.append(
-        Verdict("energy_sandwich", sand_ok, sand_margin,
-                f"allowance {SANDWICH_ALLOWANCE:.0%} of the well-sum level")
-    )
+    verdicts.append(_judge(
+        "energy_sandwich",
+        [check_sandwich(sum(r.c_lambda[j - 1] for j in r.gamma),
+                        r.b_upper, r.c_gamma)[1] for r in top_rows],
+        f"allowance {SANDWICH_ALLOWANCE:.0%} of the well-sum level"))
 
-    gap_ok = True
-    gap_worst = 0.0
-    for grp in groups.values():
-        row = grp[-1]
-        gap = abs(row.phi_total - row.c_gamma) / row.c_gamma
-        gap_worst = max(gap_worst, gap)
-        gap_ok &= gap <= GAP_TOL
-    verdicts.append(
-        Verdict("limit_energy_gap", gap_ok, GAP_TOL - gap_worst,
-                f"worst relative gap {gap_worst:.3e} at the largest lambda")
-    )
+    gaps = [abs(r.phi_total - r.c_gamma) / r.c_gamma for r in top_rows]
+    verdicts.append(_judge(
+        "limit_energy_gap", [GAP_TOL - gap for gap in gaps],
+        f"worst relative gap {_extreme(max, gaps):.3e} at the largest lambda"))
 
-    fid_ok = True
-    fid_margin = math.inf
-    for grp in groups.values():
-        frac = grp[-1].mass_frac
-        fid_ok &= frac >= FIDELITY
-        fid_margin = min(fid_margin, frac - FIDELITY)
-    verdicts.append(
-        Verdict("bump_fidelity", fid_ok, fid_margin,
-                f"required mass fraction {FIDELITY:.0%} in the enlargements")
-    )
+    verdicts.append(_judge(
+        "bump_fidelity", [r.mass_frac - FIDELITY for r in top_rows],
+        f"required mass fraction {FIDELITY:.0%} in the enlargements"))
 
     if len(wanted) == 2**k - 1:
-        masks_seen = {grp[-1].occupied for grp in groups.values()}
-        match = all(grp[-1].occupied == gamma for gamma, grp in groups.items())
-        mult_ok = len(masks_seen) == 2**k - 1 and match
+        masks_seen = {r.occupied for r in top_rows}
+        mult_ok = len(masks_seen) == 2**k - 1 and occupied
         detail = (f"{len(masks_seen)} distinct occupation masks of {2**k - 1} "
                   f"expected{no_rows}")
         verdicts.append(

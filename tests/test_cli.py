@@ -231,13 +231,16 @@ def test_run_rerun_bit_identical(tmp_path):
             assert filecmp.cmp(sub, other, shallow=False), sub.name
 
 
-def test_run_workers_match_serial(tmp_path):
-    config = parse_config_text(TINY)
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert run(config, out_dir=str(out1), workers=1) == 0
-    assert run(config, out_dir=str(out2), workers=3) == 0
-    assert filecmp.cmp(out1 / "energies.csv", out2 / "energies.csv",
-                       shallow=False)
+def test_workers_other_than_one_rejected(tmp_path):
+    # the pipeline is serial; the key and the keyword accept only 1
+    with pytest.raises(ConfigError, match="^workers: the pipeline is serial; "
+                                          "only 1 is accepted \\(got '2'\\)$"):
+        parse_config_text(_minimal_with("workers", "2"))
+    assert parse_config_text(_minimal_with("workers", "1")).workers == 1
+    out = tmp_path / "parallel"
+    with pytest.raises(ConfigError, match="^workers: "):
+        run(parse_config_text(TINY), out_dir=str(out), workers=2)
+    assert not out.exists()
 
 
 def test_run_gamma_override(tmp_path):
@@ -283,6 +286,19 @@ def test_report_and_degraded_mode(tmp_path, capsys):
     assert report(str(out)) == 1
     captured = capsys.readouterr()
     assert "energies.csv" in captured.err
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("", "energies.csv is empty"),
+    ("\n  \n", "energies.csv is empty"),
+    ("lambda,gamma,phi\n1.0,1,2.0\n", "energies.csv header: missing "),
+])
+def test_report_rejects_an_unreadable_energies_csv(tmp_path, capsys, text, reason):
+    (tmp_path / "energies.csv").write_text(text)
+    assert main(["report", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(reason)
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_main_validate_and_report(tmp_path, capsys):
@@ -406,6 +422,15 @@ def test_readme_config_table_lists_every_key():
     expected.update({well: "required" for well in wells})
     expected.update(R="required", n="required", out="`runs/<scenario>`")
     assert {key: cell.strip() for key, cell in rows} == expected
+
+
+def test_readme_run_usage_lists_every_option(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    usage = re.search(r"^logbump run (.*)$", readme, flags=re.M).group(1)
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    accepted = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.M))
+    assert set(re.findall(r"--[a-z-]+", usage)) == accepted - {"--help"}
 
 
 def test_report_cells_repeat_energies_cells(tmp_path, capsys):

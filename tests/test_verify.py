@@ -10,6 +10,7 @@ import pytest
 from logbump.cli import parse_config, parse_config_text, rows_from_csv, run
 from logbump.domain import Field, Grid, masks
 from logbump.verify import (
+    TREND_SLACK,
     LimitRow,
     SweepRow,
     check_limit_problem,
@@ -147,6 +148,45 @@ def test_verdict_convergence_fails_on_a_selection_without_rows():
     verdicts = {v.name: v for v in compute_verdicts([], k=2, selections=[(2,)])}
     assert not verdicts["convergence"].passed
     assert verdicts["convergence"].detail == "all solves converged; no rows for gamma 2"
+
+
+ROW_VERDICTS = ("positivity", "linfty_outside", "localization_trend",
+                "energy_sandwich", "limit_energy_gap", "bump_fidelity")
+
+
+@pytest.mark.parametrize("name", ROW_VERDICTS)
+def test_row_verdict_with_nothing_to_judge_fails(name):
+    # every well failed, so no selection has a row to pass on
+    asked = [(1,), (2,), (1, 2)]
+    verdict = {v.name: v for v in compute_verdicts([], k=2, selections=asked)}[name]
+    assert not verdict.passed
+    assert math.isnan(verdict.margin)
+    assert verdict.detail == "nothing to judge"
+
+
+def test_one_lambda_sweep_fails_only_the_trend():
+    rows = [make_row(1e4, gamma=g) for g in ((1,), (1, 2), (2,))]
+    verdicts = compute_verdicts(rows, k=2)
+    assert [v.name for v in verdicts if not v.passed] == ["localization_trend"]
+
+
+def test_two_lambda_sweep_judges_the_trend():
+    rows = [make_row(100.0, lamv=1e-4), make_row(1e4, lamv=2e-4)]
+    trend = {v.name: v for v in compute_verdicts(rows, k=2)}["localization_trend"]
+    assert not trend.passed
+    assert trend.margin == TREND_SLACK - 2.0
+    assert trend.detail == f"worst tail ratio 2.0000 (slack {TREND_SLACK})"
+
+
+@pytest.mark.parametrize("nan_gamma", [(1,), (2,)])
+def test_nan_energy_fails_the_gap_wherever_it_sorts(nan_gamma):
+    # (1,) sorts first and (2,) last; the nan margin is reported either way
+    rows = [make_row(1e4, gamma=g, phi=math.nan if g == nan_gamma else 4.8)
+            for g in ((1,), (1, 2), (2,))]
+    gap = {v.name: v for v in compute_verdicts(rows, k=2)}["limit_energy_gap"]
+    assert not gap.passed
+    assert math.isnan(gap.margin)
+    assert gap.detail == "worst relative gap nan at the largest lambda"
 
 
 # -- limit problem -----------------------------------------------------------------
