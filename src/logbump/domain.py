@@ -288,14 +288,25 @@ def masks(geometry: WellGeometry, grid: Grid, gamma) -> RegionMasks:
 
 
 MIN_MARGIN_CELLS = 2
+# Nodes per axis a well needs for its ground-state solve.
+MIN_WELL_NODES = 32
+
+
+def check_well_nodes(j: int, nodes) -> None:
+    """Raise ValueError when a node slice of well j holds < MIN_WELL_NODES."""
+    for ax, s in enumerate(nodes):
+        if s.stop - s.start < MIN_WELL_NODES:
+            raise ValueError(f"well {j} resolved by only {s.stop - s.start} nodes "
+                             f"on axis {ax}; need >= {MIN_WELL_NODES}")
 
 
 def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid):
     """Reject geometries the grid cannot resolve.
 
     Each well must sit inside its enlargement with at least MIN_MARGIN_CELLS
-    grid cells of margin per side, and every enlargement must stay
-    MIN_MARGIN_CELLS cells away from the box boundary.
+    grid cells of margin per side, every enlargement must stay
+    MIN_MARGIN_CELLS cells away from the box boundary, and every well must
+    hold MIN_WELL_NODES nodes per axis.
     """
     if geometry.dim != grid.dim:
         raise ValueError("geometry and grid dimensions differ")
@@ -310,6 +321,7 @@ def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid):
                 raise ValueError(
                     f"well {j}: enlargement too close to the box boundary"
                 )
+        check_well_nodes(j, box_nodes(w, grid))
 
 
 def neg_laplacian(u: Field) -> Field:

@@ -5,8 +5,14 @@ values clipped after every step (the discrete counterpart of testing with
 the negative part), and the Jacobian's negative eigenvalues counted as its
 Morse index.  One driver, `_newton`, runs the iteration of every solve,
 keeps its histories and ends it with a named stop reason, recorded on a
-`NewtonRecord`; each problem supplies only its evaluation, its linear
-solve and its collapse test.  A linear solve that raises ends the solve as
+`NewtonRecord`; each problem supplies only its evaluation, with the
+Jacobian's diagonal, and its collapse test.  One linear step,
+`_linear_step`, solves every Newton system from that diagonal and the
+stencil couplings: in 1D by one tridiagonal LDL^T pass, whose negative
+pivots count the Morse index; in 2D, where a whole-box factor would hold
+(n - 2)^3 doubles, by an inexact Newton step, diagonally preconditioned
+MINRES on the Jacobian applied free of storage, stopped at a forcing term
+tied to the outer residual.  A linear solve that raises ends the solve as
 a breakdown instead of escaping it.
 
 The local well problems run on a box of grid nodes and differ only in the
@@ -14,19 +20,13 @@ ghost rule beyond the box: zero on the Dirichlet well's own nodes,
 mirrored on the enlarged well with natural boundary condition.  Their
 ground states are mountain-pass points, Morse index 1.  Each Newton
 iterate is rescaled onto the Nehari manifold in closed form, which keeps
-the iteration off u = 0.  The weighted Jacobian is factored and solved in
-one pass, by a tridiagonal LDL^T in 1D and a block LDL^T in 2D, and the
-inertia of the factor gives the Morse index.
+the iteration off u = 0.  In 2D one block LDL^T inertia count of the
+local box per solve gives the Morse index.
 
-The penalized problem on the whole box has saddle solutions.  It is solved
-by Newton's method with the same clip.  In 1D each step factors the
-indefinite tridiagonal Jacobian, whose negative pivots count the Morse
-index.  In 2D each step is an inexact Newton step: diagonally
-preconditioned MINRES on the Jacobian applied free of storage, since a
-whole-box factor would hold (n - 2)^3 doubles, stopped at a forcing term
-tied to the outer residual; the Morse index of the last Jacobian is
-certified once per solve by an inertia enclosure that factors only the
-enlarged wells' node boxes.
+The penalized problem on the whole box has saddle solutions, solved by
+Newton's method with the same clip.  In 2D its Morse index is certified
+once per solve by an inertia enclosure that factors only the enlarged
+wells' node boxes.
 
 Everything here is deterministic: fixed iteration order, fixed summation
 order, no randomness, so identical inputs give bit-identical outputs.
@@ -50,6 +50,7 @@ from logbump.domain import (
     _dist_sq_to_wells,
     _shape_potential,
     box_nodes,
+    check_well_nodes,
     neg_laplacian_values,
 )
 from logbump.functional import (
@@ -70,11 +71,10 @@ class SolverConfig:
     """Newton and inner linear-solve settings.
 
     tol and max_iters bound every solve.  cg_tol and cg_max_iters bound the
-    MINRES solve inside each 2D Newton step of the penalized problem:
-    cg_tol is the floor of its forcing term, the relative preconditioned
-    residual it stops at (see `_minres_newton_step`), and cg_max_iters its
-    iteration cap; every other linear solve is direct.  The keys keep their
-    historical names.
+    MINRES solve inside every 2D Newton step: cg_tol is the floor of its
+    forcing term, the relative preconditioned residual it stops at (see
+    `_linear_step`), and cg_max_iters its iteration cap.  The keys keep
+    their historical names.
     """
 
     tol: float = 1e-6
@@ -105,17 +105,17 @@ class NewtonRecord:
     stop_reason names why the solve stopped: "converged", "iteration cap",
     "collapse" (the iterate, or a selected enlargement of it, lost all of
     its mass), "diverged" (the Newton residual grew DIVERGE_STEPS steps in
-    a row), "breakdown" (a step's linear solve raised `SolveError`: a pivot
-    or Schur block near singular, or MINRES breaking down or running out of
+    a row), "breakdown" (a step's linear solve raised `SolveError`: an
+    LDL^T pivot near zero, or MINRES breaking down or running out of
     iterations) or "non-finite" (the residual of a step's iterate was not
     finite).  morse_index counts the negative eigenvalues of the last
-    successful Newton step's Jacobian: exact pivot or Schur-block inertia
-    for the ground states and the 1D penalized problem, a certified inertia
-    enclosure for the 2D penalized problem, where it is nan when the
-    enclosure's bounds disagree; nan when no step succeeded.  stop_detail
-    keeps the `SolveError` message of a breakdown and is empty otherwise.
-    inner_iterations sums the MINRES iterations of the steps whose linear
-    solve returned, and is 0 where every linear solve is direct.
+    successful Newton step's Jacobian: the negative pivots of its LDL^T in
+    1D; in 2D the Schur-block inertia of a ground state's local box, nan
+    when a block is near singular, and for the penalized problem a
+    certified inertia enclosure, nan when its bounds disagree; nan when no
+    step succeeded.  stop_detail keeps the `SolveError` message of a
+    breakdown and is empty otherwise.  inner_iterations sums the MINRES
+    iterations of the steps whose linear solve returned, 0 in 1D.
     """
 
     iterations: int
@@ -196,7 +196,7 @@ def conjugate_gradient(apply_a, b, x0, tol, max_iters, diag=None):
 
     No solve of the pipeline calls it any more; it stays because the
     benchmark's tracer (perfbench/tracer.py) binds it by name, and the
-    tests use it as an independent check of the factored operators.
+    tests use it as an independent check of SPD operators.
     """
     b = _finite(b)
     x = np.array(x0, dtype=float, copy=True)
@@ -348,8 +348,8 @@ class TridiagonalLDL:
 
 
 class BlockTridiagonalLDL:
-    """Block LDL^T of a symmetric, possibly indefinite 5-point matrix on an
-    (ny, nx) array.
+    """Block LDL^T inertia of a symmetric, possibly indefinite 5-point
+    matrix on an (ny, nx) array.
 
     `off0` couples node (i, j) to (i + 1, j) and `off1` couples it to
     (i, j + 1).  Each row's Schur complement is a dense nx x nx block.  By
@@ -359,59 +359,32 @@ class BlockTridiagonalLDL:
 
     @staticmethod
     def negative_eigenvalues(diag, off0, off1) -> int:
-        """Negative eigenvalues of the matrix; only the previous Schur
-        block's inverse is kept."""
-        return sum(neg for _, neg in _schur_inverses(diag, off0, off1))
-
-    @staticmethod
-    def solve_once(diag, off0, off1, rhs) -> tuple[np.ndarray, int]:
-        """(x, negative eigenvalues) for the matrix and rhs: one forward and
-        one back sweep over rows, the forward one inside the factor loop.
-        Every Schur block's inverse is kept until the back sweep."""
-        rhs = _finite(rhs)
-        off = np.asarray(off0, dtype=float)
-        x = np.empty_like(rhs)
-        invs = []
+        """Negative eigenvalues of the matrix, keeping only the previous
+        Schur block's inverse.  A block whose Cholesky factor succeeds is
+        SPD; otherwise its eigenvalues are counted, and a block within
+        TridiagonalLDL.PIVOT_RTOL of singular raises SolveError, since its
+        inverse would carry no digits."""
+        diag = np.asarray(diag, dtype=float)
+        off0 = np.asarray(off0, dtype=float)
+        off1 = np.asarray(off1, dtype=float)
+        ny, nx = diag.shape
+        if off0.shape != (ny - 1, nx) or off1.shape != (ny, nx - 1):
+            raise ValueError("off0 and off1 must couple neighbours along axes 0 and 1")
         negative = 0
-        for i, (inv, neg) in enumerate(_schur_inverses(diag, off0, off1)):
-            invs.append(inv)
-            negative += neg
-            x[i] = inv @ (rhs[i] - off[i - 1] * x[i - 1] if i else rhs[i])
-        for i in range(len(x) - 2, -1, -1):
-            x[i] -= invs[i] @ (off[i] * x[i + 1])
-        return x, negative
-
-
-def _schur_inverses(diag, off0, off1):
-    """Yield (inverse, negative eigenvalues) of each row's Schur complement
-    of a symmetric 5-point matrix (see `BlockTridiagonalLDL`).
-
-    A block whose Cholesky factor succeeds is SPD; otherwise its
-    eigenvalues are counted, and a block within TridiagonalLDL.PIVOT_RTOL
-    of singular raises, since its inverse would carry no digits.
-    """
-    diag = np.asarray(diag, dtype=float)
-    off0 = np.asarray(off0, dtype=float)
-    off1 = np.asarray(off1, dtype=float)
-    ny, nx = diag.shape
-    if off0.shape != (ny - 1, nx) or off1.shape != (ny, nx - 1):
-        raise ValueError("off0 and off1 must couple neighbours along axes 0 and 1")
-    inv = None
-    for i in range(ny):
-        schur = np.diag(diag[i]) + np.diag(off1[i], 1) + np.diag(off1[i], -1)
-        if i > 0:
-            schur -= off0[i - 1][:, None] * inv * off0[i - 1][None, :]
-        negative = 0
-        try:
-            np.linalg.cholesky(schur)
-        except np.linalg.LinAlgError:
-            eigs = np.linalg.eigvalsh(schur)
-            size = np.abs(eigs)
-            if size.min() <= TridiagonalLDL.PIVOT_RTOL * size.max():
-                raise SolveError("block LDL^T breakdown: Schur block near singular")
-            negative = int(np.sum(eigs < 0.0))
-        inv = np.linalg.inv(schur)
-        yield inv, negative
+        for i in range(ny):
+            schur = np.diag(diag[i]) + np.diag(off1[i], 1) + np.diag(off1[i], -1)
+            if i > 0:
+                schur -= off0[i - 1][:, None] * inv * off0[i - 1][None, :]
+            try:
+                np.linalg.cholesky(schur)
+            except np.linalg.LinAlgError:
+                eigs = np.linalg.eigvalsh(schur)
+                size = np.abs(eigs)
+                if size.min() <= TridiagonalLDL.PIVOT_RTOL * size.max():
+                    raise SolveError("block LDL^T breakdown: Schur block near singular")
+                negative += int(np.sum(eigs < 0.0))
+            inv = np.linalg.inv(schur)
+        return negative
 
 
 def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
@@ -426,78 +399,69 @@ def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
     return tuple(off)
 
 
-# -- penalized problem on the box -------------------------------------------
-
-
-def _newton_step(grid: Grid) -> Callable:
-    """step(u, res, jd) -> (du, Morse index) for the penalized problem in 1D.
-
-    Solves J du = -res with the tridiagonal Jacobian J = -lap + diag(jd)
-    at u (jd from `PenalizedFunctional.evaluate`), factored and substituted
-    in one pass, and returns du with the number of negative pivots of J,
-    its count of negative eigenvalues.
-    """
-    off = np.full(grid.n - 3, -1.0 / grid.h**2)
-    stencil = 2.0 / grid.h**2
-
-    def step(u, res, jd):
-        return TridiagonalLDL.solve_once(stencil + jd, off, -res)
-
-    return step
-
-
-# Cap of the inexact Newton forcing term in `_minres_newton_step`.
+# Cap of the inexact Newton forcing term in `_linear_step`.
 ETA_MAX = 1e-3
 
 
-def _minres_newton_step(grid: Grid, config: SolverConfig) -> Callable:
-    """step(u, res, jd) -> (du, nan) for the penalized problem in 2D.
+def _linear_step(off, config: SolverConfig) -> Callable:
+    """step(u, b, d, rel) -> (du, Morse index): solves J du = -b for J with
+    diagonal d and stencil couplings off (see `_five_point_apply`); rel is
+    the outer relative residual at u.
 
-    Solves J du = -res for the Jacobian J = -lap_h + diag(jd) at u (jd from
-    `PenalizedFunctional.evaluate`) inexactly, by MINRES preconditioned
-    with 1 / |d| for the diagonal d = 4/h^2 + jd of J.  The step is an
-    inexact Newton step (Dembo, Eisenstat & Steihaug 1982): MINRES stops
-    at the forcing term eta = max(cg_tol, min(ETA_MAX, rel)), with rel the
-    outer relative residual at u, so steps far from the solution are cheap
-    and the last ones are solved to the outer residual's own size
-    (Eisenstat & Walker 1996).  J is applied free of storage by
-    `_five_point_apply`: a whole-box block factor would hold (n - 2)^3
-    doubles, 15.6 MB at n = 127.  The Morse index is left to
-    `_morse_enclosure`, once per solve.  step.inner_iterations sums the
-    MINRES iterations of the steps that returned.
+    In 1D one LDL^T pass solves J and counts its negative pivots, the Morse
+    index.  In 2D the step is an inexact Newton step (Dembo, Eisenstat &
+    Steihaug 1982): MINRES on J applied free of storage, preconditioned
+    with 1 / |d|, stops at the forcing term eta = max(cg_tol, min(ETA_MAX,
+    rel)), so steps far from the solution are cheap and the last ones are
+    solved to the outer residual's own size (Eisenstat & Walker 1996).  Its
+    Morse index is nan, left to one count per solve, and
+    step.inner_iterations sums the MINRES iterations of the steps that
+    returned.
     """
-    stencil = 2.0 * grid.dim / grid.h**2
-
-    def step(u, res, jd):
-        d = stencil + jd
-        eta = max(config.cg_tol, min(ETA_MAX, _relative_residual(u, res)))
-        du, its = minres(_five_point_apply(d, grid.h), -res, 1.0 / np.abs(d), eta,
-                         config.cg_max_iters)
-        step.inner_iterations += its
-        return du, math.nan
+    if len(off) == 1:
+        def step(u, b, d, rel):
+            return TridiagonalLDL.solve_once(d, off[0], -b)
+    else:
+        def step(u, b, d, rel):
+            eta = max(config.cg_tol, min(ETA_MAX, rel))
+            du, its = minres(_five_point_apply(d, off), -b, 1.0 / np.abs(d), eta,
+                             config.cg_max_iters)
+            step.inner_iterations += its
+            return du, math.nan
 
     step.inner_iterations = 0
     return step
 
 
-def _five_point_apply(d: np.ndarray, h: float) -> Callable:
-    """x -> d * x - (neighbour sum of x) / h^2, the 5-point matrix with
-    diagonal d and zero ghosts, returned in one buffer that every call
+def _five_point_apply(d: np.ndarray, off) -> Callable:
+    """x -> J x for the symmetric matrix J with diagonal d and stencil
+    couplings off, one per axis: entry i along axis a couples node i to
+    node i + 1 along a, and a scalar couples every such pair.  Ghosts
+    beyond the array are zero.  The result is one buffer that every call
     reuses."""
-    c = 1.0 / h**2
     out = np.empty_like(d)
-    nb = np.empty_like(d)
+    tmp = np.empty_like(d)
+    terms = []
+    for ax, c in enumerate(off):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        terms += [(c, out[lo], tmp[lo], hi), (c, out[hi], tmp[hi], lo)]
 
     def apply(x):
-        np.multiply(_neighbour_sum(x, nb), c, out=nb)
-        return np.subtract(np.multiply(d, x, out=out), nb, out=out)
+        np.multiply(d, x, out=out)
+        for c, dst, buf, src in terms:
+            dst += np.multiply(c, x[src], out=buf)
+        return out
 
     return apply
 
 
-def _morse_enclosure(jd: np.ndarray, boxes, h: float) -> float:
+# -- penalized problem on the box -------------------------------------------
+
+
+def _morse_enclosure(d: np.ndarray, boxes, h: float) -> float:
     """Negative eigenvalues of J = -lap_h + diag(jd) on a 2D node array,
-    or nan when they cannot be certified.
+    given its diagonal d = 4/h^2 + jd, or nan when they cannot be certified.
 
     E is the union of the node `boxes` and O the other nodes.  With
     m = min jd over O > 0, J_OO >= m I is SPD, and Haynsworth's inertia
@@ -515,44 +479,43 @@ def _morse_enclosure(jd: np.ndarray, boxes, h: float) -> float:
     """
     masks = []
     for box in boxes:
-        mask = np.zeros(jd.shape, dtype=bool)
+        mask = np.zeros(d.shape, dtype=bool)
         mask[box] = True
         masks.append(mask)
     for i, reach in enumerate(mask | _neighbour_sum(mask) for mask in masks):
         if any(np.any(reach & other) for other in masks[i + 1:]):
             return math.nan
     inside = reduce(np.logical_or, masks)
-    m = float(np.min(jd[~inside], initial=math.inf))
+    m = float(np.min(d[~inside], initial=math.inf)) - 4.0 / h**2
     if m <= 0.0:
         return math.nan
     # neighbour sums of 0/1 and small integer arrays, exact in floating point
     degree = _neighbour_sum(inside.astype(float))
     shift = _neighbour_sum(np.where(inside, 0.0, degree)) / (m * h**4)
-    diag = 2.0 * jd.ndim / h**2 + jd
     c = -1.0 / h**2
 
     def negatives(diag):
         return sum(
             BlockTridiagonalLDL.negative_eigenvalues(
-                d, np.full((d.shape[0] - 1, d.shape[1]), c),
-                np.full((d.shape[0], d.shape[1] - 1), c),
+                b, np.full((b.shape[0] - 1, b.shape[1]), c),
+                np.full((b.shape[0], b.shape[1] - 1), c),
             )
-            for d in (diag[box] for box in boxes)
+            for b in (diag[box] for box in boxes)
         )
 
     try:
-        low, high = negatives(diag), negatives(diag - shift)
+        low, high = negatives(d), negatives(d - shift)
     except SolveError:
         return math.nan
     return low if low == high else math.nan
 
 
-def _neighbour_sum(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _neighbour_sum(v: np.ndarray) -> np.ndarray:
     """Sum of each node's stencil neighbours, zero beyond the array, added
-    axis by axis into `out` (a new array when None).  On a bool array the
-    sum is a logical or, so `v | _neighbour_sum(v)` is the nodes of v and
-    their stencil neighbours."""
-    out = np.empty_like(v) if out is None else out
+    axis by axis.  On a bool array the sum is a logical or, so
+    `v | _neighbour_sum(v)` is the nodes of v and their stencil
+    neighbours."""
+    out = np.empty_like(v)
     out[:-1] = v[1:]
     out[-1] = 0.0
     out[1:] += v[:-1]
@@ -654,14 +617,12 @@ def solve_auxiliary(
     along each bump's amplitude.  Newton's method converges to them
     directly, and the negative eigenvalues of its last Jacobian give the
     Morse index, which is |gamma| on an l-bump saddle of the minimax over
-    [1/T^2, 1]^l.  In 1D (`_newton_step`) each step factors the tridiagonal
-    Jacobian and counts its negative pivots.  In 2D
-    (`_minres_newton_step`) each step runs MINRES to a forcing term tied
-    to the residual, the count of its iterations goes to inner_iterations,
-    and the Morse index comes from `_morse_enclosure` at the last step's
-    Jacobian.  One `PenalizedFunctional.evaluate` per iterate gives the stop
-    test's residual, the energy history's entry and the next step's
-    Jacobian diagonal.  The record's report takes its total from the last
+    [1/T^2, 1]^l.  Each step is `_linear_step` on the Jacobian
+    -lap + diag(jd), with the constant couplings -1/h^2; in 2D the Morse
+    index comes from `_morse_enclosure` at the last step's Jacobian.  One
+    `PenalizedFunctional.evaluate` per iterate gives the stop test's
+    residual, the energy history's entry and the next step's Jacobian
+    diagonal.  The record's report takes its total from the last
     entry of the energy history whenever the returned field is that
     iterate, which holds on every stop but a collapse.
     """
@@ -673,20 +634,23 @@ def solve_auxiliary(
     gamma_masks = [fun.masks.per_enlarged[j - 1][inner] for j in fun.gamma]
     # a zero init stays at the solution u = 0; any other may not fall to it
     watch_collapse = bool(np.any(init.values != 0.0))
+    stencil, c = 2.0 * grid.dim / grid.h**2, -1.0 / grid.h**2
+    # the 2D apply broadcasts scalar couplings; the 1D factor takes a list
+    off = (np.full(grid.n - 3, c),) if grid.dim == 1 else (c, c)
 
     def evaluate(u):
         energy, res, jd = fun.evaluate(u)
-        return u, _relative_residual(u, res), energy, (res, jd)
+        rel = _relative_residual(u, res)
+        return u, rel, energy, (res, stencil + jd, rel)
 
     def collapsed(u):
         return watch_collapse and any(
             hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
         )
 
-    step = _newton_step(grid) if grid.dim == 1 else _minres_newton_step(grid, config)
+    step = _linear_step(off, config)
     u, solved, run = _newton(evaluate, step, collapsed, init.values.copy(), config)
-    if grid.dim == 2:
-        run.inner_iterations = step.inner_iterations
+    run.inner_iterations = step.inner_iterations
     if grid.dim == 2 and solved is not None:
         boxes = [
             tuple(slice(s.start - 1, s.stop - 1) for s in box_nodes(e, grid, False))
@@ -896,14 +860,16 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
     Each step solves the weighted Jacobian system
     W(B + lambda V - log u^2 - 2) du = -W res of the residual
     res = (B + lambda V) u - u log u^2, with log u^2 taken at |u| floored
-    at U_FLOOR, and each clipped iterate is rescaled onto the Nehari
-    manifold.  One factor pass solves the system and counts its negative
-    eigenvalues, the Morse index, which is 1 at a ground state.  The
-    weighted relative residual and the energy come from the iterate's one
-    stencil apply.  A collapse means that the clip left no mass.
+    at U_FLOOR, by `_linear_step`, and each clipped iterate is rescaled
+    onto the Nehari manifold.  The Morse index, 1 at a ground state, is the
+    step's pivot count in 1D; in 2D one block LDL^T inertia count of the
+    last successful step's Jacobian gives it, nan when a Schur block is
+    near singular.  The weighted relative residual and the energy come
+    from the iterate's one stencil apply.  A collapse means that the clip
+    left no mass.
     """
     base, off = _local_operator(prob)
-    factor = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
+    step = _linear_step(off, config)
 
     def evaluate(u):
         u, au = prob.nehari_project(u)
@@ -911,14 +877,17 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
         mass = prob.integral(u * u)
         rel = math.sqrt(prob.integral(res * res) / mass)
         logm = prob.integral(_log_mass_density(u))
-        return u, rel, 0.5 * (prob.integral(au * u) + mass - logm), (res,)
+        d = base - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
+        return u, rel, 0.5 * (prob.integral(au * u) + mass - logm), (prob.w * res, d, rel)
 
-    def solve(u, res):
-        jac = base - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
-        return factor.solve_once(jac, *off, -prob.w * res)
-
-    u, _, run = _newton(evaluate, solve, lambda u: prob.integral(u * u) <= 0.0, u,
-                        config)
+    u, solved, run = _newton(evaluate, step, lambda u: prob.integral(u * u) <= 0.0, u,
+                             config)
+    run.inner_iterations = step.inner_iterations
+    if prob.grid.dim == 2 and solved is not None:
+        try:
+            run.morse_index = BlockTridiagonalLDL.negative_eigenvalues(solved[1], *off)
+        except SolveError:
+            run.morse_index = math.nan
     return u, run
 
 
@@ -936,12 +905,7 @@ def solve_single_well(
         raise ValueError(f"well index {j} out of range 1..{geometry.k}")
     well = geometry.wells[j - 1]
     prob = _LocalWell.dirichlet(well, grid)
-    for ax, s in enumerate(prob.nodes):
-        if s.stop - s.start < 32:
-            raise ValueError(
-                f"well {j} resolved by only {s.stop - s.start} nodes on axis {ax}; "
-                "need >= 32"
-            )
+    check_well_nodes(j, prob.nodes)
     sigma = min(1.0, min(well.half) / 2.0)
     bump = np.exp(-prob.dist_sq(well.center) / (2.0 * sigma * sigma))
     u, run = _ground_state_newton(prob, bump, config)

@@ -4,8 +4,8 @@ The pipeline computes the same quantities another way (the penalized
 nonlinearity in closed form by `PenalizationParams.terms`, per-well
 energies and the outside-wells norm from `PenalizedFunctional.report`,
 fields in memory, 2D Morse indices from an inertia enclosure on the
-enlarged wells' boxes, the ground-state Newton steps by factored solves),
-so these stay out of the package.
+enlarged wells' boxes, the ground-state Jacobians from their diagonals
+and stencil couplings), so these stay out of the package.
 """
 
 import math

@@ -1,5 +1,6 @@
 """Config parsing, validation messages, the run pipeline, and reports."""
 
+import csv
 import filecmp
 import math
 import os
@@ -30,6 +31,7 @@ from logbump.cli import (
 )
 from logbump.domain import PotentialSpec
 from logbump.solver import (
+    BlockTridiagonalLDL,
     SolveError,
     SolverConfig,
     conjugate_gradient,
@@ -184,6 +186,21 @@ def test_geometry_violations_detected():
     touching = MINIMAL.replace("R = 12.0", "R = 8.55")
     with pytest.raises(ConfigError, match="boundary"):
         parse_config_text(touching)
+
+
+def test_under_resolved_well_is_an_invalid_config(tmp_path, capsys):
+    # 12 nodes across the well: validate rejects what the solve would
+    cfg = tmp_path / "thin.cfg"
+    cfg.write_text("R = 6.0\nn = 121\nwell.1.center = 0.0\nwell.1.half = 0.6\n"
+                   "well.1.enlarged_half = 1.2\n")
+    out = tmp_path / "thin"
+    for argv in (["validate", "--config", str(cfg)],
+                 ["run", "--config", str(cfg), "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "invalid config: well: well 1 resolved by only 12 nodes on axis 0; "
+            "need >= 32\n")
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path):
@@ -560,6 +577,78 @@ def test_sweep_breakdown_keeps_the_other_lambdas(tmp_path, capsys, monkeypatch):
             "near zero)\niterations = 1\n") in summary
     assert ("criterion=convergence status=FAIL margin=0.0 detail=flagged solves "
             "present") in (out / "verdicts.txt").read_text()
+
+
+SMALL_2D = """
+scenario = small-2d
+dim = 2
+R = 3.0
+n = 61
+potential_power = 1.0
+well.1.center = 0.0, 0.0
+well.1.half = 2.0, 2.0
+well.1.enlarged_half = 2.5, 2.5
+lambdas = 100.0
+"""
+
+
+def test_uncounted_local_morse_index_is_a_failure(tmp_path, capsys, monkeypatch):
+    # the 2D local solves converge, but their final inertia count breaks down
+    def singular(*args):
+        raise SolveError("block LDL^T breakdown: Schur block near singular")
+
+    monkeypatch.setattr(BlockTridiagonalLDL, "negative_eigenvalues",
+                        staticmethod(singular))
+    out = tmp_path / "small-2d"
+    assert run(parse_config_text(SMALL_2D), out_dir=str(out)) == 1
+    err = capsys.readouterr().err
+    assert "FAILURE: well 1 ground state has Morse index n/a, expected 1" in err
+    assert ("FAILURE: enlarged well 1 level at lambda=100 has Morse index n/a, "
+            "expected 1") in err
+    assert "did not converge" not in err
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# energies.csv columns linear in the field.  The energies are stationary at
+# a solution, so they move with the square of the residual; these move with
+# the residual itself, and the benchmark's reference, recorded by the
+# seed's solver at the same tol = 1e-6, holds them 2.2e-6 of their scale
+# away.  They keep the benchmark's bound, 1e-4 of their scale; the other
+# columns get 1e-9.
+FIELD_COLUMNS = {"lambda_v_mass", "outside_norm_sq", "sup_outside"}
+
+
+def _energy_rows(path) -> dict:
+    with open(path, newline="") as fh:
+        return {(r["lambda"], r["gamma"]): r for r in csv.DictReader(fh)}
+
+
+def _verdict_statuses(path) -> list:
+    return [line.split()[:2] for line in path.read_text().splitlines()]
+
+
+def test_twin_wells_2d_matches_the_benchmark_reference(tmp_path, capsys):
+    # the benchmark's correctness gate on its 2D workload, in tier-1
+    ref = BENCH / "reference" / "twin-wells-2d"
+    out = tmp_path / "twin-wells-2d"
+    run(parse_config(BENCH / "configs" / "twin-wells-2d.cfg"), out_dir=str(out))
+    failures = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("FAILURE:")]
+    assert failures == (ref / "failures.txt").read_text().splitlines()
+    assert _verdict_statuses(out / "verdicts.txt") == _verdict_statuses(
+        ref / "verdicts.txt")
+    want, got = _energy_rows(ref / "energies.csv"), _energy_rows(out / "energies.csv")
+    assert got.keys() == want.keys()
+    for col in next(iter(want.values())):
+        if col in ("lambda", "gamma", "converged", "occupied"):
+            assert [got[k][col] for k in want] == [r[col] for r in want.values()], col
+            continue
+        values = {k: float(r[col]) for k, r in want.items()}
+        scale = max(abs(v) for v in values.values() if not math.isnan(v))
+        bound = (1e-4 if col in FIELD_COLUMNS else 1e-9) * scale
+        for k, v in values.items():
+            x = float(got[k][col])
+            assert abs(x - v) <= bound or math.isnan(v) and math.isnan(x), (col, k)
 
 
 def _load_tracer():

@@ -221,7 +221,8 @@ def test_five_point_apply_matches_the_stencil():
     rng = np.random.default_rng(14)
     h = 0.3
     jd = rng.standard_normal((9, 11))
-    apply = solver_module._five_point_apply(4.0 / h**2 + jd, h)
+    c = -1.0 / h**2
+    apply = solver_module._five_point_apply(4.0 / h**2 + jd, (c, c))
     for _ in range(2):  # the second call reuses the first one's buffer
         x = rng.standard_normal(jd.shape)
         want = neg_laplacian_values(x, h) + jd * x
@@ -764,7 +765,9 @@ def _local_cases(ref):
 
 @pytest.mark.parametrize("case", ["dirichlet_1d", "mirror_1d", "dirichlet_2d",
                                   "mirror_2d"])
-def test_local_newton_step_matches_dense_jacobian_solve(ref, case):
+def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
+    # the 1D step is the exact solve; the 2D step is MINRES stopped at the
+    # forcing term, so its preconditioned residual is checked instead
     prob, bump = _local_cases(ref)[case]
     u, au = prob.nehari_project(bump)
     res = au - s_log_sq(u)
@@ -772,10 +775,32 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case):
     eye = np.eye(u.size)
     jac = np.column_stack([apply(c.reshape(u.shape)).ravel() for c in eye])
     assert np.abs(jac - jac.T).max() <= 1e-12 * np.abs(jac).max()
-    du = np.linalg.solve(jac, -(prob.w * res).ravel()).reshape(u.shape)
-    want = prob.nehari_project(np.maximum(u + du, 0.0))[0]
+    b = -(prob.w * res)
+    calls = []
+
+    def recorded(apply_a, rhs, minv, tol, max_iters):
+        x, its = minres(apply_a, rhs, minv, tol, max_iters)
+        calls.append((rhs, minv, tol, x))
+        return x, its
+
+    monkeypatch.setattr(solver_module, "minres", recorded)
     config = SolverConfig(max_iters=1)
     u_new, run = solver_module._ground_state_newton(prob, bump, config)
+    if prob.grid.dim == 1:
+        assert calls == [] and run.inner_iterations == 0
+        du = np.linalg.solve(jac, b.ravel()).reshape(u.shape)
+    else:
+        [(rhs, minv, tol, du)] = calls
+        rel = math.sqrt(prob.integral(res * res) / prob.integral(u * u))
+        assert tol == max(config.cg_tol, min(solver_module.ETA_MAX, rel))
+        assert np.array_equal(rhs, b)
+        assert np.allclose(minv * np.abs(np.diag(jac)).reshape(u.shape), 1.0,
+                           rtol=0.0, atol=1e-13)
+        r = b - (jac @ du.ravel()).reshape(u.shape)
+        assert math.sqrt(np.vdot(r, minv * r)) <= (1.0 + 1e-8) * tol * math.sqrt(
+            np.vdot(b, minv * b))
+        assert run.inner_iterations > 0
+    want = prob.nehari_project(np.maximum(u + du, 0.0))[0]
     assert run.iterations == 1
     assert np.linalg.norm(u_new - want) <= 1e-11 * np.linalg.norm(want)
     assert run.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0))
@@ -921,7 +946,9 @@ def test_newton_step_matches_dense_jacobian_solve(ref, ref_sweep):
     eye = np.eye(u.size)
     lap = np.column_stack([neg_laplacian(Field(ref.grid, c)).values for c in eye])
     jac = lap + np.diag(jd)
-    du, morse = solver_module._newton_step(ref.grid)(u, res, jd)
+    off = (np.full(ref.grid.n - 3, -1.0 / ref.grid.h**2),)
+    step = solver_module._linear_step(off, ref.solver)
+    du, morse = step(u, res, 2.0 / ref.grid.h**2 + jd, math.nan)
     u_new = np.maximum(u + du, 0.0)
     want = np.maximum(u + np.linalg.solve(jac, -res), 0.0)
     assert np.linalg.norm(u_new - want) <= 1e-11 * np.linalg.norm(want)
@@ -974,11 +1001,20 @@ def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep)
         assert a.morse_index == b.morse_index
 
 
-def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
-    def doubling(grid):
-        return lambda u, res, jd: (u, 7)  # du = u doubles the iterate
+def _fake_linear_step(step):
+    """A stand-in for `solver._linear_step` that makes every step `step`."""
+    def factory(off, config):
+        step.inner_iterations = 0
+        return step
 
-    monkeypatch.setattr(solver_module, "_newton_step", doubling)
+    return factory
+
+
+def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
+    def doubling(u, *args):
+        return u, 7  # du = u doubles the iterate
+
+    monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(doubling))
     rec = solve_auxiliary(1e4, (1,), ref_wells[0].field, ref.grid, ref.potential,
                           ref.params, ref.solver)
     assert rec.stop_reason == "diverged" and not rec.converged
@@ -1027,10 +1063,10 @@ def test_collapse_energy_belongs_to_the_collapsed_field(ref, ref_wells, monkeypa
     # of the last evaluated iterate.
     factors = iter([0.5, 0.0])
 
-    def scaling(grid):
-        return lambda u, res, jd: (u * (next(factors) - 1.0), 1)
+    def scaling(u, *args):
+        return u * (next(factors) - 1.0), 1
 
-    monkeypatch.setattr(solver_module, "_newton_step", scaling)
+    monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(scaling))
     rec = solve_auxiliary(1e2, (1,), ref_wells[0].field, ref.grid, ref.potential,
                           ref.params, ref.solver)
     assert rec.stop_reason == "collapse" and len(rec.energies) == 1
@@ -1130,7 +1166,7 @@ def test_morse_enclosure_matches_eigvalsh(depth, count):
     jd = _dipped_diagonal(depth)
     want = int(np.sum(np.linalg.eigvalsh(_five_point_dense(jd, h)) < 0.0))
     assert want == count
-    assert solver_module._morse_enclosure(jd, _ENCLOSURE_BOXES, h) == count
+    assert solver_module._morse_enclosure(4.0 / h**2 + jd, _ENCLOSURE_BOXES, h) == count
     assert whole_box_negative_eigenvalues(jd, h) == count
 
 
@@ -1138,7 +1174,7 @@ def test_morse_enclosure_uncertified_cases():
     h = 0.25
     def enclose(outside=30.0, boxes=_ENCLOSURE_BOXES):
         jd = _dipped_diagonal(35.0, outside)
-        return solver_module._morse_enclosure(jd, boxes, h)
+        return solver_module._morse_enclosure(4.0 / h**2 + jd, boxes, h)
 
     assert enclose() == 1
     # J_OO not SPD: no lower bound on it
@@ -1213,6 +1249,46 @@ def test_two_d_minres_iteration_guard(twin_2d_sweep):
     assert sum(inner) <= 700
 
 
+@pytest.fixture(scope="module")
+def twin_2d_local(twin_2d):
+    """The twin-wells-2d scenario's eight local solves: its two wells and
+    its enlarged wells at every lambda."""
+    cfg = twin_2d[0]
+    grid, solver, potential = cfg.grid(), cfg.solver_config(), cfg.potential()
+    wells = [solve_single_well(cfg.geometry(), j, grid, solver) for j in (1, 2)]
+    return wells + [solve_neumann_well(lam, j, grid, potential, solver)
+                    for lam in cfg.lambdas for j in (1, 2)]
+
+
+def test_two_d_local_solves_converge_with_morse_index_one(twin_2d_local):
+    assert len(twin_2d_local) == 8
+    for rec in twin_2d_local:
+        assert rec.converged and rec.morse_index == 1
+        assert rec.inner_iterations > 0
+
+
+def test_two_d_local_solve_work_guard(twin_2d_local):
+    # deterministic work counters: 3, 3, 4, 4, 4, 4, 7, 7 Newton steps and
+    # 1,560 MINRES iterations over the eight solves when pinned
+    assert all(rec.iterations <= 7 for rec in twin_2d_local)
+    assert sum(rec.inner_iterations for rec in twin_2d_local) <= 1800
+
+
+def test_two_d_local_inertia_breakdown_leaves_the_morse_index_open(monkeypatch):
+    # a Schur block near singular in the final inertia count: the solve
+    # stays converged, with no Morse index
+    def singular(*args):
+        raise SolveError("block LDL^T breakdown: Schur block near singular")
+
+    geometry, potential, grid = _small_2d()
+    monkeypatch.setattr(BlockTridiagonalLDL, "negative_eigenvalues",
+                        staticmethod(singular))
+    for rec in (solve_single_well(geometry, 1, grid, SolverConfig()),
+                solve_neumann_well(1e2, 1, grid, potential, SolverConfig())):
+        assert rec.converged and rec.stop_detail == ""
+        assert math.isnan(rec.morse_index)
+
+
 def test_two_d_newton_morse_index_is_bump_count(twin_2d, twin_2d_sweep):
     cfg = twin_2d[0]
     grid = cfg.grid()
@@ -1224,7 +1300,7 @@ def test_two_d_newton_morse_index_is_bump_count(twin_2d, twin_2d_sweep):
         assert st.morse_index == 2
         fun = PenalizedFunctional(grid, cfg.potential(), cfg.params(), (1, 2), st.lam)
         jd = fun.evaluate(st.field.values)[2]
-        assert solver_module._morse_enclosure(jd, boxes, grid.h) == 2
+        assert solver_module._morse_enclosure(4.0 / grid.h**2 + jd, boxes, grid.h) == 2
         assert whole_box_negative_eigenvalues(jd, grid.h) == 2
 
 
@@ -1258,28 +1334,20 @@ def _random_spd_five_point(rng, ny, nx):
 
 @pytest.mark.parametrize("shape", [(7, 5), (1, 6), (6, 1)])
 def test_block_ldl_matches_dense_solve(shape):
+    # the inertia of the dense matrix, SPD on every shape, single rows and
+    # columns included
     rng = np.random.default_rng(4)
     diag, off0, off1, dense = _random_spd_five_point(rng, *shape)
-    b = rng.standard_normal(shape)
-    x, count = BlockTridiagonalLDL.solve_once(diag, off0, off1, b)
-    expected = np.linalg.solve(dense, b.ravel()).reshape(shape)
-    assert np.allclose(x, expected, rtol=0.0, atol=1e-12)
-    assert count == 0
+    assert np.linalg.eigvalsh(dense).min() > 0.0
+    assert BlockTridiagonalLDL.negative_eigenvalues(diag, off0, off1) == 0
 
 
-def test_block_ldl_indefinite_solve_and_non_finite_rhs():
+def test_block_ldl_indefinite_inertia():
     rng = np.random.default_rng(5)
     diag, off0, off1, dense = _random_spd_five_point(rng, 4, 3)
     shift = np.sort(np.linalg.eigvalsh(dense))[1:3].mean()
-    b = rng.standard_normal((4, 3))
-    x, count = BlockTridiagonalLDL.solve_once(diag - shift, off0, off1, b)
-    want = np.linalg.solve(dense - shift * np.eye(12), b.ravel()).reshape(4, 3)
-    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-    assert count == 2
-    rhs = np.ones((4, 3))
-    rhs[3, 0] = math.nan
-    with pytest.raises(SolveError, match="non-finite"):
-        BlockTridiagonalLDL.solve_once(diag, off0, off1, rhs)
+    want = int(np.sum(np.linalg.eigvalsh(dense - shift * np.eye(12)) < 0.0))
+    assert BlockTridiagonalLDL.negative_eigenvalues(diag - shift, off0, off1) == want == 2
 
 
 def _small_2d():
@@ -1294,7 +1362,8 @@ def _small_2d():
 
 
 @pytest.mark.parametrize("name", ["single_well", "neumann"])
-def test_local_jacobian_solve_matches_minres_2d(name):
+def test_five_point_apply_matches_local_jacobian_2d(name):
+    # the 2D Newton step's apply, with the local problem's coupling arrays
     _, potential, grid = _small_2d()
     rng = np.random.default_rng(6)
     if name == "single_well":
@@ -1305,11 +1374,11 @@ def test_local_jacobian_solve_matches_minres_2d(name):
     u = 0.5 + rng.random(prob.w.shape)
     (diag, off), apply = _local_jacobian(prob, u)
     assert len(off) == 2
-    b = rng.random(diag.shape)
-    x, _ = BlockTridiagonalLDL.solve_once(diag, *off, b)
-    y, _ = minres(apply, b, 1.0 / np.abs(diag), 1e-13, 20000)
-    assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
-    assert np.linalg.norm(apply(x) - b) <= 1e-12 * np.linalg.norm(b)
+    five_point = solver_module._five_point_apply(diag, off)
+    for _ in range(2):  # the second call reuses the first one's buffer
+        x = rng.standard_normal(diag.shape)
+        want = apply(x)
+        assert np.abs(five_point(x) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_two_d_well_solves_never_call_cg(monkeypatch):
@@ -1377,12 +1446,15 @@ def test_single_well_2d_nonlinearity_stays_on_the_window(monkeypatch):
 
 
 def test_single_well_2d_determinism():
-    geometry, _, grid = _small_2d()
+    geometry, potential, grid = _small_2d()
     config = SolverConfig(max_iters=30)
     a = solve_single_well(geometry, 1, grid, config)
     b = solve_single_well(geometry, 1, grid, config)
     assert np.array_equal(a.field.values, b.field.values)
     assert a.residuals == b.residuals
+    assert a.inner_iterations == b.inner_iterations > 0
+    levels = [solve_neumann_well(1e2, 1, grid, potential, config) for _ in range(2)]
+    assert levels[0] == levels[1] and levels[0].inner_iterations > 0
 
 
 def test_cg_rejects_non_finite_rhs():
