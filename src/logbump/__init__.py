@@ -20,7 +20,6 @@ from logbump.functional import (
 from logbump.penalty import PenalizationParams, make_params, solve_a0
 from logbump.solver import (
     AuxiliaryRecord,
-    MinimaxParams,
     SolveError,
     SolveRecord,
     SolverConfig,
@@ -39,7 +38,6 @@ __all__ = [
     "EnergyReport",
     "Field",
     "Grid",
-    "MinimaxParams",
     "PenalizationParams",
     "PenalizedFunctional",
     "PotentialSpec",

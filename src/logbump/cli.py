@@ -4,8 +4,8 @@ Configs are flat ``key = value`` text (diffable, trivially parsed), with
 one dotted block per well.  One table, `CONFIG_KEYS`, gives each key's
 parser and default, and drives both parsing and the canonical echo.  The
 types a config builds (grid, wells, potential, penalization constants,
-solver and minimax settings) check the ranges, still at parse time, and
-every error names the first offending key; unknown keys are rejected.
+Newton settings) check the ranges, still at parse time, and every error
+names the first offending key; unknown keys are rejected.
 The canonical echo of a config reparses to an identical config, and the
 run manifest starts with that echo so a run is reproducible from its own
 artifacts.
@@ -39,7 +39,6 @@ from logbump.domain import (
 from logbump.functional import h1_distance
 from logbump.penalty import make_params
 from logbump.solver import (
-    MinimaxParams,
     SolveError,
     SolverConfig,
     choose_t,
@@ -82,11 +81,6 @@ class RunConfig:
     lambdas: tuple[float, ...]
     tol: float
     max_iters: int
-    cg_tol: float
-    cg_max_iters: int
-    bump_threshold: float
-    minimax_t: float | None         # None means auto
-    minimax_m: int
     workers: int
     out: str
 
@@ -109,9 +103,7 @@ class RunConfig:
         return make_params(delta=self.delta, l=self.l)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(tol=self.tol, max_iters=self.max_iters,
-                            cg_tol=self.cg_tol, cg_max_iters=self.cg_max_iters,
-                            bump_threshold=self.bump_threshold)
+        return SolverConfig(tol=self.tol, max_iters=self.max_iters)
 
     def gamma_subsets(self) -> list[tuple[int, ...]]:
         if self.gamma != "all":
@@ -201,19 +193,13 @@ CONFIG_KEYS = (
     ("lambdas", "lambdas", _lambdas, (10.0, 100.0, 1000.0, 10000.0)),
     ("tol", "tol", _finite, SolverConfig.tol),
     ("max_iters", "max_iters", _integer, SolverConfig.max_iters),
-    ("cg_tol", "cg_tol", _finite, SolverConfig.cg_tol),
-    ("cg_max_iters", "cg_max_iters", _integer, SolverConfig.cg_max_iters),
-    ("bump_threshold", "bump_threshold", _finite, SolverConfig.bump_threshold),
-    ("minimax_T", "minimax_t", lambda t: None if t == "auto" else _finite(t), None),
-    ("minimax_m", "minimax_m", _integer, 33),
     ("workers", "workers", _serial, 1),
     ("out", "out", _nonempty, lambda values: os.path.join("runs", values["scenario"])),
 )
 _WELL_SUFFIXES = ("center", "half", "enlarged_half")
 _KEY_OF_FIELD = {field: key for key, field, _, _ in CONFIG_KEYS}
 # library parameters named unlike the RunConfig field they are built from
-_FIELD_OF_PARAM = {"power": "potential_power", "big_t": "minimax_t",
-                   "m": "minimax_m"}
+_FIELD_OF_PARAM = {"power": "potential_power"}
 
 
 def _parse_value(key: str, parse, text: str):
@@ -292,8 +278,6 @@ def parse_config_text(text: str) -> RunConfig:
         config.potential()
         config.params()
         config.solver_config()
-        MinimaxParams(big_t=2.0 if config.minimax_t is None else config.minimax_t,
-                      m=config.minimax_m)
     except ValueError as exc:
         raise _named_error(exc) from None
     return config
@@ -311,7 +295,7 @@ def parse_config(path) -> RunConfig:
 def _echo(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(map(str, value))
-    return "auto" if value is None else str(value)
+    return str(value)
 
 
 def canonical_text(config: RunConfig) -> str:
@@ -531,8 +515,8 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         if rec.converged:
             omegas[j] = rec.field
 
-    big_t = config.minimax_t
-    if big_t is None and omegas:
+    big_t = None
+    if omegas:
         try:
             big_t = choose_t(list(omegas.values()))
         except SolveError as exc:
@@ -540,7 +524,6 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     # a selection needs the scale and the converged ground state of each of
     # its wells; one skipped has no rows, which FAILs multiplicity
     runnable = [g for g in gammas if big_t is not None and all(j in omegas for j in g)]
-    minimax = None if big_t is None else MinimaxParams(big_t=big_t, m=config.minimax_m)
 
     print(f"[{config.scenario}] enlarged-well levels for {len(config.lambdas)} lambdas")
     os.makedirs(os.path.join(out_root, "neumann"), exist_ok=True)
@@ -566,7 +549,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         init = multi_bump_init(ws, [1.0 / big_t] * len(ws), big_t)
         records = lambda_sweep(config.lambdas, gsel, init, grid, potential,
                                params, solver_cfg)
-        b_upper = minimax_upper_bound(config.lambdas[-1], gsel, ws, minimax,
+        b_upper = minimax_upper_bound(config.lambdas[-1], gsel, ws, big_t,
                                       grid, potential, params)
         c_gamma = sum(c_dirichlet[j - 1] for j in gsel)
         rows, notes = [], []

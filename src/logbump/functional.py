@@ -40,6 +40,10 @@ def _log_mass_density(values: np.ndarray) -> np.ndarray:
     return sq_log_sq(vals)
 
 
+# Mass fraction that marks a well's enlargement as occupied.
+BUMP_THRESHOLD = 0.01
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Total energy plus per-well, localization and mass-split diagnostics.
@@ -58,12 +62,12 @@ class EnergyReport:
     well_mass: tuple[float, ...]
     box_mass: float
 
-    def occupied(self, threshold: float) -> tuple[int, ...]:
-        """Wells whose enlargement carries at least `threshold` of the mass."""
+    def occupied(self) -> tuple[int, ...]:
+        """Wells whose enlargement holds at least BUMP_THRESHOLD of the mass."""
         if self.box_mass <= 0.0:
             return ()
         return tuple(j + 1 for j, m in enumerate(self.well_mass)
-                     if m >= threshold * self.box_mass)
+                     if m >= BUMP_THRESHOLD * self.box_mass)
 
     def mass_fraction(self, gamma) -> float:
         """Share of the mass in the enlargements of the wells in gamma."""

@@ -74,9 +74,10 @@ def solve_a0(delta: float, l: float) -> float:
     def g(s):
         return math.log(s * s / (delta * delta)) - 2.0 + 2.0 * delta / s - l
 
+    # g(delta) = -l < 0 < g(1e6 delta) brackets a0 once delta^2 > 0
+    if delta * delta == 0.0:
+        raise ValueError(f"delta: its square underflows to 0 (got {delta!r})")
     lo, hi = delta, 1e6 * delta
-    if not g(lo) <= 0.0 <= g(hi):
-        raise ValueError("truncation slope not bracketed; invalid (delta, l)")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) <= 0.0:
@@ -87,7 +88,8 @@ def solve_a0(delta: float, l: float) -> float:
             break
     a0 = 0.5 * (lo + hi)
     if abs(g(a0)) >= 1e-12:
-        raise ValueError("bisection for a0 failed to reach residual 1e-12")
+        raise ValueError(f"delta: too small for the bisection for a0 to reach "
+                         f"residual 1e-12 (got {delta!r})")
     return a0
 
 

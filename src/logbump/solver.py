@@ -68,34 +68,17 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton and inner linear-solve settings.
-
-    tol and max_iters bound every solve.  cg_tol and cg_max_iters bound the
-    MINRES solve inside every 2D Newton step: cg_tol is the floor of its
-    forcing term, the relative preconditioned residual it stops at (see
-    `_linear_step`), and cg_max_iters its iteration cap.  The keys keep
-    their historical names.
-    """
+    """Newton settings: tol and max_iters bound every solve; the MINRES
+    solve of a 2D step takes none of its own (see `_linear_step`)."""
 
     tol: float = 1e-6
     max_iters: int = 40000
-    cg_tol: float = 1e-12
-    cg_max_iters: int = 20000
-    bump_threshold: float = 0.01
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError(f"tol: must be positive (got {self.tol!r})")
         if self.max_iters < 1:
             raise ValueError(f"max_iters: must be at least 1 (got {self.max_iters!r})")
-        if self.cg_tol <= 0:
-            raise ValueError(f"cg_tol: must be positive (got {self.cg_tol!r})")
-        if self.cg_max_iters < 1:
-            raise ValueError(f"cg_max_iters: must be at least 1 "
-                             f"(got {self.cg_max_iters!r})")
-        if not 0.0 < self.bump_threshold < 1.0:
-            raise ValueError(f"bump_threshold: must lie in (0, 1) "
-                             f"(got {self.bump_threshold!r})")
 
 
 @dataclass
@@ -160,22 +143,6 @@ class AuxiliaryRecord(NewtonRecord):
     @property
     def energy(self) -> float:
         return self.report.total
-
-
-@dataclass(frozen=True)
-class MinimaxParams:
-    """Scale factor T and per-axis resolution of the surface [1/T^2, 1]^l."""
-
-    big_t: float
-    m: int
-
-    def __post_init__(self):
-        if self.big_t <= 1.0:
-            raise ValueError(f"big_t: the scale factor must exceed 1 "
-                             f"(got {self.big_t!r})")
-        if self.m < 8:
-            raise ValueError(f"m: the path grid needs at least 8 points per axis "
-                             f"(got {self.m!r})")
 
 
 def _finite(rhs) -> np.ndarray:
@@ -403,7 +370,7 @@ def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
 ETA_MAX = 1e-3
 
 
-def _linear_step(off, config: SolverConfig) -> Callable:
+def _linear_step(off) -> Callable:
     """step(u, b, d, rel) -> (du, Morse index): solves J du = -b for J with
     diagonal d and stencil couplings off (see `_five_point_apply`); rel is
     the outer relative residual at u.
@@ -411,21 +378,20 @@ def _linear_step(off, config: SolverConfig) -> Callable:
     In 1D one LDL^T pass solves J and counts its negative pivots, the Morse
     index.  In 2D the step is an inexact Newton step (Dembo, Eisenstat &
     Steihaug 1982): MINRES on J applied free of storage, preconditioned
-    with 1 / |d|, stops at the forcing term eta = max(cg_tol, min(ETA_MAX,
-    rel)), so steps far from the solution are cheap and the last ones are
-    solved to the outer residual's own size (Eisenstat & Walker 1996).  Its
-    Morse index is nan, left to one count per solve, and
-    step.inner_iterations sums the MINRES iterations of the steps that
-    returned.
+    with 1 / |d|, stops at the forcing term eta = min(ETA_MAX, rel), so
+    steps far from the solution are cheap and the last ones are solved to
+    the outer residual's own size (Eisenstat & Walker 1996).  Its cap is
+    the unknown count, MINRES's own bound in exact arithmetic.  Its Morse
+    index is nan, left to one count per solve, and step.inner_iterations
+    sums the MINRES iterations of the steps that returned.
     """
     if len(off) == 1:
         def step(u, b, d, rel):
             return TridiagonalLDL.solve_once(d, off[0], -b)
     else:
         def step(u, b, d, rel):
-            eta = max(config.cg_tol, min(ETA_MAX, rel))
-            du, its = minres(_five_point_apply(d, off), -b, 1.0 / np.abs(d), eta,
-                             config.cg_max_iters)
+            du, its = minres(_five_point_apply(d, off), -b, 1.0 / np.abs(d),
+                             min(ETA_MAX, rel), d.size)
             step.inner_iterations += its
             return du, math.nan
 
@@ -648,7 +614,7 @@ def solve_auxiliary(
             hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
         )
 
-    step = _linear_step(off, config)
+    step = _linear_step(off)
     u, solved, run = _newton(evaluate, step, collapsed, init.values.copy(), config)
     run.inner_iterations = step.inner_iterations
     if grid.dim == 2 and solved is not None:
@@ -661,7 +627,7 @@ def solve_auxiliary(
     evaluated = bool(run.energies) and run.stop_reason != "collapse"
     report = fun.report(out, run.energies[-1] if evaluated else None)
     return AuxiliaryRecord(**vars(run), lam=fun.lam, field=out, report=report,
-                           bump_mask=report.occupied(config.bump_threshold))
+                           bump_mask=report.occupied())
 
 
 # -- path of well bumps ------------------------------------------------------
@@ -702,11 +668,15 @@ def choose_t(omegas: list[Field]) -> float:
     raise SolveError("no scale factor up to 2^10 satisfies the sign conditions")
 
 
+# Points per axis of the minimax surface grid in `minimax_upper_bound`.
+MINIMAX_M = 33
+
+
 def minimax_upper_bound(
     lam: float,
     gamma,
     omegas: list[Field],
-    minimax: MinimaxParams,
+    big_t: float,
     grid: Grid,
     potential: PotentialSpec,
     params: PenalizationParams,
@@ -714,16 +684,17 @@ def minimax_upper_bound(
     """Upper bound for the multi-bump minimax level.
 
     Maximizes the penalized energy over the bump-superposition surface
-    (s_1, ..., s_l) in [1/T^2, 1]^l; since the surface is admissible the
-    maximum dominates the minimax level up to the grid resolution in s.
+    (s_1, ..., s_l) in [1/T^2, 1]^l, T = big_t from `choose_t`; since the
+    surface is admissible the maximum dominates the minimax level up to the
+    grid resolution in s.
 
     The energy is additive over bumps whose supports no stencil reaches
     across: the mass, f1 and g2 terms are pointwise and vanish at 0, and
     every kinetic cross term <-lap w_i, w_j> is 0.  So the maximum over the
     m^l points of the surface grid is the sum of the per-bump maxima over
-    the m points of each axis, found with l*m energy evaluations.  Bumps
-    whose support, grown by one stencil cell, meets another bump's support
-    raise ValueError.
+    the m = MINIMAX_M points of each axis, found with l*m energy
+    evaluations.  Bumps whose support, grown by one stencil cell, meets
+    another bump's support raise ValueError.
     """
     fun = PenalizedFunctional(grid, potential, params, gamma, lam)
     supports = [w.values != 0.0 for w in omegas]
@@ -734,8 +705,7 @@ def minimax_upper_bound(
                     f"bumps {i + 1} and {j + 1} are coupled by the stencil; "
                     "the minimax energy is additive only over separated supports"
                 )
-    big_t = minimax.big_t
-    s_axis = np.linspace(1.0 / (big_t * big_t), 1.0, minimax.m)
+    s_axis = np.linspace(1.0 / (big_t * big_t), 1.0, MINIMAX_M)
     return sum(
         max(fun.phi_total((s * big_t) * w.values) for s in s_axis) for w in omegas
     )
@@ -836,7 +806,13 @@ class _LocalWell:
         if mass <= 0.0:
             raise SolveError("zero mass; cannot project onto the Nehari manifold")
         logm = self.integral(_log_mass_density(u))
-        t = math.exp((self.integral(au * u) - logm) / (2.0 * mass))
+        log_t = (self.integral(au * u) - logm) / (2.0 * mass)
+        # the energy and residual square t u and t au: keep both below 1e100
+        peak = max(float(np.max(np.abs(u))), float(np.max(np.abs(au))))
+        if not log_t + math.log(peak) < math.log(1e100):
+            raise SolveError(f"Nehari scale e^{log_t:.4g} takes the field out "
+                             "of the float range")
+        t = math.exp(log_t)
         return t * u, t * au
 
 
@@ -869,7 +845,7 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
     left no mass.
     """
     base, off = _local_operator(prob)
-    step = _linear_step(off, config)
+    step = _linear_step(off)
 
     def evaluate(u):
         u, au = prob.nehari_project(u)

@@ -12,7 +12,6 @@ from logbump.domain import Field, integrate, masks
 from logbump.functional import PenalizedFunctional, nehari_check
 from logbump.penalty import make_params, sq_log_sq
 from logbump.solver import (
-    MinimaxParams,
     _LocalWell,
     minimax_upper_bound,
     multi_bump_init,
@@ -176,9 +175,8 @@ def test_criterion_07_energy_sandwich_and_limit(ref, ref_wells, ref_sweep,
                                                 ref_big_t):
     lam = ref.config.lambdas[-1]
     c_gamma = sum(r.energy for r in ref_wells)
-    mm = MinimaxParams(big_t=ref_big_t, m=ref.config.minimax_m)
     b_upper = minimax_upper_bound(
-        lam, (1, 2), [r.field for r in ref_wells], mm, ref.grid,
+        lam, (1, 2), [r.field for r in ref_wells], ref_big_t, ref.grid,
         ref.potential, ref.params
     )
     c_lambda = [

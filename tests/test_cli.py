@@ -5,6 +5,7 @@ import filecmp
 import math
 import os
 import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -105,6 +106,13 @@ def test_unknown_key_rejected():
     # nothing read the growth exponent; its key is gone too
     with pytest.raises(ConfigError, match="unknown key: p$"):
         parse_config_text(MINIMAL + "p = 3.0\n")
+    # the inner solve's tolerance and cap, the occupancy threshold and the
+    # minimax scale and grid are fixed by the solver, not by keys
+    for key, value in (("cg_tol", "1e-12"), ("cg_max_iters", "20000"),
+                       ("bump_threshold", "0.01"), ("minimax_T", "auto"),
+                       ("minimax_m", "33")):
+        with pytest.raises(ConfigError, match=f"^unknown key: {key}$"):
+            parse_config_text(MINIMAL + f"{key} = {value}\n")
 
 
 def _minimal_with(key, value):
@@ -127,11 +135,6 @@ BAD_VALUES = {
     "lambdas": "100.0, 10.0",
     "tol": "0.0",
     "max_iters": "0",
-    "cg_tol": "-1e-12",
-    "cg_max_iters": "0",
-    "bump_threshold": "1.5",
-    "minimax_T": "1.0",
-    "minimax_m": "4",
     "workers": "zero",
     "out": "",
 }
@@ -156,9 +159,8 @@ def test_required_key_missing(key):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("tol", "nan"), ("tol", "inf"), ("cg_tol", "nan"), ("cap", "nan"),
-    ("cap", "inf"), ("potential_power", "inf"),
-    ("minimax_T", "inf"), ("minimax_T", "nan"), ("lambdas", "10.0, inf"),
+    ("tol", "nan"), ("tol", "inf"), ("cap", "nan"),
+    ("cap", "inf"), ("potential_power", "inf"), ("lambdas", "10.0, inf"),
     ("R", "inf"), ("well.1.center", "nan"),
 ])
 def test_non_finite_values_rejected(key, value):
@@ -330,6 +332,50 @@ def test_main_validate_and_report(tmp_path, capsys):
     assert main(["validate", "--config", str(bad)]) == 2
     captured = capsys.readouterr()
     assert "l:" in captured.err
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_CONFIG_FILES = sorted(_ROOT.glob("configs/*.cfg")) + sorted(
+    _ROOT.glob("perfbench/configs/*.cfg"))
+
+
+@pytest.mark.parametrize("path", _CONFIG_FILES,
+                         ids=lambda p: str(p.relative_to(_ROOT)))
+def test_every_config_file_validates(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("delta", ["1e-300", "1e-160"])
+def test_tiny_delta_is_an_invalid_config(tmp_path, capsys, delta):
+    # delta^2 underflows to 0 at 1e-300, and at 1e-160 keeps too few digits
+    # for the bisection for a0
+    cfg = tmp_path / "tiny-delta.cfg"
+    cfg.write_text(_minimal_with("delta", delta))
+    out = tmp_path / "tiny-delta"
+    for argv in (["validate", "--config", str(cfg)],
+                 ["run", "--config", str(cfg), "--out", str(out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: delta: ")
+        assert err.endswith(f"(got {delta})\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["1e7", "3e7"])
+def test_deep_well_out_of_float_range_is_one_failure(tmp_path, capsys, lam):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("R = 12.0\nn = 481\npotential_power = 1.0\n"
+                   "well.1.center = -5.0\nwell.1.half = 2.5\n"
+                   f"well.1.enlarged_half = 3.5\nlambdas = 10.0, {lam}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "deep")]) == 1
+    assert caught == []
+    [line] = capsys.readouterr().err.splitlines()
+    what = re.escape(f"FAILURE: enlarged well 1 level at lambda={float(lam):g}: ")
+    assert re.fullmatch(what + r"Nehari scale e\^\S+ takes the field out of the "
+                               "float range", line)
 
 
 def test_full_reference_run(ref_run, ref_config):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,10 @@ from logbump.domain import (
     neg_laplacian,
     neg_laplacian_values,
 )
-from logbump.functional import PenalizedFunctional, nehari_check
+from logbump.functional import BUMP_THRESHOLD, PenalizedFunctional, nehari_check
 from logbump.penalty import PenalizationParams, make_params, s_log_sq
 from logbump.solver import (
     BlockTridiagonalLDL,
-    MinimaxParams,
     SolveError,
     SolverConfig,
     TridiagonalLDL,
@@ -232,8 +232,6 @@ def test_five_point_apply_matches_the_stencil():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(bump_threshold=1.5)
 
 
 # -- single well ----------------------------------------------------------------
@@ -371,10 +369,7 @@ def test_auxiliary_determinism(ref, ref_wells, ref_big_t):
 
 def test_auxiliary_converged_fixed_point(ref, ref_sweep):
     last = ref_sweep[-1]
-    one_step = SolverConfig(
-        tol=ref.solver.tol, max_iters=1,
-        cg_tol=ref.solver.cg_tol, cg_max_iters=ref.solver.cg_max_iters,
-    )
+    one_step = SolverConfig(tol=ref.solver.tol, max_iters=1)
     again = solve_auxiliary(last.lam, (1, 2), last.field, ref.grid,
                             ref.potential, ref.params, one_step)
     move = np.linalg.norm(again.field.values - last.field.values)
@@ -410,10 +405,7 @@ def test_auxiliary_norm_stays_bounded(ref, ref_wells, ref_big_t):
     init = multi_bump_init([r.field for r in ref_wells],
                            [1.0 / ref_big_t] * 2, ref_big_t)
     full_mask = np.ones(ref.grid.full_shape, dtype=bool)
-    segment = SolverConfig(
-        tol=1e-30, max_iters=10,
-        cg_tol=ref.solver.cg_tol, cg_max_iters=ref.solver.cg_max_iters,
-    )
+    segment = SolverConfig(tol=1e-30, max_iters=10)
     u = init
     norms = [math.sqrt(restricted_norm_sq(u, full_mask, 1e4, ref.potential))]
     for _ in range(8):
@@ -472,30 +464,32 @@ def test_choose_t_exact_and_degraded(ref, ref_wells):
     assert ray(degraded, big_t) < 0.0
 
 
-def test_minimax_single_well_recovers_level(ref, ref_wells, ref_big_t):
-    mm = MinimaxParams(big_t=ref_big_t, m=65)
+def test_minimax_single_well_recovers_level(ref, ref_wells, ref_big_t,
+                                            monkeypatch):
+    monkeypatch.setattr(solver_module, "MINIMAX_M", 65)
     b = minimax_upper_bound(
-        1e4, (1,), [ref_wells[0].field], mm, ref.grid, ref.potential, ref.params
+        1e4, (1,), [ref_wells[0].field], ref_big_t, ref.grid, ref.potential,
+        ref.params
     )
     c1 = ref_wells[0].energy
     assert abs(b - c1) < 5e-3 * c1
 
 
-def test_minimax_twin_separability(ref, ref_wells, ref_big_t):
-    mm = MinimaxParams(big_t=ref_big_t, m=17)
+def test_minimax_twin_separability(ref, ref_wells, ref_big_t, monkeypatch):
+    monkeypatch.setattr(solver_module, "MINIMAX_M", 17)
     b = minimax_upper_bound(
-        1e4, (1, 2), [r.field for r in ref_wells], mm, ref.grid,
+        1e4, (1, 2), [r.field for r in ref_wells], ref_big_t, ref.grid,
         ref.potential, ref.params
     )
     c_gamma = sum(r.energy for r in ref_wells)
     assert abs(b - c_gamma) < 0.02 * c_gamma
 
 
-def _product_scan_bound(lam, gamma, omegas, minimax, grid, potential, params):
-    """Reference bound: the energy at every point of the m^l surface grid."""
+def _product_scan_bound(lam, gamma, omegas, big_t, grid, potential, params):
+    """Reference bound: the energy at every point of the m^l surface grid,
+    m = solver.MINIMAX_M."""
     fun = PenalizedFunctional(grid, potential, params, gamma, lam)
-    big_t = minimax.big_t
-    s_axis = np.linspace(1.0 / (big_t * big_t), 1.0, minimax.m)
+    s_axis = np.linspace(1.0 / (big_t * big_t), 1.0, solver_module.MINIMAX_M)
     best = -math.inf
     for combo in itertools.product(s_axis, repeat=len(omegas)):
         vals = np.zeros(grid.interior_shape)
@@ -506,10 +500,11 @@ def _product_scan_bound(lam, gamma, omegas, minimax, grid, potential, params):
 
 
 @pytest.mark.parametrize("gamma", [(1,), (1, 2)])
-def test_minimax_matches_product_scan(ref, ref_wells, ref_big_t, gamma):
-    mm = MinimaxParams(big_t=ref_big_t, m=17)
+def test_minimax_matches_product_scan(ref, ref_wells, ref_big_t, gamma,
+                                     monkeypatch):
+    monkeypatch.setattr(solver_module, "MINIMAX_M", 17)
     ws = [ref_wells[j - 1].field for j in gamma]
-    args = (1e4, gamma, ws, mm, ref.grid, ref.potential, ref.params)
+    args = (1e4, gamma, ws, ref_big_t, ref.grid, ref.potential, ref.params)
     expected = _product_scan_bound(*args)
     assert abs(minimax_upper_bound(*args) - expected) <= 1e-12 * abs(expected)
 
@@ -517,13 +512,12 @@ def test_minimax_matches_product_scan(ref, ref_wells, ref_big_t, gamma):
 def test_minimax_rejects_stencil_coupled_bumps(ref, ref_wells, ref_big_t):
     w = ref_wells[0].field
     shifted = Field(ref.grid, np.roll(w.values, 1))
-    mm = MinimaxParams(big_t=ref_big_t, m=17)
     with pytest.raises(ValueError, match="coupled by the stencil"):
-        minimax_upper_bound(1e4, (1, 2), [w, shifted], mm, ref.grid,
+        minimax_upper_bound(1e4, (1, 2), [w, shifted], ref_big_t, ref.grid,
                             ref.potential, ref.params)
 
 
-def test_minimax_2d_stencil_reach():
+def test_minimax_2d_stencil_reach(monkeypatch):
     # the 5-point stencil couples axis neighbours only, so bumps that meet
     # at a corner stay separable and bumps that share an edge do not
     grid = Grid(dim=2, r=4.0, n=11)
@@ -538,15 +532,15 @@ def test_minimax_2d_stencil_reach():
     a[1:4, 1:4] = patch
     corner = np.zeros(grid.interior_shape)
     corner[4:7, 4:7] = patch
-    mm = MinimaxParams(big_t=2.0, m=9)
-    args = (100.0, (1, 2), [Field(grid, a), Field(grid, corner)], mm, grid,
+    monkeypatch.setattr(solver_module, "MINIMAX_M", 9)
+    args = (100.0, (1, 2), [Field(grid, a), Field(grid, corner)], 2.0, grid,
             potential, make_params())
     expected = _product_scan_bound(*args)
     assert abs(minimax_upper_bound(*args) - expected) <= 1e-12 * abs(expected)
     edge = np.roll(corner, -1, axis=1)
     with pytest.raises(ValueError, match="coupled by the stencil"):
         minimax_upper_bound(100.0, (1, 2), [Field(grid, a), Field(grid, edge)],
-                            mm, grid, potential, make_params())
+                            2.0, grid, potential, make_params())
 
 
 def test_minimax_evaluates_l_times_m_energies(monkeypatch):
@@ -566,17 +560,10 @@ def test_minimax_evaluates_l_times_m_energies(monkeypatch):
         return phi_total(self, values)
 
     monkeypatch.setattr(PenalizedFunctional, "phi_total", counted)
-    mm = MinimaxParams(big_t=2.0, m=9)
-    minimax_upper_bound(1e4, (1, 2, 3), omegas, mm, grid, cfg.potential(),
+    monkeypatch.setattr(solver_module, "MINIMAX_M", 9)
+    minimax_upper_bound(1e4, (1, 2, 3), omegas, 2.0, grid, cfg.potential(),
                         cfg.params())
     assert len(calls) == 3 * 9
-
-
-def test_minimax_params_validation():
-    with pytest.raises(ValueError):
-        MinimaxParams(big_t=1.0, m=17)
-    with pytest.raises(ValueError):
-        MinimaxParams(big_t=2.0, m=4)
 
 
 # -- sweep ------------------------------------------------------------------------------
@@ -654,6 +641,18 @@ def test_neumann_level_below_dirichlet(ref, ref_wells):
     rec = solve_neumann_well(1e4, 1, ref.grid, ref.potential, ref.solver)
     assert rec.converged
     assert rec.c_lambda <= ref_wells[0].energy + 1e-6
+
+
+@pytest.mark.parametrize("lam", [1e7, 3e7])
+def test_neumann_scale_out_of_float_range_raises(ref, lam):
+    # the start's Nehari scale is e^352 at 1e7: its squares overflow, and
+    # at 3e7 the scale e^1057 itself does
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolveError, match=r"^Nehari scale e\^\d+(\.\d)? takes "
+                                             "the field out of the float range$"):
+            solve_neumann_well(lam, 1, ref.grid, ref.potential, ref.solver)
+    assert caught == []
 
 
 # -- factored Jacobian solves (1D) --------------------------------------------------
@@ -780,7 +779,7 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
 
     def recorded(apply_a, rhs, minv, tol, max_iters):
         x, its = minres(apply_a, rhs, minv, tol, max_iters)
-        calls.append((rhs, minv, tol, x))
+        calls.append((rhs, minv, tol, max_iters, x))
         return x, its
 
     monkeypatch.setattr(solver_module, "minres", recorded)
@@ -790,9 +789,10 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
         assert calls == [] and run.inner_iterations == 0
         du = np.linalg.solve(jac, b.ravel()).reshape(u.shape)
     else:
-        [(rhs, minv, tol, du)] = calls
+        [(rhs, minv, tol, cap, du)] = calls
         rel = math.sqrt(prob.integral(res * res) / prob.integral(u * u))
-        assert tol == max(config.cg_tol, min(solver_module.ETA_MAX, rel))
+        assert tol == min(solver_module.ETA_MAX, rel)
+        assert cap == u.size
         assert np.array_equal(rhs, b)
         assert np.allclose(minv * np.abs(np.diag(jac)).reshape(u.shape), 1.0,
                            rtol=0.0, atol=1e-13)
@@ -947,7 +947,7 @@ def test_newton_step_matches_dense_jacobian_solve(ref, ref_sweep):
     lap = np.column_stack([neg_laplacian(Field(ref.grid, c)).values for c in eye])
     jac = lap + np.diag(jd)
     off = (np.full(ref.grid.n - 3, -1.0 / ref.grid.h**2),)
-    step = solver_module._linear_step(off, ref.solver)
+    step = solver_module._linear_step(off)
     du, morse = step(u, res, 2.0 / ref.grid.h**2 + jd, math.nan)
     u_new = np.maximum(u + du, 0.0)
     want = np.maximum(u + np.linalg.solve(jac, -res), 0.0)
@@ -983,9 +983,8 @@ def test_newton_morse_index_is_bump_count(ref, ref_wells, ref_big_t, gamma):
     total = float(np.sum(sq))
     per = [float(np.sum(sq[box_mask_full(e, ref.grid)]))
            for e in ref.geometry.enlargements]
-    threshold = ref.solver.bump_threshold
     assert steps[-1].bump_mask == gamma == tuple(
-        j + 1 for j, m in enumerate(per) if m >= threshold * total)
+        j + 1 for j, m in enumerate(per) if m >= BUMP_THRESHOLD * total)
     assert steps[-1].report.mass_fraction(gamma) == sum(per[j - 1] for j in gamma) / total
 
 
@@ -1003,7 +1002,7 @@ def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep)
 
 def _fake_linear_step(step):
     """A stand-in for `solver._linear_step` that makes every step `step`."""
-    def factory(off, config):
+    def factory(off):
         step.inner_iterations = 0
         return step
 
@@ -1095,13 +1094,22 @@ def test_two_d_newton_collapse_from_nonzero_init():
     assert np.abs(u).max() <= 1e-3 * np.abs(init.values).max()
 
 
-def test_two_d_minres_cap_is_a_breakdown():
-    # one MINRES iteration cannot reach cg_tol: the first step breaks down
-    # and the record keeps the start
+def test_two_d_minres_cap_is_a_breakdown(monkeypatch):
+    # the step caps MINRES at the unknown count; at a cap of 1 it cannot
+    # reach the forcing term, so the first step breaks down and the record
+    # keeps the start
     geometry, potential, grid = _small_2d()
     init = Field(grid, np.exp(-0.5 * sum(m * m for m in grid.interior_mesh())))
+    caps = []
+
+    def capped(apply_a, b, minv, tol, max_iters):
+        caps.append(max_iters)
+        return minres(apply_a, b, minv, tol, 1)
+
+    monkeypatch.setattr(solver_module, "minres", capped)
     rec = solve_auxiliary(1e2, (1,), init, grid, potential, make_params(),
-                          SolverConfig(cg_max_iters=1))
+                          SolverConfig())
+    assert caps == [init.values.size]
     assert rec.stop_reason == "breakdown" and not rec.converged
     assert rec.iterations == 1 and rec.residuals == [] and rec.energies == []
     assert np.array_equal(rec.field.values, init.values)
@@ -1118,17 +1126,15 @@ def test_two_d_newton_steps_stop_at_the_forcing_term(monkeypatch):
         return minres(apply_a, b, minv, tol, max_iters)
 
     monkeypatch.setattr(solver_module, "minres", recorded)
-    config = SolverConfig()
     rec = solve_auxiliary(1e2, (1,), well.field, grid, potential, make_params(),
-                          config)
+                          SolverConfig())
     assert rec.stop_reason == "converged" and rec.iterations == len(tols) > 1
     fun = PenalizedFunctional(grid, potential, make_params(), (1,), 1e2)
     u = well.field.values
     res = fun.evaluate(u)[1]
     rel0 = math.sqrt(float(np.sum(res * res))) / math.sqrt(float(np.sum(u * u)))
     assert solver_module.ETA_MAX == 1e-3
-    want = [max(config.cg_tol, min(1e-3, rel))
-            for rel in [rel0] + rec.residuals[:-1]]
+    want = [min(1e-3, rel) for rel in [rel0] + rec.residuals[:-1]]
     assert tols == want
 
 
@@ -1243,7 +1249,7 @@ def test_two_d_newton_step_count_guard(twin_2d_sweep):
 
 def test_two_d_minres_iteration_guard(twin_2d_sweep):
     # deterministic work counter: 555 MINRES iterations over the sweep when
-    # pinned, 1,225 when every step was solved to cg_tol
+    # pinned, 1,225 when every step was solved to a relative residual of 1e-12
     inner = [st.inner_iterations for st in twin_2d_sweep]
     assert all(n > 0 for n in inner)
     assert sum(inner) <= 700
