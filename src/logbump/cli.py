@@ -508,7 +508,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
             failures.append(f"well {j} ground state: {exc}")
             continue
         c_dirichlet[j - 1] = rec.energy
-        save_field(rec.field, os.path.join(out_root, "singlewell", f"omega_{j}.csv"))
+        save_field(rec.field, os.path.join(out_root, "singlewell", f"omega_{j}.npy"))
         _write_history(os.path.join(out_root, "singlewell", f"residuals_omega_{j}.csv"),
                        rec.residuals, rec.energies)
         failures += _local_failures(f"well {j} ground state", rec)
@@ -584,7 +584,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
                 )
             )
             tag = f"lambda_{rec.lam:g}"
-            save_field(rec.field, os.path.join(gdir, f"field_{tag}.csv"))
+            save_field(rec.field, os.path.join(gdir, f"field_{tag}.npy"))
             _write_solve_summary(os.path.join(gdir, f"solve_{tag}.txt"),
                                  rec.lam, gsel, rec)
             _write_history(os.path.join(gdir, f"residuals_{tag}.csv"),

@@ -378,14 +378,6 @@ def grad_energy_density(u: Field) -> np.ndarray:
 
 
 def save_field(u: Field, path):
-    """Write a field as CSV: header line dim,n,R,h then one value per line.
-
-    Values use repr round-tripping, so float() of each line recovers them
-    bit-exactly.
-    """
-    lines = ["dim,n,R,h"]
-    lines.append(f"{u.grid.dim},{u.grid.n},{u.grid.r!r},{u.grid.h!r}")
-    lines.append("value")
-    lines.extend(repr(float(v)) for v in u.values.ravel(order="C"))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a field's interior values with `np.save`: float64 of shape
+    `grid.interior_shape`.  The grid is not stored; a run's manifest holds it."""
+    np.save(path, u.values)

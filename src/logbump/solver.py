@@ -303,7 +303,8 @@ class TridiagonalLDL:
                 fwd.append(r - m * fwd[-1])
         except ZeroDivisionError:
             pass  # the zero pivot ends the list and fails the check below
-        if not all(abs(p) > floor for p in pivots):
+        piv = np.array(pivots)
+        if not np.all(np.abs(piv) > floor):
             raise SolveError("LDL^T breakdown: pivot near zero")
         x = fwd[-1] / pivots[-1]
         out = [x]
@@ -311,7 +312,7 @@ class TridiagonalLDL:
             x = z / pivot - m * x
             out.append(x)
         out.reverse()
-        return np.array(out), sum(p < 0.0 for p in pivots)
+        return np.array(out), int(np.count_nonzero(piv < 0.0))
 
 
 class BlockTridiagonalLDL:

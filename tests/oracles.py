@@ -191,18 +191,14 @@ def _pure_energy_on_mask(u: Field, mask: np.ndarray) -> float:
     return 0.5 * hd * float(np.sum((quad - log_dens)[mask]))
 
 
-def load_field(path) -> Field:
-    """Inverse of `logbump.domain.save_field` (bit-exact round trip)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "dim,n,R,h" or lines[2] != "value":
-        raise ValueError(f"{path}: not a field dump")
-    dim_s, n_s, r_s, h_s = lines[1].split(",")
-    grid = Grid(dim=int(dim_s), r=float(r_s), n=int(n_s))
-    if float(h_s) != grid.h:
-        raise ValueError(f"{path}: inconsistent spacing in header")
-    values = np.array([float(v) for v in lines[3:]])
-    return Field(grid, values.reshape(grid.interior_shape, order="C"))
+def load_field(path, grid: Grid) -> Field:
+    """Inverse of `logbump.domain.save_field` (bit-exact round trip): a
+    float64 array of shape `grid.interior_shape`, or ValueError."""
+    values = np.load(path, allow_pickle=False)
+    if values.dtype != np.float64 or values.shape != grid.interior_shape:
+        raise ValueError(f"{path}: {values.dtype} array of shape {values.shape}, "
+                         f"expected float64 of shape {grid.interior_shape}")
+    return Field(grid, values)
 
 
 def whole_box_negative_eigenvalues(jd: np.ndarray, h: float) -> int:

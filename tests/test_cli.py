@@ -40,6 +40,7 @@ from logbump.solver import (
     solve_neumann_well,
 )
 from logbump.verify import SweepRow
+from oracles import load_field
 
 MINIMAL = """
 R = 12.0
@@ -218,12 +219,12 @@ def test_run_tiny_scenario(tmp_path):
     for name in ("manifest.txt", "energies.csv", "verdicts.txt"):
         assert (out / name).exists()
     for gamma in ("gamma_1", "gamma_2", "gamma_1+2"):
-        assert (out / gamma / "field_lambda_10000.csv").exists()
+        assert (out / gamma / "field_lambda_10000.npy").exists()
         assert (out / gamma / "residuals_lambda_10000.csv").exists()
         assert (out / gamma / "limit.csv").exists()
         meta = (out / gamma / "solve_lambda_10000.txt").read_text()
         assert "converged = true" in meta and "bump_mask =" in meta
-    assert (out / "singlewell" / "omega_1.csv").exists()
+    assert (out / "singlewell" / "omega_1.npy").exists()
 
     # manifest echo reparses to the same config (comments are ignored)
     again = parse_config(out / "manifest.txt")
@@ -395,6 +396,22 @@ def test_full_reference_run(ref_run, ref_config):
         assert 3 <= len(lines) - 1 <= 6
         assert float(lines[-1].split(",")[1]) <= ref_config.tol
     assert sorted(os.listdir(out / "neumann")) == sorted(h.name for h in histories[2:])
+
+
+def test_field_files_agree_with_energies_csv(ref_run):
+    """Each sweep field, loaded on the manifest's grid, has the min_u of its
+    energies.csv row bit for bit (run writes both from the same array)."""
+    out = ref_run.out
+    grid = parse_config(out / "manifest.txt").grid()
+    paths = set()
+    for row in ref_run.rows:
+        gdir = "gamma_" + "+".join(map(str, row.gamma))
+        path = out / gdir / f"field_lambda_{row.lam:g}.npy"
+        field = load_field(path, grid)
+        assert repr(float(field.values.min())) == repr(row.min_u), path
+        paths.add(path)
+    assert set(out.glob("gamma_*/field_lambda_*.npy")) == paths
+    assert not list(out.rglob("field_*.csv")) and not list(out.rglob("omega_*.csv"))
 
 
 def test_tau_default_matches_cli():

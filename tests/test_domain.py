@@ -312,18 +312,25 @@ def test_field_roundtrip_bit_exact(tmp_path):
     for dim, n in ((1, 33), (2, 17)):
         grid = Grid(dim=dim, r=1.5, n=n)
         u = Field(grid, rng.standard_normal(grid.interior_shape) * 1e3)
-        path = tmp_path / f"field_{dim}.csv"
+        path = tmp_path / f"field_{dim}.npy"
         save_field(u, path)
-        back = load_field(path)
-        assert back.grid == grid
+        back = load_field(path, grid)
         assert np.array_equal(back.values, u.values)
 
 
 def test_field_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("nonsense\n")
-    with pytest.raises(ValueError):
-        load_field(path)
+    grid = Grid(dim=2, r=1.5, n=17)
+    text = tmp_path / "text.npy"
+    text.write_text("dim,n,R,h\n2,17,1.5,0.1875\nvalue\n0.0\n")
+    wrong_shape = tmp_path / "shape.npy"
+    np.save(wrong_shape, np.zeros(grid.interior_shape).ravel())
+    wrong_dtype = tmp_path / "dtype.npy"
+    np.save(wrong_dtype, np.zeros(grid.interior_shape, dtype=np.float32))
+    objects = tmp_path / "objects.npy"
+    np.save(objects, np.empty(grid.interior_shape, dtype=object), allow_pickle=True)
+    for path in (text, wrong_shape, wrong_dtype, objects):
+        with pytest.raises(ValueError):
+            load_field(path, grid)
 
 
 def test_field_shape_validation():

@@ -702,8 +702,11 @@ def test_tridiagonal_ldl_near_zero_pivot_raises():
             TridiagonalLDL.solve_once([1.0, second, 1e4], [1.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(SolveError, match="non-finite"):
         TridiagonalLDL.solve_once([1.0, -1.0], [0.0], [math.nan, 1.0])
+    # a nan diagonal entry makes a nan pivot, which no floor admits
+    with pytest.raises(SolveError, match="near zero"):
+        TridiagonalLDL.solve_once([1.0, math.nan, 4.0], [1.0, 1.0], [1.0, 1.0, 1.0])
     x, count = TridiagonalLDL.solve_once([1.0, -2.0], [0.0], [1.0, 1.0])
-    assert x.tolist() == [1.0, -0.5] and count == 1
+    assert x.tolist() == [1.0, -0.5] and count == 1 and type(count) is int
 
 
 def _one_d_problems(ref):
