@@ -238,6 +238,10 @@ def parse_config_text(text: str) -> RunConfig:
             if len(parts) != 3 or parts[2] not in _WELL_SUFFIXES:
                 raise ConfigError(f"unknown key: {key}")
             idx = _parse_value(key, _positive, parts[1])
+            # one spelling per index, so no two keys name the same well
+            if parts[1] != str(idx):
+                raise ConfigError(f"{key}: index must be written as {idx} "
+                                  f"(got {parts[1]!r})")
             wells_raw.setdefault(idx, {})[parts[2]] = raw.pop(key)
         elif key not in _KEY_OF_FIELD.values():
             raise ConfigError(f"unknown key: {key}")
@@ -542,28 +546,33 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
             failures += _local_failures(what, nrec)
             c_lambda[(lam, j)] = nrec.c_lambda
 
-    def gamma_job(gsel):
+    print(f"[{config.scenario}] sweeping {len(runnable)} well selections")
+    all_rows: list[SweepRow] = []
+    for gsel in runnable:
         gdir = os.path.join(out_root, _gamma_dirname(gsel))
         os.makedirs(gdir, exist_ok=True)
         ws = [omegas[j] for j in gsel]
         init = multi_bump_init(ws, [1.0 / big_t] * len(ws), big_t)
-        records = lambda_sweep(config.lambdas, gsel, init, grid, potential,
-                               params, solver_cfg)
+        try:
+            records = lambda_sweep(config.lambdas, gsel, init, grid, potential,
+                                   params, solver_cfg)
+        except SolveError as exc:
+            failures.append(f"gamma {_mask_str(gsel)}: {exc}")
+            continue
         b_upper = minimax_upper_bound(config.lambdas[-1], gsel, ws, big_t,
                                       grid, potential, params)
         c_gamma = sum(c_dirichlet[j - 1] for j in gsel)
-        rows, notes = [], []
         for rec in records:
             if rec.converged and rec.morse_index != len(gsel):
-                notes.append(f"gamma {_mask_str(gsel)}: solve at lambda={rec.lam:g} "
-                             f"has Morse index {_morse_str(rec.morse_index)}, "
-                             f"expected {len(gsel)}")
+                failures.append(f"gamma {_mask_str(gsel)}: solve at lambda={rec.lam:g} "
+                                f"has Morse index {_morse_str(rec.morse_index)}, "
+                                f"expected {len(gsel)}")
             rep = rec.report
             lam_c = tuple(
                 c_lambda.get((rec.lam, j), math.nan) if (j in gsel) else math.nan
                 for j in range(1, k + 1)
             )
-            rows.append(
+            all_rows.append(
                 SweepRow(
                     lam=rec.lam,
                     gamma=gsel,
@@ -595,18 +604,6 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
             for lr in limit_rows:
                 fh.write(f"{lr.lam!r},{lr.h1_gap!r},{lr.h1_gap_rel!r},"
                          f"{lr.phi_gap_rel!r}\n")
-        return rows, notes
-
-    print(f"[{config.scenario}] sweeping {len(runnable)} well selections")
-    all_rows: list[SweepRow] = []
-    for gsel in runnable:
-        try:
-            rows, notes = gamma_job(gsel)
-        except SolveError as exc:
-            failures.append(f"gamma {_mask_str(gsel)}: {exc}")
-            continue
-        all_rows.extend(rows)
-        failures.extend(notes)
 
     all_rows.sort(key=lambda r: (r.gamma, r.lam))
     csv_path = os.path.join(out_root, "energies.csv")

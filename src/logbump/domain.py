@@ -325,28 +325,21 @@ def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid):
 
 
 def neg_laplacian(u: Field) -> Field:
-    """-lap_h u with the standard 3/5-point stencil and Dirichlet boundary."""
-    return Field(u.grid, neg_laplacian_values(u.values, u.grid.h))
+    """-lap_h u on the whole box with the standard 3/5-point stencil.
 
-
-def neg_laplacian_values(v: np.ndarray, h: float, mirror: bool = False) -> np.ndarray:
-    """-lap_h on an array of nodes of any box, with spacing h.
-
-    A neighbour beyond the array's edge is a zero ghost (Dirichlet), or
-    with `mirror` a ghost repeating the edge node's inner neighbour
-    (Neumann).  Neighbour differences are subtracted in place from
-    2*dim*v, so no ghost ring is materialized.
+    A neighbour beyond the interior is a boundary node, zero (Dirichlet).
+    Neighbour differences are subtracted in place from 2*dim*u, so no
+    boundary ring is materialized.  The local well problems of
+    `logbump.solver` apply their own stencil couplings instead.
     """
+    v = u.values
     out = (2.0 * v.ndim) * v
     for ax in range(v.ndim):
         lead = (slice(None),) * ax
         out[lead + (slice(1, None),)] -= v[lead + (slice(None, -1),)]
         out[lead + (slice(None, -1),)] -= v[lead + (slice(1, None),)]
-        if mirror:
-            out[lead + (0,)] -= v[lead + (1,)]
-            out[lead + (-1,)] -= v[lead + (-2,)]
-    out /= h * h
-    return out
+    out /= u.grid.h * u.grid.h
+    return Field(u.grid, out)
 
 
 def integrate(values: np.ndarray, grid: Grid) -> float:

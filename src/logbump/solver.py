@@ -6,18 +6,21 @@ the negative part), and the Jacobian's negative eigenvalues counted as its
 Morse index.  One driver, `_newton`, runs the iteration of every solve,
 keeps its histories and ends it with a named stop reason, recorded on a
 `NewtonRecord`; each problem supplies only its evaluation, with the
-Jacobian's diagonal, and its collapse test.  One linear step,
-`_linear_step`, solves every Newton system from that diagonal and the
-stencil couplings: in 1D by one tridiagonal LDL^T pass, whose negative
-pivots count the Morse index; in 2D, where a whole-box factor would hold
-(n - 2)^3 doubles, by an inexact Newton step, diagonally preconditioned
-MINRES on the Jacobian applied free of storage, stopped at a forcing term
-tied to the outer residual.  A linear solve that raises ends the solve as
-a breakdown instead of escaping it.
+Jacobian's diagonal, its stencil couplings, its collapse test and its 2D
+Morse count.  One linear step, `_linear_step`, solves every Newton system
+from that diagonal and those couplings: in 1D by one tridiagonal LDL^T
+pass, whose negative pivots count the Morse index; in 2D, where a
+whole-box factor would hold (n - 2)^3 doubles, by an inexact Newton step,
+diagonally preconditioned MINRES on the Jacobian applied free of storage,
+stopped at a forcing term tied to the outer residual.  A linear solve that
+raises ends the solve as a breakdown instead of escaping it.
 
-The local well problems run on a box of grid nodes and differ only in the
-ghost rule beyond the box: zero on the Dirichlet well's own nodes,
-mirrored on the enlarged well with natural boundary condition.  Their
+The local well problems run on a box of grid nodes, each with one
+operator W(B + lambda V) built once as a diagonal and stencil couplings:
+unit weights and zero ghosts on the Dirichlet well's own nodes, trapezoid
+weights on the enlarged well with natural boundary condition, whose half
+edge weight is all that is left of its mirror ghost.  The residual, the
+energy, the Nehari scale and every Newton step apply that one pair.  The
 ground states are mountain-pass points, Morse index 1.  Each Newton
 iterate is rescaled onto the Nehari manifold in closed form, which keeps
 the iteration off u = 0.  In 2D one block LDL^T inertia count of the
@@ -51,7 +54,6 @@ from logbump.domain import (
     _shape_potential,
     box_nodes,
     check_well_nodes,
-    neg_laplacian_values,
 )
 from logbump.functional import (
     EnergyReport,
@@ -93,12 +95,14 @@ class NewtonRecord:
     iterations) or "non-finite" (the residual of a step's iterate was not
     finite).  morse_index counts the negative eigenvalues of the last
     successful Newton step's Jacobian: the negative pivots of its LDL^T in
-    1D; in 2D the Schur-block inertia of a ground state's local box, nan
-    when a block is near singular, and for the penalized problem a
-    certified inertia enclosure, nan when its bounds disagree; nan when no
-    step succeeded.  stop_detail keeps the `SolveError` message of a
-    breakdown and is empty otherwise.  inner_iterations sums the MINRES
-    iterations of the steps whose linear solve returned, 0 in 1D.
+    1D; in 2D the problem's count at that Jacobian's diagonal, the
+    Schur-block inertia of a ground state's local box or for the penalized
+    problem a certified inertia enclosure, nan when a Schur block is near
+    singular or the enclosure's bounds disagree; nan when no step
+    succeeded.  stop_detail keeps the `SolveError` message of a breakdown
+    and is empty otherwise.  inner_iterations sums the MINRES iterations of
+    the steps whose linear solve returned, 0 in 1D.  `_newton` fills every
+    field.
     """
 
     iterations: int
@@ -383,8 +387,9 @@ def _linear_step(off) -> Callable:
     steps far from the solution are cheap and the last ones are solved to
     the outer residual's own size (Eisenstat & Walker 1996).  Its cap is
     the unknown count, MINRES's own bound in exact arithmetic.  Its Morse
-    index is nan, left to one count per solve, and step.inner_iterations
-    sums the MINRES iterations of the steps that returned.
+    index is nan, left to `_newton`'s one count per solve, and
+    step.inner_iterations sums the MINRES iterations of the steps that
+    returned.
     """
     if len(off) == 1:
         def step(u, b, d, rel):
@@ -449,9 +454,8 @@ def _morse_enclosure(d: np.ndarray, boxes, h: float) -> float:
         mask = np.zeros(d.shape, dtype=bool)
         mask[box] = True
         masks.append(mask)
-    for i, reach in enumerate(mask | _neighbour_sum(mask) for mask in masks):
-        if any(np.any(reach & other) for other in masks[i + 1:]):
-            return math.nan
+    if _first_coupled_pair(masks) is not None:
+        return math.nan
     inside = reduce(np.logical_or, masks)
     m = float(np.min(d[~inside], initial=math.inf)) - 4.0 / h**2
     if m <= 0.0:
@@ -493,29 +497,45 @@ def _neighbour_sum(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_coupled_pair(masks) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of bool node arrays that the stencil
+    couples: masks[i] grown by its stencil neighbours meets masks[j].  None
+    when no pair is coupled."""
+    for i, mask in enumerate(masks):
+        reach = mask | _neighbour_sum(mask)
+        for j in range(i + 1, len(masks)):
+            if np.any(reach & masks[j]):
+                return i, j
+    return None
+
+
 # Newton stops as "diverged" once its residual has grown this many steps in
 # a row.
 DIVERGE_STEPS = 4
 
 
-def _newton(evaluate: Callable, solve: Callable, collapsed: Callable,
-            u: np.ndarray, config: SolverConfig):
+def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
+            config: SolverConfig, morse_2d: Callable):
     """Newton's method u <- max(u + du, 0) from u, the one loop of every solve.
 
-    evaluate(u) -> (u, rel, energy, args) gives the iterate (a problem may
-    rescale u), its relative residual, its energy and the arguments of
-    solve(u, *args) -> (du, Morse index of the Jacobian at u).
-    collapsed(u) tells whether a clipped iterate lost the mass the problem
-    needs.  A non-finite residual at u raises `SolveError` before the first
-    step.  The stops are those of `NewtonRecord`: converged at rel <= tol,
-    the iteration cap, collapse, diverged, breakdown when solve raises
+    evaluate(u) -> (u, rel, energy, b, d) gives the iterate (a problem may
+    rescale u), its relative residual, its energy, and the residual b and
+    Jacobian diagonal d of the step J du = -b at u.  The step is
+    `_linear_step(off)`, J's stencil couplings being off.  collapsed(u)
+    tells whether a clipped iterate lost the mass the problem needs.  A
+    non-finite residual at u raises `SolveError` before the first step.
+    The stops are those of `NewtonRecord`: converged at rel <= tol, the
+    iteration cap, collapse, diverged, breakdown when the step raises
     `SolveError`, and non-finite when a step's residual is not finite.
 
-    Returns (u, args of the last successful step or None, NewtonRecord).
-    u is the collapsed iterate on a collapse, else the last iterate with a
-    finite residual.
+    The Morse index is the step's in 1D, and in 2D morse_2d(d) at the last
+    successful step's diagonal, nan when that raises `SolveError`; the
+    record's inner_iterations is the step's MINRES tally.  Returns
+    (u, NewtonRecord): u is the collapsed iterate on a collapse, else the
+    last iterate with a finite residual.
     """
-    u, rel, _, args = evaluate(u)
+    step = _linear_step(off)
+    u, rel, _, b, d = evaluate(u)
     if not math.isfinite(rel):
         raise SolveError("non-finite residual at the initial iterate")
     residuals: list[float] = []
@@ -527,21 +547,21 @@ def _newton(evaluate: Callable, solve: Callable, collapsed: Callable,
     it = 0
     for it in range(1, config.max_iters + 1):
         try:
-            du, morse = solve(u, *args)
+            du, morse = step(u, b, d, rel)
         except SolveError as exc:
             stop_reason, detail = "breakdown", str(exc)
             break
-        solved = args
+        solved = d
         nxt = np.maximum(u + du, 0.0)
         if collapsed(nxt):
             u = nxt
             stop_reason = "collapse"
             break
-        nxt, rel, energy, nxt_args = evaluate(nxt)
+        nxt, rel, energy, nxt_b, nxt_d = evaluate(nxt)
         if not math.isfinite(rel):
             stop_reason = "non-finite"
             break
-        u, args = nxt, nxt_args
+        u, b, d = nxt, nxt_b, nxt_d
         growth = growth + 1 if residuals and rel > residuals[-1] else 0
         residuals.append(rel)
         energies.append(energy)
@@ -551,8 +571,13 @@ def _newton(evaluate: Callable, solve: Callable, collapsed: Callable,
         if growth >= DIVERGE_STEPS:
             stop_reason = "diverged"
             break
-    return u, solved, NewtonRecord(it, residuals, energies, stop_reason, morse,
-                                   stop_detail=detail)
+    if len(off) == 2 and solved is not None:
+        try:
+            morse = morse_2d(solved)
+        except SolveError:
+            morse = math.nan
+    return u, NewtonRecord(it, residuals, energies, stop_reason, morse,
+                           stop_detail=detail, inner_iterations=step.inner_iterations)
 
 
 def _relative_residual(u: np.ndarray, res: np.ndarray) -> float:
@@ -607,23 +632,21 @@ def solve_auxiliary(
 
     def evaluate(u):
         energy, res, jd = fun.evaluate(u)
-        rel = _relative_residual(u, res)
-        return u, rel, energy, (res, stencil + jd, rel)
+        return u, _relative_residual(u, res), energy, res, stencil + jd
 
     def collapsed(u):
         return watch_collapse and any(
             hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
         )
 
-    step = _linear_step(off)
-    u, solved, run = _newton(evaluate, step, collapsed, init.values.copy(), config)
-    run.inner_iterations = step.inner_iterations
-    if grid.dim == 2 and solved is not None:
+    def morse_2d(d):
         boxes = [
             tuple(slice(s.start - 1, s.stop - 1) for s in box_nodes(e, grid, False))
             for e in potential.geometry.enlargements
         ]
-        run.morse_index = _morse_enclosure(solved[1], boxes, grid.h)
+        return _morse_enclosure(d, boxes, grid.h)
+
+    u, run = _newton(evaluate, off, collapsed, init.values.copy(), config, morse_2d)
     out = Field(grid, u)
     evaluated = bool(run.energies) and run.stop_reason != "collapse"
     report = fun.report(out, run.energies[-1] if evaluated else None)
@@ -698,14 +721,12 @@ def minimax_upper_bound(
     another bump's support raise ValueError.
     """
     fun = PenalizedFunctional(grid, potential, params, gamma, lam)
-    supports = [w.values != 0.0 for w in omegas]
-    for i, reach in enumerate(s | _neighbour_sum(s) for s in supports):
-        for j in range(i + 1, len(supports)):
-            if np.any(reach & supports[j]):
-                raise ValueError(
-                    f"bumps {i + 1} and {j + 1} are coupled by the stencil; "
-                    "the minimax energy is additive only over separated supports"
-                )
+    pair = _first_coupled_pair([w.values != 0.0 for w in omegas])
+    if pair is not None:
+        raise ValueError(
+            f"bumps {pair[0] + 1} and {pair[1] + 1} are coupled by the stencil; "
+            "the minimax energy is additive only over separated supports"
+        )
     s_axis = np.linspace(1.0 / (big_t * big_t), 1.0, MINIMAX_M)
     return sum(
         max(fun.phi_total((s * big_t) * w.values) for s in s_axis) for w in omegas
@@ -745,25 +766,36 @@ class _LocalWell:
     """One well's local problem on the rectangle of grid nodes in a box.
 
     `nodes` holds the rectangle's slices of the full grid, `w` its node
-    weights and `lam_v` the potential term lambda V.  The ghost rule beyond
-    the rectangle's edge is a zero ghost for the Dirichlet well (w = 1,
-    V = 0) and a ghost mirroring the first inner neighbour for the enlarged
-    well with natural boundary condition.  Paired with trapezoidal weights
-    the mirror stencil B makes <B u, u>_w the face sum of squared
-    differences, so energies and the Jacobian share one discrete calculus.
+    weights and `lam_v` the potential term lambda V.  The operator
+    W(B + lambda V) is built once, as its diagonal `diag` and its stencil
+    couplings `off`, and `apply(x)` returns W(B + lambda V) x in one reused
+    buffer (see `_five_point_apply`).  Neighbours along one axis couple by
+    -1/h^2 times the weights of the other axes both ways, so the matrix is
+    symmetric.  On the Dirichlet well (w = 1, V = 0) B is the stencil with
+    zero ghosts beyond the rectangle's edge.  On the enlarged well with
+    natural boundary condition the trapezoid weights halve the edge rows,
+    which makes B the stencil whose ghost mirrors the first inner
+    neighbour, and <B u, u>_w the face sum of squared differences: energies
+    and the Jacobian share one discrete calculus.
     """
 
-    def __init__(self, grid: Grid, nodes, axis_w, mirror: bool):
+    def __init__(self, grid: Grid, nodes, axis_w, lam: float = 0.0,
+                 potential: PotentialSpec | None = None):
         self.grid = grid
         self.nodes = nodes
         self.axis_w = axis_w
         self.w = reduce(np.multiply.outer, axis_w)
-        self.lam_v = 0.0
-        self.mirror = mirror
         self.mesh = [
             grid.axis[s].reshape([-1 if d == ax else 1 for d in range(grid.dim)])
             for ax, s in enumerate(nodes)
         ]
+        self.lam_v = 0.0
+        if potential is not None:
+            dist_sq = _dist_sq_to_wells(potential, self.mesh, grid.dim)
+            self.lam_v = lam * _shape_potential(potential, dist_sq) * np.ones(self.w.shape)
+        self.diag = self.w * (2.0 * grid.dim / grid.h**2 + self.lam_v)
+        self.off = _axis_couplings(axis_w, grid.h)
+        self.apply = _five_point_apply(self.diag, self.off)
 
     @classmethod
     def dirichlet(cls, well: Box, grid: Grid) -> "_LocalWell":
@@ -772,28 +804,22 @@ class _LocalWell:
             slice(max(s.start, 1), min(s.stop, grid.n - 1))
             for s in box_nodes(well, grid)
         )
-        return cls(grid, nodes, [np.ones(s.stop - s.start) for s in nodes], False)
+        return cls(grid, nodes, [np.ones(s.stop - s.start) for s in nodes])
 
     @classmethod
     def neumann(
         cls, lam: float, j: int, grid: Grid, potential: PotentialSpec
     ) -> "_LocalWell":
-        """The closed enlarged well j, trapezoid-weighted with mirror ghosts."""
+        """The closed enlarged well j, trapezoid-weighted."""
         nodes = box_nodes(potential.geometry.enlargements[j - 1], grid, strict=False)
         if any(s.stop - s.start < 3 for s in nodes):
             raise SolveError(f"enlarged well {j} too coarse for a Neumann solve")
         axis_w = [np.r_[0.5, np.ones(s.stop - s.start - 2), 0.5] for s in nodes]
-        prob = cls(grid, nodes, axis_w, True)
-        dist_sq = _dist_sq_to_wells(potential, prob.mesh, grid.dim)
-        prob.lam_v = lam * _shape_potential(potential, dist_sq) * np.ones(prob.w.shape)
-        return prob
+        return cls(grid, nodes, axis_w, lam, potential)
 
     def dist_sq(self, center) -> np.ndarray:
         """Squared distance of every node of the rectangle to `center`."""
         return sum((m - c) ** 2 for m, c in zip(self.mesh, center))
-
-    def neg_laplacian(self, u: np.ndarray) -> np.ndarray:
-        return neg_laplacian_values(u, self.grid.h, self.mirror)
 
     def integral(self, values: np.ndarray) -> float:
         """Weighted quadrature h^dim sum w * values."""
@@ -801,8 +827,9 @@ class _LocalWell:
 
     def nehari_project(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t u, (B + lambda V)(t u)) for the closed-form Nehari scale t,
-        log t^2 = (<(B + lambda V) u, u>_w - int_w u^2 log u^2) / int_w u^2."""
-        au = self.neg_laplacian(u) + self.lam_v * u
+        log t^2 = (<(B + lambda V) u, u>_w - int_w u^2 log u^2) / int_w u^2.
+        The weights are powers of two, so dividing `apply` by them is exact."""
+        au = self.apply(u) / self.w
         mass = self.integral(u * u)
         if mass <= 0.0:
             raise SolveError("zero mass; cannot project onto the Nehari manifold")
@@ -817,19 +844,6 @@ class _LocalWell:
         return t * u, t * au
 
 
-def _local_operator(prob: _LocalWell):
-    """(diag, off) of W(B + lambda V) on the local problem's rectangle: its
-    diagonal and its stencil couplings, one array per axis (entry i along
-    axis a couples node i to node i + 1 along a).
-
-    Neighbours along one axis couple by -1/h^2 times the weights of the
-    other axes both ways: on the mirror rows the half trapezoid weight
-    halves the doubled ghost coupling, so the matrix is symmetric.
-    """
-    diag = prob.w * (2.0 * prob.grid.dim / prob.grid.h**2 + prob.lam_v)
-    return diag, _axis_couplings(prob.axis_w, prob.grid.h)
-
-
 def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
     """Nehari-projected Newton's method for a local problem from the bump u;
     returns (u, NewtonRecord) of `_newton`.
@@ -837,35 +851,25 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
     Each step solves the weighted Jacobian system
     W(B + lambda V - log u^2 - 2) du = -W res of the residual
     res = (B + lambda V) u - u log u^2, with log u^2 taken at |u| floored
-    at U_FLOOR, by `_linear_step`, and each clipped iterate is rescaled
-    onto the Nehari manifold.  The Morse index, 1 at a ground state, is the
-    step's pivot count in 1D; in 2D one block LDL^T inertia count of the
-    last successful step's Jacobian gives it, nan when a Schur block is
-    near singular.  The weighted relative residual and the energy come
-    from the iterate's one stencil apply.  A collapse means that the clip
-    left no mass.
+    at U_FLOOR: the problem's diagonal shifted, with its couplings.  Each
+    clipped iterate is rescaled onto the Nehari manifold.  The Morse index,
+    1 at a ground state, is the step's pivot count in 1D; in 2D the block
+    LDL^T inertia of the last successful step's Jacobian, nan when a Schur
+    block is near singular.  The weighted relative residual and the energy
+    come from the iterate's one operator apply.  A collapse means that the
+    clip left no mass.
     """
-    base, off = _local_operator(prob)
-    step = _linear_step(off)
-
     def evaluate(u):
         u, au = prob.nehari_project(u)
         res = au - s_log_sq(u)
         mass = prob.integral(u * u)
         rel = math.sqrt(prob.integral(res * res) / mass)
         logm = prob.integral(_log_mass_density(u))
-        d = base - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
-        return u, rel, 0.5 * (prob.integral(au * u) + mass - logm), (prob.w * res, d, rel)
+        d = prob.diag - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
+        return u, rel, 0.5 * (prob.integral(au * u) + mass - logm), prob.w * res, d
 
-    u, solved, run = _newton(evaluate, step, lambda u: prob.integral(u * u) <= 0.0, u,
-                             config)
-    run.inner_iterations = step.inner_iterations
-    if prob.grid.dim == 2 and solved is not None:
-        try:
-            run.morse_index = BlockTridiagonalLDL.negative_eigenvalues(solved[1], *off)
-        except SolveError:
-            run.morse_index = math.nan
-    return u, run
+    return _newton(evaluate, prob.off, lambda u: prob.integral(u * u) <= 0.0, u, config,
+                   lambda d: BlockTridiagonalLDL.negative_eigenvalues(d, *prob.off))
 
 
 def solve_single_well(
@@ -913,8 +917,8 @@ def solve_neumann_well(
     -lap u + lambda V u = u log u^2 with zero normal derivative.
 
     The projected Newton iteration of the Dirichlet well, on the
-    trapezoid-weighted mirror-ghost discretization, from a Gausson at the
-    well center.
+    trapezoid-weighted operator of `_LocalWell.neumann`, from a Gausson at
+    the well center.
     """
     prob = _LocalWell.neumann(lam, j, grid, potential)
     center = potential.geometry.enlargements[j - 1].center

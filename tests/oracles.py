@@ -211,13 +211,29 @@ def whole_box_negative_eigenvalues(jd: np.ndarray, h: float) -> int:
     )
 
 
-def local_jacobian_apply(prob, u):
+def padded_neg_laplacian(v: np.ndarray, h: float, mode: str = "constant") -> np.ndarray:
+    """-lap_h on an array of nodes of any box, with spacing h, from an
+    explicit ghost ring `np.pad(v, 1, mode)`: zero ghosts for "constant",
+    ghosts mirroring the edge node's inner neighbour for "reflect"."""
+    ghosted = np.pad(v, 1, mode=mode)
+    inner = (slice(1, -1),) * v.ndim
+    out = 2.0 * v.ndim * v
+    for ax in range(v.ndim):
+        for side in (slice(None, -2), slice(2, None)):
+            out = out - ghosted[inner[:ax] + (side,) + inner[ax + 1:]]
+    return out / (h * h)
+
+
+def local_jacobian_apply(prob, u, mirror: bool):
     """W(B + lambda V - log u^2 - 2) of a `solver._LocalWell` at u > 0,
     applied free of storage: the weighted Jacobian of the ground-state
-    Newton step."""
+    Newton step.  B is the stencil with mirror ghosts for the enlarged
+    well (`mirror`), zero ghosts for the Dirichlet well, so this stays
+    independent of the problem's own couplings."""
     shift = prob.lam_v - 2.0 * np.log(u) - 2.0
+    mode = "reflect" if mirror else "constant"
 
     def apply(x):
-        return prob.w * (prob.neg_laplacian(x) + shift * x)
+        return prob.w * (padded_neg_laplacian(x, prob.grid.h, mode) + shift * x)
 
     return apply

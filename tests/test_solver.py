@@ -25,7 +25,6 @@ from logbump.domain import (
     integrate,
     masks,
     neg_laplacian,
-    neg_laplacian_values,
 )
 from logbump.functional import BUMP_THRESHOLD, PenalizedFunctional, nehari_check
 from logbump.penalty import PenalizationParams, make_params, s_log_sq
@@ -34,7 +33,6 @@ from logbump.solver import (
     SolveError,
     SolverConfig,
     TridiagonalLDL,
-    _local_operator,
     _LocalWell,
     choose_t,
     conjugate_gradient,
@@ -49,6 +47,7 @@ from logbump.solver import (
 
 from oracles import (
     local_jacobian_apply,
+    padded_neg_laplacian,
     restricted_norm_sq,
     whole_box_negative_eigenvalues,
 )
@@ -104,7 +103,7 @@ def test_cg_iteration_budget():
 
 def _five_point_dense(jd, h):
     """Dense -lap_h + diag(jd) on a 2D node array, one stencil column per node."""
-    cols = [neg_laplacian_values(e.reshape(jd.shape), h).ravel()
+    cols = [padded_neg_laplacian(e.reshape(jd.shape), h).ravel()
             for e in np.eye(jd.size)]
     return np.column_stack(cols) + np.diag(jd.ravel())
 
@@ -225,7 +224,7 @@ def test_five_point_apply_matches_the_stencil():
     apply = solver_module._five_point_apply(4.0 / h**2 + jd, (c, c))
     for _ in range(2):  # the second call reuses the first one's buffer
         x = rng.standard_normal(jd.shape)
-        want = neg_laplacian_values(x, h) + jd * x
+        want = padded_neg_laplacian(x, h) + jd * x
         assert np.abs(apply(x) - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -721,17 +720,18 @@ def _one_d_problems(ref):
     }
 
 
-def _local_jacobian(prob, u):
+def _local_jacobian(prob, u, mirror):
     """(diag, off) of the weighted Jacobian W(B + lambda V - log u^2 - 2)
-    at u > 0, and the oracle applying it free of storage."""
-    base, off = _local_operator(prob)
-    return (base - prob.w * (2.0 * np.log(u) + 2.0), off), local_jacobian_apply(prob, u)
+    at u > 0, from the problem's own operator, and the oracle applying it
+    free of storage with mirror or zero ghosts."""
+    diag = prob.diag - prob.w * (2.0 * np.log(u) + 2.0)
+    return (diag, prob.off), local_jacobian_apply(prob, u, mirror)
 
 
 @pytest.mark.parametrize("name", ["single_well", "neumann"])
 def test_local_jacobian_solve_matches_minres(ref, name):
     prob, u, b = _one_d_problems(ref)[name]
-    (diag, off), apply = _local_jacobian(prob, u)
+    (diag, off), apply = _local_jacobian(prob, u, name == "neumann")
     assert len(off) == 1
     x, _ = TridiagonalLDL.solve_once(diag, *off, b)
     y, _ = minres(apply, b, 1.0 / np.abs(diag), 1e-13, 20000)
@@ -761,7 +761,7 @@ def _local_cases(ref):
     for name, (prob, center, mirror) in cases.items():
         d2 = prob.dist_sq(center)
         out[name] = (prob, np.exp(0.5 * prob.grid.dim - 0.5 * d2) if mirror
-                     else np.exp(-0.5 * d2))
+                     else np.exp(-0.5 * d2), mirror)
     return out
 
 
@@ -770,10 +770,10 @@ def _local_cases(ref):
 def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
     # the 1D step is the exact solve; the 2D step is MINRES stopped at the
     # forcing term, so its preconditioned residual is checked instead
-    prob, bump = _local_cases(ref)[case]
+    prob, bump, mirror = _local_cases(ref)[case]
     u, au = prob.nehari_project(bump)
     res = au - s_log_sq(u)
-    apply = local_jacobian_apply(prob, u)
+    apply = local_jacobian_apply(prob, u, mirror)
     eye = np.eye(u.size)
     jac = np.column_stack([apply(c.reshape(u.shape)).ravel() for c in eye])
     assert np.abs(jac - jac.T).max() <= 1e-12 * np.abs(jac).max()
@@ -901,41 +901,92 @@ def test_one_d_solves_never_call_cg(ref, ref_wells, monkeypatch):
 # -- the Newton driver --------------------------------------------------------
 
 
+def _fake_linear_step(step):
+    """A stand-in for `solver._linear_step` that makes every step `step`."""
+    def factory(off):
+        step.inner_iterations = 0
+        return step
+
+    return factory
+
+
 def _toy_evaluate(u):
-    """u^2 = 4 on one node: (u, relative residual, energy, solve arguments)."""
+    """u^2 = 4 on one node: (u, relative residual, energy, residual,
+    Jacobian diagonal)."""
     res = u * u - 4.0
-    return u, abs(float(res[0])) / float(u[0]), float(u[0]), (res,)
+    return u, abs(res.item()) / u.item(), u.item(), res, 2.0 * u
 
 
-def _toy_singular(u, res):
+def _toy_singular(u, b, d, rel):
     raise SolveError("LDL^T breakdown: pivot near zero")
 
 
-@pytest.mark.parametrize("stop, solve, max_iters, iterations, u_end", [
-    ("converged", lambda u, res: (-res / (2.0 * u), 1), 40, 4, 2.0),
-    ("iteration cap", lambda u, res: (-res / (2.0 * u), 1), 2, 2, None),
-    ("collapse", lambda u, res: (-2.0 * u, 1), 40, 1, 0.0),
-    ("diverged", lambda u, res: (u, 1), 40, solver_module.DIVERGE_STEPS + 1, None),
+@pytest.mark.parametrize("stop, step, max_iters, iterations, u_end", [
+    ("converged", lambda u, b, d, rel: (-b / d, 1), 40, 4, 2.0),
+    ("iteration cap", lambda u, b, d, rel: (-b / d, 1), 2, 2, None),
+    ("collapse", lambda u, b, d, rel: (-2.0 * u, 1), 40, 1, 0.0),
+    ("diverged", lambda u, b, d, rel: (u, 1), 40, solver_module.DIVERGE_STEPS + 1,
+     None),
     ("breakdown", _toy_singular, 40, 1, 3.0),
-    ("non-finite", lambda u, res: (np.full_like(u, math.inf), 1), 40, 1, 3.0),
+    ("non-finite", lambda u, b, d, rel: (np.full_like(u, math.inf), 1), 40, 1, 3.0),
 ])
-def test_newton_driver_names_every_stop(stop, solve, max_iters, iterations, u_end):
+def test_newton_driver_names_every_stop(stop, step, max_iters, iterations, u_end,
+                                        monkeypatch):
     # a breakdown or a non-finite step keeps the last iterate with a finite
     # residual, here the start; a collapse returns the clipped iterate
-    u, solved, rec = solver_module._newton(
-        _toy_evaluate, solve, lambda u: u[0] <= 0.0, np.array([3.0]),
-        SolverConfig(max_iters=max_iters))
+    monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(step))
+    u, rec = solver_module._newton(
+        _toy_evaluate, (None,), lambda u: u[0] <= 0.0, np.array([3.0]),
+        SolverConfig(max_iters=max_iters), None)
     assert rec.stop_reason == stop and rec.converged == (stop == "converged")
     assert rec.iterations == iterations
     assert len(rec.residuals) == len(rec.energies)
+    assert rec.inner_iterations == 0
     if u_end is not None:
         assert abs(u[0] - u_end) <= 1e-9
     if iterations == 1:
         assert rec.residuals == []
     if stop == "breakdown":
-        assert solved is None and math.isnan(rec.morse_index)
+        assert math.isnan(rec.morse_index)
+        assert rec.stop_detail == "LDL^T breakdown: pivot near zero"
     else:
-        assert solved is not None and rec.morse_index == 1
+        assert rec.morse_index == 1 and rec.stop_detail == ""
+
+
+def test_newton_driver_counts_the_2d_morse_index_at_the_last_step(monkeypatch):
+    # two couplings make a 2D step, whose own count is nan: the problem's
+    # counter sees the diagonal of the last step that returned, and its
+    # SolveError leaves the index open; the step's MINRES tally is kept
+    diagonals = []
+
+    def step(u, b, d, rel):
+        diagonals.append(d)
+        step.inner_iterations += 2
+        return -b / d, math.nan
+
+    monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(step))
+    seen = []
+
+    def count(d):
+        seen.append(d)
+        return 3
+
+    def singular(d):
+        raise SolveError("block LDL^T breakdown: Schur block near singular")
+
+    u, rec = solver_module._newton(_toy_evaluate, (None, None), lambda u: False,
+                                   np.array([[3.0]]), SolverConfig(), count)
+    assert rec.converged and rec.morse_index == 3
+    assert rec.inner_iterations == 2 * rec.iterations == 2 * len(diagonals)
+    assert len(seen) == 1 and seen[0] is diagonals[-1]
+    u, rec = solver_module._newton(_toy_evaluate, (None, None), lambda u: False,
+                                   np.array([[3.0]]), SolverConfig(), singular)
+    assert rec.converged and rec.stop_detail == "" and math.isnan(rec.morse_index)
+    monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(_toy_singular))
+    u, rec = solver_module._newton(_toy_evaluate, (None, None), lambda u: False,
+                                   np.array([[3.0]]), SolverConfig(), count)
+    assert rec.stop_reason == "breakdown" and math.isnan(rec.morse_index)
+    assert len(seen) == 1
 
 
 # -- Newton's method for the 1D auxiliary problem ----------------------------------
@@ -1001,15 +1052,6 @@ def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep)
         assert a.residuals == b.residuals
         assert a.energies == b.energies
         assert a.morse_index == b.morse_index
-
-
-def _fake_linear_step(step):
-    """A stand-in for `solver._linear_step` that makes every step `step`."""
-    def factory(off):
-        step.inner_iterations = 0
-        return step
-
-    return factory
 
 
 def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
@@ -1381,7 +1423,7 @@ def test_five_point_apply_matches_local_jacobian_2d(name):
     else:
         prob = _LocalWell.neumann(1e3, 1, grid, potential)
     u = 0.5 + rng.random(prob.w.shape)
-    (diag, off), apply = _local_jacobian(prob, u)
+    (diag, off), apply = _local_jacobian(prob, u, name == "neumann")
     assert len(off) == 2
     five_point = solver_module._five_point_apply(diag, off)
     for _ in range(2):  # the second call reuses the first one's buffer
@@ -1404,15 +1446,18 @@ def test_two_d_well_solves_never_call_cg(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_dirichlet_local_stencil_matches_neg_laplacian(dim):
     # a field that vanishes off the well: the zero ghosts of the local
-    # stencil are the zero values of the whole-box field
+    # operator are the zero values of the whole-box field.  The operator
+    # sums its couplings in another order than the stencil, so the two
+    # agree to rounding, not bit for bit.
     grid = Grid(dim=dim, r=3.0, n=61 if dim == 2 else 121)
     prob = _LocalWell.dirichlet(Box((0.3,) * dim, (1.75,) * dim), grid)
+    assert np.array_equal(prob.w, np.ones(prob.w.shape)) and prob.lam_v == 0.0
     u = np.random.default_rng(7).random(prob.w.shape)
     full = np.zeros(grid.interior_shape)
     window = tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)
     full[window] = u
     expected = neg_laplacian(Field(grid, full)).values[window]
-    assert np.array_equal(prob.neg_laplacian(u), expected)
+    assert np.abs(prob.apply(u) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1423,9 +1468,10 @@ def test_mirror_stencil_pairing_is_face_sum(dim):
                                 enlargements=(Box((0.0,), (2.5,)),))
         potential = PotentialSpec(geometry, cap=1.0, power=1.0)
     grid = Grid(dim=dim, r=3.0, n=61)
-    prob = _LocalWell.neumann(1e3, 1, grid, potential)
+    # at lambda = 0 the operator W(B + lambda V) is W B
+    prob = _LocalWell.neumann(0.0, 1, grid, potential)
     u = np.random.default_rng(8).random(prob.w.shape)
-    pairing = float(np.sum(prob.w * prob.neg_laplacian(u) * u))
+    pairing = float(np.sum(prob.apply(u) * u))
     if dim == 1:
         faces = np.sum(np.diff(u) ** 2)
     else:
