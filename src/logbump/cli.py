@@ -1,14 +1,13 @@
 """Batch front-end: flat-file configs, the run pipeline, and reports.
 
 Configs are flat ``key = value`` text (diffable, trivially parsed), with
-one dotted block per well.  One table, `CONFIG_KEYS`, gives each key's
-parser and default, and drives both parsing and the canonical echo.  The
-types a config builds (grid, wells, potential, penalization constants,
-Newton settings) check the ranges, still at parse time, and every error
-names the first offending key; unknown keys are rejected.
-The canonical echo of a config reparses to an identical config, and the
-run manifest starts with that echo so a run is reproducible from its own
-artifacts.
+one dotted block per well.  The fields of `RunConfig` and `WellSpec` carry
+each key's parser and default, and drive both parsing and the canonical
+echo; the CSV columns are the fields of `SweepRow` and `LimitRow`.  The
+types a config builds check the ranges, still at parse time, and every
+error names the first offending key; unknown keys are rejected.  The
+canonical echo reparses to an identical config, and the run manifest
+starts with it so a run is reproducible from its own artifacts.
 
 A run executes: per-well ground states, truncation threshold, path scale,
 per-gamma warm-started lambda sweeps, enlarged-well levels, minimax upper
@@ -23,7 +22,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 from logbump import penalty
@@ -49,6 +48,7 @@ from logbump.solver import (
     solve_single_well,
 )
 from logbump.verify import (
+    LimitRow,
     SweepRow,
     check_limit_problem,
     compute_verdicts,
@@ -57,59 +57,6 @@ from logbump.verify import (
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
-
-
-@dataclass(frozen=True)
-class WellSpec:
-    center: tuple[float, ...]
-    half: tuple[float, ...]
-    enlarged_half: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    dim: int
-    r: float
-    n: int
-    cap: float
-    potential_power: float
-    delta: float
-    l: float
-    wells: tuple[WellSpec, ...]
-    gamma: str                      # "all" or "1,2"
-    lambdas: tuple[float, ...]
-    tol: float
-    max_iters: int
-    workers: int
-    out: str
-
-    # -- builders ---------------------------------------------------------
-
-    def grid(self) -> Grid:
-        return Grid(dim=self.dim, r=self.r, n=self.n)
-
-    def geometry(self) -> WellGeometry:
-        return WellGeometry(
-            dim=self.dim,
-            wells=tuple(Box(w.center, w.half) for w in self.wells),
-            enlargements=tuple(Box(w.center, w.enlarged_half) for w in self.wells),
-        )
-
-    def potential(self) -> PotentialSpec:
-        return PotentialSpec(self.geometry(), cap=self.cap, power=self.potential_power)
-
-    def params(self):
-        return make_params(delta=self.delta, l=self.l)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(tol=self.tol, max_iters=self.max_iters)
-
-    def gamma_subsets(self) -> list[tuple[int, ...]]:
-        if self.gamma != "all":
-            return [tuple(int(t) for t in self.gamma.split(","))]
-        wells = range(1, len(self.wells) + 1)
-        return [g for size in wells for g in itertools.combinations(wells, size)]
 
 
 def _integer(text: str) -> int:
@@ -133,6 +80,13 @@ def _floats(text: str, count: int | None = None) -> tuple[float, ...]:
     vals = tuple(_finite(t.strip()) for t in text.split(","))
     if count is not None and len(vals) != count:
         raise ValueError(f"expected {count} comma-separated values")
+    return vals
+
+
+def _half_widths(text: str, count: int) -> tuple[float, ...]:
+    vals = _floats(text, count)
+    if any(v <= 0 for v in vals):
+        raise ValueError("half-widths must be positive")
     return vals
 
 
@@ -177,27 +131,81 @@ def _serial(text: str) -> int:
 
 _NO_DEFAULT = object()
 
-# (key, RunConfig field, parser, default) in echo order; the well blocks
-# are echoed after `l`.  A callable default is computed from the fields
-# read before it.  The types built from the config check the ranges.
-CONFIG_KEYS = (
-    ("scenario", "scenario", _nonempty, "run"),
-    ("dim", "dim", _integer, 1),
-    ("R", "r", _finite, _NO_DEFAULT),
-    ("n", "n", _integer, _NO_DEFAULT),
-    ("cap", "cap", _finite, PotentialSpec.cap),
-    ("potential_power", "potential_power", _finite, PotentialSpec.power),
-    ("delta", "delta", _finite, penalty.DEFAULT_DELTA),
-    ("l", "l", _finite, penalty.DEFAULT_SLOPE),
-    ("gamma", "gamma", _gamma, "all"),
-    ("lambdas", "lambdas", _lambdas, (10.0, 100.0, 1000.0, 10000.0)),
-    ("tol", "tol", _finite, SolverConfig.tol),
-    ("max_iters", "max_iters", _integer, SolverConfig.max_iters),
-    ("workers", "workers", _serial, 1),
-    ("out", "out", _nonempty, lambda values: os.path.join("runs", values["scenario"])),
-)
-_WELL_SUFFIXES = ("center", "half", "enlarged_half")
-_KEY_OF_FIELD = {field: key for key, field, _, _ in CONFIG_KEYS}
+
+def _key(parse, default=_NO_DEFAULT, name=None):
+    """A config key's parser, default (a callable one is computed from the
+    fields read before it) and name, where that is not the field's."""
+    return field(metadata={"parse": parse, "default": default, "key": name})
+
+
+@dataclass(frozen=True)
+class WellSpec:
+    """The `well.J.<field>` keys of one well; each parser takes `count = dim`."""
+
+    center: tuple[float, ...] = _key(_floats)
+    half: tuple[float, ...] = _key(_half_widths)
+    enlarged_half: tuple[float, ...] = _key(_half_widths)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One field per config key, in echo order; the types built from the
+    config check the ranges."""
+
+    scenario: str = _key(_nonempty, "run")
+    dim: int = _key(_integer, 1)
+    r: float = _key(_finite, name="R")
+    n: int = _key(_integer)
+    cap: float = _key(_finite, PotentialSpec.cap)
+    potential_power: float = _key(_finite, PotentialSpec.power)
+    delta: float = _key(_finite, penalty.DEFAULT_DELTA)
+    l: float = _key(_finite, penalty.DEFAULT_SLOPE)
+    wells: tuple[WellSpec, ...]                 # the well.J.* blocks
+    gamma: str = _key(_gamma, "all")            # "all" or "1,2"
+    lambdas: tuple[float, ...] = _key(_lambdas, (10.0, 100.0, 1000.0, 10000.0))
+    tol: float = _key(_finite, SolverConfig.tol)
+    max_iters: int = _key(_integer, SolverConfig.max_iters)
+    workers: int = _key(_serial, 1)
+    out: str = _key(_nonempty, lambda values: os.path.join("runs", values["scenario"]))
+
+    # -- builders ---------------------------------------------------------
+
+    def grid(self) -> Grid:
+        return Grid(dim=self.dim, r=self.r, n=self.n)
+
+    def geometry(self) -> WellGeometry:
+        return WellGeometry(
+            dim=self.dim,
+            wells=tuple(Box(w.center, w.half) for w in self.wells),
+            enlargements=tuple(Box(w.center, w.enlarged_half) for w in self.wells),
+        )
+
+    def potential(self) -> PotentialSpec:
+        return PotentialSpec(self.geometry(), cap=self.cap, power=self.potential_power)
+
+    def params(self):
+        return make_params(delta=self.delta, l=self.l)
+
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(tol=self.tol, max_iters=self.max_iters)
+
+    def gamma_subsets(self) -> list[tuple[int, ...]]:
+        if self.gamma != "all":
+            return [tuple(int(t) for t in self.gamma.split(","))]
+        wells = range(1, len(self.wells) + 1)
+        return [g for size in wells for g in itertools.combinations(wells, size)]
+
+
+def _keys(cls) -> list[tuple[str, str, object, object]]:
+    """(key, field, parser, default) of each of cls's keyed fields."""
+    return [(f.metadata["key"] or f.name, f.name, f.metadata["parse"], f.metadata["default"])
+            for f in fields(cls) if f.metadata]
+
+
+# views of the field metadata, the one source of the keys
+CONFIG_KEYS = tuple(_keys(RunConfig))
+_WELL_SUFFIXES = tuple(key for key, _, _, _ in _keys(WellSpec))
+_KEY_OF_FIELD = {name: key for key, name, _, _ in CONFIG_KEYS}
 # library parameters named unlike the RunConfig field they are built from
 _FIELD_OF_PARAM = {"power": "potential_power"}
 
@@ -216,6 +224,21 @@ def _named_error(exc: ValueError) -> ConfigError:
     return ConfigError(str(exc) if key is None else f"{key}: {reason}")
 
 
+def _read(cls, raw: dict[str, str], prefix: str = "", **bound) -> dict:
+    """The values of cls's keyed fields, each parsed from raw[prefix + key]
+    with the `bound` arguments, or its default."""
+    values = {}
+    for key, name, parse, default in _keys(cls):
+        key = prefix + key
+        if key in raw:
+            values[name] = _parse_value(key, partial(parse, **bound), raw[key])
+        elif default is _NO_DEFAULT:
+            raise ConfigError(f"{key}: required key missing")
+        else:
+            values[name] = default(values) if callable(default) else default
+    return values
+
+
 def parse_config_text(text: str) -> RunConfig:
     """Parse a flat key-value config and validate it against the types it
     builds; every error names the offending key."""
@@ -231,8 +254,8 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"{key}: duplicate key")
         raw[key] = value
 
-    wells_raw: dict[int, dict[str, str]] = {}
-    for key in list(raw):
+    indices = set()
+    for key in raw:
         if key.startswith("well."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _WELL_SUFFIXES:
@@ -242,34 +265,19 @@ def parse_config_text(text: str) -> RunConfig:
             if parts[1] != str(idx):
                 raise ConfigError(f"{key}: index must be written as {idx} "
                                   f"(got {parts[1]!r})")
-            wells_raw.setdefault(idx, {})[parts[2]] = raw.pop(key)
+            indices.add(idx)
         elif key not in _KEY_OF_FIELD.values():
             raise ConfigError(f"unknown key: {key}")
 
-    values = {}
-    for key, field, parse, default in CONFIG_KEYS:
-        if key in raw:
-            values[field] = _parse_value(key, parse, raw[key])
-        elif default is _NO_DEFAULT:
-            raise ConfigError(f"{key}: required key missing")
-        else:
-            values[field] = default(values) if callable(default) else default
-
+    values = _read(RunConfig, raw)
     try:
         grid = Grid(dim=values["dim"], r=values["r"], n=values["n"])
     except ValueError as exc:
         raise _named_error(exc) from None
     # wells 1..k, k the largest index given, so a gap is a missing key
-    point = partial(_floats, count=grid.dim)
-    wells = []
-    for idx in range(1, max(wells_raw, default=1) + 1):
-        entry = wells_raw.get(idx, {})
-        for suffix in _WELL_SUFFIXES:
-            if suffix not in entry:
-                raise ConfigError(f"well.{idx}.{suffix}: required key missing")
-        wells.append(WellSpec(*(_parse_value(f"well.{idx}.{suffix}", point, entry[suffix])
-                                for suffix in _WELL_SUFFIXES)))
-    config = RunConfig(wells=tuple(wells), **values)
+    wells = tuple(WellSpec(**_read(WellSpec, raw, f"well.{idx}.", count=grid.dim))
+                  for idx in range(1, max(indices, default=1) + 1))
+    config = RunConfig(wells=wells, **values)
     sel = () if config.gamma == "all" else config.gamma_subsets()[0]
     if any(not 1 <= j <= len(wells) for j in sel):
         raise ConfigError(f"gamma: indices must lie in 1..{len(wells)} (got {config.gamma!r})")
@@ -302,16 +310,21 @@ def _echo(value) -> str:
     return str(value)
 
 
+def _echo_lines(obj, prefix: str = ""):
+    """`key = value` per keyed field of obj, and the well blocks in the
+    place of the field that holds them."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.metadata:
+            yield f"{prefix}{f.metadata['key'] or f.name} = {_echo(value)}"
+        else:
+            for idx, well in enumerate(value, start=1):
+                yield from _echo_lines(well, f"well.{idx}.")
+
+
 def canonical_text(config: RunConfig) -> str:
     """Canonical echo; parsing it reproduces the config exactly."""
-    lines = []
-    for key, field, _, _ in CONFIG_KEYS:
-        lines.append(f"{key} = {_echo(getattr(config, field))}")
-        if key == "l":
-            for idx, well in enumerate(config.wells, start=1):
-                lines += [f"well.{idx}.{suffix} = {_echo(getattr(well, suffix))}"
-                          for suffix in _WELL_SUFFIXES]
-    return "\n".join(lines) + "\n"
+    return "\n".join(_echo_lines(config)) + "\n"
 
 
 # -- CSV schema ---------------------------------------------------------------
@@ -327,80 +340,74 @@ def _mask_from_str(text) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split("+"))
 
 
-def _parse_csv_bool(text) -> bool:
+def _bool_from_str(text) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false (got {text!r})")
     return text == "true"
 
 
-# (column, SweepRow field, cell parser) ahead of the per-well blocks
-_CSV_SCALARS = (
-    ("lambda", "lam", float),
-    ("gamma", "gamma", _mask_from_str),
-    ("converged", "converged", _parse_csv_bool),
-    ("phi_total", "phi_total", float),
-    ("b_upper", "b_upper", float),
-    ("c_gamma", "c_gamma", float),
-    ("lambda_v_mass", "lambda_v_mass", float),
-    ("outside_norm_sq", "outside_norm_sq", float),
-    ("sup_outside", "sup_outside", float),
-    ("a0", "a0", float),
-    ("min_u", "min_u", float),
-    ("mass_frac", "mass_frac", float),
-    ("occupied", "occupied", _mask_from_str),
-)
-# (column prefix, SweepRow field) of the per-well float blocks, one column
-# per well j = 1..k
-_CSV_WELL_BLOCKS = (
-    ("i_lambda_", "i_lambda"),
-    ("c_", "c_dirichlet"),
-    ("c_lambda_", "c_lambda"),
-)
+# a row field of this type holds one float per well j = 1..k, in the
+# columns <column>_j
+_PER_WELL = "tuple[float, ...]"
+# (cell parser, cell writer) of each row field type
+_CELL_TYPES = {
+    "float": (float, repr),
+    "bool": (_bool_from_str, lambda value: "true" if value else "false"),
+    "tuple[int, ...]": (_mask_from_str, _mask_str),
+    _PER_WELL: (float, repr),
+}
+# row fields whose column has another name
+_COLUMN_OF_FIELD = {"lam": "lambda", "c_dirichlet": "c"}
 
 
-def _csv_columns(k: int) -> list[tuple[str, str, object, int | None]]:
-    """(column, field, parser, well slot or None) in energies.csv order."""
-    cols = [(name, field, parse, None) for name, field, parse in _CSV_SCALARS]
-    for prefix, field in _CSV_WELL_BLOCKS:
-        cols += [(f"{prefix}{j}", field, float, j - 1) for j in range(1, k + 1)]
+def _csv_columns(cls, k: int) -> list[tuple[str, str, object, int | None]]:
+    """(column, field, parser, well slot or None) of a row dataclass, in
+    file order."""
+    cols = []
+    for f in fields(cls):
+        column, parse = _COLUMN_OF_FIELD.get(f.name, f.name), _CELL_TYPES[f.type][0]
+        if f.type == _PER_WELL:
+            cols += [(f"{column}_{j}", f.name, parse, j - 1) for j in range(1, k + 1)]
+        else:
+            cols.append((column, f.name, parse, None))
     return cols
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return _mask_str(value)
-    return repr(value)
+def csv_header(k: int, cls=SweepRow) -> str:
+    return ",".join(name for name, _, _, _ in _csv_columns(cls, k))
 
 
-def csv_header(k: int) -> str:
-    return ",".join(name for name, _, _, _ in _csv_columns(k))
+def row_to_csv(row) -> str:
+    """The row's cells in the order of its `csv_header` columns."""
+    cells = []
+    for f in fields(row):
+        value, write = getattr(row, f.name), _CELL_TYPES[f.type][1]
+        cells += map(write, value) if f.type == _PER_WELL else [write(value)]
+    return ",".join(cells)
 
 
-def _csv_cells(row: SweepRow) -> dict[str, str]:
-    """The row's energies.csv cells by column name, in file order."""
-    cells = {}
-    for name, field, _, slot in _csv_columns(len(row.i_lambda)):
-        value = getattr(row, field)
-        cells[name] = _csv_cell(value if slot is None else value[slot])
-    return cells
-
-
-def row_to_csv(row: SweepRow) -> str:
-    return ",".join(_csv_cells(row).values())
+def _write_csv(path, cls, rows, k: int = 0) -> None:
+    with open(path, "w") as fh:
+        fh.write(csv_header(k, cls) + "\n")
+        for row in rows:
+            fh.write(row_to_csv(row) + "\n")
 
 
 def rows_from_csv(text: str) -> tuple[list[SweepRow], int]:
     """Rows of energies.csv, each cell read by its header name.
 
-    An empty text, or a header that lacks a column, repeats one or names
-    an unknown one, raises ValueError.
+    An empty text, a header that lacks a column, repeats one or names an
+    unknown one, or a cell that does not parse raises ValueError; a cell's
+    error names its line and column.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("energies.csv is empty")
-    header = lines[0].split(",")
-    k = sum(1 for c in header if c.startswith("i_lambda_"))
-    columns = _csv_columns(k)
+    header = lines[0][1].split(",")
+    # k counts the columns of the first per-well field
+    first = next(name for name, _, _, slot in _csv_columns(SweepRow, 1) if slot == 0)
+    k = sum(1 for c in header if c.startswith(first.removesuffix("1")))
+    columns = _csv_columns(SweepRow, k)
     expected = [name for name, _, _, _ in columns]
     missing = [c for c in expected if c not in header]
     unknown = [c for c in header if c not in expected]
@@ -411,20 +418,22 @@ def rows_from_csv(text: str) -> tuple[list[SweepRow], int]:
         )
     index = {name: i for i, name in enumerate(header)}
     rows = []
-    for line in lines[1:]:
+    for no, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(
                 f"energies.csv row has {len(cells)} cells for {len(header)} columns"
             )
-        fields: dict = {field: () for _, field in _CSV_WELL_BLOCKS}
-        for name, field, parse, slot in columns:
-            value = parse(cells[index[name]])
-            if slot is None:
-                fields[field] = value
-            else:
-                fields[field] += (value,)
-        rows.append(SweepRow(**fields))
+        values: dict = {}
+        for name, field_name, parse, slot in columns:
+            try:
+                value = parse(cells[index[name]])
+            except ValueError as exc:
+                raise ValueError(f"energies.csv line {no}, column {name}: {exc}") from None
+            if slot is not None:
+                value = values.get(field_name, ()) + (value,)
+            values[field_name] = value
+        rows.append(SweepRow(**values))
     return rows, k
 
 
@@ -598,19 +607,12 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
                                  rec.lam, gsel, rec)
             _write_history(os.path.join(gdir, f"residuals_{tag}.csv"),
                            rec.residuals, rec.energies)
-        limit_rows = check_limit_problem(records, ws, c_gamma)
-        with open(os.path.join(gdir, "limit.csv"), "w") as fh:
-            fh.write("lambda,h1_gap,h1_gap_rel,phi_gap_rel\n")
-            for lr in limit_rows:
-                fh.write(f"{lr.lam!r},{lr.h1_gap!r},{lr.h1_gap_rel!r},"
-                         f"{lr.phi_gap_rel!r}\n")
+        _write_csv(os.path.join(gdir, "limit.csv"), LimitRow,
+                   check_limit_problem(records, ws, c_gamma))
 
     all_rows.sort(key=lambda r: (r.gamma, r.lam))
     csv_path = os.path.join(out_root, "energies.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(csv_header(k) + "\n")
-        for row in all_rows:
-            fh.write(row_to_csv(row) + "\n")
+    _write_csv(csv_path, SweepRow, all_rows, k)
 
     # verdicts are recomputed from the CSV so they stay re-derivable
     with open(csv_path) as fh:
@@ -642,16 +644,17 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
 
 # -- report -------------------------------------------------------------------
 
-# energies.csv columns that report.csv repeats, cell for cell
+# energies.csv columns that report.csv repeats, cell for cell, with the
+# width and format of their printed cell; None prints the CSV cell
 REPORT_COLUMNS = (
-    "lambda",
-    "gamma",
-    "phi_total",
-    "lambda_v_mass",
-    "outside_norm_sq",
-    "sup_outside",
-    "occupied",
-    "converged",
+    ("lambda", 10, "g"),
+    ("gamma", 8, None),
+    ("phi_total", 14, ".6g"),
+    ("lambda_v_mass", 14, ".4e"),
+    ("outside_norm_sq", 16, ".4e"),
+    ("sup_outside", 13, ".3e"),
+    ("occupied", 9, None),
+    ("converged", 9, None),
 )
 
 
@@ -666,28 +669,19 @@ def report(run_dir) -> int:
         return 1
     try:
         with open(os.path.join(run_dir, "energies.csv")) as fh:
-            rows, _ = rows_from_csv(fh.read())
+            rows, k = rows_from_csv(fh.read())
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
 
-    widths = (10, 8, 14, 14, 16, 13, 9, 9)
-    print("  ".join(c.ljust(w) for c, w in zip(REPORT_COLUMNS, widths)))
-    out_lines = [",".join(REPORT_COLUMNS)]
+    print("  ".join(c.ljust(w) for c, w, _ in REPORT_COLUMNS))
+    out_lines = [",".join(c for c, _, _ in REPORT_COLUMNS)]
+    columns = csv_header(k).split(",")
     for row in sorted(rows, key=lambda r: (r.gamma, r.lam)):
-        cells = (
-            f"{row.lam:g}",
-            _mask_str(row.gamma),
-            f"{row.phi_total:.6g}",
-            f"{row.lambda_v_mass:.4e}",
-            f"{row.outside_norm_sq:.4e}",
-            f"{row.sup_outside:.3e}",
-            _mask_str(row.occupied),
-            "true" if row.converged else "false",
-        )
-        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-        csv_cells = _csv_cells(row)
-        out_lines.append(",".join(csv_cells[c] for c in REPORT_COLUMNS))
+        cells = dict(zip(columns, row_to_csv(row).split(",")))
+        print("  ".join((cells[c] if fmt is None else format(float(cells[c]), fmt)).ljust(w)
+                        for c, w, fmt in REPORT_COLUMNS))
+        out_lines.append(",".join(cells[c] for c, _, _ in REPORT_COLUMNS))
     with open(os.path.join(run_dir, "report.csv"), "w") as fh:
         fh.write("\n".join(out_lines) + "\n")
     if os.path.exists(os.path.join(run_dir, "verdicts.txt")):

@@ -7,7 +7,7 @@ import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +36,12 @@ from logbump.solver import (
     SolveError,
     SolverConfig,
     conjugate_gradient,
+    lambda_sweep,
+    multi_bump_init,
     solve_auxiliary,
     solve_neumann_well,
 )
-from logbump.verify import SweepRow
+from logbump.verify import LimitRow, SweepRow, check_limit_problem
 from oracles import load_field
 
 MINIMAL = """
@@ -182,10 +184,15 @@ def test_non_finite_values_rejected(key, value):
     ("well. 2.half = 2.0\n",
      "^well. 2.half: index must be written as 2 \\(got ' 2'\\)$"),
     ("dim = 2\n", "^well.1.center: expected 2 comma-separated values \\(got '-5.0'\\)$"),
+    ("well.1.half = -1.0\n",
+     "^well.1.half: half-widths must be positive \\(got '-1.0'\\)$"),
+    ("well.2.enlarged_half = 0.0\n",
+     "^well.2.enlarged_half: half-widths must be positive \\(got '0.0'\\)$"),
 ])
 def test_well_blocks_name_the_key(extra, message):
+    key, value = (part.strip() for part in extra.split("="))
     with pytest.raises(ConfigError, match=message):
-        parse_config_text(MINIMAL + extra)
+        parse_config_text(_minimal_with(key, value))
 
 
 def test_geometry_violations_detected():
@@ -315,10 +322,41 @@ def test_report_and_degraded_mode(tmp_path, capsys):
     assert "energies.csv" in captured.err
 
 
+def _sample_rows():
+    return [
+        SweepRow(lam=lam, gamma=gamma, converged=lam > 10.0, phi_total=4.8 + lam,
+                 b_upper=4.81, c_gamma=4.82, lambda_v_mass=1e-3 / lam,
+                 outside_norm_sq=0.1 / 3.0, sup_outside=1e-8, a0=0.3,
+                 min_u=-0.0, mass_frac=0.999, occupied=(2,),
+                 i_lambda=(2.4, 1.0 / 7.0), c_dirichlet=(2.41, math.nan),
+                 c_lambda=(2.405, 2.5))
+        for lam, gamma in ((10.0, (1, 2)), (1e4, (2,)))
+    ]
+
+
+def _energies_with(column, cell):
+    """energies.csv of the sample rows with the first row's cell in column
+    replaced."""
+    header = csv_header(2)
+    first, second = (row_to_csv(r).split(",") for r in _sample_rows())
+    first[header.split(",").index(column)] = cell
+    return "\n".join([header, ",".join(first), ",".join(second)]) + "\n"
+
+
 @pytest.mark.parametrize("text,reason", [
     ("", "energies.csv is empty"),
     ("\n  \n", "energies.csv is empty"),
     ("lambda,gamma,phi\n1.0,1,2.0\n", "energies.csv header: missing "),
+    # only true and false are booleans; no other spelling reads as false
+    *(pytest.param(_energies_with("converged", cell),
+                   "energies.csv line 2, column converged: expected true or false "
+                   f"(got {cell!r})", id=f"converged={cell}")
+      for cell in ("True", "1", "yes", "")),
+    pytest.param(_energies_with("phi_total", "abc"),
+                 "energies.csv line 2, column phi_total: could not convert string "
+                 "to float: 'abc'", id="phi_total=abc"),
+    pytest.param(_energies_with("gamma", "1+x"), "energies.csv line 2, column gamma: ",
+                 id="gamma=1+x"),
 ])
 def test_report_rejects_an_unreadable_energies_csv(tmp_path, capsys, text, reason):
     (tmp_path / "energies.csv").write_text(text)
@@ -405,6 +443,26 @@ def test_full_reference_run(ref_run, ref_config):
     assert sorted(os.listdir(out / "neumann")) == sorted(h.name for h in histories[2:])
 
 
+def test_limit_csv_repeats_the_limit_rows(ref, ref_run, ref_wells, ref_big_t):
+    """Each selection's limit.csv, read by header name, holds the repr of
+    every LimitRow field that check_limit_problem gives on its sweep."""
+    columns = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(LimitRow)}
+    for gamma in ((1,), (2,), (1, 2)):
+        wells = [ref_wells[j - 1].field for j in gamma]
+        init = multi_bump_init(wells, [1.0 / ref_big_t] * len(wells), ref_big_t)
+        records = lambda_sweep(ref.config.lambdas, gamma, init, ref.grid,
+                               ref.potential, ref.params, ref.solver)
+        c_gamma = sum(ref_wells[j - 1].energy for j in gamma)
+        expected = check_limit_problem(records, wells, c_gamma)
+        path = ref_run.out / ("gamma_" + "+".join(map(str, gamma))) / "limit.csv"
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == list(columns.values())
+            table = list(reader)
+        assert table == [{column: repr(getattr(row, name)) for name, column in columns.items()}
+                         for row in expected]
+
+
 def test_field_files_agree_with_energies_csv(ref_run):
     """Each sweep field, loaded on the manifest's grid, has the min_u of its
     energies.csv row bit for bit (run writes both from the same array)."""
@@ -462,18 +520,6 @@ def test_solve_summary_records_morse_index(ref, ref_sweep, tmp_path):
     assert "morse_index = n/a\n" in path.read_text()
 
 
-def _sample_rows():
-    return [
-        SweepRow(lam=lam, gamma=gamma, converged=lam > 10.0, phi_total=4.8 + lam,
-                 b_upper=4.81, c_gamma=4.82, lambda_v_mass=1e-3 / lam,
-                 outside_norm_sq=0.1 / 3.0, sup_outside=1e-8, a0=0.3,
-                 min_u=-0.0, mass_frac=0.999, occupied=(2,),
-                 i_lambda=(2.4, 1.0 / 7.0), c_dirichlet=(2.41, math.nan),
-                 c_lambda=(2.405, 2.5))
-        for lam, gamma in ((10.0, (1, 2)), (1e4, (2,)))
-    ]
-
-
 def test_csv_reads_columns_by_name():
     rows = _sample_rows()
     lines = [csv_header(2).split(",")] + [row_to_csv(r).split(",") for r in rows]
@@ -511,6 +557,20 @@ def test_readme_config_table_lists_every_key():
     assert {key: cell.strip() for key, cell in rows} == expected
 
 
+def test_readme_lists_the_energies_csv_columns():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"^`energies.csv` columns[^`]*:\s+`([^`]+)`", readme,
+                       flags=re.M).group(1)
+    k = 2
+    columns = []
+    for item in re.split(r",\s+", listed):
+        if item.endswith("_1..k"):
+            columns += [f"{item.removesuffix('1..k')}{j}" for j in range(1, k + 1)]
+        else:
+            columns.append(item)
+    assert columns == csv_header(k).split(",")
+
+
 def test_readme_run_usage_lists_every_option(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     usage = re.search(r"^logbump run (.*)$", readme, flags=re.M).group(1)
@@ -527,12 +587,13 @@ def test_report_cells_repeat_energies_cells(tmp_path, capsys):
     assert report(str(tmp_path)) == 0
     capsys.readouterr()
     rep = (tmp_path / "report.csv").read_text().splitlines()
-    assert rep[0].split(",") == list(REPORT_COLUMNS)
+    repeated = [column for column, _, _ in REPORT_COLUMNS]
+    assert rep[0].split(",") == repeated
     columns = energies[0].split(",")
     expected = []
     for line in energies[1:]:
         cells = dict(zip(columns, line.split(",")))
-        expected.append(",".join(cells[c] for c in REPORT_COLUMNS))
+        expected.append(",".join(cells[c] for c in repeated))
     assert sorted(rep[1:]) == sorted(expected)
 
 
