@@ -3,7 +3,7 @@
 Configs are flat ``key = value`` text (diffable, trivially parsed), with
 one dotted block per well.  The fields of `RunConfig` and `WellSpec` carry
 each key's parser and default, and drive both parsing and the canonical
-echo; the CSV columns are the fields of `SweepRow` and `LimitRow`.  The
+echo; the CSV columns are the fields of a row dataclass, as `SweepRow`.  The
 types a config builds check the ranges, still at parse time, and every
 error names the first offending key; unknown keys are rejected.  The
 canonical echo reparses to an identical config, and the run manifest
@@ -355,6 +355,8 @@ _CELL_TYPES = {
     "bool": (_bool_from_str, lambda value: "true" if value else "false"),
     "tuple[int, ...]": (_mask_from_str, _mask_str),
     _PER_WELL: (float, repr),
+    "int": (int, str),
+    "str": (str, str),
 }
 # row fields whose column has another name
 _COLUMN_OF_FIELD = {"lam": "lambda", "c_dirichlet": "c"}
@@ -383,6 +385,8 @@ def row_to_csv(row) -> str:
     for f in fields(row):
         value, write = getattr(row, f.name), _CELL_TYPES[f.type][1]
         cells += map(write, value) if f.type == _PER_WELL else [write(value)]
+    if any("," in cell or "\n" in cell for cell in cells):
+        raise ValueError(f"a cell of {cells} holds a comma or a line break")
     return ",".join(cells)
 
 
@@ -440,37 +444,42 @@ def rows_from_csv(text: str) -> tuple[list[SweepRow], int]:
 # -- run pipeline -------------------------------------------------------------
 
 
-def _gamma_dirname(gamma) -> str:
-    return "gamma_" + _mask_str(gamma)
-
-
 def _morse_str(morse) -> str:
     return "n/a" if math.isnan(morse) else str(morse)
 
 
-def _write_solve_summary(path, lam: float, gamma, record) -> None:
-    """solve_lambda_L.txt; the final residual is nan when the solve stopped
-    before recording one, and the Morse index n/a when it is uncertified."""
-    final = record.residuals[-1] if record.residuals else math.nan
-    with open(path, "w") as fh:
-        fh.write(f"lambda = {lam!r}\n")
-        fh.write(f"gamma = {_mask_str(gamma)}\n")
-        fh.write(f"converged = {'true' if record.converged else 'false'}\n")
-        fh.write(f"stop_reason = {record.stop}\n")
-        fh.write(f"iterations = {record.iterations}\n")
-        fh.write(f"inner_iterations = {record.inner_iterations}\n")
-        fh.write(f"morse_index = {_morse_str(record.morse_index)}\n")
-        fh.write(f"energy = {record.energy!r}\n")
-        fh.write(f"final_residual = {final!r}\n")
-        fh.write(f"bump_mask = {_mask_str(record.bump_mask)}\n")
+@dataclass(frozen=True)
+class SolveRow:
+    """A solves.csv row: one Newton solve.  kind is ground_state (lam nan),
+    level or sweep, and gamma the well (j,) of the first two."""
+
+    kind: str
+    lam: float
+    gamma: tuple[int, ...]
+    stop: str
+    iterations: int
+    inner_iterations: int
+    morse_index: float
 
 
-def _write_history(path, residuals, energies) -> None:
-    """iter,relative_residual,energy: one row per Newton step."""
-    with open(path, "w") as fh:
-        fh.write("iter,relative_residual,energy\n")
-        for i, (res, en) in enumerate(zip(residuals, energies), start=1):
-            fh.write(f"{i},{res!r},{en!r}\n")
+@dataclass(frozen=True)
+class HistoryRow:
+    """A histories.csv row: one Newton step of the solve of that key."""
+
+    kind: str
+    lam: float
+    gamma: tuple[int, ...]
+    step: int
+    relative_residual: float
+    energy: float
+
+
+def _log_solve(solves, histories, kind: str, lam: float, gamma, record) -> None:
+    """Append the record's solves.csv row and its histories.csv rows."""
+    solves.append(SolveRow(kind, lam, gamma, record.stop, record.iterations,
+                           record.inner_iterations, float(record.morse_index)))
+    histories.extend(HistoryRow(kind, lam, gamma, step, res, energy) for step, (res, energy)
+                     in enumerate(zip(record.residuals, record.energies), start=1))
 
 
 def _local_failures(what: str, record) -> list[str]:
@@ -514,6 +523,8 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     omegas: dict[int, Field] = {}
     c_dirichlet = [math.nan] * k
     failures: list[str] = []
+    solves: list[SolveRow] = []
+    histories: list[HistoryRow] = []
     for j in needed_wells:
         try:
             rec = solve_single_well(geometry, j, grid, solver_cfg)
@@ -522,8 +533,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
             continue
         c_dirichlet[j - 1] = rec.energy
         save_field(rec.field, os.path.join(out_root, "singlewell", f"omega_{j}.npy"))
-        _write_history(os.path.join(out_root, "singlewell", f"residuals_omega_{j}.csv"),
-                       rec.residuals, rec.energies)
+        _log_solve(solves, histories, "ground_state", math.nan, (j,), rec)
         failures += _local_failures(f"well {j} ground state", rec)
         if rec.converged:
             omegas[j] = rec.field
@@ -539,7 +549,6 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     runnable = [g for g in gammas if big_t is not None and all(j in omegas for j in g)]
 
     print(f"[{config.scenario}] enlarged-well levels for {len(config.lambdas)} lambdas")
-    os.makedirs(os.path.join(out_root, "neumann"), exist_ok=True)
     c_lambda: dict[tuple[float, int], float] = {}
     for lam in config.lambdas:
         for j in needed_wells:
@@ -549,16 +558,14 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
             except SolveError as exc:
                 failures.append(f"{what}: {exc}")
                 continue
-            _write_history(os.path.join(out_root, "neumann",
-                                        f"residuals_lambda_{lam:g}_well_{j}.csv"),
-                           nrec.residuals, nrec.energies)
+            _log_solve(solves, histories, "level", lam, (j,), nrec)
             failures += _local_failures(what, nrec)
             c_lambda[(lam, j)] = nrec.c_lambda
 
     print(f"[{config.scenario}] sweeping {len(runnable)} well selections")
     all_rows: list[SweepRow] = []
     for gsel in runnable:
-        gdir = os.path.join(out_root, _gamma_dirname(gsel))
+        gdir = os.path.join(out_root, "gamma_" + _mask_str(gsel))
         os.makedirs(gdir, exist_ok=True)
         ws = [omegas[j] for j in gsel]
         init = multi_bump_init(ws, [1.0 / big_t] * len(ws), big_t)
@@ -601,18 +608,16 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
                     c_lambda=lam_c,
                 )
             )
-            tag = f"lambda_{rec.lam:g}"
-            save_field(rec.field, os.path.join(gdir, f"field_{tag}.npy"))
-            _write_solve_summary(os.path.join(gdir, f"solve_{tag}.txt"),
-                                 rec.lam, gsel, rec)
-            _write_history(os.path.join(gdir, f"residuals_{tag}.csv"),
-                           rec.residuals, rec.energies)
+            save_field(rec.field, os.path.join(gdir, f"field_lambda_{rec.lam:g}.npy"))
+            _log_solve(solves, histories, "sweep", rec.lam, gsel, rec)
         _write_csv(os.path.join(gdir, "limit.csv"), LimitRow,
                    check_limit_problem(records, ws, c_gamma))
 
     all_rows.sort(key=lambda r: (r.gamma, r.lam))
     csv_path = os.path.join(out_root, "energies.csv")
     _write_csv(csv_path, SweepRow, all_rows, k)
+    _write_csv(os.path.join(out_root, "solves.csv"), SolveRow, solves)
+    _write_csv(os.path.join(out_root, "histories.csv"), HistoryRow, histories)
 
     # verdicts are recomputed from the CSV so they stay re-derivable
     with open(csv_path) as fh:

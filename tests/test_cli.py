@@ -19,7 +19,10 @@ from logbump.cli import (
     CONFIG_KEYS,
     REPORT_COLUMNS,
     ConfigError,
-    _write_solve_summary,
+    HistoryRow,
+    SolveRow,
+    _log_solve,
+    _write_csv,
     canonical_text,
     csv_header,
     main,
@@ -225,19 +228,40 @@ def test_missing_config_file(tmp_path):
         parse_config(tmp_path / "nope.cfg")
 
 
+def _table(path) -> list[dict]:
+    """The rows of a CSV artifact, each a dict of its cells by header name."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _solve(out, kind, lam, gamma) -> dict:
+    """The one solves.csv row of a solve."""
+    [row] = [r for r in _table(out / "solves.csv")
+             if (r["kind"], r["lambda"], r["gamma"]) == (kind, lam, gamma)]
+    return row
+
+
+def _history(out, kind, lam, gamma) -> list[dict]:
+    """The histories.csv rows of a solve, one per Newton step."""
+    return [r for r in _table(out / "histories.csv")
+            if (r["kind"], r["lambda"], r["gamma"]) == (kind, lam, gamma)]
+
+
 def test_run_tiny_scenario(tmp_path):
     config = parse_config_text(TINY)
     out = tmp_path / "tiny"
     status = run(config, out_dir=str(out))
     assert status == 0
-    for name in ("manifest.txt", "energies.csv", "verdicts.txt"):
+    for name in ("manifest.txt", "energies.csv", "verdicts.txt", "solves.csv",
+                 "histories.csv"):
         assert (out / name).exists()
-    for gamma in ("gamma_1", "gamma_2", "gamma_1+2"):
-        assert (out / gamma / "field_lambda_10000.npy").exists()
-        assert (out / gamma / "residuals_lambda_10000.csv").exists()
-        assert (out / gamma / "limit.csv").exists()
-        meta = (out / gamma / "solve_lambda_10000.txt").read_text()
-        assert "converged = true" in meta and "bump_mask =" in meta
+    energies = _energy_rows(out / "energies.csv")
+    for gamma in ("1", "2", "1+2"):
+        assert (out / f"gamma_{gamma}" / "field_lambda_10000.npy").exists()
+        assert _history(out, "sweep", "10000.0", gamma)
+        assert (out / f"gamma_{gamma}" / "limit.csv").exists()
+        assert _solve(out, "sweep", "10000.0", gamma)["stop"] == "converged"
+        assert energies[("10000.0", gamma)]["occupied"] == gamma
     assert (out / "singlewell" / "omega_1.npy").exists()
 
     # manifest echo reparses to the same config (comments are ignored)
@@ -263,6 +287,44 @@ def test_run_rerun_bit_identical(tmp_path):
         if sub.is_file():
             other = out2 / sub.relative_to(out1)
             assert filecmp.cmp(sub, other, shallow=False), sub.name
+
+
+def test_rerun_into_the_same_directory_replaces_the_tables(tmp_path):
+    config = parse_config_text(TINY)
+    again = replace(config, lambdas=(100.0,))
+    out, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run(config, out_dir=str(out)) == 0
+    assert run(again, out_dir=str(out)) == run(again, out_dir=str(fresh))
+    for name in ("solves.csv", "histories.csv"):
+        assert {r["lambda"] for r in _table(out / name)} == {"nan", "100.0"}
+        assert filecmp.cmp(out / name, fresh / name, shallow=False), name
+
+
+def _readme_tree(gammas, wells, lambdas) -> list[str]:
+    """The paths of the README's run-directory tree, its placeholders
+    `gamma_*`, `_J.` and `_L.` expanded to the given selections, wells and
+    lambdas."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    tree = readme.split("## Run artifacts", 1)[1].split("```", 2)[1]
+    values = {"gamma_*": [f"gamma_{g}" for g in gammas],
+              "_J.": [f"_{j}." for j in wells],
+              "_L.": [f"_{lam}." for lam in lambdas]}
+    paths = set()
+    for line in tree.splitlines():
+        if re.match(r"  \S", line):
+            names = {line.split()[0]}
+            for token, subs in values.items():
+                names = {name.replace(token, sub) for name in names for sub in subs}
+            paths |= names
+    return sorted(paths)
+
+
+def test_run_directory_holds_the_readme_tree(tmp_path, capsys):
+    out = tmp_path / "tiny"
+    assert run(parse_config_text(TINY), out_dir=str(out)) == 0
+    assert report(str(out)) == 0
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert written == _readme_tree(["1", "2", "1+2"], [1, 2], ["100", "10000"])
 
 
 def test_workers_other_than_one_rejected(tmp_path):
@@ -432,15 +494,36 @@ def test_full_reference_run(ref_run, ref_config):
     assert len(verdicts) == 8
     assert all("status=PASS" in line for line in verdicts)
     # one history per local solve, one row per Newton step
-    histories = [out / "singlewell" / f"residuals_omega_{j}.csv" for j in (1, 2)]
-    histories += [out / "neumann" / f"residuals_lambda_{lam:g}_well_{j}.csv"
-                  for lam in ref_config.lambdas for j in (1, 2)]
-    for history in histories:
-        lines = history.read_text().splitlines()
-        assert lines[0] == "iter,relative_residual,energy"
-        assert 3 <= len(lines) - 1 <= 6
-        assert float(lines[-1].split(",")[1]) <= ref_config.tol
-    assert sorted(os.listdir(out / "neumann")) == sorted(h.name for h in histories[2:])
+    assert (out / "histories.csv").read_text().startswith(
+        "kind,lambda,gamma,step,relative_residual,energy\n")
+    local = [("ground_state", "nan", str(j)) for j in (1, 2)]
+    local += [("level", repr(lam), str(j)) for lam in ref_config.lambdas for j in (1, 2)]
+    for key in local:
+        history = _history(out, *key)
+        assert [int(r["step"]) for r in history] == list(range(1, len(history) + 1))
+        assert 3 <= len(history) <= 6
+        assert float(history[-1]["relative_residual"]) <= ref_config.tol
+    assert {(r["kind"], r["lambda"], r["gamma"]) for r in _table(out / "histories.csv")
+            if r["kind"] != "sweep"} == set(local)
+
+
+def test_solves_csv_has_one_row_per_solve(ref_run, ref_config):
+    """solves.csv holds a row per well ground state, per (lambda, well)
+    level and per energies.csv row, each with its stop reason; a converged
+    solve has one histories.csv row per iteration, the last within tol."""
+    out = ref_run.out
+    solves = _table(out / "solves.csv")
+    keys = [(r["kind"], r["lambda"], r["gamma"]) for r in solves]
+    expected = [("ground_state", "nan", str(j)) for j in (1, 2)]
+    expected += [("level", repr(lam), str(j)) for lam in ref_config.lambdas for j in (1, 2)]
+    expected += [("sweep", lam, gamma) for lam, gamma in _energy_rows(out / "energies.csv")]
+    assert sorted(keys) == sorted(expected) and len(set(keys)) == len(keys)
+    assert all(r["stop"] == "converged" for r in solves)
+    for solve in solves:
+        history = _history(out, solve["kind"], solve["lambda"], solve["gamma"])
+        assert len(history) == int(solve["iterations"])
+        assert float(history[-1]["relative_residual"]) <= ref_config.tol
+    assert len(_table(out / "histories.csv")) == sum(int(r["iterations"]) for r in solves)
 
 
 def test_limit_csv_repeats_the_limit_rows(ref, ref_run, ref_wells, ref_big_t):
@@ -496,6 +579,18 @@ def test_canonical_text_matches_reference_config():
     assert canonical_text(parse_config(path)) == "".join(f"{ln}\n" for ln in lines if ln)
 
 
+def _logged(out, lam, gamma, record) -> tuple[dict, list[dict]]:
+    """The solves.csv row and the histories.csv rows of one sweep record,
+    written as `run` writes them and read back by header name."""
+    solves, histories = [], []
+    _log_solve(solves, histories, "sweep", lam, gamma, record)
+    out.mkdir(exist_ok=True)
+    _write_csv(out / "solves.csv", SolveRow, solves)
+    _write_csv(out / "histories.csv", HistoryRow, histories)
+    [solve] = _table(out / "solves.csv")
+    return solve, _table(out / "histories.csv")
+
+
 def test_solve_summary_without_residual(ref, ref_wells, tmp_path):
     # at lambda = 1e8 the first step underflows well 2's empty enlargement
     # to zero mass, which ends the solve before it records a residual
@@ -503,21 +598,25 @@ def test_solve_summary_without_residual(ref, ref_wells, tmp_path):
                           ref.potential, ref.params, ref.solver)
     assert rec.iterations == 1 and rec.residuals == [] and not rec.converged
     assert rec.stop_reason == "collapse"
-    path = tmp_path / "solve_lambda_1e+08.txt"
-    _write_solve_summary(path, 1e8, (1, 2), rec)
-    assert "final_residual = nan\n" in path.read_text()
-    assert "stop_reason = collapse\n" in path.read_text()
+    solve, history = _logged(tmp_path, 1e8, (1, 2), rec)
+    # no step recorded a residual, so the solve has no history row
+    assert history == []
+    assert solve["stop"] == "collapse" and solve["iterations"] == "1"
 
 
 def test_solve_summary_records_morse_index(ref, ref_sweep, tmp_path):
-    path = tmp_path / "solve.txt"
-    _write_solve_summary(path, 1e4, (1, 2), ref_sweep[-1])
-    assert "morse_index = 2\n" in path.read_text()
+    solve, _ = _logged(tmp_path, 1e4, (1, 2), ref_sweep[-1])
+    assert float(solve["morse_index"]) == 2
     # every 1D linear solve is direct
-    assert "inner_iterations = 0\n" in path.read_text()
-    _write_solve_summary(path, 1e4, (1, 2), replace(ref_sweep[-1],
-                                                    morse_index=math.nan))
-    assert "morse_index = n/a\n" in path.read_text()
+    assert solve["inner_iterations"] == "0"
+    solve, _ = _logged(tmp_path, 1e4, (1, 2), replace(ref_sweep[-1], morse_index=math.nan))
+    assert solve["morse_index"] == "nan"
+
+
+def test_a_cell_with_a_comma_is_refused():
+    row = SolveRow("sweep", 1e2, (1,), "breakdown (a, b)", 1, 0, math.nan)
+    with pytest.raises(ValueError, match="holds a comma or a line break"):
+        row_to_csv(row)
 
 
 def test_csv_reads_columns_by_name():
@@ -569,6 +668,15 @@ def test_readme_lists_the_energies_csv_columns():
         else:
             columns.append(item)
     assert columns == csv_header(k).split(",")
+
+
+@pytest.mark.parametrize("cls", [SolveRow, HistoryRow])
+def test_readme_lists_the_columns_of_the_solve_tables(cls):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    name = {SolveRow: "solves.csv", HistoryRow: "histories.csv"}[cls]
+    listed = re.search(rf"^`{name}` columns[^`]*:\s+`([^`]+)`", readme,
+                       flags=re.M).group(1)
+    assert re.split(r",\s+", listed) == csv_header(0, cls).split(",")
 
 
 def test_readme_run_usage_lists_every_option(capsys):
@@ -639,7 +747,7 @@ def test_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
     assert ("FAILURE: gamma 1: solve at lambda=100 has Morse index 2, expected 1"
             in capsys.readouterr().err)
-    assert "morse_index = 2\n" in (out / "gamma_1" / "solve_lambda_100.txt").read_text()
+    assert float(_solve(out, "sweep", "100.0", "1")["morse_index"]) == 2
 
 
 def test_uncertified_morse_index_is_a_failure(tmp_path, capsys, monkeypatch):
@@ -657,8 +765,8 @@ def test_uncertified_morse_index_is_a_failure(tmp_path, capsys, monkeypatch):
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
     assert ("FAILURE: gamma 1: solve at lambda=100 has Morse index n/a, expected 1"
             in capsys.readouterr().err)
-    text = (out / "gamma_1" / "solve_lambda_100.txt").read_text()
-    assert "converged = true\n" in text and "morse_index = n/a\n" in text
+    solve = _solve(out, "sweep", "100.0", "1")
+    assert solve["stop"] == "converged" and solve["morse_index"] == "nan"
 
 
 def test_neumann_failure_names_stop_reason(tmp_path, capsys, monkeypatch):
@@ -703,9 +811,10 @@ def test_sweep_breakdown_keeps_the_other_lambdas(tmp_path, capsys, monkeypatch):
             ) in capsys.readouterr().err
     rows, _ = rows_from_csv((out / "energies.csv").read_text())
     assert [(r.lam, r.converged) for r in rows] == [(100.0, False), (10000.0, True)]
-    summary = (out / "gamma_1" / "solve_lambda_100.txt").read_text()
-    assert ("converged = false\nstop_reason = breakdown (LDL^T breakdown: pivot "
-            "near zero)\niterations = 1\n") in summary
+    solve = _solve(out, "sweep", "100.0", "1")
+    assert solve["stop"] == "breakdown (LDL^T breakdown: pivot near zero)"
+    assert solve["iterations"] == "1"
+    assert _solve(out, "level", "100.0", "1")["stop"] == solve["stop"]
     assert ("criterion=convergence status=FAIL margin=0.0 detail=flagged solves "
             "present") in (out / "verdicts.txt").read_text()
 

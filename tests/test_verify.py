@@ -1,6 +1,7 @@
 """Verification harness: verdicts, limit tables, multiplicity on pipeline
 runs, and order studies."""
 
+import csv
 import math
 from pathlib import Path
 
@@ -290,11 +291,11 @@ def test_multiplicity_four_wells(tmp_path):
     assert all(row.occupied == gamma for gamma, row in top.items())
     assert _verdict_line(tmp_path, "multiplicity").startswith(
         "criterion=multiplicity status=PASS ")
-    summaries = sorted(tmp_path.glob("gamma_*/solve_lambda_*.txt"))
-    assert len(summaries) == 15 * len(config.lambdas) == 60
-    for path in summaries:
-        fields = dict(ln.split(" = ", 1) for ln in path.read_text().splitlines())
-        assert int(fields["morse_index"]) == len(fields["gamma"].split("+"))
+    with open(tmp_path / "solves.csv", newline="") as fh:
+        sweeps = [r for r in csv.DictReader(fh) if r["kind"] == "sweep"]
+    assert len(sweeps) == 15 * len(config.lambdas) == 60
+    for solve in sweeps:
+        assert float(solve["morse_index"]) == len(solve["gamma"].split("+"))
 
 
 # -- per-well level tracking -----------------------------------------------------------
