@@ -176,24 +176,21 @@ class Grid:
     def interior_shape(self) -> tuple[int, ...]:
         return (self.n - 2,) * self.dim
 
-    def full_mesh(self) -> tuple[np.ndarray, ...]:
-        """Broadcastable per-axis coordinate arrays over all nodes."""
+    def mesh(self, nodes=None) -> tuple[np.ndarray, ...]:
+        """Broadcastable per-axis coordinate arrays of the node rectangle
+        given by per-axis slices of the full grid, all nodes by default."""
         return tuple(
-            self.axis.reshape([-1 if d == ax else 1 for d in range(self.dim)])
-            for ax in range(self.dim)
+            self.axis[s].reshape([-1 if d == ax else 1 for d in range(self.dim)])
+            for ax, s in enumerate(nodes or (slice(None),) * self.dim)
         )
 
     def interior_mesh(self) -> tuple[np.ndarray, ...]:
-        inner = self.axis[1:-1]
-        return tuple(
-            inner.reshape([-1 if d == ax else 1 for d in range(self.dim)])
-            for ax in range(self.dim)
-        )
+        return self.mesh((slice(1, -1),) * self.dim)
 
 
 def potential_on_grid(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     """Potential values at every node (full shape)."""
-    mesh = grid.full_mesh()
+    mesh = grid.mesh()
     dist_sq = _dist_sq_to_wells(spec, mesh, grid.dim)
     return _shape_potential(spec, dist_sq) * np.ones(grid.full_shape)
 
@@ -324,6 +321,14 @@ def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid):
         check_well_nodes(j, box_nodes(w, grid))
 
 
+def faces(ndim: int):
+    """Per axis, the (lo, hi) index pair of the two end nodes of every stencil
+    face of an ndim node array, so a[hi] - a[lo] differences across them."""
+    for ax in range(ndim):
+        lead = (slice(None),) * ax
+        yield lead + (slice(None, -1),), lead + (slice(1, None),)
+
+
 def neg_laplacian(u: Field) -> Field:
     """-lap_h u on the whole box with the standard 3/5-point stencil.
 
@@ -334,10 +339,9 @@ def neg_laplacian(u: Field) -> Field:
     """
     v = u.values
     out = (2.0 * v.ndim) * v
-    for ax in range(v.ndim):
-        lead = (slice(None),) * ax
-        out[lead + (slice(1, None),)] -= v[lead + (slice(None, -1),)]
-        out[lead + (slice(None, -1),)] -= v[lead + (slice(1, None),)]
+    for lo, hi in faces(v.ndim):
+        out[hi] -= v[lo]
+        out[lo] -= v[hi]
     out /= u.grid.h * u.grid.h
     return Field(u.grid, out)
 
@@ -358,15 +362,11 @@ def grad_energy_density(u: Field) -> np.ndarray:
     full = u.full()
     dens = np.zeros(grid.full_shape)
     inv_h2 = 1.0 / (grid.h * grid.h)
-    for ax in range(grid.dim):
-        d = np.diff(full, axis=ax)
+    for lo, hi in faces(grid.dim):
+        d = full[hi] - full[lo]
         dsq = d * d * inv_h2
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        dens[tuple(lo)] += 0.5 * dsq
-        dens[tuple(hi)] += 0.5 * dsq
+        dens[lo] += 0.5 * dsq
+        dens[hi] += 0.5 * dsq
     return dens
 
 

@@ -50,10 +50,10 @@ from logbump.domain import (
     Grid,
     PotentialSpec,
     WellGeometry,
-    _dist_sq_to_wells,
-    _shape_potential,
     box_nodes,
     check_well_nodes,
+    faces,
+    potential_on_grid,
 )
 from logbump.functional import (
     EnergyReport,
@@ -414,9 +414,7 @@ def _five_point_apply(d: np.ndarray, off) -> Callable:
     out = np.empty_like(d)
     tmp = np.empty_like(d)
     terms = []
-    for ax, c in enumerate(off):
-        lo = (slice(None),) * ax + (slice(None, -1),)
-        hi = (slice(None),) * ax + (slice(1, None),)
+    for c, (lo, hi) in zip(off, faces(d.ndim)):
         terms += [(c, out[lo], tmp[lo], hi), (c, out[hi], tmp[hi], lo)]
 
     def apply(x):
@@ -486,14 +484,10 @@ def _neighbour_sum(v: np.ndarray) -> np.ndarray:
     axis by axis.  On a bool array the sum is a logical or, so
     `v | _neighbour_sum(v)` is the nodes of v and their stencil
     neighbours."""
-    out = np.empty_like(v)
-    out[:-1] = v[1:]
-    out[-1] = 0.0
-    out[1:] += v[:-1]
-    for ax in range(1, v.ndim):
-        lead = (slice(None),) * ax
-        out[lead + (slice(1, None),)] += v[lead + (slice(None, -1),)]
-        out[lead + (slice(None, -1),)] += v[lead + (slice(1, None),)]
+    out = np.zeros_like(v)
+    for lo, hi in faces(v.ndim):
+        out[hi] += v[lo]
+        out[lo] += v[hi]
     return out
 
 
@@ -785,14 +779,10 @@ class _LocalWell:
         self.nodes = nodes
         self.axis_w = axis_w
         self.w = reduce(np.multiply.outer, axis_w)
-        self.mesh = [
-            grid.axis[s].reshape([-1 if d == ax else 1 for d in range(grid.dim)])
-            for ax, s in enumerate(nodes)
-        ]
+        self.mesh = grid.mesh(nodes)
         self.lam_v = 0.0
         if potential is not None:
-            dist_sq = _dist_sq_to_wells(potential, self.mesh, grid.dim)
-            self.lam_v = lam * _shape_potential(potential, dist_sq) * np.ones(self.w.shape)
+            self.lam_v = lam * potential_on_grid(potential, grid)[nodes]
         self.diag = self.w * (2.0 * grid.dim / grid.h**2 + self.lam_v)
         self.off = _axis_couplings(axis_w, grid.h)
         self.apply = _five_point_apply(self.diag, self.off)
