@@ -908,11 +908,12 @@ def solve_neumann_well(
 
     The projected Newton iteration of the Dirichlet well, on the
     trapezoid-weighted operator of `_LocalWell.neumann`, from a Gausson at
-    the well center.
+    the well center confined to the closed well, where V = 0: mass where
+    lambda V is large would grow the start's Nehari scale with lambda.
     """
     prob = _LocalWell.neumann(lam, j, grid, potential)
     center = potential.geometry.enlargements[j - 1].center
-    bump = np.exp(0.5 * grid.dim - 0.5 * prob.dist_sq(center))
+    bump = np.exp(0.5 * grid.dim - 0.5 * prob.dist_sq(center)) * (prob.lam_v == 0.0)
     u, run = _ground_state_newton(prob, bump, config)
     level = run.energies[-1] if run.energies else math.nan
     return NeumannRecord(

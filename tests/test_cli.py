@@ -470,20 +470,37 @@ def test_tiny_delta_is_an_invalid_config(tmp_path, capsys, delta):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lam", ["1e7", "3e7"])
-def test_deep_well_out_of_float_range_is_one_failure(tmp_path, capsys, lam):
+def _run_deep_well(tmp_path, lam):
+    """(exit status, run directory) of one well with lambdas 10 and lam;
+    the run raises no warning."""
     cfg = tmp_path / "deep.cfg"
     cfg.write_text("R = 12.0\nn = 481\npotential_power = 1.0\n"
                    "well.1.center = -5.0\nwell.1.half = 2.5\n"
                    f"well.1.enlarged_half = 3.5\nlambdas = 10.0, {lam}\n")
+    out = tmp_path / "deep"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "deep")]) == 1
+        status = main(["run", "--config", str(cfg), "--out", str(out)])
     assert caught == []
+    return status, out
+
+
+@pytest.mark.parametrize("lam", ["1e7", "3e7"])
+def test_deep_well_level_converges(tmp_path, capsys, lam):
+    # a start over the whole enlargement took the Nehari scale out of the
+    # float range here; the start confined to the well does not
+    status, out = _run_deep_well(tmp_path, lam)
+    assert status == 0
+    assert capsys.readouterr().err == ""
+    assert _solve(out, "level", repr(float(lam)), "1")["stop"] == "converged"
+
+
+def test_deep_well_breakdown_is_one_failure(tmp_path, capsys):
+    status, _ = _run_deep_well(tmp_path, "1e12")
+    assert status == 1
     [line] = capsys.readouterr().err.splitlines()
-    what = re.escape(f"FAILURE: enlarged well 1 level at lambda={float(lam):g}: ")
-    assert re.fullmatch(what + r"Nehari scale e\^\S+ takes the field out of the "
-                               "float range", line)
+    assert line == ("FAILURE: enlarged well 1 level at lambda=1e+12 did not converge "
+                    "(breakdown (LDL^T breakdown: pivot near zero))")
 
 
 def test_full_reference_run(ref_run, ref_config):

@@ -644,13 +644,16 @@ def test_neumann_level_below_dirichlet(ref, ref_wells):
 
 @pytest.mark.parametrize("lam", [1e7, 3e7])
 def test_neumann_scale_out_of_float_range_raises(ref, lam):
-    # the start's Nehari scale is e^352 at 1e7: its squares overflow, and
-    # at 3e7 the scale e^1057 itself does
+    # a Gausson over the whole enlargement, not confined to the well: its
+    # Nehari scale is e^352 at 1e7, whose squares overflow, and at 3e7 the
+    # scale e^1057 itself does
+    prob = _LocalWell.neumann(lam, 1, ref.grid, ref.potential)
+    bump = np.exp(0.5 - 0.5 * prob.dist_sq(ref.geometry.enlargements[0].center))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SolveError, match=r"^Nehari scale e\^\d+(\.\d)? takes "
                                              "the field out of the float range$"):
-            solve_neumann_well(lam, 1, ref.grid, ref.potential, ref.solver)
+            prob.nehari_project(bump)
     assert caught == []
 
 
