@@ -18,6 +18,7 @@ the emitted CSV rather than from in-memory state.
 from __future__ import annotations
 
 import argparse
+import glob
 import itertools
 import math
 import os
@@ -492,9 +493,30 @@ def _local_failures(what: str, record) -> list[str]:
     return []
 
 
+# the artifacts of a run that a rerun may not write again, under its directory
+_STALE_ARTIFACTS = ("singlewell/omega_*.npy", "gamma_*/field_lambda_*.npy",
+                    "gamma_*/limit.csv", "report.csv")
+
+
+def _remove_stale_artifacts(out_root: str) -> None:
+    """Remove what an earlier run left under out_root of `_STALE_ARTIFACTS`,
+    and each `gamma_*` and `singlewell` directory that this leaves empty;
+    nothing else."""
+    root = glob.escape(out_root)
+    for pattern in _STALE_ARTIFACTS:
+        for path in glob.glob(os.path.join(root, pattern)):
+            if os.path.isfile(path):
+                os.remove(path)
+    for path in glob.glob(os.path.join(root, "gamma_*")) + [os.path.join(out_root, "singlewell")]:
+        if os.path.isdir(path) and not os.listdir(path):
+            os.rmdir(path)
+
+
 def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     """Execute the pipeline; returns a process exit status.
 
+    A run into a used directory first removes the earlier run's field
+    files, limit tables and report, so the directory holds this run's.
     The pipeline is serial: `workers`, like the config key, must be 1; it
     stays because the benchmark's child process passes it.
     """
@@ -504,6 +526,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         config = parse_config_text(canonical_text(config))
     out_root = out_dir or config.out
     os.makedirs(out_root, exist_ok=True)
+    _remove_stale_artifacts(out_root)
 
     grid = config.grid()
     geometry = config.geometry()

@@ -289,15 +289,48 @@ def test_run_rerun_bit_identical(tmp_path):
             assert filecmp.cmp(sub, other, shallow=False), sub.name
 
 
-def test_rerun_into_the_same_directory_replaces_the_tables(tmp_path):
-    config = parse_config_text(TINY)
-    again = replace(config, lambdas=(100.0,))
+def _files(root) -> set[str]:
+    """The paths of the files under root, relative to it."""
+    return {os.path.relpath(os.path.join(top, name), root)
+            for top, _, names in os.walk(root) for name in names}
+
+
+def _rerun(tmp_path, config, again, gamma=None, kept=("notes.txt",)) -> Path:
+    """Run config and `logbump report` into one directory, add the files
+    `kept`, then run again (with the gamma override) into it and into a
+    fresh one; returns the reused directory.  It holds the fresh one's
+    files and the files kept, and its tables repeat the fresh ones."""
     out, fresh = tmp_path / "reused", tmp_path / "fresh"
     assert run(config, out_dir=str(out)) == 0
-    assert run(again, out_dir=str(out)) == run(again, out_dir=str(fresh))
+    assert report(out) == 0
+    for name in kept:
+        (out / name).write_text("kept\n")
+    assert run(again, out_dir=str(out), gamma=gamma) == run(again, out_dir=str(fresh),
+                                                             gamma=gamma)
+    assert _files(out) == _files(fresh) | set(kept)
+    for name in ("energies.csv", "solves.csv", "histories.csv", "verdicts.txt"):
+        assert filecmp.cmp(out / name, fresh / name, shallow=False), name
+    return out
+
+
+def test_rerun_into_the_same_directory_replaces_the_tables(tmp_path):
+    # field files of the lambda = 1e4 solves and report.csv are left over
+    # unless the rerun removes them
+    config = parse_config_text(TINY)
+    out = _rerun(tmp_path, config, replace(config, lambdas=(100.0,)))
     for name in ("solves.csv", "histories.csv"):
         assert {r["lambda"] for r in _table(out / name)} == {"nan", "100.0"}
-        assert filecmp.cmp(out / name, fresh / name, shallow=False), name
+
+
+def test_rerun_with_another_gamma_removes_the_other_selections(tmp_path):
+    config = parse_config_text(TINY)
+    out = _rerun(tmp_path, config, config, gamma="2",
+                 kept=("notes.txt", os.path.join("gamma_1", "notes.txt")))
+    # a directory the rerun emptied is gone; one holding another file stays
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+        "gamma_1", "gamma_2", "singlewell"]
+    assert os.listdir(out / "gamma_1") == ["notes.txt"]
+    assert sorted(os.listdir(out / "singlewell")) == ["omega_2.npy"]
 
 
 def _readme_tree(gammas, wells, lambdas) -> list[str]:
