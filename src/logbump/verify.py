@@ -71,9 +71,9 @@ def _groups(rows: list[SweepRow]) -> dict[tuple[int, ...], list[SweepRow]]:
     return out
 
 
-def check_linfty_outside(sup_outside: float, a0: float):
-    """Sup bound outside the enlarged wells; margin is a0 - sup."""
-    return sup_outside <= a0, a0 - sup_outside
+def check_linfty_outside(sup_outside: float, a0: float) -> float:
+    """Margin a0 - sup of the sup bound outside the enlarged wells."""
+    return a0 - sup_outside
 
 
 def linfty_threshold(rows: list[SweepRow]):
@@ -84,8 +84,7 @@ def linfty_threshold(rows: list[SweepRow]):
     rows = sorted(rows, key=lambda r: r.lam)
     threshold = None
     for row in rows:
-        ok, _ = check_linfty_outside(row.sup_outside, row.a0)
-        if ok:
+        if check_linfty_outside(row.sup_outside, row.a0) >= 0.0:
             if threshold is None:
                 threshold = row.lam
         else:
@@ -93,14 +92,11 @@ def linfty_threshold(rows: list[SweepRow]):
     return threshold
 
 
-def check_sandwich(sum_c_lambda: float, b_upper: float, c_gamma: float):
-    """Two-sided level bound with the resolution allowance
-    SANDWICH_ALLOWANCE of the upper level."""
+def check_sandwich(sum_c_lambda: float, b_upper: float, c_gamma: float) -> float:
+    """Margin of the two-sided level bound with the resolution allowance
+    SANDWICH_ALLOWANCE of the upper level: the smaller of its two sides."""
     eps = SANDWICH_ALLOWANCE * c_gamma
-    lower_ok = sum_c_lambda - eps <= b_upper
-    upper_ok = b_upper <= c_gamma + eps
-    margin = min(b_upper - (sum_c_lambda - eps), (c_gamma + eps) - b_upper)
-    return lower_ok and upper_ok, margin
+    return min(b_upper - (sum_c_lambda - eps), (c_gamma + eps) - b_upper)
 
 
 def _extreme(pick, values) -> float:
@@ -161,7 +157,7 @@ def compute_verdicts(
     thresholds = {gamma: linfty_threshold(grp) for gamma, grp in groups.items()}
     verdicts.append(_judge(
         "linfty_outside",
-        [check_linfty_outside(r.sup_outside, r.a0)[1] for r in top_rows],
+        [check_linfty_outside(r.sup_outside, r.a0) for r in top_rows],
         "empirical lambda thresholds " + "; ".join(
             f"gamma={'+'.join(map(str, gamma))}: "
             f"{'never' if thr is None else f'{thr:g}'}"
@@ -179,7 +175,7 @@ def compute_verdicts(
     verdicts.append(_judge(
         "energy_sandwich",
         [check_sandwich(sum(r.c_lambda[j - 1] for j in r.gamma),
-                        r.b_upper, r.c_gamma)[1] for r in top_rows],
+                        r.b_upper, r.c_gamma) for r in top_rows],
         f"allowance {SANDWICH_ALLOWANCE:.0%} of the well-sum level"))
 
     gaps = [abs(r.phi_total - r.c_gamma) / r.c_gamma for r in top_rows]
