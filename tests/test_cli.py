@@ -121,9 +121,10 @@ def test_unknown_key_rejected():
             parse_config_text(MINIMAL + f"{key} = {value}\n")
 
 
-def _minimal_with(key, value):
-    """MINIMAL with `key = value` in place of any line it has for key."""
-    lines = [ln for ln in MINIMAL.splitlines() if ln.split("=")[0].strip() != key]
+def _config_with(key, value, base=MINIMAL):
+    """The config text base with `key = value` in place of any line it has
+    for key."""
+    lines = [ln for ln in base.splitlines() if ln.split("=")[0].strip() != key]
     return "\n".join(lines) + f"\n{key} = {value}\n"
 
 
@@ -153,8 +154,51 @@ def test_bad_values_cover_every_key():
 @pytest.mark.parametrize("key", list(BAD_VALUES))
 def test_constraint_violations_name_the_key(key):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as err:
-        parse_config_text(_minimal_with(key, BAD_VALUES[key]))
+        parse_config_text(_config_with(key, BAD_VALUES[key]))
     assert "(got " in str(err.value)
+
+
+# a bad value for each key of a well block, set on well 1
+BAD_WELL_VALUES = {
+    "center": "x",
+    "half": "0.0",
+    "enlarged_half": "-1.0",
+}
+# well 1 of the bundled twin wells made invalid only with the other keys:
+# an enlargement that does not hold it, one that reaches within two cells
+# of the box edge, and 19 nodes across the well
+BAD_GEOMETRIES = {
+    "enlargement": ("well.1.enlarged_half", "2.0",
+                    "well 1: closure must lie inside its enlargement"),
+    "box-edge": ("well.1.center", "-9.0",
+                 "well 1: enlargement too close to the box boundary"),
+    "nodes": ("well.1.half", "0.5",
+              "well 1 resolved by only 19 nodes on axis 0; need >= 32"),
+}
+BUNDLED = Path(__file__).resolve().parent.parent / "configs" / "twin-wells-1d.cfg"
+
+
+def test_bad_well_values_cover_every_well_key():
+    assert list(BAD_WELL_VALUES) == list(_WELL_SUFFIXES)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    *[pytest.param(key, value, None, id=key) for key, value in BAD_VALUES.items()],
+    *[pytest.param(f"well.1.{key}", value, None, id=f"well.1.{key}")
+      for key, value in BAD_WELL_VALUES.items()],
+    *[pytest.param(*case, id=name) for name, case in BAD_GEOMETRIES.items()],
+])
+def test_validate_names_the_bad_key_of_the_bundled_config(tmp_path, capsys, key, value,
+                                                          message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_config_with(key, value, BUNDLED.read_text()))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    if message is None:
+        assert re.fullmatch(f"invalid config: {re.escape(key)}: [^\n]+\n", err)
+    else:
+        assert err == f"invalid config: well: {message}\n"
 
 
 @pytest.mark.parametrize("key", ["R", "n"])
@@ -173,7 +217,7 @@ def test_non_finite_values_rejected(key, value):
     with pytest.raises(ConfigError,
                        match=f"^{re.escape(key)}: not a finite number "
                              f"\\(got '{re.escape(value)}'\\)$"):
-        parse_config_text(_minimal_with(key, value))
+        parse_config_text(_config_with(key, value))
 
 
 @pytest.mark.parametrize("extra,message", [
@@ -195,7 +239,7 @@ def test_non_finite_values_rejected(key, value):
 def test_well_blocks_name_the_key(extra, message):
     key, value = (part.strip() for part in extra.split("="))
     with pytest.raises(ConfigError, match=message):
-        parse_config_text(_minimal_with(key, value))
+        parse_config_text(_config_with(key, value))
 
 
 def test_geometry_violations_detected():
@@ -364,8 +408,8 @@ def test_workers_other_than_one_rejected(tmp_path):
     # the pipeline is serial; the key and the keyword accept only 1
     with pytest.raises(ConfigError, match="^workers: the pipeline is serial; "
                                           "only 1 is accepted \\(got '2'\\)$"):
-        parse_config_text(_minimal_with("workers", "2"))
-    assert parse_config_text(_minimal_with("workers", "1")).workers == 1
+        parse_config_text(_config_with("workers", "2"))
+    assert parse_config_text(_config_with("workers", "1")).workers == 1
     out = tmp_path / "parallel"
     with pytest.raises(ConfigError, match="^workers: "):
         run(parse_config_text(TINY), out_dir=str(out), workers=2)
@@ -492,7 +536,7 @@ def test_tiny_delta_is_an_invalid_config(tmp_path, capsys, delta):
     # delta^2 underflows to 0 at 1e-300, and at 1e-160 keeps too few digits
     # for the bisection for a0
     cfg = tmp_path / "tiny-delta.cfg"
-    cfg.write_text(_minimal_with("delta", delta))
+    cfg.write_text(_config_with("delta", delta))
     out = tmp_path / "tiny-delta"
     for argv in (["validate", "--config", str(cfg)],
                  ["run", "--config", str(cfg), "--out", str(out)]):
