@@ -1,9 +1,12 @@
-"""The package holds no function or class that only the tests call.
+"""The package holds no function or class that only the tests call, and
+its modules keep their private names to themselves.
 
 A top-level function, class or method of `src/logbump` must be referenced
 somewhere else in the package, by the benchmark tracer's `TARGETS` or by
 the console entry point.  Re-exports in `__init__.py` do not count as a
 use.  The allowlist names the few that exist for the tests on purpose.
+No module imports an underscore name from another package module, except
+the few that `SHARED_PRIVATE` names with their reason.
 """
 
 import ast
@@ -19,6 +22,13 @@ ALLOWLIST = {
     "eval_potential": "the pointwise reference for `potential_on_grid`",
     "NehariCheck.identity_gap": "the Nehari identity residual that "
                                 "criterion 4 bounds",
+}
+
+# module.name -> why another package module imports this private name
+SHARED_PRIVATE = {
+    "functional._log_mass_density": "the floored u^2 log u^2 that the local "
+                                    "wells' energy and Nehari scale share "
+                                    "with the penalized functional",
 }
 
 
@@ -78,3 +88,17 @@ def test_no_test_only_definitions_in_the_package():
     assert extra == [], "referenced nowhere in the package: " + ", ".join(extra)
     # an entry the package now uses, or no longer defines, is stale
     assert sorted(set(ALLOWLIST) - set(unused)) == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            module = getattr(node, "module", None) or ""
+            if isinstance(node, ast.ImportFrom) and (node.level or module.startswith("logbump")):
+                owner = module.rpartition(".")[2]
+                imported.update(f"{owner}.{alias.name}" for alias in node.names
+                                if alias.name.startswith("_"))
+    assert sorted(imported - set(SHARED_PRIVATE)) == []
+    # an entry no module imports any more is stale
+    assert sorted(set(SHARED_PRIVATE) - imported) == []
