@@ -18,13 +18,13 @@ the emitted CSV rather than from in-memory state.
 from __future__ import annotations
 
 import argparse
-import glob
 import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from pathlib import Path
 
 from logbump import penalty
 from logbump.domain import (
@@ -493,30 +493,9 @@ def _local_failures(what: str, record) -> list[str]:
     return []
 
 
-# the artifacts of a run that a rerun may not write again, under its directory
-_STALE_ARTIFACTS = ("singlewell/omega_*.npy", "gamma_*/field_lambda_*.npy",
-                    "gamma_*/limit.csv", "report.csv")
-
-
-def _remove_stale_artifacts(out_root: str) -> None:
-    """Remove what an earlier run left under out_root of `_STALE_ARTIFACTS`,
-    and each `gamma_*` and `singlewell` directory that this leaves empty;
-    nothing else."""
-    root = glob.escape(out_root)
-    for pattern in _STALE_ARTIFACTS:
-        for path in glob.glob(os.path.join(root, pattern)):
-            if os.path.isfile(path):
-                os.remove(path)
-    for path in glob.glob(os.path.join(root, "gamma_*")) + [os.path.join(out_root, "singlewell")]:
-        if os.path.isdir(path) and not os.listdir(path):
-            os.rmdir(path)
-
-
 def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     """Execute the pipeline; returns a process exit status.
 
-    A run into a used directory first removes the earlier run's field
-    files, limit tables and report, so the directory holds this run's.
     The pipeline is serial: `workers`, like the config key, must be 1; it
     stays because the benchmark's child process passes it.
     """
@@ -526,7 +505,17 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         config = parse_config_text(canonical_text(config))
     out_root = out_dir or config.out
     os.makedirs(out_root, exist_ok=True)
-    _remove_stale_artifacts(out_root)
+    # an earlier run's artifacts that this run may not write again, and the
+    # directories that leaves empty; nothing else
+    root = Path(out_root)
+    for pattern in ("singlewell/omega_*.npy", "gamma_*/field_lambda_*.npy",
+                    "gamma_*/limit.csv", "report.csv"):
+        for path in root.glob(pattern):
+            if path.is_file():
+                path.unlink()
+    for path in [*root.glob("gamma_*/"), root / "singlewell"]:
+        if path.is_dir() and not any(path.iterdir()):
+            path.rmdir()
 
     grid = config.grid()
     geometry = config.geometry()

@@ -119,18 +119,15 @@ class PotentialSpec:
             raise ValueError(f"power: must be positive (got {self.power!r})")
 
 
-def _dist_sq_to_wells(spec: PotentialSpec, mesh, dim: int):
+def _potential(spec: PotentialSpec, mesh):
+    """The potential at the points of per-axis coordinates that broadcast."""
     dist_sq = None
     for well in spec.geometry.wells:
         acc = 0.0
-        for ax in range(dim):
-            excess = np.maximum(np.abs(mesh[ax] - well.center[ax]) - well.half[ax], 0.0)
+        for x, center, half in zip(mesh, well.center, well.half):
+            excess = np.maximum(np.abs(x - center) - half, 0.0)
             acc = acc + excess * excess
         dist_sq = acc if dist_sq is None else np.minimum(dist_sq, acc)
-    return dist_sq
-
-
-def _shape_potential(spec: PotentialSpec, dist_sq):
     if spec.power == 2.0:
         return np.minimum(spec.cap, dist_sq)
     return np.minimum(spec.cap, np.sqrt(dist_sq) ** spec.power)
@@ -138,10 +135,7 @@ def _shape_potential(spec: PotentialSpec, dist_sq):
 
 def eval_potential(spec: PotentialSpec, x) -> float:
     """Potential at a single point."""
-    point = np.atleast_1d(np.asarray(x, dtype=float))
-    mesh = tuple(point[ax] for ax in range(point.size))
-    dist_sq = _dist_sq_to_wells(spec, mesh, point.size)
-    return float(_shape_potential(spec, dist_sq))
+    return float(_potential(spec, np.atleast_1d(np.asarray(x, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -190,9 +184,7 @@ class Grid:
 
 def potential_on_grid(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     """Potential values at every node (full shape)."""
-    mesh = grid.mesh()
-    dist_sq = _dist_sq_to_wells(spec, mesh, grid.dim)
-    return _shape_potential(spec, dist_sq) * np.ones(grid.full_shape)
+    return _potential(spec, grid.mesh()) * np.ones(grid.full_shape)
 
 
 @dataclass
