@@ -315,7 +315,7 @@ def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid):
 
 def faces(ndim: int):
     """Per axis, the (lo, hi) index pair of the two end nodes of every stencil
-    face of an ndim node array, so a[hi] - a[lo] differences across them."""
+    face of an ndim node array: a[hi] - a[lo] is the difference across each."""
     for ax in range(ndim):
         lead = (slice(None),) * ax
         yield lead + (slice(None, -1),), lead + (slice(1, None),)
