@@ -94,8 +94,10 @@ def test_no_module_imports_a_private_name_of_another():
     imported = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            module = getattr(node, "module", None) or ""
-            if isinstance(node, ast.ImportFrom) and (node.level or module.startswith("logbump")):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level or module.startswith("logbump"):
                 owner = module.rpartition(".")[2]
                 imported.update(f"{owner}.{alias.name}" for alias in node.names
                                 if alias.name.startswith("_"))
