@@ -6,13 +6,18 @@ the residual with any direction equals the directional derivative of the
 energy to O(eps^2) in a central-difference check.  One evaluation,
 `PenalizedFunctional.evaluate`, gives both and the Newton Jacobian diagonal.
 
-For fields supported in the selected wells the potential term vanishes and
-the splitting collapses, so the energy obeys the exact scaling law
+For nonnegative fields supported in the selected enlargements the
+splitting collapses to the pure log term -1/2 u^2 log u^2, and the kinetic
+and (lambda V + 1) u^2 terms are quadratic, so the energy obeys the exact
+scaling law
 
-    E(s v) = s^2 * (E(v) - log(s) * integral v^2),
+    E(s v) = s^2 * (E(v) - log(s) * integral v^2).
 
-which gives the closed-form Nehari scale of the local ground-state solves
-(`_LocalWell.nehari_project` in `logbump.solver`).
+It gives the closed-form Nehari scale of the local ground-state solves
+(`_LocalWell.nehari_project` in `logbump.solver`), where the potential
+term vanishes, and the energies along each bump's ray in
+`minimax_upper_bound` (`PenalizedFunctional.ray_energies`).  Outside the
+selected enlargements the truncation above a0 breaks it.
 """
 
 from __future__ import annotations
@@ -124,6 +129,17 @@ class PenalizedFunctional:
     def phi_total(self, values: np.ndarray) -> float:
         """Total energy only."""
         return self.evaluate(values)[0]
+
+    def ray_energies(self, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Energies E(t u) at the scales t on the ray through u, from the
+        scaling law with one energy and one mass.  A u with a negative
+        node or a nonzero node outside the selected enlargements, where
+        the law fails, raises ValueError."""
+        if np.any(values < 0.0) or np.any(values[~self.chi_in] != 0.0):
+            raise ValueError("the scaling law needs u >= 0 that vanishes "
+                             "outside the selected enlargements")
+        mass = self._hd * float(np.sum(values * values))
+        return t * t * (self.phi_total(values) - np.log(t) * mass)
 
     def nonlinear_rhs(self, values: np.ndarray) -> np.ndarray:
         """g2'(x, u+) - f1'(u), the nonlinearity moved to the right-hand side."""

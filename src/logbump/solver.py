@@ -710,9 +710,9 @@ def minimax_upper_bound(
     across: the mass, f1 and g2 terms are pointwise and vanish at 0, and
     every kinetic cross term <-lap w_i, w_j> is 0.  So the maximum over the
     m^l points of the surface grid is the sum of the per-bump maxima over
-    the m = MINIMAX_M points of each axis, found with l*m energy
-    evaluations.  Bumps whose support, grown by one stencil cell, meets
-    another bump's support raise ValueError.
+    the m = MINIMAX_M points t = s T of each axis, from one energy per
+    bump (`PenalizedFunctional.ray_energies`).  Bumps whose support, grown
+    by one stencil cell, meets another's raise ValueError.
     """
     fun = PenalizedFunctional(grid, potential, params, gamma, lam)
     pair = _first_coupled_pair([w.values != 0.0 for w in omegas])
@@ -721,10 +721,8 @@ def minimax_upper_bound(
             f"bumps {pair[0] + 1} and {pair[1] + 1} are coupled by the stencil; "
             "the minimax energy is additive only over separated supports"
         )
-    s_axis = np.linspace(1.0 / (big_t * big_t), 1.0, MINIMAX_M)
-    return sum(
-        max(fun.phi_total((s * big_t) * w.values) for s in s_axis) for w in omegas
-    )
+    t = big_t * np.linspace(1.0 / (big_t * big_t), 1.0, MINIMAX_M)
+    return sum(float(np.max(fun.ray_energies(w.values, t))) for w in omegas)
 
 
 def lambda_sweep(

@@ -23,7 +23,7 @@ from logbump.functional import (
     nehari_check,
 )
 from logbump.penalty import make_params, sq_log_sq
-from logbump.solver import SolveError, _LocalWell
+from logbump.solver import MINIMAX_M, SolveError, _LocalWell
 from logbump.verify import SweepRow
 from oracles import dirichlet_well_energy, penalized_well_energy, restricted_norm_sq
 
@@ -308,6 +308,39 @@ def test_scaling_identity(setup):
         lhs = fun.phi_total(s * u.values)
         rhs = s * s * (base - math.log(s) * mass)
         assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(base))
+
+
+def test_scaling_law_on_the_minimax_rays(setup):
+    # the law `minimax_upper_bound` evaluates in closed form, at each point
+    # t = s T of its grid: a nonnegative field in the selected enlargements,
+    # with mass in well 1's ring where lambda V > 0, peaking above a0
+    grid, geometry, pot, params = setup
+    v = well_supported_field(grid, -7.5, 1.0).values
+    mass = grid.h**grid.dim * float(np.sum(v * v))
+    big_t = 2.0
+    t_axis = big_t * np.linspace(1.0 / big_t**2, 1.0, MINIMAX_M)
+    inside = PenalizedFunctional(grid, pot, params, (1, 2), 100.0)
+    assert float(np.sum(inside.v_in * v * v)) > 0.0
+    assert t_axis[0] * v.max() > params.a0
+    base = inside.phi_total(v)
+    direct = np.array([inside.phi_total(t * v) for t in t_axis])
+    for t, lhs in zip(t_axis, direct):
+        assert abs(lhs - t * t * (base - math.log(t) * mass)) <= 1e-12 * abs(lhs)
+    assert np.all(np.abs(inside.ray_energies(v, t_axis) - direct)
+                  <= 1e-12 * np.abs(direct))
+    # outside the selected enlargements the energy matches up to t v = a0
+    # and leaves the law beyond, where the truncation takes over
+    outside = PenalizedFunctional(grid, pot, params, (2,), 100.0)
+    small = params.a0 / v.max()
+    low = outside.phi_total(small * v)
+    assert abs(low - inside.phi_total(small * v)) <= 1e-12 * abs(low)
+    for t in t_axis:
+        r = t / small
+        law = r * r * (low - math.log(r) * small * small * mass)
+        lhs = outside.phi_total(t * v)
+        assert abs(lhs - law) > 1e-3 * abs(lhs)
+    with pytest.raises(ValueError, match="outside the selected enlargements"):
+        outside.ray_energies(v, t_axis)
 
 
 def test_mountain_pass_small_sphere(setup):

@@ -522,8 +522,8 @@ def test_minimax_2d_stencil_reach(monkeypatch):
     grid = Grid(dim=2, r=4.0, n=11)
     geometry = WellGeometry(
         dim=2,
-        wells=(Box((-1.6, -1.6), (0.5, 0.5)), Box((1.6, 1.6), (0.5, 0.5))),
-        enlargements=(Box((-1.6, -1.6), (1.0, 1.0)), Box((1.6, 1.6), (1.0, 1.0))),
+        wells=(Box((-1.6, -1.6), (0.5, 0.5)), Box((0.8, 0.8), (0.5, 0.5))),
+        enlargements=(Box((-1.6, -1.6), (1.0, 1.0)), Box((0.8, 0.8), (1.0, 1.0))),
     )
     potential = PotentialSpec(geometry, power=1.0)
     patch = np.array([[0.5, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 0.5]])
@@ -542,7 +542,7 @@ def test_minimax_2d_stencil_reach(monkeypatch):
                             2.0, grid, potential, make_params())
 
 
-def test_minimax_evaluates_l_times_m_energies(monkeypatch):
+def test_minimax_evaluates_one_energy_per_bump(monkeypatch):
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs"
                        / "three-wells-1d.cfg")
     grid, geometry = cfg.grid(), cfg.geometry()
@@ -560,9 +560,24 @@ def test_minimax_evaluates_l_times_m_energies(monkeypatch):
 
     monkeypatch.setattr(PenalizedFunctional, "phi_total", counted)
     monkeypatch.setattr(solver_module, "MINIMAX_M", 9)
-    minimax_upper_bound(1e4, (1, 2, 3), omegas, 2.0, grid, cfg.potential(),
-                        cfg.params())
-    assert len(calls) == 3 * 9
+    b = minimax_upper_bound(1e4, (1, 2, 3), omegas, 2.0, grid, cfg.potential(),
+                            cfg.params())
+    assert len(calls) == 3
+    assert type(b) is float
+
+
+def test_minimax_rejects_bumps_outside_the_law(ref, ref_wells, ref_big_t):
+    # the closed-form ray holds only for nonnegative bumps that vanish
+    # outside the selected enlargements
+    w = ref_wells[0].field
+    with pytest.raises(ValueError, match="outside the selected enlargements"):
+        minimax_upper_bound(1e4, (2,), [w], ref_big_t, ref.grid, ref.potential,
+                            ref.params)
+    dented = w.values.copy()
+    dented[np.argmax(dented)] = -1e-3
+    with pytest.raises(ValueError, match="needs u >= 0"):
+        minimax_upper_bound(1e4, (1,), [Field(ref.grid, dented)], ref_big_t,
+                            ref.grid, ref.potential, ref.params)
 
 
 # -- sweep ------------------------------------------------------------------------------
