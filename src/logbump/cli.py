@@ -347,15 +347,20 @@ def _bool_from_str(text) -> bool:
     return text == "true"
 
 
+def _float_str(value) -> str:
+    # float() first: the repr of a numpy scalar names its type
+    return repr(float(value))
+
+
 # a row field of this type holds one float per well j = 1..k, in the
 # columns <column>_j
 _PER_WELL = "tuple[float, ...]"
 # (cell parser, cell writer) of each row field type
 _CELL_TYPES = {
-    "float": (float, repr),
+    "float": (float, _float_str),
     "bool": (_bool_from_str, lambda value: "true" if value else "false"),
     "tuple[int, ...]": (_mask_from_str, _mask_str),
-    _PER_WELL: (float, repr),
+    _PER_WELL: (float, _float_str),
     "int": (int, str),
     "str": (str, str),
 }

@@ -151,6 +151,9 @@ class Grid:
             raise ValueError(f"dim: must be 1 or 2 (got {self.dim!r})")
         if self.n < 3:
             raise ValueError(f"n: must be at least 3 (got {self.n!r})")
+        if self.n**self.dim > MAX_GRID_NODES:
+            raise ValueError(f"n: {self.dim}D grid exceeds {MAX_GRID_NODES} nodes "
+                             f"(got {self.n!r})")
         if self.r <= 0:
             raise ValueError(f"r: box half-width must be positive (got {self.r!r})")
 
@@ -279,6 +282,8 @@ def masks(geometry: WellGeometry, grid: Grid, gamma) -> RegionMasks:
 MIN_MARGIN_CELLS = 2
 # Nodes per axis a well needs for its ground-state solve.
 MIN_WELL_NODES = 32
+# Nodes of the largest grid; one float64 field of it takes 128 MiB.
+MAX_GRID_NODES = 2**24
 
 
 def check_well_nodes(j: int, nodes) -> None:

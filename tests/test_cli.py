@@ -201,6 +201,24 @@ def test_validate_names_the_bad_key_of_the_bundled_config(tmp_path, capsys, key,
         assert err == f"invalid config: well: {message}\n"
 
 
+# bundled configs made invalid only by a grid over domain.MAX_GRID_NODES,
+# 1.6e9 and 1e8 nodes: (dim, n)
+BAD_GRIDS = {
+    "twin-wells-2d": (2, 40001),
+    "twin-wells-1d": (1, 100000000),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_GRIDS))
+def test_validate_refuses_a_grid_over_the_node_cap(tmp_path, capsys, name):
+    dim, n = BAD_GRIDS[name]
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(_config_with("n", str(n), (BUNDLED.parent / f"{name}.cfg").read_text()))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == (
+        "", f"invalid config: n: {dim}D grid exceeds 16777216 nodes (got {n})\n")
+
+
 @pytest.mark.parametrize("key", ["R", "n"])
 def test_required_key_missing(key):
     text = "\n".join(ln for ln in MINIMAL.splitlines() if not ln.startswith(key + " "))
@@ -731,6 +749,20 @@ def test_csv_reads_columns_by_name():
     extra = [lines[0] + ["extra"]] + [cells + ["1"] for cells in lines[1:]]
     with pytest.raises(ValueError, match="extra"):
         rows_from_csv(text(extra))
+
+
+def test_numpy_float_cells_round_trip():
+    # cells the pipeline takes from numpy reductions are written as floats
+    def numpy_cells(row):
+        return replace(row, **{
+            f.name: np.float64(getattr(row, f.name)) if f.type == "float"
+            else tuple(map(np.float64, getattr(row, f.name)))
+            for f in fields(row) if f.type in ("float", "tuple[float, ...]")})
+
+    rows = _sample_rows()
+    text = "\n".join([csv_header(2)] + [row_to_csv(numpy_cells(r)) for r in rows])
+    back, _ = rows_from_csv(text)
+    assert [repr(r) for r in back] == [repr(r) for r in rows]
 
 
 def test_readme_config_table_lists_every_key():
