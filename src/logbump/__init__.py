@@ -12,11 +12,7 @@ from logbump.domain import (
     masks,
     neg_laplacian,
 )
-from logbump.functional import (
-    EnergyReport,
-    PenalizedFunctional,
-    nehari_check,
-)
+from logbump.functional import EnergyReport, PenalizedFunctional
 from logbump.penalty import PenalizationParams, make_params, solve_a0
 from logbump.solver import (
     AuxiliaryRecord,
@@ -26,7 +22,6 @@ from logbump.solver import (
     choose_t,
     lambda_sweep,
     minimax_upper_bound,
-    multi_bump_init,
     solve_auxiliary,
     solve_neumann_well,
     solve_single_well,
@@ -52,8 +47,6 @@ __all__ = [
     "make_params",
     "masks",
     "minimax_upper_bound",
-    "multi_bump_init",
-    "nehari_check",
     "neg_laplacian",
     "solve_a0",
     "solve_auxiliary",

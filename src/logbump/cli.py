@@ -33,6 +33,7 @@ from logbump.domain import (
     Grid,
     PotentialSpec,
     WellGeometry,
+    integrate,
     save_field,
     validate_geometry_on_grid,
 )
@@ -44,7 +45,6 @@ from logbump.solver import (
     choose_t,
     lambda_sweep,
     minimax_upper_bound,
-    multi_bump_init,
     solve_neumann_well,
     solve_single_well,
 )
@@ -555,10 +555,12 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         if rec.converged:
             omegas[j] = rec.field
 
+    masses = {j: integrate(w.values**2, grid) for j, w in omegas.items()}
     big_t = None
     if omegas:
         try:
-            big_t = choose_t(list(omegas.values()))
+            big_t = choose_t([c_dirichlet[j - 1] for j in omegas],
+                             list(masses.values()))
         except SolveError as exc:
             failures.append(f"path scale: {exc}")
     # a selection needs the scale and the converged ground state of each of
@@ -585,16 +587,16 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         gdir = os.path.join(out_root, "gamma_" + _mask_str(gsel))
         os.makedirs(gdir, exist_ok=True)
         ws = [omegas[j] for j in gsel]
-        init = multi_bump_init(ws, [1.0 / big_t] * len(ws), big_t)
+        init = Field(grid, sum(w.values for w in ws))
         try:
             records = lambda_sweep(config.lambdas, gsel, init, grid, potential,
                                    params, solver_cfg)
         except SolveError as exc:
             failures.append(f"gamma {_mask_str(gsel)}: {exc}")
             continue
-        b_upper = minimax_upper_bound(config.lambdas[-1], gsel, ws, big_t,
-                                      grid, potential, params)
-        c_gamma = sum(c_dirichlet[j - 1] for j in gsel)
+        energies = [c_dirichlet[j - 1] for j in gsel]
+        b_upper = minimax_upper_bound(energies, [masses[j] for j in gsel], big_t)
+        c_gamma = sum(energies)
         for rec in records:
             if rec.converged and rec.morse_index != len(gsel):
                 failures.append(f"gamma {_mask_str(gsel)}: solve at lambda={rec.lam:g} "

@@ -246,8 +246,7 @@ class RegionMasks:
     well: np.ndarray            # union of selected wells
     enlarged: np.ndarray        # union of selected enlargements
     outside: np.ndarray         # complement of `enlarged`
-    per_well: tuple[np.ndarray, ...]       # all wells, 1-based order
-    per_enlarged: tuple[np.ndarray, ...]   # all enlargements
+    per_enlarged: tuple[np.ndarray, ...]   # all enlargements, 1-based order
 
     @property
     def outside_wells(self) -> np.ndarray:
@@ -262,19 +261,17 @@ def masks(geometry: WellGeometry, grid: Grid, gamma) -> RegionMasks:
         raise ValueError("gamma must select at least one well")
     if gamma[0] < 1 or gamma[-1] > geometry.k:
         raise ValueError(f"gamma indices must lie in 1..{geometry.k}")
-    per_well = tuple(box_mask_full(w, grid) for w in geometry.wells)
     per_enlarged = tuple(box_mask_full(e, grid) for e in geometry.enlargements)
     well = np.zeros(grid.full_shape, dtype=bool)
     enlarged = np.zeros(grid.full_shape, dtype=bool)
     for j in gamma:
-        well |= per_well[j - 1]
+        well |= box_mask_full(geometry.wells[j - 1], grid)
         enlarged |= per_enlarged[j - 1]
     return RegionMasks(
         gamma=gamma,
         well=well,
         enlarged=enlarged,
         outside=~enlarged,
-        per_well=per_well,
         per_enlarged=per_enlarged,
     )
 

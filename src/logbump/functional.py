@@ -1,4 +1,4 @@
-"""Penalized energy, its first variation, and the Nehari machinery.
+"""Penalized energy, its first variation, and its scaling law.
 
 The central contract of this module is discrete consistency: the residual
 uses the same stencil and quadrature as the energy, so the L2 pairing of
@@ -15,9 +15,10 @@ scaling law
 
 It gives the closed-form Nehari scale of the local ground-state solves
 (`_LocalWell.nehari_project` in `logbump.solver`), where the potential
-term vanishes, and the energies along each bump's ray in
-`minimax_upper_bound` (`PenalizedFunctional.ray_energies`).  Outside the
-selected enlargements the truncation above a0 breaks it.
+term vanishes, and, from each well ground state's energy and mass, the
+ray values of the path scale `choose_t` and the energies along each
+bump's ray in `minimax_upper_bound`.  Outside the selected enlargements
+the truncation above a0 breaks it.
 """
 
 from __future__ import annotations
@@ -130,17 +131,6 @@ class PenalizedFunctional:
         """Total energy only."""
         return self.evaluate(values)[0]
 
-    def ray_energies(self, values: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Energies E(t u) at the scales t on the ray through u, from the
-        scaling law with one energy and one mass.  A u with a negative
-        node or a nonzero node outside the selected enlargements, where
-        the law fails, raises ValueError."""
-        if np.any(values < 0.0) or np.any(values[~self.chi_in] != 0.0):
-            raise ValueError("the scaling law needs u >= 0 that vanishes "
-                             "outside the selected enlargements")
-        mass = self._hd * float(np.sum(values * values))
-        return t * t * (self.phi_total(values) - np.log(t) * mass)
-
     def nonlinear_rhs(self, values: np.ndarray) -> np.ndarray:
         """g2'(x, u+) - f1'(u), the nonlinearity moved to the right-hand side."""
         return -self.params.terms(self.chi_in, values)[1]
@@ -172,48 +162,6 @@ class PenalizedFunctional:
             well_mass=tuple(float(np.sum(sq[mask])) for mask in self.masks.per_enlarged),
             box_mass=float(np.sum(sq)),
         )
-
-
-# -- Nehari machinery -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NehariCheck:
-    """Energy, the identity value 1/2 int u^2, and the constraint I'(u)u."""
-
-    energy: float
-    half_mass: float
-    constraint: float
-
-    @property
-    def identity_gap(self) -> float:
-        return abs(self.energy - self.half_mass)
-
-    def ray_constraint(self, t: float) -> float:
-        """I'(t u)(t u) = t^2 (constraint - log t^2 * int u^2) along the ray
-        through u, for the pure logarithmic energy on the support."""
-        return t * t * (self.constraint - float(np.log(t * t)) * 2.0 * self.half_mass)
-
-
-def nehari_check(u: Field, support: np.ndarray) -> NehariCheck:
-    """Evaluate the Nehari identity I(u) = 1/2 int u^2 and its constraint
-    from the gradient, mass and log-mass integrals over the support mask.
-
-    On the manifold (constraint = 0) the two energies agree; the caller
-    decides the tolerance.  Refuses fields with appreciable values outside
-    the support, where the truncation breaks the scaling law of the pure
-    logarithmic energy."""
-    full = u.full()
-    peak = float(np.max(np.abs(full), initial=0.0))
-    leak = float(np.max(np.abs(full[~support]), initial=0.0))
-    if peak > 0.0 and leak > 1e-12 * peak:
-        raise ValueError("field must vanish outside the given support mask")
-    hd = u.grid.h**u.grid.dim
-    grad = hd * float(np.sum(grad_energy_density(u)[support]))
-    mass = hd * float(np.sum((full * full)[support]))
-    logm = hd * float(np.sum(_log_mass_density(full)[support]))
-    energy = 0.5 * (grad + mass) - 0.5 * logm
-    return NehariCheck(energy=energy, half_mass=0.5 * mass, constraint=grad - logm)
 
 
 def h1_distance(a: Field, b: Field) -> float:

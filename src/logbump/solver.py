@@ -59,7 +59,6 @@ from logbump.functional import (
     EnergyReport,
     PenalizedFunctional,
     _log_mass_density,
-    nehari_check,
 )
 from logbump.penalty import U_FLOOR, PenalizationParams, s_log_sq
 
@@ -651,37 +650,26 @@ def solve_auxiliary(
 # -- path of well bumps ------------------------------------------------------
 
 
-def multi_bump_init(omegas: list[Field], scales, big_t: float) -> Field:
-    """Superposition sum_j s_j * T * omega_j of disjointly supported bumps."""
-    if not omegas:
-        raise ValueError("need at least one bump")
-    scales = list(scales)
-    if len(scales) != len(omegas):
-        raise ValueError("one scale per bump required")
-    grid = omegas[0].grid
-    out = np.zeros(grid.interior_shape)
-    for s, w in zip(scales, omegas):
-        if w.grid != grid:
-            raise ValueError("all bumps must live on the same grid")
-        out = out + (s * big_t) * w.values
-    return Field(grid, out)
-
-
-def choose_t(omegas: list[Field]) -> float:
+def choose_t(energies, masses) -> float:
     """Smallest power-of-two scale T >= 2 with the ray sign conditions
-    I'((1/T) w)((1/T) w) > 0 and I'(T w)(T w) < 0 for every bump w.
+    I'((1/T) w)((1/T) w) > 0 and I'(T w)(T w) < 0 for every well ground
+    state w, given its energy E and its mass M = int w^2.
 
-    For bumps exactly on the Nehari manifold any T > 1 works, so exact
-    inputs return 2; the search only guards numerical slack.  Each bump's
-    integrals are taken once; the ray values follow in closed form.
+    w vanishes off its well, so the scaling law of `logbump.functional`
+    gives the ray values in closed form, I'(t w)(t w) = t^2 (2E - M -
+    log t^2 * M).  For bumps exactly on the Nehari manifold (2E = M) any
+    T > 1 works, so exact inputs return 2; the search only guards
+    numerical slack.
     """
-    checks = [nehari_check(w, np.ones(w.grid.full_shape, dtype=bool)) for w in omegas]
+    bumps = list(zip(energies, masses, strict=True))
+
+    def ray(t, e, m):
+        return t * t * (2.0 * e - m - math.log(t * t) * m)
+
     for exp in range(1, 11):
         big_t = float(2**exp)
-        if all(
-            c.ray_constraint(1.0 / big_t) > 0.0 and c.ray_constraint(big_t) < 0.0
-            for c in checks
-        ):
+        if all(ray(1.0 / big_t, e, m) > 0.0 and ray(big_t, e, m) < 0.0
+               for e, m in bumps):
             return big_t
     raise SolveError("no scale factor up to 2^10 satisfies the sign conditions")
 
@@ -690,39 +678,27 @@ def choose_t(omegas: list[Field]) -> float:
 MINIMAX_M = 33
 
 
-def minimax_upper_bound(
-    lam: float,
-    gamma,
-    omegas: list[Field],
-    big_t: float,
-    grid: Grid,
-    potential: PotentialSpec,
-    params: PenalizationParams,
-) -> float:
-    """Upper bound for the multi-bump minimax level.
+def minimax_upper_bound(energies, masses, big_t: float) -> float:
+    """Upper bound for the multi-bump minimax level of a selection, from
+    its wells' ground-state energies E_j and masses M_j = int omega_j^2.
 
     Maximizes the penalized energy over the bump-superposition surface
-    (s_1, ..., s_l) in [1/T^2, 1]^l, T = big_t from `choose_t`; since the
-    surface is admissible the maximum dominates the minimax level up to the
-    grid resolution in s.
+    sum_j s_j T omega_j, (s_1, ..., s_l) in [1/T^2, 1]^l, T = big_t from
+    `choose_t`; since the surface is admissible the maximum dominates the
+    minimax level up to the grid resolution in s.
 
-    The energy is additive over bumps whose supports no stencil reaches
-    across: the mass, f1 and g2 terms are pointwise and vanish at 0, and
-    every kinetic cross term <-lap w_i, w_j> is 0.  So the maximum over the
-    m^l points of the surface grid is the sum of the per-bump maxima over
-    the m = MINIMAX_M points t = s T of each axis, from one energy per
-    bump (`PenalizedFunctional.ray_energies`).  Bumps whose support, grown
-    by one stencil cell, meets another's raise ValueError.
+    Each omega_j vanishes off its well, where V = 0, and validation keeps
+    the wells' nodes out of each other's stencil reach (every well sits
+    MIN_MARGIN_CELLS cells inside its enlargement, and the enlargements'
+    closures are disjoint).  So at every lambda the energy of a
+    superposition is the sum of I(t omega_j) = t^2 (E_j - log t * M_j),
+    and the maximum over the m^l points of the surface grid is the sum
+    of the per-well maxima over the m = MINIMAX_M points t = s T of each
+    axis.
     """
-    fun = PenalizedFunctional(grid, potential, params, gamma, lam)
-    pair = _first_coupled_pair([w.values != 0.0 for w in omegas])
-    if pair is not None:
-        raise ValueError(
-            f"bumps {pair[0] + 1} and {pair[1] + 1} are coupled by the stencil; "
-            "the minimax energy is additive only over separated supports"
-        )
     t = big_t * np.linspace(1.0 / (big_t * big_t), 1.0, MINIMAX_M)
-    return sum(float(np.max(fun.ray_energies(w.values, t))) for w in omegas)
+    return sum(float(np.max(t * t * (e - np.log(t) * m)))
+               for e, m in zip(energies, masses, strict=True))
 
 
 def lambda_sweep(

@@ -11,12 +11,10 @@ from pathlib import Path
 import pytest
 
 from logbump.cli import main, parse_config, rows_from_csv
-from logbump.solver import (
-    choose_t,
-    lambda_sweep,
-    multi_bump_init,
-    solve_single_well,
-)
+from logbump.domain import integrate
+from logbump.solver import choose_t, lambda_sweep, solve_single_well
+
+from oracles import multi_bump_init
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = REPO_ROOT / "configs" / "twin-wells-1d.cfg"
@@ -53,8 +51,9 @@ def ref_wells(ref):
 
 
 @pytest.fixture(scope="session")
-def ref_big_t(ref_wells):
-    return choose_t([r.field for r in ref_wells])
+def ref_big_t(ref, ref_wells):
+    return choose_t([r.energy for r in ref_wells],
+                    [integrate(r.field.values**2, ref.grid) for r in ref_wells])
 
 
 @pytest.fixture(scope="session")

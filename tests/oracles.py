@@ -5,10 +5,13 @@ nonlinearity in closed form by `PenalizationParams.terms`, per-well
 energies and the outside-wells norm from `PenalizedFunctional.report`,
 fields in memory, 2D Morse indices from an inertia enclosure on the
 enlarged wells' boxes, the ground-state Jacobians from their diagonals
-and stencil couplings), so these stay out of the package.
+and stencil couplings, the Nehari constraint along a bump's ray in
+closed form from its energy and mass, and each sweep's start as the sum
+of its wells' ground states), so these stay out of the package.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,6 +148,57 @@ class Splitting:
             self.df1(u) - self.dg2(in_gamma, up),
             self.d2f1(u) - self.d2g2(in_gamma, up),
         )
+
+
+@dataclass(frozen=True)
+class NehariCheck:
+    """Energy, the identity value 1/2 int u^2, and the constraint I'(u)u."""
+
+    energy: float
+    half_mass: float
+    constraint: float
+
+    @property
+    def identity_gap(self) -> float:
+        return abs(self.energy - self.half_mass)
+
+
+def nehari_check(u: Field, support: np.ndarray) -> NehariCheck:
+    """The Nehari identity I(u) = 1/2 int u^2 and the constraint I'(u)u of
+    the pure logarithmic energy, from the gradient, mass and log-mass
+    integrals over the support mask.
+
+    On the manifold (constraint = 0) the two energies agree; the caller
+    decides the tolerance.  Refuses fields with appreciable values outside
+    the support, where the truncation breaks the scaling law of the pure
+    logarithmic energy."""
+    full = u.full()
+    peak = float(np.max(np.abs(full), initial=0.0))
+    leak = float(np.max(np.abs(full[~support]), initial=0.0))
+    if peak > 0.0 and leak > 1e-12 * peak:
+        raise ValueError("field must vanish outside the given support mask")
+    hd = u.grid.h**u.grid.dim
+    grad = hd * float(np.sum(grad_energy_density(u)[support]))
+    mass = hd * float(np.sum((full * full)[support]))
+    logm = hd * float(np.sum(_log_mass_density(full)[support]))
+    energy = 0.5 * (grad + mass) - 0.5 * logm
+    return NehariCheck(energy=energy, half_mass=0.5 * mass, constraint=grad - logm)
+
+
+def multi_bump_init(omegas: list[Field], scales, big_t: float) -> Field:
+    """Superposition sum_j s_j * T * omega_j of disjointly supported bumps."""
+    if not omegas:
+        raise ValueError("need at least one bump")
+    scales = list(scales)
+    if len(scales) != len(omegas):
+        raise ValueError("one scale per bump required")
+    grid = omegas[0].grid
+    out = np.zeros(grid.interior_shape)
+    for s, w in zip(scales, omegas):
+        if w.grid != grid:
+            raise ValueError("all bumps must live on the same grid")
+        out = out + (s * big_t) * w.values
+    return Field(grid, out)
 
 
 def dirichlet_well_energy(u: Field, geometry, j: int) -> float:

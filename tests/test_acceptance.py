@@ -9,18 +9,17 @@ import math
 
 import numpy as np
 from logbump.domain import Field, integrate, masks
-from logbump.functional import PenalizedFunctional, nehari_check
+from logbump.functional import PenalizedFunctional
 from logbump.penalty import make_params, sq_log_sq
 from logbump.solver import (
     _LocalWell,
     minimax_upper_bound,
-    multi_bump_init,
     solve_auxiliary,
     solve_neumann_well,
     solve_single_well,
 )
 from logbump.verify import gausson_order_study, linfty_threshold
-from oracles import Splitting
+from oracles import Splitting, multi_bump_init, nehari_check
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 
@@ -176,8 +175,8 @@ def test_criterion_07_energy_sandwich_and_limit(ref, ref_wells, ref_sweep,
     lam = ref.config.lambdas[-1]
     c_gamma = sum(r.energy for r in ref_wells)
     b_upper = minimax_upper_bound(
-        lam, (1, 2), [r.field for r in ref_wells], ref_big_t, ref.grid,
-        ref.potential, ref.params
+        [r.energy for r in ref_wells],
+        [integrate(r.field.values**2, ref.grid) for r in ref_wells], ref_big_t
     )
     c_lambda = [
         solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver).c_lambda

@@ -40,12 +40,11 @@ from logbump.solver import (
     SolverConfig,
     conjugate_gradient,
     lambda_sweep,
-    multi_bump_init,
     solve_auxiliary,
     solve_neumann_well,
 )
 from logbump.verify import LimitRow, SweepRow, check_limit_problem
-from oracles import load_field
+from oracles import load_field, multi_bump_init
 
 MINIMAL = """
 R = 12.0
@@ -812,6 +811,33 @@ def test_readme_run_usage_lists_every_option(capsys):
         main(["run", "--help"])
     accepted = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.M))
     assert set(re.findall(r"--[a-z-]+", usage)) == accepted - {"--help"}
+
+
+def test_readme_library_use_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["big_t"] == 2.0
+    assert scope["state"].converged and scope["state"].bump_mask == (1, 2)
+
+
+def test_run_evaluates_no_energy_outside_the_solves(tmp_path, monkeypatch, capsys):
+    # the path scale and the minimax bound come from the ground states'
+    # energies and masses, and each solve's report reuses its last energy
+    from logbump.functional import PenalizedFunctional
+
+    calls = []
+    phi_total = PenalizedFunctional.phi_total
+
+    def counted(self, values):
+        calls.append(1)
+        return phi_total(self, values)
+
+    monkeypatch.setattr(PenalizedFunctional, "phi_total", counted)
+    assert run(parse_config(BUNDLED), out_dir=str(tmp_path / "run")) == 0
+    assert calls == []
 
 
 def test_report_cells_repeat_energies_cells(tmp_path, capsys):

@@ -16,16 +16,16 @@ from logbump.domain import (
     masks,
 )
 from logbump.cli import csv_header, row_to_csv
-from logbump.functional import (
-    PenalizedFunctional,
-    gausson_values,
-    h1_distance,
-    nehari_check,
-)
+from logbump.functional import PenalizedFunctional, gausson_values, h1_distance
 from logbump.penalty import make_params, sq_log_sq
 from logbump.solver import MINIMAX_M, SolveError, _LocalWell
 from logbump.verify import SweepRow
-from oracles import dirichlet_well_energy, penalized_well_energy, restricted_norm_sq
+from oracles import (
+    dirichlet_well_energy,
+    nehari_check,
+    penalized_well_energy,
+    restricted_norm_sq,
+)
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 # the paper's growth exponent, p > 2, of the power bound on the nonlinearity
@@ -326,8 +326,6 @@ def test_scaling_law_on_the_minimax_rays(setup):
     direct = np.array([inside.phi_total(t * v) for t in t_axis])
     for t, lhs in zip(t_axis, direct):
         assert abs(lhs - t * t * (base - math.log(t) * mass)) <= 1e-12 * abs(lhs)
-    assert np.all(np.abs(inside.ray_energies(v, t_axis) - direct)
-                  <= 1e-12 * np.abs(direct))
     # outside the selected enlargements the energy matches up to t v = a0
     # and leaves the law beyond, where the truncation takes over
     outside = PenalizedFunctional(grid, pot, params, (2,), 100.0)
@@ -339,8 +337,31 @@ def test_scaling_law_on_the_minimax_rays(setup):
         law = r * r * (low - math.log(r) * small * small * mass)
         lhs = outside.phi_total(t * v)
         assert abs(lhs - law) > 1e-3 * abs(lhs)
-    with pytest.raises(ValueError, match="outside the selected enlargements"):
-        outside.ray_energies(v, t_axis)
+
+
+def test_phi_total_additive_over_stencil_separated_patches():
+    # the 5-point stencil couples axis neighbours only: the energy of two
+    # patches that meet at a corner is the sum of their energies; two that
+    # share an edge add the kinetic cross term h^2 <-lap a, b> of their one
+    # coupled node pair, -(1/2)(1/2)
+    grid = Grid(dim=2, r=4.0, n=11)
+    geometry = WellGeometry(
+        dim=2,
+        wells=(Box((-1.6, -1.6), (0.5, 0.5)), Box((0.8, 0.8), (0.5, 0.5))),
+        enlargements=(Box((-1.6, -1.6), (1.0, 1.0)), Box((0.8, 0.8), (1.0, 1.0))),
+    )
+    fun = PenalizedFunctional(grid, PotentialSpec(geometry, power=1.0),
+                              make_params(), (1, 2), 100.0)
+    patch = np.array([[0.5, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 0.5]])
+    a = np.zeros(grid.interior_shape)
+    a[1:4, 1:4] = patch
+    corner = np.zeros(grid.interior_shape)
+    corner[4:7, 4:7] = patch
+    edge = np.roll(corner, -1, axis=1)
+    for b, cross in ((corner, 0.0), (edge, -0.25)):
+        whole = fun.phi_total(a + b)
+        parts = fun.phi_total(a) + fun.phi_total(b)
+        assert abs(whole - parts - cross) <= 1e-12 * abs(whole)
 
 
 def test_mountain_pass_small_sphere(setup):

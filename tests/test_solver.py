@@ -21,12 +21,14 @@ from logbump.domain import (
     PotentialSpec,
     WellGeometry,
     box_mask_full,
+    MIN_MARGIN_CELLS,
     box_nodes,
     integrate,
     masks,
     neg_laplacian,
+    validate_geometry_on_grid,
 )
-from logbump.functional import BUMP_THRESHOLD, PenalizedFunctional, nehari_check
+from logbump.functional import BUMP_THRESHOLD, PenalizedFunctional
 from logbump.penalty import PenalizationParams, make_params, s_log_sq
 from logbump.solver import (
     BlockTridiagonalLDL,
@@ -39,7 +41,6 @@ from logbump.solver import (
     lambda_sweep,
     minimax_upper_bound,
     minres,
-    multi_bump_init,
     solve_auxiliary,
     solve_neumann_well,
     solve_single_well,
@@ -47,6 +48,8 @@ from logbump.solver import (
 
 from oracles import (
     local_jacobian_apply,
+    multi_bump_init,
+    nehari_check,
     padded_neg_laplacian,
     restricted_norm_sq,
     whole_box_negative_eigenvalues,
@@ -422,9 +425,11 @@ def test_auxiliary_norm_stays_bounded(ref, ref_wells, ref_big_t):
 def test_multi_bump_init_identities(ref, ref_wells, ref_big_t):
     w = [r.field for r in ref_wells]
     big_t = ref_big_t
-    init = multi_bump_init(w, [1.0 / big_t] * 2, big_t)
-    direct = w[0].values + w[1].values
-    assert np.abs(init.values - direct).max() <= 1e-12 * np.abs(direct).max()
+    # (1/T) * T == 1.0 for a power of two T, so the path's start is the
+    # plain sum of the ground states that `run` starts each sweep from
+    for t in (big_t, 2.0 * big_t, 1024.0):
+        start = multi_bump_init(w, [1.0 / t] * 2, t)
+        assert np.array_equal(start.values, sum(x.values for x in w))
     single = multi_bump_init([w[0]], [0.37], big_t)
     assert np.abs(single.values - 0.37 * big_t * w[0].values).max() == 0.0
     scales = (0.4, 0.9)
@@ -437,51 +442,71 @@ def test_multi_bump_init_identities(ref, ref_wells, ref_big_t):
     assert abs(mass - expected) <= 1e-12 * expected
 
 
+def _energy_and_mass(x: Field) -> tuple[float, float]:
+    """The pure logarithmic energy E of x and its mass M = int x^2, from the
+    oracle's integrals over the whole box."""
+    chk = nehari_check(x, np.ones(x.grid.full_shape, dtype=bool))
+    return chk.energy, 2.0 * chk.half_mass
+
+
+def _wells_energy_and_mass(wells, grid):
+    """The inputs `run` gives `choose_t` and `minimax_upper_bound`: each
+    ground state's energy and its mass."""
+    return ([r.energy for r in wells],
+            [integrate(r.field.values**2, grid) for r in wells])
+
+
 def test_choose_t_exact_and_degraded(ref, ref_wells):
-    w = [r.field for r in ref_wells]
-    assert choose_t(w) == 2.0
+    assert choose_t(*_wells_energy_and_mass(ref_wells, ref.grid)) == 2.0
     grid = ref.grid
     everywhere = np.ones(grid.full_shape, dtype=bool)
 
+    def scale(xs):
+        return choose_t(*zip(*map(_energy_and_mass, xs)))
+
     def ray(x, t):
-        # I'(t x)(t x) in closed form; the direct sum along the ray agrees
-        value = nehari_check(x, everywhere).ray_constraint(t)
+        # I'(t x)(t x) in closed form from E and M; the direct sum along
+        # the ray agrees
+        e, m = _energy_and_mass(x)
+        value = t * t * (2.0 * e - m - math.log(t * t) * m)
         direct = nehari_check(Field(grid, t * x.values), everywhere).constraint
         assert abs(value - direct) <= 1e-10 * max(1.0, abs(direct))
         return value
 
+    w = [r.field for r in ref_wells]
+    assert scale(w) == 2.0
     for x in w:
         assert ray(x, 0.5) > 0.0
         assert ray(x, 2.0) < 0.0
     # mild scale error still allows T = 2
-    assert choose_t([Field(grid, 1.1 * w[0].values)]) == 2.0
+    assert scale([Field(grid, 1.1 * w[0].values)]) == 2.0
     # gross scale error forces the factor to grow, sign conditions still hold
     degraded = Field(grid, 3.0 * w[0].values)
-    big_t = choose_t([degraded])
+    big_t = scale([degraded])
     assert big_t == 4.0
     assert ray(degraded, 1.0 / big_t) > 0.0
     assert ray(degraded, big_t) < 0.0
+    # a bump with 2E - M > log(2^20) M has no scale up to 2^10
+    with pytest.raises(SolveError, match="no scale factor"):
+        choose_t([30.0], [1.0])
 
 
 def test_minimax_single_well_recovers_level(ref, ref_wells, ref_big_t,
                                             monkeypatch):
     monkeypatch.setattr(solver_module, "MINIMAX_M", 65)
-    b = minimax_upper_bound(
-        1e4, (1,), [ref_wells[0].field], ref_big_t, ref.grid, ref.potential,
-        ref.params
-    )
+    b = minimax_upper_bound(*_wells_energy_and_mass(ref_wells[:1], ref.grid),
+                            ref_big_t)
     c1 = ref_wells[0].energy
     assert abs(b - c1) < 5e-3 * c1
 
 
 def test_minimax_twin_separability(ref, ref_wells, ref_big_t, monkeypatch):
     monkeypatch.setattr(solver_module, "MINIMAX_M", 17)
-    b = minimax_upper_bound(
-        1e4, (1, 2), [r.field for r in ref_wells], ref_big_t, ref.grid,
-        ref.potential, ref.params
-    )
+    b = minimax_upper_bound(*_wells_energy_and_mass(ref_wells, ref.grid),
+                            ref_big_t)
     c_gamma = sum(r.energy for r in ref_wells)
     assert abs(b - c_gamma) < 0.02 * c_gamma
+    assert type(b) is float
 
 
 def _product_scan_bound(lam, gamma, omegas, big_t, grid, potential, params):
@@ -501,83 +526,50 @@ def _product_scan_bound(lam, gamma, omegas, big_t, grid, potential, params):
 @pytest.mark.parametrize("gamma", [(1,), (1, 2)])
 def test_minimax_matches_product_scan(ref, ref_wells, ref_big_t, gamma,
                                      monkeypatch):
+    # one bound from the wells' energies and masses matches the scan of
+    # the penalized energy at every lambda: the wells hold V = 0
     monkeypatch.setattr(solver_module, "MINIMAX_M", 17)
-    ws = [ref_wells[j - 1].field for j in gamma]
-    args = (1e4, gamma, ws, ref_big_t, ref.grid, ref.potential, ref.params)
-    expected = _product_scan_bound(*args)
-    assert abs(minimax_upper_bound(*args) - expected) <= 1e-12 * abs(expected)
+    wells = [ref_wells[j - 1] for j in gamma]
+    bound = minimax_upper_bound(*_wells_energy_and_mass(wells, ref.grid), ref_big_t)
+    for lam in (10.0, 1e4):
+        expected = _product_scan_bound(lam, gamma, [r.field for r in wells],
+                                       ref_big_t, ref.grid, ref.potential,
+                                       ref.params)
+        assert abs(bound - expected) <= 1e-12 * abs(expected), lam
 
 
-def test_minimax_rejects_stencil_coupled_bumps(ref, ref_wells, ref_big_t):
-    w = ref_wells[0].field
-    shifted = Field(ref.grid, np.roll(w.values, 1))
-    with pytest.raises(ValueError, match="coupled by the stencil"):
-        minimax_upper_bound(1e4, (1, 2), [w, shifted], ref_big_t, ref.grid,
-                            ref.potential, ref.params)
+def _twin_geometry(dim: int, shift: float, margin: float) -> WellGeometry:
+    """Two wells, each `margin` inside its enlargement, whose enlargements
+    lie 2^-20 apart along axis 0, moved by `shift` along it.  With dyadic
+    inputs every coordinate and margin is exact."""
+    half = 2.25 + margin
+    wells, enlargements = [], []
+    for c in (-half - 2.0**-21, half + 2.0**-21):
+        center = (c + shift,) + (0.0,) * (dim - 1)
+        enlargements.append(Box(center, (half,) * dim))
+        wells.append(Box(center, (2.25,) * dim))
+    return WellGeometry(dim, tuple(wells), tuple(enlargements))
 
 
-def test_minimax_2d_stencil_reach(monkeypatch):
-    # the 5-point stencil couples axis neighbours only, so bumps that meet
-    # at a corner stay separable and bumps that share an edge do not
-    grid = Grid(dim=2, r=4.0, n=11)
-    geometry = WellGeometry(
-        dim=2,
-        wells=(Box((-1.6, -1.6), (0.5, 0.5)), Box((0.8, 0.8), (0.5, 0.5))),
-        enlargements=(Box((-1.6, -1.6), (1.0, 1.0)), Box((0.8, 0.8), (1.0, 1.0))),
-    )
-    potential = PotentialSpec(geometry, power=1.0)
-    patch = np.array([[0.5, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 0.5]])
-    a = np.zeros(grid.interior_shape)
-    a[1:4, 1:4] = patch
-    corner = np.zeros(grid.interior_shape)
-    corner[4:7, 4:7] = patch
-    monkeypatch.setattr(solver_module, "MINIMAX_M", 9)
-    args = (100.0, (1, 2), [Field(grid, a), Field(grid, corner)], 2.0, grid,
-            potential, make_params())
-    expected = _product_scan_bound(*args)
-    assert abs(minimax_upper_bound(*args) - expected) <= 1e-12 * abs(expected)
-    edge = np.roll(corner, -1, axis=1)
-    with pytest.raises(ValueError, match="coupled by the stencil"):
-        minimax_upper_bound(100.0, (1, 2), [Field(grid, a), Field(grid, edge)],
-                            2.0, grid, potential, make_params())
-
-
-def test_minimax_evaluates_one_energy_per_bump(monkeypatch):
-    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs"
-                       / "three-wells-1d.cfg")
-    grid, geometry = cfg.grid(), cfg.geometry()
-    omegas = [
-        Field(grid, np.where(box_mask_full(geometry.wells[j - 1], grid)[1:-1],
-                             np.exp(-(grid.interior_mesh()[0] - c) ** 2), 0.0))
-        for j, c in ((1, -8.0), (2, 0.0), (3, 8.0))
-    ]
-    calls = []
-    phi_total = PenalizedFunctional.phi_total
-
-    def counted(self, values):
-        calls.append(1)
-        return phi_total(self, values)
-
-    monkeypatch.setattr(PenalizedFunctional, "phi_total", counted)
-    monkeypatch.setattr(solver_module, "MINIMAX_M", 9)
-    b = minimax_upper_bound(1e4, (1, 2, 3), omegas, 2.0, grid, cfg.potential(),
-                            cfg.params())
-    assert len(calls) == 3
-    assert type(b) is float
-
-
-def test_minimax_rejects_bumps_outside_the_law(ref, ref_wells, ref_big_t):
-    # the closed-form ray holds only for nonnegative bumps that vanish
-    # outside the selected enlargements
-    w = ref_wells[0].field
-    with pytest.raises(ValueError, match="outside the selected enlargements"):
-        minimax_upper_bound(1e4, (2,), [w], ref_big_t, ref.grid, ref.potential,
-                            ref.params)
-    dented = w.values.copy()
-    dented[np.argmax(dented)] = -1e-3
-    with pytest.raises(ValueError, match="needs u >= 0"):
-        minimax_upper_bound(1e4, (1,), [Field(ref.grid, dented)], ref_big_t,
-                            ref.grid, ref.potential, ref.params)
+@pytest.mark.parametrize("shift", [0.0, 0.046875, 0.0625])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_validated_wells_are_stencil_separated(dim, shift):
+    # the additivity `minimax_upper_bound` relies on: at the closest
+    # geometry validation accepts (margins of exactly MIN_MARGIN_CELLS
+    # cells, enlargements a sliver apart), no stencil couples two wells
+    grid = Grid(dim=dim, r=8.0, n=129)
+    limit = MIN_MARGIN_CELLS * grid.h
+    geometry = _twin_geometry(dim, shift, limit)
+    assert 0.0 < geometry.enlargements[1].lo[0] - geometry.enlargements[0].hi[0] <= 2.0**-20
+    for w, e in zip(geometry.wells, geometry.enlargements):
+        assert w.lo[0] - e.lo[0] == e.hi[0] - w.hi[0] == limit
+    validate_geometry_on_grid(geometry, grid)
+    wells = [box_mask_full(w, grid) for w in geometry.wells]
+    assert all(np.any(mask) for mask in wells)
+    assert solver_module._first_coupled_pair(wells) is None
+    # a sliver less margin is refused
+    with pytest.raises(ValueError, match="margin below"):
+        validate_geometry_on_grid(_twin_geometry(dim, shift, limit - 2.0**-20), grid)
 
 
 # -- sweep ------------------------------------------------------------------------------
@@ -1281,9 +1273,8 @@ def twin_2d():
     runs its gamma = (1, 2) lambda sweep from the CLI's start."""
     cfg = parse_config(TWIN_WELLS_2D)
     grid, geometry, solver = cfg.grid(), cfg.geometry(), cfg.solver_config()
-    wells = [solve_single_well(geometry, j, grid, solver).field for j in (1, 2)]
-    big_t = choose_t(wells)
-    init = multi_bump_init(wells, [1.0 / big_t] * 2, big_t)
+    init = Field(grid, sum(solve_single_well(geometry, j, grid, solver).field.values
+                           for j in (1, 2)))
 
     def sweep():
         return lambda_sweep(cfg.lambdas, (1, 2), init, grid, cfg.potential(),

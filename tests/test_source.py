@@ -20,8 +20,6 @@ PACKAGE = ROOT / "src" / "logbump"
 ALLOWLIST = {
     "gausson_order_study": "acceptance criterion 3's discretization study",
     "eval_potential": "the pointwise reference for `potential_on_grid`",
-    "NehariCheck.identity_gap": "the Nehari identity residual that "
-                                "criterion 4 bounds",
 }
 
 # module.name -> why another package module imports this private name

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from logbump.cli import parse_config, parse_config_text, rows_from_csv, run
-from logbump.domain import Field, Grid, masks
+from logbump.domain import Field, Grid, box_mask_full, masks
 from logbump.verify import (
     TREND_SLACK,
     LimitRow,
@@ -22,7 +22,7 @@ from logbump.verify import (
     linfty_threshold,
     log_equation_residual_norm,
 )
-from oracles import restricted_norm_sq
+from oracles import multi_bump_init, restricted_norm_sq
 
 
 def make_row(lam, gamma=(1, 2), sup=1e-8, lamv=1e-3, outn=1e-2, phi=4.8,
@@ -197,7 +197,7 @@ def test_limit_problem_table(ref, ref_wells, ref_sweep):
 
 
 def test_limit_problem_single_well(ref, ref_wells, ref_big_t):
-    from logbump.solver import lambda_sweep, multi_bump_init
+    from logbump.solver import lambda_sweep
 
     init = multi_bump_init([ref_wells[0].field], [1.0 / ref_big_t], ref_big_t)
     steps = lambda_sweep([1e3, 1e4], (1,), init, ref.grid, ref.potential,
@@ -211,7 +211,7 @@ def test_limit_problem_single_well(ref, ref_wells, ref_big_t):
 def test_limit_problem_grid_consistency(ref_config):
     # the energy gap at fixed lambda is stable under refinement within O(h^2)
     from logbump.cli import parse_config_text, canonical_text
-    from logbump.solver import lambda_sweep, multi_bump_init, solve_single_well
+    from logbump.solver import lambda_sweep, solve_single_well
 
     gaps = []
     for n in (241, 481):
@@ -338,8 +338,9 @@ def norm_partition_gap(u, region_masks, lam, potential):
     full_mask = np.ones(u.grid.full_shape, dtype=bool)
     total = restricted_norm_sq(u, full_mask, lam, potential)
     parts = restricted_norm_sq(u, region_masks.outside_wells, lam, potential)
-    for mask in region_masks.per_well:
-        parts += restricted_norm_sq(u, mask, lam, potential)
+    for j in region_masks.gamma:
+        well = box_mask_full(potential.geometry.wells[j - 1], u.grid)
+        parts += restricted_norm_sq(u, well, lam, potential)
     return abs(total - parts)
 
 
