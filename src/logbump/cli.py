@@ -403,8 +403,9 @@ def _write_csv(path, cls, rows, k: int = 0) -> None:
             fh.write(row_to_csv(row) + "\n")
 
 
-def rows_from_csv(text: str) -> tuple[list[SweepRow], int]:
-    """Rows of energies.csv, each cell read by its header name.
+def rows_from_csv(text: str, cls=SweepRow, name: str = "energies.csv") -> tuple[list, int]:
+    """Rows of the `cls` table `name`, energies.csv by default, each cell
+    read by its header name, and the well count k of its per-well columns.
 
     An empty text, a header that lacks a column, repeats one or names an
     unknown one, or a cell that does not parse raises ValueError; a cell's
@@ -412,38 +413,39 @@ def rows_from_csv(text: str) -> tuple[list[SweepRow], int]:
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
-        raise ValueError("energies.csv is empty")
+        raise ValueError(f"{name} is empty")
     header = lines[0][1].split(",")
-    # k counts the columns of the first per-well field
-    first = next(name for name, _, _, slot in _csv_columns(SweepRow, 1) if slot == 0)
-    k = sum(1 for c in header if c.startswith(first.removesuffix("1")))
-    columns = _csv_columns(SweepRow, k)
-    expected = [name for name, _, _, _ in columns]
+    # k counts the columns of the first per-well field, if there is one
+    first = next((col for col, _, _, slot in _csv_columns(cls, 1) if slot == 0), None)
+    k = 0 if first is None else sum(
+        1 for c in header if c.startswith(first.removesuffix("1")))
+    columns = _csv_columns(cls, k)
+    expected = [column for column, _, _, _ in columns]
     missing = [c for c in expected if c not in header]
     unknown = [c for c in header if c not in expected]
     if missing or unknown or len(set(header)) != len(header):
         raise ValueError(
-            f"energies.csv header: missing {missing}, unknown {unknown}, "
+            f"{name} header: missing {missing}, unknown {unknown}, "
             f"{len(header) - len(set(header))} repeated"
         )
-    index = {name: i for i, name in enumerate(header)}
+    index = {column: i for i, column in enumerate(header)}
     rows = []
     for no, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(
-                f"energies.csv row has {len(cells)} cells for {len(header)} columns"
+                f"{name} row has {len(cells)} cells for {len(header)} columns"
             )
         values: dict = {}
-        for name, field_name, parse, slot in columns:
+        for column, field_name, parse, slot in columns:
             try:
-                value = parse(cells[index[name]])
+                value = parse(cells[index[column]])
             except ValueError as exc:
-                raise ValueError(f"energies.csv line {no}, column {name}: {exc}") from None
+                raise ValueError(f"{name} line {no}, column {column}: {exc}") from None
             if slot is not None:
                 value = values.get(field_name, ()) + (value,)
             values[field_name] = value
-        rows.append(SweepRow(**values))
+        rows.append(cls(**values))
     return rows, k
 
 
@@ -682,6 +684,25 @@ REPORT_COLUMNS = (
 )
 
 
+def _print_problem_solves(solves) -> None:
+    """Print the solves that did not converge or whose Morse index is n/a,
+    then the three with the most MINRES iterations, one line each."""
+    failed = [r for r in solves if r.stop != "converged" or math.isnan(r.morse_index)]
+    slowest = sorted((r for r in solves if r.inner_iterations > 0),
+                     key=lambda r: -r.inner_iterations)[:3]
+    for title, rows in (("solves not converged or with Morse index n/a", failed),
+                        ("solves with the most MINRES iterations", slowest)):
+        print(f"{title}:")
+        if not rows:
+            print("  none")
+        for r in rows:
+            what = f"{r.kind} {'gamma' if r.kind == 'sweep' else 'well'} {_mask_str(r.gamma)}"
+            at = "" if math.isnan(r.lam) else f" at lambda {r.lam:g}"
+            morse = "n/a" if math.isnan(r.morse_index) else f"{r.morse_index:g}"
+            print(f"  {what}{at}: {r.stop}, {r.iterations} Newton steps, "
+                  f"{r.inner_iterations} MINRES iterations, Morse index {morse}")
+
+
 def report(run_dir) -> int:
     """Summarize a (possibly partial) run directory."""
     missing = []
@@ -708,6 +729,14 @@ def report(run_dir) -> int:
         out_lines.append(",".join(cells[c] for c, _, _ in REPORT_COLUMNS))
     with open(os.path.join(run_dir, "report.csv"), "w") as fh:
         fh.write("\n".join(out_lines) + "\n")
+    if os.path.exists(os.path.join(run_dir, "solves.csv")):
+        try:
+            with open(os.path.join(run_dir, "solves.csv")) as fh:
+                solves, _ = rows_from_csv(fh.read(), SolveRow, "solves.csv")
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+        else:
+            _print_problem_solves(solves)
     if os.path.exists(os.path.join(run_dir, "verdicts.txt")):
         with open(os.path.join(run_dir, "verdicts.txt")) as fh:
             print(fh.read(), end="")

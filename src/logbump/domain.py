@@ -18,6 +18,7 @@ from this density are therefore exactly additive over node partitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -315,27 +316,46 @@ def validate_geometry_on_grid(geometry: WellGeometry, grid: Grid):
         check_well_nodes(j, box_nodes(w, grid))
 
 
-def faces(ndim: int):
-    """Per axis, the (lo, hi) index pair of the two end nodes of every stencil
-    face of an ndim node array: a[hi] - a[lo] is the difference across each."""
-    for ax in range(ndim):
-        lead = (slice(None),) * ax
-        yield lead + (slice(None, -1),), lead + (slice(1, None),)
+def faces(shape):
+    """Per axis of a 1D or 2D C-ordered node array of `shape` (the dims a
+    `Grid` has), the stencil faces of its raveled values a: (k, wrap), k
+    being the axis's stride, so that a[k:] - a[:-k] is the difference
+    across each face, the `lo` end node in a[:-k] and the `hi` one in
+    a[k:].  Along the last axis of a 2D array, nodes i and i + 1 at the
+    end of a row are no face, and wrap is the slice of those positions in
+    the face arrays; otherwise None."""
+    for ax in range(len(shape)):
+        k = math.prod(shape[ax + 1:])
+        last = len(shape) > 1 and ax == len(shape) - 1
+        yield k, slice(shape[ax] - 1, None, shape[ax]) if last else None
+
+
+def face_update(op, out: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out after op(out[hi], v[lo]) then op(out[lo], v[hi]) in place, axis
+    by axis, over the faces of v's node array, on the raveled arrays (see
+    `faces`).  Each wrap entry is put back after the op, bit for bit."""
+    dst, src = out.reshape(-1), v.reshape(-1)
+    for k, wrap in faces(v.shape):
+        for a, b in ((dst[k:], src[:-k]), (dst[:-k], src[k:])):
+            if wrap is None:
+                op(a, b, out=a)
+            else:
+                keep = a[wrap].copy()
+                op(a, b, out=a)
+                a[wrap] = keep
+    return out
 
 
 def neg_laplacian(u: Field) -> Field:
     """-lap_h u on the whole box with the standard 3/5-point stencil.
 
     A neighbour beyond the interior is a boundary node, zero (Dirichlet).
-    Neighbour differences are subtracted in place from 2*dim*u, so no
-    boundary ring is materialized.  The local well problems of
-    `logbump.solver` apply their own stencil couplings instead.
+    Neighbour values are subtracted in place from 2*dim*u, so no boundary
+    ring is materialized.  The local well problems of `logbump.solver`
+    apply their own stencil couplings instead.
     """
     v = u.values
-    out = (2.0 * v.ndim) * v
-    for lo, hi in faces(v.ndim):
-        out[hi] -= v[lo]
-        out[lo] -= v[hi]
+    out = face_update(np.subtract, (2.0 * v.ndim) * v, v)
     out /= u.grid.h * u.grid.h
     return Field(u.grid, out)
 
@@ -356,11 +376,14 @@ def grad_energy_density(u: Field) -> np.ndarray:
     full = u.full()
     dens = np.zeros(grid.full_shape)
     inv_h2 = 1.0 / (grid.h * grid.h)
-    for lo, hi in faces(grid.dim):
-        d = full[hi] - full[lo]
+    flat, acc = full.reshape(-1), dens.reshape(-1)
+    for k, wrap in faces(grid.full_shape):
+        d = flat[k:] - flat[:-k]
         dsq = d * d * inv_h2
-        dens[lo] += 0.5 * dsq
-        dens[hi] += 0.5 * dsq
+        if wrap is not None:
+            dsq[wrap] = 0.0
+        acc[:-k] += 0.5 * dsq
+        acc[k:] += 0.5 * dsq
     return dens
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from logbump.domain import (
     WellGeometry,
     box_nodes,
     check_well_nodes,
+    face_update,
     faces,
     potential_on_grid,
 )
@@ -334,7 +335,8 @@ class BlockTridiagonalLDL:
         Schur block's inverse.  A block whose Cholesky factor succeeds is
         SPD; otherwise its eigenvalues are counted, and a block within
         TridiagonalLDL.PIVOT_RTOL of singular raises SolveError, since its
-        inverse would carry no digits."""
+        inverse would carry no digits.  Each block is built in one matrix,
+        its diagonals written through the matrix's flat view."""
         diag = np.asarray(diag, dtype=float)
         off0 = np.asarray(off0, dtype=float)
         off1 = np.asarray(off1, dtype=float)
@@ -342,10 +344,18 @@ class BlockTridiagonalLDL:
         if off0.shape != (ny - 1, nx) or off1.shape != (ny, nx - 1):
             raise ValueError("off0 and off1 must couple neighbours along axes 0 and 1")
         negative = 0
+        schur = np.empty((nx, nx))
+        flat = schur.reshape(-1)
         for i in range(ny):
-            schur = np.diag(diag[i]) + np.diag(off1[i], 1) + np.diag(off1[i], -1)
+            schur.fill(0.0)
+            flat[::nx + 1] = diag[i]
+            flat[1::nx + 1] = off1[i]
+            flat[nx::nx + 1] = off1[i]
             if i > 0:
-                schur -= off0[i - 1][:, None] * inv * off0[i - 1][None, :]
+                # off0 inv off0^T, scaled in the previous inverse's storage
+                inv *= off0[i - 1][:, None]
+                inv *= off0[i - 1]
+                schur -= inv
             try:
                 np.linalg.cholesky(schur)
             except np.linalg.LinAlgError:
@@ -354,7 +364,8 @@ class BlockTridiagonalLDL:
                 if size.min() <= TridiagonalLDL.PIVOT_RTOL * size.max():
                     raise SolveError("block LDL^T breakdown: Schur block near singular")
                 negative += int(np.sum(eigs < 0.0))
-            inv = np.linalg.inv(schur)
+            if i < ny - 1:
+                inv = np.linalg.inv(schur)
         return negative
 
 
@@ -390,36 +401,71 @@ def _linear_step(off) -> Callable:
     step.inner_iterations sums the MINRES iterations of the steps that
     returned.
     """
-    if len(off) == 1:
-        def step(u, b, d, rel):
-            return TridiagonalLDL.solve_once(d, off[0], -b)
-    else:
-        def step(u, b, d, rel):
-            du, its = minres(_five_point_apply(d, off), -b, 1.0 / np.abs(d),
-                             min(ETA_MAX, rel), d.size)
-            step.inner_iterations += its
-            return du, math.nan
+    if len(off) == 2:
+        return _MinresStep(off)
+
+    def step(u, b, d, rel):
+        return TridiagonalLDL.solve_once(d, off[0], -b)
 
     step.inner_iterations = 0
     return step
+
+
+class _MinresStep:
+    """The 2D step of `_linear_step`: MINRES on one `_five_point_apply` per
+    solve, built at the first step and given each step's diagonal.  Unlike
+    a closure that counts on itself, it is no reference cycle, so its
+    buffers go with the solve."""
+
+    def __init__(self, off):
+        self.off, self.apply, self.inner_iterations = off, None, 0
+
+    def __call__(self, u, b, d, rel):
+        self.apply = self.apply or _five_point_apply(d, self.off)
+        du, its = minres(partial(self.apply, diag=d), -b, 1.0 / np.abs(d),
+                         min(ETA_MAX, rel), d.size)
+        self.inner_iterations += its
+        return du, math.nan
 
 
 def _five_point_apply(d: np.ndarray, off) -> Callable:
     """x -> J x for the symmetric matrix J with diagonal d and stencil
     couplings off, one per axis: entry i along axis a couples node i to
     node i + 1 along a, and a scalar couples every such pair.  Ghosts
-    beyond the array are zero.  The result is one buffer that every call
-    reuses."""
+    beyond the array are zero.  apply(x, diag) applies the same couplings
+    with another diagonal.  The result is one buffer that every call
+    reuses.
+
+    The build checks each coupling array's shape and lays it out on the
+    faces of the raveled array (`domain.faces`), so that the apply walks
+    contiguous flat slices.  Each product that would cross a row's end is
+    set to -0.0, which leaves every sum it is added to unchanged.
+    """
     out = np.empty_like(d)
     tmp = np.empty_like(d)
+    dst, buf = out.reshape(-1), tmp.reshape(-1)
     terms = []
-    for c, (lo, hi) in zip(off, faces(d.ndim)):
-        terms += [(c, out[lo], tmp[lo], hi), (c, out[hi], tmp[hi], lo)]
+    for ax, (c, (k, wrap)) in enumerate(zip(off, faces(d.shape))):
+        if np.ndim(c):
+            face = d.shape[:ax] + (d.shape[ax] - 1,) + d.shape[ax + 1:]
+            if np.shape(c) != face:
+                raise ValueError(f"coupling of axis {ax} has shape {np.shape(c)}, "
+                                 f"expected {face}")
+            if wrap is not None:
+                # a zero column, in the place of the faces across the row ends
+                c = np.concatenate([c, np.zeros(face[:-1] + (1,))], axis=-1)
+            c = c.reshape(-1)[:d.size - k]
+        terms += [(c, dst[:-k], buf[:-k], slice(k, None), wrap),
+                  (c, dst[k:], buf[k:], slice(None, -k), wrap)]
 
-    def apply(x):
-        np.multiply(d, x, out=out)
-        for c, dst, buf, src in terms:
-            dst += np.multiply(c, x[src], out=buf)
+    def apply(x, diag=d):
+        np.multiply(diag, x, out=out)
+        x = x.reshape(-1)
+        for c, to, prod, src, wrap in terms:
+            np.multiply(c, x[src], out=prod)
+            if wrap is not None:
+                prod[wrap] = -0.0
+            to += prod
         return out
 
     return apply
@@ -483,11 +529,7 @@ def _neighbour_sum(v: np.ndarray) -> np.ndarray:
     axis by axis.  On a bool array the sum is a logical or, so
     `v | _neighbour_sum(v)` is the nodes of v and their stencil
     neighbours."""
-    out = np.zeros_like(v)
-    for lo, hi in faces(v.ndim):
-        out[hi] += v[lo]
-        out[lo] += v[hi]
-    return out
+    return face_update(np.add, np.zeros_like(v), v)
 
 
 def _first_coupled_pair(masks) -> tuple[int, int] | None:

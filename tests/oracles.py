@@ -5,7 +5,7 @@ nonlinearity in closed form by `PenalizationParams.terms`, per-well
 energies and the outside-wells norm from `PenalizedFunctional.report`,
 fields in memory, 2D Morse indices from an inertia enclosure on the
 enlarged wells' boxes, the ground-state Jacobians from their diagonals
-and stencil couplings, the Nehari constraint along a bump's ray in
+and stencil couplings walked on flat faces, the Nehari constraint along a bump's ray in
 closed form from its energy and mass, and each sweep's start as the sum
 of its wells' ground states), so these stay out of the package.
 """
@@ -289,5 +289,28 @@ def local_jacobian_apply(prob, u, mirror: bool):
 
     def apply(x):
         return prob.w * (padded_neg_laplacian(x, prob.grid.h, mode) + shift * x)
+
+    return apply
+
+
+def slice_five_point_apply(d: np.ndarray, off):
+    """x -> J x of `solver._five_point_apply` on nd slices: per axis, the
+    coupling times x's hi neighbours added to out's lo nodes, then the
+    coupling times x's lo neighbours added to out's hi nodes.  The same
+    float operations in the same order as the flat-face kernel, so it is
+    the bit-for-bit reference.  One reused output buffer."""
+    out = np.empty_like(d)
+    tmp = np.empty_like(d)
+    terms = []
+    for ax, c in enumerate(off):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        terms += [(c, out[lo], tmp[lo], hi), (c, out[hi], tmp[hi], lo)]
+
+    def apply(x):
+        np.multiply(d, x, out=out)
+        for c, dst, buf, src in terms:
+            dst += np.multiply(c, x[src], out=buf)
+        return out
 
     return apply

@@ -5,6 +5,7 @@ import filecmp
 import math
 import os
 import re
+import shutil
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -476,6 +477,61 @@ def test_report_and_degraded_mode(tmp_path, capsys):
     assert report(str(out)) == 1
     captured = capsys.readouterr()
     assert "energies.csv" in captured.err
+
+
+def test_report_lists_the_problem_solves(ref_run, tmp_path, capsys):
+    # the two lists come from solves.csv; report.csv and the exit code do
+    # not depend on it
+    out = tmp_path / "rep"
+    shutil.copytree(ref_run.out, out)
+    solves = (out / "solves.csv").read_text()
+    os.remove(out / "solves.csv")
+    assert report(str(out)) == 0
+    assert "MINRES" not in capsys.readouterr().out
+    bare = (out / "report.csv").read_bytes()
+
+    def listed():
+        assert report(str(out)) == 0
+        assert (out / "report.csv").read_bytes() == bare
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("solves not converged or with Morse index n/a:")
+        end = next(i for i, ln in enumerate(lines) if ln.startswith("criterion="))
+        return lines[start:end]
+
+    # the reference run converges every solve, and its 1D steps run no MINRES
+    (out / "solves.csv").write_text(solves)
+    assert listed() == ["solves not converged or with Morse index n/a:", "  none",
+                        "solves with the most MINRES iterations:", "  none"]
+
+    rows, _ = rows_from_csv(solves, SolveRow, "solves.csv")
+    rows = [replace(r, inner_iterations=n) for r, n in
+            zip(rows, [0, 9, 0, 40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 40, 0, 0, 0, 12, 0, 7, 0],
+                              strict=True)]
+    rows[1] = replace(rows[1], stop="iteration cap")
+    rows[18] = replace(rows[18], morse_index=math.nan)
+    _write_csv(out / "solves.csv", SolveRow, rows)
+    assert listed() == [
+        "solves not converged or with Morse index n/a:",
+        "  ground_state well 2: iteration cap, 3 Newton steps, 9 MINRES iterations, "
+        "Morse index 1",
+        "  sweep gamma 1+2 at lambda 10: converged, 5 Newton steps, 12 MINRES "
+        "iterations, Morse index n/a",
+        "solves with the most MINRES iterations:",
+        "  level well 2 at lambda 10: converged, 5 Newton steps, 40 MINRES iterations, "
+        "Morse index 1",
+        "  sweep gamma 2 at lambda 10: converged, 5 Newton steps, 40 MINRES iterations, "
+        "Morse index 1",
+        "  sweep gamma 1+2 at lambda 10: converged, 5 Newton steps, 12 MINRES "
+        "iterations, Morse index n/a",
+    ]
+
+    # an unreadable solves.csv is named on stderr, and changes nothing else
+    (out / "solves.csv").write_text("kind,lambda\n")
+    assert report(str(out)) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solves.csv header: missing ")
+    assert "MINRES" not in captured.out
+    assert (out / "report.csv").read_bytes() == bare
 
 
 def _sample_rows():

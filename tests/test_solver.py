@@ -52,6 +52,7 @@ from oracles import (
     nehari_check,
     padded_neg_laplacian,
     restricted_norm_sq,
+    slice_five_point_apply,
     whole_box_negative_eigenvalues,
 )
 
@@ -229,6 +230,46 @@ def test_five_point_apply_matches_the_stencil():
         x = rng.standard_normal(jd.shape)
         want = padded_neg_laplacian(x, h) + jd * x
         assert np.abs(apply(x) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _face_shapes(shape):
+    return [shape[:ax] + (shape[ax] - 1,) + shape[ax + 1:] for ax in range(len(shape))]
+
+
+@pytest.mark.parametrize("couplings", ["scalar", "array"])
+@pytest.mark.parametrize("shape", [(40,), (12, 12), (9, 11), (35, 19)])
+def test_five_point_apply_is_the_slice_stencil_bit_for_bit(shape, couplings):
+    # the flat-face kernel does the slice stencil's float operations in its
+    # order, so every bit agrees, signed zeros included: the zero columns
+    # at the row ends make -0.0 sums where d < 0, since the couplings are
+    # negative, and a +0.0 wrap product would turn them into +0.0
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    d = rng.standard_normal(shape)
+    if couplings == "scalar":
+        off = (-3.5,) * len(shape)
+    else:
+        off = tuple(-0.5 - rng.random(face) for face in _face_shapes(shape))
+    apply = solver_module._five_point_apply(d, off)
+    want = slice_five_point_apply(d, off)
+    for _ in range(2):  # the second call reuses the first one's buffers
+        x = rng.standard_normal(shape)
+        x[..., :2] = x[..., -2:] = 0.0
+        got = apply(x)
+        ref = want(x)
+        assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
+    assert np.any(np.signbit(ref) & (ref == 0.0))
+
+
+def test_five_point_apply_checks_the_coupling_shapes():
+    d = np.ones((9, 11))
+    off0, off1 = (np.ones(face) for face in _face_shapes(d.shape))
+    solver_module._five_point_apply(d, (off0, off1))
+    with pytest.raises(ValueError, match=r"axis 0 has shape \(9, 10\), expected \(8, 11\)"):
+        solver_module._five_point_apply(d, (off1, off1))
+    with pytest.raises(ValueError, match=r"axis 1 has shape \(8, 11\), expected \(9, 10\)"):
+        solver_module._five_point_apply(d, (off0, off0))
+    with pytest.raises(ValueError, match="axis 0"):
+        solver_module._five_point_apply(np.ones(9), (np.ones(9),))
 
 
 def test_solver_config_validation():
@@ -1247,14 +1288,24 @@ def test_morse_enclosure_uncertified_cases():
                                      (slice(3, 12), slice(11, 22))]))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_block_ldl_negative_eigenvalues(seed):
+@pytest.mark.parametrize("seed, shape", [
+    (0, (6, 5)), (1, (6, 5)), (2, (6, 5)), (3, (6, 5)),
+    (4, (3, 8)), (5, (8, 3)), (2, (1, 9)),
+], ids=["0", "1", "2", "3", "wide", "tall", "one-row"])
+def test_block_ldl_negative_eigenvalues(seed, shape):
     rng = np.random.default_rng(20 + seed)
-    diag, off0, off1, dense = _random_spd_five_point(rng, 6, 5)
+    diag, off0, off1, dense = _random_spd_five_point(rng, *shape)
     ev = np.linalg.eigvalsh(dense)
     shift = 0.5 * (ev[seed] + ev[seed + 1])
+    shifted = dense - shift * np.eye(dense.shape[0])
+    if shape[0] > 1:
+        # the rows before the last hold a negative eigenvalue, so by inertia
+        # additivity some Schur block before the last one is indefinite,
+        # and its inverse enters the next block
+        head = (shape[0] - 1) * shape[1]
+        assert np.linalg.eigvalsh(shifted[:head, :head]).min() < 0.0
     count = BlockTridiagonalLDL.negative_eigenvalues(diag - shift, off0, off1)
-    want = int(np.sum(np.linalg.eigvalsh(dense - shift * np.eye(30)) < 0.0))
+    want = int(np.sum(np.linalg.eigvalsh(shifted) < 0.0))
     assert count == want == seed + 1
 
 
