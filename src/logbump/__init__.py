@@ -19,7 +19,6 @@ from logbump.solver import (
     SolveError,
     SolveRecord,
     SolverConfig,
-    choose_t,
     lambda_sweep,
     minimax_upper_bound,
     solve_auxiliary,
@@ -40,7 +39,6 @@ __all__ = [
     "SolveRecord",
     "SolverConfig",
     "WellGeometry",
-    "choose_t",
     "eval_potential",
     "integrate",
     "lambda_sweep",

@@ -9,10 +9,11 @@ error names the first offending key; unknown keys are rejected.  The
 canonical echo reparses to an identical config, and the run manifest
 starts with it so a run is reproducible from its own artifacts.
 
-A run executes: per-well ground states, truncation threshold, path scale,
+A run executes: per-well ground states, truncation threshold,
 per-gamma warm-started lambda sweeps, enlarged-well levels, minimax upper
-bounds, and finally the verification verdicts, which are recomputed from
-the emitted CSV rather than from in-memory state.
+bounds from the levels c_j = M_j / 2 at the path scale `solver.PATH_T`,
+and finally the verification verdicts, which are recomputed from the
+emitted CSV rather than from in-memory state.
 """
 
 from __future__ import annotations
@@ -33,16 +34,15 @@ from logbump.domain import (
     Grid,
     PotentialSpec,
     WellGeometry,
-    integrate,
     save_field,
     validate_geometry_on_grid,
 )
 from logbump.functional import h1_distance
 from logbump.penalty import make_params
 from logbump.solver import (
+    PATH_T,
     SolveError,
     SolverConfig,
-    choose_t,
     lambda_sweep,
     minimax_upper_bound,
     solve_neumann_well,
@@ -114,6 +114,9 @@ def _lambdas(text: str) -> tuple[float, ...]:
     lambdas = _floats(text)
     if any(b <= a for a, b in zip((0.0,) + lambdas, lambdas)):
         raise ValueError("values must be positive and strictly ascending")
+    if len({f"{lam:g}" for lam in lambdas}) < len(lambdas):
+        raise ValueError("values must differ in 6 significant digits, "
+                         "which name their field files")
     return lambdas
 
 
@@ -557,17 +560,9 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         if rec.converged:
             omegas[j] = rec.field
 
-    masses = {j: integrate(w.values**2, grid) for j, w in omegas.items()}
-    big_t = None
-    if omegas:
-        try:
-            big_t = choose_t([c_dirichlet[j - 1] for j in omegas],
-                             list(masses.values()))
-        except SolveError as exc:
-            failures.append(f"path scale: {exc}")
-    # a selection needs the scale and the converged ground state of each of
-    # its wells; one skipped has no rows, which FAILs multiplicity
-    runnable = [g for g in gammas if big_t is not None and all(j in omegas for j in g)]
+    # a selection needs the converged ground state of each of its wells;
+    # one skipped has no rows, which FAILs multiplicity
+    runnable = [g for g in gammas if all(j in omegas for j in g)]
 
     print(f"[{config.scenario}] enlarged-well levels for {len(config.lambdas)} lambdas")
     c_lambda: dict[tuple[float, int], float] = {}
@@ -597,7 +592,8 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
             failures.append(f"gamma {_mask_str(gsel)}: {exc}")
             continue
         energies = [c_dirichlet[j - 1] for j in gsel]
-        b_upper = minimax_upper_bound(energies, [masses[j] for j in gsel], big_t)
+        # a ground state is on the Nehari manifold, so its mass is 2 c_j
+        b_upper = minimax_upper_bound(energies, [2.0 * e for e in energies], PATH_T)
         c_gamma = sum(energies)
         for rec in records:
             if rec.converged and rec.morse_index != len(gsel):
@@ -655,7 +651,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     with open(manifest_path, "a") as fh:
         fh.write(f"# derived: h = {grid.h!r}\n")
         fh.write(f"# derived: a0 = {params.a0!r}\n")
-        fh.write(f"# derived: T = {math.nan if big_t is None else big_t!r}\n")
+        fh.write(f"# derived: T = {PATH_T!r}\n")
         for j in needed_wells:
             fh.write(f"# derived: c_{j} = {c_dirichlet[j - 1]!r}\n")
         min_norm = min(nehari_norms, default=math.nan)
@@ -784,6 +780,10 @@ def main(argv=None) -> int:
             return run(config, out_dir=args.out, gamma=args.gamma)
         except ConfigError as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"cannot write run directory {args.out or config.out}: {exc}",
+                  file=sys.stderr)
             return 2
     return report(args.run_dir)
 

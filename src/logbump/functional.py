@@ -15,10 +15,11 @@ scaling law
 
 It gives the closed-form Nehari scale of the local ground-state solves
 (`_LocalWell.nehari_project` in `logbump.solver`), where the potential
-term vanishes, and, from each well ground state's energy and mass, the
-ray values of the path scale `choose_t` and the energies along each
-bump's ray in `minimax_upper_bound`.  Outside the selected enlargements
-the truncation above a0 breaks it.
+term vanishes, so every local level is half its mass M.  On a ground
+state the ray value -t^2 log t^2 * M changes sign at t = 1, so any path
+scale T > 1 (`solver.PATH_T`) works; the law also gives the energies
+along each bump's ray in `minimax_upper_bound`.  Outside the selected
+enlargements the truncation above a0 breaks it.
 """
 
 from __future__ import annotations

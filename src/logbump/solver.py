@@ -56,12 +56,8 @@ from logbump.domain import (
     faces,
     potential_on_grid,
 )
-from logbump.functional import (
-    EnergyReport,
-    PenalizedFunctional,
-    _log_mass_density,
-)
-from logbump.penalty import U_FLOOR, PenalizationParams, s_log_sq
+from logbump.functional import EnergyReport, PenalizedFunctional
+from logbump.penalty import U_FLOOR, PenalizationParams, s_log_sq, sq_log_sq
 
 
 class SolveError(RuntimeError):
@@ -692,28 +688,12 @@ def solve_auxiliary(
 # -- path of well bumps ------------------------------------------------------
 
 
-def choose_t(energies, masses) -> float:
-    """Smallest power-of-two scale T >= 2 with the ray sign conditions
-    I'((1/T) w)((1/T) w) > 0 and I'(T w)(T w) < 0 for every well ground
-    state w, given its energy E and its mass M = int w^2.
-
-    w vanishes off its well, so the scaling law of `logbump.functional`
-    gives the ray values in closed form, I'(t w)(t w) = t^2 (2E - M -
-    log t^2 * M).  For bumps exactly on the Nehari manifold (2E = M) any
-    T > 1 works, so exact inputs return 2; the search only guards
-    numerical slack.
-    """
-    bumps = list(zip(energies, masses, strict=True))
-
-    def ray(t, e, m):
-        return t * t * (2.0 * e - m - math.log(t * t) * m)
-
-    for exp in range(1, 11):
-        big_t = float(2**exp)
-        if all(ray(1.0 / big_t, e, m) > 0.0 and ray(big_t, e, m) < 0.0
-               for e, m in bumps):
-            return big_t
-    raise SolveError("no scale factor up to 2^10 satisfies the sign conditions")
+# Path scale T of the bump-superposition surface.  A well ground state w
+# is on the Nehari manifold, 2E = M with M = int w^2, so by the scaling law
+# of `logbump.functional` its ray value I'(t w)(t w) = -t^2 log t^2 * M
+# changes sign at t = 1, and every T > 1 meets the sign conditions
+# I'(w/T)(w/T) > 0 > I'(T w)(T w).
+PATH_T = 2.0
 
 
 # Points per axis of the minimax surface grid in `minimax_upper_bound`.
@@ -725,9 +705,9 @@ def minimax_upper_bound(energies, masses, big_t: float) -> float:
     its wells' ground-state energies E_j and masses M_j = int omega_j^2.
 
     Maximizes the penalized energy over the bump-superposition surface
-    sum_j s_j T omega_j, (s_1, ..., s_l) in [1/T^2, 1]^l, T = big_t from
-    `choose_t`; since the surface is admissible the maximum dominates the
-    minimax level up to the grid resolution in s.
+    sum_j s_j T omega_j, (s_1, ..., s_l) in [1/T^2, 1]^l, T = big_t
+    (`PATH_T` in a run); since the surface is admissible the maximum
+    dominates the minimax level up to the grid resolution in s.
 
     Each omega_j vanishes off its well, where V = 0, and validation keeps
     the wells' nodes out of each other's stencil reach (every well sits
@@ -839,7 +819,7 @@ class _LocalWell:
         mass = self.integral(u * u)
         if mass <= 0.0:
             raise SolveError("zero mass; cannot project onto the Nehari manifold")
-        logm = self.integral(_log_mass_density(u))
+        logm = self.integral(sq_log_sq(u))
         log_t = (self.integral(au * u) - logm) / (2.0 * mass)
         # the energy and residual square t u and t au: keep both below 1e100
         peak = max(float(np.max(np.abs(u))), float(np.max(np.abs(au))))
@@ -861,18 +841,18 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
     clipped iterate is rescaled onto the Nehari manifold.  The Morse index,
     1 at a ground state, is the step's pivot count in 1D; in 2D the block
     LDL^T inertia of the last successful step's Jacobian, nan when a Schur
-    block is near singular.  The weighted relative residual and the energy
-    come from the iterate's one operator apply.  A collapse means that the
-    clip left no mass.
+    block is near singular.  The weighted relative residual comes from the
+    iterate's one operator apply.  The iterate is on the Nehari manifold,
+    where <(B + lambda V) u, u>_w = int_w u^2 log u^2, so its energy is
+    half its mass.  A collapse means that the clip left no mass.
     """
     def evaluate(u):
         u, au = prob.nehari_project(u)
         res = au - s_log_sq(u)
         mass = prob.integral(u * u)
         rel = math.sqrt(prob.integral(res * res) / mass)
-        logm = prob.integral(_log_mass_density(u))
         d = prob.diag - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
-        return u, rel, 0.5 * (prob.integral(au * u) + mass - logm), prob.w * res, d
+        return u, rel, 0.5 * mass, prob.w * res, d
 
     return _newton(evaluate, prob.off, lambda u: prob.integral(u * u) <= 0.0, u, config,
                    lambda d: BlockTridiagonalLDL.negative_eigenvalues(d, *prob.off))
@@ -909,11 +889,9 @@ def solve_single_well(
 @dataclass
 class NeumannRecord(NewtonRecord):
     """Ground-state level of the enlarged-well problem with natural BC;
-    c_lambda and nehari_gap are nan when the solve stopped before its first
-    residual."""
+    c_lambda is nan when the solve stopped before its first residual."""
 
     c_lambda: float
-    nehari_gap: float
 
 
 def solve_neumann_well(
@@ -930,10 +908,6 @@ def solve_neumann_well(
     prob = _LocalWell.neumann(lam, j, grid, potential)
     center = potential.geometry.enlargements[j - 1].center
     bump = np.exp(0.5 * grid.dim - 0.5 * prob.dist_sq(center)) * (prob.lam_v == 0.0)
-    u, run = _ground_state_newton(prob, bump, config)
-    level = run.energies[-1] if run.energies else math.nan
-    return NeumannRecord(
-        **vars(run),
-        c_lambda=level,
-        nehari_gap=abs(level - 0.5 * prob.integral(u * u)),
-    )
+    _, run = _ground_state_newton(prob, bump, config)
+    return NeumannRecord(**vars(run),
+                         c_lambda=run.energies[-1] if run.energies else math.nan)

@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from logbump.cli import main, parse_config, rows_from_csv
-from logbump.domain import integrate
-from logbump.solver import choose_t, lambda_sweep, solve_single_well
+from logbump.solver import PATH_T, lambda_sweep, solve_single_well
 
 from oracles import multi_bump_init
 
@@ -51,9 +50,8 @@ def ref_wells(ref):
 
 
 @pytest.fixture(scope="session")
-def ref_big_t(ref, ref_wells):
-    return choose_t([r.energy for r in ref_wells],
-                    [integrate(r.field.values**2, ref.grid) for r in ref_wells])
+def ref_big_t():
+    return PATH_T
 
 
 @pytest.fixture(scope="session")

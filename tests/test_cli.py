@@ -187,6 +187,8 @@ def test_bad_well_values_cover_every_well_key():
     *[pytest.param(f"well.1.{key}", value, None, id=f"well.1.{key}")
       for key, value in BAD_WELL_VALUES.items()],
     *[pytest.param(*case, id=name) for name, case in BAD_GEOMETRIES.items()],
+    # two lambdas whose field files would both be field_lambda_1000.npy
+    pytest.param("lambdas", "1000.0001, 1000.0002", None, id="lambdas-labels"),
 ])
 def test_validate_names_the_bad_key_of_the_bundled_config(tmp_path, capsys, key, value,
                                                           message):
@@ -288,6 +290,18 @@ def test_under_resolved_well_is_an_invalid_config(tmp_path, capsys):
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config(tmp_path / "nope.cfg")
+
+
+@pytest.mark.parametrize("below", ["", "run"], ids=["at-a-file", "below-a-file"])
+def test_unwritable_run_directory_is_status_2(tmp_path, capsys, below):
+    # --out at an existing file, or below one
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / below
+    assert main(["run", "--config", str(BUNDLED), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"cannot write run directory {out}: ")
+    assert err.count("\n") == 1
 
 
 def _table(path) -> list[dict]:
@@ -880,8 +894,8 @@ def test_readme_library_use_runs(capsys):
 
 
 def test_run_evaluates_no_energy_outside_the_solves(tmp_path, monkeypatch, capsys):
-    # the path scale and the minimax bound come from the ground states'
-    # energies and masses, and each solve's report reuses its last energy
+    # the minimax bound comes from the ground states' levels, and each
+    # solve's report reuses its last energy
     from logbump.functional import PenalizedFunctional
 
     calls = []
@@ -1112,6 +1126,18 @@ def test_run_matches_the_benchmark_reference(tmp_path, capsys, workload):
             assert abs(x - v) <= bound or math.isnan(v) and math.isnan(x), (col, k)
 
 
+def test_three_wells_verdicts_are_grid_stable(tmp_path, capsys):
+    # the bundled grid and one eight times finer give the same verdicts:
+    # each run FAILs only limit_energy_gap (1.314e-2 and 1.141e-2)
+    text = (BUNDLED.parent / "three-wells-1d.cfg").read_text()
+    statuses = []
+    for n in (561, 4481):
+        out = tmp_path / f"n{n}"
+        run(parse_config_text(_config_with("n", str(n), text)), out_dir=str(out))
+        statuses.append(_verdict_statuses(out / "verdicts.txt"))
+    assert len(statuses[0]) == 8 and statuses[1] == statuses[0]
+
+
 def _load_tracer():
     import importlib.util
 
@@ -1199,7 +1225,7 @@ def test_unconverged_well_skips_its_selections(tmp_path, capsys, monkeypatch):
                 in err)
     assert (out / "energies.csv").read_text().splitlines()[1:] == []
     assert "criterion=multiplicity status=FAIL" in (out / "verdicts.txt").read_text()
-    assert "# derived: T = nan\n" in (out / "manifest.txt").read_text()
+    assert "# derived: T = 2.0\n" in (out / "manifest.txt").read_text()
 
 
 def test_failed_neumann_solve_is_a_failure(tmp_path, capsys, monkeypatch):

@@ -23,11 +23,7 @@ ALLOWLIST = {
 }
 
 # module.name -> why another package module imports this private name
-SHARED_PRIVATE = {
-    "functional._log_mass_density": "the floored u^2 log u^2 that the local "
-                                    "wells' energy and Nehari scale share "
-                                    "with the penalized functional",
-}
+SHARED_PRIVATE: dict[str, str] = {}
 
 
 def _definitions(tree):
