@@ -301,9 +301,9 @@ def parse_config_text(text: str) -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text)
 
@@ -576,7 +576,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
                 continue
             _log_solve(solves, histories, "level", lam, (j,), nrec)
             failures += _local_failures(what, nrec)
-            c_lambda[(lam, j)] = nrec.c_lambda
+            c_lambda[(lam, j)] = nrec.energy
 
     print(f"[{config.scenario}] sweeping {len(runnable)} well selections")
     all_rows: list[SweepRow] = []
@@ -680,9 +680,11 @@ REPORT_COLUMNS = (
 )
 
 
-def _print_problem_solves(solves) -> None:
-    """Print the solves that did not converge or whose Morse index is n/a,
-    then the three with the most MINRES iterations, one line each."""
+def _print_problem_solves(text: str) -> None:
+    """Print the solves of solves.csv's text that did not converge or whose
+    Morse index is n/a, then the three with the most MINRES iterations, one
+    line each."""
+    solves, _ = rows_from_csv(text, SolveRow, "solves.csv")
     failed = [r for r in solves if r.stop != "converged" or math.isnan(r.morse_index)]
     slowest = sorted((r for r in solves if r.inner_iterations > 0),
                      key=lambda r: -r.inner_iterations)[:3]
@@ -700,42 +702,45 @@ def _print_problem_solves(solves) -> None:
 
 
 def report(run_dir) -> int:
-    """Summarize a (possibly partial) run directory."""
-    missing = []
-    for name in ("manifest.txt", "energies.csv", "verdicts.txt"):
-        if not os.path.exists(os.path.join(run_dir, name)):
-            missing.append(name)
+    """Summarize a (possibly partial) run directory.  Status 1 when
+    energies.csv cannot be read or report.csv written; an unreadable
+    solves.csv or verdicts.txt is left out.  Each reason goes to stderr."""
+    path = partial(os.path.join, run_dir)
+    missing = [name for name in ("manifest.txt", "energies.csv", "verdicts.txt")
+               if not os.path.exists(path(name))]
     if "energies.csv" in missing:
         print(f"missing artifacts: {', '.join(missing)}", file=sys.stderr)
         return 1
     try:
-        with open(os.path.join(run_dir, "energies.csv")) as fh:
+        with open(path("energies.csv")) as fh:
             rows, k = rows_from_csv(fh.read())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 1
 
-    print("  ".join(c.ljust(w) for c, w, _ in REPORT_COLUMNS))
-    out_lines = [",".join(c for c, _, _ in REPORT_COLUMNS)]
     columns = csv_header(k).split(",")
-    for row in sorted(rows, key=lambda r: (r.gamma, r.lam)):
-        cells = dict(zip(columns, row_to_csv(row).split(",")))
+    table = [dict(zip(columns, row_to_csv(row).split(",")))
+             for row in sorted(rows, key=lambda r: (r.gamma, r.lam))]
+    out_lines = [",".join(c for c, _, _ in REPORT_COLUMNS)]
+    out_lines += [",".join(cells[c] for c, _, _ in REPORT_COLUMNS) for cells in table]
+    try:
+        with open(path("report.csv"), "w") as fh:
+            fh.write("\n".join(out_lines) + "\n")
+    except OSError as exc:
+        print(f"cannot write report.csv: {exc}", file=sys.stderr)
+        return 1
+    print("  ".join(c.ljust(w) for c, w, _ in REPORT_COLUMNS))
+    for cells in table:
         print("  ".join((cells[c] if fmt is None else format(float(cells[c]), fmt)).ljust(w)
                         for c, w, fmt in REPORT_COLUMNS))
-        out_lines.append(",".join(cells[c] for c, _, _ in REPORT_COLUMNS))
-    with open(os.path.join(run_dir, "report.csv"), "w") as fh:
-        fh.write("\n".join(out_lines) + "\n")
-    if os.path.exists(os.path.join(run_dir, "solves.csv")):
-        try:
-            with open(os.path.join(run_dir, "solves.csv")) as fh:
-                solves, _ = rows_from_csv(fh.read(), SolveRow, "solves.csv")
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-        else:
-            _print_problem_solves(solves)
-    if os.path.exists(os.path.join(run_dir, "verdicts.txt")):
-        with open(os.path.join(run_dir, "verdicts.txt")) as fh:
-            print(fh.read(), end="")
+    for name, show in (("solves.csv", _print_problem_solves),
+                       ("verdicts.txt", partial(print, end=""))):
+        if os.path.exists(path(name)):
+            try:
+                with open(path(name)) as fh:
+                    show(fh.read())
+            except (OSError, ValueError) as exc:
+                print(exc, file=sys.stderr)
     if missing:
         print(f"missing artifacts: {', '.join(missing)}", file=sys.stderr)
     return 0
@@ -762,30 +767,22 @@ def main(argv=None) -> int:
     p_rep.add_argument("run_dir")
 
     args = parser.parse_args(argv)
-    if args.verb == "validate":
-        try:
-            config = parse_config(args.config)
-        except ConfigError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
-        print(canonical_text(config), end="")
-        return 0
-    if args.verb == "run":
-        try:
-            config = parse_config(args.config)
-        except ConfigError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
+    if args.verb == "report":
+        return report(args.run_dir)
+    try:
+        config = parse_config(args.config)
+        if args.verb == "validate":
+            print(canonical_text(config), end="")
+            return 0
         try:
             return run(config, out_dir=args.out, gamma=args.gamma)
-        except ConfigError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
         except OSError as exc:
             print(f"cannot write run directory {args.out or config.out}: {exc}",
                   file=sys.stderr)
             return 2
-    return report(args.run_dir)
+    except ConfigError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -232,10 +232,10 @@ def box_nodes(box: Box, grid: Grid, strict: bool = True) -> tuple[slice, ...]:
     return tuple(out)
 
 
-def box_mask_full(box: Box, grid: Grid, strict: bool = True) -> np.ndarray:
+def box_mask_full(box: Box, grid: Grid) -> np.ndarray:
     """Node membership of an axis-aligned box (see `box_nodes`)."""
     out = np.zeros(grid.full_shape, dtype=bool)
-    out[box_nodes(box, grid, strict)] = True
+    out[box_nodes(box, grid)] = True
     return out
 
 

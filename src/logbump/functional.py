@@ -38,13 +38,7 @@ from logbump.domain import (
     neg_laplacian,
     potential_on_grid,
 )
-from logbump.penalty import U_FLOOR, PenalizationParams, sq_log_sq
-
-
-def _log_mass_density(values: np.ndarray) -> np.ndarray:
-    """u^2 log u^2 with values below the floor flushed to zero."""
-    vals = np.where(np.abs(values) < U_FLOOR, 0.0, values)
-    return sq_log_sq(vals)
+from logbump.penalty import PenalizationParams, sq_log_sq
 
 
 # Mass fraction that marks a well's enlargement as occupied.
@@ -144,7 +138,7 @@ class PenalizedFunctional:
         sq = full * full
         dens = grad_energy_density(u)
         mass_dens = (self.lam * self.v_full + 1.0) * full * full
-        log_dens = _log_mass_density(full)
+        log_dens = sq_log_sq(full)
 
         per_well = tuple(
             0.5 * self._hd * float(np.sum((dens + mass_dens - log_dens)[mask]))

@@ -32,8 +32,8 @@ DEFAULT_DELTA = math.exp(-2.0)
 DEFAULT_SLOPE = 0.5
 
 _LOG_GUARD = 1e-300
-# u^2 log u^2 terms treat |u| below this as exactly 0 to avoid -inf * 0, and
-# second derivatives floor |u| at it inside the log to stay finite at 0.
+# Second derivatives floor |u| at this inside the log, so that u = 0 gets a
+# large finite value.
 U_FLOOR = 1e-150
 _LOG_U_FLOOR = float(np.log(U_FLOOR))
 

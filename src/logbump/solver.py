@@ -37,6 +37,7 @@ order, no randomness, so identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -98,7 +99,8 @@ class NewtonRecord:
     succeeded.  stop_detail keeps the `SolveError` message of a breakdown
     and is empty otherwise.  inner_iterations sums the MINRES iterations of
     the steps whose linear solve returned, 0 in 1D.  `_newton` fills every
-    field.
+    field.  energy is the last entry of the energy history: a local
+    problem's level c_j or c_{lambda,j}, nan when no step succeeded.
     """
 
     iterations: int
@@ -114,6 +116,10 @@ class NewtonRecord:
         return self.stop_reason == "converged"
 
     @property
+    def energy(self) -> float:
+        return self.energies[-1] if self.energies else math.nan
+
+    @property
     def stop(self) -> str:
         """The stop reason, with a breakdown's message after it."""
         if not self.stop_detail:
@@ -123,26 +129,29 @@ class NewtonRecord:
 
 @dataclass
 class SolveRecord(NewtonRecord):
-    """A well ground state's record with its field on the whole box and the
-    field's energy."""
+    """A well ground state's record with its field on the whole box."""
 
     field: Field
-    energy: float
 
 
 @dataclass
 class AuxiliaryRecord(NewtonRecord):
-    """A penalized-problem solve at one lambda: its field on the whole box,
-    the field's energy report and the wells its mass occupies."""
+    """A penalized-problem solve at one lambda: its field on the whole box
+    and the field's energy report.  energy is the report's total, which on
+    a collapse is the collapsed field's, not the history's last entry."""
 
     lam: float
     field: Field
     report: EnergyReport
-    bump_mask: tuple[int, ...]
 
     @property
     def energy(self) -> float:
         return self.report.total
+
+    @property
+    def bump_mask(self) -> tuple[int, ...]:
+        """The wells the field's mass occupies."""
+        return self.report.occupied()
 
 
 def _finite(rhs) -> np.ndarray:
@@ -488,14 +497,11 @@ def _morse_enclosure(d: np.ndarray, boxes, h: float) -> float:
     the bounds agree; nan when they differ, when m <= 0, when two boxes
     are stencil-coupled or when a Schur block is near singular.
     """
-    masks = []
-    for box in boxes:
-        mask = np.zeros(d.shape, dtype=bool)
-        mask[box] = True
-        masks.append(mask)
-    if _first_coupled_pair(masks) is not None:
+    if any(_stencil_coupled(a, b) for a, b in itertools.combinations(boxes, 2)):
         return math.nan
-    inside = reduce(np.logical_or, masks)
+    inside = np.zeros(d.shape, dtype=bool)
+    for box in boxes:
+        inside[box] = True
     m = float(np.min(d[~inside], initial=math.inf)) - 4.0 / h**2
     if m <= 0.0:
         return math.nan
@@ -522,22 +528,16 @@ def _morse_enclosure(d: np.ndarray, boxes, h: float) -> float:
 
 def _neighbour_sum(v: np.ndarray) -> np.ndarray:
     """Sum of each node's stencil neighbours, zero beyond the array, added
-    axis by axis.  On a bool array the sum is a logical or, so
-    `v | _neighbour_sum(v)` is the nodes of v and their stencil
-    neighbours."""
+    axis by axis."""
     return face_update(np.add, np.zeros_like(v), v)
 
 
-def _first_coupled_pair(masks) -> tuple[int, int] | None:
-    """The first pair (i, j), i < j, of bool node arrays that the stencil
-    couples: masks[i] grown by its stencil neighbours meets masks[j].  None
-    when no pair is coupled."""
-    for i, mask in enumerate(masks):
-        reach = mask | _neighbour_sum(mask)
-        for j in range(i + 1, len(masks)):
-            if np.any(reach & masks[j]):
-                return i, j
-    return None
+def _stencil_coupled(a, b) -> bool:
+    """Whether the stencil couples the node rectangles a and b (per-axis
+    slices): the index gaps between them, summed over the axes, are at most
+    1, so they share a node or a stencil face.  An empty one couples none."""
+    gaps = (max(0, s.start - t.stop + 1, t.start - s.stop + 1) for s, t in zip(a, b))
+    return all(s.stop > s.start for s in (*a, *b)) and sum(gaps) <= 1
 
 
 # Newton stops as "diverged" once its residual has grown this many steps in
@@ -680,9 +680,8 @@ def solve_auxiliary(
     u, run = _newton(evaluate, off, collapsed, init.values.copy(), config, morse_2d)
     out = Field(grid, u)
     evaluated = bool(run.energies) and run.stop_reason != "collapse"
-    report = fun.report(out, run.energies[-1] if evaluated else None)
-    return AuxiliaryRecord(**vars(run), lam=fun.lam, field=out, report=report,
-                           bump_mask=report.occupied())
+    report = fun.report(out, run.energy if evaluated else None)
+    return AuxiliaryRecord(**vars(run), lam=fun.lam, field=out, report=report)
 
 
 # -- path of well bumps ------------------------------------------------------
@@ -879,26 +878,15 @@ def solve_single_well(
 
     values = np.zeros(grid.interior_shape)
     values[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)] = u
-    return SolveRecord(
-        **vars(run),
-        field=Field(grid, values),
-        energy=run.energies[-1] if run.energies else math.nan,
-    )
-
-
-@dataclass
-class NeumannRecord(NewtonRecord):
-    """Ground-state level of the enlarged-well problem with natural BC;
-    c_lambda is nan when the solve stopped before its first residual."""
-
-    c_lambda: float
+    return SolveRecord(**vars(run), field=Field(grid, values))
 
 
 def solve_neumann_well(
     lam: float, j: int, grid: Grid, potential: PotentialSpec, config: SolverConfig
-) -> NeumannRecord:
+) -> NewtonRecord:
     """Ground-state level c_{lambda,j} of the enlarged-well problem
-    -lap u + lambda V u = u log u^2 with zero normal derivative.
+    -lap u + lambda V u = u log u^2 with zero normal derivative, as the
+    record's energy.
 
     The projected Newton iteration of the Dirichlet well, on the
     trapezoid-weighted operator of `_LocalWell.neumann`, from a Gausson at
@@ -908,6 +896,4 @@ def solve_neumann_well(
     prob = _LocalWell.neumann(lam, j, grid, potential)
     center = potential.geometry.enlargements[j - 1].center
     bump = np.exp(0.5 * grid.dim - 0.5 * prob.dist_sq(center)) * (prob.lam_v == 0.0)
-    _, run = _ground_state_newton(prob, bump, config)
-    return NeumannRecord(**vars(run),
-                         c_lambda=run.energies[-1] if run.energies else math.nan)
+    return _ground_state_newton(prob, bump, config)[1]

@@ -23,7 +23,6 @@ from logbump.domain import (
     grad_energy_density,
     potential_on_grid,
 )
-from logbump.functional import _log_mass_density
 from logbump.penalty import U_FLOOR, s_log_sq, sq_log_sq
 from logbump.solver import BlockTridiagonalLDL
 
@@ -180,7 +179,7 @@ def nehari_check(u: Field, support: np.ndarray) -> NehariCheck:
     hd = u.grid.h**u.grid.dim
     grad = hd * float(np.sum(grad_energy_density(u)[support]))
     mass = hd * float(np.sum((full * full)[support]))
-    logm = hd * float(np.sum(_log_mass_density(full)[support]))
+    logm = hd * float(np.sum(sq_log_sq(full)[support]))
     energy = 0.5 * (grad + mass) - 0.5 * logm
     return NehariCheck(energy=energy, half_mass=0.5 * mass, constraint=grad - logm)
 
@@ -217,7 +216,7 @@ def penalized_well_energy(u: Field, potential: PotentialSpec, j: int,
     dens = grad_energy_density(u)
     v = potential_on_grid(potential, grid)
     quad = dens + (lam * v + 1.0) * full * full
-    log_dens = _log_mass_density(full)
+    log_dens = sq_log_sq(full)
     hd = grid.h**grid.dim
     return 0.5 * hd * float(np.sum((quad - log_dens)[mask]))
 
@@ -240,7 +239,7 @@ def _pure_energy_on_mask(u: Field, mask: np.ndarray) -> float:
     full = u.full()
     dens = grad_energy_density(u)
     quad = dens + full * full
-    log_dens = _log_mass_density(full)
+    log_dens = sq_log_sq(full)
     hd = grid.h**grid.dim
     return 0.5 * hd * float(np.sum((quad - log_dens)[mask]))
 
@@ -253,6 +252,23 @@ def load_field(path, grid: Grid) -> Field:
         raise ValueError(f"{path}: {values.dtype} array of shape {values.shape}, "
                          f"expected float64 of shape {grid.interior_shape}")
     return Field(grid, values)
+
+
+def first_coupled_pair(masks) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of bool node arrays that the 5-point
+    stencil couples: masks[i] grown by its stencil neighbours meets
+    masks[j].  None when no pair is coupled."""
+    for i, mask in enumerate(masks):
+        reach = mask.copy()
+        for ax in range(mask.ndim):
+            lo = (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            reach[hi] |= mask[lo]
+            reach[lo] |= mask[hi]
+        for j in range(i + 1, len(masks)):
+            if np.any(reach & masks[j]):
+                return i, j
+    return None
 
 
 def whole_box_negative_eigenvalues(jd: np.ndarray, h: float) -> int:

@@ -179,7 +179,7 @@ def test_criterion_07_energy_sandwich_and_limit(ref, ref_wells, ref_sweep,
         [integrate(r.field.values**2, ref.grid) for r in ref_wells], ref_big_t
     )
     c_lambda = [
-        solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver).c_lambda
+        solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver).energy
         for j in (1, 2)
     ]
     eps = 0.02 * c_gamma

@@ -592,6 +592,63 @@ def test_report_rejects_an_unreadable_energies_csv(tmp_path, capsys, text, reaso
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["energies.csv", "report.csv"])
+def test_report_fails_on_energies_or_report_csv_it_cannot_open(ref_run, tmp_path,
+                                                               capsys, name):
+    # a directory in the place of the file: status 1, the reason on stderr
+    out = tmp_path / "rep"
+    shutil.copytree(ref_run.out, out)
+    (out / "report.csv").unlink(missing_ok=True)
+    (out / name).unlink(missing_ok=True)
+    (out / name).mkdir()
+    assert main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err and captured.err.count("\n") == 1
+    assert not (out / "report.csv").is_file()
+
+
+@pytest.mark.parametrize("name, first, after", [
+    ("solves.csv", "solves not converged", "criterion="),
+    ("verdicts.txt", "criterion=", None),
+])
+def test_report_names_a_solves_or_verdicts_file_it_cannot_open(ref_run, tmp_path, capsys,
+                                                               name, first, after):
+    # a directory in the place of the file: named on stderr, its lines
+    # (from `first` up to `after`) left out of the summary, nothing else
+    # changed
+    out = tmp_path / "rep"
+    shutil.copytree(ref_run.out, out)
+    assert main(["report", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = (out / "report.csv").read_bytes()
+    (out / name).unlink()
+    (out / name).mkdir()
+    assert main(["report", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert name in captured.err and captured.err.count("\n") == 1
+    start = next(i for i, ln in enumerate(lines) if ln.startswith(first))
+    end = next((i for i, ln in enumerate(lines) if after and ln.startswith(after)),
+               len(lines))
+    assert start < end
+    assert captured.out.splitlines() == lines[:start] + lines[end:]
+    assert (out / "report.csv").read_bytes() == table
+
+
+def test_config_that_is_not_utf8_is_invalid(tmp_path, capsys):
+    cfg = tmp_path / "bytes.cfg"
+    cfg.write_bytes(TINY.encode() + b"# \xff\n")
+    out = tmp_path / "bytes"
+    for argv in (["validate", "--config", str(cfg)],
+                 ["run", "--config", str(cfg), "--out", str(out)]):
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"invalid config: cannot read config {cfg}: ")
+        assert "codec can't decode" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_validate_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(TINY)

@@ -47,6 +47,7 @@ from logbump.solver import (
 )
 
 from oracles import (
+    first_coupled_pair,
     local_jacobian_apply,
     multi_bump_init,
     nehari_check,
@@ -375,7 +376,7 @@ def test_auxiliary_2d_twin_wells():
     assert rec.field.values.min() >= 0.0
     nr = solve_neumann_well(1e4, 1, grid, potential, config)
     assert nr.converged
-    assert nr.c_lambda <= w.energy + 1e-6
+    assert nr.energy <= w.energy + 1e-6
 
 
 # -- auxiliary problem -------------------------------------------------------------
@@ -588,9 +589,9 @@ def test_validated_wells_are_stencil_separated(dim, shift):
     for w, e in zip(geometry.wells, geometry.enlargements):
         assert w.lo[0] - e.lo[0] == e.hi[0] - w.hi[0] == limit
     validate_geometry_on_grid(geometry, grid)
-    wells = [box_mask_full(w, grid) for w in geometry.wells]
-    assert all(np.any(mask) for mask in wells)
-    assert solver_module._first_coupled_pair(wells) is None
+    wells = [box_nodes(w, grid) for w in geometry.wells]
+    assert all(s.stop > s.start for nodes in wells for s in nodes)
+    assert not solver_module._stencil_coupled(*wells)
     # a sliver less margin is refused
     with pytest.raises(ValueError, match="margin below"):
         validate_geometry_on_grid(_twin_geometry(dim, shift, limit - 2.0**-20), grid)
@@ -662,14 +663,14 @@ def test_neumann_levels_monotone_in_lambda(ref):
     ]
     assert all(rec.converged for rec in levels)
     assert all(rec.stop_reason == "converged" for rec in levels)
-    vals = [rec.c_lambda for rec in levels]
+    vals = [rec.energy for rec in levels]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_neumann_level_below_dirichlet(ref, ref_wells):
     rec = solve_neumann_well(1e4, 1, ref.grid, ref.potential, ref.solver)
     assert rec.converged
-    assert rec.c_lambda <= ref_wells[0].energy + 1e-6
+    assert rec.energy <= ref_wells[0].energy + 1e-6
 
 
 @pytest.mark.parametrize("lam", [1e7, 3e7])
@@ -862,7 +863,7 @@ def test_local_levels_match_reference(ref_wells, ref_levels):
             assert abs(ref_wells[j - 1].energy - want) <= 1e-10 * abs(want)
             level = float(row[f"c_lambda_{j}"])
             if not math.isnan(level):
-                got = ref_levels[(lam, j)].c_lambda
+                got = ref_levels[(lam, j)].energy
                 assert abs(got - level) <= 1e-10 * abs(level)
                 checked.add((lam, j))
     assert checked == set(ref_levels)
@@ -893,7 +894,7 @@ def test_local_levels_are_the_nehari_identity(ref, monkeypatch):
     geometry_2d, _, grid_2d = _small_2d()
     levels = [
         solve_single_well(ref.geometry, 1, ref.grid, ref.solver).energy,
-        solve_neumann_well(1e3, 1, ref.grid, ref.potential, ref.solver).c_lambda,
+        solve_neumann_well(1e3, 1, ref.grid, ref.potential, ref.solver).energy,
         solve_single_well(geometry_2d, 1, grid_2d, SolverConfig()).energy,
     ]
     for level, (prob, u) in zip(levels, iterates, strict=True):
@@ -924,7 +925,7 @@ def test_local_newton_collapse(ref, monkeypatch):
     assert np.abs(rec.field.values).max() == 0.0
     level = solve_neumann_well(1e2, 1, ref.grid, ref.potential, ref.solver)
     assert level.stop_reason == "collapse" and not level.converged
-    assert math.isnan(level.c_lambda) and level.residuals == []
+    assert math.isnan(level.energy) and level.residuals == []
 
 
 def test_local_newton_stops_on_a_growing_residual(ref, monkeypatch):
@@ -1291,6 +1292,30 @@ def test_morse_enclosure_uncertified_cases():
     # adjacent boxes: J_EE is not block diagonal over them
     assert math.isnan(enclose(boxes=[(slice(2, 11), slice(2, 11)),
                                      (slice(3, 12), slice(11, 22))]))
+
+
+@pytest.mark.parametrize("a, b", [
+    pytest.param((slice(2, 6), slice(2, 6)), (slice(4, 8), slice(3, 9)), id="overlap"),
+    pytest.param((slice(2, 6), slice(2, 6)), (slice(2, 6), slice(2, 6)), id="same-box"),
+    pytest.param((slice(2, 6), slice(2, 6)), (slice(3, 5), slice(6, 9)), id="edge"),
+    pytest.param((slice(2, 6), slice(2, 6)), (slice(6, 9), slice(0, 3)), id="edge-below"),
+    pytest.param((slice(2, 6), slice(2, 6)), (slice(6, 9), slice(6, 9)), id="corner"),
+    pytest.param((slice(2, 6), slice(2, 6)), (slice(0, 2), slice(0, 2)), id="corner-low"),
+    pytest.param((slice(2, 6), slice(2, 6)), (slice(3, 5), slice(7, 9)), id="1-apart"),
+    pytest.param((slice(2, 6), slice(2, 6)), (slice(8, 10), slice(2, 6)), id="2-apart"),
+    pytest.param((slice(2, 6), slice(2, 6)), (slice(4, 4), slice(2, 6)), id="empty"),
+    pytest.param((slice(2, 6), slice(3, 3)), (slice(2, 6), slice(3, 6)), id="empty-other"),
+    pytest.param((slice(2, 6),), (slice(6, 8),), id="1d-adjacent"),
+    pytest.param((slice(2, 6),), (slice(7, 8),), id="1d-1-apart"),
+])
+def test_stencil_coupled_matches_the_mask_reference(a, b):
+    shape = (10,) * len(a)
+    masks = [np.zeros(shape, dtype=bool) for _ in range(2)]
+    for mask, box in zip(masks, (a, b)):
+        mask[box] = True
+    want = first_coupled_pair(masks) is not None
+    assert solver_module._stencil_coupled(a, b) == want
+    assert solver_module._stencil_coupled(b, a) == want
 
 
 @pytest.mark.parametrize("seed, shape", [
