@@ -41,6 +41,7 @@ from logbump.functional import h1_distance
 from logbump.penalty import make_params
 from logbump.solver import (
     PATH_T,
+    NewtonRecord,
     SolveError,
     SolverConfig,
     lambda_sweep,
@@ -161,7 +162,7 @@ class RunConfig:
     r: float = _key(_finite, name="R")
     n: int = _key(_integer)
     cap: float = _key(_finite, PotentialSpec.cap)
-    potential_power: float = _key(_finite, PotentialSpec.power)
+    power: float = _key(_finite, PotentialSpec.power, name="potential_power")
     delta: float = _key(_finite, penalty.DEFAULT_DELTA)
     l: float = _key(_finite, penalty.DEFAULT_SLOPE)
     wells: tuple[WellSpec, ...]                 # the well.J.* blocks
@@ -185,7 +186,7 @@ class RunConfig:
         )
 
     def potential(self) -> PotentialSpec:
-        return PotentialSpec(self.geometry(), cap=self.cap, power=self.potential_power)
+        return PotentialSpec(self.geometry(), cap=self.cap, power=self.power)
 
     def params(self):
         return make_params(delta=self.delta, l=self.l)
@@ -210,8 +211,6 @@ def _keys(cls) -> list[tuple[str, str, object, object]]:
 CONFIG_KEYS = tuple(_keys(RunConfig))
 _WELL_SUFFIXES = tuple(key for key, _, _, _ in _keys(WellSpec))
 _KEY_OF_FIELD = {name: key for key, name, _, _ in CONFIG_KEYS}
-# library parameters named unlike the RunConfig field they are built from
-_FIELD_OF_PARAM = {"power": "potential_power"}
 
 
 def _parse_value(key: str, parse, text: str):
@@ -224,7 +223,7 @@ def _parse_value(key: str, parse, text: str):
 def _named_error(exc: ValueError) -> ConfigError:
     """A library type's 'name: reason' message, renamed to the config key."""
     name, _, reason = str(exc).partition(": ")
-    key = _KEY_OF_FIELD.get(_FIELD_OF_PARAM.get(name, name))
+    key = _KEY_OF_FIELD.get(name)
     return ConfigError(str(exc) if key is None else f"{key}: {reason}")
 
 
@@ -301,7 +300,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -455,13 +454,9 @@ def rows_from_csv(text: str, cls=SweepRow, name: str = "energies.csv") -> tuple[
 # -- run pipeline -------------------------------------------------------------
 
 
-def _morse_str(morse) -> str:
-    return "n/a" if math.isnan(morse) else str(morse)
-
-
 @dataclass(frozen=True)
 class SolveRow:
-    """A solves.csv row: one Newton solve.  kind is ground_state (lam nan),
+    """A solves.csv row: one solve attempt.  kind is ground_state (lam nan),
     level or sweep, and gamma the well (j,) of the first two."""
 
     kind: str
@@ -493,14 +488,31 @@ def _log_solve(solves, histories, kind: str, lam: float, gamma, record) -> None:
                      in enumerate(zip(record.residuals, record.energies), start=1))
 
 
-def _local_failures(what: str, record) -> list[str]:
-    """Failure lines of a ground-state solve: not converged, or converged
-    to a critical point whose Morse index is not 1."""
-    if not record.converged:
-        return [f"{what} did not converge ({record.stop})"]
-    if record.morse_index != 1:
-        return [f"{what} has Morse index {_morse_str(record.morse_index)}, expected 1"]
-    return []
+def _breakdown(exc: SolveError) -> NewtonRecord:
+    """The record of a solve that raised before its first Newton step."""
+    return NewtonRecord(0, [], [], "breakdown", math.nan, stop_detail=str(exc))
+
+
+def _solve_name(row: SolveRow) -> str:
+    mask = _mask_str(row.gamma)
+    if row.kind == "ground_state":
+        return f"well {mask} ground state"
+    what = f"enlarged well {mask} level" if row.kind == "level" else f"gamma {mask} {row.kind}"
+    return f"{what} at lambda={row.lam:g}"
+
+
+def _failures(solves: list[SolveRow]) -> list[str]:
+    """The failed solves of solves.csv's rows, each named with why: a solve fails
+    unless it converged with Morse index |gamma|, 1 for a ground state or a level."""
+    lines = []
+    for row in solves:
+        if row.stop != "converged":
+            lines.append(f"{_solve_name(row)} did not converge ({row.stop})")
+        elif row.morse_index != len(row.gamma):
+            morse = "n/a" if math.isnan(row.morse_index) else f"{row.morse_index:g}"
+            lines.append(f"{_solve_name(row)} has Morse index {morse}, "
+                         f"expected {len(row.gamma)}")
+    return lines
 
 
 def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
@@ -544,19 +556,17 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     os.makedirs(os.path.join(out_root, "singlewell"), exist_ok=True)
     omegas: dict[int, Field] = {}
     c_dirichlet = [math.nan] * k
-    failures: list[str] = []
     solves: list[SolveRow] = []
     histories: list[HistoryRow] = []
     for j in needed_wells:
         try:
             rec = solve_single_well(geometry, j, grid, solver_cfg)
         except SolveError as exc:
-            failures.append(f"well {j} ground state: {exc}")
-            continue
+            rec = _breakdown(exc)
+        else:
+            save_field(rec.field, os.path.join(out_root, "singlewell", f"omega_{j}.npy"))
         c_dirichlet[j - 1] = rec.energy
-        save_field(rec.field, os.path.join(out_root, "singlewell", f"omega_{j}.npy"))
         _log_solve(solves, histories, "ground_state", math.nan, (j,), rec)
-        failures += _local_failures(f"well {j} ground state", rec)
         if rec.converged:
             omegas[j] = rec.field
 
@@ -568,14 +578,11 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     c_lambda: dict[tuple[float, int], float] = {}
     for lam in config.lambdas:
         for j in needed_wells:
-            what = f"enlarged well {j} level at lambda={lam:g}"
             try:
                 nrec = solve_neumann_well(lam, j, grid, potential, solver_cfg)
             except SolveError as exc:
-                failures.append(f"{what}: {exc}")
-                continue
+                nrec = _breakdown(exc)
             _log_solve(solves, histories, "level", lam, (j,), nrec)
-            failures += _local_failures(what, nrec)
             c_lambda[(lam, j)] = nrec.energy
 
     print(f"[{config.scenario}] sweeping {len(runnable)} well selections")
@@ -584,27 +591,28 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         gdir = os.path.join(out_root, "gamma_" + _mask_str(gsel))
         os.makedirs(gdir, exist_ok=True)
         ws = [omegas[j] for j in gsel]
+        # one lambda per call, so that a solve that raises is logged at its lambda
         init = Field(grid, sum(w.values for w in ws))
-        try:
-            records = lambda_sweep(config.lambdas, gsel, init, grid, potential,
-                                   params, solver_cfg)
-        except SolveError as exc:
-            failures.append(f"gamma {_mask_str(gsel)}: {exc}")
+        records = []
+        for lam in config.lambdas:
+            try:
+                [rec] = lambda_sweep([lam], gsel, init, grid, potential, params, solver_cfg)
+            except SolveError as exc:
+                _log_solve(solves, histories, "sweep", lam, gsel, _breakdown(exc))
+                break
+            _log_solve(solves, histories, "sweep", lam, gsel, rec)
+            records.append(rec)
+            init = rec.field
+        if len(records) < len(config.lambdas):
             continue
         energies = [c_dirichlet[j - 1] for j in gsel]
         # a ground state is on the Nehari manifold, so its mass is 2 c_j
         b_upper = minimax_upper_bound(energies, [2.0 * e for e in energies], PATH_T)
         c_gamma = sum(energies)
         for rec in records:
-            if rec.converged and rec.morse_index != len(gsel):
-                failures.append(f"gamma {_mask_str(gsel)}: solve at lambda={rec.lam:g} "
-                                f"has Morse index {_morse_str(rec.morse_index)}, "
-                                f"expected {len(gsel)}")
             rep = rec.report
-            lam_c = tuple(
-                c_lambda.get((rec.lam, j), math.nan) if (j in gsel) else math.nan
-                for j in range(1, k + 1)
-            )
+            lam_c = tuple(c_lambda[(rec.lam, j)] if j in gsel else math.nan
+                          for j in range(1, k + 1))
             all_rows.append(
                 SweepRow(
                     lam=rec.lam,
@@ -626,7 +634,6 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
                 )
             )
             save_field(rec.field, os.path.join(gdir, f"field_lambda_{rec.lam:g}.npy"))
-            _log_solve(solves, histories, "sweep", rec.lam, gsel, rec)
         _write_csv(os.path.join(gdir, "limit.csv"), LimitRow,
                    check_limit_problem(records, ws, c_gamma))
 
@@ -657,6 +664,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         min_norm = min(nehari_norms, default=math.nan)
         fh.write(f"# derived: min_nehari_norm = {min_norm!r}\n")
 
+    failures = _failures(solves)
     for line in failures:
         print(f"FAILURE: {line}", file=sys.stderr)
     for v in verdicts:
@@ -681,24 +689,15 @@ REPORT_COLUMNS = (
 
 
 def _print_problem_solves(text: str) -> None:
-    """Print the solves of solves.csv's text that did not converge or whose
-    Morse index is n/a, then the three with the most MINRES iterations, one
-    line each."""
+    """Print the FAILURE lines of solves.csv's text, then its top three MINRES solves."""
     solves, _ = rows_from_csv(text, SolveRow, "solves.csv")
-    failed = [r for r in solves if r.stop != "converged" or math.isnan(r.morse_index)]
-    slowest = sorted((r for r in solves if r.inner_iterations > 0),
-                     key=lambda r: -r.inner_iterations)[:3]
-    for title, rows in (("solves not converged or with Morse index n/a", failed),
-                        ("solves with the most MINRES iterations", slowest)):
-        print(f"{title}:")
-        if not rows:
-            print("  none")
-        for r in rows:
-            what = f"{r.kind} {'gamma' if r.kind == 'sweep' else 'well'} {_mask_str(r.gamma)}"
-            at = "" if math.isnan(r.lam) else f" at lambda {r.lam:g}"
-            morse = "n/a" if math.isnan(r.morse_index) else f"{r.morse_index:g}"
-            print(f"  {what}{at}: {r.stop}, {r.iterations} Newton steps, "
-                  f"{r.inner_iterations} MINRES iterations, Morse index {morse}")
+    slowest = sorted(solves, key=lambda r: -r.inner_iterations)[:3]
+    for title, lines in (
+            ("solves not converged or of another Morse index", _failures(solves)),
+            ("solves with the most MINRES iterations", [
+                f"{_solve_name(r)}: {r.inner_iterations} MINRES iterations"
+                for r in slowest if r.inner_iterations > 0])):
+        print(f"{title}:", *(f"  {line}" for line in lines or ["none"]), sep="\n")
 
 
 def report(run_dir) -> int:

@@ -131,7 +131,8 @@ def _potential(spec: PotentialSpec, mesh):
         dist_sq = acc if dist_sq is None else np.minimum(dist_sq, acc)
     if spec.power == 2.0:
         return np.minimum(spec.cap, dist_sq)
-    return np.minimum(spec.cap, np.sqrt(dist_sq) ** spec.power)
+    with np.errstate(over="ignore"):  # a large power's inf far out is capped
+        return np.minimum(spec.cap, np.sqrt(dist_sq) ** spec.power)
 
 
 def eval_potential(spec: PotentialSpec, x) -> float:

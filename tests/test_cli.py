@@ -94,7 +94,7 @@ def test_bundled_scenario_parses():
     path = Path(__file__).resolve().parent.parent / "configs" / "twin-wells-1d.cfg"
     config = parse_config(path)
     assert config.scenario == "twin-wells-1d"
-    assert config.potential_power == 1.0
+    assert config.power == 1.0
     assert parse_config_text(canonical_text(config)) == config
 
 
@@ -508,13 +508,13 @@ def test_report_lists_the_problem_solves(ref_run, tmp_path, capsys):
         assert report(str(out)) == 0
         assert (out / "report.csv").read_bytes() == bare
         lines = capsys.readouterr().out.splitlines()
-        start = lines.index("solves not converged or with Morse index n/a:")
+        start = lines.index("solves not converged or of another Morse index:")
         end = next(i for i, ln in enumerate(lines) if ln.startswith("criterion="))
         return lines[start:end]
 
     # the reference run converges every solve, and its 1D steps run no MINRES
     (out / "solves.csv").write_text(solves)
-    assert listed() == ["solves not converged or with Morse index n/a:", "  none",
+    assert listed() == ["solves not converged or of another Morse index:", "  none",
                         "solves with the most MINRES iterations:", "  none"]
 
     rows, _ = rows_from_csv(solves, SolveRow, "solves.csv")
@@ -522,21 +522,21 @@ def test_report_lists_the_problem_solves(ref_run, tmp_path, capsys):
             zip(rows, [0, 9, 0, 40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 40, 0, 0, 0, 12, 0, 7, 0],
                               strict=True)]
     rows[1] = replace(rows[1], stop="iteration cap")
+    rows[4] = replace(rows[4], morse_index=2.0)
     rows[18] = replace(rows[18], morse_index=math.nan)
+    # a converged two-bump saddle of index 1 fails too: a sweep expects |gamma|
+    rows[19] = replace(rows[19], morse_index=1.0)
     _write_csv(out / "solves.csv", SolveRow, rows)
     assert listed() == [
-        "solves not converged or with Morse index n/a:",
-        "  ground_state well 2: iteration cap, 3 Newton steps, 9 MINRES iterations, "
-        "Morse index 1",
-        "  sweep gamma 1+2 at lambda 10: converged, 5 Newton steps, 12 MINRES "
-        "iterations, Morse index n/a",
+        "solves not converged or of another Morse index:",
+        "  well 2 ground state did not converge (iteration cap)",
+        "  enlarged well 1 level at lambda=100 has Morse index 2, expected 1",
+        "  gamma 1+2 sweep at lambda=10 has Morse index n/a, expected 2",
+        "  gamma 1+2 sweep at lambda=100 has Morse index 1, expected 2",
         "solves with the most MINRES iterations:",
-        "  level well 2 at lambda 10: converged, 5 Newton steps, 40 MINRES iterations, "
-        "Morse index 1",
-        "  sweep gamma 2 at lambda 10: converged, 5 Newton steps, 40 MINRES iterations, "
-        "Morse index 1",
-        "  sweep gamma 1+2 at lambda 10: converged, 5 Newton steps, 12 MINRES "
-        "iterations, Morse index n/a",
+        "  enlarged well 2 level at lambda=10: 40 MINRES iterations",
+        "  gamma 2 sweep at lambda=10: 40 MINRES iterations",
+        "  gamma 1+2 sweep at lambda=10: 12 MINRES iterations",
     ]
 
     # an unreadable solves.csv is named on stderr, and changes nothing else
@@ -647,6 +647,17 @@ def test_config_that_is_not_utf8_is_invalid(tmp_path, capsys):
         assert err.startswith(f"invalid config: cannot read config {cfg}: ")
         assert "codec can't decode" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_config_with_a_utf8_bom_reads_as_the_original(tmp_path, capsys):
+    # some editors start a UTF-8 file with a byte-order mark
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes("\ufeff".encode() + BUNDLED.read_bytes())
+    echoes = []
+    for path in (BUNDLED, cfg):
+        assert main(["validate", "--config", str(path)]) == 0
+        echoes.append(capsys.readouterr().out)
+    assert echoes[1] == echoes[0]
 
 
 def test_main_validate_and_report(tmp_path, capsys):
@@ -804,8 +815,7 @@ def test_tau_default_matches_cli():
     config = parse_config_text(MINIMAL)
     solver = SolverConfig()
     assert config.solver_config() == solver
-    assert (config.cap, config.potential_power) == (PotentialSpec.cap,
-                                                     PotentialSpec.power)
+    assert (config.cap, config.power) == (PotentialSpec.cap, PotentialSpec.power)
     assert (config.delta, config.l) == (penalty.DEFAULT_DELTA, penalty.DEFAULT_SLOPE)
     assert config.params() == penalty.make_params()
 
@@ -1018,14 +1028,16 @@ def test_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
 
     def one_off(lambdas, gamma, *args):
         steps = sweep(lambdas, gamma, *args)
-        steps[0].morse_index += 1
+        for step in steps:
+            if step.lam == 100.0:
+                step.morse_index += 1
         return steps
 
     monkeypatch.setattr(cli, "lambda_sweep", one_off)
     out = tmp_path / "morse"
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
-    assert ("FAILURE: gamma 1: solve at lambda=100 has Morse index 2, expected 1"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        "FAILURE: gamma 1 sweep at lambda=100 has Morse index 2, expected 1\n")
     assert float(_solve(out, "sweep", "100.0", "1")["morse_index"]) == 2
 
 
@@ -1036,14 +1048,16 @@ def test_uncertified_morse_index_is_a_failure(tmp_path, capsys, monkeypatch):
 
     def uncertified(lambdas, gamma, *args):
         steps = sweep(lambdas, gamma, *args)
-        steps[0].morse_index = math.nan
+        for step in steps:
+            if step.lam == 100.0:
+                step.morse_index = math.nan
         return steps
 
     monkeypatch.setattr(cli, "lambda_sweep", uncertified)
     out = tmp_path / "uncertified"
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
-    assert ("FAILURE: gamma 1: solve at lambda=100 has Morse index n/a, expected 1"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        "FAILURE: gamma 1 sweep at lambda=100 has Morse index n/a, expected 1\n")
     solve = _solve(out, "sweep", "100.0", "1")
     assert solve["stop"] == "converged" and solve["morse_index"] == "nan"
 
@@ -1085,9 +1099,11 @@ def test_sweep_breakdown_keeps_the_other_lambdas(tmp_path, capsys, monkeypatch):
     _inject(monkeypatch, "solve_neumann_well", at_lambda_100)
     out = tmp_path / "breakdown"
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
-    assert ("FAILURE: enlarged well 1 level at lambda=100 did not converge "
-            "(breakdown (LDL^T breakdown: pivot near zero))\n"
-            ) in capsys.readouterr().err
+    # the sweep that did not converge is named too
+    assert capsys.readouterr().err == "".join(
+        f"FAILURE: {what} at lambda=100 did not converge "
+        "(breakdown (LDL^T breakdown: pivot near zero))\n"
+        for what in ("enlarged well 1 level", "gamma 1 sweep"))
     rows, _ = rows_from_csv((out / "energies.csv").read_text())
     assert [(r.lam, r.converged) for r in rows] == [(100.0, False), (10000.0, True)]
     solve = _solve(out, "sweep", "100.0", "1")
@@ -1257,7 +1273,13 @@ def test_failed_well_solve_still_writes_verdicts(tmp_path, capsys, monkeypatch):
     _inject(monkeypatch, "solve_single_well", raising)
     out = tmp_path / "failed-well"
     assert run(parse_config_text(TINY), out_dir=str(out)) == 1
-    assert "FAILURE: well 2 ground state: injected failure" in capsys.readouterr().err
+    assert ("FAILURE: well 2 ground state did not converge (breakdown (injected failure))"
+            in capsys.readouterr().err)
+    # the raised solve has its solves.csv row, with no Newton step
+    row = _solve(out, "ground_state", "nan", "2")
+    assert (row["stop"], row["iterations"], row["morse_index"]) == (
+        "breakdown (injected failure)", "0", "nan")
+    assert not _history(out, "ground_state", "nan", "2")
     verdicts = (out / "verdicts.txt").read_text()
     assert ("criterion=multiplicity status=FAIL margin=-2.0 detail=1 distinct "
             "occupation masks of 3 expected; no rows for gamma 1+2, 2") in verdicts
@@ -1296,8 +1318,11 @@ def test_failed_neumann_solve_is_a_failure(tmp_path, capsys, monkeypatch):
     _inject(monkeypatch, "solve_neumann_well", raising)
     out = tmp_path / "failed-level"
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
-    assert ("FAILURE: enlarged well 1 level at lambda=100: injected failure"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == ("FAILURE: enlarged well 1 level at lambda=100 did "
+                                       "not converge (breakdown (injected failure))\n")
+    row = _solve(out, "level", "100.0", "1")
+    assert (row["stop"], row["iterations"], row["morse_index"]) == (
+        "breakdown (injected failure)", "0", "nan")
     rows, _ = rows_from_csv((out / "energies.csv").read_text())
     assert [math.isnan(r.c_lambda[0]) for r in rows] == [True, False]
     assert (out / "verdicts.txt").exists()
@@ -1320,3 +1345,93 @@ def test_local_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch, 
         for lam in (100, 10000):
             assert (f"FAILURE: enlarged well 1 level at lambda={lam} has Morse index 2, "
                     "expected 1") in err
+
+
+def _reported_failures(out, capsys) -> list[str]:
+    """The failed solves that `logbump report` lists for a run directory,
+    written as `run`'s FAILURE lines."""
+    assert main(["report", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("solves not converged or of another Morse index:") + 1
+    end = lines.index("solves with the most MINRES iterations:")
+    return [f"FAILURE: {line.removeprefix('  ')}" for line in lines[start:end]
+            if line != "  none"]
+
+
+def test_report_lists_the_failure_lines_of_run(tmp_path, capsys, monkeypatch):
+    # one injected failure of each kind: a raised ground state (well 2, so
+    # only gamma 1 is swept), a raised and an unconverged level, a sweep
+    # solve of the wrong Morse index and a raised one
+    import logbump.solver as solver
+
+    def single(solve):
+        def wrapped(geometry, j, grid, config):
+            if j == 2:
+                raise SolveError("injected ground state")
+            return solve(geometry, j, grid, config)
+        return wrapped
+
+    def neumann(solve):
+        def wrapped(lam, j, grid, potential, config):
+            if (lam, j) == (100.0, 1):
+                raise SolveError("injected level")
+            if (lam, j) == (10000.0, 2):
+                config = replace(config, max_iters=1)
+            return solve(lam, j, grid, potential, config)
+        return wrapped
+
+    def auxiliary(solve):
+        def wrapped(lam, *args):
+            if lam == 10000.0:
+                raise SolveError("injected sweep")
+            record = solve(lam, *args)
+            record.morse_index += 1
+            return record
+        return wrapped
+
+    _inject(monkeypatch, "solve_single_well", single)
+    _inject(monkeypatch, "solve_neumann_well", neumann)
+    monkeypatch.setattr(solver, "solve_auxiliary", auxiliary(solver.solve_auxiliary))
+    out = tmp_path / "failures"
+    assert run(parse_config_text(TINY), out_dir=str(out)) == 1
+    failures = capsys.readouterr().err.splitlines()
+    assert failures == [
+        "FAILURE: well 2 ground state did not converge (breakdown (injected ground state))",
+        "FAILURE: enlarged well 1 level at lambda=100 did not converge "
+        "(breakdown (injected level))",
+        "FAILURE: enlarged well 2 level at lambda=10000 did not converge (iteration cap)",
+        "FAILURE: gamma 1 sweep at lambda=100 has Morse index 2, expected 1",
+        "FAILURE: gamma 1 sweep at lambda=10000 did not converge "
+        "(breakdown (injected sweep))",
+    ]
+    assert _reported_failures(out, capsys) == failures
+
+    # every attempt has one solves.csv row; a raised one took no Newton step
+    solves = _table(out / "solves.csv")
+    assert [(r["kind"], r["lambda"], r["gamma"]) for r in solves] == [
+        ("ground_state", "nan", "1"), ("ground_state", "nan", "2"),
+        ("level", "100.0", "1"), ("level", "100.0", "2"),
+        ("level", "10000.0", "1"), ("level", "10000.0", "2"),
+        ("sweep", "100.0", "1"), ("sweep", "10000.0", "1"),
+    ]
+    for row in (solves[1], solves[2], solves[7]):
+        assert (row["iterations"], row["inner_iterations"], row["morse_index"]) == (
+            "0", "0", "nan")
+        assert not _history(out, row["kind"], row["lambda"], row["gamma"])
+    # the raised sweep solve drops its selection's rows, fields and limit.csv
+    assert (out / "energies.csv").read_text().splitlines()[1:] == []
+    assert list((out / "gamma_1").iterdir()) == []
+
+
+def test_a_steep_potential_runs_without_warning(tmp_path, capsys):
+    # the bundled twin wells at potential_power = 1000, where dist^1000
+    # overflows far from the wells before the cap clips it
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(_config_with("potential_power", "1000", BUNDLED.read_text()))
+    out = tmp_path / "steep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status = main(["run", "--config", str(cfg), "--out", str(out)])
+    failures = capsys.readouterr().err.splitlines()
+    assert status in (0, 1)
+    assert _reported_failures(out, capsys) == failures

@@ -6,7 +6,8 @@ into the same directory and reported, and every run must keep the
 pipeline's promises whatever its verdicts: status 0 or 1, no traceback
 and no RuntimeWarning, a named stop reason for every solve, a solve named
 by every FAILURE line, every verdict in verdicts.txt, a byte-identical
-rerun, and a run directory that `logbump report` reads.
+rerun, and a run directory that `logbump report` reads, listing the
+FAILURE lines as its failed solves.
 """
 
 import random
@@ -22,8 +23,9 @@ VERDICTS = ("convergence", "positivity", "linfty_outside", "localization_trend",
             "energy_sandwich", "limit_energy_gap", "bump_fidelity")
 STOP = re.compile(r"converged|iteration cap|collapse|diverged|non-finite"
                   r"|breakdown( \(.+\))?")
-FAILURE = re.compile(r"FAILURE: (well \d+ ground state|enlarged well \d+ level at "
-                     r"lambda=[^ :]+|gamma \d+(\+\d+)*)[ :].*")
+FAILURE = re.compile(r"FAILURE: (well \d+ ground state|(enlarged well \d+ level|gamma "
+                     r"\d+(\+\d+)* sweep) at lambda=\S+) (did not converge \(.+\)"
+                     r"|has Morse index (\d+|n/a), expected \d+)")
 
 
 def _draw_config(rng, dim: int, n: int, k: int) -> str:
@@ -108,4 +110,8 @@ def test_seeded_valid_configs_keep_the_run_invariants(tmp_path, capsys):
         assert _files(out) == files, context
 
         assert main(["report", str(out)]) == 0, context
+        listed = capsys.readouterr().out.split(
+            "solves not converged or of another Morse index:\n")[1].split("solves with")[0]
+        assert [f"FAILURE: {ln.strip()}" for ln in listed.splitlines()
+                if ln != "  none"] == failures, context
         assert capsys.readouterr().err == "", context

@@ -1,6 +1,7 @@
 """Geometry, potential, grid operators, and field serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,21 @@ def test_potential_power_shapes(twin):
     v = potential_on_grid(lin, grid)
     assert v.shape == grid.full_shape
     assert v.min() == 0.0 and v.max() == 1.0
+
+
+def test_a_large_power_is_capped_without_overflow_warning(twin):
+    # dist^1000 is inf far from the wells; the cap clips it, and numpy may
+    # not warn of the overflow
+    geometry, grid, _ = twin
+    steep = PotentialSpec(geometry, cap=1.0, power=1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = potential_on_grid(steep, grid)
+        assert eval_potential(steep, [0.0]) == 1.0
+    dist = np.maximum(np.abs(np.abs(grid.axis) - 5.0) - 2.5, 0.0)
+    assert np.all(v[dist == 0.0] == 0.0) and np.all(v[dist >= 1.01] == 1.0)
+    assert eval_potential(steep, [-2.0]) == 0.5**1000
+    assert eval_potential(steep, [-1.6]) == pytest.approx(0.9**1000, rel=1e-12)
 
 
 def test_potential_grid_matches_pointwise(twin):
