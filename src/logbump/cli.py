@@ -691,12 +691,11 @@ REPORT_COLUMNS = (
 def _print_problem_solves(text: str) -> None:
     """Print the FAILURE lines of solves.csv's text, then its top three MINRES solves."""
     solves, _ = rows_from_csv(text, SolveRow, "solves.csv")
-    slowest = sorted(solves, key=lambda r: -r.inner_iterations)[:3]
-    for title, lines in (
-            ("solves not converged or of another Morse index", _failures(solves)),
-            ("solves with the most MINRES iterations", [
-                f"{_solve_name(r)}: {r.inner_iterations} MINRES iterations"
-                for r in slowest if r.inner_iterations > 0])):
+    slowest = [f"{_solve_name(r)}: {r.stop}, {r.iterations} Newton steps, "
+               f"{r.inner_iterations} MINRES iterations"
+               for r in sorted(solves, key=lambda r: -r.inner_iterations)[:3] if r.inner_iterations]
+    for title, lines in (("solves not converged or of another Morse index", _failures(solves)),
+                         ("solves with the most MINRES iterations", slowest)):
         print(f"{title}:", *(f"  {line}" for line in lines or ["none"]), sep="\n")
 
 

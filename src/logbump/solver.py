@@ -98,9 +98,9 @@ class NewtonRecord:
     singular or the enclosure's bounds disagree; nan when no step
     succeeded.  stop_detail keeps the `SolveError` message of a breakdown
     and is empty otherwise.  inner_iterations sums the MINRES iterations of
-    the steps whose linear solve returned, 0 in 1D.  `_newton` fills every
-    field.  energy is the last entry of the energy history: a local
-    problem's level c_j or c_{lambda,j}, nan when no step succeeded.
+    the steps whose linear solve returned, 0 in 1D.  energy is the energy
+    history's last entry, a level c_j or c_{lambda,j}, nan when it is empty.
+    `cli.run` records a solve that raised before any step as a breakdown.
     """
 
     iterations: int

@@ -534,9 +534,9 @@ def test_report_lists_the_problem_solves(ref_run, tmp_path, capsys):
         "  gamma 1+2 sweep at lambda=10 has Morse index n/a, expected 2",
         "  gamma 1+2 sweep at lambda=100 has Morse index 1, expected 2",
         "solves with the most MINRES iterations:",
-        "  enlarged well 2 level at lambda=10: 40 MINRES iterations",
-        "  gamma 2 sweep at lambda=10: 40 MINRES iterations",
-        "  gamma 1+2 sweep at lambda=10: 12 MINRES iterations",
+        "  enlarged well 2 level at lambda=10: converged, 5 Newton steps, 40 MINRES iterations",
+        "  gamma 2 sweep at lambda=10: converged, 5 Newton steps, 40 MINRES iterations",
+        "  gamma 1+2 sweep at lambda=10: converged, 5 Newton steps, 12 MINRES iterations",
     ]
 
     # an unreadable solves.csv is named on stderr, and changes nothing else

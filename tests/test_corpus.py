@@ -110,8 +110,9 @@ def test_seeded_valid_configs_keep_the_run_invariants(tmp_path, capsys):
         assert _files(out) == files, context
 
         assert main(["report", str(out)]) == 0, context
-        listed = capsys.readouterr().out.split(
+        captured = capsys.readouterr()
+        listed = captured.out.split(
             "solves not converged or of another Morse index:\n")[1].split("solves with")[0]
         assert [f"FAILURE: {ln.strip()}" for ln in listed.splitlines()
                 if ln != "  none"] == failures, context
-        assert capsys.readouterr().err == "", context
+        assert captured.err == "", context
