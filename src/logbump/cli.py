@@ -41,8 +41,6 @@ from logbump.functional import h1_distance
 from logbump.penalty import make_params
 from logbump.solver import (
     PATH_T,
-    NewtonRecord,
-    SolveError,
     SolverConfig,
     lambda_sweep,
     minimax_upper_bound,
@@ -488,11 +486,6 @@ def _log_solve(solves, histories, kind: str, lam: float, gamma, record) -> None:
                      in enumerate(zip(record.residuals, record.energies), start=1))
 
 
-def _breakdown(exc: SolveError) -> NewtonRecord:
-    """The record of a solve that raised before its first Newton step."""
-    return NewtonRecord(0, [], [], "breakdown", math.nan, stop_detail=str(exc))
-
-
 def _solve_name(row: SolveRow) -> str:
     mask = _mask_str(row.gamma)
     if row.kind == "ground_state":
@@ -559,12 +552,8 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     solves: list[SolveRow] = []
     histories: list[HistoryRow] = []
     for j in needed_wells:
-        try:
-            rec = solve_single_well(geometry, j, grid, solver_cfg)
-        except SolveError as exc:
-            rec = _breakdown(exc)
-        else:
-            save_field(rec.field, os.path.join(out_root, "singlewell", f"omega_{j}.npy"))
+        rec = solve_single_well(geometry, j, grid, solver_cfg)
+        save_field(rec.field, os.path.join(out_root, "singlewell", f"omega_{j}.npy"))
         c_dirichlet[j - 1] = rec.energy
         _log_solve(solves, histories, "ground_state", math.nan, (j,), rec)
         if rec.converged:
@@ -578,10 +567,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     c_lambda: dict[tuple[float, int], float] = {}
     for lam in config.lambdas:
         for j in needed_wells:
-            try:
-                nrec = solve_neumann_well(lam, j, grid, potential, solver_cfg)
-            except SolveError as exc:
-                nrec = _breakdown(exc)
+            nrec = solve_neumann_well(lam, j, grid, potential, solver_cfg)
             _log_solve(solves, histories, "level", lam, (j,), nrec)
             c_lambda[(lam, j)] = nrec.energy
 
@@ -591,25 +577,14 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         gdir = os.path.join(out_root, "gamma_" + _mask_str(gsel))
         os.makedirs(gdir, exist_ok=True)
         ws = [omegas[j] for j in gsel]
-        # one lambda per call, so that a solve that raises is logged at its lambda
-        init = Field(grid, sum(w.values for w in ws))
-        records = []
-        for lam in config.lambdas:
-            try:
-                [rec] = lambda_sweep([lam], gsel, init, grid, potential, params, solver_cfg)
-            except SolveError as exc:
-                _log_solve(solves, histories, "sweep", lam, gsel, _breakdown(exc))
-                break
-            _log_solve(solves, histories, "sweep", lam, gsel, rec)
-            records.append(rec)
-            init = rec.field
-        if len(records) < len(config.lambdas):
-            continue
+        records = lambda_sweep(config.lambdas, gsel, Field(grid, sum(w.values for w in ws)),
+                               grid, potential, params, solver_cfg)
         energies = [c_dirichlet[j - 1] for j in gsel]
         # a ground state is on the Nehari manifold, so its mass is 2 c_j
         b_upper = minimax_upper_bound(energies, [2.0 * e for e in energies], PATH_T)
         c_gamma = sum(energies)
         for rec in records:
+            _log_solve(solves, histories, "sweep", rec.lam, gsel, rec)
             rep = rec.report
             lam_c = tuple(c_lambda[(rec.lam, j)] if j in gsel else math.nan
                           for j in range(1, k + 1))

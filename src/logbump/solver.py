@@ -12,8 +12,8 @@ from that diagonal and those couplings: in 1D by one tridiagonal LDL^T
 pass, whose negative pivots count the Morse index; in 2D, where a
 whole-box factor would hold (n - 2)^3 doubles, by an inexact Newton step,
 diagonally preconditioned MINRES on the Jacobian applied free of storage,
-stopped at a forcing term tied to the outer residual.  A linear solve that
-raises ends the solve as a breakdown instead of escaping it.
+stopped at a forcing term tied to the outer residual.  A `SolveError`
+ends the solve as a breakdown instead of escaping it.
 
 The local well problems run on a box of grid nodes, each with one
 operator W(B + lambda V) built once as a diagonal and stencil couplings:
@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
@@ -87,9 +87,9 @@ class NewtonRecord:
     stop_reason names why the solve stopped: "converged", "iteration cap",
     "collapse" (the iterate, or a selected enlargement of it, lost all of
     its mass), "diverged" (the Newton residual grew DIVERGE_STEPS steps in
-    a row), "breakdown" (a step's linear solve raised `SolveError`: an
-    LDL^T pivot near zero, or MINRES breaking down or running out of
-    iterations) or "non-finite" (the residual of a step's iterate was not
+    a row), "breakdown" (`SolveError` from a step's linear solve, as at an
+    LDL^T pivot near zero, or from the problem's evaluation) or
+    "non-finite" (the residual of the start or of a step's iterate was not
     finite).  morse_index counts the negative eigenvalues of the last
     successful Newton step's Jacobian: the negative pivots of its LDL^T in
     1D; in 2D the problem's count at that Jacobian's diagonal, the
@@ -100,7 +100,7 @@ class NewtonRecord:
     and is empty otherwise.  inner_iterations sums the MINRES iterations of
     the steps whose linear solve returned, 0 in 1D.  energy is the energy
     history's last entry, a level c_j or c_{lambda,j}, nan when it is empty.
-    `cli.run` records a solve that raised before any step as a breakdown.
+    A solve stopped at its start has 0 iterations.
     """
 
     iterations: int
@@ -108,8 +108,8 @@ class NewtonRecord:
     energies: list[float]
     stop_reason: str
     morse_index: float
-    stop_detail: str = field(default="", kw_only=True)
-    inner_iterations: int = field(default=0, kw_only=True)
+    stop_detail: str
+    inner_iterations: int
 
     @property
     def converged(self) -> bool:
@@ -553,62 +553,62 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
     rescale u), its relative residual, its energy, and the residual b and
     Jacobian diagonal d of the step J du = -b at u.  The step is
     `_linear_step(off)`, J's stencil couplings being off.  collapsed(u)
-    tells whether a clipped iterate lost the mass the problem needs.  A
-    non-finite residual at u raises `SolveError` before the first step.
-    The stops are those of `NewtonRecord`: converged at rel <= tol, the
-    iteration cap, collapse, diverged, breakdown when the step raises
-    `SolveError`, and non-finite when a step's residual is not finite.
+    tells whether a clipped iterate lost the mass the problem needs.  The
+    stops are those of `NewtonRecord`: converged at rel <= tol, the
+    iteration cap, collapse, diverged, breakdown when the step or evaluate
+    raises `SolveError` (no solve lets it escape), and non-finite when the
+    start's or a step's residual is not finite.
 
     The Morse index is the step's in 1D, and in 2D morse_2d(d) at the last
     successful step's diagonal, nan when that raises `SolveError`; the
     record's inner_iterations is the step's MINRES tally.  Returns
     (u, NewtonRecord): u is the collapsed iterate on a collapse, else the
-    last iterate with a finite residual.
+    last iterate with a finite residual, or the start when there is none.
     """
     step = _linear_step(off)
-    u, rel, _, b, d = evaluate(u)
-    if not math.isfinite(rel):
-        raise SolveError("non-finite residual at the initial iterate")
     residuals: list[float] = []
     energies: list[float] = []
-    stop_reason, detail = "iteration cap", ""
+    detail = ""
     morse = math.nan
     solved = None
     growth = 0
     it = 0
-    for it in range(1, config.max_iters + 1):
-        try:
+    try:
+        u, rel, _, b, d = evaluate(u)
+        # a start whose residual is not finite takes no step
+        steps = config.max_iters if math.isfinite(rel) else 0
+        stop_reason = "iteration cap" if steps else "non-finite"
+        for it in range(1, steps + 1):
             du, morse = step(u, b, d, rel)
-        except SolveError as exc:
-            stop_reason, detail = "breakdown", str(exc)
-            break
-        solved = d
-        nxt = np.maximum(u + du, 0.0)
-        if collapsed(nxt):
-            u = nxt
-            stop_reason = "collapse"
-            break
-        nxt, rel, energy, nxt_b, nxt_d = evaluate(nxt)
-        if not math.isfinite(rel):
-            stop_reason = "non-finite"
-            break
-        u, b, d = nxt, nxt_b, nxt_d
-        growth = growth + 1 if residuals and rel > residuals[-1] else 0
-        residuals.append(rel)
-        energies.append(energy)
-        if rel <= config.tol:
-            stop_reason = "converged"
-            break
-        if growth >= DIVERGE_STEPS:
-            stop_reason = "diverged"
-            break
+            solved = d
+            nxt = np.maximum(u + du, 0.0)
+            if collapsed(nxt):
+                u = nxt
+                stop_reason = "collapse"
+                break
+            nxt, rel, energy, nxt_b, nxt_d = evaluate(nxt)
+            if not math.isfinite(rel):
+                stop_reason = "non-finite"
+                break
+            u, b, d = nxt, nxt_b, nxt_d
+            growth = growth + 1 if residuals and rel > residuals[-1] else 0
+            residuals.append(rel)
+            energies.append(energy)
+            if rel <= config.tol:
+                stop_reason = "converged"
+                break
+            if growth >= DIVERGE_STEPS:
+                stop_reason = "diverged"
+                break
+    except SolveError as exc:
+        stop_reason, detail = "breakdown", str(exc)
     if len(off) == 2 and solved is not None:
         try:
             morse = morse_2d(solved)
         except SolveError:
             morse = math.nan
-    return u, NewtonRecord(it, residuals, energies, stop_reason, morse,
-                           stop_detail=detail, inner_iterations=step.inner_iterations)
+    return u, NewtonRecord(it, residuals, energies, stop_reason, morse, detail,
+                           step.inner_iterations)
 
 
 def _relative_residual(u: np.ndarray, res: np.ndarray) -> float:
@@ -633,8 +633,8 @@ def solve_auxiliary(
     `_newton` until the relative L2 residual drops below tol.
     Non-convergence is flagged on the record with its stop reason, never
     papered over: a selected enlargement that loses all of its mass from a
-    nonzero init stops the solve as a collapse.  A non-finite init raises
-    `SolveError`.
+    nonzero init stops the solve as a collapse, and a non-finite init stops
+    it at once as non-finite.
 
     Multi-bump states are saddle points: the energy tends to minus infinity
     along each bump's amplitude.  Newton's method converges to them
@@ -733,18 +733,16 @@ def lambda_sweep(
 ) -> list[AuxiliaryRecord]:
     """Warm-started continuation over an ascending lambda list.
 
-    The converged field at each lambda seeds the next solve, which keeps
+    The field of each solve, converged or not, seeds the next, which keeps
     the iteration on the same multi-bump branch as the wells deepen.
     """
     lambdas = [float(x) for x in lambdas]
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be strictly ascending")
     records: list[AuxiliaryRecord] = []
-    current = init
     for lam in lambdas:
-        records.append(solve_auxiliary(lam, gamma, current, grid, potential, params,
-                                       config))
-        current = records[-1].field
+        records.append(solve_auxiliary(lam, gamma, init, grid, potential, params, config))
+        init = records[-1].field
     return records
 
 
@@ -795,10 +793,12 @@ class _LocalWell:
     def neumann(
         cls, lam: float, j: int, grid: Grid, potential: PotentialSpec
     ) -> "_LocalWell":
-        """The closed enlarged well j, trapezoid-weighted."""
+        """The closed enlarged well j, trapezoid-weighted.  Under 3 nodes
+        on an axis raise ValueError, which a validated config never meets:
+        its well's MIN_WELL_NODES nodes per axis lie inside."""
         nodes = box_nodes(potential.geometry.enlargements[j - 1], grid, strict=False)
         if any(s.stop - s.start < 3 for s in nodes):
-            raise SolveError(f"enlarged well {j} too coarse for a Neumann solve")
+            raise ValueError(f"enlarged well {j} too coarse for a Neumann solve")
         axis_w = [np.r_[0.5, np.ones(s.stop - s.start - 2), 0.5] for s in nodes]
         return cls(grid, nodes, axis_w, lam, potential)
 

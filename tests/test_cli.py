@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import itertools
 import math
 import os
 import re
@@ -35,14 +36,18 @@ from logbump.cli import (
     run,
 )
 from logbump.domain import PotentialSpec
+from logbump.functional import PenalizedFunctional
 from logbump.solver import (
     BlockTridiagonalLDL,
     SolveError,
     SolverConfig,
+    TridiagonalLDL,
+    _LocalWell,
     conjugate_gradient,
     lambda_sweep,
     solve_auxiliary,
     solve_neumann_well,
+    solve_single_well,
 )
 from logbump.verify import LimitRow, SweepRow, check_limit_problem
 from oracles import load_field, multi_bump_init
@@ -1004,21 +1009,16 @@ def test_bundled_configs_match_benchmark_configs(name):
 
 
 def test_missing_selection_fails_multiplicity(tmp_path, monkeypatch):
-    import logbump.cli as cli
-
-    sweep = cli.lambda_sweep
-
-    def failing_sweep(lambdas, gamma, *args):
-        if gamma == (2,):
-            raise SolveError("injected failure")
-        return sweep(lambdas, gamma, *args)
-
-    monkeypatch.setattr(cli, "lambda_sweep", failing_sweep)
+    # well 2's first Newton step breaks down, so the selections that need
+    # its ground state are not swept
+    _inject(monkeypatch, "solve_single_well",
+            _breaking(monkeypatch, lambda geometry, j, *args: j == 2,
+                      TridiagonalLDL, "solve_once", "injected failure"))
     out = tmp_path / "missing"
     assert run(parse_config_text(TINY), out_dir=str(out)) == 1
     verdicts = (out / "verdicts.txt").read_text()
-    assert ("criterion=multiplicity status=FAIL margin=-1.0 detail=2 distinct "
-            "occupation masks of 3 expected; no rows for gamma 2") in verdicts
+    assert ("criterion=multiplicity status=FAIL margin=-2.0 detail=1 distinct "
+            "occupation masks of 3 expected; no rows for gamma 1+2, 2") in verdicts
 
 
 def test_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
@@ -1262,20 +1262,64 @@ def _inject(monkeypatch, name, broken):
     monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
 
 
-def test_failed_well_solve_still_writes_verdicts(tmp_path, capsys, monkeypatch):
-    def raising(single):
-        def solve(geometry, j, grid, config):
-            if j == 2:
-                raise SolveError("injected failure")
-            return single(geometry, j, grid, config)
-        return solve
+def _raises_on_call(owner, name, call, message):
+    """owner.name, except that its call-th call raises SolveError(message)."""
+    original, calls = getattr(owner, name), itertools.count(1)
 
-    _inject(monkeypatch, "solve_single_well", raising)
+    def wrapped(*args):
+        if next(calls) == call:
+            raise SolveError(message)
+        return original(*args)
+
+    return wrapped
+
+
+def _breaking(monkeypatch, when, owner, name, message):
+    """A `broken` for `_inject`: in the solves whose arguments satisfy when,
+    the first call of owner.name raises SolveError(message), so that the
+    solve breaks down from within."""
+    def broken(solve):
+        def wrapped(*args):
+            if not when(*args):
+                return solve(*args)
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, _raises_on_call(owner, name, 1, message))
+                return solve(*args)
+        return wrapped
+    return broken
+
+
+def test_ground_state_breakdown_keeps_its_steps(tmp_path, monkeypatch):
+    # the Nehari projection of the second step's iterate raises: the solve
+    # stops as a breakdown with the first step's history entry
+    config = parse_config_text(TINY + "gamma = 1\n")
+    monkeypatch.setattr(_LocalWell, "nehari_project", _raises_on_call(
+        _LocalWell, "nehari_project", 3, "injected projection"))
+    rec = solve_single_well(config.geometry(), 1, config.grid(), config.solver_config())
+    assert rec.stop == "breakdown (injected projection)"
+    assert rec.iterations == 2 and len(rec.residuals) == len(rec.energies) == 1
+    # well 1's ground state is the run's first solve
+    monkeypatch.setattr(_LocalWell, "nehari_project", _raises_on_call(
+        _LocalWell, "nehari_project", 3, "injected projection"))
+    out = tmp_path / "projection"
+    assert run(config, out_dir=str(out)) == 1
+    assert _solve(out, "ground_state", "nan", "1")["stop"] == rec.stop
+    [row] = _history(out, "ground_state", "nan", "1")
+    assert (row["step"], float(row["relative_residual"]), float(row["energy"])) == (
+        "1", rec.residuals[0], rec.energies[0])
+    assert np.array_equal(np.load(out / "singlewell" / "omega_1.npy"), rec.field.values)
+
+
+def test_failed_well_solve_still_writes_verdicts(tmp_path, capsys, monkeypatch):
+    _inject(monkeypatch, "solve_single_well",
+            _breaking(monkeypatch, lambda geometry, j, *args: j == 2,
+                      _LocalWell, "nehari_project", "injected failure"))
     out = tmp_path / "failed-well"
     assert run(parse_config_text(TINY), out_dir=str(out)) == 1
     assert ("FAILURE: well 2 ground state did not converge (breakdown (injected failure))"
             in capsys.readouterr().err)
-    # the raised solve has its solves.csv row, with no Newton step
+    # the solve that broke down at its start has its solves.csv row, with no
+    # Newton step, and its field, the start, is saved
     row = _solve(out, "ground_state", "nan", "2")
     assert (row["stop"], row["iterations"], row["morse_index"]) == (
         "breakdown (injected failure)", "0", "nan")
@@ -1287,6 +1331,7 @@ def test_failed_well_solve_still_writes_verdicts(tmp_path, capsys, monkeypatch):
             "converged; no rows for gamma 1+2, 2") in verdicts
     assert (out / "gamma_1").is_dir() and not (out / "gamma_2").exists()
     assert "# derived: c_2 = nan\n" in (out / "manifest.txt").read_text()
+    assert (out / "singlewell" / "omega_2.npy").is_file()
 
 
 def test_unconverged_well_skips_its_selections(tmp_path, capsys, monkeypatch):
@@ -1308,14 +1353,9 @@ def test_unconverged_well_skips_its_selections(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_neumann_solve_is_a_failure(tmp_path, capsys, monkeypatch):
-    def raising(neumann):
-        def solve(lam, j, grid, potential, config):
-            if lam == 100.0:
-                raise SolveError("injected failure")
-            return neumann(lam, j, grid, potential, config)
-        return solve
-
-    _inject(monkeypatch, "solve_neumann_well", raising)
+    _inject(monkeypatch, "solve_neumann_well",
+            _breaking(monkeypatch, lambda lam, *args: lam == 100.0,
+                      _LocalWell, "nehari_project", "injected failure"))
     out = tmp_path / "failed-level"
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
     assert capsys.readouterr().err == ("FAILURE: enlarged well 1 level at lambda=100 did "
@@ -1359,39 +1399,37 @@ def _reported_failures(out, capsys) -> list[str]:
 
 
 def test_report_lists_the_failure_lines_of_run(tmp_path, capsys, monkeypatch):
-    # one injected failure of each kind: a raised ground state (well 2, so
-    # only gamma 1 is swept), a raised and an unconverged level, a sweep
-    # solve of the wrong Morse index and a raised one
+    # one injected failure of each kind: a ground state that breaks down at
+    # its start (well 2, so only gamma 1 is swept), a level that breaks down
+    # at its start and an unconverged one, a sweep solve of the wrong Morse
+    # index and one that breaks down at its start
     import logbump.solver as solver
 
-    def single(solve):
-        def wrapped(geometry, j, grid, config):
-            if j == 2:
-                raise SolveError("injected ground state")
-            return solve(geometry, j, grid, config)
-        return wrapped
-
-    def neumann(solve):
+    def capped(solve):
         def wrapped(lam, j, grid, potential, config):
-            if (lam, j) == (100.0, 1):
-                raise SolveError("injected level")
             if (lam, j) == (10000.0, 2):
                 config = replace(config, max_iters=1)
             return solve(lam, j, grid, potential, config)
         return wrapped
 
-    def auxiliary(solve):
+    def saddle(solve):
         def wrapped(lam, *args):
-            if lam == 10000.0:
-                raise SolveError("injected sweep")
             record = solve(lam, *args)
             record.morse_index += 1
             return record
         return wrapped
 
-    _inject(monkeypatch, "solve_single_well", single)
-    _inject(monkeypatch, "solve_neumann_well", neumann)
-    monkeypatch.setattr(solver, "solve_auxiliary", auxiliary(solver.solve_auxiliary))
+    _inject(monkeypatch, "solve_single_well",
+            _breaking(monkeypatch, lambda geometry, j, *args: j == 2,
+                      _LocalWell, "nehari_project", "injected ground state"))
+    _inject(monkeypatch, "solve_neumann_well", capped)
+    _inject(monkeypatch, "solve_neumann_well",
+            _breaking(monkeypatch, lambda lam, j, *args: (lam, j) == (100.0, 1),
+                      _LocalWell, "nehari_project", "injected level"))
+    broken_sweep = _breaking(monkeypatch, lambda lam, *args: lam == 10000.0,
+                             PenalizedFunctional, "evaluate", "injected sweep")
+    monkeypatch.setattr(solver, "solve_auxiliary",
+                        saddle(broken_sweep(solver.solve_auxiliary)))
     out = tmp_path / "failures"
     assert run(parse_config_text(TINY), out_dir=str(out)) == 1
     failures = capsys.readouterr().err.splitlines()
@@ -1406,7 +1444,8 @@ def test_report_lists_the_failure_lines_of_run(tmp_path, capsys, monkeypatch):
     ]
     assert _reported_failures(out, capsys) == failures
 
-    # every attempt has one solves.csv row; a raised one took no Newton step
+    # every attempt has one solves.csv row; one that broke down at its start
+    # took no Newton step
     solves = _table(out / "solves.csv")
     assert [(r["kind"], r["lambda"], r["gamma"]) for r in solves] == [
         ("ground_state", "nan", "1"), ("ground_state", "nan", "2"),
@@ -1418,9 +1457,14 @@ def test_report_lists_the_failure_lines_of_run(tmp_path, capsys, monkeypatch):
         assert (row["iterations"], row["inner_iterations"], row["morse_index"]) == (
             "0", "0", "nan")
         assert not _history(out, row["kind"], row["lambda"], row["gamma"])
-    # the raised sweep solve drops its selection's rows, fields and limit.csv
-    assert (out / "energies.csv").read_text().splitlines()[1:] == []
-    assert list((out / "gamma_1").iterdir()) == []
+    # the sweep solve that broke down keeps its row, and its field is its
+    # start, the field of the lambda before
+    rows, _ = rows_from_csv((out / "energies.csv").read_text())
+    assert [(r.lam, r.converged) for r in rows] == [(100.0, True), (10000.0, False)]
+    assert sorted(p.name for p in (out / "gamma_1").iterdir()) == [
+        "field_lambda_100.npy", "field_lambda_10000.npy", "limit.csv"]
+    assert np.array_equal(*(np.load(out / "gamma_1" / f"field_lambda_{lam}.npy")
+                            for lam in (100, 10000)))
 
 
 def test_a_steep_potential_runs_without_warning(tmp_path, capsys):

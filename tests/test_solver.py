@@ -673,6 +673,17 @@ def test_neumann_level_below_dirichlet(ref, ref_wells):
     assert rec.energy <= ref_wells[0].energy + 1e-6
 
 
+def test_neumann_well_too_coarse_is_invalid_input():
+    # the closed enlargement holds one node of a grid that validation refuses
+    geometry = WellGeometry(dim=1, wells=(Box((0.0,), (0.5,)),),
+                            enlargements=(Box((0.0,), (1.0,)),))
+    grid = Grid(dim=1, r=12.0, n=5)
+    with pytest.raises(ValueError, match="^enlarged well 1 too coarse for a Neumann solve$"):
+        solve_neumann_well(1e2, 1, grid, PotentialSpec(geometry), SolverConfig())
+    with pytest.raises(ValueError):
+        validate_geometry_on_grid(geometry, grid)
+
+
 @pytest.mark.parametrize("lam", [1e7, 3e7])
 def test_neumann_scale_out_of_float_range_raises(ref, lam):
     # a Gausson over the whole enlargement, not confined to the well: its
@@ -1609,7 +1620,7 @@ def test_cg_rejects_non_finite_rhs():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_auxiliary_non_finite_init_raises_at_once(dim):
+def test_auxiliary_non_finite_init_stops_at_once(dim):
     offset = (0.0,) * (dim - 1)
     wells = (Box((-3.0,) + offset, (2.0,) * dim), Box((3.0,) + offset, (2.0,) * dim))
     geometry = WellGeometry(
@@ -1621,9 +1632,12 @@ def test_auxiliary_non_finite_init_raises_at_once(dim):
     grid = Grid(dim=dim, r=7.0, n=63)
     values = np.ones(grid.interior_shape)
     values[(grid.n // 3,) * dim] = math.nan
-    with pytest.raises(SolveError, match="non-finite"):
-        solve_auxiliary(1e4, (1, 2), Field(grid, values), grid, potential,
-                        make_params(), SolverConfig())
+    rec = solve_auxiliary(1e4, (1, 2), Field(grid, values), grid, potential,
+                          make_params(), SolverConfig())
+    assert (rec.stop, rec.iterations, rec.residuals, rec.energies) == (
+        "non-finite", 0, [], [])
+    assert math.isnan(rec.morse_index) and rec.inner_iterations == 0
+    assert np.array_equal(rec.field.values, values, equal_nan=True)
 
 
 def test_one_d_solve_imports_no_scipy():

@@ -1,5 +1,6 @@
-"""The package holds no function or class that only the tests call, and
-its modules keep their private names to themselves.
+"""The package holds no function or class that only the tests call, its
+modules keep their private names to themselves, and only the solver
+catches `SolveError`.
 
 A top-level function, class or method of `src/logbump` must be referenced
 somewhere else in the package, by the benchmark tracer's `TARGETS` or by
@@ -98,3 +99,19 @@ def test_no_module_imports_a_private_name_of_another():
     assert sorted(imported - set(SHARED_PRIVATE)) == []
     # an entry no module imports any more is stale
     assert sorted(set(SHARED_PRIVATE) - imported) == []
+
+
+def test_only_the_solver_catches_solve_errors():
+    # `solver._newton` turns a solve's SolveError into its stop, so every
+    # solve returns a record and no caller handles the error
+    handlers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any("SolveError" in (getattr(c, "id", None), getattr(c, "attr", None))
+                   for c in caught):
+                handlers.append((path.name, node.lineno))
+    assert [h for h in handlers if h[0] != "solver.py"] == []
+    assert handlers, "the solver's own handlers are not found"
