@@ -2,18 +2,19 @@
 
 Every solve is Newton's method on a symmetric Jacobian, with negative
 values clipped after every step (the discrete counterpart of testing with
-the negative part), and the Jacobian's negative eigenvalues counted as its
-Morse index.  One driver, `_newton`, runs the iteration of every solve,
-keeps its histories and ends it with a named stop reason, recorded on a
-`NewtonRecord`; each problem supplies only its evaluation, with the
-Jacobian's diagonal, its stencil couplings, its collapse test and its 2D
-Morse count.  One linear step, `_linear_step`, solves every Newton system
-from that diagonal and those couplings: in 1D by one tridiagonal LDL^T
-pass, whose negative pivots count the Morse index; in 2D, where a
-whole-box factor would hold (n - 2)^3 doubles, by an inexact Newton step,
-diagonally preconditioned MINRES on the Jacobian applied free of storage,
-stopped at a forcing term tied to the outer residual.  A `SolveError`
-ends the solve as a breakdown instead of escaping it.
+the negative part), and the negative eigenvalues of the Jacobian at the
+returned field counted as its Morse index.  One driver, `_newton`, runs
+the iteration of every solve, keeps its histories, ends it with a named
+stop reason and counts its Morse index once, recorded on a `NewtonRecord`;
+each problem supplies only its evaluation, with the Jacobian's diagonal,
+its stencil couplings, its collapse test and its inertia count.  One
+linear step, `_linear_step`, solves every Newton system from that
+diagonal and those couplings and returns only the step: in 1D by one
+tridiagonal LDL^T pass; in 2D, where a whole-box factor would hold
+(n - 2)^3 doubles, by an inexact Newton step, diagonally preconditioned
+MINRES on the Jacobian applied free of storage, stopped at a forcing term
+tied to the outer residual.  A `SolveError` ends the solve as a breakdown
+instead of escaping it.
 
 The local well problems run on a box of grid nodes, each with one
 operator W(B + lambda V) built once as a diagonal and stencil couplings:
@@ -23,13 +24,13 @@ edge weight is all that is left of its mirror ghost.  The residual, the
 energy, the Nehari scale and every Newton step apply that one pair.  The
 ground states are mountain-pass points, Morse index 1.  Each Newton
 iterate is rescaled onto the Nehari manifold in closed form, which keeps
-the iteration off u = 0.  In 2D one block LDL^T inertia count of the
-local box per solve gives the Morse index.
+the iteration off u = 0.  One LDL^T inertia count of the local box per
+solve gives the Morse index: tridiagonal in 1D, block tridiagonal in 2D.
 
 The penalized problem on the whole box has saddle solutions, solved by
-Newton's method with the same clip.  In 2D its Morse index is certified
-once per solve by an inertia enclosure that factors only the enlarged
-wells' node boxes.
+Newton's method with the same clip.  Its Morse index is the tridiagonal
+count in 1D; in 2D it is certified by an inertia enclosure that factors
+only the enlarged wells' node boxes.
 
 Everything here is deterministic: fixed iteration order, fixed summation
 order, no randomness, so identical inputs give bit-identical outputs.
@@ -90,17 +91,18 @@ class NewtonRecord:
     a row), "breakdown" (`SolveError` from a step's linear solve, as at an
     LDL^T pivot near zero, or from the problem's evaluation) or
     "non-finite" (the residual of the start or of a step's iterate was not
-    finite).  morse_index counts the negative eigenvalues of the last
-    successful Newton step's Jacobian: the negative pivots of its LDL^T in
-    1D; in 2D the problem's count at that Jacobian's diagonal, the
-    Schur-block inertia of a ground state's local box or for the penalized
-    problem a certified inertia enclosure, nan when a Schur block is near
-    singular or the enclosure's bounds disagree; nan when no step
-    succeeded.  stop_detail keeps the `SolveError` message of a breakdown
-    and is empty otherwise.  inner_iterations sums the MINRES iterations of
-    the steps whose linear solve returned, 0 in 1D.  energy is the energy
-    history's last entry, a level c_j or c_{lambda,j}, nan when it is empty.
-    A solve stopped at its start has 0 iterations.
+    finite).  morse_index counts the negative eigenvalues of the Jacobian
+    at the returned field (on a collapse, at the last evaluated iterate),
+    by the problem's inertia count: the LDL^T pivots of a 1D Jacobian, the
+    Schur-block inertia of a 2D ground state's local box, a certified
+    inertia enclosure for the 2D penalized problem.  It is nan when no
+    step returned, when the count raises `SolveError` (a pivot or Schur
+    block near singular) and when the enclosure's bounds disagree.
+    stop_detail keeps the `SolveError` message of a breakdown and is empty
+    otherwise.  inner_iterations sums the MINRES iterations of the steps
+    whose linear solve returned, 0 in 1D.  energy is the energy history's
+    last entry, a level c_j or c_{lambda,j}, nan when it is empty.  A solve
+    stopped at its start has 0 iterations.
     """
 
     iterations: int
@@ -281,28 +283,36 @@ def minres(apply_a, b, minv, tol, max_iters):
 
 
 class TridiagonalLDL:
-    """LDL^T solve of a symmetric, possibly indefinite tridiagonal matrix.
+    """LDL^T of a symmetric, possibly indefinite tridiagonal matrix: a solve,
+    and a count-only pass for its inertia.
 
     `diag` holds the n diagonal entries and `off` the n - 1 entries coupling
     node i to node i + 1.  The recurrences run over plain Python floats,
-    which at 1D grid sizes beats the per-call overhead of numpy.  Only a
-    pivot within PIVOT_RTOL of the largest diagonal entry raises, and the
-    negative pivots count, by Sylvester's law of inertia, the negative
-    eigenvalues.
+    which at 1D grid sizes beats the per-call overhead of numpy.  Both
+    raise `SolveError` on a pivot within PIVOT_RTOL of the largest diagonal
+    entry, and the negative pivots count, by Sylvester's law of inertia,
+    the negative eigenvalues.  The count is its own pass, since a solve
+    with a zero right-hand side costs about three times as much.
     """
 
     PIVOT_RTOL = 1e-12
 
     @staticmethod
-    def solve_once(diag, off, rhs) -> tuple[np.ndarray, int]:
-        """(x, negative pivots) for diag, off and rhs: the forward
-        substitution of rhs runs inside the factor loop."""
+    def _entries(diag, off) -> tuple[list, list, float]:
+        """diag and off as lists of floats, and the pivot floor, PIVOT_RTOL
+        times the largest diagonal entry in size."""
         diag = np.asarray(diag, dtype=float).tolist()
         off = np.asarray(off, dtype=float).tolist()
         if len(off) != len(diag) - 1:
             raise ValueError("off must have one entry fewer than diag")
+        return diag, off, TridiagonalLDL.PIVOT_RTOL * max(map(abs, diag))
+
+    @staticmethod
+    def solve_once(diag, off, rhs) -> np.ndarray:
+        """x for diag, off and rhs: the forward substitution of rhs runs
+        inside the factor loop."""
+        diag, off, floor = TridiagonalLDL._entries(diag, off)
         vals = _finite(rhs).tolist()
-        floor = TridiagonalLDL.PIVOT_RTOL * max(map(abs, diag))
         pivots, mults, fwd = [diag[0]], [], [vals[0]]
         try:
             for a, b, r in zip(diag[1:], off, vals[1:]):
@@ -312,8 +322,7 @@ class TridiagonalLDL:
                 fwd.append(r - m * fwd[-1])
         except ZeroDivisionError:
             pass  # the zero pivot ends the list and fails the check below
-        piv = np.array(pivots)
-        if not np.all(np.abs(piv) > floor):
+        if not np.all(np.abs(pivots) > floor):
             raise SolveError("LDL^T breakdown: pivot near zero")
         x = fwd[-1] / pivots[-1]
         out = [x]
@@ -321,7 +330,23 @@ class TridiagonalLDL:
             x = z / pivot - m * x
             out.append(x)
         out.reverse()
-        return np.array(out), int(np.count_nonzero(piv < 0.0))
+        return np.array(out)
+
+    @staticmethod
+    def negative_eigenvalues(diag, off) -> int:
+        """Negative eigenvalues of the matrix: the negative pivots of the
+        factor of `solve_once`, with its breakdown, in one pass that keeps
+        no pivot."""
+        diag, off, floor = TridiagonalLDL._entries(diag, off)
+        negative, pivot = 0, 1.0
+        # a zero coupling ahead of node 0 makes its pivot diag[0]
+        for a, b in zip(diag, [0.0] + off):
+            pivot = a - b / pivot * b
+            if pivot < 0.0:
+                negative += 1
+            if not abs(pivot) > floor:
+                raise SolveError("LDL^T breakdown: pivot near zero")
+        return negative
 
 
 class BlockTridiagonalLDL:
@@ -391,20 +416,18 @@ ETA_MAX = 1e-3
 
 
 def _linear_step(off) -> Callable:
-    """step(u, b, d, rel) -> (du, Morse index): solves J du = -b for J with
-    diagonal d and stencil couplings off (see `_five_point_apply`); rel is
-    the outer relative residual at u.
+    """step(u, b, d, rel) -> du: solves J du = -b for J with diagonal d and
+    stencil couplings off (see `_five_point_apply`); rel is the outer
+    relative residual at u.  The Morse index is `_newton`'s to count.
 
-    In 1D one LDL^T pass solves J and counts its negative pivots, the Morse
-    index.  In 2D the step is an inexact Newton step (Dembo, Eisenstat &
-    Steihaug 1982): MINRES on J applied free of storage, preconditioned
-    with 1 / |d|, stops at the forcing term eta = min(ETA_MAX, rel), so
-    steps far from the solution are cheap and the last ones are solved to
-    the outer residual's own size (Eisenstat & Walker 1996).  Its cap is
-    the unknown count, MINRES's own bound in exact arithmetic.  Its Morse
-    index is nan, left to `_newton`'s one count per solve, and
-    step.inner_iterations sums the MINRES iterations of the steps that
-    returned.
+    In 1D one LDL^T pass solves J.  In 2D the step is an inexact Newton
+    step (Dembo, Eisenstat & Steihaug 1982): MINRES on J applied free of
+    storage, preconditioned with 1 / |d|, stops at the forcing term
+    eta = min(ETA_MAX, rel), so steps far from the solution are cheap and
+    the last ones are solved to the outer residual's own size (Eisenstat &
+    Walker 1996).  Its cap is the unknown count, MINRES's own bound in
+    exact arithmetic, and step.inner_iterations sums the MINRES iterations
+    of the steps that returned.
     """
     if len(off) == 2:
         return _MinresStep(off)
@@ -430,7 +453,7 @@ class _MinresStep:
         du, its = minres(partial(self.apply, diag=d), -b, 1.0 / np.abs(d),
                          min(ETA_MAX, rel), d.size)
         self.inner_iterations += its
-        return du, math.nan
+        return du
 
 
 def _five_point_apply(d: np.ndarray, off) -> Callable:
@@ -494,8 +517,8 @@ def _morse_enclosure(d: np.ndarray, boxes, h: float) -> float:
     the sum over its O neighbours of their numbers of E neighbours.  J_EE
     is block diagonal over boxes that no stencil couples, so both bounds
     are block LDL^T inertias of single boxes.  The count is returned when
-    the bounds agree; nan when they differ, when m <= 0, when two boxes
-    are stencil-coupled or when a Schur block is near singular.
+    the bounds agree; nan when they differ, when m <= 0 or when two boxes
+    are stencil-coupled.  A Schur block near singular raises SolveError.
     """
     if any(_stencil_coupled(a, b) for a, b in itertools.combinations(boxes, 2)):
         return math.nan
@@ -519,10 +542,7 @@ def _morse_enclosure(d: np.ndarray, boxes, h: float) -> float:
             for b in (diag[box] for box in boxes)
         )
 
-    try:
-        low, high = negatives(d), negatives(d - shift)
-    except SolveError:
-        return math.nan
+    low, high = negatives(d), negatives(d - shift)
     return low if low == high else math.nan
 
 
@@ -546,7 +566,7 @@ DIVERGE_STEPS = 4
 
 
 def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
-            config: SolverConfig, morse_2d: Callable):
+            config: SolverConfig, inertia: Callable):
     """Newton's method u <- max(u + du, 0) from u, the one loop of every solve.
 
     evaluate(u) -> (u, rel, energy, b, d) gives the iterate (a problem may
@@ -559,9 +579,11 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
     raises `SolveError` (no solve lets it escape), and non-finite when the
     start's or a step's residual is not finite.
 
-    The Morse index is the step's in 1D, and in 2D morse_2d(d) at the last
-    successful step's diagonal, nan when that raises `SolveError`; the
-    record's inner_iterations is the step's MINRES tally.  Returns
+    The Morse index is inertia(d), the problem's count of J's negative
+    eigenvalues from its diagonal d, taken once, at the last evaluated
+    iterate: the returned one on every stop but a collapse.  It is nan
+    when no step returned or inertia raises `SolveError`.  The record's
+    inner_iterations is the step's MINRES tally.  Returns
     (u, NewtonRecord): u is the collapsed iterate on a collapse, else the
     last iterate with a finite residual, or the start when there is none.
     """
@@ -569,8 +591,7 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
     residuals: list[float] = []
     energies: list[float] = []
     detail = ""
-    morse = math.nan
-    solved = None
+    du = None
     growth = 0
     it = 0
     try:
@@ -579,8 +600,7 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
         steps = config.max_iters if math.isfinite(rel) else 0
         stop_reason = "iteration cap" if steps else "non-finite"
         for it in range(1, steps + 1):
-            du, morse = step(u, b, d, rel)
-            solved = d
+            du = step(u, b, d, rel)
             nxt = np.maximum(u + du, 0.0)
             if collapsed(nxt):
                 u = nxt
@@ -602,13 +622,12 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
                 break
     except SolveError as exc:
         stop_reason, detail = "breakdown", str(exc)
-    if len(off) == 2 and solved is not None:
-        try:
-            morse = morse_2d(solved)
-        except SolveError:
-            morse = math.nan
-    return u, NewtonRecord(it, residuals, energies, stop_reason, morse, detail,
-                           step.inner_iterations)
+    try:
+        morse = math.nan if du is None else inertia(d)
+    except SolveError:
+        morse = math.nan
+    return u, NewtonRecord(it, residuals, energies, stop_reason, morse_index=morse,
+                           stop_detail=detail, inner_iterations=step.inner_iterations)
 
 
 def _relative_residual(u: np.ndarray, res: np.ndarray) -> float:
@@ -638,11 +657,11 @@ def solve_auxiliary(
 
     Multi-bump states are saddle points: the energy tends to minus infinity
     along each bump's amplitude.  Newton's method converges to them
-    directly, and the negative eigenvalues of its last Jacobian give the
-    Morse index, which is |gamma| on an l-bump saddle of the minimax over
-    [1/T^2, 1]^l.  Each step is `_linear_step` on the Jacobian
-    -lap + diag(jd), with the constant couplings -1/h^2; in 2D the Morse
-    index comes from `_morse_enclosure` at the last step's Jacobian.  One
+    directly, and the negative eigenvalues of the Jacobian at the returned
+    field give the Morse index, which is |gamma| on an l-bump saddle of the
+    minimax over [1/T^2, 1]^l.  Each step is `_linear_step` on the Jacobian
+    -lap + diag(jd), with the constant couplings -1/h^2.  The Morse index
+    is its LDL^T count in 1D and `_morse_enclosure` in 2D.  One
     `PenalizedFunctional.evaluate` per iterate gives the stop test's
     residual, the energy history's entry and the next step's Jacobian
     diagonal.  The record's report takes its total from the last
@@ -670,14 +689,16 @@ def solve_auxiliary(
             hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
         )
 
-    def morse_2d(d):
+    def inertia(d):
+        if grid.dim == 1:
+            return TridiagonalLDL.negative_eigenvalues(d, *off)
         boxes = [
             tuple(slice(s.start - 1, s.stop - 1) for s in box_nodes(e, grid, False))
             for e in potential.geometry.enlargements
         ]
         return _morse_enclosure(d, boxes, grid.h)
 
-    u, run = _newton(evaluate, off, collapsed, init.values.copy(), config, morse_2d)
+    u, run = _newton(evaluate, off, collapsed, init.values.copy(), config, inertia)
     out = Field(grid, u)
     evaluated = bool(run.energies) and run.stop_reason != "collapse"
     report = fun.report(out, run.energy if evaluated else None)
@@ -838,12 +859,13 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
     res = (B + lambda V) u - u log u^2, with log u^2 taken at |u| floored
     at U_FLOOR: the problem's diagonal shifted, with its couplings.  Each
     clipped iterate is rescaled onto the Nehari manifold.  The Morse index,
-    1 at a ground state, is the step's pivot count in 1D; in 2D the block
-    LDL^T inertia of the last successful step's Jacobian, nan when a Schur
-    block is near singular.  The weighted relative residual comes from the
-    iterate's one operator apply.  The iterate is on the Nehari manifold,
-    where <(B + lambda V) u, u>_w = int_w u^2 log u^2, so its energy is
-    half its mass.  A collapse means that the clip left no mass.
+    1 at a ground state, is the LDL^T inertia of the Jacobian at the
+    returned iterate, tridiagonal in 1D and block tridiagonal in 2D, nan
+    when a pivot or Schur block is near singular.  The weighted relative
+    residual comes from the iterate's one operator apply.  The iterate is
+    on the Nehari manifold, where <(B + lambda V) u, u>_w = int_w u^2 log u^2,
+    so its energy is half its mass.  A collapse means that the clip left no
+    mass.
     """
     def evaluate(u):
         u, au = prob.nehari_project(u)
@@ -853,8 +875,9 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
         d = prob.diag - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
         return u, rel, 0.5 * mass, prob.w * res, d
 
+    ldl = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
     return _newton(evaluate, prob.off, lambda u: prob.integral(u * u) <= 0.0, u, config,
-                   lambda d: BlockTridiagonalLDL.negative_eigenvalues(d, *prob.off))
+                   lambda d: ldl.negative_eigenvalues(d, *prob.off))
 
 
 def solve_single_well(

@@ -124,6 +124,11 @@ def _tail_ratios(values: list[float]) -> list[float]:
     return [b / a if a > 0 else math.inf for a, b in zip(vals, vals[1:])]
 
 
+def _if_converged(row: SweepRow, value: float) -> float:
+    """value, or nan when the row's solve did not converge."""
+    return value if row.converged else math.nan
+
+
 def compute_verdicts(
     rows: list[SweepRow],
     k: int,
@@ -134,9 +139,11 @@ def compute_verdicts(
     `selections` lists the well selections the run asked for (default: the
     ones present in the rows).  One with no rows (its solves failed or were
     skipped) fails convergence.  The multiplicity verdict is given when
-    they are all 2^k - 1 of them, and fails if any has no rows.  Every
-    other verdict judges a margin per row or per selection (`_judge`); the
-    trend judges the selections with at least two lambdas.
+    they are all 2^k - 1 of them, and fails if any has no rows; it counts
+    the occupation masks of the selections whose top row converged.  Every
+    other verdict judges a margin per row or per selection (`_judge`),
+    nan from a row whose solve did not converge, so such a row fails it;
+    the trend judges the selections with at least two lambdas.
     """
     groups = _groups(rows)
     top_rows = [grp[-1] for grp in groups.values()]
@@ -149,7 +156,7 @@ def compute_verdicts(
     detail = "all solves converged" if solved else "flagged solves present"
     verdicts = [Verdict("convergence", solved and not missing, 0.0, detail + no_rows)]
 
-    positivity = _judge("positivity", [r.min_u for r in rows],
+    positivity = _judge("positivity", [_if_converged(r, r.min_u) for r in rows],
                         "min u >= 0 and every selected well carries a bump")
     occupied = all(r.occupied == r.gamma for r in top_rows)
     verdicts.append(replace(positivity, passed=positivity.passed and occupied))
@@ -157,7 +164,7 @@ def compute_verdicts(
     thresholds = {gamma: linfty_threshold(grp) for gamma, grp in groups.items()}
     verdicts.append(_judge(
         "linfty_outside",
-        [check_linfty_outside(r.sup_outside, r.a0) for r in top_rows],
+        [_if_converged(r, check_linfty_outside(r.sup_outside, r.a0)) for r in top_rows],
         "empirical lambda thresholds " + "; ".join(
             f"gamma={'+'.join(map(str, gamma))}: "
             f"{'never' if thr is None else f'{thr:g}'}"
@@ -166,6 +173,7 @@ def compute_verdicts(
     worst = [
         _extreme(max, _tail_ratios([r.lambda_v_mass for r in grp])
                  + _tail_ratios([r.outside_norm_sq for r in grp]))
+        if all(r.converged for r in grp[-TREND_TAIL:]) else math.nan
         for grp in groups.values() if len(grp) >= 2
     ]
     verdicts.append(_judge(
@@ -174,21 +182,21 @@ def compute_verdicts(
 
     verdicts.append(_judge(
         "energy_sandwich",
-        [check_sandwich(sum(r.c_lambda[j - 1] for j in r.gamma),
-                        r.b_upper, r.c_gamma) for r in top_rows],
+        [_if_converged(r, check_sandwich(sum(r.c_lambda[j - 1] for j in r.gamma),
+                                         r.b_upper, r.c_gamma)) for r in top_rows],
         f"allowance {SANDWICH_ALLOWANCE:.0%} of the well-sum level"))
 
-    gaps = [abs(r.phi_total - r.c_gamma) / r.c_gamma for r in top_rows]
+    gaps = [_if_converged(r, abs(r.phi_total - r.c_gamma) / r.c_gamma) for r in top_rows]
     verdicts.append(_judge(
         "limit_energy_gap", [GAP_TOL - gap for gap in gaps],
         f"worst relative gap {_extreme(max, gaps):.3e} at the largest lambda"))
 
     verdicts.append(_judge(
-        "bump_fidelity", [r.mass_frac - FIDELITY for r in top_rows],
+        "bump_fidelity", [_if_converged(r, r.mass_frac - FIDELITY) for r in top_rows],
         f"required mass fraction {FIDELITY:.0%} in the enlargements"))
 
     if len(wanted) == 2**k - 1:
-        masks_seen = {r.occupied for r in top_rows}
+        masks_seen = {r.occupied for r in top_rows if r.converged}
         mult_ok = len(masks_seen) == 2**k - 1 and occupied
         detail = (f"{len(masks_seen)} distinct occupation masks of {2**k - 1} "
                   f"expected{no_rows}")

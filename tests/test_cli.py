@@ -50,7 +50,7 @@ from logbump.solver import (
     solve_single_well,
 )
 from logbump.verify import LimitRow, SweepRow, check_limit_problem
-from oracles import load_field, multi_bump_init
+from oracles import load_field, multi_bump_init, whole_box_negative_eigenvalues
 
 MINIMAL = """
 R = 12.0
@@ -1021,6 +1021,29 @@ def test_missing_selection_fails_multiplicity(tmp_path, monkeypatch):
             "occupation masks of 3 expected; no rows for gamma 1+2, 2") in verdicts
 
 
+def test_unconverged_rows_fail_the_row_verdicts(tmp_path, monkeypatch):
+    # every gamma = 2 sweep solve breaks down at its start, so its rows
+    # carry its start field, well 2's ground state, unconverged: they judge
+    # only nan margins, and their occupation mask is not counted
+    import logbump.solver as solver
+
+    broken_sweep = _breaking(monkeypatch, lambda lam, gamma, *args: tuple(gamma) == (2,),
+                             PenalizedFunctional, "evaluate", "injected sweep")
+    monkeypatch.setattr(solver, "solve_auxiliary", broken_sweep(solver.solve_auxiliary))
+    out = tmp_path / "unconverged"
+    assert run(parse_config_text(TINY + "gamma = all\n"), out_dir=str(out)) == 1
+    rows, _ = rows_from_csv((out / "energies.csv").read_text())
+    assert [(r.lam, r.converged) for r in rows if r.gamma == (2,)] == [
+        (100.0, False), (10000.0, False)]
+    verdicts = (out / "verdicts.txt").read_text()
+    assert ("criterion=multiplicity status=FAIL margin=-1.0 detail=2 distinct "
+            "occupation masks of 3 expected") in verdicts
+    judged = {ln.split()[0]: ln.split()[1:3] for ln in verdicts.splitlines()}
+    for name in ("positivity", "linfty_outside", "localization_trend", "energy_sandwich",
+                 "limit_energy_gap", "bump_fidelity"):
+        assert judged[f"criterion={name}"] == ["status=FAIL", "margin=nan"], name
+
+
 def test_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
     import logbump.cli as cli
 
@@ -1128,7 +1151,8 @@ lambdas = 100.0
 
 
 def test_uncounted_local_morse_index_is_a_failure(tmp_path, capsys, monkeypatch):
-    # the 2D local solves converge, but their final inertia count breaks down
+    # the 2D solves converge, but their final inertia count breaks down: the
+    # local boxes' and the sweep enclosure's
     def singular(*args):
         raise SolveError("block LDL^T breakdown: Schur block near singular")
 
@@ -1140,7 +1164,83 @@ def test_uncounted_local_morse_index_is_a_failure(tmp_path, capsys, monkeypatch)
     assert "FAILURE: well 1 ground state has Morse index n/a, expected 1" in err
     assert ("FAILURE: enlarged well 1 level at lambda=100 has Morse index n/a, "
             "expected 1") in err
+    assert "FAILURE: gamma 1 sweep at lambda=100 has Morse index n/a, expected 1" in err
     assert "did not converge" not in err
+
+
+def test_uncounted_one_d_morse_index_is_a_failure(tmp_path, capsys, monkeypatch):
+    # the 1D solves converge, but the count-only LDL^T pass at each returned
+    # field breaks down; the steps' own solves are untouched
+    def singular(*args):
+        raise SolveError("LDL^T breakdown: pivot near zero")
+
+    monkeypatch.setattr(TridiagonalLDL, "negative_eigenvalues", staticmethod(singular))
+    out = tmp_path / "tiny"
+    assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
+    failures = capsys.readouterr().err.splitlines()
+    assert len(failures) == len(_table(out / "solves.csv")) == 5
+    assert all(ln.endswith("has Morse index n/a, expected 1") for ln in failures)
+    assert all(r["stop"] == "converged" for r in _table(out / "solves.csv"))
+
+
+WIDE_WELL_1D = """
+R = 8.379
+n = 201
+well.1.center = 0.0
+well.1.half = 5.17
+well.1.enlarged_half = 6.0
+gamma = 1
+lambdas = 100.0, 10000.0
+"""
+
+
+def test_wide_well_ground_state_is_counted_at_its_field(tmp_path, capsys):
+    # the ground state converges in one Newton step from the Gausson, and
+    # its Jacobian's second eigenvalue is about +1e-6 (a near-translation
+    # mode of the wide well): counted at the start's Jacobian it read 2
+    out = tmp_path / "wide"
+    run(parse_config_text(WIDE_WELL_1D), out_dir=str(out))
+    assert "FAILURE:" not in capsys.readouterr().err
+    row = _solve(out, "ground_state", "nan", "1")
+    assert (row["stop"], row["iterations"], row["morse_index"]) == ("converged", "1", "1.0")
+
+
+# A seeded corpus draw (tests/test_corpus.py): one 2D well.  Its gamma 1
+# sweep solves at lambda = 100 and 1e5 converge to fields whose own
+# Jacobian has 1 negative eigenvalue, where that of the iterate before
+# had 2.
+ONE_WELL_2D = """
+dim = 2
+R = 7.296597988884961
+n = 61
+well.1.center = 0.0, 0.7445056171685913
+well.1.half = 4.451811367801454, 4.451811367801454
+well.1.enlarged_half = 5.655906339747616, 5.655906339747616
+gamma = all
+lambdas = 10.0, 100.0, 100000.0
+cap = 1.0107571743564985
+potential_power = 1.0
+delta = 0.0730700130158933
+l = 0.5177442903992596
+max_iters = 3
+"""
+
+
+def test_two_d_sweep_morse_index_is_the_whole_box_count_at_its_field(tmp_path, capsys):
+    config = parse_config_text(ONE_WELL_2D)
+    out = tmp_path / "one-well-2d"
+    run(config, out_dir=str(out))
+    assert "has Morse index" not in capsys.readouterr().err
+    grid = config.grid()
+    sweeps = [r for r in _table(out / "solves.csv")
+              if r["kind"] == "sweep" and r["stop"] == "converged"]
+    assert [r["lambda"] for r in sweeps] == ["10.0", "100.0", "100000.0"]
+    for row in sweeps:
+        lam = float(row["lambda"])
+        field = load_field(out / "gamma_1" / f"field_lambda_{lam:g}.npy", grid)
+        fun = PenalizedFunctional(grid, config.potential(), config.params(), (1,), lam)
+        jd = fun.evaluate(field.values)[2]
+        assert float(row["morse_index"]) == whole_box_negative_eigenvalues(jd, grid.h) == 1
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -29,7 +29,7 @@ from logbump.domain import (
     validate_geometry_on_grid,
 )
 from logbump.functional import BUMP_THRESHOLD, PenalizedFunctional
-from logbump.penalty import PenalizationParams, make_params, s_log_sq, sq_log_sq
+from logbump.penalty import U_FLOOR, PenalizationParams, make_params, s_log_sq, sq_log_sq
 from logbump.solver import (
     PATH_T,
     BlockTridiagonalLDL,
@@ -715,10 +715,11 @@ def test_tridiagonal_ldl_matches_dense_solve():
     diag, off = _random_spd_tridiagonal(rng, 50)
     a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     b = rng.standard_normal(50)
-    x, count = TridiagonalLDL.solve_once(diag, off, b)
+    x = TridiagonalLDL.solve_once(diag, off, b)
     assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-12)
-    assert count == 0
-    assert TridiagonalLDL.solve_once([4.0], [], [2.0])[0].tolist() == [0.5]
+    assert TridiagonalLDL.negative_eigenvalues(diag, off) == 0
+    assert TridiagonalLDL.solve_once([4.0], [], [2.0]).tolist() == [0.5]
+    assert TridiagonalLDL.negative_eigenvalues([-4.0], []) == 1
 
 
 def _random_symmetric_tridiagonal(rng, n):
@@ -734,22 +735,30 @@ def test_tridiagonal_ldl_indefinite_solve_and_inertia(seed):
     want = np.linalg.solve(dense, b)
     negative = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
     assert 0 < negative < 40
-    x, count = TridiagonalLDL.solve_once(diag, off, b)
+    x = TridiagonalLDL.solve_once(diag, off, b)
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-    assert count == negative
+    assert TridiagonalLDL.negative_eigenvalues(diag, off) == negative
 
 
 def test_tridiagonal_ldl_near_zero_pivot_raises():
-    # second pivot 1 - 1 = 0 exactly, then 1e-16 of the diagonal's scale
+    # second pivot 1 - 1 = 0 exactly, then 1e-16 of the diagonal's scale;
+    # the solve and the count break down alike
     for second in (1.0, 1.0 + 1e-16 * 1e4):
         with pytest.raises(SolveError, match="near zero"):
             TridiagonalLDL.solve_once([1.0, second, 1e4], [1.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(SolveError, match="near zero"):
+            TridiagonalLDL.negative_eigenvalues([1.0, second, 1e4], [1.0, 0.0])
     with pytest.raises(SolveError, match="non-finite"):
         TridiagonalLDL.solve_once([1.0, -1.0], [0.0], [math.nan, 1.0])
     # a nan diagonal entry makes a nan pivot, which no floor admits
     with pytest.raises(SolveError, match="near zero"):
         TridiagonalLDL.solve_once([1.0, math.nan, 4.0], [1.0, 1.0], [1.0, 1.0, 1.0])
-    x, count = TridiagonalLDL.solve_once([1.0, -2.0], [0.0], [1.0, 1.0])
+    with pytest.raises(SolveError, match="near zero"):
+        TridiagonalLDL.negative_eigenvalues([1.0, math.nan, 4.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="one entry fewer"):
+        TridiagonalLDL.negative_eigenvalues([1.0, 2.0], [1.0, 1.0])
+    x = TridiagonalLDL.solve_once([1.0, -2.0], [0.0], [1.0, 1.0])
+    count = TridiagonalLDL.negative_eigenvalues([1.0, -2.0], [0.0])
     assert x.tolist() == [1.0, -0.5] and count == 1 and type(count) is int
 
 
@@ -778,13 +787,20 @@ def test_local_jacobian_solve_matches_minres(ref, name):
     prob, u, b = _one_d_problems(ref)[name]
     (diag, off), apply = _local_jacobian(prob, u, name == "neumann")
     assert len(off) == 1
-    x, _ = TridiagonalLDL.solve_once(diag, *off, b)
+    x = TridiagonalLDL.solve_once(diag, *off, b)
     y, _ = minres(apply, b, 1.0 / np.abs(diag), 1e-13, 20000)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
     assert np.linalg.norm(apply(x) - b) <= 1e-12 * np.linalg.norm(b)
 
 
 # -- Newton's method for the local ground states -----------------------------------
+
+
+def _dense(apply, shape) -> np.ndarray:
+    """The matrix of a linear map on arrays of the given shape, column by
+    column."""
+    eye = np.eye(math.prod(shape))
+    return np.column_stack([apply(c.reshape(shape)).ravel() for c in eye])
 
 
 def _local_cases(ref):
@@ -818,9 +834,7 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
     prob, bump, mirror = _local_cases(ref)[case]
     u, au = prob.nehari_project(bump)
     res = au - s_log_sq(u)
-    apply = local_jacobian_apply(prob, u, mirror)
-    eye = np.eye(u.size)
-    jac = np.column_stack([apply(c.reshape(u.shape)).ravel() for c in eye])
+    jac = _dense(local_jacobian_apply(prob, u, mirror), u.shape)
     assert np.abs(jac - jac.T).max() <= 1e-12 * np.abs(jac).max()
     b = -(prob.w * res)
     calls = []
@@ -851,7 +865,11 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
     want = prob.nehari_project(np.maximum(u + du, 0.0))[0]
     assert run.iterations == 1
     assert np.linalg.norm(u_new - want) <= 1e-11 * np.linalg.norm(want)
-    assert run.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0))
+    # the Morse index is counted at the returned iterate's Jacobian, whose
+    # log u^2 is taken at u floored at U_FLOOR
+    jac_new = _dense(local_jacobian_apply(prob, np.maximum(u_new, U_FLOOR), mirror),
+                     u.shape)
+    assert run.morse_index == int(np.sum(np.linalg.eigvalsh(jac_new) < 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -914,6 +932,31 @@ def test_local_levels_are_the_nehari_identity(ref, monkeypatch):
         assert abs(level - energy) <= 1e-12 * energy
 
 
+def test_converged_local_morse_index_is_the_dense_count(ref, monkeypatch):
+    # a converged local solve's index is the negative eigenvalue count of
+    # the assembled Jacobian at the field it returns
+    newton = solver_module._ground_state_newton
+    solved = []
+
+    def keep(prob, u, config):
+        u, run = newton(prob, u, config)
+        solved.append((prob, u, run))
+        return u, run
+
+    monkeypatch.setattr(solver_module, "_ground_state_newton", keep)
+    mirrors = []
+    for j in (1, 2):
+        solve_single_well(ref.geometry, j, ref.grid, ref.solver)
+        mirrors.append(False)
+        for lam in ref.config.lambdas:
+            solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver)
+            mirrors.append(True)
+    for (prob, u, run), mirror in zip(solved, mirrors, strict=True):
+        jac = _dense(local_jacobian_apply(prob, np.maximum(u, U_FLOOR), mirror), u.shape)
+        assert run.converged
+        assert run.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0)) == 1
+
+
 def test_local_solves_rerun_bit_identical(ref, ref_wells, ref_levels):
     for j in (1, 2):
         again = solve_single_well(ref.geometry, j, ref.grid, ref.solver)
@@ -927,7 +970,7 @@ def test_local_solves_rerun_bit_identical(ref, ref_wells, ref_levels):
 def test_local_newton_collapse(ref, monkeypatch):
     # a step that overshoots below zero everywhere leaves the clip no mass
     def overshoot(diag, off, rhs):
-        return np.full(len(diag), -1e3), 0
+        return np.full(len(diag), -1e3)
 
     monkeypatch.setattr(TridiagonalLDL, "solve_once", staticmethod(overshoot))
     rec = solve_single_well(ref.geometry, 1, ref.grid, ref.solver)
@@ -945,13 +988,18 @@ def test_local_newton_stops_on_a_growing_residual(ref, monkeypatch):
 
     def zigzag(diag, off, rhs):
         amplitude[0] *= 4.0
-        return amplitude[0] * (-1.0) ** np.arange(len(diag)), 3
+        return amplitude[0] * (-1.0) ** np.arange(len(diag))
 
     monkeypatch.setattr(TridiagonalLDL, "solve_once", staticmethod(zigzag))
     rec = solve_single_well(ref.geometry, 1, ref.grid, ref.solver)
     assert rec.stop_reason == "diverged" and not rec.converged
     assert rec.iterations == solver_module.DIVERGE_STEPS + 1
-    assert rec.morse_index == 3
+    # the Morse index is counted at the returned field's Jacobian, whose
+    # log u^2 is taken at u floored at U_FLOOR
+    prob = _LocalWell.dirichlet(ref.geometry.wells[0], ref.grid)
+    u = rec.field.values[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)]
+    jac = _dense(local_jacobian_apply(prob, np.maximum(u, U_FLOOR), False), u.shape)
+    assert rec.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0))
 
 
 def test_one_d_solves_never_call_cg(ref, ref_wells, monkeypatch):
@@ -990,22 +1038,30 @@ def _toy_singular(u, b, d, rel):
 
 
 @pytest.mark.parametrize("stop, step, max_iters, iterations, u_end", [
-    ("converged", lambda u, b, d, rel: (-b / d, 1), 40, 4, 2.0),
-    ("iteration cap", lambda u, b, d, rel: (-b / d, 1), 2, 2, None),
-    ("collapse", lambda u, b, d, rel: (-2.0 * u, 1), 40, 1, 0.0),
-    ("diverged", lambda u, b, d, rel: (u, 1), 40, solver_module.DIVERGE_STEPS + 1,
-     None),
+    ("converged", lambda u, b, d, rel: -b / d, 40, 4, 2.0),
+    ("iteration cap", lambda u, b, d, rel: -b / d, 2, 2, None),
+    ("collapse", lambda u, b, d, rel: -2.0 * u, 40, 1, 0.0),
+    ("diverged", lambda u, b, d, rel: u, 40, solver_module.DIVERGE_STEPS + 1, None),
     ("breakdown", _toy_singular, 40, 1, 3.0),
-    ("non-finite", lambda u, b, d, rel: (np.full_like(u, math.inf), 1), 40, 1, 3.0),
+    ("non-finite", lambda u, b, d, rel: np.full_like(u, math.inf), 40, 1, 3.0),
 ])
 def test_newton_driver_names_every_stop(stop, step, max_iters, iterations, u_end,
                                         monkeypatch):
     # a breakdown or a non-finite step keeps the last iterate with a finite
-    # residual, here the start; a collapse returns the clipped iterate
+    # residual, here the start; a collapse returns the clipped iterate.  The
+    # Morse index is counted once, at the Jacobian diagonal 2u of the
+    # returned field, or on a collapse of the last evaluated iterate, the
+    # start; nan with no count when no step returned
     monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(step))
+    seen = []
+
+    def count(d):
+        seen.append(d.copy())
+        return 1
+
     u, rec = solver_module._newton(
         _toy_evaluate, (None,), lambda u: u[0] <= 0.0, np.array([3.0]),
-        SolverConfig(max_iters=max_iters), None)
+        SolverConfig(max_iters=max_iters), count)
     assert rec.stop_reason == stop and rec.converged == (stop == "converged")
     assert rec.iterations == iterations
     assert len(rec.residuals) == len(rec.energies)
@@ -1015,22 +1071,24 @@ def test_newton_driver_names_every_stop(stop, step, max_iters, iterations, u_end
     if iterations == 1:
         assert rec.residuals == []
     if stop == "breakdown":
-        assert math.isnan(rec.morse_index)
+        assert math.isnan(rec.morse_index) and seen == []
         assert rec.stop_detail == "LDL^T breakdown: pivot near zero"
     else:
         assert rec.morse_index == 1 and rec.stop_detail == ""
+        assert seen == [2.0 * (np.array([3.0]) if stop == "collapse" else u)]
 
 
-def test_newton_driver_counts_the_2d_morse_index_at_the_last_step(monkeypatch):
-    # two couplings make a 2D step, whose own count is nan: the problem's
-    # counter sees the diagonal of the last step that returned, and its
-    # SolveError leaves the index open; the step's MINRES tally is kept
+@pytest.mark.parametrize("off", [(None,), (None, None)], ids=["1d", "2d"])
+def test_newton_driver_counts_the_morse_index_at_the_returned_field(off, monkeypatch):
+    # in 1D as in 2D the problem's count sees, once, the Jacobian diagonal
+    # of the returned field, which no step has solved with; its SolveError
+    # leaves the index open, and the step's MINRES tally is kept
     diagonals = []
 
     def step(u, b, d, rel):
         diagonals.append(d)
         step.inner_iterations += 2
-        return -b / d, math.nan
+        return -b / d
 
     monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(step))
     seen = []
@@ -1042,19 +1100,38 @@ def test_newton_driver_counts_the_2d_morse_index_at_the_last_step(monkeypatch):
     def singular(d):
         raise SolveError("block LDL^T breakdown: Schur block near singular")
 
-    u, rec = solver_module._newton(_toy_evaluate, (None, None), lambda u: False,
-                                   np.array([[3.0]]), SolverConfig(), count)
+    start = np.full((1,) * len(off), 3.0)
+    u, rec = solver_module._newton(_toy_evaluate, off, lambda u: False, start,
+                                   SolverConfig(), count)
     assert rec.converged and rec.morse_index == 3
     assert rec.inner_iterations == 2 * rec.iterations == 2 * len(diagonals)
-    assert len(seen) == 1 and seen[0] is diagonals[-1]
-    u, rec = solver_module._newton(_toy_evaluate, (None, None), lambda u: False,
-                                   np.array([[3.0]]), SolverConfig(), singular)
+    assert len(seen) == 1 and np.array_equal(seen[0], 2.0 * u)
+    assert all(seen[0] is not d for d in diagonals)
+    u, rec = solver_module._newton(_toy_evaluate, off, lambda u: False, start,
+                                   SolverConfig(), singular)
     assert rec.converged and rec.stop_detail == "" and math.isnan(rec.morse_index)
+
+    # a step that breaks down after one returned: counted at the iterate
+    # the solve returns, the first step's
+    def second_singular(u, b, d, rel):
+        if diagonals:
+            _toy_singular(u, b, d, rel)
+        diagonals.append(d)
+        return -b / d
+
+    diagonals.clear()
+    monkeypatch.setattr(solver_module, "_linear_step",
+                        _fake_linear_step(second_singular))
+    u, rec = solver_module._newton(_toy_evaluate, off, lambda u: False, start,
+                                   SolverConfig(), count)
+    assert rec.stop_reason == "breakdown" and rec.iterations == 2
+    assert rec.morse_index == 3 and np.array_equal(seen[-1], 2.0 * u)
+    assert not np.array_equal(u, start)
     monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(_toy_singular))
-    u, rec = solver_module._newton(_toy_evaluate, (None, None), lambda u: False,
-                                   np.array([[3.0]]), SolverConfig(), count)
+    u, rec = solver_module._newton(_toy_evaluate, off, lambda u: False, start,
+                                   SolverConfig(), count)
     assert rec.stop_reason == "breakdown" and math.isnan(rec.morse_index)
-    assert len(seen) == 1
+    assert len(seen) == 2
 
 
 # -- Newton's method for the 1D auxiliary problem ----------------------------------
@@ -1064,17 +1141,19 @@ def test_newton_step_matches_dense_jacobian_solve(ref, ref_sweep):
     lam = 1e3
     fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), lam)
     u = ref_sweep[1].field.values  # converged at lambda = 100
-    _, res, jd = fun.evaluate(u)
-    eye = np.eye(u.size)
-    lap = np.column_stack([neg_laplacian(Field(ref.grid, c)).values for c in eye])
-    jac = lap + np.diag(jd)
-    off = (np.full(ref.grid.n - 3, -1.0 / ref.grid.h**2),)
-    step = solver_module._linear_step(off)
-    du, morse = step(u, res, 2.0 / ref.grid.h**2 + jd, math.nan)
-    u_new = np.maximum(u + du, 0.0)
-    want = np.maximum(u + np.linalg.solve(jac, -res), 0.0)
-    assert np.linalg.norm(u_new - want) <= 1e-11 * np.linalg.norm(want)
-    assert morse == int(np.sum(np.linalg.eigvalsh(jac) < 0.0)) == 2
+    lap = _dense(lambda c: neg_laplacian(Field(ref.grid, c)).values, u.shape)
+
+    def jacobian(v):
+        return lap + np.diag(fun.evaluate(v)[2])
+
+    want = np.maximum(u + np.linalg.solve(jacobian(u), -fun.evaluate(u)[1]), 0.0)
+    rec = solve_auxiliary(lam, (1, 2), ref_sweep[1].field, ref.grid, ref.potential,
+                          ref.params, SolverConfig(max_iters=1))
+    assert rec.iterations == 1
+    assert np.linalg.norm(rec.field.values - want) <= 1e-11 * np.linalg.norm(want)
+    # the Morse index is counted at the returned field's Jacobian
+    jac_new = jacobian(rec.field.values)
+    assert rec.morse_index == int(np.sum(np.linalg.eigvalsh(jac_new) < 0.0)) == 2
 
 
 def test_newton_sweep_matches_reference_energies(ref_sweep):
@@ -1110,6 +1189,18 @@ def test_newton_morse_index_is_bump_count(ref, ref_wells, ref_big_t, gamma):
     assert steps[-1].report.mass_fraction(gamma) == sum(per[j - 1] for j in gamma) / total
 
 
+def test_converged_sweep_morse_index_is_the_dense_count(ref, ref_sweep):
+    # at the field each sweep solve returns, the assembled Jacobian
+    # -lap + diag(jd) has the recorded number of negative eigenvalues
+    lap = _dense(lambda c: neg_laplacian(Field(ref.grid, c)).values,
+                 ref.grid.interior_shape)
+    for rec in ref_sweep:
+        fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), rec.lam)
+        jac = lap + np.diag(fun.evaluate(rec.field.values)[2])
+        assert rec.converged
+        assert rec.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0)) == 2
+
+
 def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep):
     init = multi_bump_init([r.field for r in ref_wells],
                            [1.0 / ref_big_t] * 2, ref_big_t)
@@ -1124,14 +1215,20 @@ def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep)
 
 def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
     def doubling(u, *args):
-        return u, 7  # du = u doubles the iterate
+        return u  # du = u doubles the iterate
 
     monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(doubling))
     rec = solve_auxiliary(1e4, (1,), ref_wells[0].field, ref.grid, ref.potential,
                           ref.params, ref.solver)
     assert rec.stop_reason == "diverged" and not rec.converged
     assert rec.iterations == solver_module.DIVERGE_STEPS + 1
-    assert rec.morse_index == 7
+    # the Morse index is counted at the returned field's Jacobian
+    u = rec.field.values
+    assert np.array_equal(u, 2.0**rec.iterations * ref_wells[0].field.values)
+    fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1,), 1e4)
+    lap = _dense(lambda c: neg_laplacian(Field(ref.grid, c)).values, u.shape)
+    jac = lap + np.diag(fun.evaluate(u)[2])
+    assert rec.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0))
 
 
 def _count_terms(monkeypatch) -> list:
@@ -1176,7 +1273,7 @@ def test_collapse_energy_belongs_to_the_collapsed_field(ref, ref_wells, monkeypa
     factors = iter([0.5, 0.0])
 
     def scaling(u, *args):
-        return u * (next(factors) - 1.0), 1
+        return u * (next(factors) - 1.0)
 
     monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(scaling))
     rec = solve_auxiliary(1e2, (1,), ref_wells[0].field, ref.grid, ref.potential,
@@ -1260,7 +1357,7 @@ def test_two_d_newton_records_morse_index_one(monkeypatch):
                           SolverConfig())
     assert rec.stop_reason == "converged" and rec.bump_mask == (1,)
     assert rec.morse_index == 1
-    # the Morse enclosure reuses the last step's Jacobian diagonal
+    # the Morse enclosure reuses the returned iterate's Jacobian diagonal
     assert len(calls) == rec.iterations + 1
 
 

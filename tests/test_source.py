@@ -1,6 +1,6 @@
 """The package holds no function or class that only the tests call, its
-modules keep their private names to themselves, and only the solver
-catches `SolveError`.
+modules keep their private names to themselves, only the solver catches
+`SolveError`, and only the Newton driver sets a Morse index.
 
 A top-level function, class or method of `src/logbump` must be referenced
 somewhere else in the package, by the benchmark tracer's `TARGETS` or by
@@ -115,3 +115,24 @@ def test_only_the_solver_catches_solve_errors():
                 handlers.append((path.name, node.lineno))
     assert [h for h in handlers if h[0] != "solver.py"] == []
     assert handlers, "the solver's own handlers are not found"
+
+
+def test_only_the_newton_driver_sets_a_morse_index():
+    # `solver._newton` counts each solve's Morse index once, at the field it
+    # returns; no other package code builds a record with `morse_index=` or
+    # assigns `.morse_index`
+    setters = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            keyword = isinstance(node, ast.keyword) and node.arg == "morse_index"
+            stored = (isinstance(node, ast.Attribute) and node.attr == "morse_index"
+                      and isinstance(node.ctx, ast.Store))
+            if keyword or stored:
+                setters.append((path.name, owner.get(node)))
+    assert setters == [("solver.py", "_newton")]

@@ -74,15 +74,20 @@ def test_sandwich_check():
     assert check_sandwich(4.83, 4.81, 4.82) >= 0.0
 
 
-def test_verdicts_all_pass_and_multiplicity():
+def _passing_rows(unconverged=None):
+    """Rows of every selection that pass every verdict; the row of the
+    (lambda, gamma) `unconverged` did not converge."""
     rows = []
     for gamma in ((1,), (2,), (1, 2)):
         for lam in (10.0, 100.0, 1000.0, 10000.0):
             scale = 1000.0 / lam if lam >= 100 else 1.0
-            rows.append(
-                make_row(lam, gamma=gamma, lamv=1e-3 * scale, outn=1e-2 * scale)
-            )
-    verdicts = {v.name: v for v in compute_verdicts(rows, k=2)}
+            rows.append(make_row(lam, gamma=gamma, lamv=1e-3 * scale, outn=1e-2 * scale,
+                                 conv=(lam, gamma) != unconverged))
+    return rows
+
+
+def test_verdicts_all_pass_and_multiplicity():
+    verdicts = {v.name: v for v in compute_verdicts(_passing_rows(), k=2)}
     assert set(verdicts) == {
         "convergence", "positivity", "linfty_outside", "localization_trend",
         "energy_sandwich", "limit_energy_gap", "bump_fidelity", "multiplicity",
@@ -156,6 +161,16 @@ def test_row_verdict_with_nothing_to_judge_fails(name):
     assert not verdict.passed
     assert math.isnan(verdict.margin)
     assert verdict.detail == "nothing to judge"
+
+
+@pytest.mark.parametrize("name", ROW_VERDICTS)
+def test_row_verdict_fails_on_an_unconverged_row(name):
+    # gamma 2's solve at the largest lambda did not converge: its margin
+    # is nan wherever it is judged, and multiplicity does not count its mask
+    verdicts = {v.name: v for v in compute_verdicts(_passing_rows((10000.0, (2,))), k=2)}
+    assert not verdicts[name].passed and math.isnan(verdicts[name].margin)
+    assert not verdicts["multiplicity"].passed
+    assert verdicts["multiplicity"].detail == "2 distinct occupation masks of 3 expected"
 
 
 def test_one_lambda_sweep_fails_only_the_trend():
