@@ -7,7 +7,6 @@ from logbump.domain import (
     Grid,
     PotentialSpec,
     WellGeometry,
-    eval_potential,
     integrate,
     masks,
     neg_laplacian,
@@ -16,6 +15,7 @@ from logbump.functional import EnergyReport, PenalizedFunctional
 from logbump.penalty import PenalizationParams, make_params, solve_a0
 from logbump.solver import (
     AuxiliaryRecord,
+    LevelRecord,
     SolveError,
     SolveRecord,
     SolverConfig,
@@ -32,6 +32,7 @@ __all__ = [
     "EnergyReport",
     "Field",
     "Grid",
+    "LevelRecord",
     "PenalizationParams",
     "PenalizedFunctional",
     "PotentialSpec",
@@ -39,7 +40,6 @@ __all__ = [
     "SolveRecord",
     "SolverConfig",
     "WellGeometry",
-    "eval_potential",
     "integrate",
     "lambda_sweep",
     "make_params",

@@ -10,7 +10,8 @@ canonical echo reparses to an identical config, and the run manifest
 starts with it so a run is reproducible from its own artifacts.
 
 A run executes: per-well ground states, truncation threshold,
-per-gamma warm-started lambda sweeps, enlarged-well levels, minimax upper
+enlarged-well levels, per-gamma lambda sweeps (each lambda after the
+first started from the sum of its wells' level fields), minimax upper
 bounds from the levels c_j = M_j / 2 at the path scale `solver.PATH_T`,
 and finally the verification verdicts, which are recomputed from the
 emitted CSV rather than from in-memory state.
@@ -41,6 +42,7 @@ from logbump.functional import h1_distance
 from logbump.penalty import make_params
 from logbump.solver import (
     PATH_T,
+    LevelRecord,
     SolverConfig,
     lambda_sweep,
     minimax_upper_bound,
@@ -564,12 +566,11 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     runnable = [g for g in gammas if all(j in omegas for j in g)]
 
     print(f"[{config.scenario}] enlarged-well levels for {len(config.lambdas)} lambdas")
-    c_lambda: dict[tuple[float, int], float] = {}
+    levels: dict[tuple[float, int], LevelRecord] = {}
     for lam in config.lambdas:
         for j in needed_wells:
-            nrec = solve_neumann_well(lam, j, grid, potential, solver_cfg)
-            _log_solve(solves, histories, "level", lam, (j,), nrec)
-            c_lambda[(lam, j)] = nrec.energy
+            levels[(lam, j)] = solve_neumann_well(lam, j, grid, potential, solver_cfg)
+            _log_solve(solves, histories, "level", lam, (j,), levels[(lam, j)])
 
     print(f"[{config.scenario}] sweeping {len(runnable)} well selections")
     all_rows: list[SweepRow] = []
@@ -578,7 +579,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         os.makedirs(gdir, exist_ok=True)
         ws = [omegas[j] for j in gsel]
         records = lambda_sweep(config.lambdas, gsel, Field(grid, sum(w.values for w in ws)),
-                               grid, potential, params, solver_cfg)
+                               grid, potential, params, solver_cfg, levels)
         energies = [c_dirichlet[j - 1] for j in gsel]
         # a ground state is on the Nehari manifold, so its mass is 2 c_j
         b_upper = minimax_upper_bound(energies, [2.0 * e for e in energies], PATH_T)
@@ -586,7 +587,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         for rec in records:
             _log_solve(solves, histories, "sweep", rec.lam, gsel, rec)
             rep = rec.report
-            lam_c = tuple(c_lambda[(rec.lam, j)] if j in gsel else math.nan
+            lam_c = tuple(levels[(rec.lam, j)].energy if j in gsel else math.nan
                           for j in range(1, k + 1))
             all_rows.append(
                 SweepRow(

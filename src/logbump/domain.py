@@ -135,11 +135,6 @@ def _potential(spec: PotentialSpec, mesh):
         return np.minimum(spec.cap, np.sqrt(dist_sq) ** spec.power)
 
 
-def eval_potential(spec: PotentialSpec, x) -> float:
-    """Potential at a single point."""
-    return float(_potential(spec, np.atleast_1d(np.asarray(x, dtype=float))))
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on [-R, R]^dim with n nodes per axis, h = 2R/(n-1)."""

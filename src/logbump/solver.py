@@ -137,6 +137,15 @@ class SolveRecord(NewtonRecord):
 
 
 @dataclass
+class LevelRecord(NewtonRecord):
+    """An enlarged-well level's record with its field on the enlargement's
+    node box: `values` at the full-grid nodes `nodes` (`_LocalWell.nodes`)."""
+
+    nodes: tuple[slice, ...]
+    values: np.ndarray
+
+
+@dataclass
 class AuxiliaryRecord(NewtonRecord):
     """A penalized-problem solve at one lambda: its field on the whole box
     and the field's energy report.  energy is the report's total, which on
@@ -313,6 +322,8 @@ class TridiagonalLDL:
         inside the factor loop."""
         diag, off, floor = TridiagonalLDL._entries(diag, off)
         vals = _finite(rhs).tolist()
+        if len(vals) != len(diag):
+            raise ValueError("rhs must have one entry per diag entry")
         pivots, mults, fwd = [diag[0]], [], [vals[0]]
         try:
             for a, b, r in zip(diag[1:], off, vals[1:]):
@@ -630,6 +641,12 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
                            stop_detail=detail, inner_iterations=step.inner_iterations)
 
 
+def _interior(nodes) -> tuple[slice, ...]:
+    """The slices of a field's interior values that hold the full-grid
+    nodes `nodes`."""
+    return tuple(slice(s.start - 1, s.stop - 1) for s in nodes)
+
+
 def _relative_residual(u: np.ndarray, res: np.ndarray) -> float:
     """||res|| / ||u|| in the discrete l2 norm, the penalized problem's
     stop test and forcing term."""
@@ -692,10 +709,8 @@ def solve_auxiliary(
     def inertia(d):
         if grid.dim == 1:
             return TridiagonalLDL.negative_eigenvalues(d, *off)
-        boxes = [
-            tuple(slice(s.start - 1, s.stop - 1) for s in box_nodes(e, grid, False))
-            for e in potential.geometry.enlargements
-        ]
+        boxes = [_interior(box_nodes(e, grid, False))
+                 for e in potential.geometry.enlargements]
         return _morse_enclosure(d, boxes, grid.h)
 
     u, run = _newton(evaluate, off, collapsed, init.values.copy(), config, inertia)
@@ -751,19 +766,30 @@ def lambda_sweep(
     potential: PotentialSpec,
     params: PenalizationParams,
     config: SolverConfig,
+    levels: dict[tuple[float, int], LevelRecord],
 ) -> list[AuxiliaryRecord]:
-    """Warm-started continuation over an ascending lambda list.
+    """Solves over an ascending lambda list, the first from init, whose
+    rows perfbench's references record.
 
-    The field of each solve, converged or not, seeds the next, which keeps
-    the iteration on the same multi-bump branch as the wells deepen.
+    For large lambda the |gamma|-bump solution approaches the sum of the
+    one-bump solutions on its wells (Bartsch & Wang 1995; Ding & Tanaka
+    2003), the enlarged-well levels.  So each later lambda starts from the
+    sum of the fields `levels[(lam, j)]` when each converged with Morse
+    index 1, else from the previous lambda's field, converged or not.
     """
     lambdas = [float(x) for x in lambdas]
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be strictly ascending")
     records: list[AuxiliaryRecord] = []
     for lam in lambdas:
+        recs = [levels.get((lam, j)) for j in gamma]
+        if records and all(r and r.converged and r.morse_index == 1 for r in recs):
+            init = Field.zeros(grid)
+            for rec in recs:
+                init.values[_interior(rec.nodes)] += rec.values
+        elif records:
+            init = records[-1].field
         records.append(solve_auxiliary(lam, gamma, init, grid, potential, params, config))
-        init = records[-1].field
     return records
 
 
@@ -900,16 +926,17 @@ def solve_single_well(
     u, run = _ground_state_newton(prob, bump, config)
 
     values = np.zeros(grid.interior_shape)
-    values[tuple(slice(s.start - 1, s.stop - 1) for s in prob.nodes)] = u
+    values[_interior(prob.nodes)] = u
     return SolveRecord(**vars(run), field=Field(grid, values))
 
 
 def solve_neumann_well(
     lam: float, j: int, grid: Grid, potential: PotentialSpec, config: SolverConfig
-) -> NewtonRecord:
+) -> LevelRecord:
     """Ground-state level c_{lambda,j} of the enlarged-well problem
     -lap u + lambda V u = u log u^2 with zero normal derivative, as the
-    record's energy.
+    record's energy, and its field on the enlargement's node box, which
+    `lambda_sweep` sums into its starts.
 
     The projected Newton iteration of the Dirichlet well, on the
     trapezoid-weighted operator of `_LocalWell.neumann`, from a Gausson at
@@ -919,4 +946,5 @@ def solve_neumann_well(
     prob = _LocalWell.neumann(lam, j, grid, potential)
     center = potential.geometry.enlargements[j - 1].center
     bump = np.exp(0.5 * grid.dim - 0.5 * prob.dist_sq(center)) * (prob.lam_v == 0.0)
-    return _ground_state_newton(prob, bump, config)[1]
+    u, run = _ground_state_newton(prob, bump, config)
+    return LevelRecord(**vars(run), nodes=prob.nodes, values=u)

@@ -143,7 +143,9 @@ def compute_verdicts(
     the occupation masks of the selections whose top row converged.  Every
     other verdict judges a margin per row or per selection (`_judge`),
     nan from a row whose solve did not converge, so such a row fails it;
-    the trend judges the selections with at least two lambdas.
+    the trend judges the selections with at least two lambdas.  The
+    empirical lambda thresholds of the linfty_outside detail come from the
+    converged rows only.
     """
     groups = _groups(rows)
     top_rows = [grp[-1] for grp in groups.values()]
@@ -161,7 +163,8 @@ def compute_verdicts(
     occupied = all(r.occupied == r.gamma for r in top_rows)
     verdicts.append(replace(positivity, passed=positivity.passed and occupied))
 
-    thresholds = {gamma: linfty_threshold(grp) for gamma, grp in groups.items()}
+    thresholds = {gamma: linfty_threshold([r for r in grp if r.converged])
+                  for gamma, grp in groups.items()}
     verdicts.append(_judge(
         "linfty_outside",
         [_if_converged(r, check_linfty_outside(r.sup_outside, r.a0)) for r in top_rows],

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from logbump.cli import main, parse_config, rows_from_csv
-from logbump.solver import PATH_T, lambda_sweep, solve_single_well
+from logbump.solver import PATH_T, lambda_sweep, solve_neumann_well, solve_single_well
 
 from oracles import multi_bump_init
 
@@ -50,19 +50,28 @@ def ref_wells(ref):
 
 
 @pytest.fixture(scope="session")
+def ref_levels(ref):
+    """Every enlarged-well level solve of the reference scenario, by
+    (lambda, well)."""
+    return {(lam, j): solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver)
+            for lam in ref.config.lambdas for j in (1, 2)}
+
+
+@pytest.fixture(scope="session")
 def ref_big_t():
     return PATH_T
 
 
 @pytest.fixture(scope="session")
-def ref_sweep(ref, ref_wells, ref_big_t):
-    """Warm-started sweep for gamma = (1, 2) over the reference lambdas."""
+def ref_sweep(ref, ref_wells, ref_levels, ref_big_t):
+    """The sweep for gamma = (1, 2) over the reference lambdas from the
+    run's starts: the ground states, then the level fields."""
     init = multi_bump_init(
         [r.field for r in ref_wells], [1.0 / ref_big_t] * 2, ref_big_t
     )
     steps = lambda_sweep(
         ref.config.lambdas, (1, 2), init, ref.grid, ref.potential,
-        ref.params, ref.solver
+        ref.params, ref.solver, ref_levels
     )
     assert all(st.converged for st in steps)
     return steps

@@ -6,8 +6,10 @@ energies and the outside-wells norm from `PenalizedFunctional.report`,
 fields in memory, 2D Morse indices from an inertia enclosure on the
 enlarged wells' boxes, the ground-state Jacobians from their diagonals
 and stencil couplings walked on flat faces, the Nehari constraint along a bump's ray in
-closed form from its energy and mass, and each sweep's start as the sum
-of its wells' ground states), so these stay out of the package.
+closed form from its energy and mass, the potential on the whole grid at
+once, and each sweep's starts as sums of its wells' ground states and of
+their level fields on the interior values), so these stay out of the
+package.
 """
 
 import math
@@ -182,6 +184,29 @@ def nehari_check(u: Field, support: np.ndarray) -> NehariCheck:
     logm = hd * float(np.sum(sq_log_sq(full)[support]))
     energy = 0.5 * (grad + mass) - 0.5 * logm
     return NehariCheck(energy=energy, half_mass=0.5 * mass, constraint=grad - logm)
+
+
+def eval_potential(spec: PotentialSpec, x) -> float:
+    """min(cap, dist^power) at the one point x, dist being its Euclidean
+    distance to the nearest closed well, in Python floats: the pointwise
+    reference for `potential_on_grid`."""
+    dist = min(math.hypot(*(max(abs(xi - c) - h, 0.0)
+                            for xi, c, h in zip(x, well.center, well.half)))
+               for well in spec.geometry.wells)
+    try:
+        return min(spec.cap, dist**spec.power)
+    except OverflowError:  # a large power far out, where the cap holds
+        return spec.cap
+
+
+def level_start(levels, grid: Grid) -> Field:
+    """The whole-box field that holds each level record's field at its
+    full-grid nodes and is zero elsewhere: the start `lambda_sweep` builds
+    from those levels."""
+    full = np.zeros(grid.full_shape)
+    for rec in levels:
+        full[rec.nodes] += rec.values
+    return Field(grid, full[(slice(1, -1),) * grid.dim])
 
 
 def multi_bump_init(omegas: list[Field], scales, big_t: float) -> Field:

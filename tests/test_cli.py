@@ -50,7 +50,12 @@ from logbump.solver import (
     solve_single_well,
 )
 from logbump.verify import LimitRow, SweepRow, check_limit_problem
-from oracles import load_field, multi_bump_init, whole_box_negative_eigenvalues
+from oracles import (
+    level_start,
+    load_field,
+    multi_bump_init,
+    whole_box_negative_eigenvalues,
+)
 
 MINIMAL = """
 R = 12.0
@@ -780,15 +785,16 @@ def test_solves_csv_has_one_row_per_solve(ref_run, ref_config):
     assert len(_table(out / "histories.csv")) == sum(int(r["iterations"]) for r in solves)
 
 
-def test_limit_csv_repeats_the_limit_rows(ref, ref_run, ref_wells, ref_big_t):
+def test_limit_csv_repeats_the_limit_rows(ref, ref_run, ref_wells, ref_levels, ref_big_t):
     """Each selection's limit.csv, read by header name, holds the repr of
-    every LimitRow field that check_limit_problem gives on its sweep."""
+    every LimitRow field that check_limit_problem gives on its sweep, from
+    the run's starts: the ground states, then the level fields."""
     columns = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(LimitRow)}
     for gamma in ((1,), (2,), (1, 2)):
         wells = [ref_wells[j - 1].field for j in gamma]
         init = multi_bump_init(wells, [1.0 / ref_big_t] * len(wells), ref_big_t)
         records = lambda_sweep(ref.config.lambdas, gamma, init, ref.grid,
-                               ref.potential, ref.params, ref.solver)
+                               ref.potential, ref.params, ref.solver, ref_levels)
         c_gamma = sum(ref_wells[j - 1].energy for j in gamma)
         expected = check_limit_problem(records, wells, c_gamma)
         path = ref_run.out / ("gamma_" + "+".join(map(str, gamma))) / "limit.csv"
@@ -798,6 +804,14 @@ def test_limit_csv_repeats_the_limit_rows(ref, ref_run, ref_wells, ref_big_t):
             table = list(reader)
         assert table == [{column: repr(getattr(row, name)) for name, column in columns.items()}
                          for row in expected]
+
+
+def test_sweeps_after_the_first_lambda_start_from_the_levels(ref_run):
+    # deterministic work counters of solves.csv: from the sum of its wells'
+    # level fields, each sweep solve at lambda >= 1000 takes one Newton step
+    sweeps = [r for r in _table(ref_run.out / "solves.csv") if r["kind"] == "sweep"]
+    assert [r["iterations"] for r in sweeps if float(r["lambda"]) >= 1000] == ["1"] * 6
+    assert sum(int(r["iterations"]) for r in sweeps) == 30
 
 
 def test_field_files_agree_with_energies_csv(ref_run):
@@ -1023,8 +1037,9 @@ def test_missing_selection_fails_multiplicity(tmp_path, monkeypatch):
 
 def test_unconverged_rows_fail_the_row_verdicts(tmp_path, monkeypatch):
     # every gamma = 2 sweep solve breaks down at its start, so its rows
-    # carry its start field, well 2's ground state, unconverged: they judge
-    # only nan margins, and their occupation mask is not counted
+    # carry its start fields, well 2's ground state and then its level
+    # field, unconverged: they judge only nan margins, their occupation mask
+    # is not counted, and no lambda threshold is read off them
     import logbump.solver as solver
 
     broken_sweep = _breaking(monkeypatch, lambda lam, gamma, *args: tuple(gamma) == (2,),
@@ -1042,6 +1057,8 @@ def test_unconverged_rows_fail_the_row_verdicts(tmp_path, monkeypatch):
     for name in ("positivity", "linfty_outside", "localization_trend", "energy_sandwich",
                  "limit_energy_gap", "bump_fidelity"):
         assert judged[f"criterion={name}"] == ["status=FAIL", "margin=nan"], name
+    [linfty] = [ln for ln in verdicts.splitlines() if "criterion=linfty_outside" in ln]
+    assert linfty.endswith("; gamma=2: never")
 
 
 def test_morse_index_mismatch_is_a_failure(tmp_path, capsys, monkeypatch):
@@ -1558,13 +1575,17 @@ def test_report_lists_the_failure_lines_of_run(tmp_path, capsys, monkeypatch):
             "0", "0", "nan")
         assert not _history(out, row["kind"], row["lambda"], row["gamma"])
     # the sweep solve that broke down keeps its row, and its field is its
-    # start, the field of the lambda before
+    # start, well 1's level field at lambda = 10000
     rows, _ = rows_from_csv((out / "energies.csv").read_text())
     assert [(r.lam, r.converged) for r in rows] == [(100.0, True), (10000.0, False)]
     assert sorted(p.name for p in (out / "gamma_1").iterdir()) == [
         "field_lambda_100.npy", "field_lambda_10000.npy", "limit.csv"]
-    assert np.array_equal(*(np.load(out / "gamma_1" / f"field_lambda_{lam}.npy")
-                            for lam in (100, 10000)))
+    config = parse_config_text(TINY)
+    level = solve_neumann_well(1e4, 1, config.grid(), config.potential(),
+                               config.solver_config())
+    assert level.converged and level.morse_index == 1
+    assert np.array_equal(np.load(out / "gamma_1" / "field_lambda_10000.npy"),
+                          level_start([level], config.grid()).values)
 
 
 def test_a_steep_potential_runs_without_warning(tmp_path, capsys):

@@ -14,7 +14,6 @@ from logbump.domain import (
     RegionMasks,
     WellGeometry,
     box_mask_full,
-    eval_potential,
     grad_energy_density,
     integrate,
     masks,
@@ -23,7 +22,7 @@ from logbump.domain import (
     save_field,
     validate_geometry_on_grid,
 )
-from oracles import load_field, restricted_norm_sq
+from oracles import eval_potential, load_field, restricted_norm_sq
 
 
 @pytest.fixture
@@ -80,13 +79,21 @@ def test_geometry_grid_margins(twin):
 # -- potential -------------------------------------------------------------------
 
 
+def _package_potential(spec: PotentialSpec, x: float) -> float:
+    """The package's potential at the point x, read from `potential_on_grid`
+    on a three-node grid that has x as a node."""
+    grid = Grid(dim=1, r=abs(x) or 1.0, n=3)
+    [idx] = np.flatnonzero(grid.axis == x)
+    return float(potential_on_grid(spec, grid)[idx])
+
+
 def test_potential_values(twin):
     geometry, grid, pot = twin
-    assert eval_potential(pot, [-5.0]) == 0.0
-    assert eval_potential(pot, [-2.4]) == pytest.approx(0.1**2, abs=1e-14)
-    assert eval_potential(pot, [0.0]) == 1.0  # clipped at the cap
+    assert _package_potential(pot, -5.0) == 0.0
+    assert _package_potential(pot, -2.4) == pytest.approx(0.1**2, abs=1e-14)
+    assert _package_potential(pot, 0.0) == 1.0  # clipped at the cap
     # zero exactly on the closure
-    assert eval_potential(pot, [-2.5]) == 0.0
+    assert _package_potential(pot, -2.5) == 0.0
 
 
 def test_potential_brute_force_oracle(twin):
@@ -104,8 +111,9 @@ def test_potential_brute_force_oracle(twin):
             max(abs(x - w.center[0]) - w.half[0], 0.0) for w in geometry.wells
         )
         brute = min(1.0, min((x - b) ** 2 for b in boundary) if d > 0 else 0.0)
-        direct = eval_potential(pot, [x])
+        direct = _package_potential(pot, x)
         assert direct == pytest.approx(min(1.0, d * d), abs=1e-14)
+        assert eval_potential(pot, [x]) == pytest.approx(direct, abs=1e-15)
         if d > 0.0:
             assert direct <= brute + 1e-14
 
@@ -114,7 +122,7 @@ def test_potential_continuity(twin):
     geometry, _, pot = twin
     for step in (1e-2, 1e-4, 1e-6):
         jump = abs(
-            eval_potential(pot, [-2.5 + step]) - eval_potential(pot, [-2.5])
+            _package_potential(pot, -2.5 + step) - _package_potential(pot, -2.5)
         )
         assert jump < 3.0 * step
 
@@ -122,7 +130,7 @@ def test_potential_continuity(twin):
 def test_potential_power_shapes(twin):
     geometry, grid, _ = twin
     lin = PotentialSpec(geometry, cap=1.0, power=1.0)
-    assert eval_potential(lin, [-2.0]) == pytest.approx(0.5, abs=1e-14)
+    assert _package_potential(lin, -2.0) == pytest.approx(0.5, abs=1e-14)
     v = potential_on_grid(lin, grid)
     assert v.shape == grid.full_shape
     assert v.min() == 0.0 and v.max() == 1.0
@@ -136,20 +144,22 @@ def test_a_large_power_is_capped_without_overflow_warning(twin):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         v = potential_on_grid(steep, grid)
-        assert eval_potential(steep, [0.0]) == 1.0
+        assert _package_potential(steep, 0.0) == 1.0
     dist = np.maximum(np.abs(np.abs(grid.axis) - 5.0) - 2.5, 0.0)
     assert np.all(v[dist == 0.0] == 0.0) and np.all(v[dist >= 1.01] == 1.0)
-    assert eval_potential(steep, [-2.0]) == 0.5**1000
-    assert eval_potential(steep, [-1.6]) == pytest.approx(0.9**1000, rel=1e-12)
+    assert _package_potential(steep, -2.0) == 0.5**1000
+    assert _package_potential(steep, -1.6) == pytest.approx(0.9**1000, rel=1e-12)
 
 
 def test_potential_grid_matches_pointwise(twin):
-    geometry, grid, pot = twin
-    v = potential_on_grid(pot, grid)
-    for idx in (0, 57, 240, 333, 480):
-        assert v[idx] == pytest.approx(
-            eval_potential(pot, [grid.axis[idx]]), abs=1e-15
-        )
+    # the package's whole-grid potential against the pointwise oracle at
+    # every node, for the quadratic, linear and steep onsets
+    geometry, grid, _ = twin
+    for power in (2.0, 1.0, 1000.0):
+        spec = PotentialSpec(geometry, cap=1.0, power=power)
+        want = [eval_potential(spec, [x]) for x in grid.axis]
+        np.testing.assert_allclose(potential_on_grid(spec, grid), want,
+                                   rtol=1e-12, atol=0.0, err_msg=f"power {power}")
 
 
 # -- masks ------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,7 @@ from logbump.solver import (
 
 from oracles import (
     first_coupled_pair,
+    level_start,
     local_jacobian_apply,
     multi_bump_init,
     nehari_check,
@@ -605,20 +608,67 @@ def test_sweep_requires_ascending(ref, ref_wells, ref_big_t):
                            [1.0 / ref_big_t] * 2, ref_big_t)
     with pytest.raises(ValueError, match="ascending"):
         lambda_sweep([10.0, 10.0], (1, 2), init, ref.grid, ref.potential,
-                     ref.params, ref.solver)
+                     ref.params, ref.solver, {})
 
 
 def test_sweep_single_lambda_matches_direct(ref, ref_wells, ref_big_t):
     init = multi_bump_init([r.field for r in ref_wells],
                            [1.0 / ref_big_t] * 2, ref_big_t)
     sweep = lambda_sweep([1e4], (1, 2), init, ref.grid, ref.potential,
-                         ref.params, ref.solver)
+                         ref.params, ref.solver, {})
     direct = solve_auxiliary(1e4, (1, 2), init, ref.grid, ref.potential,
                              ref.params, ref.solver)
     assert np.array_equal(sweep[0].field.values, direct.field.values)
 
 
-def test_sweep_builds_one_functional_per_solve(ref, ref_wells, ref_big_t,
+def _same_solve(a, b) -> bool:
+    """Whether two sweep records hold the same field and the same
+    histories, stop, counters and report, bit for bit."""
+    rest = {"field": None}
+    return (np.array_equal(a.field.values, b.field.values)
+            and vars(a) | rest == vars(b) | rest)
+
+
+def test_sweep_starts_later_lambdas_from_the_level_fields(ref, ref_wells, ref_levels):
+    # the first lambda starts from init, each later one from the sum of the
+    # selection's level fields at that lambda
+    init = Field(ref.grid, sum(w.field.values for w in ref_wells))
+    records = lambda_sweep(ref.config.lambdas, (1, 2), init, ref.grid, ref.potential,
+                           ref.params, ref.solver, ref_levels)
+    starts = [init] + [level_start([ref_levels[(lam, j)] for j in (1, 2)], ref.grid)
+                       for lam in ref.config.lambdas[1:]]
+    for lam, start, rec in zip(ref.config.lambdas, starts, records, strict=True):
+        direct = solve_auxiliary(lam, (1, 2), start, ref.grid, ref.potential,
+                                 ref.params, ref.solver)
+        assert _same_solve(rec, direct)
+
+
+@pytest.mark.parametrize("flaw", [{"stop_reason": "iteration cap"}, {"morse_index": 2.0},
+                                  {"morse_index": math.nan}],
+                         ids=["unconverged", "saddle", "uncounted"])
+def test_a_failed_level_leaves_its_lambda_to_continuation(ref, ref_wells, ref_levels,
+                                                          flaw):
+    # well 2's level at lambda = 100 failed: the sweep solve of gamma 1+2
+    # there starts from the field of lambda = 10, as plain continuation
+    # does, and the next lambda starts from its levels again; gamma 1 does
+    # not read well 2's level
+    lambdas = ref.config.lambdas
+    levels = dict(ref_levels)
+    levels[(100.0, 2)] = replace(ref_levels[(100.0, 2)], **flaw)
+    init = Field(ref.grid, sum(w.field.values for w in ref_wells))
+    sweep = partial(lambda_sweep, lambdas, (1, 2), init, ref.grid, ref.potential,
+                    ref.params, ref.solver)
+    plain, seeded = sweep({}), sweep(levels)
+    assert lambdas[:2] == (10.0, 100.0)
+    assert all(_same_solve(a, b) for a, b in zip(plain[:2], seeded[:2]))
+    assert _same_solve(seeded[2], sweep(ref_levels)[2])
+    assert not _same_solve(seeded[2], plain[2])
+    one = partial(lambda_sweep, lambdas, (1,), ref_wells[0].field, ref.grid,
+                  ref.potential, ref.params, ref.solver)
+    assert all(_same_solve(a, b) for a, b in zip(one(levels), one(ref_levels)))
+
+
+def test_sweep_builds_one_functional_per_solve(ref, ref_wells, ref_big_t, ref_levels,
                                                monkeypatch):
     # each solve's report comes from the functional its Newton loop used
     built = []
@@ -632,7 +682,7 @@ def test_sweep_builds_one_functional_per_solve(ref, ref_wells, ref_big_t,
     init = multi_bump_init([r.field for r in ref_wells],
                            [1.0 / ref_big_t] * 2, ref_big_t)
     lambda_sweep(ref.config.lambdas, (1, 2), init, ref.grid, ref.potential,
-                 ref.params, ref.solver)
+                 ref.params, ref.solver, ref_levels)
     assert built == list(ref.config.lambdas)
 
 
@@ -762,6 +812,15 @@ def test_tridiagonal_ldl_near_zero_pivot_raises():
     assert x.tolist() == [1.0, -0.5] and count == 1 and type(count) is int
 
 
+def test_tridiagonal_ldl_rejects_a_right_hand_side_of_another_length():
+    # zip would stop at the shorter list: a short rhs gave a 2-entry
+    # solution, and a long one lost its last entry
+    with pytest.raises(ValueError, match="one entry per diag entry"):
+        TridiagonalLDL.solve_once([2.0, 2.0, 2.0], [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="one entry per diag entry"):
+        TridiagonalLDL.solve_once([2.0, 2.0], [0.0], [1.0, 1.0, 5.0])
+
+
 def _one_d_problems(ref):
     """The two 1D local problems of the reference scenario, each with a
     positive field to take the Jacobian at and a right-hand side."""
@@ -872,13 +931,6 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
     assert run.morse_index == int(np.sum(np.linalg.eigvalsh(jac_new) < 0.0))
 
 
-@pytest.fixture(scope="module")
-def ref_levels(ref):
-    """Every enlarged-well level solve of the reference scenario."""
-    return {(lam, j): solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver)
-            for lam in ref.config.lambdas for j in (1, 2)}
-
-
 def test_local_levels_match_reference(ref_wells, ref_levels):
     path = REPO_ROOT / "perfbench" / "reference" / "twin-wells-1d" / "energies.csv"
     with open(path, newline="") as fh:
@@ -964,7 +1016,9 @@ def test_local_solves_rerun_bit_identical(ref, ref_wells, ref_levels):
         assert again.residuals == ref_wells[j - 1].residuals
         assert again.energies == ref_wells[j - 1].energies
     for (lam, j), rec in ref_levels.items():
-        assert solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver) == rec
+        again = solve_neumann_well(lam, j, ref.grid, ref.potential, ref.solver)
+        assert np.array_equal(again.values, rec.values)
+        assert vars(again) | {"values": None} == vars(rec) | {"values": None}
 
 
 def test_local_newton_collapse(ref, monkeypatch):
@@ -1164,17 +1218,18 @@ def test_newton_sweep_matches_reference_energies(ref_sweep):
 
 
 def test_newton_step_count_guard(ref_sweep):
-    # deterministic work counter: 5, 4, 3, 3 Newton steps when pinned
+    # deterministic work counter: 5, 3, 1, 1 Newton steps when pinned, from
+    # the level fields after the first lambda (5, 4, 3, 3 by continuation)
     assert [st.stop_reason for st in ref_sweep] == ["converged"] * 4
     assert all(st.iterations <= 6 for st in ref_sweep)
 
 
 @pytest.mark.parametrize("gamma", [(1,), (2,), (1, 2)])
-def test_newton_morse_index_is_bump_count(ref, ref_wells, ref_big_t, gamma):
+def test_newton_morse_index_is_bump_count(ref, ref_wells, ref_levels, ref_big_t, gamma):
     ws = [ref_wells[j - 1].field for j in gamma]
     init = multi_bump_init(ws, [1.0 / ref_big_t] * len(ws), ref_big_t)
     steps = lambda_sweep(ref.config.lambdas, gamma, init, ref.grid,
-                         ref.potential, ref.params, ref.solver)
+                         ref.potential, ref.params, ref.solver, ref_levels)
     for st in steps:
         assert st.stop_reason == "converged"
         assert st.morse_index == len(gamma)
@@ -1201,11 +1256,12 @@ def test_converged_sweep_morse_index_is_the_dense_count(ref, ref_sweep):
         assert rec.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0)) == 2
 
 
-def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_big_t, ref_sweep):
+def test_newton_sweep_reruns_bit_identical(ref, ref_wells, ref_levels, ref_big_t,
+                                           ref_sweep):
     init = multi_bump_init([r.field for r in ref_wells],
                            [1.0 / ref_big_t] * 2, ref_big_t)
     again = lambda_sweep(ref.config.lambdas, (1, 2), init, ref.grid,
-                         ref.potential, ref.params, ref.solver)
+                         ref.potential, ref.params, ref.solver, ref_levels)
     for a, b in zip(ref_sweep, again):
         assert np.array_equal(a.field.values, b.field.values)
         assert a.residuals == b.residuals
@@ -1458,18 +1514,22 @@ TWIN_WELLS_2D = REPO_ROOT / "perfbench" / "configs" / "twin-wells-2d.cfg"
 
 @pytest.fixture(scope="module")
 def twin_2d():
-    """The twin-wells-2d benchmark scenario: its config and a callable that
-    runs its gamma = (1, 2) lambda sweep from the CLI's start."""
+    """The twin-wells-2d benchmark scenario: its config, a callable that
+    runs its gamma = (1, 2) lambda sweep from the CLI's starts, and its
+    eight local solves: its two wells and its enlarged wells at every
+    lambda."""
     cfg = parse_config(TWIN_WELLS_2D)
-    grid, geometry, solver = cfg.grid(), cfg.geometry(), cfg.solver_config()
-    init = Field(grid, sum(solve_single_well(geometry, j, grid, solver).field.values
-                           for j in (1, 2)))
+    grid, solver, potential = cfg.grid(), cfg.solver_config(), cfg.potential()
+    wells = [solve_single_well(cfg.geometry(), j, grid, solver) for j in (1, 2)]
+    levels = {(lam, j): solve_neumann_well(lam, j, grid, potential, solver)
+              for lam in cfg.lambdas for j in (1, 2)}
+    init = Field(grid, sum(w.field.values for w in wells))
 
     def sweep():
-        return lambda_sweep(cfg.lambdas, (1, 2), init, grid, cfg.potential(),
-                            cfg.params(), solver)
+        return lambda_sweep(cfg.lambdas, (1, 2), init, grid, potential,
+                            cfg.params(), solver, levels)
 
-    return cfg, sweep
+    return cfg, sweep, wells + list(levels.values())
 
 
 @pytest.fixture(scope="module")
@@ -1485,14 +1545,16 @@ def test_two_d_newton_sweep_matches_reference_energies(twin_2d_sweep):
 
 
 def test_two_d_newton_step_count_guard(twin_2d_sweep):
-    # deterministic work counter: 5, 4, 3 Newton steps when pinned
+    # deterministic work counter: 5, 2, 1 Newton steps when pinned, from
+    # the level fields after the first lambda (5, 4, 3 by continuation)
     assert [st.stop_reason for st in twin_2d_sweep] == ["converged"] * 3
     assert all(st.iterations <= 5 for st in twin_2d_sweep)
 
 
 def test_two_d_minres_iteration_guard(twin_2d_sweep):
-    # deterministic work counter: 555 MINRES iterations over the sweep when
-    # pinned, 1,225 when every step was solved to a relative residual of 1e-12
+    # deterministic work counter: 284 MINRES iterations over the sweep when
+    # pinned, 556 by continuation from each previous field, 1,225 when every
+    # step was solved to a relative residual of 1e-12
     inner = [st.inner_iterations for st in twin_2d_sweep]
     assert all(n > 0 for n in inner)
     assert sum(inner) <= 700
@@ -1500,13 +1562,7 @@ def test_two_d_minres_iteration_guard(twin_2d_sweep):
 
 @pytest.fixture(scope="module")
 def twin_2d_local(twin_2d):
-    """The twin-wells-2d scenario's eight local solves: its two wells and
-    its enlarged wells at every lambda."""
-    cfg = twin_2d[0]
-    grid, solver, potential = cfg.grid(), cfg.solver_config(), cfg.potential()
-    wells = [solve_single_well(cfg.geometry(), j, grid, solver) for j in (1, 2)]
-    return wells + [solve_neumann_well(lam, j, grid, potential, solver)
-                    for lam in cfg.lambdas for j in (1, 2)]
+    return twin_2d[2]
 
 
 def test_two_d_local_solves_converge_with_morse_index_one(twin_2d_local):
@@ -1707,7 +1763,9 @@ def test_single_well_2d_determinism():
     assert a.residuals == b.residuals
     assert a.inner_iterations == b.inner_iterations > 0
     levels = [solve_neumann_well(1e2, 1, grid, potential, config) for _ in range(2)]
-    assert levels[0] == levels[1] and levels[0].inner_iterations > 0
+    assert np.array_equal(levels[0].values, levels[1].values)
+    assert vars(levels[0]) | {"values": None} == vars(levels[1]) | {"values": None}
+    assert levels[0].inner_iterations > 0
 
 
 def test_cg_rejects_non_finite_rhs():

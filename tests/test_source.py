@@ -20,7 +20,6 @@ PACKAGE = ROOT / "src" / "logbump"
 # name -> why the package keeps it although only the tests call it
 ALLOWLIST = {
     "gausson_order_study": "acceptance criterion 3's discretization study",
-    "eval_potential": "the pointwise reference for `potential_on_grid`",
 }
 
 # module.name -> why another package module imports this private name

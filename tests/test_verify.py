@@ -173,6 +173,17 @@ def test_row_verdict_fails_on_an_unconverged_row(name):
     assert verdicts["multiplicity"].detail == "2 distinct occupation masks of 3 expected"
 
 
+def test_linfty_thresholds_come_from_converged_rows():
+    # gamma 2 converged at no lambda, so its threshold reads never although
+    # the sup bound holds on all of its rows; gamma 1's row at lambda = 100
+    # breaks the bound but did not converge, so its threshold is 10
+    rows = [make_row(10.0, gamma=(1,)), make_row(100.0, gamma=(1,), sup=0.5, conv=False)]
+    rows += [make_row(lam, gamma=(2,), conv=False) for lam in (100.0, 10000.0)]
+    linfty = {v.name: v for v in compute_verdicts(rows, k=2)}["linfty_outside"]
+    assert linfty.detail == "empirical lambda thresholds gamma=1: 10; gamma=2: never"
+    assert not linfty.passed and math.isnan(linfty.margin)
+
+
 def test_one_lambda_sweep_fails_only_the_trend():
     rows = [make_row(1e4, gamma=g) for g in ((1,), (1, 2), (2,))]
     verdicts = compute_verdicts(rows, k=2)
@@ -211,12 +222,12 @@ def test_limit_problem_table(ref, ref_wells, ref_sweep):
     assert all(isinstance(row, LimitRow) for row in table)
 
 
-def test_limit_problem_single_well(ref, ref_wells, ref_big_t):
+def test_limit_problem_single_well(ref, ref_wells, ref_levels, ref_big_t):
     from logbump.solver import lambda_sweep
 
     init = multi_bump_init([ref_wells[0].field], [1.0 / ref_big_t], ref_big_t)
     steps = lambda_sweep([1e3, 1e4], (1,), init, ref.grid, ref.potential,
-                         ref.params, ref.solver)
+                         ref.params, ref.solver, ref_levels)
     table = check_limit_problem(steps, [ref_wells[0].field],
                                 ref_wells[0].energy)
     assert table[-1].phi_gap_rel < 0.01
@@ -239,8 +250,9 @@ def test_limit_problem_grid_consistency(ref_config):
         geometry = config.geometry()
         potential = config.potential()
         rec = solve_single_well(geometry, 1, grid, config.solver_config())
+        # one lambda: its solve starts from init, so it reads no levels
         steps = lambda_sweep([1e4], (1,), rec.field, grid, potential,
-                             config.params(), config.solver_config())
+                             config.params(), config.solver_config(), {})
         gaps.append(abs(steps[0].report.total - rec.energy) / rec.energy)
     assert gaps[1] < 0.01 and gaps[0] < 0.02
 
