@@ -17,13 +17,13 @@ from logbump.solver import (
     AuxiliaryRecord,
     LevelRecord,
     SolveError,
-    SolveRecord,
     SolverConfig,
     lambda_sweep,
     minimax_upper_bound,
     solve_auxiliary,
     solve_neumann_well,
     solve_single_well,
+    superpose,
 )
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "PenalizedFunctional",
     "PotentialSpec",
     "SolveError",
-    "SolveRecord",
     "SolverConfig",
     "WellGeometry",
     "integrate",
@@ -50,4 +49,5 @@ __all__ = [
     "solve_auxiliary",
     "solve_neumann_well",
     "solve_single_well",
+    "superpose",
 ]

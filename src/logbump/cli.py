@@ -10,11 +10,12 @@ canonical echo reparses to an identical config, and the run manifest
 starts with it so a run is reproducible from its own artifacts.
 
 A run executes: per-well ground states, truncation threshold,
-enlarged-well levels, per-gamma lambda sweeps (each lambda after the
-first started from the sum of its wells' level fields), minimax upper
-bounds from the levels c_j = M_j / 2 at the path scale `solver.PATH_T`,
-and finally the verification verdicts, which are recomputed from the
-emitted CSV rather than from in-memory state.
+enlarged-well levels, per-gamma lambda sweeps (the first lambda started
+from the sum of its wells' ground states, each later one from the sum of
+their level fields, or from the ground-state sum when a level failed),
+minimax upper bounds from the levels c_j = M_j / 2 at the path scale
+`solver.PATH_T`, and finally the verification verdicts, which are
+recomputed from the emitted CSV rather than from in-memory state.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from logbump.solver import (
     minimax_upper_bound,
     solve_neumann_well,
     solve_single_well,
+    superpose,
 )
 from logbump.verify import (
     LimitRow,
@@ -549,7 +551,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
 
     print(f"[{config.scenario}] solving {len(needed_wells)} well ground states")
     os.makedirs(os.path.join(out_root, "singlewell"), exist_ok=True)
-    omegas: dict[int, Field] = {}
+    omegas: dict[int, LevelRecord] = {}
     c_dirichlet = [math.nan] * k
     solves: list[SolveRow] = []
     histories: list[HistoryRow] = []
@@ -559,7 +561,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
         c_dirichlet[j - 1] = rec.energy
         _log_solve(solves, histories, "ground_state", math.nan, (j,), rec)
         if rec.converged:
-            omegas[j] = rec.field
+            omegas[j] = rec
 
     # a selection needs the converged ground state of each of its wells;
     # one skipped has no rows, which FAILs multiplicity
@@ -577,9 +579,9 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
     for gsel in runnable:
         gdir = os.path.join(out_root, "gamma_" + _mask_str(gsel))
         os.makedirs(gdir, exist_ok=True)
-        ws = [omegas[j] for j in gsel]
-        records = lambda_sweep(config.lambdas, gsel, Field(grid, sum(w.values for w in ws)),
-                               grid, potential, params, solver_cfg, levels)
+        init = superpose([omegas[j] for j in gsel], grid)
+        records = lambda_sweep(config.lambdas, gsel, init, grid, potential, params,
+                               solver_cfg, levels)
         energies = [c_dirichlet[j - 1] for j in gsel]
         # a ground state is on the Nehari manifold, so its mass is 2 c_j
         b_upper = minimax_upper_bound(energies, [2.0 * e for e in energies], PATH_T)
@@ -611,7 +613,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
             )
             save_field(rec.field, os.path.join(gdir, f"field_lambda_{rec.lam:g}.npy"))
         _write_csv(os.path.join(gdir, "limit.csv"), LimitRow,
-                   check_limit_problem(records, ws, c_gamma))
+                   check_limit_problem(records, init))
 
     all_rows.sort(key=lambda r: (r.gamma, r.lam))
     csv_path = os.path.join(out_root, "energies.csv")
@@ -630,7 +632,7 @@ def run(config: RunConfig, out_dir=None, workers=1, gamma=None) -> int:
                 f"margin={v.margin!r} detail={v.detail}\n"
             )
 
-    nehari_norms = [h1_distance(w, Field.zeros(grid)) for w in omegas.values()]
+    nehari_norms = [h1_distance(w.field, Field.zeros(grid)) for w in omegas.values()]
     with open(manifest_path, "a") as fh:
         fh.write(f"# derived: h = {grid.h!r}\n")
         fh.write(f"# derived: a0 = {params.a0!r}\n")

@@ -130,19 +130,19 @@ class NewtonRecord:
 
 
 @dataclass
-class SolveRecord(NewtonRecord):
-    """A well ground state's record with its field on the whole box."""
-
-    field: Field
-
-
-@dataclass
 class LevelRecord(NewtonRecord):
-    """An enlarged-well level's record with its field on the enlargement's
-    node box: `values` at the full-grid nodes `nodes` (`_LocalWell.nodes`)."""
+    """A local solve's record, a well ground state or an enlarged-well
+    level, with its field on the solve's node box: `values` at the
+    full-grid nodes `nodes` (`_LocalWell.nodes`) of `grid`."""
 
+    grid: Grid
     nodes: tuple[slice, ...]
     values: np.ndarray
+
+    @property
+    def field(self) -> Field:
+        """The field on the whole box, zero off the node box."""
+        return superpose([self], self.grid)
 
 
 @dataclass
@@ -647,6 +647,16 @@ def _interior(nodes) -> tuple[slice, ...]:
     return tuple(slice(s.start - 1, s.stop - 1) for s in nodes)
 
 
+def superpose(records, grid: Grid) -> Field:
+    """The field on the whole box that holds each local record's values at
+    its nodes and is zero elsewhere, the one place local values reach the
+    box: the sum of the records' bumps, which validated wells keep apart."""
+    out = Field.zeros(grid)
+    for rec in records:
+        out.values[_interior(rec.nodes)] += rec.values
+    return out
+
+
 def _relative_residual(u: np.ndarray, res: np.ndarray) -> float:
     """||res|| / ||u|| in the discrete l2 norm, the penalized problem's
     stop test and forcing term."""
@@ -768,28 +778,23 @@ def lambda_sweep(
     config: SolverConfig,
     levels: dict[tuple[float, int], LevelRecord],
 ) -> list[AuxiliaryRecord]:
-    """Solves over an ascending lambda list, the first from init, whose
-    rows perfbench's references record.
+    """The solves of selection gamma at each lambda of `lambdas`, the first
+    from init, whose rows perfbench's references record.
 
     For large lambda the |gamma|-bump solution approaches the sum of the
     one-bump solutions on its wells (Bartsch & Wang 1995; Ding & Tanaka
-    2003), the enlarged-well levels.  So each later lambda starts from the
-    sum of the fields `levels[(lam, j)]` when each converged with Morse
-    index 1, else from the previous lambda's field, converged or not.
+    2003), the enlarged-well levels.  So each later lambda starts from
+    `superpose` of the level records `levels[(lam, j)]` of gamma's wells
+    when each converged with Morse index 1, else from init.  No solve
+    reads another's field.
     """
-    lambdas = [float(x) for x in lambdas]
-    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("lambdas must be strictly ascending")
     records: list[AuxiliaryRecord] = []
     for lam in lambdas:
         recs = [levels.get((lam, j)) for j in gamma]
+        start = init
         if records and all(r and r.converged and r.morse_index == 1 for r in recs):
-            init = Field.zeros(grid)
-            for rec in recs:
-                init.values[_interior(rec.nodes)] += rec.values
-        elif records:
-            init = records[-1].field
-        records.append(solve_auxiliary(lam, gamma, init, grid, potential, params, config))
+            start = superpose(recs, grid)
+        records.append(solve_auxiliary(lam, gamma, start, grid, potential, params, config))
     return records
 
 
@@ -817,7 +822,6 @@ class _LocalWell:
                  potential: PotentialSpec | None = None):
         self.grid = grid
         self.nodes = nodes
-        self.axis_w = axis_w
         self.w = reduce(np.multiply.outer, axis_w)
         self.mesh = grid.mesh(nodes)
         self.lam_v = 0.0
@@ -876,9 +880,10 @@ class _LocalWell:
         return t * u, t * au
 
 
-def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
+def _ground_state_newton(prob: _LocalWell, u: np.ndarray,
+                         config: SolverConfig) -> LevelRecord:
     """Nehari-projected Newton's method for a local problem from the bump u;
-    returns (u, NewtonRecord) of `_newton`.
+    returns the record of `_newton`'s solve with its field on prob's nodes.
 
     Each step solves the weighted Jacobian system
     W(B + lambda V - log u^2 - 2) du = -W res of the residual
@@ -902,19 +907,22 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray, config: SolverConfig):
         return u, rel, 0.5 * mass, prob.w * res, d
 
     ldl = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
-    return _newton(evaluate, prob.off, lambda u: prob.integral(u * u) <= 0.0, u, config,
-                   lambda d: ldl.negative_eigenvalues(d, *prob.off))
+    u, run = _newton(evaluate, prob.off, lambda u: prob.integral(u * u) <= 0.0, u, config,
+                     lambda d: ldl.negative_eigenvalues(d, *prob.off))
+    return LevelRecord(**vars(run), grid=prob.grid, nodes=prob.nodes, values=u)
 
 
 def solve_single_well(
     geometry: WellGeometry, j: int, grid: Grid, config: SolverConfig
-) -> SolveRecord:
-    """Positive ground state of -lap u = u log u^2 on well j (Dirichlet).
+) -> LevelRecord:
+    """Positive ground state of -lap u = u log u^2 on well j (Dirichlet),
+    with its field on the well's interior nodes, which `superpose` sums
+    into the first lambda's sweep start.
 
     Runs the projected Newton iteration on the well's nodes from a positive
     Gaussian bump at its center; the PDE residual is measured inside the
-    well in relative L2.  The field is zero off the well, and the energy
-    nan when the solve stopped before its first residual.
+    well in relative L2.  The energy is nan when the solve stopped before
+    its first residual.
     """
     if not 1 <= j <= geometry.k:
         raise ValueError(f"well index {j} out of range 1..{geometry.k}")
@@ -923,11 +931,7 @@ def solve_single_well(
     check_well_nodes(j, prob.nodes)
     sigma = min(1.0, min(well.half) / 2.0)
     bump = np.exp(-prob.dist_sq(well.center) / (2.0 * sigma * sigma))
-    u, run = _ground_state_newton(prob, bump, config)
-
-    values = np.zeros(grid.interior_shape)
-    values[_interior(prob.nodes)] = u
-    return SolveRecord(**vars(run), field=Field(grid, values))
+    return _ground_state_newton(prob, bump, config)
 
 
 def solve_neumann_well(
@@ -936,7 +940,7 @@ def solve_neumann_well(
     """Ground-state level c_{lambda,j} of the enlarged-well problem
     -lap u + lambda V u = u log u^2 with zero normal derivative, as the
     record's energy, and its field on the enlargement's node box, which
-    `lambda_sweep` sums into its starts.
+    `lambda_sweep` sums into its starts by `superpose`.
 
     The projected Newton iteration of the Dirichlet well, on the
     trapezoid-weighted operator of `_LocalWell.neumann`, from a Gausson at
@@ -946,5 +950,4 @@ def solve_neumann_well(
     prob = _LocalWell.neumann(lam, j, grid, potential)
     center = potential.geometry.enlargements[j - 1].center
     bump = np.exp(0.5 * grid.dim - 0.5 * prob.dist_sq(center)) * (prob.lam_v == 0.0)
-    u, run = _ground_state_newton(prob, bump, config)
-    return LevelRecord(**vars(run), nodes=prob.nodes, values=u)
+    return _ground_state_newton(prob, bump, config)

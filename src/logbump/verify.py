@@ -218,28 +218,21 @@ class LimitRow:
     lam: float
     h1_gap: float
     h1_gap_rel: float
-    phi_gap_rel: float
 
 
-def check_limit_problem(records, omegas: list[Field], c_gamma: float) -> list[LimitRow]:
-    """Distance of the sweep fields to the superposed well ground states.
+def check_limit_problem(records, target: Field) -> list[LimitRow]:
+    """Discrete H1 distance of each sweep field to target, the superposed
+    well ground states, absolute and relative to target's norm.
 
-    Both the discrete H1 gap and the energy gap should shrink along the
-    tail of an ascending sweep as the wells deepen.
+    It should shrink along the tail of an ascending sweep as the wells
+    deepen.  The energy gap to c_gamma is energies.csv's, which
+    `limit_energy_gap` judges.
     """
-    target = Field(omegas[0].grid, sum(w.values for w in omegas))
     tnorm = h1_distance(target, Field.zeros(target.grid))
     out = []
     for rec in records:
         gap = h1_distance(rec.field, target)
-        out.append(
-            LimitRow(
-                lam=rec.lam,
-                h1_gap=gap,
-                h1_gap_rel=gap / tnorm,
-                phi_gap_rel=abs(rec.energy - c_gamma) / abs(c_gamma),
-            )
-        )
+        out.append(LimitRow(lam=rec.lam, h1_gap=gap, h1_gap_rel=gap / tnorm))
     return out
 
 

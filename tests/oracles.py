@@ -200,9 +200,9 @@ def eval_potential(spec: PotentialSpec, x) -> float:
 
 
 def level_start(levels, grid: Grid) -> Field:
-    """The whole-box field that holds each level record's field at its
-    full-grid nodes and is zero elsewhere: the start `lambda_sweep` builds
-    from those levels."""
+    """The whole-box field that holds each local record's field at its
+    full-grid nodes and is zero elsewhere: the reference for
+    `solver.superpose`, placed through the full grid."""
     full = np.zeros(grid.full_shape)
     for rec in levels:
         full[rec.nodes] += rec.values

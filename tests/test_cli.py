@@ -48,6 +48,7 @@ from logbump.solver import (
     solve_auxiliary,
     solve_neumann_well,
     solve_single_well,
+    superpose,
 )
 from logbump.verify import LimitRow, SweepRow, check_limit_problem
 from oracles import (
@@ -795,8 +796,7 @@ def test_limit_csv_repeats_the_limit_rows(ref, ref_run, ref_wells, ref_levels, r
         init = multi_bump_init(wells, [1.0 / ref_big_t] * len(wells), ref_big_t)
         records = lambda_sweep(ref.config.lambdas, gamma, init, ref.grid,
                                ref.potential, ref.params, ref.solver, ref_levels)
-        c_gamma = sum(ref_wells[j - 1].energy for j in gamma)
-        expected = check_limit_problem(records, wells, c_gamma)
+        expected = check_limit_problem(records, init)
         path = ref_run.out / ("gamma_" + "+".join(map(str, gamma))) / "limit.csv"
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -828,6 +828,16 @@ def test_field_files_agree_with_energies_csv(ref_run):
         paths.add(path)
     assert set(out.glob("gamma_*/field_lambda_*.npy")) == paths
     assert not list(out.rglob("field_*.csv")) and not list(out.rglob("omega_*.csv"))
+
+
+def test_omega_files_are_the_superposed_ground_states(ref, ref_run, ref_wells):
+    # each singlewell/omega_J.npy holds its ground state's superposition
+    # alone, bit for bit
+    for j, rec in enumerate(ref_wells, start=1):
+        saved = np.load(ref_run.out / "singlewell" / f"omega_{j}.npy")
+        want = superpose([rec], ref.grid).values
+        assert saved.dtype == want.dtype and saved.shape == want.shape
+        assert saved.tobytes() == want.tobytes()
 
 
 def test_tau_default_matches_cli():
@@ -1314,6 +1324,11 @@ def test_run_matches_the_benchmark_reference(tmp_path, capsys, workload):
         for k, v in values.items():
             x = float(got[k][col])
             assert abs(x - v) <= bound or math.isnan(v) and math.isnan(x), (col, k)
+    # every level converged with Morse index 1, so every lambda after the
+    # first starts from the level fields and none from the fallback
+    levels = [r for r in _table(out / "solves.csv") if r["kind"] == "level"]
+    assert levels and all((r["stop"], float(r["morse_index"])) == ("converged", 1.0)
+                          for r in levels)
 
 
 def test_three_wells_verdicts_are_grid_stable(tmp_path, capsys):

@@ -46,6 +46,7 @@ from logbump.solver import (
     solve_auxiliary,
     solve_neumann_well,
     solve_single_well,
+    superpose,
 )
 
 from oracles import (
@@ -603,12 +604,19 @@ def test_validated_wells_are_stencil_separated(dim, shift):
 # -- sweep ------------------------------------------------------------------------------
 
 
-def test_sweep_requires_ascending(ref, ref_wells, ref_big_t):
+def test_a_shuffled_ladder_gives_each_lambda_its_solve(ref, ref_wells, ref_levels,
+                                                       ref_big_t, ref_sweep):
+    # after the first lambda no solve reads another's field, so the ladder
+    # 10, 1e4, 1e3, 100 gives each lambda the sorted ladder's record
     init = multi_bump_init([r.field for r in ref_wells],
                            [1.0 / ref_big_t] * 2, ref_big_t)
-    with pytest.raises(ValueError, match="ascending"):
-        lambda_sweep([10.0, 10.0], (1, 2), init, ref.grid, ref.potential,
-                     ref.params, ref.solver, {})
+    ladder = [10.0, 1e4, 1e3, 100.0]
+    shuffled = lambda_sweep(ladder, (1, 2), init, ref.grid, ref.potential,
+                            ref.params, ref.solver, ref_levels)
+    assert [rec.lam for rec in shuffled] == ladder
+    assert [rec.lam for rec in ref_sweep] == sorted(ladder)
+    by_lam = {rec.lam: rec for rec in shuffled}
+    assert all(_same_solve(by_lam[rec.lam], rec) for rec in ref_sweep)
 
 
 def test_sweep_single_lambda_matches_direct(ref, ref_wells, ref_big_t):
@@ -646,26 +654,72 @@ def test_sweep_starts_later_lambdas_from_the_level_fields(ref, ref_wells, ref_le
 @pytest.mark.parametrize("flaw", [{"stop_reason": "iteration cap"}, {"morse_index": 2.0},
                                   {"morse_index": math.nan}],
                          ids=["unconverged", "saddle", "uncounted"])
-def test_a_failed_level_leaves_its_lambda_to_continuation(ref, ref_wells, ref_levels,
-                                                          flaw):
+def test_a_failed_level_leaves_its_lambda_to_init(ref, ref_wells, ref_levels, ref_sweep,
+                                                  flaw):
     # well 2's level at lambda = 100 failed: the sweep solve of gamma 1+2
-    # there starts from the field of lambda = 10, as plain continuation
-    # does, and the next lambda starts from its levels again; gamma 1 does
-    # not read well 2's level
+    # there starts from init, as the first lambda does, and every other
+    # lambda keeps its solve; gamma 1 does not read well 2's level
     lambdas = ref.config.lambdas
     levels = dict(ref_levels)
     levels[(100.0, 2)] = replace(ref_levels[(100.0, 2)], **flaw)
     init = Field(ref.grid, sum(w.field.values for w in ref_wells))
-    sweep = partial(lambda_sweep, lambdas, (1, 2), init, ref.grid, ref.potential,
-                    ref.params, ref.solver)
-    plain, seeded = sweep({}), sweep(levels)
-    assert lambdas[:2] == (10.0, 100.0)
-    assert all(_same_solve(a, b) for a, b in zip(plain[:2], seeded[:2]))
-    assert _same_solve(seeded[2], sweep(ref_levels)[2])
-    assert not _same_solve(seeded[2], plain[2])
+    seeded = lambda_sweep(lambdas, (1, 2), init, ref.grid, ref.potential, ref.params,
+                          ref.solver, levels)
+    assert lambdas[1] == 100.0
+    assert _same_solve(seeded[1], solve_auxiliary(100.0, (1, 2), init, ref.grid,
+                                                  ref.potential, ref.params, ref.solver))
+    assert not _same_solve(seeded[1], ref_sweep[1])
+    assert all(_same_solve(a, b) for i, (a, b) in enumerate(zip(seeded, ref_sweep,
+                                                                 strict=True)) if i != 1)
     one = partial(lambda_sweep, lambdas, (1,), ref_wells[0].field, ref.grid,
                   ref.potential, ref.params, ref.solver)
     assert all(_same_solve(a, b) for a, b in zip(one(levels), one(ref_levels)))
+
+
+def test_a_broken_solve_starts_no_later_lambda(ref, ref_wells, ref_levels, monkeypatch):
+    # the lambda = 10 solve breaks down at its second step, and well 2's
+    # level at lambda = 100 failed: the lambda = 100 solve starts from init,
+    # not from the broken solve's field
+    init = Field(ref.grid, sum(w.field.values for w in ref_wells))
+    levels = dict(ref_levels)
+    levels[(100.0, 2)] = replace(ref_levels[(100.0, 2)], stop_reason="iteration cap")
+    evaluate, calls = PenalizedFunctional.evaluate, []
+
+    def breaks(self, values):
+        if self.lam == 10.0:
+            calls.append(1)
+            if len(calls) == 3:
+                raise SolveError("injected")
+        return evaluate(self, values)
+
+    monkeypatch.setattr(PenalizedFunctional, "evaluate", breaks)
+    broken, rec = lambda_sweep([10.0, 100.0], (1, 2), init, ref.grid, ref.potential,
+                               ref.params, ref.solver, levels)
+    monkeypatch.undo()
+    assert broken.stop == "breakdown (injected)" and broken.iterations == 2
+    assert not np.array_equal(broken.field.values, init.values)
+    assert _same_solve(rec, solve_auxiliary(100.0, (1, 2), init, ref.grid, ref.potential,
+                                            ref.params, ref.solver))
+
+
+def _bits(field: Field) -> bytes:
+    return field.values.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_superpose_is_the_level_start(dim, ref_wells, ref_levels, twin_2d):
+    # the two ground states, then the two levels at each lambda, each alone
+    # and summed, as the oracle places them; a record's field is its
+    # superposition alone
+    local = list(ref_wells) + list(ref_levels.values()) if dim == 1 else twin_2d[2]
+    grid = local[0].grid
+    assert grid.dim == dim
+    for recs in (local[i:i + 2] for i in range(0, len(local), 2)):
+        assert _bits(superpose(recs, grid)) == _bits(level_start(recs, grid))
+        for rec in recs:
+            assert rec.grid == grid
+            assert _bits(superpose([rec], grid)) == _bits(level_start([rec], grid))
+            assert _bits(rec.field) == _bits(superpose([rec], grid))
 
 
 def test_sweep_builds_one_functional_per_solve(ref, ref_wells, ref_big_t, ref_levels,
@@ -905,7 +959,8 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
 
     monkeypatch.setattr(solver_module, "minres", recorded)
     config = SolverConfig(max_iters=1)
-    u_new, run = solver_module._ground_state_newton(prob, bump, config)
+    run = solver_module._ground_state_newton(prob, bump, config)
+    u_new = run.values
     if prob.grid.dim == 1:
         assert calls == [] and run.inner_iterations == 0
         du = np.linalg.solve(jac, b.ravel()).reshape(u.shape)
@@ -967,9 +1022,9 @@ def test_local_levels_are_the_nehari_identity(ref, monkeypatch):
     iterates = []
 
     def keep(prob, u, config):
-        u, run = newton(prob, u, config)
-        iterates.append((prob, u))
-        return u, run
+        rec = newton(prob, u, config)
+        iterates.append((prob, rec.values))
+        return rec
 
     monkeypatch.setattr(solver_module, "_ground_state_newton", keep)
     geometry_2d, _, grid_2d = _small_2d()
@@ -991,9 +1046,9 @@ def test_converged_local_morse_index_is_the_dense_count(ref, monkeypatch):
     solved = []
 
     def keep(prob, u, config):
-        u, run = newton(prob, u, config)
-        solved.append((prob, u, run))
-        return u, run
+        rec = newton(prob, u, config)
+        solved.append((prob, rec.values, rec))
+        return rec
 
     monkeypatch.setattr(solver_module, "_ground_state_newton", keep)
     mirrors = []
@@ -1730,7 +1785,7 @@ def test_mirror_stencil_pairing_is_face_sum(dim):
         faces = np.sum(np.diff(u) ** 2)
     else:
         # a face along an edge row of the other axis carries its half weight
-        w0, w1 = prob.axis_w
+        w0, w1 = (np.r_[0.5, np.ones(m - 2), 0.5] for m in u.shape)
         faces = np.sum(np.diff(u, axis=0) ** 2 * w1) + np.sum(
             np.diff(u, axis=1) ** 2 * w0[:, None]
         )

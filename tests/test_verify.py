@@ -22,7 +22,7 @@ from logbump.verify import (
     linfty_threshold,
     log_equation_residual_norm,
 )
-from oracles import multi_bump_init, restricted_norm_sq
+from oracles import level_start, multi_bump_init, restricted_norm_sq
 
 
 def make_row(lam, gamma=(1, 2), sup=1e-8, lamv=1e-3, outn=1e-2, phi=4.8,
@@ -214,11 +214,11 @@ def test_nan_energy_fails_the_gap_wherever_it_sorts(nan_gamma):
 
 def test_limit_problem_table(ref, ref_wells, ref_sweep):
     c_gamma = sum(r.energy for r in ref_wells)
-    table = check_limit_problem(ref_sweep, [r.field for r in ref_wells], c_gamma)
+    table = check_limit_problem(ref_sweep, level_start(ref_wells, ref.grid))
     assert [row.lam for row in table] == list(ref.config.lambdas)
     gaps = [row.h1_gap for row in table]
     assert gaps[-1] <= gaps[-2] * 1.05
-    assert table[-1].phi_gap_rel < 0.01
+    assert abs(ref_sweep[-1].energy - c_gamma) / abs(c_gamma) < 0.01
     assert all(isinstance(row, LimitRow) for row in table)
 
 
@@ -228,9 +228,10 @@ def test_limit_problem_single_well(ref, ref_wells, ref_levels, ref_big_t):
     init = multi_bump_init([ref_wells[0].field], [1.0 / ref_big_t], ref_big_t)
     steps = lambda_sweep([1e3, 1e4], (1,), init, ref.grid, ref.potential,
                          ref.params, ref.solver, ref_levels)
-    table = check_limit_problem(steps, [ref_wells[0].field],
-                                ref_wells[0].energy)
-    assert table[-1].phi_gap_rel < 0.01
+    table = check_limit_problem(steps, init)
+    assert [row.lam for row in table] == [1e3, 1e4]
+    c_gamma = ref_wells[0].energy
+    assert abs(steps[-1].energy - c_gamma) / abs(c_gamma) < 0.01
     assert steps[-1].bump_mask == (1,)
 
 
