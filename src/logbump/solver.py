@@ -30,7 +30,9 @@ solve gives the Morse index: tridiagonal in 1D, block tridiagonal in 2D.
 The penalized problem on the whole box has saddle solutions, solved by
 Newton's method with the same clip.  Its Morse index is the tridiagonal
 count in 1D; in 2D it is certified by an inertia enclosure that factors
-only the enlarged wells' node boxes.
+only the enlarged wells' node boxes: once each for the upper bound, and
+again for the lower bound only where the returned field's own negative
+curvature on the box does not settle it.
 
 Everything here is deterministic: fixed iteration order, fixed summation
 order, no randomness, so identical inputs give bit-identical outputs.
@@ -95,9 +97,12 @@ class NewtonRecord:
     at the returned field (on a collapse, at the last evaluated iterate),
     by the problem's inertia count: the LDL^T pivots of a 1D Jacobian, the
     Schur-block inertia of a 2D ground state's local box, a certified
-    inertia enclosure for the 2D penalized problem.  It is nan when no
-    step returned, when the count raises `SolveError` (a pivot or Schur
-    block near singular) and when the enclosure's bounds disagree.
+    inertia enclosure for the 2D penalized problem, whose lower bound on a
+    box with one negative eigenvalue in its upper bound may come from the
+    returned field's negative curvature there instead of a second count.
+    It is nan when no step returned, when the count raises `SolveError` (a
+    pivot or Schur block near singular, a non-finite entry) and when the
+    enclosure's bounds disagree.
     stop_detail keeps the `SolveError` message of a breakdown and is empty
     otherwise.  inner_iterations sums the MINRES iterations of the steps
     whose linear solve returned, 0 in 1D.  energy is the energy history's
@@ -376,14 +381,18 @@ class BlockTridiagonalLDL:
         Schur block's inverse.  A block whose Cholesky factor succeeds is
         SPD; otherwise its eigenvalues are counted, and a block within
         TridiagonalLDL.PIVOT_RTOL of singular raises SolveError, since its
-        inverse would carry no digits.  Each block is built in one matrix,
-        its diagonals written through the matrix's flat view."""
+        inverse would carry no digits.  A non-finite entry raises
+        SolveError too, as a Cholesky factor need not fail on one.  Each
+        block is built in one matrix, its diagonals written through the
+        matrix's flat view."""
         diag = np.asarray(diag, dtype=float)
         off0 = np.asarray(off0, dtype=float)
         off1 = np.asarray(off1, dtype=float)
         ny, nx = diag.shape
         if off0.shape != (ny - 1, nx) or off1.shape != (ny, nx - 1):
             raise ValueError("off0 and off1 must couple neighbours along axes 0 and 1")
+        if not all(np.all(np.isfinite(a)) for a in (diag, off0, off1)):
+            raise SolveError("block LDL^T breakdown: non-finite matrix entry")
         negative = 0
         schur = np.empty((nx, nx))
         flat = schur.reshape(-1)
@@ -513,9 +522,11 @@ def _five_point_apply(d: np.ndarray, off) -> Callable:
 # -- penalized problem on the box -------------------------------------------
 
 
-def _morse_enclosure(d: np.ndarray, boxes, h: float) -> float:
+def _morse_enclosure(d: np.ndarray, boxes, h: float, x: np.ndarray) -> float:
     """Negative eigenvalues of J = -lap_h + diag(jd) on a 2D node array,
-    given its diagonal d = 4/h^2 + jd, or nan when they cannot be certified.
+    given its diagonal d = 4/h^2 + jd, or nan when they cannot be certified;
+    x, an array of d's shape, is a trial field, in a solve the returned
+    iterate.
 
     E is the union of the node `boxes` and O the other nodes.  With
     m = min jd over O > 0, J_OO >= m I is SPD, and Haynsworth's inertia
@@ -527,9 +538,17 @@ def _morse_enclosure(d: np.ndarray, boxes, h: float) -> float:
     where R is the diagonal Gershgorin bound of h^4 J_EO J_OE: per E node,
     the sum over its O neighbours of their numbers of E neighbours.  J_EE
     is block diagonal over boxes that no stencil couples, so both bounds
-    are block LDL^T inertias of single boxes.  The count is returned when
-    the bounds agree; nan when they differ, when m <= 0 or when two boxes
-    are stencil-coupled.  A Schur block near singular raises SolveError.
+    are sums over single boxes b.  Each box's upper bound
+    neg(J_EE,b - D_b) is a block LDL^T inertia, and it bounds the box's
+    lower bound neg(J_EE,b) from above, since D_b >= 0.  So an upper count
+    of 0 is the lower one too, and so is an upper count of 1 when x has
+    negative curvature on the box, x_b^T J_EE,b x_b < 0 beyond round-off
+    (`_negative_curvature`): by Courant-Fischer one direction of negative
+    curvature makes one negative eigenvalue.  Any other box's lower bound
+    is its own block LDL^T inertia.  The count is returned when the bounds agree;
+    nan when they differ, when m is not positive or when two boxes are
+    stencil-coupled.  A Schur block near singular or a non-finite entry in
+    a counted block raises SolveError.
     """
     if any(_stencil_coupled(a, b) for a, b in itertools.combinations(boxes, 2)):
         return math.nan
@@ -537,24 +556,42 @@ def _morse_enclosure(d: np.ndarray, boxes, h: float) -> float:
     for box in boxes:
         inside[box] = True
     m = float(np.min(d[~inside], initial=math.inf)) - 4.0 / h**2
-    if m <= 0.0:
+    if not m > 0.0:
         return math.nan
     # neighbour sums of 0/1 and small integer arrays, exact in floating point
     degree = _neighbour_sum(inside.astype(float))
     shift = _neighbour_sum(np.where(inside, 0.0, degree)) / (m * h**4)
     c = -1.0 / h**2
-
-    def negatives(diag):
-        return sum(
-            BlockTridiagonalLDL.negative_eigenvalues(
-                b, np.full((b.shape[0] - 1, b.shape[1]), c),
-                np.full((b.shape[0], b.shape[1] - 1), c),
-            )
-            for b in (diag[box] for box in boxes)
-        )
-
-    low, high = negatives(d), negatives(d - shift)
+    low = high = 0
+    for box in boxes:
+        b = d[box]
+        off = (np.full((b.shape[0] - 1, b.shape[1]), c),
+               np.full((b.shape[0], b.shape[1] - 1), c))
+        upper = BlockTridiagonalLDL.negative_eigenvalues(b - shift[box], *off)
+        high += upper
+        if upper == 0 or (upper == 1 and _negative_curvature(b, c, x[box])):
+            low += upper
+        else:
+            low += BlockTridiagonalLDL.negative_eigenvalues(b, *off)
     return low if low == high else math.nan
+
+
+def _negative_curvature(b: np.ndarray, c: float, x: np.ndarray) -> bool:
+    """Whether x^T A x < 0 for the 5-point matrix A with diagonal b and
+    couplings c, beyond the round-off of computing it.
+
+    With x of n entries and A x summed from at most 5 terms per entry, the
+    computed form is within gamma_(n+5) |x|^T |A| |x| of the exact one,
+    gamma_k = k u / (1 - k u) for the unit round-off u = eps / 2 (Higham
+    2002, section 3.5).  The margin (n + 5) eps |x|^T |A| |x| is about
+    twice that, which also covers the rounding of |x|^T |A| |x| itself.
+    A non-finite or overflowing form certifies nothing, nor does x = 0.
+    """
+    ax = np.abs(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = float(np.vdot(x, _five_point_apply(b, (c, c))(x)))
+        size = float(np.vdot(ax, _five_point_apply(np.abs(b), (-c, -c))(ax)))
+    return math.isfinite(size) and form < -(x.size + 5) * np.finfo(float).eps * size
 
 
 def _neighbour_sum(v: np.ndarray) -> np.ndarray:
@@ -590,10 +627,12 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
     raises `SolveError` (no solve lets it escape), and non-finite when the
     start's or a step's residual is not finite.
 
-    The Morse index is inertia(d), the problem's count of J's negative
+    The Morse index is inertia(u, d), the problem's count of J's negative
     eigenvalues from its diagonal d, taken once, at the last evaluated
-    iterate: the returned one on every stop but a collapse.  It is nan
-    when no step returned or inertia raises `SolveError`.  The record's
+    iterate: the returned one on every stop but a collapse.  u is the
+    returned iterate, a trial vector the count may use (see
+    `_morse_enclosure`), on a collapse the collapsed one.  It is nan when
+    no step returned or inertia raises `SolveError`.  The record's
     inner_iterations is the step's MINRES tally.  Returns
     (u, NewtonRecord): u is the collapsed iterate on a collapse, else the
     last iterate with a finite residual, or the start when there is none.
@@ -634,7 +673,7 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
     except SolveError as exc:
         stop_reason, detail = "breakdown", str(exc)
     try:
-        morse = math.nan if du is None else inertia(d)
+        morse = math.nan if du is None else inertia(u, d)
     except SolveError:
         morse = math.nan
     return u, NewtonRecord(it, residuals, energies, stop_reason, morse_index=morse,
@@ -688,7 +727,9 @@ def solve_auxiliary(
     field give the Morse index, which is |gamma| on an l-bump saddle of the
     minimax over [1/T^2, 1]^l.  Each step is `_linear_step` on the Jacobian
     -lap + diag(jd), with the constant couplings -1/h^2.  The Morse index
-    is its LDL^T count in 1D and `_morse_enclosure` in 2D.  One
+    is its LDL^T count in 1D and `_morse_enclosure` in 2D, which counts
+    each enlarged well's box once and a second time only where the
+    returned field's curvature there does not certify its lower bound.  One
     `PenalizedFunctional.evaluate` per iterate gives the stop test's
     residual, the energy history's entry and the next step's Jacobian
     diagonal.  The record's report takes its total from the last
@@ -716,12 +757,12 @@ def solve_auxiliary(
             hd * float(np.sum((u * u)[mask])) <= 0.0 for mask in gamma_masks
         )
 
-    def inertia(d):
+    def inertia(u, d):
         if grid.dim == 1:
             return TridiagonalLDL.negative_eigenvalues(d, *off)
         boxes = [_interior(box_nodes(e, grid, False))
                  for e in potential.geometry.enlargements]
-        return _morse_enclosure(d, boxes, grid.h)
+        return _morse_enclosure(d, boxes, grid.h, u)
 
     u, run = _newton(evaluate, off, collapsed, init.values.copy(), config, inertia)
     out = Field(grid, u)
@@ -908,7 +949,7 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray,
 
     ldl = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
     u, run = _newton(evaluate, prob.off, lambda u: prob.integral(u * u) <= 0.0, u, config,
-                     lambda d: ldl.negative_eigenvalues(d, *prob.off))
+                     lambda u, d: ldl.negative_eigenvalues(d, *prob.off))
     return LevelRecord(**vars(run), grid=prob.grid, nodes=prob.nodes, values=u)
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference twin-well scenario and its heavy solves.
+"""Shared fixtures: the reference twin-well scenario and its heavy solves,
+and a counter of the 2D inertia counts.
 
 Session scope keeps the expensive solves, and the one pipeline run of
 the reference config, shared between the module tests and the
@@ -11,7 +12,13 @@ from pathlib import Path
 import pytest
 
 from logbump.cli import main, parse_config, rows_from_csv
-from logbump.solver import PATH_T, lambda_sweep, solve_neumann_well, solve_single_well
+from logbump.solver import (
+    PATH_T,
+    BlockTridiagonalLDL,
+    lambda_sweep,
+    solve_neumann_well,
+    solve_single_well,
+)
 
 from oracles import multi_bump_init
 
@@ -111,3 +118,19 @@ def wide_well():
     rec = solve_single_well(geometry, 1, grid, SolverConfig())
     assert rec.converged
     return geometry, grid, rec
+
+
+@pytest.fixture
+def block_ldl_calls(monkeypatch):
+    """The arguments of each `BlockTridiagonalLDL.negative_eigenvalues`
+    call the test makes, one entry per call, the deterministic work
+    counter of the 2D inertia counts."""
+    calls = []
+    count = BlockTridiagonalLDL.negative_eigenvalues
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(BlockTridiagonalLDL, "negative_eigenvalues", staticmethod(counted))
+    return calls

@@ -1331,6 +1331,28 @@ def test_run_matches_the_benchmark_reference(tmp_path, capsys, workload):
                           for r in levels)
 
 
+def test_two_d_benchmark_block_count_guard(tmp_path, block_ldl_calls):
+    # deterministic work counter: one run of the twin-wells-2d workload
+    # takes 14 block LDL^T counts, one per local solve (2 ground states and
+    # 6 levels) and one per enlarged well of each of its 3 sweep solves,
+    # whose fields certify each box's lower bound by their own negative
+    # curvature (20 counts with a second one per box); each sweep's Morse
+    # index is still the whole-box count at its field
+    config = parse_config(BENCH_CONFIGS["twin-wells-2d"])
+    out = tmp_path / "twin-wells-2d"
+    run(config, out_dir=str(out))
+    assert len(block_ldl_calls) == 14
+    grid = config.grid()
+    sweeps = [r for r in _table(out / "solves.csv") if r["kind"] == "sweep"]
+    assert len(sweeps) == 3
+    for row in sweeps:
+        lam = float(row["lambda"])
+        field = load_field(out / "gamma_1+2" / f"field_lambda_{lam:g}.npy", grid)
+        fun = PenalizedFunctional(grid, config.potential(), config.params(), (1, 2), lam)
+        jd = fun.evaluate(field.values)[2]
+        assert float(row["morse_index"]) == whole_box_negative_eigenvalues(jd, grid.h) == 2
+
+
 def test_three_wells_verdicts_are_grid_stable(tmp_path, capsys):
     # the bundled grid and one eight times finer give the same verdicts:
     # each run FAILs only limit_energy_gap (1.314e-2 and 1.141e-2)

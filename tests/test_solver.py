@@ -1160,12 +1160,14 @@ def test_newton_driver_names_every_stop(stop, step, max_iters, iterations, u_end
     # residual, here the start; a collapse returns the clipped iterate.  The
     # Morse index is counted once, at the Jacobian diagonal 2u of the
     # returned field, or on a collapse of the last evaluated iterate, the
-    # start; nan with no count when no step returned
+    # start; nan with no count when no step returned.  The count's trial
+    # vector is the returned field, the collapsed one on a collapse
     monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(step))
-    seen = []
+    seen, trials = [], []
 
-    def count(d):
+    def count(u, d):
         seen.append(d.copy())
+        trials.append(u.copy())
         return 1
 
     u, rec = solver_module._newton(
@@ -1185,13 +1187,15 @@ def test_newton_driver_names_every_stop(stop, step, max_iters, iterations, u_end
     else:
         assert rec.morse_index == 1 and rec.stop_detail == ""
         assert seen == [2.0 * (np.array([3.0]) if stop == "collapse" else u)]
+        assert trials == [u]
 
 
 @pytest.mark.parametrize("off", [(None,), (None, None)], ids=["1d", "2d"])
 def test_newton_driver_counts_the_morse_index_at_the_returned_field(off, monkeypatch):
     # in 1D as in 2D the problem's count sees, once, the Jacobian diagonal
-    # of the returned field, which no step has solved with; its SolveError
-    # leaves the index open, and the step's MINRES tally is kept
+    # of the returned field, which no step has solved with, and that field
+    # as its trial vector; its SolveError leaves the index open, and the
+    # step's MINRES tally is kept
     diagonals = []
 
     def step(u, b, d, rel):
@@ -1202,11 +1206,12 @@ def test_newton_driver_counts_the_morse_index_at_the_returned_field(off, monkeyp
     monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(step))
     seen = []
 
-    def count(d):
+    def count(u, d):
         seen.append(d)
+        assert np.array_equal(2.0 * u, d)
         return 3
 
-    def singular(d):
+    def singular(u, d):
         raise SolveError("block LDL^T breakdown: Schur block near singular")
 
     start = np.full((1,) * len(off), 3.0)
@@ -1487,21 +1492,78 @@ def _dipped_diagonal(depth, outside=30.0, h=0.25):
     return jd
 
 
+def _bump_trial(h=0.25):
+    """A positive (20, 24) field: a Gaussian bump on each dip of
+    _dipped_diagonal, narrower than the dip, with the shape of the
+    lowest eigenvector of a box with a negative eigenvalue."""
+    yy, xx = np.mgrid[0:20, 0:24]
+    return sum(np.exp(-3.0 * ((yy - c0) ** 2 + (xx - c1) ** 2) * h * h)
+               for c0, c1 in [(6, 6), (7, 17)])
+
+
 @pytest.mark.parametrize("depth, count", [(20.0, 0), (35.0, 1), (45.0, 4)])
-def test_morse_enclosure_matches_eigvalsh(depth, count):
+def test_morse_enclosure_matches_eigvalsh(depth, count, block_ldl_calls):
+    # the upper bounds count 0 + 0, 0 + 1 and 1 + 3 negative eigenvalues.
+    # Each box takes one block count for its upper bound; a second one for
+    # its lower bound unless its upper count is 0, or 1 with the trial's
+    # negative curvature on it.  The bumps have it on every box with one;
+    # a zero or a nan trial has it nowhere, and falls back to the count
     h = 0.25
     jd = _dipped_diagonal(depth)
     want = int(np.sum(np.linalg.eigvalsh(_five_point_dense(jd, h)) < 0.0))
     assert want == count
-    assert solver_module._morse_enclosure(4.0 / h**2 + jd, _ENCLOSURE_BOXES, h) == count
     assert whole_box_negative_eigenvalues(jd, h) == count
+    bumps, fallback = {20.0: (2, 2), 35.0: (2, 3), 45.0: (3, 4)}[depth]
+    for x, n in [(_bump_trial(), bumps), (np.zeros_like(jd), fallback),
+                 (np.full_like(jd, math.nan), fallback)]:
+        block_ldl_calls.clear()
+        assert solver_module._morse_enclosure(4.0 / h**2 + jd, _ENCLOSURE_BOXES, h, x) == count
+        assert len(block_ldl_calls) == n
+
+
+def test_negative_curvature_margin():
+    # the bumps' curvature on the box of the 35-deep case's one negative
+    # eigenvalue, against its round-off scale |x|^T |J| |x|, and the forms
+    # that certify nothing: round-off size, zero, non-finite, overflowing
+    h, c = 0.25, -16.0
+    box = _ENCLOSURE_BOXES[1]
+    b = (4.0 / h**2 + _dipped_diagonal(35.0))[box]
+    x = _bump_trial()[box]
+    form = np.vdot(x, solver_module._five_point_apply(b, (c, c))(x))
+    size = np.vdot(x, solver_module._five_point_apply(np.abs(b), (-c, -c))(x))
+    assert -0.03 < form / size < -0.02
+    assert solver_module._negative_curvature(b, c, x)
+    # diagonals shifted up to leave the form 1e-14 and 1e-12 of its scale
+    # below zero, about half and 50 times the margin (81 + 5) eps
+    for rel, certified in [(1e-14, False), (1e-12, True)]:
+        shifted = b - (form + rel * size) / np.vdot(x, x)
+        assert solver_module._negative_curvature(shifted, c, x) == certified
+    for bad in (np.zeros_like(x), np.full_like(x, math.nan), np.where(x > 0.5, math.inf, x),
+                1e300 * x):
+        assert not solver_module._negative_curvature(b, c, bad)
+
+
+def test_morse_enclosure_non_finite_diagonal():
+    # nan off the boxes makes m nan, which certifies nothing; nan in a box
+    # makes its block count raise, which `_newton` turns into a nan index
+    h = 0.25
+    d = 4.0 / h**2 + _dipped_diagonal(35.0)
+    for trial in (_bump_trial(), np.zeros_like(d)):
+        outside = d.copy()
+        outside[15, 2] = math.nan
+        assert math.isnan(solver_module._morse_enclosure(outside, _ENCLOSURE_BOXES, h, trial))
+        for node in [(5, 5), (7, 17)]:
+            inside = d.copy()
+            inside[node] = math.nan
+            with pytest.raises(SolveError, match="non-finite"):
+                solver_module._morse_enclosure(inside, _ENCLOSURE_BOXES, h, trial)
 
 
 def test_morse_enclosure_uncertified_cases():
     h = 0.25
     def enclose(outside=30.0, boxes=_ENCLOSURE_BOXES):
         jd = _dipped_diagonal(35.0, outside)
-        return solver_module._morse_enclosure(4.0 / h**2 + jd, boxes, h)
+        return solver_module._morse_enclosure(4.0 / h**2 + jd, boxes, h, _bump_trial())
 
     assert enclose() == 1
     # J_OO not SPD: no lower bound on it
@@ -1564,6 +1626,17 @@ def test_block_ldl_negative_eigenvalues_singular_block_raises():
             np.array([[1.0, 1.0]]), np.zeros((0, 2)), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["diag", "off0", "off1"])
+def test_block_ldl_negative_eigenvalues_non_finite_entry_raises(bad, where):
+    # as the tridiagonal count does; a Cholesky factor need not fail on a
+    # nan, and the count read 0 on a 4 x 4 grid with one in its diagonal
+    diag, off0, off1 = np.full((4, 4), 4.0), -np.ones((3, 4)), -np.ones((4, 3))
+    {"diag": diag, "off0": off0, "off1": off1}[where][1, 2] = bad
+    with pytest.raises(SolveError, match="non-finite"):
+        BlockTridiagonalLDL.negative_eigenvalues(diag, off0, off1)
+
+
 TWIN_WELLS_2D = REPO_ROOT / "perfbench" / "configs" / "twin-wells-2d.cfg"
 
 
@@ -1608,8 +1681,8 @@ def test_two_d_newton_step_count_guard(twin_2d_sweep):
 
 def test_two_d_minres_iteration_guard(twin_2d_sweep):
     # deterministic work counter: 284 MINRES iterations over the sweep when
-    # pinned, 556 by continuation from each previous field, 1,225 when every
-    # step was solved to a relative residual of 1e-12
+    # pinned, 556 by continuation from each previous field, 763 when every
+    # step is solved to a relative residual of 1e-12
     inner = [st.inner_iterations for st in twin_2d_sweep]
     assert all(n > 0 for n in inner)
     assert sum(inner) <= 700
@@ -1628,10 +1701,10 @@ def test_two_d_local_solves_converge_with_morse_index_one(twin_2d_local):
 
 
 def test_two_d_local_solve_work_guard(twin_2d_local):
-    # deterministic work counters: 3, 3, 4, 4, 4, 4, 7, 7 Newton steps and
-    # 1,560 MINRES iterations over the eight solves when pinned
-    assert all(rec.iterations <= 7 for rec in twin_2d_local)
-    assert sum(rec.inner_iterations for rec in twin_2d_local) <= 1800
+    # deterministic work counters: 3, 3, 4, 4, 4, 4, 4, 4 Newton steps and
+    # 1,276 MINRES iterations over the eight solves, pinned or not
+    assert all(rec.iterations <= 5 for rec in twin_2d_local)
+    assert sum(rec.inner_iterations for rec in twin_2d_local) <= 1500
 
 
 def test_two_d_local_inertia_breakdown_leaves_the_morse_index_open(monkeypatch):
@@ -1660,7 +1733,8 @@ def test_two_d_newton_morse_index_is_bump_count(twin_2d, twin_2d_sweep):
         assert st.morse_index == 2
         fun = PenalizedFunctional(grid, cfg.potential(), cfg.params(), (1, 2), st.lam)
         jd = fun.evaluate(st.field.values)[2]
-        assert solver_module._morse_enclosure(4.0 / grid.h**2 + jd, boxes, grid.h) == 2
+        assert solver_module._morse_enclosure(4.0 / grid.h**2 + jd, boxes, grid.h,
+                                              st.field.values) == 2
         assert whole_box_negative_eigenvalues(jd, grid.h) == 2
 
 
