@@ -7,7 +7,6 @@ from logbump.domain import (
     Grid,
     PotentialSpec,
     WellGeometry,
-    integrate,
     masks,
     neg_laplacian,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "SolveError",
     "SolverConfig",
     "WellGeometry",
-    "integrate",
     "lambda_sweep",
     "make_params",
     "masks",

@@ -178,9 +178,6 @@ class Grid:
             for ax, s in enumerate(nodes or (slice(None),) * self.dim)
         )
 
-    def interior_mesh(self) -> tuple[np.ndarray, ...]:
-        return self.mesh((slice(1, -1),) * self.dim)
-
 
 def potential_on_grid(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     """Potential values at every node (full shape)."""
@@ -354,11 +351,6 @@ def neg_laplacian(u: Field) -> Field:
     out = face_update(np.subtract, (2.0 * v.ndim) * v, v)
     out /= u.grid.h * u.grid.h
     return Field(u.grid, out)
-
-
-def integrate(values: np.ndarray, grid: Grid) -> float:
-    """Rectangle-rule integral h^dim * sum over nodes."""
-    return grid.h**grid.dim * float(np.sum(values))
 
 
 def grad_energy_density(u: Field) -> np.ndarray:

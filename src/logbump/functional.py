@@ -167,9 +167,3 @@ def h1_distance(a: Field, b: Field) -> float:
     full = diff.full()
     return float(np.sqrt(hd * (np.sum(dens) + np.sum(full * full))))
 
-
-def gausson_values(grid: Grid) -> np.ndarray:
-    """Interior samples of the explicit solution exp(dim/2 - |x|^2 / 2)
-    of -lap u = u log u^2."""
-    r2 = sum(m**2 for m in grid.interior_mesh())
-    return np.exp(0.5 * grid.dim - 0.5 * r2)

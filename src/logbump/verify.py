@@ -11,11 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from logbump.domain import Field, Grid, integrate, neg_laplacian
-from logbump.functional import gausson_values, h1_distance
-from logbump.penalty import s_log_sq
+from logbump.domain import Field
+from logbump.functional import h1_distance
 
 # Resolution allowance of the energy sandwich, a fraction of the well-sum
 # level c_gamma.
@@ -155,8 +152,9 @@ def compute_verdicts(
         "+".join(map(str, g)) for g in missing) if missing else ""
 
     solved = all(r.converged for r in rows)
-    detail = "all solves converged" if solved else "flagged solves present"
-    verdicts = [Verdict("convergence", solved and not missing, 0.0, detail + no_rows)]
+    detail = ("" if solved else "flagged solves present") + no_rows
+    verdicts = [Verdict("convergence", solved and not missing, 0.0,
+                        detail.removeprefix("; ") or "all solves converged")]
 
     positivity = _judge("positivity", [_if_converged(r, r.min_u) for r in rows],
                         "min u >= 0 and every selected well carries a bump")
@@ -235,44 +233,3 @@ def check_limit_problem(records, target: Field) -> list[LimitRow]:
         out.append(LimitRow(lam=rec.lam, h1_gap=gap, h1_gap_rel=gap / tnorm))
     return out
 
-
-# -- discretization order ----------------------------------------------------
-
-
-def log_equation_residual_norm(u: Field) -> float:
-    """Discrete L2 norm of -lap u - u log u^2 over the interior."""
-    res = neg_laplacian(u).values - np.asarray(s_log_sq(u.values))
-    return math.sqrt(integrate(res * res, u.grid))
-
-
-@dataclass(frozen=True)
-class OrderStudy:
-    hs: tuple[float, ...]
-    residuals: tuple[float, ...]
-    ratios: tuple[float, ...]
-    fitted_order: float
-
-
-def gausson_order_study(dim: int, r: float, n_list) -> OrderStudy:
-    """Residual decay of the exact Gaussian solution under h-refinement.
-
-    The box must be wide enough that the tail is negligible at the
-    boundary (r >= 8 gives tails below 1e-13).
-    """
-    hs = []
-    residuals = []
-    for n in n_list:
-        grid = Grid(dim=dim, r=r, n=int(n))
-        u = Field(grid, gausson_values(grid))
-        hs.append(grid.h)
-        residuals.append(log_equation_residual_norm(u))
-    ratios = tuple(
-        residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
-    )
-    slope = np.polyfit(np.log(hs), np.log(residuals), 1)[0]
-    return OrderStudy(
-        hs=tuple(hs),
-        residuals=tuple(residuals),
-        ratios=ratios,
-        fitted_order=float(slope),
-    )

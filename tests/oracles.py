@@ -9,7 +9,10 @@ and stencil couplings walked on flat faces, the Nehari constraint along a bump's
 closed form from its energy and mass, the potential on the whole grid at
 once, and each sweep's starts as sums of its wells' ground states and of
 their level fields on the interior values), so these stay out of the
-package.
+package.  So does the order study of acceptance criterion 3, which no run
+executes: the residual of the package's own stencil and nonlinearity at
+the explicit Gausson under h-refinement, with its rectangle-rule integral
+and interior node coordinates.
 """
 
 import math
@@ -23,6 +26,7 @@ from logbump.domain import (
     PotentialSpec,
     box_mask_full,
     grad_energy_density,
+    neg_laplacian,
     potential_on_grid,
 )
 from logbump.penalty import U_FLOOR, s_log_sq, sq_log_sq
@@ -355,3 +359,59 @@ def slice_five_point_apply(d: np.ndarray, off):
         return out
 
     return apply
+
+
+def interior_mesh(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Broadcastable per-axis coordinates of the interior nodes."""
+    return grid.mesh((slice(1, -1),) * grid.dim)
+
+
+def integrate(values: np.ndarray, grid: Grid) -> float:
+    """Rectangle-rule integral h^dim * sum over nodes."""
+    return grid.h**grid.dim * float(np.sum(values))
+
+
+def gausson_values(grid: Grid) -> np.ndarray:
+    """Interior samples of the explicit solution exp(dim/2 - |x|^2 / 2)
+    of -lap u = u log u^2."""
+    r2 = sum(m**2 for m in interior_mesh(grid))
+    return np.exp(0.5 * grid.dim - 0.5 * r2)
+
+
+def log_equation_residual_norm(u: Field) -> float:
+    """Discrete L2 norm of -lap u - u log u^2 over the interior."""
+    res = neg_laplacian(u).values - np.asarray(s_log_sq(u.values))
+    return math.sqrt(integrate(res * res, u.grid))
+
+
+@dataclass(frozen=True)
+class OrderStudy:
+    hs: tuple[float, ...]
+    residuals: tuple[float, ...]
+    ratios: tuple[float, ...]
+    fitted_order: float
+
+
+def gausson_order_study(dim: int, r: float, n_list) -> OrderStudy:
+    """Residual decay of the exact Gaussian solution under h-refinement.
+
+    The box must be wide enough that the tail is negligible at the
+    boundary (r >= 8 gives tails below 1e-13).
+    """
+    hs = []
+    residuals = []
+    for n in n_list:
+        grid = Grid(dim=dim, r=r, n=int(n))
+        u = Field(grid, gausson_values(grid))
+        hs.append(grid.h)
+        residuals.append(log_equation_residual_norm(u))
+    ratios = tuple(
+        residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
+    )
+    slope = np.polyfit(np.log(hs), np.log(residuals), 1)[0]
+    return OrderStudy(
+        hs=tuple(hs),
+        residuals=tuple(residuals),
+        ratios=ratios,
+        fitted_order=float(slope),
+    )

@@ -8,7 +8,7 @@ artifact no longer meets its contract.
 import math
 
 import numpy as np
-from logbump.domain import Field, integrate, masks
+from logbump.domain import Field, masks
 from logbump.functional import PenalizedFunctional
 from logbump.penalty import make_params, sq_log_sq
 from logbump.solver import (
@@ -18,8 +18,14 @@ from logbump.solver import (
     solve_neumann_well,
     solve_single_well,
 )
-from logbump.verify import gausson_order_study, linfty_threshold
-from oracles import Splitting, multi_bump_init, nehari_check
+from logbump.verify import linfty_threshold
+from oracles import (
+    Splitting,
+    gausson_order_study,
+    integrate,
+    multi_bump_init,
+    nehari_check,
+)
 
 GAUSSON_HALF_MASS = 0.5 * math.e * math.sqrt(math.pi)
 

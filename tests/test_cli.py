@@ -1481,8 +1481,8 @@ def test_failed_well_solve_still_writes_verdicts(tmp_path, capsys, monkeypatch):
     verdicts = (out / "verdicts.txt").read_text()
     assert ("criterion=multiplicity status=FAIL margin=-2.0 detail=1 distinct "
             "occupation masks of 3 expected; no rows for gamma 1+2, 2") in verdicts
-    assert ("criterion=convergence status=FAIL margin=0.0 detail=all solves "
-            "converged; no rows for gamma 1+2, 2") in verdicts
+    assert ("criterion=convergence status=FAIL margin=0.0 detail=no rows for "
+            "gamma 1+2, 2\n") in verdicts
     assert (out / "gamma_1").is_dir() and not (out / "gamma_2").exists()
     assert "# derived: c_2 = nan\n" in (out / "manifest.txt").read_text()
     assert (out / "singlewell" / "omega_2.npy").is_file()

@@ -12,16 +12,17 @@ from logbump.domain import (
     PotentialSpec,
     WellGeometry,
     grad_energy_density,
-    integrate,
     masks,
 )
 from logbump.cli import csv_header, row_to_csv
-from logbump.functional import PenalizedFunctional, gausson_values, h1_distance
+from logbump.functional import PenalizedFunctional, h1_distance
 from logbump.penalty import make_params, sq_log_sq
 from logbump.solver import MINIMAX_M, SolveError, _LocalWell
 from logbump.verify import SweepRow
 from oracles import (
     dirichlet_well_energy,
+    gausson_values,
+    integrate,
     nehari_check,
     penalized_well_energy,
     restricted_norm_sq,

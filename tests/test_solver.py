@@ -25,7 +25,6 @@ from logbump.domain import (
     box_mask_full,
     MIN_MARGIN_CELLS,
     box_nodes,
-    integrate,
     masks,
     neg_laplacian,
     validate_geometry_on_grid,
@@ -51,6 +50,8 @@ from logbump.solver import (
 
 from oracles import (
     first_coupled_pair,
+    integrate,
+    interior_mesh,
     level_start,
     local_jacobian_apply,
     multi_bump_init,
@@ -1408,7 +1409,7 @@ def test_two_d_newton_collapse_from_nonzero_init():
         enlargements=(Box((0.0, 0.0), (2.5, 2.5)),),
     )
     grid = Grid(dim=2, r=4.0, n=41)
-    init = Field(grid, np.exp(-0.5 * sum(m * m for m in grid.interior_mesh())))
+    init = Field(grid, np.exp(-0.5 * sum(m * m for m in interior_mesh(grid))))
     rec = solve_auxiliary(1e2, (1,), init, grid, PotentialSpec(geometry),
                           make_params(), SolverConfig(max_iters=3))
     assert rec.stop_reason == "collapse" and not rec.converged
@@ -1425,7 +1426,7 @@ def test_two_d_minres_cap_is_a_breakdown(monkeypatch):
     # reach the forcing term, so the first step breaks down and the record
     # keeps the start
     geometry, potential, grid = _small_2d()
-    init = Field(grid, np.exp(-0.5 * sum(m * m for m in grid.interior_mesh())))
+    init = Field(grid, np.exp(-0.5 * sum(m * m for m in interior_mesh(grid))))
     caps = []
 
     def capped(apply_a, b, minv, tol, max_iters):

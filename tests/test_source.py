@@ -5,22 +5,21 @@ modules keep their private names to themselves, only the solver catches
 A top-level function, class or method of `src/logbump` must be referenced
 somewhere else in the package, by the benchmark tracer's `TARGETS` or by
 the console entry point.  Re-exports in `__init__.py` do not count as a
-use.  The allowlist names the few that exist for the tests on purpose.
-No module imports an underscore name from another package module, except
-the few that `SHARED_PRIVATE` names with their reason.
+use, and there is no exception: what only the tests call lives in
+`tests/oracles.py`.  Every name `logbump` exports is one a package module
+defines, and a star import brings in each of them.  No module imports an
+underscore name from another package module, except the few that
+`SHARED_PRIVATE` names with their reason.
 """
 
 import ast
 import tomllib
 from pathlib import Path
 
+import logbump
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "logbump"
-
-# name -> why the package keeps it although only the tests call it
-ALLOWLIST = {
-    "gausson_order_study": "acceptance criterion 3's discretization study",
-}
 
 # module.name -> why another package module imports this private name
 SHARED_PRIVATE: dict[str, str] = {}
@@ -72,16 +71,25 @@ def test_no_test_only_definitions_in_the_package():
     used = set(_external_uses())
     for tree in trees.values():
         used.update(_uses(tree))
-    unused = {
-        qualname: f"{name}:{line}"
+    unused = [
+        f"{name}:{line} {qualname}"
         for name, tree in trees.items()
         for qualname, line in _definitions(tree)
         if qualname.rsplit(".", 1)[-1] not in used
+    ]
+    assert unused == [], "referenced nowhere in the package: " + ", ".join(unused)
+
+
+def test_every_export_is_a_package_definition_that_star_import_brings():
+    defined = {
+        name
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+        for name, _ in _definitions(ast.parse(path.read_text()))
     }
-    extra = [f"{unused[q]} {q}" for q in unused if q not in ALLOWLIST]
-    assert extra == [], "referenced nowhere in the package: " + ", ".join(extra)
-    # an entry the package now uses, or no longer defines, is stale
-    assert sorted(set(ALLOWLIST) - set(unused)) == []
+    assert sorted(set(logbump.__all__) - defined) == []
+    namespace = {}
+    exec("from logbump import *", namespace)
+    assert sorted(set(logbump.__all__) - set(namespace)) == []
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -18,11 +18,16 @@ from logbump.verify import (
     check_linfty_outside,
     check_sandwich,
     compute_verdicts,
-    gausson_order_study,
     linfty_threshold,
-    log_equation_residual_norm,
 )
-from oracles import level_start, multi_bump_init, restricted_norm_sq
+from oracles import (
+    gausson_order_study,
+    integrate,
+    level_start,
+    log_equation_residual_norm,
+    multi_bump_init,
+    restricted_norm_sq,
+)
 
 
 def make_row(lam, gamma=(1, 2), sup=1e-8, lamv=1e-3, outn=1e-2, phi=4.8,
@@ -146,7 +151,11 @@ def test_verdict_convergence_fails_on_a_selection_without_rows():
     # a lone selection whose solves were skipped leaves no row to pass on
     verdicts = {v.name: v for v in compute_verdicts([], k=2, selections=[(2,)])}
     assert not verdicts["convergence"].passed
-    assert verdicts["convergence"].detail == "all solves converged; no rows for gamma 2"
+    assert verdicts["convergence"].detail == "no rows for gamma 2"
+    # a recorded row that did not converge is named in front of the missing ones
+    flagged = [make_row(10.0, gamma=(1,), conv=False)]
+    verdicts = {v.name: v for v in compute_verdicts(flagged, k=2, selections=[(1,), (2,)])}
+    assert verdicts["convergence"].detail == "flagged solves present; no rows for gamma 2"
 
 
 ROW_VERDICTS = ("positivity", "linfty_outside", "localization_trend",
@@ -393,7 +402,6 @@ def test_norm_partition_reconstruction(ref, ref_sweep):
 
 
 def test_log_envelope_fit(ref, ref_sweep):
-    from logbump.domain import integrate
     from logbump.penalty import sq_log_sq
 
     norms, logs = [], []
