@@ -13,8 +13,9 @@ diagonal and those couplings and returns only the step: in 1D by one
 tridiagonal LDL^T pass; in 2D, where a whole-box factor would hold
 (n - 2)^3 doubles, by an inexact Newton step, diagonally preconditioned
 MINRES on the Jacobian applied free of storage, stopped at a forcing term
-tied to the outer residual.  A `SolveError` ends the solve as a breakdown
-instead of escaping it.
+tied to the outer residual and floored by the solve's tolerance, so no
+step is solved further than the stop test needs.  A `SolveError` ends the
+solve as a breakdown instead of escaping it.
 
 The local well problems run on a box of grid nodes, each with one
 operator W(B + lambda V) built once as a diagonal and stencil couplings:
@@ -105,9 +106,10 @@ class NewtonRecord:
     enclosure's bounds disagree.
     stop_detail keeps the `SolveError` message of a breakdown and is empty
     otherwise.  inner_iterations sums the MINRES iterations of the steps
-    whose linear solve returned, 0 in 1D.  energy is the energy history's
-    last entry, a level c_j or c_{lambda,j}, nan when it is empty.  A solve
-    stopped at its start has 0 iterations.
+    whose linear solve returned, each stopped at `_linear_step`'s forcing
+    term, 0 in 1D.  energy is the energy history's last entry, a level c_j
+    or c_{lambda,j}, nan when it is empty.  A solve stopped at its start
+    has 0 iterations.
     """
 
     iterations: int
@@ -431,26 +433,31 @@ def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
     return tuple(off)
 
 
-# Cap of the inexact Newton forcing term in `_linear_step`.
+# Cap of the forcing term in `_linear_step`; its floor near tol may exceed it.
 ETA_MAX = 1e-3
 
 
-def _linear_step(off) -> Callable:
+def _linear_step(off, tol: float) -> Callable:
     """step(u, b, d, rel) -> du: solves J du = -b for J with diagonal d and
     stencil couplings off (see `_five_point_apply`); rel is the outer
-    relative residual at u.  The Morse index is `_newton`'s to count.
+    relative residual at u, tol the solve's stopping tolerance.  The Morse
+    index is `_newton`'s to count.
 
     In 1D one LDL^T pass solves J.  In 2D the step is an inexact Newton
     step (Dembo, Eisenstat & Steihaug 1982): MINRES on J applied free of
     storage, preconditioned with 1 / |d|, stops at the forcing term
-    eta = min(ETA_MAX, rel), so steps far from the solution are cheap and
-    the last ones are solved to the outer residual's own size (Eisenstat &
-    Walker 1996).  Its cap is the unknown count, MINRES's own bound in
-    exact arithmetic, and step.inner_iterations sums the MINRES iterations
-    of the steps that returned.
+    eta = max(min(ETA_MAX, rel), 0.5 tol / max(rel, tol)), so steps far
+    from the solution are cheap and the next ones are solved to the outer
+    residual's own size (Eisenstat & Walker 1996).  The floor stops the
+    last step once its linearized residual, about eta * rel, is half the
+    outer tolerance, instead of far below it (Kelley 1995, section 6.3);
+    it stays below 0.5 but on a first step from a start that already
+    meets tol.  Its cap is the unknown count, MINRES's own bound in exact
+    arithmetic, and step.inner_iterations sums the MINRES iterations of
+    the steps that returned.
     """
     if len(off) == 2:
-        return _MinresStep(off)
+        return _MinresStep(off, tol)
 
     def step(u, b, d, rel):
         return TridiagonalLDL.solve_once(d, off[0], -b)
@@ -461,17 +468,18 @@ def _linear_step(off) -> Callable:
 
 class _MinresStep:
     """The 2D step of `_linear_step`: MINRES on one `_five_point_apply` per
-    solve, built at the first step and given each step's diagonal.  Unlike
-    a closure that counts on itself, it is no reference cycle, so its
-    buffers go with the solve."""
+    solve, built at the first step and given each step's diagonal, and the
+    solve's tol for the floor of its forcing term.  Unlike a closure that
+    counts on itself, it is no reference cycle, so its buffers go with the
+    solve."""
 
-    def __init__(self, off):
-        self.off, self.apply, self.inner_iterations = off, None, 0
+    def __init__(self, off, tol):
+        self.off, self.tol, self.apply, self.inner_iterations = off, tol, None, 0
 
     def __call__(self, u, b, d, rel):
         self.apply = self.apply or _five_point_apply(d, self.off)
-        du, its = minres(partial(self.apply, diag=d), -b, 1.0 / np.abs(d),
-                         min(ETA_MAX, rel), d.size)
+        eta = max(min(ETA_MAX, rel), 0.5 * self.tol / max(rel, self.tol))
+        du, its = minres(partial(self.apply, diag=d), -b, 1.0 / np.abs(d), eta, d.size)
         self.inner_iterations += its
         return du
 
@@ -620,12 +628,12 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
     evaluate(u) -> (u, rel, energy, b, d) gives the iterate (a problem may
     rescale u), its relative residual, its energy, and the residual b and
     Jacobian diagonal d of the step J du = -b at u.  The step is
-    `_linear_step(off)`, J's stencil couplings being off.  collapsed(u)
-    tells whether a clipped iterate lost the mass the problem needs.  The
-    stops are those of `NewtonRecord`: converged at rel <= tol, the
-    iteration cap, collapse, diverged, breakdown when the step or evaluate
-    raises `SolveError` (no solve lets it escape), and non-finite when the
-    start's or a step's residual is not finite.
+    `_linear_step(off, config.tol)`, J's stencil couplings being off.
+    collapsed(u) tells whether a clipped iterate lost the mass the problem
+    needs.  The stops are those of `NewtonRecord`: converged at rel <= tol,
+    the iteration cap, collapse, diverged, breakdown when the step or
+    evaluate raises `SolveError` (no solve lets it escape), and non-finite
+    when the start's or a step's residual is not finite.
 
     The Morse index is inertia(u, d), the problem's count of J's negative
     eigenvalues from its diagonal d, taken once, at the last evaluated
@@ -637,7 +645,7 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
     (u, NewtonRecord): u is the collapsed iterate on a collapse, else the
     last iterate with a finite residual, or the start when there is none.
     """
-    step = _linear_step(off)
+    step = _linear_step(off, config.tol)
     residuals: list[float] = []
     energies: list[float] = []
     detail = ""

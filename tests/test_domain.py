@@ -23,7 +23,6 @@ from logbump.domain import (
 )
 from oracles import (
     eval_potential,
-    integrate,
     interior_mesh,
     load_field,
     restricted_norm_sq,
@@ -280,27 +279,6 @@ def test_laplacian_spd_smallest_eigenvalue():
     mu_exact = (2.0 - 2.0 * math.cos(math.pi * grid.h / (2.0 * grid.r))) / grid.h**2
     assert lam_min > 0.0
     assert lam_min == pytest.approx(mu_exact, rel=1e-8)
-
-
-def test_integrate_constant_and_linearity():
-    grid = Grid(dim=2, r=2.0, n=41)
-    ones = np.ones(grid.interior_shape)
-    val = integrate(ones, grid)
-    assert abs(val - 16.0) < 16.0 * 2.5 * grid.h  # boundary-row truncation O(h)
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal(grid.interior_shape)
-    g = rng.standard_normal(grid.interior_shape)
-    lhs = integrate(2.5 * f + 1.5 * g, grid)
-    rhs = 2.5 * integrate(f, grid) + 1.5 * integrate(g, grid)
-    assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
-
-
-def test_integrate_gausson_mass():
-    grid = Grid(dim=1, r=8.0, n=1025)
-    (x,) = interior_mesh(grid)
-    u = Field(grid, np.exp(0.5 - x * x / 2.0))
-    val = integrate(u.values**2, grid)
-    assert abs(val - math.e * math.sqrt(math.pi)) < 1e-6
 
 
 def test_summation_by_parts_identity():

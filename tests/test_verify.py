@@ -1,5 +1,5 @@
-"""Verification harness: verdicts, limit tables, multiplicity on pipeline
-runs, and order studies."""
+"""Verification harness: verdicts, limit tables and multiplicity on
+pipeline runs."""
 
 import csv
 import math
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from logbump.cli import parse_config, parse_config_text, rows_from_csv, run
-from logbump.domain import Field, Grid, box_mask_full, masks
+from logbump.domain import Field, box_mask_full, masks
 from logbump.verify import (
     TREND_SLACK,
     LimitRow,
@@ -21,10 +21,8 @@ from logbump.verify import (
     linfty_threshold,
 )
 from oracles import (
-    gausson_order_study,
     integrate,
     level_start,
-    log_equation_residual_norm,
     multi_bump_init,
     restricted_norm_sq,
 )
@@ -338,32 +336,6 @@ def test_per_well_levels_approach_dirichlet(ref_wells, ref_sweep):
         for st in ref_sweep
     ]
     assert gaps[-1] <= gaps[-2] * 1.05
-
-
-# -- order study -------------------------------------------------------------------------
-
-
-def test_gausson_order_study_1d():
-    study = gausson_order_study(1, 8.0, (129, 257, 513, 1025))
-    assert all(3.6 <= r <= 4.4 for r in study.ratios)
-    assert 1.9 <= study.fitted_order <= 2.1
-
-
-def test_gausson_order_study_2d():
-    study = gausson_order_study(2, 8.0, (65, 129, 257))
-    assert all(3.6 <= r <= 4.4 for r in study.ratios)
-    assert 1.9 <= study.fitted_order <= 2.1
-
-
-def test_order_study_negative_control():
-    # a plain Gaussian is not a solution; its residual does not vanish
-    norms = []
-    for n in (257, 513, 1025):
-        grid = Grid(dim=1, r=8.0, n=n)
-        xs = grid.axis[1:-1]
-        norms.append(log_equation_residual_norm(Field(grid, np.exp(-xs * xs))))
-    assert min(norms) > 0.5
-    assert norms[-1] > 0.9 * norms[0]
 
 
 # -- bookkeeping ---------------------------------------------------------------------------
