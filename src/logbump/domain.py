@@ -14,6 +14,10 @@ boundary), which makes the summation-by-parts identity
 
 an exact rearrangement of the face sum.  Region-restricted norms computed
 from this density are therefore exactly additive over node partitions.
+
+Every five-point operator of the package, `neg_laplacian` as much as the
+solves' operators and Jacobians, is one `five_point_apply`: a diagonal and
+per-axis stencil couplings, applied on the faces that `faces` lays out.
 """
 
 from __future__ import annotations
@@ -212,14 +216,17 @@ def box_nodes(box: Box, grid: Grid, strict: bool = True) -> tuple[slice, ...]:
     """Per-axis slices of the grid nodes inside an axis-aligned box.
 
     Nodes are classified by a strict interior test at their coordinates;
-    the closed variant (strict=False) includes boundary-coincident nodes
-    with a half-spacing tolerance.  The nodes inside a box along an axis
-    are contiguous, so one slice per axis holds them.
+    the closed variant (strict=False) includes boundary-coincident nodes.
+    A node within 1e-9 h of the boundary is on it, so both edges of a box
+    classify their nodes alike, whichever way the coordinates round.  The
+    nodes inside a box along an axis are contiguous, so one slice per
+    axis holds them.
     """
     out = []
     for ax in range(grid.dim):
         d = np.abs(grid.axis - box.center[ax])
-        inside = d < box.half[ax] if strict else d <= box.half[ax] + 1e-9 * grid.h
+        edge = 1e-9 * grid.h
+        inside = d < box.half[ax] - edge if strict else d <= box.half[ax] + edge
         idx = np.nonzero(inside)[0]
         out.append(slice(idx[0], idx[-1] + 1) if len(idx) else slice(0, 0))
     return tuple(out)
@@ -323,34 +330,59 @@ def faces(shape):
         yield k, slice(shape[ax] - 1, None, shape[ax]) if last else None
 
 
-def face_update(op, out: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out after op(out[hi], v[lo]) then op(out[lo], v[hi]) in place, axis
-    by axis, over the faces of v's node array, on the raveled arrays (see
-    `faces`).  Each wrap entry is put back after the op, bit for bit."""
-    dst, src = out.reshape(-1), v.reshape(-1)
-    for k, wrap in faces(v.shape):
-        for a, b in ((dst[k:], src[:-k]), (dst[:-k], src[k:])):
-            if wrap is None:
-                op(a, b, out=a)
-            else:
-                keep = a[wrap].copy()
-                op(a, b, out=a)
-                a[wrap] = keep
-    return out
+def five_point_apply(d: np.ndarray, off):
+    """x -> J x for the symmetric matrix J with diagonal d and stencil
+    couplings off, one per axis: entry i along axis a couples node i to
+    node i + 1 along a, and a scalar couples every such pair.  Ghosts
+    beyond the array are zero.  apply(x, diag) applies the same couplings
+    with another diagonal.  The result is one buffer that every call
+    reuses.
+
+    The build checks each coupling array's shape and lays it out on the
+    faces of the raveled array (`faces`), so that the apply walks
+    contiguous flat slices.  Each product that would cross a row's end is
+    set to -0.0, which leaves every sum it is added to unchanged.
+    """
+    out = np.empty_like(d)
+    tmp = np.empty_like(d)
+    dst, buf = out.reshape(-1), tmp.reshape(-1)
+    terms = []
+    for ax, (c, (k, wrap)) in enumerate(zip(off, faces(d.shape))):
+        if np.ndim(c):
+            face = d.shape[:ax] + (d.shape[ax] - 1,) + d.shape[ax + 1:]
+            if np.shape(c) != face:
+                raise ValueError(f"coupling of axis {ax} has shape {np.shape(c)}, "
+                                 f"expected {face}")
+            if wrap is not None:
+                # a zero column, in the place of the faces across the row ends
+                c = np.concatenate([c, np.zeros(face[:-1] + (1,))], axis=-1)
+            c = c.reshape(-1)[:d.size - k]
+        terms += [(c, dst[:-k], buf[:-k], slice(k, None), wrap),
+                  (c, dst[k:], buf[k:], slice(None, -k), wrap)]
+
+    def apply(x, diag=d):
+        np.multiply(diag, x, out=out)
+        x = x.reshape(-1)
+        for c, to, prod, src, wrap in terms:
+            np.multiply(c, x[src], out=prod)
+            if wrap is not None:
+                prod[wrap] = -0.0
+            to += prod
+        return out
+
+    return apply
 
 
 def neg_laplacian(u: Field) -> Field:
     """-lap_h u on the whole box with the standard 3/5-point stencil.
 
     A neighbour beyond the interior is a boundary node, zero (Dirichlet).
-    Neighbour values are subtracted in place from 2*dim*u, so no boundary
-    ring is materialized.  The local well problems of `logbump.solver`
-    apply their own stencil couplings instead.
+    It is `five_point_apply` with diagonal 2 dim and couplings -1, divided
+    by h^2; the solves build their operators with the 1/h^2 inside.
     """
     v = u.values
-    out = face_update(np.subtract, (2.0 * v.ndim) * v, v)
-    out /= u.grid.h * u.grid.h
-    return Field(u.grid, out)
+    out = five_point_apply(np.full(v.shape, 2.0 * v.ndim), (-1.0,) * v.ndim)(v)
+    return Field(u.grid, out / (u.grid.h * u.grid.h))
 
 
 def grad_energy_density(u: Field) -> np.ndarray:

@@ -33,9 +33,9 @@ from logbump.domain import (
     Grid,
     PotentialSpec,
     RegionMasks,
+    five_point_apply,
     grad_energy_density,
     masks,
-    neg_laplacian,
     potential_on_grid,
 )
 from logbump.penalty import PenalizationParams, sq_log_sq
@@ -80,9 +80,10 @@ class EnergyReport:
 class PenalizedFunctional:
     """Penalized energy of the auxiliary problem at fixed (lambda, gamma).
 
-    Precomputes the potential, the indicator of the enlarged wells, and the
-    linear diagonal lambda*V + 1 so repeated evaluations inside the solver
-    stay cheap.
+    Precomputes the potential and the indicator of the enlarged wells, and
+    builds -lap + lambda V + 1 once as its diagonal `diag`, its scalar
+    stencil couplings `off` and their `apply` (`domain.five_point_apply`),
+    so repeated evaluations inside the solver stay cheap.
     """
 
     def __init__(
@@ -105,20 +106,22 @@ class PenalizedFunctional:
         inner = (slice(1, -1),) * grid.dim
         self.v_in = self.v_full[inner]
         self.chi_in = self.masks.enlarged[inner]
-        self.diag = self.lam * self.v_in + 1.0
+        self.diag = 2.0 * grid.dim / grid.h**2 + (self.lam * self.v_in + 1.0)
+        self.off = (-1.0 / grid.h**2,) * grid.dim
+        self.apply = five_point_apply(self.diag, self.off)
         self._hd = grid.h**grid.dim
 
     def evaluate(self, values: np.ndarray):
-        """(energy, residual, jd) at the interior values u, from one stencil
-        apply and one `PenalizationParams.terms` pass.
+        """(energy, residual, d) at the interior values u, from one apply of
+        the operator and one `PenalizationParams.terms` pass.
 
         The energy is 1/2 <(-lap + lambda V + 1) u, u> + int F(x, u) with
         F = f1(u) - g2(x, u+), the residual is its gradient
-        -lap u + (lambda V + 1) u + F'(x, u), and J = -lap + diag(jd) with
-        jd = lambda V + 1 + F''(x, u) is the Newton Jacobian at u.
+        -lap u + (lambda V + 1) u + F'(x, u), and d = diag + F''(x, u) is
+        the whole diagonal of the Newton Jacobian at u.
         """
         dens, d1, d2 = self.params.terms(self.chi_in, values)
-        lin = neg_laplacian(Field(self.grid, values)).values + self.diag * values
+        lin = self.apply(values)
         energy = self._hd * (0.5 * float(np.vdot(lin, values)) + float(np.sum(dens)))
         return energy, lin + d1, self.diag + d2
 

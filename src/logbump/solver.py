@@ -7,9 +7,10 @@ returned field counted as its Morse index.  One driver, `_newton`, runs
 the iteration of every solve, keeps its histories, ends it with a named
 stop reason and counts its Morse index once, recorded on a `NewtonRecord`;
 each problem supplies only its evaluation, with the Jacobian's diagonal,
-its stencil couplings, its collapse test and its inertia count.  One
+its operator, built once as a diagonal and stencil couplings with their
+`domain.five_point_apply`, its collapse test and its inertia count.  One
 linear step, `_linear_step`, solves every Newton system from that
-diagonal and those couplings and returns only the step: in 1D by one
+diagonal and that operator and returns only the step: in 1D by one
 tridiagonal LDL^T pass; in 2D, where a whole-box factor would hold
 (n - 2)^3 doubles, by an inexact Newton step, diagonally preconditioned
 MINRES on the Jacobian applied free of storage, stopped at a forcing term
@@ -57,8 +58,7 @@ from logbump.domain import (
     WellGeometry,
     box_nodes,
     check_well_nodes,
-    face_update,
-    faces,
+    five_point_apply,
     potential_on_grid,
 )
 from logbump.functional import EnergyReport, PenalizedFunctional
@@ -303,25 +303,31 @@ class TridiagonalLDL:
     and a count-only pass for its inertia.
 
     `diag` holds the n diagonal entries and `off` the n - 1 entries coupling
-    node i to node i + 1.  The recurrences run over plain Python floats,
-    which at 1D grid sizes beats the per-call overhead of numpy.  Both
-    raise `SolveError` on a pivot within PIVOT_RTOL of the largest diagonal
-    entry, and the negative pivots count, by Sylvester's law of inertia,
-    the negative eigenvalues.  The count is its own pass, since a solve
-    with a zero right-hand side costs about three times as much.
+    node i to node i + 1, or one scalar coupling every such pair.  The
+    recurrences run over plain Python floats, which at 1D grid sizes beats
+    the per-call overhead of numpy.  Both raise `SolveError` on a
+    non-finite entry and on a pivot within PIVOT_RTOL of the largest
+    diagonal entry, and the negative pivots count, by Sylvester's law of
+    inertia, the negative eigenvalues.  The count is its own pass, since a
+    solve with a zero right-hand side costs about three times as much.
     """
 
     PIVOT_RTOL = 1e-12
 
     @staticmethod
     def _entries(diag, off) -> tuple[list, list, float]:
-        """diag and off as lists of floats, and the pivot floor, PIVOT_RTOL
-        times the largest diagonal entry in size."""
-        diag = np.asarray(diag, dtype=float).tolist()
-        off = np.asarray(off, dtype=float).tolist()
-        if len(off) != len(diag) - 1:
+        """diag and off as lists of floats, a scalar off repeated, and the
+        pivot floor, PIVOT_RTOL times the largest diagonal entry in size.
+        A non-finite entry raises SolveError, since the recurrences need
+        not fail on one."""
+        diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+        if off.ndim and len(off) != len(diag) - 1:
             raise ValueError("off must have one entry fewer than diag")
-        return diag, off, TridiagonalLDL.PIVOT_RTOL * max(map(abs, diag))
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+            raise SolveError("LDL^T breakdown: non-finite matrix entry")
+        floor = TridiagonalLDL.PIVOT_RTOL * float(np.max(np.abs(diag)))
+        off = off.tolist() if off.ndim else [float(off)] * (len(diag) - 1)
+        return diag.tolist(), off, floor
 
     @staticmethod
     def solve_once(diag, off, rhs) -> np.ndarray:
@@ -372,9 +378,10 @@ class BlockTridiagonalLDL:
     matrix on an (ny, nx) array.
 
     `off0` couples node (i, j) to (i + 1, j) and `off1` couples it to
-    (i, j + 1).  Each row's Schur complement is a dense nx x nx block.  By
-    Haynsworth's inertia additivity the matrix's negative eigenvalues are
-    those of the Schur blocks summed.
+    (i, j + 1); a scalar couples every such pair.  Each row's Schur
+    complement is a dense nx x nx block.  By Haynsworth's inertia
+    additivity the matrix's negative eigenvalues are those of the Schur
+    blocks summed.
     """
 
     @staticmethod
@@ -391,7 +398,8 @@ class BlockTridiagonalLDL:
         off0 = np.asarray(off0, dtype=float)
         off1 = np.asarray(off1, dtype=float)
         ny, nx = diag.shape
-        if off0.shape != (ny - 1, nx) or off1.shape != (ny, nx - 1):
+        if ((off0.ndim and off0.shape != (ny - 1, nx))
+                or (off1.ndim and off1.shape != (ny, nx - 1))):
             raise ValueError("off0 and off1 must couple neighbours along axes 0 and 1")
         if not all(np.all(np.isfinite(a)) for a in (diag, off0, off1)):
             raise SolveError("block LDL^T breakdown: non-finite matrix entry")
@@ -401,12 +409,12 @@ class BlockTridiagonalLDL:
         for i in range(ny):
             schur.fill(0.0)
             flat[::nx + 1] = diag[i]
-            flat[1::nx + 1] = off1[i]
-            flat[nx::nx + 1] = off1[i]
+            flat[1::nx + 1] = flat[nx::nx + 1] = off1[i] if off1.ndim else off1
             if i > 0:
                 # off0 inv off0^T, scaled in the previous inverse's storage
-                inv *= off0[i - 1][:, None]
-                inv *= off0[i - 1]
+                c = off0[i - 1] if off0.ndim else off0
+                inv *= np.reshape(c, (-1, 1))
+                inv *= c
                 schur -= inv
             try:
                 np.linalg.cholesky(schur)
@@ -437,11 +445,12 @@ def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
 ETA_MAX = 1e-3
 
 
-def _linear_step(off, tol: float) -> Callable:
+def _linear_step(problem, tol: float) -> Callable:
     """step(u, b, d, rel) -> du: solves J du = -b for J with diagonal d and
-    stencil couplings off (see `_five_point_apply`); rel is the outer
-    relative residual at u, tol the solve's stopping tolerance.  The Morse
-    index is `_newton`'s to count.
+    the problem's operator: its stencil couplings problem.off, and
+    problem.apply(x, diag=d) = J x (see `domain.five_point_apply`); rel
+    is the outer relative residual at u, tol the solve's stopping
+    tolerance.  The Morse index is `_newton`'s to count.
 
     In 1D one LDL^T pass solves J.  In 2D the step is an inexact Newton
     step (Dembo, Eisenstat & Steihaug 1982): MINRES on J applied free of
@@ -456,75 +465,32 @@ def _linear_step(off, tol: float) -> Callable:
     arithmetic, and step.inner_iterations sums the MINRES iterations of
     the steps that returned.
     """
-    if len(off) == 2:
-        return _MinresStep(off, tol)
+    if len(problem.off) == 2:
+        return _MinresStep(problem.apply, tol)
 
     def step(u, b, d, rel):
-        return TridiagonalLDL.solve_once(d, off[0], -b)
+        return TridiagonalLDL.solve_once(d, problem.off[0], -b)
 
     step.inner_iterations = 0
     return step
 
 
 class _MinresStep:
-    """The 2D step of `_linear_step`: MINRES on one `_five_point_apply` per
-    solve, built at the first step and given each step's diagonal, and the
-    solve's tol for the floor of its forcing term.  Unlike a closure that
-    counts on itself, it is no reference cycle, so its buffers go with the
-    solve."""
+    """The 2D step of `_linear_step`: MINRES on the problem's own apply,
+    given each step's diagonal, and the solve's tol for the floor of its
+    forcing term.  The apply's output buffer is the problem's, which holds
+    since MINRES reads each product before the next and no evaluation runs
+    inside a step.  Unlike a closure that counts on itself, it is no
+    reference cycle, so it goes with the solve."""
 
-    def __init__(self, off, tol):
-        self.off, self.tol, self.apply, self.inner_iterations = off, tol, None, 0
+    def __init__(self, apply, tol):
+        self.apply, self.tol, self.inner_iterations = apply, tol, 0
 
     def __call__(self, u, b, d, rel):
-        self.apply = self.apply or _five_point_apply(d, self.off)
         eta = max(min(ETA_MAX, rel), 0.5 * self.tol / max(rel, self.tol))
         du, its = minres(partial(self.apply, diag=d), -b, 1.0 / np.abs(d), eta, d.size)
         self.inner_iterations += its
         return du
-
-
-def _five_point_apply(d: np.ndarray, off) -> Callable:
-    """x -> J x for the symmetric matrix J with diagonal d and stencil
-    couplings off, one per axis: entry i along axis a couples node i to
-    node i + 1 along a, and a scalar couples every such pair.  Ghosts
-    beyond the array are zero.  apply(x, diag) applies the same couplings
-    with another diagonal.  The result is one buffer that every call
-    reuses.
-
-    The build checks each coupling array's shape and lays it out on the
-    faces of the raveled array (`domain.faces`), so that the apply walks
-    contiguous flat slices.  Each product that would cross a row's end is
-    set to -0.0, which leaves every sum it is added to unchanged.
-    """
-    out = np.empty_like(d)
-    tmp = np.empty_like(d)
-    dst, buf = out.reshape(-1), tmp.reshape(-1)
-    terms = []
-    for ax, (c, (k, wrap)) in enumerate(zip(off, faces(d.shape))):
-        if np.ndim(c):
-            face = d.shape[:ax] + (d.shape[ax] - 1,) + d.shape[ax + 1:]
-            if np.shape(c) != face:
-                raise ValueError(f"coupling of axis {ax} has shape {np.shape(c)}, "
-                                 f"expected {face}")
-            if wrap is not None:
-                # a zero column, in the place of the faces across the row ends
-                c = np.concatenate([c, np.zeros(face[:-1] + (1,))], axis=-1)
-            c = c.reshape(-1)[:d.size - k]
-        terms += [(c, dst[:-k], buf[:-k], slice(k, None), wrap),
-                  (c, dst[k:], buf[k:], slice(None, -k), wrap)]
-
-    def apply(x, diag=d):
-        np.multiply(diag, x, out=out)
-        x = x.reshape(-1)
-        for c, to, prod, src, wrap in terms:
-            np.multiply(c, x[src], out=prod)
-            if wrap is not None:
-                prod[wrap] = -0.0
-            to += prod
-        return out
-
-    return apply
 
 
 # -- penalized problem on the box -------------------------------------------
@@ -567,20 +533,19 @@ def _morse_enclosure(d: np.ndarray, boxes, h: float, x: np.ndarray) -> float:
     if not m > 0.0:
         return math.nan
     # neighbour sums of 0/1 and small integer arrays, exact in floating point
-    degree = _neighbour_sum(inside.astype(float))
-    shift = _neighbour_sum(np.where(inside, 0.0, degree)) / (m * h**4)
+    neighbour_sum = five_point_apply(np.zeros(d.shape), (1.0, 1.0))
+    degree = neighbour_sum(inside.astype(float))
+    shift = neighbour_sum(np.where(inside, 0.0, degree)) / (m * h**4)
     c = -1.0 / h**2
     low = high = 0
     for box in boxes:
         b = d[box]
-        off = (np.full((b.shape[0] - 1, b.shape[1]), c),
-               np.full((b.shape[0], b.shape[1] - 1), c))
-        upper = BlockTridiagonalLDL.negative_eigenvalues(b - shift[box], *off)
+        upper = BlockTridiagonalLDL.negative_eigenvalues(b - shift[box], c, c)
         high += upper
         if upper == 0 or (upper == 1 and _negative_curvature(b, c, x[box])):
             low += upper
         else:
-            low += BlockTridiagonalLDL.negative_eigenvalues(b, *off)
+            low += BlockTridiagonalLDL.negative_eigenvalues(b, c, c)
     return low if low == high else math.nan
 
 
@@ -597,15 +562,9 @@ def _negative_curvature(b: np.ndarray, c: float, x: np.ndarray) -> bool:
     """
     ax = np.abs(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        form = float(np.vdot(x, _five_point_apply(b, (c, c))(x)))
-        size = float(np.vdot(ax, _five_point_apply(np.abs(b), (-c, -c))(ax)))
+        form = float(np.vdot(x, five_point_apply(b, (c, c))(x)))
+        size = float(np.vdot(ax, five_point_apply(np.abs(b), (-c, -c))(ax)))
     return math.isfinite(size) and form < -(x.size + 5) * np.finfo(float).eps * size
-
-
-def _neighbour_sum(v: np.ndarray) -> np.ndarray:
-    """Sum of each node's stencil neighbours, zero beyond the array, added
-    axis by axis."""
-    return face_update(np.add, np.zeros_like(v), v)
 
 
 def _stencil_coupled(a, b) -> bool:
@@ -621,14 +580,16 @@ def _stencil_coupled(a, b) -> bool:
 DIVERGE_STEPS = 4
 
 
-def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
+def _newton(evaluate: Callable, problem, collapsed: Callable, u: np.ndarray,
             config: SolverConfig, inertia: Callable):
     """Newton's method u <- max(u + du, 0) from u, the one loop of every solve.
 
     evaluate(u) -> (u, rel, energy, b, d) gives the iterate (a problem may
     rescale u), its relative residual, its energy, and the residual b and
     Jacobian diagonal d of the step J du = -b at u.  The step is
-    `_linear_step(off, config.tol)`, J's stencil couplings being off.
+    `_linear_step(problem, config.tol)`: J is the problem's own operator,
+    its couplings problem.off and its apply problem.apply called with
+    diag=d, built once with the problem.
     collapsed(u) tells whether a clipped iterate lost the mass the problem
     needs.  The stops are those of `NewtonRecord`: converged at rel <= tol,
     the iteration cap, collapse, diverged, breakdown when the step or
@@ -645,7 +606,7 @@ def _newton(evaluate: Callable, off, collapsed: Callable, u: np.ndarray,
     (u, NewtonRecord): u is the collapsed iterate on a collapse, else the
     last iterate with a finite residual, or the start when there is none.
     """
-    step = _linear_step(off, config.tol)
+    step = _linear_step(problem, config.tol)
     residuals: list[float] = []
     energies: list[float] = []
     detail = ""
@@ -733,14 +694,15 @@ def solve_auxiliary(
     along each bump's amplitude.  Newton's method converges to them
     directly, and the negative eigenvalues of the Jacobian at the returned
     field give the Morse index, which is |gamma| on an l-bump saddle of the
-    minimax over [1/T^2, 1]^l.  Each step is `_linear_step` on the Jacobian
-    -lap + diag(jd), with the constant couplings -1/h^2.  The Morse index
-    is its LDL^T count in 1D and `_morse_enclosure` in 2D, which counts
-    each enlarged well's box once and a second time only where the
-    returned field's curvature there does not certify its lower bound.  One
-    `PenalizedFunctional.evaluate` per iterate gives the stop test's
-    residual, the energy history's entry and the next step's Jacobian
-    diagonal.  The record's report takes its total from the last
+    minimax over [1/T^2, 1]^l.  Each step is `_linear_step` on the
+    functional's own operator -lap + lambda V + 1 with the Jacobian's
+    diagonal in place of its own; the couplings are the scalar -1/h^2.
+    The Morse index is its LDL^T count in 1D and `_morse_enclosure` in 2D,
+    which counts each enlarged well's box once and a second time only
+    where the returned field's curvature there does not certify its lower
+    bound.  One `PenalizedFunctional.evaluate` per iterate gives the stop
+    test's residual, the energy history's entry and the next step's
+    Jacobian diagonal.  The record's report takes its total from the last
     entry of the energy history whenever the returned field is that
     iterate, which holds on every stop but a collapse.
     """
@@ -752,13 +714,10 @@ def solve_auxiliary(
     gamma_masks = [fun.masks.per_enlarged[j - 1][inner] for j in fun.gamma]
     # a zero init stays at the solution u = 0; any other may not fall to it
     watch_collapse = bool(np.any(init.values != 0.0))
-    stencil, c = 2.0 * grid.dim / grid.h**2, -1.0 / grid.h**2
-    # the 2D apply broadcasts scalar couplings; the 1D factor takes a list
-    off = (np.full(grid.n - 3, c),) if grid.dim == 1 else (c, c)
 
     def evaluate(u):
-        energy, res, jd = fun.evaluate(u)
-        return u, _relative_residual(u, res), energy, res, stencil + jd
+        energy, res, d = fun.evaluate(u)
+        return u, _relative_residual(u, res), energy, res, d
 
     def collapsed(u):
         return watch_collapse and any(
@@ -767,12 +726,12 @@ def solve_auxiliary(
 
     def inertia(u, d):
         if grid.dim == 1:
-            return TridiagonalLDL.negative_eigenvalues(d, *off)
+            return TridiagonalLDL.negative_eigenvalues(d, *fun.off)
         boxes = [_interior(box_nodes(e, grid, False))
                  for e in potential.geometry.enlargements]
         return _morse_enclosure(d, boxes, grid.h, u)
 
-    u, run = _newton(evaluate, off, collapsed, init.values.copy(), config, inertia)
+    u, run = _newton(evaluate, fun, collapsed, init.values.copy(), config, inertia)
     out = Field(grid, u)
     evaluated = bool(run.energies) and run.stop_reason != "collapse"
     report = fun.report(out, run.energy if evaluated else None)
@@ -857,7 +816,7 @@ class _LocalWell:
     weights and `lam_v` the potential term lambda V.  The operator
     W(B + lambda V) is built once, as its diagonal `diag` and its stencil
     couplings `off`, and `apply(x)` returns W(B + lambda V) x in one reused
-    buffer (see `_five_point_apply`).  Neighbours along one axis couple by
+    buffer (see `domain.five_point_apply`).  Neighbours along one axis couple by
     -1/h^2 times the weights of the other axes both ways, so the matrix is
     symmetric.  On the Dirichlet well (w = 1, V = 0) B is the stencil with
     zero ghosts beyond the rectangle's edge.  On the enlarged well with
@@ -878,7 +837,7 @@ class _LocalWell:
             self.lam_v = lam * potential_on_grid(potential, grid)[nodes]
         self.diag = self.w * (2.0 * grid.dim / grid.h**2 + self.lam_v)
         self.off = _axis_couplings(axis_w, grid.h)
-        self.apply = _five_point_apply(self.diag, self.off)
+        self.apply = five_point_apply(self.diag, self.off)
 
     @classmethod
     def dirichlet(cls, well: Box, grid: Grid) -> "_LocalWell":
@@ -956,7 +915,7 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray,
         return u, rel, 0.5 * mass, prob.w * res, d
 
     ldl = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
-    u, run = _newton(evaluate, prob.off, lambda u: prob.integral(u * u) <= 0.0, u, config,
+    u, run = _newton(evaluate, prob, lambda u: prob.integral(u * u) <= 0.0, u, config,
                      lambda u, d: ldl.negative_eigenvalues(d, *prob.off))
     return LevelRecord(**vars(run), grid=prob.grid, nodes=prob.nodes, values=u)
 

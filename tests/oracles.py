@@ -300,13 +300,14 @@ def first_coupled_pair(masks) -> tuple[int, int] | None:
     return None
 
 
-def whole_box_negative_eigenvalues(jd: np.ndarray, h: float) -> int:
-    """Negative eigenvalues of -lap_h + diag(jd) on a whole 2D node array,
-    counted by block LDL^T inertia over all of its rows."""
-    ny, nx = jd.shape
+def whole_box_negative_eigenvalues(d: np.ndarray, h: float) -> int:
+    """Negative eigenvalues of the 5-point matrix with diagonal d and the
+    couplings -1/h^2 of -lap_h on a whole 2D node array, counted by block
+    LDL^T inertia over all of its rows."""
+    ny, nx = d.shape
     c = -1.0 / h**2
     return BlockTridiagonalLDL.negative_eigenvalues(
-        4.0 / h**2 + jd, np.full((ny - 1, nx), c), np.full((ny, nx - 1), c)
+        d, np.full((ny - 1, nx), c), np.full((ny, nx - 1), c)
     )
 
 
@@ -339,7 +340,7 @@ def local_jacobian_apply(prob, u, mirror: bool):
 
 
 def slice_five_point_apply(d: np.ndarray, off):
-    """x -> J x of `solver._five_point_apply` on nd slices: per axis, the
+    """x -> J x of `domain.five_point_apply` on nd slices: per axis, the
     coupling times x's hi neighbours added to out's lo nodes, then the
     coupling times x's lo neighbours added to out's hi nodes.  The same
     float operations in the same order as the flat-face kernel, so it is

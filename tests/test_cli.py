@@ -284,7 +284,8 @@ def test_geometry_violations_detected():
 
 
 def test_under_resolved_well_is_an_invalid_config(tmp_path, capsys):
-    # 12 nodes across the well: validate rejects what the solve would
+    # 11 nodes inside the well, |x| < 0.6 at h = 0.1: validate rejects what
+    # the solve would
     cfg = tmp_path / "thin.cfg"
     cfg.write_text("R = 6.0\nn = 121\nwell.1.center = 0.0\nwell.1.half = 0.6\n"
                    "well.1.enlarged_half = 1.2\n")
@@ -293,7 +294,7 @@ def test_under_resolved_well_is_an_invalid_config(tmp_path, capsys):
                  ["run", "--config", str(cfg), "--out", str(out)]):
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "invalid config: well: well 1 resolved by only 12 nodes on axis 0; "
+            "invalid config: well: well 1 resolved by only 11 nodes on axis 0; "
             "need >= 32\n")
     assert not out.exists()
 
@@ -1266,8 +1267,8 @@ def test_two_d_sweep_morse_index_is_the_whole_box_count_at_its_field(tmp_path, c
         lam = float(row["lambda"])
         field = load_field(out / "gamma_1" / f"field_lambda_{lam:g}.npy", grid)
         fun = PenalizedFunctional(grid, config.potential(), config.params(), (1,), lam)
-        jd = fun.evaluate(field.values)[2]
-        assert float(row["morse_index"]) == whole_box_negative_eigenvalues(jd, grid.h) == 1
+        d = fun.evaluate(field.values)[2]
+        assert float(row["morse_index"]) == whole_box_negative_eigenvalues(d, grid.h) == 1
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -1349,8 +1350,8 @@ def test_two_d_benchmark_block_count_guard(tmp_path, block_ldl_calls):
         lam = float(row["lambda"])
         field = load_field(out / "gamma_1+2" / f"field_lambda_{lam:g}.npy", grid)
         fun = PenalizedFunctional(grid, config.potential(), config.params(), (1, 2), lam)
-        jd = fun.evaluate(field.values)[2]
-        assert float(row["morse_index"]) == whole_box_negative_eigenvalues(jd, grid.h) == 2
+        d = fun.evaluate(field.values)[2]
+        assert float(row["morse_index"]) == whole_box_negative_eigenvalues(d, grid.h) == 2
 
 
 def test_three_wells_verdicts_are_grid_stable(tmp_path, capsys):

@@ -14,6 +14,7 @@ from logbump.domain import (
     RegionMasks,
     WellGeometry,
     box_mask_full,
+    box_nodes,
     grad_energy_density,
     masks,
     neg_laplacian,
@@ -201,6 +202,19 @@ def test_masks_strict_boundary_classification():
     assert np.array_equal(m, inside)
 
 
+@pytest.mark.parametrize("half", [1.6, 2.0, 2.5])
+def test_box_nodes_classify_both_edges_alike(half):
+    # edges on nodes of the three-well grid, where linspace rounds the
+    # node at -1.6 to just inside the box and the one at 1.6 onto its edge:
+    # the strict test leaves both edge nodes out, the closed one keeps both
+    grid = Grid(dim=1, r=14.0, n=561)
+    box = Box((0.0,), (half,))
+    for strict, extra in ((True, -1), (False, 1)):
+        (s,) = box_nodes(box, grid, strict)
+        assert s.start + s.stop - 1 == grid.n - 1
+        assert s.stop - s.start == round(2.0 * half / grid.h) + extra
+
+
 def test_masks_empty_gamma_rejected(twin):
     geometry, grid, _ = twin
     with pytest.raises(ValueError):
@@ -241,11 +255,13 @@ def test_laplacian_matches_padded_formula():
         grid = Grid(dim=dim, r=7.0, n=n)
         u = Field(grid, rng.standard_normal(grid.interior_shape))
         full = np.pad(u.values, 1)
+        # the neighbours in the order of `five_point_apply`: per axis, the
+        # one above, then the one below
         if dim == 1:
-            padded = 2.0 * u.values - full[:-2] - full[2:]
+            padded = 2.0 * u.values - full[2:] - full[:-2]
         else:
-            padded = (4.0 * u.values - full[:-2, 1:-1] - full[2:, 1:-1]
-                      - full[1:-1, :-2] - full[1:-1, 2:])
+            padded = (4.0 * u.values - full[2:, 1:-1] - full[:-2, 1:-1]
+                      - full[1:-1, 2:] - full[1:-1, :-2])
         assert np.array_equal(neg_laplacian(u).values, padded / (grid.h * grid.h))
 
 

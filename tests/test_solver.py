@@ -25,6 +25,7 @@ from logbump.domain import (
     box_mask_full,
     MIN_MARGIN_CELLS,
     box_nodes,
+    five_point_apply,
     masks,
     neg_laplacian,
     validate_geometry_on_grid,
@@ -231,7 +232,7 @@ def test_five_point_apply_matches_the_stencil():
     h = 0.3
     jd = rng.standard_normal((9, 11))
     c = -1.0 / h**2
-    apply = solver_module._five_point_apply(4.0 / h**2 + jd, (c, c))
+    apply = five_point_apply(4.0 / h**2 + jd, (c, c))
     for _ in range(2):  # the second call reuses the first one's buffer
         x = rng.standard_normal(jd.shape)
         want = padded_neg_laplacian(x, h) + jd * x
@@ -255,7 +256,7 @@ def test_five_point_apply_is_the_slice_stencil_bit_for_bit(shape, couplings):
         off = (-3.5,) * len(shape)
     else:
         off = tuple(-0.5 - rng.random(face) for face in _face_shapes(shape))
-    apply = solver_module._five_point_apply(d, off)
+    apply = five_point_apply(d, off)
     want = slice_five_point_apply(d, off)
     for _ in range(2):  # the second call reuses the first one's buffers
         x = rng.standard_normal(shape)
@@ -269,13 +270,13 @@ def test_five_point_apply_is_the_slice_stencil_bit_for_bit(shape, couplings):
 def test_five_point_apply_checks_the_coupling_shapes():
     d = np.ones((9, 11))
     off0, off1 = (np.ones(face) for face in _face_shapes(d.shape))
-    solver_module._five_point_apply(d, (off0, off1))
+    five_point_apply(d, (off0, off1))
     with pytest.raises(ValueError, match=r"axis 0 has shape \(9, 10\), expected \(8, 11\)"):
-        solver_module._five_point_apply(d, (off1, off1))
+        five_point_apply(d, (off1, off1))
     with pytest.raises(ValueError, match=r"axis 1 has shape \(8, 11\), expected \(9, 10\)"):
-        solver_module._five_point_apply(d, (off0, off0))
+        five_point_apply(d, (off0, off0))
     with pytest.raises(ValueError, match="axis 0"):
-        solver_module._five_point_apply(np.ones(9), (np.ones(9),))
+        five_point_apply(np.ones(9), (np.ones(9),))
 
 
 def test_solver_config_validation():
@@ -855,16 +856,38 @@ def test_tridiagonal_ldl_near_zero_pivot_raises():
             TridiagonalLDL.negative_eigenvalues([1.0, second, 1e4], [1.0, 0.0])
     with pytest.raises(SolveError, match="non-finite"):
         TridiagonalLDL.solve_once([1.0, -1.0], [0.0], [math.nan, 1.0])
-    # a nan diagonal entry makes a nan pivot, which no floor admits
-    with pytest.raises(SolveError, match="near zero"):
-        TridiagonalLDL.solve_once([1.0, math.nan, 4.0], [1.0, 1.0], [1.0, 1.0, 1.0])
-    with pytest.raises(SolveError, match="near zero"):
-        TridiagonalLDL.negative_eigenvalues([1.0, math.nan, 4.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="one entry fewer"):
         TridiagonalLDL.negative_eigenvalues([1.0, 2.0], [1.0, 1.0])
     x = TridiagonalLDL.solve_once([1.0, -2.0], [0.0], [1.0, 1.0])
     count = TridiagonalLDL.negative_eigenvalues([1.0, -2.0], [0.0])
     assert x.tolist() == [1.0, -0.5] and count == 1 and type(count) is int
+
+
+@pytest.mark.parametrize("where", ["diag", "off"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("method", ["solve_once", "negative_eigenvalues"])
+def test_tridiagonal_ldl_rejects_a_non_finite_entry(where, bad, method):
+    # as in BlockTridiagonalLDL: the recurrences miss such an entry or
+    # misname it, since an infinite coupling makes a pivot of -inf, which
+    # passes the pivot floor and counts as negative, and a nan one fails
+    # the floor as a pivot near zero
+    entries = {"diag": [2.0, 2.0, 2.0], "off": [0.0, 0.0]}
+    entries[where][0] = bad
+    args = (entries["diag"], entries["off"])
+    args += ([1.0, 1.0, 1.0],) if method == "solve_once" else ()
+    with pytest.raises(SolveError, match="^LDL\\^T breakdown: non-finite matrix entry$"):
+        getattr(TridiagonalLDL, method)(*args)
+
+
+def test_tridiagonal_ldl_takes_a_scalar_coupling():
+    # a scalar couples every neighbour pair, bit for bit as its array
+    rng = np.random.default_rng(9)
+    diag, b = 3.0 * rng.standard_normal(30), rng.standard_normal(30)
+    full = np.full(29, -1.5)
+    assert np.array_equal(TridiagonalLDL.solve_once(diag, -1.5, b),
+                          TridiagonalLDL.solve_once(diag, full, b))
+    assert (TridiagonalLDL.negative_eigenvalues(diag, -1.5)
+            == TridiagonalLDL.negative_eigenvalues(diag, full) > 0)
 
 
 def test_tridiagonal_ldl_rejects_a_right_hand_side_of_another_length():
@@ -915,6 +938,13 @@ def _dense(apply, shape) -> np.ndarray:
     column."""
     eye = np.eye(math.prod(shape))
     return np.column_stack([apply(c.reshape(shape)).ravel() for c in eye])
+
+
+def _dense_couplings(grid: Grid) -> np.ndarray:
+    """The stencil couplings of -lap_h on the whole box as a dense matrix
+    with a zero diagonal; a Jacobian is this plus its whole diagonal."""
+    lap = _dense(lambda c: neg_laplacian(Field(grid, c)).values, grid.interior_shape)
+    return lap - np.diag(np.diag(lap))
 
 
 def _local_cases(ref):
@@ -1257,10 +1287,10 @@ def test_newton_step_matches_dense_jacobian_solve(ref, ref_sweep):
     lam = 1e3
     fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), lam)
     u = ref_sweep[1].field.values  # converged at lambda = 100
-    lap = _dense(lambda c: neg_laplacian(Field(ref.grid, c)).values, u.shape)
+    couplings = _dense_couplings(ref.grid)
 
     def jacobian(v):
-        return lap + np.diag(fun.evaluate(v)[2])
+        return couplings + np.diag(fun.evaluate(v)[2])
 
     want = np.maximum(u + np.linalg.solve(jacobian(u), -fun.evaluate(u)[1]), 0.0)
     rec = solve_auxiliary(lam, (1, 2), ref_sweep[1].field, ref.grid, ref.potential,
@@ -1307,13 +1337,13 @@ def test_newton_morse_index_is_bump_count(ref, ref_wells, ref_levels, ref_big_t,
 
 
 def test_converged_sweep_morse_index_is_the_dense_count(ref, ref_sweep):
-    # at the field each sweep solve returns, the assembled Jacobian
-    # -lap + diag(jd) has the recorded number of negative eigenvalues
-    lap = _dense(lambda c: neg_laplacian(Field(ref.grid, c)).values,
-                 ref.grid.interior_shape)
+    # at the field each sweep solve returns, the assembled Jacobian, the
+    # stencil couplings plus its whole diagonal d, has the recorded number
+    # of negative eigenvalues
+    couplings = _dense_couplings(ref.grid)
     for rec in ref_sweep:
         fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1, 2), rec.lam)
-        jac = lap + np.diag(fun.evaluate(rec.field.values)[2])
+        jac = couplings + np.diag(fun.evaluate(rec.field.values)[2])
         assert rec.converged
         assert rec.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0)) == 2
 
@@ -1344,8 +1374,7 @@ def test_newton_stops_on_a_growing_residual(ref, ref_wells, monkeypatch):
     u = rec.field.values
     assert np.array_equal(u, 2.0**rec.iterations * ref_wells[0].field.values)
     fun = PenalizedFunctional(ref.grid, ref.potential, ref.params, (1,), 1e4)
-    lap = _dense(lambda c: neg_laplacian(Field(ref.grid, c)).values, u.shape)
-    jac = lap + np.diag(fun.evaluate(u)[2])
+    jac = _dense_couplings(ref.grid) + np.diag(fun.evaluate(u)[2])
     assert rec.morse_index == int(np.sum(np.linalg.eigvalsh(jac) < 0.0))
 
 
@@ -1519,7 +1548,7 @@ def test_morse_enclosure_matches_eigvalsh(depth, count, block_ldl_calls):
     jd = _dipped_diagonal(depth)
     want = int(np.sum(np.linalg.eigvalsh(_five_point_dense(jd, h)) < 0.0))
     assert want == count
-    assert whole_box_negative_eigenvalues(jd, h) == count
+    assert whole_box_negative_eigenvalues(4.0 / h**2 + jd, h) == count
     bumps, fallback = {20.0: (2, 2), 35.0: (2, 3), 45.0: (3, 4)}[depth]
     for x, n in [(_bump_trial(), bumps), (np.zeros_like(jd), fallback),
                  (np.full_like(jd, math.nan), fallback)]:
@@ -1536,8 +1565,8 @@ def test_negative_curvature_margin():
     box = _ENCLOSURE_BOXES[1]
     b = (4.0 / h**2 + _dipped_diagonal(35.0))[box]
     x = _bump_trial()[box]
-    form = np.vdot(x, solver_module._five_point_apply(b, (c, c))(x))
-    size = np.vdot(x, solver_module._five_point_apply(np.abs(b), (-c, -c))(x))
+    form = np.vdot(x, five_point_apply(b, (c, c))(x))
+    size = np.vdot(x, five_point_apply(np.abs(b), (-c, -c))(x))
     assert -0.03 < form / size < -0.02
     assert solver_module._negative_curvature(b, c, x)
     # diagonals shifted up to leave the form 1e-14 and 1e-12 of its scale
@@ -1741,10 +1770,9 @@ def test_two_d_newton_morse_index_is_bump_count(twin_2d, twin_2d_sweep):
     for st in twin_2d_sweep:
         assert st.morse_index == 2
         fun = PenalizedFunctional(grid, cfg.potential(), cfg.params(), (1, 2), st.lam)
-        jd = fun.evaluate(st.field.values)[2]
-        assert solver_module._morse_enclosure(4.0 / grid.h**2 + jd, boxes, grid.h,
-                                              st.field.values) == 2
-        assert whole_box_negative_eigenvalues(jd, grid.h) == 2
+        d = fun.evaluate(st.field.values)[2]
+        assert solver_module._morse_enclosure(d, boxes, grid.h, st.field.values) == 2
+        assert whole_box_negative_eigenvalues(d, grid.h) == 2
 
 
 def test_two_d_newton_sweep_reruns_bit_identical(twin_2d, twin_2d_sweep):
@@ -1817,7 +1845,7 @@ def test_five_point_apply_matches_local_jacobian_2d(name):
     u = 0.5 + rng.random(prob.w.shape)
     (diag, off), apply = _local_jacobian(prob, u, name == "neumann")
     assert len(off) == 2
-    five_point = solver_module._five_point_apply(diag, off)
+    five_point = five_point_apply(diag, off)
     for _ in range(2):  # the second call reuses the first one's buffer
         x = rng.standard_normal(diag.shape)
         want = apply(x)

@@ -1,6 +1,7 @@
 """The package holds no function or class that only the tests call, its
 modules keep their private names to themselves, only the solver catches
-`SolveError`, and only the Newton driver sets a Morse index.
+`SolveError`, only the Newton driver sets a Morse index, and only
+`domain` walks the stencil faces.
 
 A top-level function, class or method of `src/logbump` must be referenced
 somewhere else in the package, by the benchmark tracer's `TARGETS` or by
@@ -143,3 +144,24 @@ def test_only_the_newton_driver_sets_a_morse_index():
             if keyword or stored:
                 setters.append((path.name, owner.get(node)))
     assert setters == [("solver.py", "_newton")]
+
+
+def test_only_the_domain_walks_the_stencil_faces():
+    # `domain.five_point_apply` is the one stencil kernel: every other
+    # module applies its five-point operators through it, and none imports
+    # the face layout `domain.faces` to walk the stencil itself
+    walkers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "domain.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "faces" in names:
+                walkers.append(path.name)
+    assert walkers == []
+    assert "faces" in dict(_definitions(ast.parse((PACKAGE / "domain.py").read_text())))
