@@ -184,8 +184,13 @@ class Grid:
 
 
 def potential_on_grid(spec: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Potential values at every node (full shape)."""
-    return _potential(spec, grid.mesh()) * np.ones(grid.full_shape)
+    """Potential values at every node (full shape), zero on every node of
+    a closed well by `box_nodes`' rule, whichever way its coordinate
+    rounds."""
+    out = _potential(spec, grid.mesh()) * np.ones(grid.full_shape)
+    for well in spec.geometry.wells:
+        out[box_nodes(well, grid, strict=False)] = 0.0
+    return out
 
 
 @dataclass

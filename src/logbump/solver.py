@@ -10,13 +10,14 @@ each problem supplies only its evaluation, with the Jacobian's diagonal,
 its operator, built once as a diagonal and stencil couplings with their
 `domain.five_point_apply`, its collapse test and its inertia count.  One
 linear step, `_linear_step`, solves every Newton system from that
-diagonal and that operator and returns only the step: in 1D by one
-tridiagonal LDL^T pass; in 2D, where a whole-box factor would hold
-(n - 2)^3 doubles, by an inexact Newton step, diagonally preconditioned
-MINRES on the Jacobian applied free of storage, stopped at a forcing term
-tied to the outer residual and floored by the solve's tolerance, so no
-step is solved further than the stop test needs.  A `SolveError` ends the
-solve as a breakdown instead of escaping it.
+diagonal and that operator and returns the step with its MINRES count,
+which `_newton` sums: in 1D by one tridiagonal LDL^T pass; in 2D, where
+a whole-box factor would hold (n - 2)^3 doubles, by an inexact Newton
+step, diagonally preconditioned MINRES on the Jacobian applied free of
+storage, stopped at a forcing term tied to the outer residual and
+floored by the solve's tolerance, so no step is solved further than the
+stop test needs.  A `SolveError` ends the solve as a breakdown instead
+of escaping it.
 
 The local well problems run on a box of grid nodes, each with one
 operator W(B + lambda V) built once as a diagonal and stencil couplings:
@@ -105,11 +106,11 @@ class NewtonRecord:
     pivot or Schur block near singular, a non-finite entry) and when the
     enclosure's bounds disagree.
     stop_detail keeps the `SolveError` message of a breakdown and is empty
-    otherwise.  inner_iterations sums the MINRES iterations of the steps
-    whose linear solve returned, each stopped at `_linear_step`'s forcing
-    term, 0 in 1D.  energy is the energy history's last entry, a level c_j
-    or c_{lambda,j}, nan when it is empty.  A solve stopped at its start
-    has 0 iterations.
+    otherwise.  inner_iterations sums the MINRES counts that the steps
+    whose linear solve returned gave back with their directions, each
+    stopped at `_linear_step`'s forcing term, 0 in 1D.  energy is the
+    energy history's last entry, a level c_j or c_{lambda,j}, nan when it
+    is empty.  A solve stopped at its start has 0 iterations.
     """
 
     iterations: int
@@ -252,20 +253,18 @@ def minres(apply_a, b, minv, tol, max_iters):
     # Givens rotation (cs, sn) that keeps the tridiagonal least squares
     # problem triangular; phibar is the preconditioned residual norm.  The
     # direction w is kept with its predecessor w2; once a new r2 or w is
-    # built, the oldest vector's buffer is free and takes it.
-    r1, r2 = np.empty_like(b), b.copy()
+    # built, the oldest vector's buffer is free and takes it.  r1 = 0 and
+    # oldb = 1 make the first three-term step r1 = A v, bit for bit.
+    r1, r2 = np.zeros_like(b), b.copy()
     v, w, w2 = np.empty_like(b), np.zeros_like(b), np.zeros_like(b)
-    beta, oldb = beta1, 0.0
+    beta, oldb = beta1, 1.0
     dbar = epsln = 0.0
     phibar = beta1
     cs, sn = -1.0, 0.0
     for it in range(1, max_iters + 1):
         np.divide(y, beta, out=v)
-        if it > 1:
-            r1 *= -(beta / oldb)
-            r1 += apply_a(v)
-        else:
-            np.copyto(r1, apply_a(v))
+        r1 *= -(beta / oldb)
+        r1 += apply_a(v)
         alfa = float(np.vdot(v, r1))
         r1 -= np.multiply(r2, alfa / beta, out=y)
         r1, r2 = r2, r1
@@ -332,27 +331,29 @@ class TridiagonalLDL:
     @staticmethod
     def solve_once(diag, off, rhs) -> np.ndarray:
         """x for diag, off and rhs: the forward substitution of rhs runs
-        inside the factor loop."""
+        inside the factor loop, the pivot recurrence of
+        `negative_eigenvalues`, which raises at the first pivot near zero."""
         diag, off, floor = TridiagonalLDL._entries(diag, off)
         vals = _finite(rhs).tolist()
         if len(vals) != len(diag):
             raise ValueError("rhs must have one entry per diag entry")
-        pivots, mults, fwd = [diag[0]], [], [vals[0]]
-        try:
-            for a, b, r in zip(diag[1:], off, vals[1:]):
-                m = b / pivots[-1]
-                mults.append(m)
-                pivots.append(a - m * b)
-                fwd.append(r - m * fwd[-1])
-        except ZeroDivisionError:
-            pass  # the zero pivot ends the list and fails the check below
-        if not np.all(np.abs(pivots) > floor):
-            raise SolveError("LDL^T breakdown: pivot near zero")
-        x = fwd[-1] / pivots[-1]
-        out = [x]
-        for pivot, m, z in zip(pivots[-2::-1], mults[::-1], fwd[-2::-1]):
+        rows = []
+        pivot, z = 1.0, 0.0
+        # a zero coupling ahead of node 0 makes its pivot diag[0], its
+        # multiplier 0 and its forward value rhs[0]
+        for a, b, r in zip(diag, [0.0] + off, vals):
+            m = b / pivot
+            pivot = a - m * b
+            if not abs(pivot) > floor:
+                raise SolveError("LDL^T breakdown: pivot near zero")
+            z = r - m * z
+            rows.append((pivot, m, z))
+        # and a zero multiplier past the last node makes its x z / pivot
+        out, x, m = [], 0.0, 0.0
+        for pivot, mult, z in reversed(rows):
             x = z / pivot - m * x
             out.append(x)
+            m = mult  # couples this node back to the one before
         out.reverse()
         return np.array(out)
 
@@ -446,11 +447,13 @@ ETA_MAX = 1e-3
 
 
 def _linear_step(problem, tol: float) -> Callable:
-    """step(u, b, d, rel) -> du: solves J du = -b for J with diagonal d and
-    the problem's operator: its stencil couplings problem.off, and
-    problem.apply(x, diag=d) = J x (see `domain.five_point_apply`); rel
-    is the outer relative residual at u, tol the solve's stopping
-    tolerance.  The Morse index is `_newton`'s to count.
+    """step(u, b, d, rel) -> (du, inner_iterations): du solves J du = -b
+    for J with diagonal d and the problem's operator: its stencil
+    couplings problem.off, and problem.apply(x, diag=d) = J x (see
+    `domain.five_point_apply`); rel is the outer relative residual at u,
+    tol the solve's stopping tolerance.  inner_iterations counts the
+    step's MINRES iterations, 0 in 1D.  The Morse index is `_newton`'s to
+    count.
 
     In 1D one LDL^T pass solves J.  In 2D the step is an inexact Newton
     step (Dembo, Eisenstat & Steihaug 1982): MINRES on J applied free of
@@ -462,35 +465,18 @@ def _linear_step(problem, tol: float) -> Callable:
     outer tolerance, instead of far below it (Kelley 1995, section 6.3);
     it stays below 0.5 but on a first step from a start that already
     meets tol.  Its cap is the unknown count, MINRES's own bound in exact
-    arithmetic, and step.inner_iterations sums the MINRES iterations of
-    the steps that returned.
+    arithmetic.  The apply's output buffer is the problem's, which holds
+    since MINRES reads each product before the next and no evaluation
+    runs inside a step.
     """
-    if len(problem.off) == 2:
-        return _MinresStep(problem.apply, tol)
+    if len(problem.off) == 1:
+        return lambda u, b, d, rel: (TridiagonalLDL.solve_once(d, problem.off[0], -b), 0)
 
     def step(u, b, d, rel):
-        return TridiagonalLDL.solve_once(d, problem.off[0], -b)
+        eta = max(min(ETA_MAX, rel), 0.5 * tol / max(rel, tol))
+        return minres(partial(problem.apply, diag=d), -b, 1.0 / np.abs(d), eta, d.size)
 
-    step.inner_iterations = 0
     return step
-
-
-class _MinresStep:
-    """The 2D step of `_linear_step`: MINRES on the problem's own apply,
-    given each step's diagonal, and the solve's tol for the floor of its
-    forcing term.  The apply's output buffer is the problem's, which holds
-    since MINRES reads each product before the next and no evaluation runs
-    inside a step.  Unlike a closure that counts on itself, it is no
-    reference cycle, so it goes with the solve."""
-
-    def __init__(self, apply, tol):
-        self.apply, self.tol, self.inner_iterations = apply, tol, 0
-
-    def __call__(self, u, b, d, rel):
-        eta = max(min(ETA_MAX, rel), 0.5 * self.tol / max(rel, self.tol))
-        du, its = minres(partial(self.apply, diag=d), -b, 1.0 / np.abs(d), eta, d.size)
-        self.inner_iterations += its
-        return du
 
 
 # -- penalized problem on the box -------------------------------------------
@@ -602,7 +588,7 @@ def _newton(evaluate: Callable, problem, collapsed: Callable, u: np.ndarray,
     returned iterate, a trial vector the count may use (see
     `_morse_enclosure`), on a collapse the collapsed one.  It is nan when
     no step returned or inertia raises `SolveError`.  The record's
-    inner_iterations is the step's MINRES tally.  Returns
+    inner_iterations sums the steps' MINRES counts.  Returns
     (u, NewtonRecord): u is the collapsed iterate on a collapse, else the
     last iterate with a finite residual, or the start when there is none.
     """
@@ -612,14 +598,15 @@ def _newton(evaluate: Callable, problem, collapsed: Callable, u: np.ndarray,
     detail = ""
     du = None
     growth = 0
-    it = 0
+    it = inner = 0
     try:
         u, rel, _, b, d = evaluate(u)
         # a start whose residual is not finite takes no step
         steps = config.max_iters if math.isfinite(rel) else 0
         stop_reason = "iteration cap" if steps else "non-finite"
         for it in range(1, steps + 1):
-            du = step(u, b, d, rel)
+            du, its = step(u, b, d, rel)
+            inner += its
             nxt = np.maximum(u + du, 0.0)
             if collapsed(nxt):
                 u = nxt
@@ -646,7 +633,7 @@ def _newton(evaluate: Callable, problem, collapsed: Callable, u: np.ndarray,
     except SolveError:
         morse = math.nan
     return u, NewtonRecord(it, residuals, energies, stop_reason, morse_index=morse,
-                           stop_detail=detail, inner_iterations=step.inner_iterations)
+                           stop_detail=detail, inner_iterations=inner)
 
 
 def _interior(nodes) -> tuple[slice, ...]:

@@ -156,6 +156,26 @@ def test_a_large_power_is_capped_without_overflow_warning(twin):
     assert _package_potential(steep, -1.6) == pytest.approx(0.9**1000, rel=1e-12)
 
 
+def test_potential_is_zero_on_every_closed_well_node():
+    # Grid.axis is not symmetric about 0: on R = 14, n = 561 the node at
+    # +1.6 is 1.6000000000000014 and its mirror -1.5999999999999996, so the
+    # distance to a well of half-width 1.6 is 1.3e-15 at the one and 0 at
+    # the other.  Both are on the closed well by `box_nodes`' rule, and the
+    # potential is zero exactly there, positive everywhere else
+    geometry = WellGeometry(
+        dim=1,
+        wells=(Box((-8.0,), (2.0,)), Box((0.0,), (1.6,)), Box((8.0,), (2.5,))),
+        enlargements=(Box((-8.0,), (3.0,)), Box((0.0,), (2.4,)), Box((8.0,), (3.2,))),
+    )
+    grid = Grid(dim=1, r=14.0, n=561)
+    v = potential_on_grid(PotentialSpec(geometry, cap=1.0, power=1.0), grid)
+    closed = np.zeros(grid.full_shape, dtype=bool)
+    for well in geometry.wells:
+        closed[box_nodes(well, grid, strict=False)] = True
+    assert closed[248] and closed[312] and v[248] == v[312] == 0.0
+    assert np.all(v[closed] == 0.0) and np.all(v[~closed] > 0.0)
+
+
 def test_potential_grid_matches_pointwise(twin):
     # the package's whole-grid potential against the pointwise oracle at
     # every node, for the quadratic, linear and steep onsets

@@ -2,12 +2,13 @@
 against the same transform of the run, with no reference values.
 
 Each relation runs the pipeline twice, on a geometry and on its image
-under a symmetry of the grid that maps nodes onto nodes, and asserts that
-the two run directories map onto each other: exit codes and verdict
-statuses agree, the `energies.csv` rows agree with their selections,
-occupation masks and per-well columns relabelled, and every saved field is
-the other's, moved by the symmetry.  What may differ is the solves'
-rounding and where each stops inside the Newton tolerance TOL.  So:
+under a map of the grid that takes nodes onto nodes (a mirror, the 2D
+transpose, a shift of the wells by whole cells), and asserts that the two
+run directories map onto each other: exit codes and verdict statuses
+agree, the `energies.csv` rows agree with their selections, occupation
+masks and per-well columns relabelled, and every saved field is the
+other's, moved by the map.  What may differ is the solves' rounding and
+where each stops inside the Newton tolerance TOL.  So:
 
 - energies are stationary at a solution, and a field error of size TOL
   moves them by about TOL^2: ENERGY_RTOL = TOL^2 of the column's scale;
@@ -15,6 +16,9 @@ rounding and where each stops inside the Newton tolerance TOL.  So:
   FIELD_RTOL = 10 TOL of their scale (the 1D mirror's `sup_outside`
   moves by 2.6 TOL);
 - `min_u`, zero up to rounding, is left out.
+
+Relabelling the wells without moving them leaves every solve the same
+computation, so that relation holds bit for bit, `min_u` included.
 """
 
 import csv
@@ -22,6 +26,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from logbump.cli import parse_config_text, run
 from logbump.solver import SolverConfig
@@ -84,9 +89,10 @@ def _table(path):
         return list(csv.DictReader(fh))
 
 
-def _assert_runs_map(a: Path, b: Path, perm, move):
+def _assert_runs_map(a: Path, b: Path, perm, move, exact=False):
     """Run b is run a with well j relabelled perm[j] and every field moved
-    by `move`, within the tolerances of the module docstring."""
+    by `move`, within the tolerances of the module docstring, or bit for
+    bit, `min_u` included, when exact."""
     rows_b = {(r["lambda"], r["gamma"]): r for r in _table(b / "energies.csv")}
     rows_a = _table(a / "energies.csv")
     assert rows_a and len(rows_a) == len(rows_b)
@@ -96,7 +102,7 @@ def _assert_runs_map(a: Path, b: Path, perm, move):
         for name, va in ra.items():
             kind, well = _column(name)
             vb = rb[name if well is None else f"{kind}_{perm[well]}"]
-            if kind in EXACT:
+            if kind in EXACT or (exact and kind not in SELECTIONS):
                 assert va == vb, (name, va, vb)
             elif kind in SELECTIONS:
                 assert _relabel(va, perm) == vb, (name, va, vb)
@@ -119,7 +125,10 @@ def _assert_runs_map(a: Path, b: Path, perm, move):
         else:
             other = b / stem / f"omega_{perm[int(path.stem[6:])]}.npy"
         fa, fb = np.load(path), np.load(other)
-        assert np.abs(move(fa) - fb).max() <= FIELD_RTOL * np.abs(fa).max(), path
+        if exact:
+            assert np.array_equal(move(fa), fb), path
+        else:
+            assert np.abs(move(fa) - fb).max() <= FIELD_RTOL * np.abs(fa).max(), path
 
 
 def _statuses(run_dir: Path):
@@ -155,3 +164,48 @@ def test_transposed_wells_give_the_transposed_run(tmp_path):
     transposed = [tuple(v[::-1] for v in spec) for spec in wells]
     a, b = _run_both(tmp_path, _config(base, wells), _config(base, transposed))
     _assert_runs_map(a, b, {1: 1, 2: 2}, np.transpose)
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_mirrored_2d_wells_give_the_mirrored_run(tmp_path, axis):
+    # the grid, sweep and solver settings of the bundled 2D twin wells, with
+    # the wells made unequal and moved off both axes, so that neither
+    # mirror maps the geometry onto itself, against their mirror image
+    # about each axis: well j keeps its label, and every field is the
+    # other's reversed along that axis
+    base, _ = _split(CONFIGS / "twin-wells-2d.cfg")
+    wells = [((-3.0, 0.5), (2.0, 1.9), (2.6, 2.5)), ((3.2, -0.4), (1.9, 2.1), (2.5, 2.7))]
+    mirror = [(tuple(-x if ax == axis else x for ax, x in enumerate(c)), h, e)
+              for c, h, e in wells]
+    a, b = _run_both(tmp_path, _config(base, wells), _config(base, mirror))
+    _assert_runs_map(a, b, {1: 1, 2: 2}, lambda f: np.flip(f, axis))
+
+
+@pytest.mark.parametrize("name", ["three-wells-1d", "twin-wells-2d"])
+def test_relabelled_wells_give_the_same_run_bit_for_bit(tmp_path, name):
+    # the bundled wells listed in reverse order, none of them moved: the
+    # same solves on the same nodes, so every cell of energies.csv and
+    # every saved field is the other's, bit for bit, with well j named
+    # k + 1 - j
+    base, wells = _split(CONFIGS / f"{name}.cfg")
+    k = len(wells)
+    a, b = _run_both(tmp_path, _config(base, wells), _config(base, wells[::-1]))
+    _assert_runs_map(a, b, {j: k + 1 - j for j in range(1, k + 1)}, lambda f: f,
+                     exact=True)
+
+
+@pytest.mark.parametrize("name, cells", [("twin-wells-1d", (3,)),
+                                         ("twin-wells-2d", (-3, 1))], ids=["1d", "2d"])
+def test_wells_shifted_by_whole_cells_give_the_shifted_run(tmp_path, name, cells):
+    # every well moved by whole cells along each axis: node i of the one
+    # grid is node i + cells of the other, so every field is the other's
+    # rolled by the shift.  The box's edge does not move with the wells,
+    # but the fields there are far below round-off of their peak, so the
+    # relation holds within the same tolerances; the roll wraps such
+    # values round the box
+    base, wells = _split(CONFIGS / f"{name}.cfg")
+    h = _config(base, wells).grid().h
+    moved = [(tuple(x + k * h for x, k in zip(c, cells)), half, e) for c, half, e in wells]
+    a, b = _run_both(tmp_path, _config(base, wells), _config(base, moved))
+    _assert_runs_map(a, b, {1: 1, 2: 2},
+                     lambda f: np.roll(f, cells, axis=tuple(range(f.ndim))))

@@ -863,6 +863,52 @@ def test_tridiagonal_ldl_near_zero_pivot_raises():
     assert x.tolist() == [1.0, -0.5] and count == 1 and type(count) is int
 
 
+def _pivoted_diagonal(off, where, pivot):
+    """The diagonal, for the couplings `off`, whose LDL^T pivots alternate
+    in sign, 2 to 3 in size, but at node `where`, whose pivot is `pivot`:
+    each entry is its pivot plus the Schur term m b that the recurrence
+    subtracts from it, so the pivots formed are these, to one rounding.
+    Past a zero pivot, where no recurrence goes, the entries are the
+    pivots themselves."""
+    diag, prev = [], 0.0
+    for i, b in enumerate([0.0] + off):
+        want = pivot if i == where else (-1.0) ** i * (2.0 + 0.1 * i)
+        shift = b / prev * b if prev else 0.0
+        diag.append(want + shift)
+        prev = diag[-1] - shift
+    return diag
+
+
+@pytest.mark.parametrize("pivot", [0.0, 1e-13, 1e-3], ids=["zero", "near-zero", "small"])
+@pytest.mark.parametrize("where", [0, 4, 8], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "array"])
+def test_tridiagonal_ldl_solve_breaks_down_where_the_count_does(pivot, where, scalar):
+    # one pivot recurrence, whose zero coupling ahead of node 0 makes the
+    # first node a node like any other: a pivot within PIVOT_RTOL of the
+    # largest diagonal entry (here 1e-12 * 3.5) fails the solve and the
+    # count alike, at the first node, a middle one or the last; above it the
+    # indefinite system is solved and its inertia counted
+    n = 9
+    off = [-1.5] * (n - 1) if scalar else [(-1.0) ** i * (1.0 + 0.1 * i)
+                                           for i in range(n - 1)]
+    diag = _pivoted_diagonal(off, where, pivot)
+    coupling = -1.5 if scalar else off
+    b = np.linspace(1.0, -2.0, n)
+    solve = partial(TridiagonalLDL.solve_once, diag, coupling, b)
+    count = partial(TridiagonalLDL.negative_eigenvalues, diag, coupling)
+    if pivot < TridiagonalLDL.PIVOT_RTOL * max(map(abs, diag)):
+        for call in (solve, count):
+            with pytest.raises(SolveError, match="^LDL\\^T breakdown: pivot near zero$"):
+                call()
+        return
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    want = np.linalg.solve(dense, b)
+    negative = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+    assert 0 < negative < n
+    assert np.linalg.norm(solve() - want) <= 1e-12 * np.linalg.norm(want)
+    assert count() == negative
+
+
 @pytest.mark.parametrize("where", ["diag", "off"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("method", ["solve_once", "negative_eigenvalues"])
@@ -1158,11 +1204,11 @@ def test_one_d_solves_never_call_cg(ref, ref_wells, monkeypatch):
 # -- the Newton driver --------------------------------------------------------
 
 
-def _fake_linear_step(step):
-    """A stand-in for `solver._linear_step` that makes every step `step`."""
+def _fake_linear_step(step, its=0):
+    """A stand-in for `solver._linear_step` whose every step returns
+    `step`'s direction with `its` MINRES iterations."""
     def factory(off, tol):
-        step.inner_iterations = 0
-        return step
+        return lambda u, b, d, rel: (step(u, b, d, rel), its)
 
     return factory
 
@@ -1232,10 +1278,9 @@ def test_newton_driver_counts_the_morse_index_at_the_returned_field(off, monkeyp
 
     def step(u, b, d, rel):
         diagonals.append(d)
-        step.inner_iterations += 2
         return -b / d
 
-    monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(step))
+    monkeypatch.setattr(solver_module, "_linear_step", _fake_linear_step(step, its=2))
     seen = []
 
     def count(u, d):

@@ -1,7 +1,7 @@
 """The package holds no function or class that only the tests call, its
 modules keep their private names to themselves, only the solver catches
-`SolveError`, only the Newton driver sets a Morse index, and only
-`domain` walks the stencil faces.
+`SolveError`, only the Newton driver sets a Morse index, only its linear
+step calls the step kernels, and only `domain` walks the stencil faces.
 
 A top-level function, class or method of `src/logbump` must be referenced
 somewhere else in the package, by the benchmark tracer's `TARGETS` or by
@@ -125,6 +125,17 @@ def test_only_the_solver_catches_solve_errors():
     assert handlers, "the solver's own handlers are not found"
 
 
+def _outermost_functions(tree):
+    """Each node of the tree inside a function, mapped to the name of the
+    outermost function that holds it."""
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                owner.setdefault(node, func.name)
+    return owner
+
+
 def test_only_the_newton_driver_sets_a_morse_index():
     # `solver._newton` counts each solve's Morse index once, at the field it
     # returns; no other package code builds a record with `morse_index=` or
@@ -132,11 +143,7 @@ def test_only_the_newton_driver_sets_a_morse_index():
     setters = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        owner = {}
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef):
-                for node in ast.walk(func):
-                    owner.setdefault(node, func.name)
+        owner = _outermost_functions(tree)
         for node in ast.walk(tree):
             keyword = isinstance(node, ast.keyword) and node.arg == "morse_index"
             stored = (isinstance(node, ast.Attribute) and node.attr == "morse_index"
@@ -144,6 +151,24 @@ def test_only_the_newton_driver_sets_a_morse_index():
             if keyword or stored:
                 setters.append((path.name, owner.get(node)))
     assert setters == [("solver.py", "_newton")]
+
+
+def test_only_the_linear_step_calls_the_step_kernels():
+    # `solver._linear_step` is the one place a Newton step is solved: by
+    # `TridiagonalLDL.solve_once` in 1D and `minres` in 2D, whose count it
+    # returns with the step.  No other package code calls either kernel,
+    # so the tally `_newton` keeps covers every inner iteration
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _outermost_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ("minres", "solve_once"):
+                    callers.append((path.name, name, owner.get(node)))
+    assert sorted(callers) == [("solver.py", "minres", "_linear_step"),
+                               ("solver.py", "solve_once", "_linear_step")]
 
 
 def test_only_the_domain_walks_the_stencil_faces():
