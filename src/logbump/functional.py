@@ -33,6 +33,7 @@ from logbump.domain import (
     Grid,
     PotentialSpec,
     RegionMasks,
+    box_nodes,
     five_point_apply,
     grad_energy_density,
     masks,
@@ -81,10 +82,13 @@ class PenalizedFunctional:
     """Penalized energy of the auxiliary problem at fixed (lambda, gamma).
 
     Precomputes the potential and the indicator of the enlarged wells, and
-    builds -lap + lambda V + 1 once as its diagonal `diag`, its scalar
-    stencil couplings `off` and their `apply` (`domain.five_point_apply`),
-    so repeated evaluations inside the solver stay cheap.
+    builds -lap + lambda V + shift, shift = 1, once as its diagonal
+    `diag`, its scalar stencil couplings `off` and their `apply`
+    (`domain.five_point_apply`), so repeated evaluations inside the solver
+    stay cheap.
     """
+
+    shift = 1.0
 
     def __init__(
         self,
@@ -106,7 +110,7 @@ class PenalizedFunctional:
         inner = (slice(1, -1),) * grid.dim
         self.v_in = self.v_full[inner]
         self.chi_in = self.masks.enlarged[inner]
-        self.diag = 2.0 * grid.dim / grid.h**2 + (self.lam * self.v_in + 1.0)
+        self.diag = 2.0 * grid.dim / grid.h**2 + (self.lam * self.v_in + self.shift)
         self.off = (-1.0 / grid.h**2,) * grid.dim
         self.apply = five_point_apply(self.diag, self.off)
         self._hd = grid.h**grid.dim
@@ -124,6 +128,13 @@ class PenalizedFunctional:
         lin = self.apply(values)
         energy = self._hd * (0.5 * float(np.vdot(lin, values)) + float(np.sum(dens)))
         return energy, lin + d1, self.diag + d2
+
+    def well_nodes(self) -> list[tuple[slice, ...]]:
+        """The interior-array node rectangles of the selected closed wells,
+        where V = 0 and the operator is -lap_h + shift."""
+        return [tuple(slice(s.start - 1, s.stop - 1) for s in box_nodes(
+                    self.potential.geometry.wells[j - 1], self.grid, strict=False))
+                for j in self.gamma]
 
     def phi_total(self, values: np.ndarray) -> float:
         """Total energy only."""

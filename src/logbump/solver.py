@@ -13,8 +13,10 @@ linear step, `_linear_step`, solves every Newton system from that
 diagonal and that operator and returns the step with its MINRES count,
 which `_newton` sums: in 1D by one tridiagonal LDL^T pass; in 2D, where
 a whole-box factor would hold (n - 2)^3 doubles, by an inexact Newton
-step, diagonally preconditioned MINRES on the Jacobian applied free of
-storage, stopped at a forcing term tied to the outer residual and
+step, MINRES on the Jacobian applied free of storage, preconditioned by
+a fast sine-transform solve of the problem's own operator on each well's
+node rectangle, where it is a shifted Dirichlet Laplacian, and by 1 / |d|
+elsewhere, stopped at a forcing term tied to the outer residual and
 floored by the solve's tolerance, so no step is solved further than the
 stop test needs.  A `SolveError` ends the solve as a breakdown instead
 of escaping it.
@@ -222,41 +224,39 @@ def conjugate_gradient(apply_a, b, x0, tol, max_iters, diag=None):
     raise SolveError(f"conjugate gradient did not converge in {max_iters} iterations")
 
 
-def minres(apply_a, b, minv, tol, max_iters):
+def minres(apply_a, b, prec, tol, max_iters):
     """Preconditioned MINRES (Paige & Saunders 1975) from x0 = 0.
 
     Solves A x = b for a symmetric, possibly indefinite operator given as
-    a callable.  `minv` holds the positive diagonal of the inverse of an
-    SPD preconditioner M.  Each iteration minimizes the preconditioned
-    residual ||b - A x||_{M^-1} over the Krylov space, and the solve stops
-    when that norm is at most tol times its initial value sqrt(b . minv b).
-    A non-finite right-hand side raises at once, as does a `minv` that is
-    not finite and positive, a non-finite Lanczos scalar and running out of
-    iterations.  Returns (solution, iterations).
+    a callable.  prec(r) returns M^-1 r for an SPD preconditioner M.  Each
+    iteration minimizes the preconditioned residual ||b - A x||_{M^-1}
+    over the Krylov space, and the solve stops when that norm is at most
+    tol times its initial value sqrt(b . M^-1 b).  A non-finite right-hand
+    side raises at once, as do a non-finite b . M^-1 b, a negative
+    r . M^-1 r (an M that is not positive), a non-finite Lanczos scalar
+    and running out of iterations.  Returns (solution, iterations).
 
-    The recurrence runs in seven vectors allocated once per call and
-    updated in place.  What apply_a returns is used before apply_a is
-    called again, so the callable may reuse one output buffer; b and minv
-    are only read.
+    The recurrence runs in eight vectors allocated once per call and
+    updated in place.  What apply_a and prec return is used before either
+    is called again and never written, so each callable may reuse one
+    output buffer, or prec return its input; b is only read.
     """
     b = _finite(b)
-    if not np.all(np.isfinite(minv)):
-        raise SolveError("MINRES breakdown: non-finite preconditioner")
-    if not np.all(minv > 0.0):
-        raise SolveError("MINRES breakdown: preconditioner not positive")
     x = np.zeros_like(b)
-    y = minv * b
-    beta1 = math.sqrt(float(np.vdot(b, y)))
+    y = prec(b)
+    beta1 = _lanczos_norm(b, y)
+    if not math.isfinite(beta1):
+        raise SolveError("MINRES breakdown: non-finite preconditioner")
     if beta1 == 0.0:
         return x, 0
-    # Lanczos vectors r1, r2 (unpreconditioned), y = minv * r2, and the
+    # Lanczos vectors r1, r2 (unpreconditioned), y = M^-1 r2, and the
     # Givens rotation (cs, sn) that keeps the tridiagonal least squares
     # problem triangular; phibar is the preconditioned residual norm.  The
     # direction w is kept with its predecessor w2; once a new r2 or w is
     # built, the oldest vector's buffer is free and takes it.  r1 = 0 and
     # oldb = 1 make the first three-term step r1 = A v, bit for bit.
     r1, r2 = np.zeros_like(b), b.copy()
-    v, w, w2 = np.empty_like(b), np.zeros_like(b), np.zeros_like(b)
+    v, t, w, w2 = np.empty_like(b), np.empty_like(b), np.zeros_like(b), np.zeros_like(b)
     beta, oldb = beta1, 1.0
     dbar = epsln = 0.0
     phibar = beta1
@@ -266,10 +266,10 @@ def minres(apply_a, b, minv, tol, max_iters):
         r1 *= -(beta / oldb)
         r1 += apply_a(v)
         alfa = float(np.vdot(v, r1))
-        r1 -= np.multiply(r2, alfa / beta, out=y)
+        r1 -= np.multiply(r2, alfa / beta, out=t)
         r1, r2 = r2, r1
-        np.multiply(minv, r2, out=y)
-        oldb, beta = beta, math.sqrt(float(np.vdot(r2, y)))
+        y = prec(r2)
+        oldb, beta = beta, _lanczos_norm(r2, y)
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
@@ -295,6 +295,15 @@ def minres(apply_a, b, minv, tol, max_iters):
         if phibar <= tol * beta1:
             return x, it
     raise SolveError(f"MINRES did not converge in {max_iters} iterations")
+
+
+def _lanczos_norm(r: np.ndarray, y: np.ndarray) -> float:
+    """sqrt(r . y) for y = M^-1 r; a negative r . y raises SolveError, and
+    a nan stays nan for the caller's finiteness test."""
+    sq = float(np.vdot(r, y))
+    if sq < 0.0:
+        raise SolveError("MINRES breakdown: preconditioner not positive")
+    return math.sqrt(sq)
 
 
 class TridiagonalLDL:
@@ -442,8 +451,56 @@ def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
     return tuple(off)
 
 
+def _dirichlet_inverse(shape, h: float, sigma: float) -> Callable:
+    """r -> (L + sigma I)^-1 r on an (n0, n1) node rectangle, for L the
+    five-point -lap_h with zero ghosts beyond the rectangle and sigma >= 0.
+
+    The symmetric orthogonal sine matrix S = sqrt(2/(n+1)) sin(pi j k/(n+1)),
+    j, k = 1 ... n, diagonalizes an axis's second difference, with the
+    eigenvalues l_k = (4/h^2) sin^2(pi k/(2(n+1))).  So the inverse is
+    S0 ((S0 r S1) / (l0_i + l1_j + sigma)) S1, four small matmuls: the fast
+    Poisson solve (Buzbee, Golub & Nielson 1970, SIAM J. Numer. Anal. 7).
+    """
+    sines, eigs = [], []
+    for n in shape:
+        k = np.arange(1, n + 1)
+        sines.append(math.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * np.outer(k, k)))
+        eigs.append(4.0 / h**2 * np.sin(0.5 * np.pi / (n + 1) * k) ** 2)
+    s0, s1 = sines
+    inv = 1.0 / (eigs[0][:, None] + eigs[1] + sigma)
+    return lambda r: s0 @ ((s0 @ r @ s1) * inv) @ s1
+
+
+def _block_preconditioner(minv: np.ndarray, blocks) -> Callable:
+    """prec(r) = M^-1 r for the SPD M that is diag(1 / minv) but on each
+    node box of `blocks`, (box, solve) pairs, whose block of M^-1 is its
+    `solve`: the MINRES preconditioner of a 2D step.  Every minv entry
+    must be finite and positive, or it raises SolveError at once;
+    `_linear_step` sets those the boxes cover to 1, so the check runs on
+    the |d| part of M.  prec returns one buffer that every call reuses.
+    """
+    if not np.all(np.isfinite(minv)):
+        raise SolveError("MINRES breakdown: non-finite preconditioner")
+    if not np.all(minv > 0.0):
+        raise SolveError("MINRES breakdown: preconditioner not positive")
+    out = np.empty_like(minv)
+
+    def prec(r):
+        np.multiply(minv, r, out=out)
+        for box, solve in blocks:
+            out[box] = solve(r[box])
+        return out
+
+    return prec
+
+
 # Cap of the forcing term in `_linear_step`; its floor near tol may exceed it.
 ETA_MAX = 1e-3
+
+# MINRES measures a 2D step's residual in the M^-1 norm, which weighs the
+# smooth modes of a well box far above its rough ones; it stops at this
+# times the forcing term.
+ETA_NORM = 0.1
 
 
 def _linear_step(problem, tol: float) -> Callable:
@@ -457,24 +514,40 @@ def _linear_step(problem, tol: float) -> Callable:
 
     In 1D one LDL^T pass solves J.  In 2D the step is an inexact Newton
     step (Dembo, Eisenstat & Steihaug 1982): MINRES on J applied free of
-    storage, preconditioned with 1 / |d|, stops at the forcing term
+    storage, with the forcing term
     eta = max(min(ETA_MAX, rel), 0.5 tol / max(rel, tol)), so steps far
     from the solution are cheap and the next ones are solved to the outer
     residual's own size (Eisenstat & Walker 1996).  The floor stops the
     last step once its linearized residual, about eta * rel, is half the
     outer tolerance, instead of far below it (Kelley 1995, section 6.3);
     it stays below 0.5 but on a first step from a start that already
-    meets tol.  Its cap is the unknown count, MINRES's own bound in exact
-    arithmetic.  The apply's output buffer is the problem's, which holds
-    since MINRES reads each product before the next and no evaluation
-    runs inside a step.
+    meets tol.  The preconditioner M is the problem's own operator on each
+    node rectangle of problem.well_nodes(), where it is the Dirichlet
+    -lap_h plus problem.shift times the identity, with everything outside
+    the rectangle cut off, and |d| on the diagonal elsewhere: separable
+    fast-direct preconditioning (Concus & Golub 1973; Elman, Silvester &
+    Wathen 2014, ch. 4).  The rectangles' sine solves
+    (`_dirichlet_inverse`) are built once per solve.  MINRES stops at
+    ETA_NORM * eta in the M^-1 norm, which discounts a box's rough modes
+    against the l2 norm the outer residual is measured in.  Its cap is the
+    unknown count, MINRES's own bound in exact arithmetic.  The apply's
+    output buffer is the problem's, which holds since MINRES reads each
+    product before the next and no evaluation runs inside a step.
     """
     if len(problem.off) == 1:
         return lambda u, b, d, rel: (TridiagonalLDL.solve_once(d, problem.off[0], -b), 0)
 
+    h = problem.grid.h
+    blocks = [(box, _dirichlet_inverse([s.stop - s.start for s in box], h, problem.shift))
+              for box in problem.well_nodes()]
+
     def step(u, b, d, rel):
         eta = max(min(ETA_MAX, rel), 0.5 * tol / max(rel, tol))
-        return minres(partial(problem.apply, diag=d), -b, 1.0 / np.abs(d), eta, d.size)
+        minv = 1.0 / np.abs(d)
+        for box, _ in blocks:
+            minv[box] = 1.0  # M's blocks hold no |d|
+        prec = _block_preconditioner(minv, blocks)
+        return minres(partial(problem.apply, diag=d), -b, prec, ETA_NORM * eta, d.size)
 
     return step
 
@@ -800,7 +873,9 @@ class _LocalWell:
     """One well's local problem on the rectangle of grid nodes in a box.
 
     `nodes` holds the rectangle's slices of the full grid, `w` its node
-    weights and `lam_v` the potential term lambda V.  The operator
+    weights, `lam_v` the potential term lambda V and `well` the well's
+    closed box, on whose nodes (`well_nodes`) the operator is the
+    Dirichlet -lap_h, with no `shift`.  The operator
     W(B + lambda V) is built once, as its diagonal `diag` and its stencil
     couplings `off`, and `apply(x)` returns W(B + lambda V) x in one reused
     buffer (see `domain.five_point_apply`).  Neighbours along one axis couple by
@@ -813,10 +888,13 @@ class _LocalWell:
     and the Jacobian share one discrete calculus.
     """
 
-    def __init__(self, grid: Grid, nodes, axis_w, lam: float = 0.0,
+    shift = 0.0
+
+    def __init__(self, grid: Grid, nodes, axis_w, well: Box, lam: float = 0.0,
                  potential: PotentialSpec | None = None):
         self.grid = grid
         self.nodes = nodes
+        self.well = well
         self.w = reduce(np.multiply.outer, axis_w)
         self.mesh = grid.mesh(nodes)
         self.lam_v = 0.0
@@ -833,7 +911,7 @@ class _LocalWell:
             slice(max(s.start, 1), min(s.stop, grid.n - 1))
             for s in box_nodes(well, grid)
         )
-        return cls(grid, nodes, [np.ones(s.stop - s.start) for s in nodes])
+        return cls(grid, nodes, [np.ones(s.stop - s.start) for s in nodes], well)
 
     @classmethod
     def neumann(
@@ -846,7 +924,17 @@ class _LocalWell:
         if any(s.stop - s.start < 3 for s in nodes):
             raise ValueError(f"enlarged well {j} too coarse for a Neumann solve")
         axis_w = [np.r_[0.5, np.ones(s.stop - s.start - 2), 0.5] for s in nodes]
-        return cls(grid, nodes, axis_w, lam, potential)
+        return cls(grid, nodes, axis_w, potential.geometry.wells[j - 1], lam, potential)
+
+    def well_nodes(self) -> list[tuple[slice, ...]]:
+        """The node rectangle of the closed well in the problem's array:
+        all of it on the Dirichlet well, the nodes where lambda V = 0 on
+        the enlarged one.  There the weights are 1 and the operator is the
+        Dirichlet -lap_h."""
+        return [tuple(
+            slice(max(s.start, o.start) - o.start, min(s.stop, o.stop) - o.start)
+            for s, o in zip(box_nodes(self.well, self.grid, strict=False), self.nodes)
+        )]
 
     def dist_sq(self, center) -> np.ndarray:
         """Squared distance of every node of the rectangle to `center`."""

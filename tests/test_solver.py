@@ -128,13 +128,19 @@ def _indefinite_five_point(rng, shape, negatives):
     return jd, _five_point_dense(jd, 1.0)
 
 
+def _diagonal(minv):
+    """The diagonal preconditioner r -> minv * r, as a 2D step builds it
+    when no well box covers a node."""
+    return solver_module._block_preconditioner(minv, ())
+
+
 def test_minres_matches_dense_indefinite_solve():
     rng = np.random.default_rng(9)
     jd, dense = _indefinite_five_point(rng, (6, 7), 2)
     assert int(np.sum(np.linalg.eigvalsh(dense) < 0.0)) == 2
     b = rng.standard_normal(jd.shape)
     x, iters = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b,
-                      1.0 / np.abs(4.0 + jd), 1e-13, 500)
+                      _diagonal(1.0 / np.abs(4.0 + jd)), 1e-13, 500)
     want = np.linalg.solve(dense, b.ravel()).reshape(b.shape)
     assert 0 < iters <= 100
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
@@ -147,15 +153,15 @@ def test_minres_zero_rhs_and_failures():
     def apply_a(v):
         return (dense @ v.ravel()).reshape(v.shape)
 
-    minv = 1.0 / np.abs(4.0 + jd)
-    x, iters = minres(apply_a, np.zeros(jd.shape), minv, 1e-12, 50)
+    prec = _diagonal(1.0 / np.abs(4.0 + jd))
+    x, iters = minres(apply_a, np.zeros(jd.shape), prec, 1e-12, 50)
     assert iters == 0 and np.abs(x).max() == 0.0
     bad = np.ones(jd.shape)
     bad[2, 3] = math.nan
     with pytest.raises(SolveError, match="non-finite"):
-        minres(apply_a, bad, minv, 1e-12, 50)
+        minres(apply_a, bad, prec, 1e-12, 50)
     with pytest.raises(SolveError, match="did not converge in 3 iterations"):
-        minres(apply_a, rng.standard_normal(jd.shape), minv, 1e-12, 3)
+        minres(apply_a, rng.standard_normal(jd.shape), prec, 1e-12, 3)
 
 
 def test_minres_reads_b_and_minv_only_and_allows_a_reused_buffer():
@@ -170,12 +176,20 @@ def test_minres_reads_b_and_minv_only_and_allows_a_reused_buffer():
         out[...] = (dense @ v.ravel()).reshape(v.shape)
         return out
 
-    x, _ = minres(apply_a, b, minv, 1e-13, 500)
+    # the preconditioner reuses one buffer too, and minres never writes it
+    x, _ = minres(apply_a, b, _diagonal(minv), 1e-13, 500)
     assert np.array_equal(b, b0) and np.array_equal(minv, minv0)
     assert not np.shares_memory(x, b)
-    y, _ = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b, minv,
-                  1e-13, 500)
+    y, _ = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b,
+                  lambda r: minv * r, 1e-13, 500)
     assert np.array_equal(x, y)
+    # nor the vector it hands the preconditioner, which may return it
+    ones = np.ones_like(b)
+    z, _ = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b,
+                  lambda r: r, 1e-13, 500)
+    w, _ = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b,
+                  lambda r: ones * r, 1e-13, 500)
+    assert np.array_equal(z, w) and np.array_equal(b, b0)
 
 
 def test_minres_loose_tolerance_bounds_the_true_residual():
@@ -186,8 +200,8 @@ def test_minres_loose_tolerance_bounds_the_true_residual():
     b = rng.standard_normal(jd.shape)
     minv = 1.0 / np.abs(4.0 + jd)
     tol = 1e-3
-    x, iters = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b, minv,
-                      tol, 500)
+    x, iters = minres(lambda v: (dense @ v.ravel()).reshape(v.shape), b,
+                      _diagonal(minv), tol, 500)
     r = b - (dense @ x.ravel()).reshape(b.shape)
     assert iters > 0
     assert math.sqrt(np.vdot(r, minv * r)) <= (1.0 + 1e-8) * tol * math.sqrt(
@@ -206,11 +220,39 @@ def test_minres_rejects_a_bad_preconditioner_at_once(bad, detail):
         calls.append(1)
         return 2.0 * v
 
+    # the 2D step's diagonal part is checked as the preconditioner is built
     minv = np.ones(50)
     minv[3] = bad
     with pytest.raises(SolveError, match=f"MINRES breakdown: {detail}"):
-        minres(apply_a, np.ones(50), minv, 1e-12, 2000)
+        minres(apply_a, np.ones(50), _diagonal(minv), 1e-12, 2000)
     assert calls == []
+
+
+@pytest.mark.parametrize("prec, detail", [
+    (lambda r: -r, "preconditioner not positive"),
+    (lambda r: np.where(np.arange(r.size) == 3, math.inf, r),
+     "non-finite preconditioner"),
+], ids=["negative", "inf"])
+def test_minres_rejects_a_bad_preconditioner_callable_at_once(prec, detail):
+    # minres checks b . M^-1 b itself, before its first operator apply
+    calls = []
+
+    def apply_a(v):
+        calls.append(1)
+        return 2.0 * v
+
+    with pytest.raises(SolveError, match=f"MINRES breakdown: {detail}"):
+        minres(apply_a, np.ones(50), prec, 1e-12, 2000)
+    assert calls == []
+
+
+def test_minres_rejects_an_indefinite_preconditioner_within_the_recurrence():
+    # an M^-1 positive on b but not on a later Lanczos vector: r . M^-1 r < 0
+    # raises instead of reaching math.sqrt
+    dense = np.diag([1.0, 2.0, 3.0, 4.0])
+    minv = np.array([1.0, 1.0, -0.5, -0.5])
+    with pytest.raises(SolveError, match="MINRES breakdown: preconditioner not positive"):
+        minres(lambda v: dense @ v, np.ones(4), lambda r: minv * r, 1e-12, 50)
 
 
 def test_minres_stops_on_a_non_finite_lanczos_scalar():
@@ -223,7 +265,7 @@ def test_minres_stops_on_a_non_finite_lanczos_scalar():
         return out
 
     with pytest.raises(SolveError, match="MINRES breakdown: non-finite Lanczos"):
-        minres(apply_a, np.ones(50), np.ones(50), 1e-12, 2000)
+        minres(apply_a, np.ones(50), _diagonal(np.ones(50)), 1e-12, 2000)
     assert len(calls) == 1
 
 
@@ -971,7 +1013,7 @@ def test_local_jacobian_solve_matches_minres(ref, name):
     (diag, off), apply = _local_jacobian(prob, u, name == "neumann")
     assert len(off) == 1
     x = TridiagonalLDL.solve_once(diag, *off, b)
-    y, _ = minres(apply, b, 1.0 / np.abs(diag), 1e-13, 20000)
+    y, _ = minres(apply, b, _diagonal(1.0 / np.abs(diag)), 1e-13, 20000)
     assert np.linalg.norm(x - y) <= 1e-11 * np.linalg.norm(y)
     assert np.linalg.norm(apply(x) - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -1029,9 +1071,9 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
     b = -(prob.w * res)
     calls = []
 
-    def recorded(apply_a, rhs, minv, tol, max_iters):
-        x, its = minres(apply_a, rhs, minv, tol, max_iters)
-        calls.append((rhs, minv, tol, max_iters, x))
+    def recorded(apply_a, rhs, prec, tol, max_iters):
+        x, its = minres(apply_a, rhs, prec, tol, max_iters)
+        calls.append((rhs, prec, tol, max_iters, x))
         return x, its
 
     monkeypatch.setattr(solver_module, "minres", recorded)
@@ -1042,17 +1084,31 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
         assert calls == [] and run.inner_iterations == 0
         du = np.linalg.solve(jac, b.ravel()).reshape(u.shape)
     else:
-        [(rhs, minv, tol, cap, du)] = calls
+        [(rhs, prec, tol, cap, du)] = calls
         rel = math.sqrt(prob.integral(res * res) / prob.integral(u * u))
         floor = 0.5 * config.tol / max(rel, config.tol)
-        assert tol == max(min(solver_module.ETA_MAX, rel), floor)
+        assert solver_module.ETA_NORM == 0.1
+        assert tol == 0.1 * max(min(solver_module.ETA_MAX, rel), floor)
         assert cap == u.size
         assert np.array_equal(rhs, b)
-        assert np.allclose(minv * np.abs(np.diag(jac)).reshape(u.shape), 1.0,
-                           rtol=0.0, atol=1e-13)
+        # M: the Dirichlet -lap_h on the closed well's rectangle, all of the
+        # Dirichlet well and the nodes where lambda V = 0 in the enlarged
+        # one, and |d| elsewhere
+        inside = np.broadcast_to(prob.lam_v == 0.0, u.shape)
+        assert inside.all() != mirror
+        [box] = prob.well_nodes()
+        rectangle = np.zeros(u.shape, dtype=bool)
+        rectangle[box] = True
+        assert np.array_equal(inside, rectangle)
+        m = np.diag(np.abs(np.diag(jac)))
+        idx = np.flatnonzero(inside)
+        m[np.ix_(idx, idx)] = _dirichlet_dense(inside[box].shape, prob.grid.h, 0.0)
+        for x in np.random.default_rng(5).standard_normal((3,) + u.shape):
+            want = np.linalg.solve(m, x.ravel()).reshape(u.shape)
+            assert np.abs(prec(x) - want).max() <= 1e-10 * np.abs(want).max()
         r = b - (jac @ du.ravel()).reshape(u.shape)
-        assert math.sqrt(np.vdot(r, minv * r)) <= (1.0 + 1e-8) * tol * math.sqrt(
-            np.vdot(b, minv * b))
+        assert math.sqrt(np.vdot(r, prec(r))) <= (1.0 + 1e-8) * tol * math.sqrt(
+            np.vdot(b, prec(b)))
         assert run.inner_iterations > 0
     want = prob.nehari_project(np.maximum(u + du, 0.0))[0]
     assert run.iterations == 1
@@ -1062,6 +1118,41 @@ def test_local_newton_step_matches_dense_jacobian_solve(ref, case, monkeypatch):
     jac_new = _dense(local_jacobian_apply(prob, np.maximum(u_new, U_FLOOR), mirror),
                      u.shape)
     assert run.morse_index == int(np.sum(np.linalg.eigvalsh(jac_new) < 0.0))
+
+
+def _dirichlet_dense(shape, h, sigma) -> np.ndarray:
+    """The dense five-point -lap_h + sigma I with zero ghosts on an
+    (n0, n1) node rectangle, as a sum of Kronecker products."""
+    t0, t1 = ((2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2 for n in shape)
+    return (np.kron(t0, np.eye(shape[1])) + np.kron(np.eye(shape[0]), t1)
+            + sigma * np.eye(shape[0] * shape[1]))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("shape", [(5, 7), (35, 35), (37, 41)])
+def test_dirichlet_inverse_matches_the_dense_solve(shape, sigma):
+    h = 14.0 / 126
+    solve = solver_module._dirichlet_inverse(shape, h, sigma)
+    dense = _dirichlet_dense(shape, h, sigma)
+    rng = np.random.default_rng(40)
+    for r in rng.standard_normal((3,) + shape):
+        want = np.linalg.solve(dense, r.ravel()).reshape(shape)
+        assert np.abs(solve(r) - want).max() <= 1e-12 * np.abs(want).max()
+    # a view with strides, as a well box of a larger array is
+    big = rng.standard_normal((shape[0] + 4, shape[1] + 6))
+    view = big[2:-2, 3:-3]
+    want = np.linalg.solve(dense, view.ravel()).reshape(shape)
+    assert np.abs(solve(view) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_dirichlet_inverse_is_symmetric_and_positive(sigma):
+    solve = solver_module._dirichlet_inverse((37, 41), 14.0 / 126, sigma)
+    x, y = np.random.default_rng(41).standard_normal((2, 37, 41))
+    xy, yx = float(np.vdot(x, solve(y))), float(np.vdot(y, solve(x)))
+    assert abs(xy - yx) <= 1e-13 * math.sqrt(np.vdot(x, solve(x)) * np.vdot(y, solve(y)))
+    for z in (x, y, np.ones((37, 41))):
+        assert float(np.vdot(z, solve(z))) > 0.0
 
 
 def test_local_levels_match_reference(ref_wells, ref_levels):
@@ -1504,9 +1595,9 @@ def test_two_d_minres_cap_is_a_breakdown(monkeypatch):
     init = Field(grid, np.exp(-0.5 * sum(m * m for m in interior_mesh(grid))))
     caps = []
 
-    def capped(apply_a, b, minv, tol, max_iters):
+    def capped(apply_a, b, prec, tol, max_iters):
         caps.append(max_iters)
-        return minres(apply_a, b, minv, tol, 1)
+        return minres(apply_a, b, prec, tol, 1)
 
     monkeypatch.setattr(solver_module, "minres", capped)
     rec = solve_auxiliary(1e2, (1,), init, grid, potential, make_params(),
@@ -1523,9 +1614,9 @@ def test_two_d_newton_steps_stop_at_the_forcing_term(monkeypatch):
     well = solve_single_well(geometry, 1, grid, SolverConfig())
     tols = []
 
-    def recorded(apply_a, b, minv, tol, max_iters):
+    def recorded(apply_a, b, prec, tol, max_iters):
         tols.append(tol)
-        return minres(apply_a, b, minv, tol, max_iters)
+        return minres(apply_a, b, prec, tol, max_iters)
 
     monkeypatch.setattr(solver_module, "minres", recorded)
     rec = solve_auxiliary(1e2, (1,), well.field, grid, potential, make_params(),
@@ -1535,14 +1626,15 @@ def test_two_d_newton_steps_stop_at_the_forcing_term(monkeypatch):
     u = well.field.values
     res = fun.evaluate(u)[1]
     rel0 = math.sqrt(float(np.sum(res * res))) / math.sqrt(float(np.sum(u * u)))
-    assert solver_module.ETA_MAX == 1e-3
+    assert solver_module.ETA_MAX == 1e-3 and solver_module.ETA_NORM == 0.1
     tol = SolverConfig().tol
     before = [rel0] + rec.residuals[:-1]
-    want = [max(min(1e-3, rel), 0.5 * tol / max(rel, tol)) for rel in before]
-    assert tols == want
+    # MINRES stops at a tenth of the forcing term in the M^-1 norm
+    etas = [max(min(1e-3, rel), 0.5 * tol / max(rel, tol)) for rel in before]
+    assert tols == [0.1 * eta for eta in etas]
     # the last step starts close enough to the solution that the floor, not
-    # the residual, sets its tolerance: it is not solved past tol / 2
-    assert tols[-1] == 0.5 * tol / before[-1] > before[-1]
+    # the residual, sets its forcing term: it is not solved past tol / 2
+    assert etas[-1] == 0.5 * tol / before[-1] > before[-1]
 
 
 def test_two_d_newton_records_morse_index_one(monkeypatch):
@@ -1761,13 +1853,14 @@ def test_two_d_newton_step_count_guard(twin_2d_sweep):
 
 
 def test_two_d_minres_iteration_guard(twin_2d_sweep):
-    # deterministic work counter: 185 MINRES iterations over the sweep
-    # (175, 9, 1), pinned or not, 408 by continuation from each previous
-    # field, 284 with the forcing term unfloored, 763 when every step is
-    # solved to a relative residual of 1e-12
+    # deterministic work counter: 93 MINRES iterations over the sweep
+    # (75, 14, 4), pinned or not, with the well-box preconditioner; 185
+    # (175, 9, 1) with 1 / |d| alone, 408 by continuation from each
+    # previous field, 284 with the forcing term unfloored, 763 when every
+    # step is solved to a relative residual of 1e-12
     inner = [st.inner_iterations for st in twin_2d_sweep]
     assert all(n > 0 for n in inner)
-    assert sum(inner) <= 200
+    assert sum(inner) <= 100
 
 
 @pytest.fixture(scope="module")
@@ -1783,11 +1876,61 @@ def test_two_d_local_solves_converge_with_morse_index_one(twin_2d_local):
 
 
 def test_two_d_local_solve_work_guard(twin_2d_local):
-    # deterministic work counters: 3, 3, 4, 4, 4, 4, 4, 4 Newton steps and
-    # 1,088 MINRES iterations over the eight solves, pinned or not (1,276
-    # with the forcing term unfloored)
+    # deterministic work counters: 3, 3, 4, 4, 4, 4, 3, 3 Newton steps and
+    # 266 MINRES iterations (18, 18, 62, 62, 33, 33, 20, 20) over the eight
+    # solves, pinned or not, with the well-box preconditioner; 1,088 with
+    # 1 / |d| alone (1,276 with the forcing term unfloored)
     assert all(rec.iterations <= 5 for rec in twin_2d_local)
-    assert sum(rec.inner_iterations for rec in twin_2d_local) <= 1150
+    assert sum(rec.inner_iterations for rec in twin_2d_local) <= 290
+
+
+def test_two_d_newton_steps_stay_at_the_diagonal_preconditioner_counts(
+        twin_2d_local, twin_2d_sweep):
+    # the well-box preconditioner's M^-1-norm stop, a tenth of the forcing
+    # term, adds no Newton step to any solve of the workload: 1 / |d| took
+    # 3, 3, 4, 4, 4, 4, 4, 4 steps for the ground states and levels and
+    # 5, 2, 1 for the sweep (3, 3, 4, 4, 4, 4, 3, 3 and 5, 2, 1 now)
+    steps = [rec.iterations for rec in twin_2d_local + twin_2d_sweep]
+    before = [3, 3, 4, 4, 4, 4, 4, 4, 5, 2, 1]
+    assert all(0 < n <= m for n, m in zip(steps, before, strict=True)), steps
+
+
+def test_two_d_sweep_preconditions_the_selected_wells_only(monkeypatch):
+    # a block on a well the selection leaves out slows MINRES down, so the
+    # sweep's M holds one per selected well: 70 MINRES iterations here,
+    # 161 with 1 / |d| alone and 280 with a block on well 2 too (on the
+    # lambda = 10 one-well sweep of twin-wells-2d's gamma = all, 657 with
+    # both blocks against 299 with 1 / |d|)
+    geometry = WellGeometry(
+        dim=2,
+        wells=(Box((-3.0, 0.0), (2.0, 2.0)), Box((3.0, 0.0), (2.0, 2.0))),
+        enlargements=(Box((-3.0, 0.0), (2.6, 2.6)), Box((3.0, 0.0), (2.6, 2.6))),
+    )
+    potential = PotentialSpec(geometry, cap=1.0, power=1.0)
+    grid = Grid(dim=2, r=7.0, n=63)
+    x, y = interior_mesh(grid)
+    init = Field(grid, np.exp(1.0 - 0.5 * ((x + 3.0) ** 2 + y * y)))  # the Gausson
+    built = []
+    preconditioner = solver_module._block_preconditioner
+
+    def recorded(minv, blocks):
+        built.append([box for box, _ in blocks])
+        return preconditioner(minv, blocks)
+
+    monkeypatch.setattr(solver_module, "_block_preconditioner", recorded)
+    rec = solve_auxiliary(1e2, (1,), init, grid, potential, make_params(), SolverConfig())
+    assert rec.converged and rec.morse_index == 1 and rec.bump_mask == (1,)
+    closed = box_nodes(geometry.wells[0], grid, strict=False)
+    assert built and all(b == [solver_module._interior(closed)] for b in built)
+    counts = []
+    for boxes in ([], [closed, box_nodes(geometry.wells[1], grid, strict=False)]):
+        monkeypatch.setattr(PenalizedFunctional, "well_nodes",
+                            lambda self, b=boxes: [solver_module._interior(s) for s in b])
+        other = solve_auxiliary(1e2, (1,), init, grid, potential, make_params(),
+                                SolverConfig())
+        assert other.converged and other.morse_index == 1
+        counts.append(other.inner_iterations)
+    assert 0 < rec.inner_iterations < min(counts)
 
 
 def test_two_d_local_inertia_breakdown_leaves_the_morse_index_open(monkeypatch):

@@ -1,7 +1,8 @@
 """The package holds no function or class that only the tests call, its
 modules keep their private names to themselves, only the solver catches
 `SolveError`, only the Newton driver sets a Morse index, only its linear
-step calls the step kernels, and only `domain` walks the stencil faces.
+step calls the step kernels and builds the 2D preconditioner, and only
+`domain` walks the stencil faces.
 
 A top-level function, class or method of `src/logbump` must be referenced
 somewhere else in the package, by the benchmark tracer's `TARGETS` or by
@@ -157,7 +158,11 @@ def test_only_the_linear_step_calls_the_step_kernels():
     # `solver._linear_step` is the one place a Newton step is solved: by
     # `TridiagonalLDL.solve_once` in 1D and `minres` in 2D, whose count it
     # returns with the step.  No other package code calls either kernel,
-    # so the tally `_newton` keeps covers every inner iteration
+    # so the tally `_newton` keeps covers every inner iteration.  It is
+    # also the one place that builds the 2D well-box preconditioner: the
+    # sine solves of `_dirichlet_inverse` once per solve, and each step's
+    # `_block_preconditioner` from them
+    kernels = ("minres", "solve_once", "_dirichlet_inverse", "_block_preconditioner")
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -165,10 +170,9 @@ def test_only_the_linear_step_calls_the_step_kernels():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name in ("minres", "solve_once"):
+                if name in kernels:
                     callers.append((path.name, name, owner.get(node)))
-    assert sorted(callers) == [("solver.py", "minres", "_linear_step"),
-                               ("solver.py", "solve_once", "_linear_step")]
+    assert sorted(callers) == sorted(("solver.py", name, "_linear_step") for name in kernels)
 
 
 def test_only_the_domain_walks_the_stencil_faces():
