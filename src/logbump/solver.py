@@ -29,15 +29,17 @@ edge weight is all that is left of its mirror ghost.  The residual, the
 energy, the Nehari scale and every Newton step apply that one pair.  The
 ground states are mountain-pass points, Morse index 1.  Each Newton
 iterate is rescaled onto the Nehari manifold in closed form, which keeps
-the iteration off u = 0.  One LDL^T inertia count of the local box per
-solve gives the Morse index: tridiagonal in 1D, block tridiagonal in 2D.
+the iteration off u = 0.  One inertia count of the local box per solve
+gives the Morse index.
 
 The penalized problem on the whole box has saddle solutions, solved by
-Newton's method with the same clip.  Its Morse index is the tridiagonal
-count in 1D; in 2D it is certified by an inertia enclosure that factors
-only the enlarged wells' node boxes: once each for the upper bound, and
-again for the lower bound only where the returned field's own negative
-curvature on the box does not settle it.
+Newton's method with the same clip.  Its Morse index is the count of the
+whole box in 1D; in 2D it is certified by an inertia enclosure that
+counts only the enlarged wells' node boxes: once each for the upper
+bound, and again for the lower bound only where the returned field's own
+negative curvature on the box does not settle it, and the whole box
+where it certifies nothing.  Every count is `negative_eigenvalues`: the
+negative LDL^T pivots in node order, with one breakdown rule.
 
 Everything here is deterministic: fixed iteration order, fixed summation
 order, no randomness, so identical inputs give bit-identical outputs.
@@ -99,14 +101,14 @@ class NewtonRecord:
     "non-finite" (the residual of the start or of a step's iterate was not
     finite).  morse_index counts the negative eigenvalues of the Jacobian
     at the returned field (on a collapse, at the last evaluated iterate),
-    by the problem's inertia count: the LDL^T pivots of a 1D Jacobian, the
-    Schur-block inertia of a 2D ground state's local box, a certified
-    inertia enclosure for the 2D penalized problem, whose lower bound on a
-    box with one negative eigenvalue in its upper bound may come from the
-    returned field's negative curvature there instead of a second count.
-    It is nan when no step returned, when the count raises `SolveError` (a
-    pivot or Schur block near singular, a non-finite entry) and when the
-    enclosure's bounds disagree.
+    by the problem's inertia count through `negative_eigenvalues`: of the
+    whole Jacobian in 1D and on a 2D ground state's local box, and for the
+    2D penalized problem an inertia enclosure over the enlarged wells'
+    boxes, whose lower bound on a box with one negative eigenvalue in its
+    upper bound may come from the returned field's negative curvature
+    there instead of a second count, and which counts the whole box where
+    it certifies nothing.  It is nan when no step returned and when the
+    count raises `SolveError` (a pivot near zero, a non-finite entry).
     stop_detail keeps the `SolveError` message of a breakdown and is empty
     otherwise.  inner_iterations sums the MINRES counts that the steps
     whose linear solve returned gave back with their directions, each
@@ -307,17 +309,14 @@ def _lanczos_norm(r: np.ndarray, y: np.ndarray) -> float:
 
 
 class TridiagonalLDL:
-    """LDL^T of a symmetric, possibly indefinite tridiagonal matrix: a solve,
-    and a count-only pass for its inertia.
+    """LDL^T solve of a symmetric, possibly indefinite tridiagonal matrix.
 
     `diag` holds the n diagonal entries and `off` the n - 1 entries coupling
     node i to node i + 1, or one scalar coupling every such pair.  The
-    recurrences run over plain Python floats, which at 1D grid sizes beats
-    the per-call overhead of numpy.  Both raise `SolveError` on a
-    non-finite entry and on a pivot within PIVOT_RTOL of the largest
-    diagonal entry, and the negative pivots count, by Sylvester's law of
-    inertia, the negative eigenvalues.  The count is its own pass, since a
-    solve with a zero right-hand side costs about three times as much.
+    recurrence runs over plain Python floats, which at 1D grid sizes beats
+    the per-call overhead of numpy.  It raises `SolveError` on a non-finite
+    entry and on a pivot within PIVOT_RTOL of the largest diagonal entry,
+    the breakdown rule of `negative_eigenvalues` too.
     """
 
     PIVOT_RTOL = 1e-12
@@ -366,12 +365,27 @@ class TridiagonalLDL:
         out.reverse()
         return np.array(out)
 
-    @staticmethod
-    def negative_eigenvalues(diag, off) -> int:
-        """Negative eigenvalues of the matrix: the negative pivots of the
-        factor of `solve_once`, with its breakdown, in one pass that keeps
-        no pivot."""
-        diag, off, floor = TridiagonalLDL._entries(diag, off)
+
+def negative_eigenvalues(diag, off) -> int:
+    """Negative eigenvalues of the symmetric, possibly indefinite matrix
+    with diagonal `diag` and a problem's stencil couplings `off`, one per
+    axis, each an array or one scalar: the negative pivots of its LDL^T
+    factor in node order (Sylvester's law of inertia), the package's one
+    Morse count.
+
+    In 1D it is the pivot recurrence of `TridiagonalLDL.solve_once` over
+    plain floats.  In 2D, off[0] couples node (i, j) to (i + 1, j) and
+    off[1] to (i, j + 1), and the recurrence runs over rows, keeping only
+    the previous row's inverse: each row's Schur complement is a dense
+    block, whose pivots are those of its Cholesky factor, L_kk^2, when it
+    is SPD, else those of its elimination in node order (Haynsworth's
+    inertia additivity).  One breakdown rule for both: a pivot within
+    TridiagonalLDL.PIVOT_RTOL of the largest diagonal entry in size raises
+    SolveError, as does a non-finite entry, which neither recurrence need
+    fail on.  Couplings of the wrong shape raise ValueError.
+    """
+    if len(off) == 1:
+        diag, off, floor = TridiagonalLDL._entries(diag, off[0])
         negative, pivot = 0, 1.0
         # a zero coupling ahead of node 0 makes its pivot diag[0]
         for a, b in zip(diag, [0.0] + off):
@@ -381,62 +395,46 @@ class TridiagonalLDL:
             if not abs(pivot) > floor:
                 raise SolveError("LDL^T breakdown: pivot near zero")
         return negative
-
-
-class BlockTridiagonalLDL:
-    """Block LDL^T inertia of a symmetric, possibly indefinite 5-point
-    matrix on an (ny, nx) array.
-
-    `off0` couples node (i, j) to (i + 1, j) and `off1` couples it to
-    (i, j + 1); a scalar couples every such pair.  Each row's Schur
-    complement is a dense nx x nx block.  By Haynsworth's inertia
-    additivity the matrix's negative eigenvalues are those of the Schur
-    blocks summed.
-    """
-
-    @staticmethod
-    def negative_eigenvalues(diag, off0, off1) -> int:
-        """Negative eigenvalues of the matrix, keeping only the previous
-        Schur block's inverse.  A block whose Cholesky factor succeeds is
-        SPD; otherwise its eigenvalues are counted, and a block within
-        TridiagonalLDL.PIVOT_RTOL of singular raises SolveError, since its
-        inverse would carry no digits.  A non-finite entry raises
-        SolveError too, as a Cholesky factor need not fail on one.  Each
-        block is built in one matrix, its diagonals written through the
-        matrix's flat view."""
-        diag = np.asarray(diag, dtype=float)
-        off0 = np.asarray(off0, dtype=float)
-        off1 = np.asarray(off1, dtype=float)
-        ny, nx = diag.shape
-        if ((off0.ndim and off0.shape != (ny - 1, nx))
-                or (off1.ndim and off1.shape != (ny, nx - 1))):
-            raise ValueError("off0 and off1 must couple neighbours along axes 0 and 1")
-        if not all(np.all(np.isfinite(a)) for a in (diag, off0, off1)):
-            raise SolveError("block LDL^T breakdown: non-finite matrix entry")
-        negative = 0
-        schur = np.empty((nx, nx))
-        flat = schur.reshape(-1)
-        for i in range(ny):
-            schur.fill(0.0)
-            flat[::nx + 1] = diag[i]
-            flat[1::nx + 1] = flat[nx::nx + 1] = off1[i] if off1.ndim else off1
-            if i > 0:
-                # off0 inv off0^T, scaled in the previous inverse's storage
-                c = off0[i - 1] if off0.ndim else off0
-                inv *= np.reshape(c, (-1, 1))
-                inv *= c
-                schur -= inv
-            try:
-                np.linalg.cholesky(schur)
-            except np.linalg.LinAlgError:
-                eigs = np.linalg.eigvalsh(schur)
-                size = np.abs(eigs)
-                if size.min() <= TridiagonalLDL.PIVOT_RTOL * size.max():
-                    raise SolveError("block LDL^T breakdown: Schur block near singular")
-                negative += int(np.sum(eigs < 0.0))
-            if i < ny - 1:
-                inv = np.linalg.inv(schur)
-        return negative
+    diag = np.asarray(diag, dtype=float)
+    off0, off1 = (np.asarray(o, dtype=float) for o in off)
+    ny, nx = diag.shape
+    if ((off0.ndim and off0.shape != (ny - 1, nx))
+            or (off1.ndim and off1.shape != (ny, nx - 1))):
+        raise ValueError("off must couple neighbours along axes 0 and 1")
+    if not all(np.all(np.isfinite(a)) for a in (diag, off0, off1)):
+        raise SolveError("LDL^T breakdown: non-finite matrix entry")
+    floor = TridiagonalLDL.PIVOT_RTOL * float(np.max(np.abs(diag)))
+    negative = 0
+    schur = np.empty((nx, nx))
+    flat = schur.reshape(-1)
+    for i in range(ny):
+        # the block's diagonals written through the matrix's flat view
+        schur.fill(0.0)
+        flat[::nx + 1] = diag[i]
+        flat[1::nx + 1] = flat[nx::nx + 1] = off1[i] if off1.ndim else off1
+        if i > 0:
+            # off0 inv off0^T, scaled in the previous inverse's storage
+            c = off0[i - 1] if off0.ndim else off0
+            inv *= np.reshape(c, (-1, 1))
+            inv *= c
+            schur -= inv
+        try:
+            if not np.linalg.cholesky(schur).diagonal().min() ** 2 > floor:
+                raise SolveError("LDL^T breakdown: pivot near zero")
+        except np.linalg.LinAlgError:
+            # not SPD: the block's own pivots, by elimination in node order
+            block = schur.copy()
+            for k in range(nx):
+                pivot = block[k, k]
+                if pivot < 0.0:
+                    negative += 1
+                if not abs(pivot) > floor:
+                    raise SolveError("LDL^T breakdown: pivot near zero")
+                row = block[k, k + 1:]
+                block[k + 1:, k + 1:] -= np.multiply.outer(row / pivot, row)
+        if i < ny - 1:
+            inv = np.linalg.inv(schur)
+    return negative
 
 
 def _axis_couplings(axis_weights, h: float) -> tuple[np.ndarray, ...]:
@@ -555,13 +553,13 @@ def _linear_step(problem, tol: float) -> Callable:
 # -- penalized problem on the box -------------------------------------------
 
 
-def _morse_enclosure(d: np.ndarray, boxes, h: float, x: np.ndarray) -> float:
+def _morse_enclosure(d: np.ndarray, boxes, h: float, x: np.ndarray) -> int:
     """Negative eigenvalues of J = -lap_h + diag(jd) on a 2D node array,
-    given its diagonal d = 4/h^2 + jd, or nan when they cannot be certified;
-    x, an array of d's shape, is a trial field, in a solve the returned
-    iterate.
+    given its diagonal d = 4/h^2 + jd, certified on the node `boxes` where
+    it can be; x, an array of d's shape, is a trial field, in a solve the
+    returned iterate.
 
-    E is the union of the node `boxes` and O the other nodes.  With
+    E is the union of the boxes and O the other nodes.  With
     m = min jd over O > 0, J_OO >= m I is SPD, and Haynsworth's inertia
     additivity gives neg(J) = neg(S) for the Schur complement
     S = J_EE - J_EO J_OO^-1 J_OE.  Since 0 <= J_OO^-1 <= I/m,
@@ -572,40 +570,41 @@ def _morse_enclosure(d: np.ndarray, boxes, h: float, x: np.ndarray) -> float:
     the sum over its O neighbours of their numbers of E neighbours.  J_EE
     is block diagonal over boxes that no stencil couples, so both bounds
     are sums over single boxes b.  Each box's upper bound
-    neg(J_EE,b - D_b) is a block LDL^T inertia, and it bounds the box's
-    lower bound neg(J_EE,b) from above, since D_b >= 0.  So an upper count
-    of 0 is the lower one too, and so is an upper count of 1 when x has
-    negative curvature on the box, x_b^T J_EE,b x_b < 0 beyond round-off
-    (`_negative_curvature`): by Courant-Fischer one direction of negative
-    curvature makes one negative eigenvalue.  Any other box's lower bound
-    is its own block LDL^T inertia.  The count is returned when the bounds agree;
-    nan when they differ, when m is not positive or when two boxes are
-    stencil-coupled.  A Schur block near singular or a non-finite entry in
-    a counted block raises SolveError.
+    neg(J_EE,b - D_b) is one `negative_eigenvalues` count, and it bounds
+    the box's lower bound neg(J_EE,b) from above, since D_b >= 0.  So an
+    upper count of 0 is the lower one too, and so is an upper count of 1
+    when x has negative curvature on the box, x_b^T J_EE,b x_b < 0 beyond
+    round-off (`_negative_curvature`): by Courant-Fischer one direction of
+    negative curvature makes one negative eigenvalue.  Any other box's
+    lower bound is its own count.  The count is returned when the bounds
+    agree, and the whole array's count where the enclosure certifies
+    nothing: when two boxes are stencil-coupled, m is not positive (nor
+    finite) or the bounds differ.  A pivot near zero or a non-finite entry
+    in a counted matrix raises SolveError.
     """
-    if any(_stencil_coupled(a, b) for a, b in itertools.combinations(boxes, 2)):
-        return math.nan
+    c = -1.0 / h**2
     inside = np.zeros(d.shape, dtype=bool)
     for box in boxes:
         inside[box] = True
     m = float(np.min(d[~inside], initial=math.inf)) - 4.0 / h**2
-    if not m > 0.0:
-        return math.nan
-    # neighbour sums of 0/1 and small integer arrays, exact in floating point
-    neighbour_sum = five_point_apply(np.zeros(d.shape), (1.0, 1.0))
-    degree = neighbour_sum(inside.astype(float))
-    shift = neighbour_sum(np.where(inside, 0.0, degree)) / (m * h**4)
-    c = -1.0 / h**2
-    low = high = 0
-    for box in boxes:
-        b = d[box]
-        upper = BlockTridiagonalLDL.negative_eigenvalues(b - shift[box], c, c)
-        high += upper
-        if upper == 0 or (upper == 1 and _negative_curvature(b, c, x[box])):
-            low += upper
-        else:
-            low += BlockTridiagonalLDL.negative_eigenvalues(b, c, c)
-    return low if low == high else math.nan
+    coupled = any(_stencil_coupled(a, b) for a, b in itertools.combinations(boxes, 2))
+    if m > 0.0 and not coupled:
+        # neighbour sums of 0/1 and small integer arrays, exact in floating point
+        neighbour_sum = five_point_apply(np.zeros(d.shape), (1.0, 1.0))
+        degree = neighbour_sum(inside.astype(float))
+        shift = neighbour_sum(np.where(inside, 0.0, degree)) / (m * h**4)
+        low = high = 0
+        for box in boxes:
+            b = d[box]
+            upper = negative_eigenvalues(b - shift[box], (c, c))
+            high += upper
+            if upper == 0 or (upper == 1 and _negative_curvature(b, c, x[box])):
+                low += upper
+            else:
+                low += negative_eigenvalues(b, (c, c))
+        if low == high:
+            return low
+    return negative_eigenvalues(d, (c, c))
 
 
 def _negative_curvature(b: np.ndarray, c: float, x: np.ndarray) -> bool:
@@ -757,10 +756,11 @@ def solve_auxiliary(
     minimax over [1/T^2, 1]^l.  Each step is `_linear_step` on the
     functional's own operator -lap + lambda V + 1 with the Jacobian's
     diagonal in place of its own; the couplings are the scalar -1/h^2.
-    The Morse index is its LDL^T count in 1D and `_morse_enclosure` in 2D,
-    which counts each enlarged well's box once and a second time only
-    where the returned field's curvature there does not certify its lower
-    bound.  One `PenalizedFunctional.evaluate` per iterate gives the stop
+    The Morse index is `negative_eigenvalues` of the Jacobian in 1D and
+    `_morse_enclosure` in 2D, which counts each enlarged well's box once
+    and a second time only where the returned field's curvature there does
+    not certify its lower bound, and the whole box where it certifies
+    nothing.  One `PenalizedFunctional.evaluate` per iterate gives the stop
     test's residual, the energy history's entry and the next step's
     Jacobian diagonal.  The record's report takes its total from the last
     entry of the energy history whenever the returned field is that
@@ -786,7 +786,7 @@ def solve_auxiliary(
 
     def inertia(u, d):
         if grid.dim == 1:
-            return TridiagonalLDL.negative_eigenvalues(d, *fun.off)
+            return negative_eigenvalues(d, fun.off)
         boxes = [_interior(box_nodes(e, grid, False))
                  for e in potential.geometry.enlargements]
         return _morse_enclosure(d, boxes, grid.h, u)
@@ -973,13 +973,12 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray,
     res = (B + lambda V) u - u log u^2, with log u^2 taken at |u| floored
     at U_FLOOR: the problem's diagonal shifted, with its couplings.  Each
     clipped iterate is rescaled onto the Nehari manifold.  The Morse index,
-    1 at a ground state, is the LDL^T inertia of the Jacobian at the
-    returned iterate, tridiagonal in 1D and block tridiagonal in 2D, nan
-    when a pivot or Schur block is near singular.  The weighted relative
-    residual comes from the iterate's one operator apply.  The iterate is
-    on the Nehari manifold, where <(B + lambda V) u, u>_w = int_w u^2 log u^2,
-    so its energy is half its mass.  A collapse means that the clip left no
-    mass.
+    1 at a ground state, is `negative_eigenvalues` of the Jacobian at the
+    returned iterate, in 1D as in 2D, nan when a pivot is near zero.  The
+    weighted relative residual comes from the iterate's one operator apply.
+    The iterate is on the Nehari manifold, where
+    <(B + lambda V) u, u>_w = int_w u^2 log u^2, so its energy is half its
+    mass.  A collapse means that the clip left no mass.
     """
     def evaluate(u):
         u, au = prob.nehari_project(u)
@@ -989,9 +988,8 @@ def _ground_state_newton(prob: _LocalWell, u: np.ndarray,
         d = prob.diag - prob.w * (2.0 * np.log(np.maximum(np.abs(u), U_FLOOR)) + 2.0)
         return u, rel, 0.5 * mass, prob.w * res, d
 
-    ldl = TridiagonalLDL if prob.grid.dim == 1 else BlockTridiagonalLDL
     u, run = _newton(evaluate, prob, lambda u: prob.integral(u * u) <= 0.0, u, config,
-                     lambda u, d: ldl.negative_eigenvalues(d, *prob.off))
+                     lambda u, d: negative_eigenvalues(d, prob.off))
     return LevelRecord(**vars(run), grid=prob.grid, nodes=prob.nodes, values=u)
 
 

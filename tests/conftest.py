@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from logbump import solver
 from logbump.cli import main, parse_config, rows_from_csv
 from logbump.solver import (
     PATH_T,
-    BlockTridiagonalLDL,
     lambda_sweep,
     solve_neumann_well,
     solve_single_well,
@@ -122,15 +122,16 @@ def wide_well():
 
 @pytest.fixture
 def block_ldl_calls(monkeypatch):
-    """The arguments of each `BlockTridiagonalLDL.negative_eigenvalues`
-    call the test makes, one entry per call, the deterministic work
-    counter of the 2D inertia counts."""
+    """The arguments of each 2D `solver.negative_eigenvalues` call the
+    test makes, one entry per call, the deterministic work counter of the
+    2D inertia counts."""
     calls = []
-    count = BlockTridiagonalLDL.negative_eigenvalues
+    count = solver.negative_eigenvalues
 
-    def counted(*args):
-        calls.append(args)
-        return count(*args)
+    def counted(diag, off):
+        if len(off) == 2:
+            calls.append((diag, off))
+        return count(diag, off)
 
-    monkeypatch.setattr(BlockTridiagonalLDL, "negative_eigenvalues", staticmethod(counted))
+    monkeypatch.setattr(solver, "negative_eigenvalues", counted)
     return calls

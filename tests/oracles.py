@@ -30,7 +30,7 @@ from logbump.domain import (
     potential_on_grid,
 )
 from logbump.penalty import U_FLOOR, s_log_sq, sq_log_sq
-from logbump.solver import BlockTridiagonalLDL
+from logbump.solver import negative_eigenvalues
 
 
 class Splitting:
@@ -306,9 +306,7 @@ def whole_box_negative_eigenvalues(d: np.ndarray, h: float) -> int:
     LDL^T inertia over all of its rows."""
     ny, nx = d.shape
     c = -1.0 / h**2
-    return BlockTridiagonalLDL.negative_eigenvalues(
-        d, np.full((ny - 1, nx), c), np.full((ny, nx - 1), c)
-    )
+    return negative_eigenvalues(d, (np.full((ny - 1, nx), c), np.full((ny, nx - 1), c)))
 
 
 def padded_neg_laplacian(v: np.ndarray, h: float, mode: str = "constant") -> np.ndarray:

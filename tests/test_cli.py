@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logbump import penalty
+from logbump import penalty, solver
 from logbump.cli import (
     _WELL_SUFFIXES,
     CONFIG_KEYS,
@@ -38,7 +38,6 @@ from logbump.cli import (
 from logbump.domain import PotentialSpec
 from logbump.functional import PenalizedFunctional
 from logbump.solver import (
-    BlockTridiagonalLDL,
     SolveError,
     SolverConfig,
     TridiagonalLDL,
@@ -1051,8 +1050,6 @@ def test_unconverged_rows_fail_the_row_verdicts(tmp_path, monkeypatch):
     # carry its start fields, well 2's ground state and then its level
     # field, unconverged: they judge only nan margins, their occupation mask
     # is not counted, and no lambda threshold is read off them
-    import logbump.solver as solver
-
     broken_sweep = _breaking(monkeypatch, lambda lam, gamma, *args: tuple(gamma) == (2,),
                              PenalizedFunctional, "evaluate", "injected sweep")
     monkeypatch.setattr(solver, "solve_auxiliary", broken_sweep(solver.solve_auxiliary))
@@ -1131,8 +1128,6 @@ def test_neumann_failure_names_stop_reason(tmp_path, capsys, monkeypatch):
 def test_sweep_breakdown_keeps_the_other_lambdas(tmp_path, capsys, monkeypatch):
     # a pivot near zero at lambda = 100, in the sweep solve and in the
     # enlarged-well level: both end as named stops, not as errors
-    import logbump.solver as solver
-
     def singular(*args):
         raise SolveError("LDL^T breakdown: pivot near zero")
 
@@ -1182,10 +1177,9 @@ def test_uncounted_local_morse_index_is_a_failure(tmp_path, capsys, monkeypatch)
     # the 2D solves converge, but their final inertia count breaks down: the
     # local boxes' and the sweep enclosure's
     def singular(*args):
-        raise SolveError("block LDL^T breakdown: Schur block near singular")
+        raise SolveError("LDL^T breakdown: Schur block near singular")
 
-    monkeypatch.setattr(BlockTridiagonalLDL, "negative_eigenvalues",
-                        staticmethod(singular))
+    monkeypatch.setattr(solver, "negative_eigenvalues", singular)
     out = tmp_path / "small-2d"
     assert run(parse_config_text(SMALL_2D), out_dir=str(out)) == 1
     err = capsys.readouterr().err
@@ -1202,7 +1196,7 @@ def test_uncounted_one_d_morse_index_is_a_failure(tmp_path, capsys, monkeypatch)
     def singular(*args):
         raise SolveError("LDL^T breakdown: pivot near zero")
 
-    monkeypatch.setattr(TridiagonalLDL, "negative_eigenvalues", staticmethod(singular))
+    monkeypatch.setattr(solver, "negative_eigenvalues", singular)
     out = tmp_path / "tiny"
     assert run(parse_config_text(TINY + "gamma = 1\n"), out_dir=str(out)) == 1
     failures = capsys.readouterr().err.splitlines()
@@ -1558,8 +1552,6 @@ def test_report_lists_the_failure_lines_of_run(tmp_path, capsys, monkeypatch):
     # its start (well 2, so only gamma 1 is swept), a level that breaks down
     # at its start and an unconverged one, a sweep solve of the wrong Morse
     # index and one that breaks down at its start
-    import logbump.solver as solver
-
     def capped(solve):
         def wrapped(lam, j, grid, potential, config):
             if (lam, j) == (10000.0, 2):

@@ -34,7 +34,6 @@ from logbump.functional import BUMP_THRESHOLD, PenalizedFunctional
 from logbump.penalty import U_FLOOR, PenalizationParams, make_params, s_log_sq, sq_log_sq
 from logbump.solver import (
     PATH_T,
-    BlockTridiagonalLDL,
     SolveError,
     SolverConfig,
     TridiagonalLDL,
@@ -43,6 +42,7 @@ from logbump.solver import (
     lambda_sweep,
     minimax_upper_bound,
     minres,
+    negative_eigenvalues,
     solve_auxiliary,
     solve_neumann_well,
     solve_single_well,
@@ -865,9 +865,9 @@ def test_tridiagonal_ldl_matches_dense_solve():
     b = rng.standard_normal(50)
     x = TridiagonalLDL.solve_once(diag, off, b)
     assert np.allclose(x, np.linalg.solve(a, b), rtol=0.0, atol=1e-12)
-    assert TridiagonalLDL.negative_eigenvalues(diag, off) == 0
+    assert negative_eigenvalues(diag, (off,)) == 0
     assert TridiagonalLDL.solve_once([4.0], [], [2.0]).tolist() == [0.5]
-    assert TridiagonalLDL.negative_eigenvalues([-4.0], []) == 1
+    assert negative_eigenvalues([-4.0], ([],)) == 1
 
 
 def _random_symmetric_tridiagonal(rng, n):
@@ -885,7 +885,7 @@ def test_tridiagonal_ldl_indefinite_solve_and_inertia(seed):
     assert 0 < negative < 40
     x = TridiagonalLDL.solve_once(diag, off, b)
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-    assert TridiagonalLDL.negative_eigenvalues(diag, off) == negative
+    assert negative_eigenvalues(diag, (off,)) == negative
 
 
 def test_tridiagonal_ldl_near_zero_pivot_raises():
@@ -895,13 +895,13 @@ def test_tridiagonal_ldl_near_zero_pivot_raises():
         with pytest.raises(SolveError, match="near zero"):
             TridiagonalLDL.solve_once([1.0, second, 1e4], [1.0, 0.0], [1.0, 1.0, 1.0])
         with pytest.raises(SolveError, match="near zero"):
-            TridiagonalLDL.negative_eigenvalues([1.0, second, 1e4], [1.0, 0.0])
+            negative_eigenvalues([1.0, second, 1e4], ([1.0, 0.0],))
     with pytest.raises(SolveError, match="non-finite"):
         TridiagonalLDL.solve_once([1.0, -1.0], [0.0], [math.nan, 1.0])
     with pytest.raises(ValueError, match="one entry fewer"):
-        TridiagonalLDL.negative_eigenvalues([1.0, 2.0], [1.0, 1.0])
+        negative_eigenvalues([1.0, 2.0], ([1.0, 1.0],))
     x = TridiagonalLDL.solve_once([1.0, -2.0], [0.0], [1.0, 1.0])
-    count = TridiagonalLDL.negative_eigenvalues([1.0, -2.0], [0.0])
+    count = negative_eigenvalues([1.0, -2.0], ([0.0],))
     assert x.tolist() == [1.0, -0.5] and count == 1 and type(count) is int
 
 
@@ -937,7 +937,7 @@ def test_tridiagonal_ldl_solve_breaks_down_where_the_count_does(pivot, where, sc
     coupling = -1.5 if scalar else off
     b = np.linspace(1.0, -2.0, n)
     solve = partial(TridiagonalLDL.solve_once, diag, coupling, b)
-    count = partial(TridiagonalLDL.negative_eigenvalues, diag, coupling)
+    count = partial(negative_eigenvalues, diag, (coupling,))
     if pivot < TridiagonalLDL.PIVOT_RTOL * max(map(abs, diag)):
         for call in (solve, count):
             with pytest.raises(SolveError, match="^LDL\\^T breakdown: pivot near zero$"):
@@ -955,16 +955,19 @@ def test_tridiagonal_ldl_solve_breaks_down_where_the_count_does(pivot, where, sc
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("method", ["solve_once", "negative_eigenvalues"])
 def test_tridiagonal_ldl_rejects_a_non_finite_entry(where, bad, method):
-    # as in BlockTridiagonalLDL: the recurrences miss such an entry or
+    # as in the 2D count: the recurrences miss such an entry or
     # misname it, since an infinite coupling makes a pivot of -inf, which
     # passes the pivot floor and counts as negative, and a nan one fails
     # the floor as a pivot near zero
     entries = {"diag": [2.0, 2.0, 2.0], "off": [0.0, 0.0]}
     entries[where][0] = bad
     args = (entries["diag"], entries["off"])
-    args += ([1.0, 1.0, 1.0],) if method == "solve_once" else ()
+    if method == "solve_once":
+        call = partial(TridiagonalLDL.solve_once, *args, [1.0, 1.0, 1.0])
+    else:
+        call = partial(negative_eigenvalues, args[0], args[1:])
     with pytest.raises(SolveError, match="^LDL\\^T breakdown: non-finite matrix entry$"):
-        getattr(TridiagonalLDL, method)(*args)
+        call()
 
 
 def test_tridiagonal_ldl_takes_a_scalar_coupling():
@@ -974,8 +977,8 @@ def test_tridiagonal_ldl_takes_a_scalar_coupling():
     full = np.full(29, -1.5)
     assert np.array_equal(TridiagonalLDL.solve_once(diag, -1.5, b),
                           TridiagonalLDL.solve_once(diag, full, b))
-    assert (TridiagonalLDL.negative_eigenvalues(diag, -1.5)
-            == TridiagonalLDL.negative_eigenvalues(diag, full) > 0)
+    assert (negative_eigenvalues(diag, (-1.5,))
+            == negative_eigenvalues(diag, (full,)) > 0)
 
 
 def test_tridiagonal_ldl_rejects_a_right_hand_side_of_another_length():
@@ -985,6 +988,80 @@ def test_tridiagonal_ldl_rejects_a_right_hand_side_of_another_length():
         TridiagonalLDL.solve_once([2.0, 2.0, 2.0], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="one entry per diag entry"):
         TridiagonalLDL.solve_once([2.0, 2.0], [0.0], [1.0, 1.0, 5.0])
+
+
+def _layouts(diag, off):
+    """A symmetric tridiagonal matrix as a 1D problem holds it, and as the
+    one row and the one column of a 2D one: one matrix, three layouts."""
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    n = len(diag)
+    return {"1d": (diag, (off,)),
+            "row": (diag[None, :], (np.zeros((0, n)), off[None, :])),
+            "column": (diag[:, None], (off[:, None], np.zeros((n, 0))))}
+
+
+def _layout_counts(diag, off) -> dict:
+    """`negative_eigenvalues` of each layout, or its SolveError message."""
+    out = {}
+    for name, args in _layouts(diag, off).items():
+        try:
+            out[name] = negative_eigenvalues(*args)
+        except SolveError as exc:
+            out[name] = str(exc)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_negative_eigenvalues_is_one_count_in_every_layout(seed):
+    # one breakdown rule for every layout: the pivots of the LDL^T factor in
+    # node order against the largest diagonal entry.  The row's one Schur
+    # block is the whole matrix (its Cholesky factor when it is SPD, else
+    # its elimination), the column's blocks are 1 x 1.  A random matrix
+    # gets eigvalsh's count from all three; a pivot made zero, or within
+    # PIVOT_RTOL of the largest diagonal entry, at any node makes all three
+    # raise, and so does the pair (1, 1) coupled by -(1 -+ 1e-14), whose
+    # second pivot is -+2e-14.  A pivot near zero need not make the matrix
+    # near singular, so a block's eigenvalues cannot stand in for its
+    # pivots: the row layout would count where the 1D one breaks down
+    rng = np.random.default_rng(seed)
+    n = [1, 2, 3, 5, 9, 17, 33, 60][seed]
+    random = (_random_symmetric_tridiagonal(rng, n)[:2] if n > 1
+              else (3.0 * rng.standard_normal(1), np.zeros(0)))
+    cases = [(*random, False), (*_random_spd_tridiagonal(rng, n), False)]
+    for pivot in (0.0, 1e-13, 1e-3):
+        off = list(rng.standard_normal(n - 1))
+        diag = _pivoted_diagonal(off, rng.integers(n), pivot)
+        cases.append((diag, off, pivot <= TridiagonalLDL.PIVOT_RTOL * max(map(abs, diag))))
+    cases += [([1.0, 1.0], [-(1.0 - 1e-14)], True), ([1.0, 1.0], [-(1.0 + 1e-14)], True)]
+    for diag, off, breaks_down in cases:
+        counts = _layout_counts(diag, off)
+        if breaks_down:
+            assert set(counts.values()) == {"LDL^T breakdown: pivot near zero"}, counts
+            continue
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        want = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+        assert counts == dict.fromkeys(counts, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_negative_eigenvalues_near_singular_is_right_up_to_round_off(seed):
+    # a matrix shifted by one of its eigenvalues, -3 ... 3 ulps off: each
+    # layout breaks down or counts the negative eigenvalues up to those
+    # within round-off of zero, whose sign no pivot settles.  A pivot near
+    # zero shows only when the near-null vector reaches the node where it
+    # forms; elsewhere the last pivots carry the round-off of the shift,
+    # amplified, in a sign the layouts may round apart
+    rng = np.random.default_rng(100 + seed)
+    n = [2, 5, 12, 40][seed]
+    diag, off, dense = _random_symmetric_tridiagonal(rng, n)
+    for lam in np.linalg.eigvalsh(dense):
+        for ulps in range(-3, 4):
+            shifted = diag - (lam + ulps * math.ulp(lam))
+            ev = np.linalg.eigvalsh(np.diag(shifted) + np.diag(off, 1) + np.diag(off, -1))
+            margin = TridiagonalLDL.PIVOT_RTOL * np.abs(shifted).max()
+            for count in _layout_counts(shifted, off).values():
+                assert (count == "LDL^T breakdown: pivot near zero"
+                        or np.sum(ev < -margin) <= count <= np.sum(ev < margin))
 
 
 def _one_d_problems(ref):
@@ -1380,7 +1457,7 @@ def test_newton_driver_counts_the_morse_index_at_the_returned_field(off, monkeyp
         return 3
 
     def singular(u, d):
-        raise SolveError("block LDL^T breakdown: Schur block near singular")
+        raise SolveError("LDL^T breakdown: Schur block near singular")
 
     start = np.full((1,) * len(off), 3.0)
     u, rec = solver_module._newton(_toy_evaluate, off, lambda u: False, start,
@@ -1717,14 +1794,16 @@ def test_negative_curvature_margin():
 
 
 def test_morse_enclosure_non_finite_diagonal():
-    # nan off the boxes makes m nan, which certifies nothing; nan in a box
-    # makes its block count raise, which `_newton` turns into a nan index
+    # nan off the boxes makes m nan, which certifies nothing, so the whole
+    # box is counted, and that count raises; nan in a box makes its block
+    # count raise.  `_newton` turns either into a nan index
     h = 0.25
     d = 4.0 / h**2 + _dipped_diagonal(35.0)
     for trial in (_bump_trial(), np.zeros_like(d)):
         outside = d.copy()
         outside[15, 2] = math.nan
-        assert math.isnan(solver_module._morse_enclosure(outside, _ENCLOSURE_BOXES, h, trial))
+        with pytest.raises(SolveError, match="non-finite"):
+            solver_module._morse_enclosure(outside, _ENCLOSURE_BOXES, h, trial)
         for node in [(5, 5), (7, 17)]:
             inside = d.copy()
             inside[node] = math.nan
@@ -1733,19 +1812,25 @@ def test_morse_enclosure_non_finite_diagonal():
 
 
 def test_morse_enclosure_uncertified_cases():
+    # where the enclosure certifies nothing it counts the whole box, which
+    # gives the dense count
     h = 0.25
     def enclose(outside=30.0, boxes=_ENCLOSURE_BOXES):
         jd = _dipped_diagonal(35.0, outside)
         return solver_module._morse_enclosure(4.0 / h**2 + jd, boxes, h, _bump_trial())
 
+    def dense(outside):
+        jd = _dipped_diagonal(35.0, outside)
+        return int(np.sum(np.linalg.eigvalsh(_five_point_dense(jd, h)) < 0.0))
+
     assert enclose() == 1
     # J_OO not SPD: no lower bound on it
-    assert math.isnan(enclose(outside=0.0))
+    assert enclose(outside=0.0) == dense(0.0)
     # J_OO barely SPD: the bounds drift apart
-    assert math.isnan(enclose(outside=1e-3))
+    assert enclose(outside=1e-3) == dense(1e-3)
     # adjacent boxes: J_EE is not block diagonal over them
-    assert math.isnan(enclose(boxes=[(slice(2, 11), slice(2, 11)),
-                                     (slice(3, 12), slice(11, 22))]))
+    assert enclose(boxes=[(slice(2, 11), slice(2, 11)),
+                          (slice(3, 12), slice(11, 22))]) == dense(30.0)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -1788,15 +1873,15 @@ def test_block_ldl_negative_eigenvalues(seed, shape):
         # and its inverse enters the next block
         head = (shape[0] - 1) * shape[1]
         assert np.linalg.eigvalsh(shifted[:head, :head]).min() < 0.0
-    count = BlockTridiagonalLDL.negative_eigenvalues(diag - shift, off0, off1)
+    count = negative_eigenvalues(diag - shift, (off0, off1))
     want = int(np.sum(np.linalg.eigvalsh(shifted) < 0.0))
     assert count == want == seed + 1
 
 
 def test_block_ldl_negative_eigenvalues_singular_block_raises():
-    with pytest.raises(SolveError, match="singular"):
-        BlockTridiagonalLDL.negative_eigenvalues(
-            np.array([[1.0, 1.0]]), np.zeros((0, 2)), np.array([[1.0]]))
+    # the block [[1, 1], [1, 1]] is not SPD; its second pivot is 1 - 1 = 0
+    with pytest.raises(SolveError, match="^LDL\\^T breakdown: pivot near zero$"):
+        negative_eigenvalues(np.array([[1.0, 1.0]]), (np.zeros((0, 2)), np.array([[1.0]])))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1807,7 +1892,7 @@ def test_block_ldl_negative_eigenvalues_non_finite_entry_raises(bad, where):
     diag, off0, off1 = np.full((4, 4), 4.0), -np.ones((3, 4)), -np.ones((4, 3))
     {"diag": diag, "off0": off0, "off1": off1}[where][1, 2] = bad
     with pytest.raises(SolveError, match="non-finite"):
-        BlockTridiagonalLDL.negative_eigenvalues(diag, off0, off1)
+        negative_eigenvalues(diag, (off0, off1))
 
 
 TWIN_WELLS_2D = REPO_ROOT / "perfbench" / "configs" / "twin-wells-2d.cfg"
@@ -1937,11 +2022,10 @@ def test_two_d_local_inertia_breakdown_leaves_the_morse_index_open(monkeypatch):
     # a Schur block near singular in the final inertia count: the solve
     # stays converged, with no Morse index
     def singular(*args):
-        raise SolveError("block LDL^T breakdown: Schur block near singular")
+        raise SolveError("LDL^T breakdown: Schur block near singular")
 
     geometry, potential, grid = _small_2d()
-    monkeypatch.setattr(BlockTridiagonalLDL, "negative_eigenvalues",
-                        staticmethod(singular))
+    monkeypatch.setattr(solver_module, "negative_eigenvalues", singular)
     for rec in (solve_single_well(geometry, 1, grid, SolverConfig()),
                 solve_neumann_well(1e2, 1, grid, potential, SolverConfig())):
         assert rec.converged and rec.stop_detail == ""
@@ -1998,7 +2082,7 @@ def test_block_ldl_matches_dense_solve(shape):
     rng = np.random.default_rng(4)
     diag, off0, off1, dense = _random_spd_five_point(rng, *shape)
     assert np.linalg.eigvalsh(dense).min() > 0.0
-    assert BlockTridiagonalLDL.negative_eigenvalues(diag, off0, off1) == 0
+    assert negative_eigenvalues(diag, (off0, off1)) == 0
 
 
 def test_block_ldl_indefinite_inertia():
@@ -2006,7 +2090,7 @@ def test_block_ldl_indefinite_inertia():
     diag, off0, off1, dense = _random_spd_five_point(rng, 4, 3)
     shift = np.sort(np.linalg.eigvalsh(dense))[1:3].mean()
     want = int(np.sum(np.linalg.eigvalsh(dense - shift * np.eye(12)) < 0.0))
-    assert BlockTridiagonalLDL.negative_eigenvalues(diag - shift, off0, off1) == want == 2
+    assert negative_eigenvalues(diag - shift, (off0, off1)) == want == 2
 
 
 def _small_2d():

@@ -1,8 +1,9 @@
 """The package holds no function or class that only the tests call, its
 modules keep their private names to themselves, only the solver catches
 `SolveError`, only the Newton driver sets a Morse index, only its linear
-step calls the step kernels and builds the 2D preconditioner, and only
-`domain` walks the stencil faces.
+step calls the step kernels and builds the 2D preconditioner, every Morse
+count is the one inertia routine, and only `domain` walks the stencil
+faces.
 
 A top-level function, class or method of `src/logbump` must be referenced
 somewhere else in the package, by the benchmark tracer's `TARGETS` or by
@@ -173,6 +174,31 @@ def test_only_the_linear_step_calls_the_step_kernels():
                 if name in kernels:
                     callers.append((path.name, name, owner.get(node)))
     assert sorted(callers) == sorted(("solver.py", name, "_linear_step") for name in kernels)
+
+
+def test_every_morse_count_is_the_one_inertia_routine():
+    # `solver.negative_eigenvalues` is the one Morse count, with one
+    # breakdown rule in 1D and 2D: only it factors a dense block
+    # (`np.linalg.cholesky`, `eigvalsh` or `inv`), and the counts of the
+    # local solves, the penalized solve and the 2D enclosure all call it
+    dense = ("cholesky", "eigvalsh", "inv")
+    factors, counts = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _outermost_functions(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in dense and "linalg" in {
+                    getattr(func.value, "id", None), getattr(func.value, "attr", None)}:
+                factors.append((path.name, owner.get(node)))
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "negative_eigenvalues":
+                counts.add((path.name, owner.get(node)))
+    assert factors and set(factors) == {("solver.py", "negative_eigenvalues")}
+    assert counts == {("solver.py", owner) for owner in
+                      ("_ground_state_newton", "solve_auxiliary", "_morse_enclosure")}
 
 
 def test_only_the_domain_walks_the_stencil_faces():
