@@ -39,7 +39,10 @@ counts only the enlarged wells' node boxes: once each for the upper
 bound, and again for the lower bound only where the returned field's own
 negative curvature on the box does not settle it, and the whole box
 where it certifies nothing.  Every count is `negative_eigenvalues`: the
-negative LDL^T pivots in node order, with one breakdown rule.
+negative LDL^T pivots in node order, with one breakdown rule.  In 2D it
+borders each SPD Schur row onto the next and takes one Cholesky factor of
+the pair, which gives the next row's block too; it inverts a block only
+where the pair is not SPD, about each negative pivot.
 
 Everything here is deterministic: fixed iteration order, fixed summation
 order, no randomness, so identical inputs give bit-identical outputs.
@@ -375,11 +378,15 @@ def negative_eigenvalues(diag, off) -> int:
 
     In 1D it is the pivot recurrence of `TridiagonalLDL.solve_once` over
     plain floats.  In 2D, off[0] couples node (i, j) to (i + 1, j) and
-    off[1] to (i, j + 1), and the recurrence runs over rows, keeping only
-    the previous row's inverse: each row's Schur complement is a dense
-    block, whose pivots are those of its Cholesky factor, L_kk^2, when it
-    is SPD, else those of its elimination in node order (Haynsworth's
-    inertia additivity).  One breakdown rule for both: a pivot within
+    off[1] to (i, j + 1), and the recurrence runs over rows of dense Schur
+    blocks S_i (Haynsworth's inertia additivity).  Each row borders its
+    block onto the next row, [[S_i, C_i], [C_i, D_i+1]] with C_i the
+    diagonal of off[0][i], and takes one Cholesky factor of the pair: its
+    pivots L_kk^2 are those of S_i and of the next row, and its trailing
+    factor L22 gives the next block, S_i+1 = L22 L22^T.  Only where the
+    pair is not SPD does the next block come from the inverse, D_i+1 -
+    C_i S_i^-1 C_i, and a block that is not SPD is eliminated in node
+    order.  One breakdown rule for every pivot: one within
     TridiagonalLDL.PIVOT_RTOL of the largest diagonal entry in size raises
     SolveError, as does a non-finite entry, which neither recurrence need
     fail on.  Couplings of the wrong shape raise ValueError.
@@ -404,36 +411,75 @@ def negative_eigenvalues(diag, off) -> int:
     if not all(np.all(np.isfinite(a)) for a in (diag, off0, off1)):
         raise SolveError("LDL^T breakdown: non-finite matrix entry")
     floor = TridiagonalLDL.PIVOT_RTOL * float(np.max(np.abs(diag)))
-    negative = 0
-    schur = np.empty((nx, nx))
-    flat = schur.reshape(-1)
-    for i in range(ny):
-        # the block's diagonals written through the matrix's flat view
-        schur.fill(0.0)
-        flat[::nx + 1] = diag[i]
-        flat[1::nx + 1] = flat[nx::nx + 1] = off1[i] if off1.ndim else off1
-        if i > 0:
-            # off0 inv off0^T, scaled in the previous inverse's storage
-            c = off0[i - 1] if off0.ndim else off0
+
+    def spd_factor(block):
+        """The Cholesky factor of an SPD block, its pivots L_kk^2 checked
+        against the floor, or None where the block is not SPD."""
+        try:
+            factor = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return None
+        if not factor.diagonal().min() ** 2 > floor:
+            raise SolveError("LDL^T breakdown: pivot near zero")
+        return factor
+
+    def count(block) -> int:
+        """The negative pivots of one Schur block: none where it is SPD,
+        else those of its elimination in node order."""
+        if spd_factor(block) is not None:
+            return 0
+        block, negative = block.copy(), 0
+        for k in range(nx):
+            pivot = block[k, k]
+            if pivot < 0.0:
+                negative += 1
+            if not abs(pivot) > floor:
+                raise SolveError("LDL^T breakdown: pivot near zero")
+            row = block[k, k + 1:]
+            block[k + 1:, k + 1:] -= np.multiply.outer(row / pivot, row)
+        return negative
+
+    # the pair [[S_i, C_i], [C_i, D_i+1]] in one buffer: its coupling
+    # blocks are diagonal and D_i+1 tridiagonal, written through strided
+    # views of its flat storage, so their other entries stay 0
+    m = 2 * nx
+    pair = np.zeros((m, m))
+    flat = pair.reshape(-1)
+
+    def diagonal(row, col, length):
+        start = row * m + col
+        return flat[start:start + length * (m + 1):m + 1]
+
+    def write_row(i, at):
+        """D_i on the pair's diagonal block at (at, at)."""
+        diagonal(at, at, nx)[:] = diag[i]
+        diagonal(at, at + 1, nx - 1)[:] = diagonal(at + 1, at, nx - 1)[:] = (
+            off1[i] if off1.ndim else off1)
+
+    schur, upcoming = pair[:nx, :nx], pair[nx:, nx:]
+    write_row(0, 0)  # S_0 = D_0
+    # counted: S_i's pivots are known, as the trailing pivots of a pair
+    negative, counted = 0, False
+    for i in range(ny - 1):
+        c = off0[i] if off0.ndim else off0
+        diagonal(nx, 0, nx)[:] = diagonal(0, nx, nx)[:] = c
+        write_row(i + 1, nx)
+        factor = spd_factor(pair)
+        if factor is not None:
+            # S_i and S_i+1 are SPD, and S_i+1 = L22 L22^T
+            trailing = factor[nx:, nx:]
+            np.matmul(trailing, trailing.T, out=schur)
+        else:
+            if not counted:
+                negative += count(schur)
+            # S_i+1 from the inverse, scaled in its own storage
+            inv = np.linalg.inv(schur)
             inv *= np.reshape(c, (-1, 1))
             inv *= c
-            schur -= inv
-        try:
-            if not np.linalg.cholesky(schur).diagonal().min() ** 2 > floor:
-                raise SolveError("LDL^T breakdown: pivot near zero")
-        except np.linalg.LinAlgError:
-            # not SPD: the block's own pivots, by elimination in node order
-            block = schur.copy()
-            for k in range(nx):
-                pivot = block[k, k]
-                if pivot < 0.0:
-                    negative += 1
-                if not abs(pivot) > floor:
-                    raise SolveError("LDL^T breakdown: pivot near zero")
-                row = block[k, k + 1:]
-                block[k + 1:, k + 1:] -= np.multiply.outer(row / pivot, row)
-        if i < ny - 1:
-            inv = np.linalg.inv(schur)
+            np.subtract(upcoming, inv, out=schur)
+        counted = factor is not None
+    if not counted:
+        negative += count(schur)
     return negative
 
 

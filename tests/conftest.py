@@ -1,5 +1,5 @@
 """Shared fixtures: the reference twin-well scenario and its heavy solves,
-and a counter of the 2D inertia counts.
+and counters of the 2D inertia counts and of their dense inverses.
 
 Session scope keeps the expensive solves, and the one pipeline run of
 the reference config, shared between the module tests and the
@@ -9,6 +9,7 @@ acceptance suite.
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from logbump import solver
@@ -134,4 +135,20 @@ def block_ldl_calls(monkeypatch):
         return count(diag, off)
 
     monkeypatch.setattr(solver, "negative_eigenvalues", counted)
+    return calls
+
+
+@pytest.fixture
+def inv_calls(monkeypatch):
+    """One entry, the matrix's shape, per `np.linalg.inv` call the test
+    makes: the 2D inertia count inverts a Schur block only where its
+    bordered pair is not SPD, so this counts its fallback rows."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
     return calls

@@ -1348,6 +1348,17 @@ def test_two_d_benchmark_block_count_guard(tmp_path, block_ldl_calls):
         assert float(row["morse_index"]) == whole_box_negative_eigenvalues(d, grid.h) == 2
 
 
+def test_two_d_benchmark_inverse_guard(tmp_path, block_ldl_calls, inv_calls):
+    # deterministic work counter: each block count of the twin-wells-2d
+    # workload borders every SPD Schur row onto the next with one Cholesky
+    # factor, and inverts a block only around its one negative pivot: 28
+    # inverses over the 14 counts (620, one per row but the last, when
+    # every row took one)
+    run(parse_config(BENCH_CONFIGS["twin-wells-2d"]), out_dir=str(tmp_path / "out"))
+    assert len(block_ldl_calls) == 14
+    assert len(inv_calls) <= 2 * len(block_ldl_calls)
+
+
 def test_three_wells_verdicts_are_grid_stable(tmp_path, capsys):
     # the bundled grid and one eight times finer give the same verdicts:
     # each run FAILs only limit_energy_gap (1.314e-2 and 1.141e-2)

@@ -2093,6 +2093,79 @@ def test_block_ldl_indefinite_inertia():
     assert negative_eigenvalues(diag - shift, (off0, off1)) == want == 2
 
 
+@pytest.mark.parametrize("scalar", [False, True], ids=["array", "scalar"])
+def test_block_ldl_spd_count_takes_no_inverse(scalar, inv_calls):
+    # every bordered pair of an SPD matrix is SPD, so each row's next
+    # Schur block comes from the pair's trailing factor, never an inverse
+    rng = np.random.default_rng(6)
+    diag, off0, off1, dense = _random_spd_five_point(rng, 9, 7)
+    if scalar:
+        # one coupling per axis, with a diagonal that dominates it
+        diag, off0, off1 = 4.5 + rng.random((9, 7)), -1.0, -1.0
+        dense = _five_point_dense(diag - 4.0, 1.0)
+    assert np.linalg.eigvalsh(dense).min() > 0.0
+    assert negative_eigenvalues(diag, (off0, off1)) == 0
+    assert inv_calls == []
+
+
+def _spd_schur_rows(dense, ny, nx) -> list[bool]:
+    """Whether each row's Schur block of `dense`, in node order, is SPD:
+    the row's block less its coupling to the rows before, eliminated."""
+    spd = []
+    for i in range(ny):
+        now, head = slice(i * nx, (i + 1) * nx), slice(0, i * nx)
+        block = dense[now, now]
+        if i:
+            block = block - dense[now, head] @ np.linalg.solve(dense[head, head],
+                                                               dense[head, now])
+        spd.append(bool(np.linalg.eigvalsh(block).min() > 0.0))
+    return spd
+
+
+@pytest.mark.parametrize("shape, dips", [
+    ((5, 6), [(0, 2)]),
+    ((5, 6), [(4, 3)]),
+    ((5, 6), [(2, 1), (3, 4)]),
+    ((1, 7), [(0, 0), (0, 5)]),
+    ((7, 1), [(0, 0), (3, 0), (4, 0), (6, 0)]),
+], ids=["first-row", "last-row", "two-rows-in-a-row", "one-row", "one-column"])
+def test_block_ldl_indefinite_rows_anywhere(shape, dips):
+    # a node whose diagonal entry dips to -5 makes its Schur row indefinite:
+    # the count runs the inverse and the node-order elimination there and
+    # borders the SPD rows, and gives eigvalsh's count wherever the rows
+    # fall, at the ends and back to back
+    rng = np.random.default_rng(7)
+    diag, off0, off1, dense = _random_spd_five_point(rng, *shape)
+    for node in dips:
+        idx = np.ravel_multi_index(node, shape)
+        dense[idx, idx] -= diag[node] + 5.0
+        diag[node] = -5.0
+    rows = {i for i, _ in dips}
+    assert _spd_schur_rows(dense, *shape) == [i not in rows for i in range(shape[0])]
+    want = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+    assert negative_eigenvalues(diag, (off0, off1)) == want == len(dips)
+
+
+@pytest.mark.parametrize("shape, row", [((2, 1), 1), ((4, 5), 2), ((4, 5), 3)])
+def test_block_ldl_breaks_down_in_a_pair_trailing_block(shape, row, inv_calls):
+    # the last pivot of row `row` set to half the floor, in node order:
+    # every pivot before it is positive, so the pair that borders the row
+    # before onto this one is SPD, and its trailing factor's pivot raises
+    # before any inverse is taken
+    rng = np.random.default_rng(8)
+    diag, off0, off1, dense = _random_spd_five_point(rng, *shape)
+    k = np.ravel_multi_index((row, shape[1] - 1), shape)
+    # the pivot at node k is its diagonal entry less the elimination of
+    # the nodes before it
+    rest = dense[k, :k] @ np.linalg.solve(dense[:k, :k], dense[:k, k])
+    others = np.abs(np.delete(diag, k)).max()
+    diag[row, -1] = rest + 0.5 * TridiagonalLDL.PIVOT_RTOL * others
+    assert abs(diag[row, -1]) <= others
+    with pytest.raises(SolveError, match="^LDL\\^T breakdown: pivot near zero$"):
+        negative_eigenvalues(diag, (off0, off1))
+    assert inv_calls == []
+
+
 def _small_2d():
     """One square 2D well resolved by 39 x 39 nodes."""
     geometry = WellGeometry(
